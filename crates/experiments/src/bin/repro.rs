@@ -5,8 +5,8 @@
 //! ```text
 //! repro <experiment> [--quick] [--markdown] [--cores N] [--seed S] [--jobs N]
 //!                    [--faults SPEC] [--sanitize] [--force-fail TECH:BENCH[:N]]
-//!                    [--driving MODE] [--device KIND[:PERIOD]]
-//!                    [--obs FILE] [--profile] [--keep-going]
+//!                    [--device KIND[:PERIOD]] [--obs FILE] [--profile]
+//!                    [--keep-going]
 //! repro serve   [schedtaskd options...]
 //! repro submit  --addr ENDPOINT [client options...]
 //! repro loadgen [--addr ENDPOINT | --spawn N] [load options...]
@@ -40,9 +40,8 @@
 //!   `--batch-max`, `--workers`, `--profile`).
 //! * `repro submit` is the line client: it submits one run request per
 //!   `technique × workload` pair to `--addr ENDPOINT`
-//!   (`tcp://HOST:PORT` or `unix:///PATH`; `--connect`/`--unix` remain
-//!   as deprecated aliases) and prints each response. `--ping`
-//!   waits for server readiness; `--expect-cached` exits non-zero if
+//!   (`tcp://HOST:PORT` or `unix:///PATH`) and prints each response.
+//!   `--ping` waits for server readiness; `--expect-cached` exits non-zero if
 //!   any successful response was not served from the result cache;
 //!   `--stats` prints the server's counters; `--shutdown` asks the
 //!   server to drain and exit; `--retries N` retries each submission
@@ -72,13 +71,8 @@
 //!   `SimStats` are bit-identical to the serial run (each cell's seed is
 //!   a pure function of the parameters); only wall-clock time changes.
 //!
-//! Engine component options:
+//! Device options:
 //!
-//! * `--driving MODE` selects how the engine advances its component set:
-//!   `de` (discrete-event, the default) or `cyclebox[:WINDOW[:SHARDS]]`
-//!   (epoch-barrier cycle boxes; window in cycles, default 50000, shards
-//!   default 1). Both modes produce bit-identical results; cycle-box
-//!   with shards > 1 plans component work across threads inside one run.
 //! * `--device KIND[:PERIOD]` attaches an interrupt-injecting device
 //!   model (`disk`, `network`, or `timer`; mean inter-arrival period in
 //!   cycles, default 25000) to every run. Repeatable.
@@ -109,7 +103,7 @@
 //! historical exit-0 behaviour for exploratory sessions.
 
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::{parse_device_spec, parse_driving_spec, run_sweep_observed};
+use schedtask_experiments::runner::{parse_device_spec, run_sweep_observed};
 use schedtask_experiments::serve_api::{
     submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
 };
@@ -133,7 +127,6 @@ struct Opts {
     sanitize: bool,
     force_fail: Option<(Technique, BenchmarkKind, u64)>,
     jobs: usize,
-    driving: Option<String>,
     devices: Vec<String>,
     obs: Option<String>,
     profile: bool,
@@ -153,7 +146,6 @@ fn parse_args() -> Opts {
         sanitize: false,
         force_fail: None,
         jobs: 1,
-        driving: None,
         devices: Vec::new(),
         obs: None,
         profile: false,
@@ -201,12 +193,6 @@ fn parse_args() -> Opts {
             }
             "--faults" => {
                 opts.faults = Some(args.next().unwrap_or_else(|| die("--faults needs a spec")));
-            }
-            "--driving" => {
-                opts.driving = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--driving needs a mode (de or cyclebox[:W[:S]])")),
-                );
             }
             "--device" => {
                 opts.devices.push(
@@ -278,17 +264,13 @@ fn print_help() {
         "repro — regenerate the SchedTask paper's tables and figures\n\n\
          usage: repro <experiment> [--quick] [--markdown] [--cores N] [--seed S]\n\
                 [--jobs N] [--faults none|light|heavy[@SEED]] [--sanitize]\n\
-                [--force-fail TECH:BENCH[:N]] [--driving MODE]\n\
-                [--device KIND[:PERIOD]] [--obs FILE] [--profile]\n\
-                [--keep-going]\n\
+                [--force-fail TECH:BENCH[:N]] [--device KIND[:PERIOD]]\n\
+                [--obs FILE] [--profile] [--keep-going]\n\
                 repro serve  [schedtaskd options...]   launch the job server\n\
                 repro submit [client options...]       submit jobs to a server\n\n\
          sweep exit code: non-zero when any cell fails; --keep-going\n\
          restores the historical always-0 behaviour\n\n\
-         engine components:\n\
-           --driving MODE        de (default) or cyclebox[:WINDOW[:SHARDS]];\n\
-                                 both modes are bit-identical, cyclebox\n\
-                                 shards plan work across threads per run\n\
+         devices:\n\
            --device KIND[:PERIOD] attach a disk/network/timer interrupt\n\
                                  source (period in cycles, default 25000)\n\n\
          observability (sweep experiment):\n\
@@ -328,12 +310,6 @@ fn params(opts: &Opts) -> ExpParams {
     }
     if opts.sanitize {
         p = p.with_sanitize();
-    }
-    if let Some(spec) = &opts.driving {
-        match parse_driving_spec(spec) {
-            Ok(mode) => p = p.with_driving(mode),
-            Err(e) => die(&format!("--driving: {e}")),
-        }
     }
     for spec in &opts.devices {
         match parse_device_spec(spec) {
@@ -1052,12 +1028,10 @@ fn print_submit_help() {
                 [--workload LIST] [--technique LIST] [--steal NAME]\n\
                 [--scale F] [--standard] [--cores N] [--max-instructions N]\n\
                 [--warmup N] [--seed S] [--faults SPEC] [--sanitize]\n\
-                [--driving MODE] [--device KIND[:PERIOD]]\n\
+                [--device KIND[:PERIOD]]\n\
                 [--ping] [--stats] [--shutdown] [--expect-cached]\n\
                 [--wait-ms N]\n\n\
-         ENDPOINT is tcp://HOST:PORT, unix:///PATH, or bare HOST:PORT.\n\
-         --connect HOST:PORT and --unix PATH remain as deprecated\n\
-         aliases for one release.\n\n\
+         ENDPOINT is tcp://HOST:PORT or unix:///PATH.\n\n\
          One run request is sent per technique x workload pair (comma\n\
          lists). Requests default to quick-size parameters; --standard\n\
          submits full-size runs.\n\n\
@@ -1089,7 +1063,6 @@ fn run_submit(args: Vec<String>) -> ! {
     let mut seed: Option<u64> = None;
     let mut faults: Option<String> = None;
     let mut sanitize = false;
-    let mut driving: Option<String> = None;
     let mut devices: Vec<String> = Vec::new();
     let mut expect_cached = false;
     let mut ping_only = false;
@@ -1112,16 +1085,6 @@ fn run_submit(args: Vec<String>) -> ! {
                         .parse()
                         .unwrap_or_else(|e| die(&format!("bad --addr: {e}"))),
                 )
-            }
-            // Deprecated aliases, kept for one release.
-            "--connect" => addr = Some(Endpoint::Tcp(value("--connect"))),
-            "--unix" => {
-                #[cfg(unix)]
-                {
-                    addr = Some(Endpoint::Unix(value("--unix")));
-                }
-                #[cfg(not(unix))]
-                die("--unix is not supported on this platform");
             }
             "--workload" => workloads = value("--workload").split(',').map(str::to_owned).collect(),
             "--technique" => {
@@ -1166,7 +1129,6 @@ fn run_submit(args: Vec<String>) -> ! {
             }
             "--faults" => faults = Some(value("--faults")),
             "--sanitize" => sanitize = true,
-            "--driving" => driving = Some(value("--driving")),
             "--device" => devices.push(value("--device")),
             "--expect-cached" => expect_cached = true,
             "--ping" => ping_only = true,
@@ -1266,10 +1228,6 @@ fn run_submit(args: Vec<String>) -> ! {
                 );
             }
             spec.params.sanitize = sanitize;
-            if let Some(mode) = &driving {
-                spec.params.driving = parse_driving_spec(mode)
-                    .unwrap_or_else(|e| die(&format!("bad --driving: {e}")));
-            }
             for dev in &devices {
                 spec.params.devices.push(
                     parse_device_spec(dev).unwrap_or_else(|e| die(&format!("bad --device: {e}"))),

@@ -39,7 +39,7 @@ fn print_help() {
                 [--requests N] [--concurrency N] [--distinct K] [--seed S]\n\
                 [--retries N] [--wait-ms N] [--expect-cached]\n\
                 [--assert-once] [--verify] [--out FILE]\n\n\
-         ENDPOINT is tcp://HOST:PORT, unix:///PATH, or bare HOST:PORT.\n\n\
+         ENDPOINT is tcp://HOST:PORT or unix:///PATH.\n\n\
            --addr ENDPOINT   drive an already-running server or router\n\
            --spawn N         spawn N workers + a router, drive the router,\n\
                              and shut the fleet down afterwards\n\

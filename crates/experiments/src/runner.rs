@@ -13,8 +13,8 @@ use schedtask_baselines::{
 };
 use schedtask_kernel::obs::{Aggregator, CounterSnapshot, JsonlSink, Observer, SpanRow};
 use schedtask_kernel::{
-    CoreId, DeviceModelConfig, DrivingMode, Engine, EngineConfig, EngineCore, EngineError,
-    FaultPlan, SchedError, SchedEvent, Scheduler, SfId, SimStats, SwitchReason, WorkloadSpec,
+    CoreId, DeviceModelConfig, Engine, EngineConfig, EngineCore, EngineError, FaultPlan,
+    SchedError, SchedEvent, Scheduler, SfId, SimStats, SwitchReason, WorkloadSpec,
 };
 use schedtask_sim::SystemConfig;
 use schedtask_workload::BenchmarkKind;
@@ -203,10 +203,6 @@ pub struct ExpParams {
     pub faults: Option<FaultPlan>,
     /// Run the engine's invariant sanitizer on every run.
     pub sanitize: bool,
-    /// How the engine advances its component set (discrete-event or
-    /// cycle-box epoch barriers). Both modes are bit-identical; cycle-box
-    /// additionally shards component planning across threads.
-    pub driving: DrivingMode,
     /// Interrupt-injecting device models attached to every run.
     pub devices: Vec<DeviceModelConfig>,
 }
@@ -224,7 +220,6 @@ impl ExpParams {
             epoch_cycles: 60_000,
             faults: None,
             sanitize: false,
-            driving: DrivingMode::DiscreteEvent,
             devices: Vec::new(),
         }
     }
@@ -240,7 +235,6 @@ impl ExpParams {
             epoch_cycles: 50_000,
             faults: None,
             sanitize: false,
-            driving: DrivingMode::DiscreteEvent,
             devices: Vec::new(),
         }
     }
@@ -266,12 +260,6 @@ impl ExpParams {
     /// Same params with the invariant sanitizer enabled on every run.
     pub fn with_sanitize(mut self) -> Self {
         self.sanitize = true;
-        self
-    }
-
-    /// Same params with a different engine driving mode.
-    pub fn with_driving(mut self, driving: DrivingMode) -> Self {
-        self.driving = driving;
         self
     }
 
@@ -302,7 +290,6 @@ impl ExpParams {
         if self.sanitize {
             cfg = cfg.with_sanitizer();
         }
-        cfg = cfg.with_driving(self.driving);
         for d in &self.devices {
             cfg = cfg.with_device(*d);
         }
@@ -326,8 +313,7 @@ impl ExpParams {
 
 /// Fluent, single entry point for running one simulation: a
 /// [`Technique`] or a custom scheduler, an optional full engine-config
-/// override, fault plans, the invariant sanitizer, device components,
-/// the driving mode, and any number of [`Observer`]s are all accepted
+/// override, and any number of [`Observer`]s are all accepted
 /// uniformly.
 ///
 /// Resolution rules:
@@ -337,10 +323,9 @@ impl ExpParams {
 /// * A custom [`scheduler`](Self::scheduler) wins over
 ///   [`technique`](Self::technique); with neither, `run` fails with a
 ///   [`FailureCause::Builder`] diagnosis.
-/// * An explicit [`config`](Self::config) wins over the config derived
-///   from the parameters; builder-level [`faults`](Self::faults),
-///   [`sanitize`](Self::sanitize), [`driving`](Self::driving), and
-///   [`device`](Self::device) are applied on top of either.
+/// * The engine configuration comes from exactly one source: an
+///   explicit [`config`](Self::config), else the one derived from the
+///   [`ExpParams`] (fault plan, sanitizer, and device models included).
 /// * Without a technique the derived config never doubles cores.
 ///
 /// # Examples
@@ -367,10 +352,6 @@ pub struct RunBuilder {
     config: Option<EngineConfig>,
     label: Option<String>,
     workload: Option<WorkloadSpec>,
-    faults: Option<FaultPlan>,
-    sanitize: bool,
-    driving: Option<DrivingMode>,
-    devices: Vec<DeviceModelConfig>,
     observers: Vec<Arc<dyn Observer>>,
 }
 
@@ -384,10 +365,6 @@ impl RunBuilder {
             config: None,
             label: None,
             workload: None,
-            faults: None,
-            sanitize: false,
-            driving: None,
-            devices: Vec::new(),
             observers: Vec::new(),
         }
     }
@@ -401,10 +378,6 @@ impl RunBuilder {
             config: Some(cfg),
             label: None,
             workload: None,
-            faults: None,
-            sanitize: false,
-            driving: None,
-            devices: Vec::new(),
             observers: Vec::new(),
         }
     }
@@ -446,33 +419,6 @@ impl RunBuilder {
         self.workload(&WorkloadSpec::single(kind, scale))
     }
 
-    /// Injects a deterministic fault plan (applied on top of whatever
-    /// config source is used).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Enables the engine's invariant sanitizer.
-    pub fn sanitize(mut self) -> Self {
-        self.sanitize = true;
-        self
-    }
-
-    /// Overrides the engine driving mode (applied on top of whatever
-    /// config source is used).
-    pub fn driving(mut self, mode: DrivingMode) -> Self {
-        self.driving = Some(mode);
-        self
-    }
-
-    /// Attaches an interrupt-injecting device model. May be called
-    /// repeatedly; devices keep their attach order.
-    pub fn device(mut self, device: DeviceModelConfig) -> Self {
-        self.devices.push(device);
-        self
-    }
-
     /// Attaches an observer for the whole run (warm-up included). May be
     /// called repeatedly; observers see events in attach order.
     pub fn observer(mut self, obs: Arc<dyn Observer>) -> Self {
@@ -497,7 +443,7 @@ impl RunBuilder {
         // Without a technique the derived config must not double cores;
         // SchedTask is the neutral shape (run_with_scheduler's contract).
         let shape = self.technique.unwrap_or(Technique::SchedTask);
-        let mut cfg = match self.config.take() {
+        let cfg = match self.config.take() {
             Some(cfg) => cfg,
             None => self
                 .params
@@ -511,18 +457,6 @@ impl RunBuilder {
                 })?
                 .engine_config(shape),
         };
-        if let Some(plan) = self.faults.take() {
-            cfg = cfg.with_faults(plan);
-        }
-        if self.sanitize {
-            cfg = cfg.with_sanitizer();
-        }
-        if let Some(mode) = self.driving.take() {
-            cfg = cfg.with_driving(mode);
-        }
-        for d in self.devices.drain(..) {
-            cfg = cfg.with_device(d);
-        }
         let sched = match self.scheduler.take() {
             Some(s) => s,
             None => self
@@ -548,45 +482,6 @@ impl RunBuilder {
             .run()
             .cloned()
             .map_err(|e| ExperimentError::engine(&label, &wl_label, e))
-    }
-}
-
-/// Parses a driving-mode spec as accepted by `repro --driving` and the
-/// serve wire protocol: `de` / `discrete-event`, or
-/// `cyclebox[:WINDOW[:SHARDS]]` (window in cycles, default 50 000;
-/// shards default 1).
-pub fn parse_driving_spec(spec: &str) -> Result<DrivingMode, String> {
-    let mut parts = spec.split(':');
-    let head = parts.next().unwrap_or_default().to_ascii_lowercase();
-    match head.as_str() {
-        "de" | "discrete-event" | "discreteevent" => match parts.next() {
-            None => Ok(DrivingMode::DiscreteEvent),
-            Some(_) => Err(format!("driving mode {head:?} takes no parameters")),
-        },
-        "cyclebox" | "cycle-box" => {
-            let window_cycles = match parts.next() {
-                None => 50_000,
-                Some(w) => w
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad cyclebox window {w:?}: {e}"))?,
-            };
-            let shards = match parts.next() {
-                None => 1,
-                Some(s) => s
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad cyclebox shards {s:?}: {e}"))?,
-            };
-            if parts.next().is_some() {
-                return Err("cyclebox spec is cyclebox[:WINDOW[:SHARDS]]".to_owned());
-            }
-            Ok(DrivingMode::CycleBox {
-                window_cycles,
-                shards,
-            })
-        }
-        other => Err(format!(
-            "unknown driving mode {other:?} (expected de or cyclebox[:WINDOW[:SHARDS]])"
-        )),
     }
 }
 
@@ -1063,30 +958,8 @@ mod tests {
     }
 
     #[test]
-    fn driving_and_device_specs_parse() {
+    fn device_specs_parse() {
         use schedtask_workload::DeviceKind;
-        assert_eq!(
-            parse_driving_spec("de").expect("parses"),
-            DrivingMode::DiscreteEvent
-        );
-        assert_eq!(
-            parse_driving_spec("cyclebox").expect("parses"),
-            DrivingMode::CycleBox {
-                window_cycles: 50_000,
-                shards: 1
-            }
-        );
-        assert_eq!(
-            parse_driving_spec("cyclebox:20000:4").expect("parses"),
-            DrivingMode::CycleBox {
-                window_cycles: 20_000,
-                shards: 4
-            }
-        );
-        assert!(parse_driving_spec("warp").is_err());
-        assert!(parse_driving_spec("de:7").is_err());
-        assert!(parse_driving_spec("cyclebox:x").is_err());
-
         let d = parse_device_spec("network").expect("parses");
         assert_eq!(d.kind, DeviceKind::Network);
         assert_eq!(d.period_cycles, 25_000);
@@ -1098,49 +971,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_carries_driving_and_devices() {
-        let p = ExpParams::quick()
-            .with_driving(DrivingMode::CycleBox {
-                window_cycles: 20_000,
-                shards: 2,
-            })
-            .with_device(parse_device_spec("network:30000").expect("parses"));
+    fn engine_config_carries_devices() {
+        let p = ExpParams::quick().with_device(parse_device_spec("network:30000").expect("parses"));
         let cfg = p.engine_config(Technique::Linux);
-        assert_eq!(
-            cfg.driving,
-            DrivingMode::CycleBox {
-                window_cycles: 20_000,
-                shards: 2
-            }
-        );
         assert_eq!(cfg.devices.len(), 1);
         assert_eq!(cfg.devices[0].period_cycles, 30_000);
-    }
-
-    #[test]
-    fn run_builder_driving_modes_agree_with_devices() {
-        let mut p = ExpParams::quick();
-        p.cores = 4;
-        p.max_instructions = 120_000;
-        p.warmup_instructions = 30_000;
-        let dev = parse_device_spec("network:25000").expect("parses");
-        let de = RunBuilder::new(&p)
-            .technique(Technique::SchedTask)
-            .benchmark(BenchmarkKind::Find, 1.0)
-            .device(dev)
-            .run()
-            .expect("discrete-event run succeeds");
-        let boxed = RunBuilder::new(&p)
-            .technique(Technique::SchedTask)
-            .benchmark(BenchmarkKind::Find, 1.0)
-            .device(dev)
-            .driving(DrivingMode::CycleBox {
-                window_cycles: 20_000,
-                shards: 4,
-            })
-            .run()
-            .expect("cycle-box run succeeds");
-        assert_eq!(de.to_canonical_json(), boxed.to_canonical_json());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use schedtask_kernel::FaultPlan;
 use schedtask_obs::{ObsEvent, Observer};
 use schedtask_workload::BenchmarkKind;
 
-use crate::runner::{parse_device_spec, parse_driving_spec, ExpParams, Technique};
+use crate::runner::{parse_device_spec, ExpParams, Technique};
 
 /// The wire protocol version this build speaks. Every request and
 /// response carries it as `"v"`; a request naming any other version is
@@ -147,10 +147,6 @@ impl JobSpec {
         if self.params.sanitize {
             line.push_str(",\"sanitize\":true");
         }
-        line.push_str(&format!(
-            ",\"driving\":\"{}\"",
-            escape_json(&render_driving_spec(&self.params.driving))
-        ));
         if !self.params.devices.is_empty() {
             let specs: Vec<String> = self
                 .params
@@ -188,18 +184,6 @@ fn render_fault_spec(plan: &FaultPlan) -> String {
         plan.stall_core_rate,
         plan.stall_cycles
     )
-}
-
-/// Renders a driving mode as the spec string `parse_driving_spec`
-/// reads back.
-fn render_driving_spec(mode: &schedtask_kernel::DrivingMode) -> String {
-    match mode {
-        schedtask_kernel::DrivingMode::DiscreteEvent => "de".to_owned(),
-        schedtask_kernel::DrivingMode::CycleBox {
-            window_cycles,
-            shards,
-        } => format!("cyclebox:{window_cycles}:{shards}"),
-    }
 }
 
 /// Renders a device model as the `KIND:PERIOD` spec
@@ -582,7 +566,6 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
         "seed",
         "faults",
         "sanitize",
-        "driving",
         "devices",
         "obs",
     ];
@@ -709,13 +692,6 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
     }
     if let Some(v) = json.get("sanitize") {
         params.sanitize = v.as_bool().ok_or("sanitize must be a boolean")?;
-    }
-    match json.get("driving") {
-        None | Some(Json::Null) => {}
-        Some(v) => {
-            let spec = v.as_str().ok_or("driving must be a mode spec string")?;
-            params.driving = parse_driving_spec(spec)?;
-        }
     }
     match json.get("devices") {
         None | Some(Json::Null) => {}
@@ -1006,9 +982,7 @@ impl FromStr for Endpoint {
     type Err = String;
 
     /// The one endpoint grammar every `--addr` flag speaks:
-    /// `tcp://host:port`, `unix:///path/to.sock`, or a bare
-    /// `host:port` (treated as TCP for compatibility with the old
-    /// `--listen`/`--connect` flags).
+    /// `tcp://host:port` or `unix:///path/to.sock`.
     fn from_str(s: &str) -> Result<Endpoint, String> {
         if let Some(addr) = s.strip_prefix("tcp://") {
             if addr.rsplit_once(':').is_none_or(|(host, port)| {
@@ -1029,16 +1003,8 @@ impl FromStr for Endpoint {
                 "unix endpoint {s:?} is unsupported on this platform"
             ));
         }
-        if s.contains("://") {
-            return Err(format!(
-                "unknown endpoint scheme in {s:?} (want tcp://host:port or unix:///path)"
-            ));
-        }
-        if s.contains(':') && !s.is_empty() {
-            return Ok(Endpoint::Tcp(s.to_owned()));
-        }
         Err(format!(
-            "bad endpoint {s:?} (want tcp://host:port, unix:///path, or host:port)"
+            "bad endpoint {s:?} (want tcp://host:port or unix:///path)"
         ))
     }
 }
@@ -1438,10 +1404,6 @@ mod tests {
         spec.params.seed = 42;
         spec.params.faults = Some(FaultPlan::light(7));
         spec.params.sanitize = true;
-        spec.params.driving = schedtask_kernel::DrivingMode::CycleBox {
-            window_cycles: 20_000,
-            shards: 4,
-        };
         spec.params.devices = vec![
             parse_device_spec("network:25000").expect("device"),
             parse_device_spec("disk").expect("device"),
@@ -1551,7 +1513,6 @@ mod tests {
                 "tcp://127.0.0.1:7077",
                 Endpoint::Tcp("127.0.0.1:7077".to_owned()),
             ),
-            ("localhost:80", Endpoint::Tcp("localhost:80".to_owned())),
             #[cfg(unix)]
             (
                 "unix:///tmp/s.sock",
@@ -1570,6 +1531,8 @@ mod tests {
             "tcp://nohost",
             "tcp://host:notaport",
             "unix://",
+            "unix:/tmp/s.sock",
+            "localhost:80",
             "ftp://x:1",
         ] {
             assert!(bad.parse::<Endpoint>().is_err(), "{bad:?} must not parse");
@@ -1592,6 +1555,10 @@ mod tests {
         let err =
             parse_request("{\"workload\":\"Find\",\"sede\":7}").expect_err("must reject typos");
         assert!(err.to_string().contains("sede"), "{err}");
+        // The retired driving-mode field is refused like any other.
+        let err = parse_request("{\"workload\":\"Find\",\"driving\":\"de\"}")
+            .expect_err("must reject driving");
+        assert!(err.to_string().contains("driving"), "{err}");
     }
 
     #[test]
@@ -1609,8 +1576,6 @@ mod tests {
             "{\"workload\":\"Find\",\"steal\":\"nothing\"}",
             "{\"workload\":\"Find\",\"sanitize\":true}",
             "{\"workload\":\"Find\",\"quick\":false}",
-            "{\"workload\":\"Find\",\"driving\":\"cyclebox\"}",
-            "{\"workload\":\"Find\",\"driving\":\"cyclebox:20000:4\"}",
             "{\"workload\":\"Find\",\"devices\":[\"network\"]}",
             "{\"workload\":\"Find\",\"devices\":[\"network\",\"disk:40000\"]}",
         ] {

@@ -30,12 +30,12 @@ fn jsonl_records_every_injected_fault_exactly_once() {
     p.cores = 4;
     p.max_instructions = 200_000;
     p.warmup_instructions = 50_000;
+    let p = p.with_faults(FaultPlan::light(7));
     let sink = Arc::new(JsonlSink::buffered());
     let w = WorkloadSpec::single(BenchmarkKind::Find, 1.0);
     let stats = RunBuilder::new(&p)
         .technique(Technique::SchedTask)
         .workload(&w)
-        .faults(FaultPlan::light(7))
         .observer(sink.clone())
         .run()
         .expect("faulted run succeeds");
@@ -92,12 +92,12 @@ fn baseline_technique_reports_faults_identically() {
     p.cores = 4;
     p.max_instructions = 120_000;
     p.warmup_instructions = 30_000;
+    let p = p.with_faults(FaultPlan::light(11));
     let sink = Arc::new(JsonlSink::buffered());
     let w = WorkloadSpec::single(BenchmarkKind::Iscp, 1.0);
     let stats = RunBuilder::new(&p)
         .technique(Technique::Linux)
         .workload(&w)
-        .faults(FaultPlan::light(11))
         .observer(sink.clone())
         .run()
         .expect("faulted baseline run succeeds");

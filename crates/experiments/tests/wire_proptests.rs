@@ -3,11 +3,10 @@
 //! Three properties from the PR contract:
 //!
 //! 1. For an arbitrary [`JobSpec`] (any technique × benchmark, steal
-//!    overrides, fault plans, driving modes, device models, ids, the
-//!    obs flag), `parse_request(spec.to_request_line(..))` recovers an
-//!    identical spec — same cache key, same id, same obs flag — and
-//!    re-encoding the parsed spec reproduces the original line byte for
-//!    byte.
+//!    overrides, fault plans, device models, ids, the obs flag),
+//!    `parse_request(spec.to_request_line(..))` recovers an identical
+//!    spec — same cache key, same id, same obs flag — and re-encoding
+//!    the parsed spec reproduces the original line byte for byte.
 //! 2. Every [`Response`] variant round-trips through render/parse,
 //!    including error responses with machine-readable codes and ok
 //!    responses carrying raw result payloads and JSONL streams.
@@ -18,7 +17,7 @@
 
 use proptest::prelude::*;
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::{parse_device_spec, parse_driving_spec};
+use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
     parse_request, JobSpec, RequestError, RequestOp, Response, PROTOCOL_VERSION,
 };
@@ -53,7 +52,6 @@ proptest! {
         seed in 0u64..1_000_000,
         faults in prop::sample::select(vec!["", "none", "light", "light@3"]),
         sanitize in prop::bool::ANY,
-        driving in prop::sample::select(vec!["de", "cyclebox:5000:2", "cyclebox:10000:1"]),
         devices in prop::sample::select(vec![
             vec![],
             vec!["disk:700"],
@@ -79,7 +77,6 @@ proptest! {
                 Some(FaultPlan::parse(faults, seed).expect("fault preset parses"));
         }
         spec.params.sanitize = sanitize;
-        spec.params.driving = parse_driving_spec(driving).expect("driving spec parses");
         spec.params.devices = devices
             .iter()
             .map(|d| parse_device_spec(d).expect("device spec parses"))

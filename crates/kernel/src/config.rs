@@ -5,31 +5,6 @@ use crate::faults::FaultPlan;
 use schedtask_sim::SystemConfig;
 use schedtask_workload::DeviceKind;
 
-/// How the engine advances its component set through simulated time.
-///
-/// Both modes drive the same `Component` set and commit every state
-/// change through the identical serial micro-step, so they produce
-/// bit-identical results; see DESIGN.md §13 for the determinism
-/// argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrivingMode {
-    /// Pure discrete-event: pop the globally earliest action (component
-    /// wakeup or queued event) under the `(time, seq)` total order.
-    DiscreteEvent,
-    /// Cycle-box epoch-barrier mode: time is cut into fixed windows; at
-    /// each barrier every component *plans* its window concurrently
-    /// (pure precomputation sharded across `scoped_pool` threads), then
-    /// the window is committed serially with the same micro-step as
-    /// [`DrivingMode::DiscreteEvent`].
-    CycleBox {
-        /// Window length in cycles between barriers.
-        window_cycles: u64,
-        /// Worker threads the planning phase is sharded across
-        /// (`<= 1` plans serially; commit is always serial).
-        shards: usize,
-    },
-}
-
 /// One DMA/NIC-style device model injecting spontaneous interrupt
 /// traffic, independent of any SuperFunction blocking on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +98,6 @@ pub struct EngineConfig {
     /// Additionally collect exact per-core page sets (Figure 11's ideal
     /// ranking baseline).
     pub collect_exact_pages: bool,
-    /// Retain up to this many SuperFunction lifecycle events in the
-    /// engine's [`crate::trace::TraceLog`] (0 disables tracing).
-    pub trace_capacity: usize,
     /// Optional deterministic fault-injection plan (see
     /// [`crate::faults`]). `None` injects nothing.
     pub faults: Option<FaultPlan>,
@@ -136,8 +108,6 @@ pub struct EngineConfig {
     pub sanitize: bool,
     /// Livelock watchdog budgets.
     pub watchdog: WatchdogConfig,
-    /// How the component set is advanced through time.
-    pub driving: DrivingMode,
     /// DMA/NIC-style device models injecting interrupt traffic.
     pub devices: Vec<DeviceModelConfig>,
     /// Per-core clock dividers: core `c` runs at `1/dividers[c]` of the
@@ -168,11 +138,9 @@ impl EngineConfig {
             heatmap_bits: 512,
             collect_epoch_breakups: false,
             collect_exact_pages: false,
-            trace_capacity: 0,
             faults: None,
             sanitize: false,
             watchdog: WatchdogConfig::default(),
-            driving: DrivingMode::DiscreteEvent,
             devices: Vec::new(),
             core_clock_dividers: Vec::new(),
             system,
@@ -233,13 +201,7 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the driving mode.
-    pub fn with_driving(mut self, driving: DrivingMode) -> Self {
-        self.driving = driving;
-        self
-    }
-
-    /// Adds a device model component.
+    /// Adds a device model.
     pub fn with_device(mut self, device: DeviceModelConfig) -> Self {
         self.devices.push(device);
         self
@@ -279,13 +241,6 @@ impl EngineConfig {
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
-        }
-        if let DrivingMode::CycleBox { window_cycles, .. } = self.driving {
-            if window_cycles == 0 {
-                return Err(ConfigError::BadDrivingMode {
-                    detail: "cycle-box window_cycles must be positive",
-                });
-            }
         }
         for (index, dev) in self.devices.iter().enumerate() {
             if dev.period_cycles == 0 {
@@ -402,27 +357,14 @@ mod tests {
     }
 
     #[test]
-    fn driving_device_and_divider_builders_validate() {
+    fn device_and_divider_builders_validate() {
         let cfg = EngineConfig::fast()
-            .with_driving(DrivingMode::CycleBox {
-                window_cycles: 50_000,
-                shards: 4,
-            })
             .with_device(DeviceModelConfig {
                 kind: DeviceKind::Network,
                 period_cycles: 80_000,
             })
             .with_core_clock_dividers(vec![1; SystemConfig::table2().num_cores]);
         assert!(cfg.validate().is_ok());
-
-        let cfg = EngineConfig::fast().with_driving(DrivingMode::CycleBox {
-            window_cycles: 0,
-            shards: 1,
-        });
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::BadDrivingMode { .. })
-        ));
 
         let cfg = EngineConfig::fast().with_device(DeviceModelConfig {
             kind: DeviceKind::Disk,

@@ -1,42 +1,25 @@
-//! The DMA/NIC-style device model: a [`Component`] that injects
-//! realistic interrupt traffic at jittered inter-arrival times.
+//! The DMA/NIC-style device model: injects realistic interrupt traffic
+//! at jittered inter-arrival times.
 //!
 //! Each device owns a private RNG (decoupled from the engine RNG so
 //! adding a device never perturbs existing event streams) and schedules
-//! its next [`EventKind::DeviceTick`] one delta ahead. In cycle-box
-//! mode the barrier plan phase pre-samples a window's worth of deltas on
-//! a *clone* of the RNG; the commit phase consumes pre-sampled deltas
-//! FIFO before touching the live RNG, so the consumed delta sequence
-//! equals the RNG output stream in order regardless of how many were
-//! precomputed — planning is a performance knob, never a correctness
-//! one, even when a `drop_irq` fault delays a tick past the window.
+//! its next [`EventKind::DeviceTick`] one delta ahead.
 
-use super::component::{Component, ComponentPlan};
 use super::{interrupts, EngineCore, EventKind};
 use crate::config::DeviceModelConfig;
-use crate::error::EngineError;
 use crate::scheduler::Scheduler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use schedtask_obs::{ComponentClass, ObsEvent, SpanKind};
-use std::collections::VecDeque;
-
-/// Upper bound on deltas pre-sampled per plan window (keeps a huge
-/// window from ballooning the pending queue; correctness is unaffected).
-const MAX_PLANNED_DELTAS: u64 = 64;
 
 /// One interrupt-injecting device model.
 #[derive(Debug)]
 pub(crate) struct DmaDevice {
-    /// Index into [`crate::EngineConfig::devices`] (and the tail of the
-    /// engine's component vector).
+    /// Index into [`crate::EngineConfig::devices`].
     index: usize,
     cfg: DeviceModelConfig,
     /// Private arrival RNG; never shared with the engine RNG.
     rng: SmallRng,
-    /// Pre-sampled inter-arrival deltas installed by the cycle-box plan
-    /// phase, consumed FIFO before the live RNG.
-    pending: VecDeque<u64>,
 }
 
 impl DmaDevice {
@@ -48,67 +31,25 @@ impl DmaDevice {
             index,
             cfg,
             rng: SmallRng::seed_from_u64(seed),
-            pending: VecDeque::new(),
         }
     }
 
-    /// One inter-arrival delta: the configured period with ±50 % jitter.
-    fn draw(rng: &mut SmallRng, period: u64) -> u64 {
-        let base = period.max(1);
-        rng.gen_range(base / 2..=base + base / 2).max(1)
+    /// The next inter-arrival delta: the configured period with ±50 %
+    /// jitter.
+    fn draw(&mut self) -> u64 {
+        let base = self.cfg.period_cycles.max(1);
+        self.rng.gen_range(base / 2..=base + base / 2).max(1)
     }
 
-    /// The next delta in stream order: pre-sampled if available, else
-    /// drawn live.
-    fn sample_delta(&mut self) -> u64 {
-        match self.pending.pop_front() {
-            Some(d) => d,
-            None => Self::draw(&mut self.rng, self.cfg.period_cycles),
-        }
-    }
-}
-
-impl Component for DmaDevice {
-    fn name(&self) -> &'static str {
-        "dma_device"
-    }
-
-    fn class(&self) -> ComponentClass {
-        ComponentClass::DmaDevice
-    }
-
-    fn next_tick(&self, _ctx: &EngineCore) -> Option<u64> {
-        // Event-driven: arrivals ride the global queue as DeviceTick
-        // events, keeping the (time, seq) total order authoritative.
-        None
-    }
-
-    fn prime(&mut self, ctx: &mut EngineCore) {
-        // The first arrival comes off the private RNG before any plan
-        // phase can run, so both driving modes consume it identically.
-        let first = Self::draw(&mut self.rng, self.cfg.period_cycles);
+    /// Schedules the first arrival.
+    pub(super) fn prime(&mut self, ctx: &mut EngineCore) {
+        let first = self.draw();
         ctx.schedule_event(first, EventKind::DeviceTick { device: self.index });
     }
 
-    fn handle_event(
-        &mut self,
-        ctx: &mut EngineCore,
-        sched: &mut dyn Scheduler,
-        kind: EventKind,
-    ) -> Result<(), EngineError> {
-        let EventKind::DeviceTick { device } = kind else {
-            return Err(EngineError::StateCorruption {
-                detail: format!("dma device {} received {kind:?}", self.index),
-            });
-        };
-        if device != self.index {
-            return Err(EngineError::StateCorruption {
-                detail: format!(
-                    "dma device {} received tick for device {device}",
-                    self.index
-                ),
-            });
-        }
+    /// One arrival: routes the device's interrupt, then schedules the
+    /// next arrival.
+    pub(super) fn tick(&mut self, ctx: &mut EngineCore, sched: &mut dyn Scheduler) {
         let at = ctx.now;
         let component = self.index as u32;
         ctx.obs.span_enter(
@@ -132,38 +73,13 @@ impl Component for DmaDevice {
             class: ComponentClass::DmaDevice,
             irqs: 1,
         });
-        let delta = self.sample_delta();
+        let delta = self.draw();
         ctx.schedule_event(at + delta, EventKind::DeviceTick { device: self.index });
         ctx.obs.span_exit(
             Some(component),
             SpanKind::Component(ComponentClass::DmaDevice),
             at,
         );
-        Ok(())
-    }
-
-    fn plan(&self, now: u64, window_end: u64) -> Option<ComponentPlan> {
-        // Pure precomputation on a clone of the live RNG: sample enough
-        // deltas to cover the window. The commit phase appends them after
-        // any still-pending deltas, preserving exact stream order.
-        let mut rng = self.rng.clone();
-        let period = self.cfg.period_cycles.max(1);
-        let span = window_end.saturating_sub(now);
-        let want = (span / period).min(MAX_PLANNED_DELTAS) as usize + 1;
-        let mut deltas = Vec::with_capacity(want);
-        for _ in 0..want {
-            deltas.push(Self::draw(&mut rng, self.cfg.period_cycles));
-        }
-        Some(ComponentPlan::DeviceArrivals {
-            deltas,
-            rng_after: rng,
-        })
-    }
-
-    fn install_plan(&mut self, plan: ComponentPlan) {
-        let ComponentPlan::DeviceArrivals { deltas, rng_after } = plan;
-        self.pending.extend(deltas);
-        self.rng = rng_after;
     }
 }
 
@@ -172,46 +88,18 @@ mod tests {
     use super::*;
     use schedtask_workload::DeviceKind;
 
-    fn device() -> DmaDevice {
-        DmaDevice::new(
+    #[test]
+    fn deltas_are_jittered_around_the_period() {
+        let mut d = DmaDevice::new(
             0,
             DeviceModelConfig {
                 kind: DeviceKind::Network,
                 period_cycles: 10_000,
             },
             42,
-        )
-    }
-
-    #[test]
-    fn planned_deltas_match_the_live_stream_exactly() {
-        // Whatever mix of plan windows is installed, the consumed delta
-        // sequence must equal the stream a plan-free device produces.
-        let mut live = device();
-        let reference: Vec<u64> = (0..40).map(|_| live.sample_delta()).collect();
-
-        let mut planned = device();
-        let mut consumed = Vec::new();
-        // Window 1: plan, install, consume a few (fewer than planned).
-        let p = planned.plan(0, 35_000).expect("device plans");
-        planned.install_plan(p);
-        for _ in 0..2 {
-            consumed.push(planned.sample_delta());
-        }
-        // Window 2: plan again with leftovers pending.
-        let p = planned.plan(35_000, 150_000).expect("device plans");
-        planned.install_plan(p);
-        while consumed.len() < 40 {
-            consumed.push(planned.sample_delta());
-        }
-        assert_eq!(consumed, reference);
-    }
-
-    #[test]
-    fn deltas_are_jittered_around_the_period() {
-        let mut d = device();
+        );
         for _ in 0..100 {
-            let delta = d.sample_delta();
+            let delta = d.draw();
             assert!(
                 (5_000..=15_000).contains(&delta),
                 "delta {delta} out of band"

@@ -160,8 +160,8 @@ impl EngineCore {
 /// boundary it reached.
 ///
 /// A free function over `(EngineCore, Scheduler)` rather than an
-/// `Engine` method so the [`super::component::Component`] tick path can
-/// call it with the engine's fields split-borrowed.
+/// `Engine` method so the engine loop can call it with the engine's
+/// fields split-borrowed.
 pub(super) fn step_core(
     core: &mut EngineCore,
     sched: &mut dyn Scheduler,

@@ -9,9 +9,9 @@
 //! cached-minimum peek, while a [`BinaryHeap`] holds the far-future
 //! tail beyond the ring's window.
 //!
-//! Popped events are routed to the owning [`super::component::Component`]
-//! by the engine driver in `mod.rs`; this module owns only the container
-//! and its ordering contract.
+//! Popped events are routed to their handlers by the engine loop in
+//! `driver.rs`; this module owns only the container and its ordering
+//! contract.
 
 use crate::ids::SfId;
 use schedtask_workload::DeviceKind;

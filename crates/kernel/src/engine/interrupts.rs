@@ -139,8 +139,9 @@ impl EngineCore {
 
 /// Queues an interrupt on core `c` and wakes the core if idle.
 ///
-/// Free function (not an `Engine` method) so device components can
-/// deliver interrupts through a split-borrowed [`EngineCore`].
+/// Free function (not an `Engine` method) so event handlers and device
+/// models can deliver interrupts through a split-borrowed
+/// [`EngineCore`].
 pub(super) fn deliver_irq(
     core: &mut EngineCore,
     c: usize,

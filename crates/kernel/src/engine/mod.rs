@@ -15,28 +15,23 @@
 //! # Subsystem layering
 //!
 //! This module is an orchestrator over six subsystems, each behind a
-//! narrow internal API. Everything that evolves over simulated time is a
-//! `component::Component` — the per-core machines, the timer/epoch/IRQ
-//! sources, the device-completion bank, and optional DMA device models —
-//! and the engine drives the same component set in either of two modes
-//! ([`crate::DrivingMode`]): classic discrete-event, or cycle-box
-//! "epoch-barrier" execution that fans a pure per-component plan phase
-//! across threads between barriers while keeping the commit phase
-//! serial, so both modes are bit-identical.
+//! narrow internal API. One loop (`driver`) advances the whole machine:
+//! each step runs either the earliest busy core or the earliest queued
+//! event, and a `match` on the event kind calls that event's handler.
 //!
-//! * `machine` — per-core execution state (clocks, preempt stacks, the
-//!   hardware Page-heatmap registers), the [`EngineCore`] context passed
-//!   to every scheduler hook, and quantum execution through the cache
-//!   hierarchy;
+//! * `machine` — per-core execution state (clocks, clock dividers,
+//!   preempt stacks, the hardware Page-heatmap registers), the
+//!   [`EngineCore`] context passed to every scheduler hook, and quantum
+//!   execution through the cache hierarchy;
 //! * `events` — the global timer/epoch/device event queue and its
 //!   deterministic ordering;
 //! * `interrupts` — the device/IRQ/bottom-half model: delivery,
 //!   pending queues, and interrupt/bottom-half SuperFunction creation;
 //! * `dispatch` — the TMigrate/TAlloc hook sites: quantum boundaries,
 //!   system-call creation, blocking, completion, and wakeups;
-//! * `component` — the `Component` trait (`next_tick`/`tick`,
-//!   event routing, clock dividers, plan/install for the barrier mode)
-//!   and the two driving-mode loops;
+//! * `driver` — the engine loop, event priming, and the per-event
+//!   handlers (timer, epoch, external IRQ, device completion), with the
+//!   fault-injection wrapper around them;
 //! * `device` — the DMA/NIC-style interrupt-injecting device model.
 //!
 //! Everything in the pipeline is [`Send`]: an [`Engine`] can be built on
@@ -44,9 +39,9 @@
 //! independent (technique × benchmark) cells on worker threads while
 //! keeping every cell's statistics bit-identical to a serial run.
 
-pub(crate) mod component;
 pub(crate) mod device;
 pub(crate) mod dispatch;
+pub(crate) mod driver;
 pub(crate) mod events;
 pub(crate) mod interrupts;
 pub(crate) mod machine;
@@ -58,11 +53,9 @@ pub(crate) use events::EventKind;
 use crate::config::EngineConfig;
 use crate::error::{ConfigError, EngineError};
 use crate::ids::ThreadId;
-use crate::observe::TraceRingObserver;
 use crate::sanitizer::SanitizerState;
 use crate::scheduler::Scheduler;
 use crate::stats::SimStats;
-use crate::trace::TraceLog;
 use schedtask_obs::{ObsEvent, Observer};
 use schedtask_workload::{BenchmarkKind, BenchmarkSpec, MultiProgrammedWorkload};
 use std::sync::Arc;
@@ -126,19 +119,12 @@ struct WatchState {
 pub struct Engine {
     pub(crate) core: EngineCore,
     pub(crate) scheduler: Box<dyn Scheduler>,
-    /// Every time-evolving piece of the machine in deterministic order:
-    /// per-core machines first (component index == core index), then the
-    /// timer/epoch/IRQ sources, the device-completion bank, and any
-    /// configured DMA device models.
-    pub(crate) components: Vec<Box<dyn component::Component>>,
-    /// Routing table from [`EventKind`] to the owning component index.
-    pub(crate) comp_idx: component::ComponentIndex,
+    /// One DMA device model per [`EngineConfig::devices`] entry, in
+    /// configuration order (a `DeviceTick`'s index points here).
+    devices: Vec<device::DmaDevice>,
     finished: bool,
     pub(crate) sanitizer: Option<SanitizerState>,
     watch: WatchState,
-    /// The legacy-trace compatibility shim, attached automatically when
-    /// [`EngineConfig::trace_capacity`] is non-zero.
-    trace_ring: Option<Arc<TraceRingObserver>>,
 }
 
 // The whole run pipeline is `Send` by contract: a sweep harness moves
@@ -177,22 +163,18 @@ impl Engine {
             return Err(ConfigError::EmptyWorkload.into());
         }
         let sanitize = cfg.sanitize;
-        let trace_capacity = cfg.trace_capacity;
-        let mut core = EngineCore::build(cfg, workload);
+        let devices = cfg
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, dev)| device::DmaDevice::new(i, *dev, cfg.seed))
+            .collect();
+        let core = EngineCore::build(cfg, workload);
         let sanitizer = sanitize.then(|| SanitizerState::new(core.num_cores()));
-        // The legacy TraceEvent ring now rides on the Observer stream:
-        // when tracing is configured, attach the shim that fills it.
-        let trace_ring = (trace_capacity > 0).then(|| {
-            let ring = Arc::new(TraceRingObserver::new(trace_capacity));
-            core.attach_observer(Arc::clone(&ring) as Arc<dyn Observer>);
-            ring
-        });
-        let (components, comp_idx) = component::build_components(&core);
         Ok(Engine {
             core,
             scheduler,
-            components,
-            comp_idx,
+            devices,
             finished: false,
             sanitizer,
             watch: WatchState {
@@ -201,7 +183,6 @@ impl Engine {
                 last_progress_cycle: 0,
                 started: std::time::Instant::now(),
             },
-            trace_ring,
         })
     }
 
@@ -215,15 +196,6 @@ impl Engine {
         self.core.attach_observer(obs);
     }
 
-    /// A point-in-time copy of the legacy SuperFunction lifecycle trace
-    /// (empty unless [`EngineConfig::trace_capacity`] is set).
-    pub fn trace_snapshot(&self) -> TraceLog {
-        self.trace_ring
-            .as_ref()
-            .map(|ring| ring.snapshot())
-            .unwrap_or_else(|| TraceLog::new(0))
-    }
-
     /// Access to the engine state (for inspection in tests and
     /// experiments).
     pub fn engine_core(&self) -> &EngineCore {
@@ -233,17 +205,6 @@ impl Engine {
     /// The scheduling technique's name.
     pub fn scheduler_name(&self) -> &'static str {
         self.scheduler.name()
-    }
-
-    /// The component inventory in driving order: `(name, class, clock
-    /// divider)` per component. Core machines come first (component
-    /// index == core index), then the timer/epoch/IRQ sources, the
-    /// device-completion bank, and any configured device models.
-    pub fn components(&self) -> Vec<(&'static str, schedtask_obs::ComponentClass, u64)> {
-        self.components
-            .iter()
-            .map(|c| (c.name(), c.class(), c.clock_divider()))
-            .collect()
     }
 
     /// Runs the simulation to completion and returns the statistics.
@@ -273,15 +234,7 @@ impl Engine {
             self.scheduler.enqueue(&mut self.core, sf, None)?;
         }
 
-        // Prime every component in index order: recurring event streams
-        // (timer ticks, the first epoch, spontaneous-interrupt and device
-        // arrivals) are seeded with deterministic queue sequence numbers.
-        for i in 0..self.components.len() {
-            self.components[i].prime(&mut self.core);
-        }
-
-        // Hand control to the configured driving mode; both modes run
-        // the identical serial micro-step and are bit-identical.
+        self.prime();
         self.drive()?;
 
         self.finalize();
@@ -291,7 +244,7 @@ impl Engine {
     /// Sanitizer, watchdog, warm-up, and stop checks after one progressed
     /// step (an event or a core quantum). Returns `true` when the run
     /// should stop.
-    pub(crate) fn post_step(&mut self) -> Result<bool, EngineError> {
+    pub(super) fn post_step(&mut self) -> Result<bool, EngineError> {
         // Invariant sanitizer (opt-in): conservation must hold after
         // every step.
         if let Some(state) = self.sanitizer.as_mut() {

@@ -41,11 +41,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// The driving-mode parameters are unusable.
-    BadDrivingMode {
-        /// What was rejected.
-        detail: &'static str,
-    },
     /// A device model's inter-arrival period is zero.
     BadDevicePeriod {
         /// Index of the rejected device in `EngineConfig::devices`.
@@ -80,9 +75,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadFaultRate { field, value } => {
                 write!(f, "fault rate {field} = {value} is not in [0, 1]")
-            }
-            ConfigError::BadDrivingMode { detail } => {
-                write!(f, "invalid driving mode: {detail}")
             }
             ConfigError::BadDevicePeriod { index } => {
                 write!(f, "device model {index} has a zero inter-arrival period")

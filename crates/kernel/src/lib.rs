@@ -47,19 +47,18 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod ids;
-pub mod observe;
+pub(crate) mod observe;
 pub(crate) mod sanitizer;
 pub mod scheduler;
 pub mod stats;
 pub mod superfunction;
-pub mod trace;
 
 /// The structured observability layer (re-exported so downstream crates
 /// can name `Observer`, `ObsEvent`, sinks, and counters without a
 /// separate dependency edge).
 pub use schedtask_obs as obs;
 
-pub use config::{DeviceModelConfig, DrivingMode, EngineConfig, WatchdogConfig};
+pub use config::{DeviceModelConfig, EngineConfig, WatchdogConfig};
 
 #[doc(hidden)]
 pub use engine::events::BenchEventQueue;
@@ -67,8 +66,6 @@ pub use engine::{Engine, EngineCore, WorkloadSpec, KERNEL_TID};
 pub use error::{ConfigError, EngineError, SchedError, Violation};
 pub use faults::{FaultCounts, FaultPlan};
 pub use ids::{CoreId, SfId, ThreadId};
-pub use observe::TraceRingObserver;
 pub use scheduler::{GlobalFifoScheduler, SchedEvent, Scheduler, SwitchReason};
 pub use stats::{CategoryInstructions, CoreTime, SimStats};
 pub use superfunction::{SfBody, SfState, SuperFunction};
-pub use trace::{TraceEvent, TraceLog};

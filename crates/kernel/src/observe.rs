@@ -1,14 +1,10 @@
 //! Kernel-side observability plumbing: the engine's observer fan-out
-//! hub and the [`TraceRingObserver`] compatibility shim that keeps the
-//! legacy [`TraceLog`] ring alive on top of the structured
-//! [`schedtask_obs`] event stream.
+//! hub over the structured [`schedtask_obs`] event stream.
 
-use crate::ids::{CoreId, SfId, ThreadId};
-use crate::trace::{TraceEvent, TraceLog};
 use schedtask_obs::{ObsEvent, Observer, SfClass, SpanKind};
-use schedtask_workload::{SfCategory, SuperFuncType};
+use schedtask_workload::SfCategory;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Maps the workload crate's category onto the obs crate's
 /// dependency-free class.
@@ -89,100 +85,9 @@ impl ObserverSet {
     }
 }
 
-/// Compatibility shim: an [`Observer`] that fills the legacy
-/// [`TraceLog`] ring from the structured event stream.
-///
-/// The engine attaches one automatically when
-/// [`EngineConfig::trace_capacity`] is non-zero, so code written against
-/// the ring keeps working (via [`Engine::trace_snapshot`]) while the
-/// engine itself no longer records trace events directly.
-///
-/// [`EngineConfig::trace_capacity`]: crate::EngineConfig::trace_capacity
-/// [`Engine::trace_snapshot`]: crate::Engine::trace_snapshot
-#[derive(Debug)]
-pub struct TraceRingObserver {
-    ring: Mutex<TraceLog>,
-}
-
-impl TraceRingObserver {
-    /// A shim retaining up to `capacity` lifecycle events.
-    pub fn new(capacity: usize) -> Self {
-        TraceRingObserver {
-            ring: Mutex::new(TraceLog::new(capacity)),
-        }
-    }
-
-    /// A point-in-time copy of the ring.
-    pub fn snapshot(&self) -> TraceLog {
-        self.ring.lock().expect("trace ring poisoned").clone()
-    }
-}
-
-impl Observer for TraceRingObserver {
-    fn event(&self, ev: &ObsEvent) {
-        // Only the five legacy lifecycle kinds reach the ring; the
-        // richer structured events have no TraceEvent equivalent.
-        let legacy = match *ev {
-            ObsEvent::SfCreated {
-                at,
-                sf,
-                sf_type,
-                tid,
-                ..
-            } => Some(TraceEvent::Created {
-                at,
-                sf: SfId(sf),
-                sf_type: SuperFuncType::from_raw(sf_type),
-                tid: ThreadId(tid),
-            }),
-            ObsEvent::Dispatched { at, sf, core } => Some(TraceEvent::Dispatched {
-                at,
-                sf: SfId(sf),
-                core: CoreId(core as usize),
-            }),
-            ObsEvent::Blocked { at, sf } => Some(TraceEvent::Blocked { at, sf: SfId(sf) }),
-            ObsEvent::Completed { at, sf } => Some(TraceEvent::Completed { at, sf: SfId(sf) }),
-            ObsEvent::Migrated { at, tid, from, to } => Some(TraceEvent::Migrated {
-                at,
-                tid: ThreadId(tid),
-                from: CoreId(from as usize),
-                to: CoreId(to as usize),
-            }),
-            _ => None,
-        };
-        if let Some(event) = legacy {
-            self.ring.lock().expect("trace ring poisoned").record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shim_translates_lifecycle_events() {
-        let shim = TraceRingObserver::new(16);
-        let sf_type = SuperFuncType::new(SfCategory::SystemCall, 3);
-        shim.event(&ObsEvent::SfCreated {
-            at: 1,
-            sf: 7,
-            sf_type: sf_type.raw(),
-            class: SfClass::SystemCall,
-            tid: 2,
-        });
-        shim.event(&ObsEvent::Dispatched {
-            at: 2,
-            sf: 7,
-            core: 1,
-        });
-        shim.event(&ObsEvent::EpochStart { at: 3 }); // no ring equivalent
-        shim.event(&ObsEvent::Completed { at: 4, sf: 7 });
-        let ring = shim.snapshot();
-        assert_eq!(ring.len(), 3);
-        let first = ring.events().next().expect("first event");
-        assert!(matches!(first, TraceEvent::Created { sf: SfId(7), .. }));
-    }
 
     #[test]
     fn observer_set_gates_on_enabled() {

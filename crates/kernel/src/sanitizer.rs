@@ -55,7 +55,7 @@ impl SanitizerState {
     ///
     /// Instructions retired by already-reaped SuperFunctions live in
     /// [`EngineCore::retired_completed`], maintained unconditionally by
-    /// the completion path so component code never needs a sanitizer
+    /// the completion path so engine code never needs a sanitizer
     /// handle.
     pub(crate) fn rebaseline(&mut self, core: &EngineCore) {
         let live: u64 = core.sfs.values().map(|s| s.instructions_retired).sum();

@@ -1,11 +1,14 @@
 //! Behavioural tests for the discrete-event engine.
 
+use schedtask_kernel::obs::{ObsEvent, Observer, SfClass};
 use schedtask_kernel::{
     CoreId, Engine, EngineConfig, EngineCore, GlobalFifoScheduler, SchedError, Scheduler, SfId,
     SimStats, WorkloadSpec,
 };
 use schedtask_sim::{PageHeatmap, SystemConfig};
 use schedtask_workload::{BenchmarkKind, SfCategory};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 fn small_cfg(cores: usize, max_instr: u64) -> EngineConfig {
     EngineConfig::fast()
@@ -336,62 +339,43 @@ fn category_enum_helper() {
     assert_eq!(SfCategory::all()[0], SfCategory::SystemCall);
 }
 
+/// An observer that keeps every structured event it sees.
+#[derive(Default)]
+struct Collect(Mutex<Vec<ObsEvent>>);
+
+impl Observer for Collect {
+    fn event(&self, ev: &ObsEvent) {
+        self.0.lock().expect("collector poisoned").push(*ev);
+    }
+}
+
+/// Runs `engine` with a [`Collect`] observer attached and returns the
+/// events it saw.
+fn run_collecting(mut engine: Engine) -> Vec<ObsEvent> {
+    let events = Arc::new(Collect::default());
+    engine.add_observer(Arc::clone(&events) as Arc<dyn Observer>);
+    engine.run().expect("run succeeds");
+    let seen = std::mem::take(&mut *events.0.lock().expect("collector poisoned"));
+    seen
+}
+
 #[test]
-fn trace_log_captures_lifecycle_when_enabled() {
-    use schedtask_kernel::TraceEvent;
-    let mut cfg = small_cfg(2, 150_000);
-    cfg.trace_capacity = 10_000;
-    let mut engine = Engine::new(
-        cfg,
+fn observer_sees_the_sf_lifecycle() {
+    let engine = Engine::new(
+        small_cfg(2, 150_000),
         &WorkloadSpec::single(BenchmarkKind::Find, 1.0),
         Box::new(GlobalFifoScheduler::new()),
     )
     .expect("engine builds");
-    engine.run().expect("run succeeds");
-    let trace = engine.trace_snapshot();
-    assert!(!trace.is_empty(), "no trace events captured");
-    let mut created = 0;
-    let mut dispatched = 0;
-    let mut completed = 0;
-    let mut last_at = 0;
-    for e in trace.events() {
-        assert!(
-            e.at() >= last_at
-                || matches!(
-                    e,
-                    TraceEvent::Dispatched { .. }
-                        | TraceEvent::Created { .. }
-                        | TraceEvent::Blocked { .. }
-                        | TraceEvent::Completed { .. }
-                        | TraceEvent::Migrated { .. }
-                )
-        );
-        last_at = last_at.max(e.at());
-        match e {
-            TraceEvent::Created { .. } => created += 1,
-            TraceEvent::Dispatched { .. } => dispatched += 1,
-            TraceEvent::Completed { .. } => completed += 1,
-            _ => {}
-        }
-    }
+    let events = run_collecting(engine);
+    let count = |want: fn(&ObsEvent) -> bool| events.iter().filter(|e| want(e)).count();
+    let created = count(|e| matches!(e, ObsEvent::SfCreated { .. }));
+    let dispatched = count(|e| matches!(e, ObsEvent::Dispatched { .. }));
+    let completed = count(|e| matches!(e, ObsEvent::Completed { .. }));
     assert!(created > 0 && dispatched > 0 && completed > 0);
     // Dispatches at least match completions (every completed SF was
     // dispatched at least once).
     assert!(dispatched >= completed);
-    // Dump renders one line per retained event.
-    assert_eq!(trace.dump().lines().count(), trace.len());
-}
-
-#[test]
-fn trace_disabled_by_default() {
-    let mut engine = Engine::new(
-        small_cfg(2, 100_000),
-        &WorkloadSpec::single(BenchmarkKind::Find, 1.0),
-        Box::new(GlobalFifoScheduler::new()),
-    )
-    .expect("engine builds");
-    engine.run().expect("run succeeds");
-    assert!(engine.trace_snapshot().is_empty());
 }
 
 #[test]
@@ -455,8 +439,7 @@ fn nuca_model_runs_and_costs_versus_flat() {
 /// there.
 #[test]
 fn interrupts_run_on_the_routed_core() {
-    use schedtask_kernel::{SwitchReason, TraceEvent};
-    use schedtask_workload::SfCategory;
+    use schedtask_kernel::SwitchReason;
 
     struct PinnedIrq(GlobalFifoScheduler);
     impl Scheduler for PinnedIrq {
@@ -487,56 +470,35 @@ fn interrupts_run_on_the_routed_core() {
         }
     }
 
-    let mut cfg = small_cfg(4, 400_000);
-    cfg.trace_capacity = 100_000;
-    let mut engine = Engine::new(
-        cfg,
+    let engine = Engine::new(
+        small_cfg(4, 400_000),
         &WorkloadSpec::single(BenchmarkKind::FileSrv, 1.0),
         Box::new(PinnedIrq(GlobalFifoScheduler::new())),
     )
     .expect("engine builds");
-    engine.run().expect("run succeeds");
-    let trace = engine.trace_snapshot();
-    let core_of_irq: Vec<usize> = trace
-        .events()
-        .filter_map(|e| match e {
-            TraceEvent::Dispatched { sf, core, .. } => Some((*sf, *core)),
-            _ => None,
-        })
-        .filter(|(sf, _)| {
-            // Dispatched SFs may already be deallocated; look the type up
-            // defensively via the trace's Created events instead.
-            let _ = sf;
-            true
-        })
-        .map(|(_, c)| c.0)
-        .collect();
-    assert!(!core_of_irq.is_empty());
-    // Check via Created events which SFs were interrupts, then confirm
-    // their dispatches were on core 1.
-    let irq_sfs: std::collections::HashSet<_> = trace
-        .events()
-        .filter_map(|e| match e {
-            TraceEvent::Created { sf, sf_type, .. }
-                if sf_type.category() == SfCategory::Interrupt =>
-            {
-                Some(*sf)
-            }
+    let events = run_collecting(engine);
+    let irq_sfs: HashSet<u64> = events
+        .iter()
+        .filter_map(|e| match *e {
+            ObsEvent::SfCreated {
+                sf,
+                class: SfClass::Interrupt,
+                ..
+            } => Some(sf),
             _ => None,
         })
         .collect();
     let mut irq_dispatches = 0;
-    for e in trace.events() {
-        if let TraceEvent::Dispatched { sf, core, .. } = e {
-            if irq_sfs.contains(sf) {
+    for e in &events {
+        if let ObsEvent::Dispatched { sf, core, .. } = *e {
+            if irq_sfs.contains(&sf) {
                 irq_dispatches += 1;
-                assert_eq!(core.0, 1, "interrupt SF dispatched on {core}");
+                assert_eq!(core, 1, "interrupt sf{sf} dispatched on core{core}");
             }
         }
     }
-    // Interrupt SFs are created+dispatched on the routed core directly;
-    // Created events for them only appear for device completions (the
-    // engine creates them at service time). Accept zero only if no
-    // interrupts were traced at all.
-    let _ = irq_dispatches;
+    assert!(
+        irq_dispatches > 0,
+        "no interrupt SuperFunction was dispatched"
+    );
 }

@@ -147,8 +147,8 @@ impl ChaosKind {
     }
 }
 
-/// Coarse classification of an engine component, mirroring the kernel
-/// crate's `Component` implementations without depending on them.
+/// Coarse classification of an engine component: a per-core machine,
+/// one of the engine's event sources, or a device model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentClass {
     /// A per-core execution machine.
@@ -469,7 +469,8 @@ pub enum ObsEvent {
     ComponentTick {
         /// Global cycle timestamp.
         at: u64,
-        /// Component index within the engine's component set.
+        /// Index of the component within its class (for device models,
+        /// the index among the configured devices).
         component: u32,
         /// Coarse class of the component.
         class: ComponentClass,

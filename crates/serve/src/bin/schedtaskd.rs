@@ -12,8 +12,7 @@
 //! Listens for JSON-line requests (see
 //! `schedtask_experiments::serve_api`) on `--addr tcp://HOST:PORT`
 //! (default `tcp://127.0.0.1:0`; the bound address is printed on
-//! stdout) or `--addr unix:///PATH`. The old `--listen ADDR` and
-//! `--unix PATH` flags remain as deprecated aliases for one release.
+//! stdout) or `--addr unix:///PATH`.
 //! One thread per connection; a shared dispatcher executes admitted
 //! jobs in batches. Exits cleanly — queue closed, backlog drained
 //! (bounded by `--drain-deadline-ms`), responses flushed — on SIGTERM,
@@ -86,8 +85,7 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 struct Opts {
-    listen: String,
-    unix_path: Option<String>,
+    addr: Endpoint,
     router: bool,
     worker_endpoints: Vec<Endpoint>,
     cfg: ServeConfig,
@@ -103,8 +101,7 @@ fn die(msg: &str) -> ! {
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
-        listen: "127.0.0.1:0".to_owned(),
-        unix_path: None,
+        addr: Endpoint::Tcp("127.0.0.1:0".to_owned()),
         router: false,
         worker_endpoints: Vec::new(),
         cfg: ServeConfig::default(),
@@ -120,16 +117,9 @@ fn parse_args() -> Opts {
         };
         match arg.as_str() {
             "--addr" => {
-                let spec = value("--addr");
-                match spec.parse::<Endpoint>() {
-                    Ok(Endpoint::Tcp(addr)) => {
-                        opts.listen = addr;
-                        opts.unix_path = None;
-                    }
-                    #[cfg(unix)]
-                    Ok(Endpoint::Unix(path)) => opts.unix_path = Some(path),
-                    Err(e) => die(&format!("bad --addr: {e}")),
-                }
+                opts.addr = value("--addr")
+                    .parse()
+                    .unwrap_or_else(|e| die(&format!("bad --addr: {e}")))
             }
             "--router" => opts.router = true,
             "--worker" => {
@@ -139,9 +129,6 @@ fn parse_args() -> Opts {
                     .unwrap_or_else(|e| die(&format!("bad --worker: {e}")));
                 opts.worker_endpoints.push(endpoint);
             }
-            // Deprecated aliases, kept for one release.
-            "--listen" => opts.listen = value("--listen"),
-            "--unix" => opts.unix_path = Some(value("--unix")),
             "--queue-capacity" => {
                 opts.cfg.queue_capacity = value("--queue-capacity")
                     .parse()
@@ -184,8 +171,7 @@ fn parse_args() -> Opts {
                      [--read-timeout-ms N] [--drain-deadline-ms N] [--profile]\n\
                      \x20      schedtaskd --router [--addr ENDPOINT] --worker ENDPOINT \
                      [--worker ENDPOINT ...] [--read-timeout-ms N] [--profile]\n\
-                     ENDPOINT is tcp://HOST:PORT or unix:///PATH; \
-                     --listen/--unix remain as deprecated aliases."
+                     ENDPOINT is tcp://HOST:PORT or unix:///PATH."
                 );
                 exit(0);
             }
@@ -442,9 +428,9 @@ fn main() {
     let opts = parse_args();
     install_signal_handlers();
 
-    let listener = match &opts.unix_path {
+    let listener = match &opts.addr {
         #[cfg(unix)]
-        Some(path) => {
+        Endpoint::Unix(path) => {
             // A stale socket file from a previous run blocks bind —
             // but only delete it after probing: if a live daemon still
             // answers on it, deleting would silently orphan that
@@ -461,14 +447,12 @@ fn main() {
                 .unwrap_or_else(|e| die(&format!("cannot bind unix socket {path}: {e}")));
             l.set_nonblocking(true)
                 .unwrap_or_else(|e| die(&format!("cannot set non-blocking: {e}")));
-            println!("schedtaskd listening on unix:{path}");
+            println!("schedtaskd listening on {}", opts.addr);
             Listener::Unix(l)
         }
-        #[cfg(not(unix))]
-        Some(_) => die("--unix is not supported on this platform"),
-        None => {
-            let l = TcpListener::bind(&opts.listen)
-                .unwrap_or_else(|e| die(&format!("cannot bind {}: {e}", opts.listen)));
+        Endpoint::Tcp(listen) => {
+            let l = TcpListener::bind(listen)
+                .unwrap_or_else(|e| die(&format!("cannot bind {listen}: {e}")));
             l.set_nonblocking(true)
                 .unwrap_or_else(|e| die(&format!("cannot set non-blocking: {e}")));
             let addr = l
@@ -563,7 +547,7 @@ fn main() {
         None => {}
     }
     #[cfg(unix)]
-    if let Some(path) = &opts.unix_path {
+    if let Endpoint::Unix(path) = &opts.addr {
         let _ = std::fs::remove_file(path);
     }
     if opts.profile {
