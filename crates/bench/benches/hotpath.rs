@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the data-oriented hot-path structures: the flat
 //! set-associative cache, the open-addressed TLB, the open-addressed
-//! coherence directory, the calendar event queue, and an in-situ
-//! replica of the engine's per-block execute loop. These are the
-//! structures every simulated instruction flows through; `repro perf`
-//! measures the same path end-to-end (see `BENCH_*.json`).
+//! coherence directory, the calendar event queue, the Page-heatmap
+//! insert/overlap pair, and an in-situ replica of the engine's
+//! per-block execute loop. These are the structures every simulated
+//! instruction flows through; `perfbench`'s `sim_fig7` workload
+//! measures the same path end-to-end (see `perfbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use schedtask_kernel::BenchEventQueue;
@@ -127,10 +128,32 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// One Page-heatmap insert followed by an overlap against a fixed
+/// 64-page heatmap: the 512-bit AND/popcount that TAlloc's overlap
+/// table repeats N² times per epoch.
+fn bench_heatmap(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hotpath");
+    g.sample_size(SAMPLES);
+    g.bench_function("heatmap_insert_and_overlap", |b| {
+        let mut a = PageHeatmap::new(512);
+        let mut other = PageHeatmap::new(512);
+        for p in 0..64 {
+            other.insert_pfn(p);
+        }
+        let mut pfn = 0u64;
+        b.iter(|| {
+            pfn += 1;
+            a.insert_pfn(pfn % 1024);
+            black_box(a.overlap(&other))
+        });
+    });
+    g.finish();
+}
+
 /// In-situ replica of `execute_quantum`'s per-block body: walker block,
 /// i-side fetch, heatmap update, d-side access, branch predictor. This
-/// is the per-block floor the end-to-end `repro perf` number divides
-/// into (8 instructions per block).
+/// is the per-block floor that `perfbench`'s end-to-end
+/// `sim_minstr_per_s` divides into (8 instructions per block).
 fn bench_block_loop(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(SAMPLES);
@@ -184,6 +207,7 @@ criterion_group!(
     bench_tlb,
     bench_directory,
     bench_event_queue,
+    bench_heatmap,
     bench_block_loop
 );
 criterion_main!(benches);

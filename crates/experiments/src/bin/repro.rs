@@ -7,7 +7,6 @@
 //!                    [--faults SPEC] [--sanitize] [--force-fail TECH:BENCH[:N]]
 //!                    [--device KIND[:PERIOD]] [--obs FILE] [--profile]
 //!                    [--keep-going]
-//! repro serve   [schedtaskd options...]
 //! repro submit  --addr ENDPOINT [client options...]
 //! repro loadgen [--addr ENDPOINT | --spawn N] [load options...]
 //! repro chaos   [--chaos SPEC] [--jobs N] [--cache-dir DIR] [--keep-dir]
@@ -28,16 +27,12 @@
 //!   prefetch    Appendix Figure 2 instruction prefetcher
 //!   tracecache  Appendix Figure 3 trace cache
 //!   sweep       resilient technique × benchmark sweep (per-cell isolation)
-//!   perf        wall-clock throughput of the simulator itself (see below)
 //!   all         everything above, in order
 //! ```
 //!
-//! Serving:
+//! Serving: the job server is the `schedtaskd` binary from
+//! `crates/serve`; these subcommands drive it.
 //!
-//! * `repro serve` launches the `schedtaskd` job server (built from
-//!   `crates/serve`) by exec'ing the sibling binary; all arguments are
-//!   forwarded (`--addr`, `--router`, `--worker`, `--queue-capacity`,
-//!   `--batch-max`, `--workers`, `--profile`).
 //! * `repro submit` is the line client: it submits one run request per
 //!   `technique × workload` pair to `--addr ENDPOINT`
 //!   (`tcp://HOST:PORT` or `unix:///PATH`) and prints each response.
@@ -85,17 +80,6 @@
 //! * `--profile` attaches an in-memory aggregator to every sweep cell
 //!   and prints per-technique counter and span summary tables.
 //!
-//! Perf options (`repro perf`):
-//!
-//! * `--json FILE` writes the wall-clock/throughput artefact
-//!   (`BENCH_<label>.json` convention) with per-technique instr/sec and
-//!   sweep-wide cells/sec. Cells always run serially so the numbers are
-//!   not corrupted by worker contention.
-//! * `--check FILE` additionally compares the fresh measurement against a
-//!   committed baseline artefact and exits non-zero on a >25% wall-clock
-//!   regression. Set `SCHEDTASK_PERF_SKIP_CHECK=1` to turn the gate into
-//!   a warning on noisy machines.
-//!
 //! Failures never abort a sweep or `all`: each failed experiment is
 //! recorded with a structured diagnosis, partial results still print,
 //! and a failure summary follows. The process then exits non-zero so CI
@@ -103,9 +87,10 @@
 //! historical exit-0 behaviour for exploratory sessions.
 
 use schedtask::StealPolicy;
+use schedtask_experiments::loadgen::daemon_path;
 use schedtask_experiments::runner::{parse_device_spec, run_sweep_observed};
 use schedtask_experiments::serve_api::{
-    submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
+    result_payload, submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
 };
 use schedtask_experiments::{
     ablations, appendix, fig04_breakup, fig09_stealing, fig11_heatmap, overheads, table4_workload,
@@ -130,8 +115,6 @@ struct Opts {
     devices: Vec<String>,
     obs: Option<String>,
     profile: bool,
-    json: Option<String>,
-    check: Option<String>,
     keep_going: bool,
 }
 
@@ -149,8 +132,6 @@ fn parse_args() -> Opts {
         devices: Vec::new(),
         obs: None,
         profile: false,
-        json: None,
-        check: None,
         keep_going: false,
     };
     let mut args = std::env::args().skip(1);
@@ -165,18 +146,6 @@ fn parse_args() -> Opts {
                 opts.obs = Some(
                     args.next()
                         .unwrap_or_else(|| die("--obs needs a file path")),
-                );
-            }
-            "--json" => {
-                opts.json = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--json needs a file path")),
-                );
-            }
-            "--check" => {
-                opts.check = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--check needs a baseline artefact path")),
                 );
             }
             "--cores" => {
@@ -266,7 +235,6 @@ fn print_help() {
                 [--jobs N] [--faults none|light|heavy[@SEED]] [--sanitize]\n\
                 [--force-fail TECH:BENCH[:N]] [--device KIND[:PERIOD]]\n\
                 [--obs FILE] [--profile] [--keep-going]\n\
-                repro serve  [schedtaskd options...]   launch the job server\n\
                 repro submit [client options...]       submit jobs to a server\n\n\
          sweep exit code: non-zero when any cell fails; --keep-going\n\
          restores the historical always-0 behaviour\n\n\
@@ -276,13 +244,9 @@ fn print_help() {
          observability (sweep experiment):\n\
            --obs FILE   write every cell's event log as JSON Lines to FILE\n\
            --profile    print per-technique counter and span summaries\n\n\
-         perf (wall-clock throughput of the simulator itself):\n\
-           --json FILE   write the BENCH_<label>.json throughput artefact\n\
-           --check FILE  fail on >25% regression vs a committed artefact\n\
-                         (SCHEDTASK_PERF_SKIP_CHECK=1 downgrades to warning)\n\n\
          experiments: fig4 fig7 fig8 fig9 fig10 fig11 overheads table4 mpw\n\
                       icache cacheconfig cores prefetch tracecache ablations\n\
-                      sweep perf all"
+                      sweep all"
     );
 }
 
@@ -408,104 +372,12 @@ fn run_sweep_experiment(opts: &Opts, p: &ExpParams, md: bool) -> Vec<Failure> {
     failures
 }
 
-/// `repro perf`: time the simulator over the full comparison sweep and
-/// optionally write/check the `BENCH_*.json` artefact. Returns failures
-/// for the end-of-run summary; regressions exit non-zero directly.
-fn run_perf_experiment(opts: &Opts, p: &ExpParams) -> Vec<Failure> {
-    use schedtask_experiments::perf::{check_against_baseline, PerfCheck, PerfReport};
-
-    let techniques: Vec<Technique> = Technique::all().to_vec();
-    let benchmarks = if opts.quick {
-        vec![BenchmarkKind::Find, BenchmarkKind::MailSrvIo]
-    } else {
-        BenchmarkKind::all().to_vec()
-    };
-    let mode = if opts.quick { "quick" } else { "standard" };
-    eprintln!(
-        "[repro] perf: timing {} cells serially ({} mode)...",
-        techniques.len() * benchmarks.len(),
-        mode
-    );
-    let report = PerfReport::measure(p, &techniques, &benchmarks, 2.0, mode);
-
-    println!("Per-technique simulator throughput:");
-    for row in report.by_technique() {
-        println!(
-            "  {:<18} {:>8.2} M instr/s  ({} cells, {:.2} s wall)",
-            row.name,
-            row.instr_per_sec / 1e6,
-            row.cells,
-            row.wall_seconds
-        );
-    }
-    println!("Total: {}", report.summary());
-
-    let mut failures = Vec::new();
-    let label = opts
-        .json
-        .as_deref()
-        .and_then(|p| std::path::Path::new(p).file_stem().and_then(|s| s.to_str()))
-        .unwrap_or("perf")
-        .to_string();
-    if let Some(path) = &opts.json {
-        match std::fs::write(path, report.to_json(&label)) {
-            Ok(()) => eprintln!("[repro] wrote perf artefact to {path}"),
-            Err(e) => failures.push(Failure {
-                experiment: "perf --json".to_string(),
-                detail: format!("writing {path}: {e}"),
-            }),
-        }
-    }
-    if let Some(baseline_path) = &opts.check {
-        let skip = std::env::var("SCHEDTASK_PERF_SKIP_CHECK").is_ok_and(|v| v == "1");
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(Failure {
-                    experiment: "perf --check".to_string(),
-                    detail: format!("reading {baseline_path}: {e}"),
-                });
-                return failures;
-            }
-        };
-        match check_against_baseline(report.instr_per_sec(), &baseline, 25.0) {
-            Ok(PerfCheck::Pass(ratio)) => {
-                eprintln!(
-                    "[repro] perf check vs {baseline_path}: OK ({:.0}% of baseline)",
-                    ratio * 100.0
-                );
-            }
-            Ok(PerfCheck::Regression(ratio)) => {
-                let msg = format!(
-                    "wall-clock regression: {:.0}% of baseline instr/sec (budget: 75%)",
-                    ratio * 100.0
-                );
-                if skip {
-                    eprintln!(
-                        "[repro] perf check vs {baseline_path}: {msg} — \
-                         ignored (SCHEDTASK_PERF_SKIP_CHECK=1)"
-                    );
-                } else {
-                    eprintln!("[repro] perf check vs {baseline_path}: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => failures.push(Failure {
-                experiment: "perf --check".to_string(),
-                detail: e,
-            }),
-        }
-    }
-    failures
-}
-
 fn main() {
-    // The serve/submit subcommands take their own argument sets, so
+    // The submit/chaos/loadgen subcommands take their own argument sets, so
     // they are dispatched before the experiment-flag parser (which
     // rejects unknown arguments) ever sees them.
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
-        Some("serve") => run_serve(raw.split_off(1)),
         Some("submit") => run_submit(raw.split_off(1)),
         Some("chaos") => run_chaos(raw.split_off(1)),
         Some("loadgen") => schedtask_experiments::loadgen::run_loadgen(raw.split_off(1)),
@@ -701,8 +573,6 @@ fn main() {
         failures.extend(run_sweep_experiment(&opts, &p, md));
     } else if opts.experiment == "sweep" {
         failures.extend(run_sweep_experiment(&opts, &p, md));
-    } else if opts.experiment == "perf" {
-        failures.extend(run_perf_experiment(&opts, &p));
     } else {
         run_isolated(&opts.experiment);
     }
@@ -728,31 +598,6 @@ fn main() {
 
 // ---------------------------------------------------------------------------
 // Serving subcommands.
-
-/// `repro serve`: launch the sibling `schedtaskd` binary, forwarding
-/// every remaining argument, and exit with its status.
-fn run_serve(args: Vec<String>) -> ! {
-    let daemon = std::env::current_exe().ok().and_then(|exe| {
-        exe.parent()
-            .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-    });
-    let Some(path) = daemon.filter(|p| p.exists()) else {
-        die("schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`");
-    };
-    match std::process::Command::new(&path).args(&args).status() {
-        Ok(status) => std::process::exit(status.code().unwrap_or(1)),
-        Err(e) => die(&format!("cannot launch {}: {e}", path.display())),
-    }
-}
-
-/// Extracts the `"result":...` payload bytes from an ok response line
-/// (everything from the result field to the closing brace — exactly
-/// the bytes that must replay identically on a cache hit).
-fn result_payload(response: &str) -> Option<String> {
-    let start = response.find("\"result\":")? + "\"result\":".len();
-    Some(response[start..response.len() - 1].to_owned())
-}
 
 fn print_chaos_help() {
     println!(
@@ -830,7 +675,7 @@ fn spawn_chaos_daemon(
 
 /// `repro chaos`: boot → chaos-submit → SIGKILL → restart → verify.
 fn run_chaos(args: Vec<String>) -> ! {
-    use schedtask_experiments::serve_api::Json;
+    use schedtask_experiments::Response;
     use schedtask_obs::{Aggregator, Counter};
 
     let mut chaos = "light@7".to_owned();
@@ -885,14 +730,7 @@ fn run_chaos(args: Vec<String>) -> ! {
         die("--jobs must be positive");
     }
 
-    let daemon = std::env::current_exe().ok().and_then(|exe| {
-        exe.parent()
-            .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-    });
-    let Some(daemon) = daemon.filter(|p| p.exists()) else {
-        die("schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`");
-    };
+    let daemon = daemon_path().unwrap_or_else(|e| die(&e));
     let dir = std::path::PathBuf::from(cache_dir.unwrap_or_else(|| {
         format!(
             "{}/schedtask-chaos-{}",
@@ -976,10 +814,14 @@ fn run_chaos(args: Vec<String>) -> ! {
             Some(&agg),
         )
         .unwrap_or_else(|e| die(&format!("job {i} failed post-restart: {e}")));
-        let payload = result_payload(&outcome.response)
-            .unwrap_or_else(|| die(&format!("job {i}: ok response without result payload")));
-        let json = Json::parse(&outcome.response).expect("response parsed by retry loop");
-        let cached = json.get("cached").and_then(Json::as_bool).unwrap_or(false);
+        let Ok(Response::Ok {
+            cached,
+            result: payload,
+            ..
+        }) = Response::parse(&outcome.response)
+        else {
+            die(&format!("job {i}: ok response without result payload"));
+        };
         if cached {
             cached_hits += 1;
         }

@@ -37,14 +37,12 @@ pub mod fig09_stealing;
 pub mod fig11_heatmap;
 pub mod loadgen;
 pub mod overheads;
-pub mod perf;
 pub mod runner;
 pub mod serve_api;
 pub mod table;
 pub mod table4_workload;
 
 pub use comparison::Comparison;
-pub use perf::{PerfCheck, PerfReport};
 pub use runner::{
     CellObs, CellOutcome, ExpParams, ExperimentError, FailAfterScheduler, FailureCause, RunBuilder,
     SweepReport, Technique,

@@ -19,7 +19,7 @@
 //! payloads byte-for-byte with the fleet's answers.
 
 use crate::runner::Technique;
-use crate::serve_api::{ClientTimeouts, Endpoint, JobSpec, Json, ServeClient};
+use crate::serve_api::{result_payload, ClientTimeouts, Endpoint, JobSpec, Json, ServeClient};
 use schedtask_workload::BenchmarkKind;
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
@@ -107,12 +107,6 @@ struct SharedRun {
     retries: u32,
     endpoint: Endpoint,
     timeouts: ClientTimeouts,
-}
-
-/// Extracts the `"result":...` payload bytes from an ok response line.
-fn result_payload(response: &str) -> Option<String> {
-    let start = response.find("\"result\":")? + "\"result\":".len();
-    Some(response[start..response.len() - 1].to_owned())
 }
 
 fn dial_until(endpoint: &Endpoint, timeouts: &ClientTimeouts, deadline: Instant) -> ServeClient {
@@ -248,16 +242,22 @@ struct Fleet {
     router_addr: String,
 }
 
-fn daemon_path() -> std::path::PathBuf {
-    let daemon = std::env::current_exe().ok().and_then(|exe| {
-        exe.parent()
-            .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-    });
-    match daemon.filter(|p| p.exists()) {
-        Some(p) => p,
-        None => die("schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`"),
-    }
+/// The `schedtaskd` binary that cargo builds next to the running
+/// executable; the harnesses that spawn daemons (`loadgen --spawn`,
+/// `loadgen --verify`, `repro chaos`) all launch this one.
+pub fn daemon_path() -> Result<std::path::PathBuf, String> {
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| {
+            exe.parent()
+                .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
+        })
+        .filter(|p| p.exists())
+        .ok_or_else(|| {
+            "schedtaskd binary not found next to repro; \
+             build it with `cargo build -p schedtask-serve`"
+                .to_owned()
+        })
 }
 
 /// Spawns one `schedtaskd` and reads its banner to learn the bound
@@ -293,7 +293,7 @@ fn spawn_daemon(daemon: &std::path::Path, extra: &[String]) -> (Child, String) {
 }
 
 fn spawn_fleet(n_workers: usize) -> Fleet {
-    let daemon = daemon_path();
+    let daemon = daemon_path().unwrap_or_else(|e| die(&e));
     let base = std::env::temp_dir().join(format!("schedtask-loadgen-{}", std::process::id()));
     let mut children = Vec::new();
     let mut dirs = Vec::new();
@@ -620,7 +620,7 @@ pub fn run_loadgen(args: Vec<String>) -> ! {
 /// Spawns a fresh single worker, replays every distinct spec directly,
 /// and compares result payload bytes with the fleet-observed payloads.
 fn verify_against_direct_worker(specs: &[JobSpec], fleet_payloads: &[Option<String>]) -> bool {
-    let daemon = daemon_path();
+    let daemon = daemon_path().unwrap_or_else(|e| die(&e));
     let dir = std::env::temp_dir().join(format!("schedtask-loadgen-verify-{}", std::process::id()));
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| die(&format!("cannot create {}: {e}", dir.display())));

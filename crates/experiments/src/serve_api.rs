@@ -198,8 +198,12 @@ fn render_device_spec(device: &schedtask_kernel::DeviceModelConfig) -> String {
     format!("{kind}:{}", device.period_cycles)
 }
 
-/// FNV-1a 64-bit hash. In-process cache keys only — never persisted, so
-/// the hash just has to be deterministic within one server lifetime.
+/// FNV-1a 64-bit hash: the job cache key ([`JobSpec::cache_key`]), the
+/// router's ring points, and the `SimStats`/JSONL digests that
+/// `perfbench/digests.txt` and `tests/determinism_golden.rs` record.
+/// Its output is a stored format — the disk cache tier persists keys
+/// across restarts — so changing the hash turns every disk cache cold
+/// and breaks the recorded digests.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -954,6 +958,15 @@ impl Response {
     }
 }
 
+/// The `result` payload bytes of an ok run response line, as
+/// [`Response::parse`] recovers them; `None` for any other response.
+pub fn result_payload(line: &str) -> Option<String> {
+    match Response::parse(line) {
+        Ok(Response::Ok { result, .. }) => Some(result),
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Client.
 
@@ -1268,8 +1281,14 @@ pub fn submit_with_retry(
     let mut client: Option<ServeClient> = None;
     let mut total_backoff_ms = 0u64;
     let mut last_error = String::from("no attempts made");
-    for attempt in 0..policy.max_attempts.max(1) {
+    let attempts = policy.max_attempts.max(1);
+    for attempt in 0..attempts {
+        // Back off only when another attempt follows; a failed last
+        // attempt reports its error at once.
         let retry = |hint: Option<u64>, total: &mut u64| {
+            if attempt + 1 == attempts {
+                return;
+            }
             let backoff = policy.backoff_ms(attempt, hint);
             if let Some(obs) = observer {
                 obs.event(&ObsEvent::RetryScheduled {
@@ -1348,9 +1367,7 @@ pub fn submit_with_retry(
         }
     }
     Err(format!(
-        "gave up after {} attempts ({} ms of backoff): {last_error}",
-        policy.max_attempts.max(1),
-        total_backoff_ms
+        "gave up after {attempts} attempts ({total_backoff_ms} ms of backoff): {last_error}"
     ))
 }
 
@@ -1582,6 +1599,43 @@ mod tests {
             let other = run_spec(line);
             assert_ne!(base.cache_key(), other.cache_key(), "collision for {line}");
         }
+    }
+
+    #[test]
+    fn a_failed_last_attempt_does_not_back_off() {
+        use schedtask_obs::{Aggregator, Counter};
+        // A port nothing listens on: every dial is refused.
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("bind an ephemeral port")
+            .port();
+        let endpoint = Endpoint::Tcp(format!("127.0.0.1:{port}"));
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            base_ms: 40,
+            max_ms: 40,
+            ..RetryPolicy::default()
+        };
+        let agg = Aggregator::new();
+        let err = submit_with_retry(
+            &endpoint,
+            &ClientTimeouts::default(),
+            &policy,
+            "{\"op\":\"ping\"}",
+            Some(&agg),
+        )
+        .expect_err("nothing listens");
+        // Two attempts have one backoff between them and none after.
+        let backoff = policy.backoff_ms(0, None);
+        let counters = agg.counters();
+        assert_eq!(counters.get(Counter::ServeRetryAttempts), 1, "{err}");
+        assert_eq!(counters.get(Counter::ServeRetryBackoffMs), backoff, "{err}");
+        assert!(
+            err.starts_with(&format!(
+                "gave up after 2 attempts ({backoff} ms of backoff)"
+            )),
+            "{err}"
+        );
     }
 
     #[test]

@@ -95,9 +95,6 @@ pub struct EngineConfig {
     pub heatmap_bits: u32,
     /// Record per-epoch instruction breakups (Section 4.4).
     pub collect_epoch_breakups: bool,
-    /// Additionally collect exact per-core page sets (Figure 11's ideal
-    /// ranking baseline).
-    pub collect_exact_pages: bool,
     /// Optional deterministic fault-injection plan (see
     /// [`crate::faults`]). `None` injects nothing.
     pub faults: Option<FaultPlan>,
@@ -137,7 +134,6 @@ impl EngineConfig {
             seed: 0x5EED_5EED,
             heatmap_bits: 512,
             collect_epoch_breakups: false,
-            collect_exact_pages: false,
             faults: None,
             sanitize: false,
             watchdog: WatchdogConfig::default(),

@@ -43,18 +43,15 @@ pub const RING_REPLICAS: usize = 100;
 pub struct RouterConfig {
     /// Downstream worker endpoints, in ring-index order.
     pub workers: Vec<Endpoint>,
-    /// Virtual nodes per worker on the consistent-hash ring.
-    pub replicas: usize,
     /// Socket timeouts for worker connections.
     pub timeouts: ClientTimeouts,
 }
 
 impl RouterConfig {
-    /// A router over `workers` with default ring and timeout tuning.
+    /// A router over `workers` with the default socket timeouts.
     pub fn new(workers: Vec<Endpoint>) -> Self {
         RouterConfig {
             workers,
-            replicas: RING_REPLICAS,
             timeouts: ClientTimeouts::default(),
         }
     }
@@ -148,7 +145,7 @@ impl Router {
             }
             pools.push(Mutex::new(vec![client]));
         }
-        let ring = build_ring(&cfg.workers, cfg.replicas);
+        let ring = build_ring(&cfg.workers, RING_REPLICAS);
         Ok(Router {
             cfg,
             ring,

@@ -47,8 +47,9 @@ pub enum ReplacementPolicy {
 
 /// The historical constant every Random-policy cache was seeded with
 /// before per-cache seeding existed. [`SetAssocCache::with_policy`]
-/// still uses it so legacy ablation numbers stay reproducible;
-/// [`SetAssocCache::with_policy_seeded`] mixes a caller salt into it.
+/// still uses it for standalone caches;
+/// [`SetAssocCache::with_policy_seeded`], which builds every cache of a
+/// `MemorySystem`, mixes a caller salt into it.
 pub const LEGACY_RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Tag storage: narrow (`u32`) until a line id needs 64 bits, then

@@ -196,14 +196,6 @@ pub struct SystemConfig {
     /// Explicit banked NUCA LLC: `(bank base latency, cycles per mesh
     /// hop)`. `None` uses the flat Table 2 average latency.
     pub nuca: Option<(u64, u64)>,
-    /// Seed every Random-replacement cache with the historical shared
-    /// RNG constant instead of a per-level/per-core seed. With the
-    /// shared constant, all caches pick the *same* victim-way sequence —
-    /// correlated evictions across cores — which the default
-    /// (per-cache seeding) avoids. Only observable under
-    /// [`ReplacementPolicy::Random`](crate::cache::ReplacementPolicy);
-    /// kept so pre-existing Random-ablation numbers remain reproducible.
-    pub legacy_replacement_rng: bool,
 }
 
 impl SystemConfig {
@@ -225,16 +217,7 @@ impl SystemConfig {
             data_prefetcher: false,
             branch_predictor: None,
             nuca: None,
-            legacy_replacement_rng: false,
         }
-    }
-
-    /// Restores the pre-seeding behaviour where every Random-policy
-    /// cache shares one victim RNG stream (see
-    /// [`legacy_replacement_rng`](Self::legacy_replacement_rng)).
-    pub fn with_legacy_replacement_rng(mut self) -> Self {
-        self.legacy_replacement_rng = true;
-        self
     }
 
     /// Table 2 machine with a different core count (appendix Table 4

@@ -70,16 +70,11 @@ impl MemorySystem {
     pub fn new(cfg: &SystemConfig) -> Self {
         let h = &cfg.hierarchy;
         // Decorrelate each cache's Random-victim RNG by level and core
-        // (level tag in the high bits, core index below) unless the
-        // legacy shared-stream behaviour is requested. Lru/Fifo caches
-        // never consume the RNG, so this is invisible outside the
-        // Random-replacement ablation.
+        // (level tag in the high bits, core index below). Lru/Fifo
+        // caches never consume the RNG, so this is invisible outside
+        // the Random-replacement ablation.
         let build = |params, policy, level: u64, core: usize| {
-            if cfg.legacy_replacement_rng {
-                SetAssocCache::with_policy(params, policy)
-            } else {
-                SetAssocCache::with_policy_seeded(params, policy, (level << 32) | core as u64)
-            }
+            SetAssocCache::with_policy_seeded(params, policy, (level << 32) | core as u64)
         };
         let cores = (0..cfg.num_cores)
             .map(|c| CoreMem {
