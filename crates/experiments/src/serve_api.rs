@@ -17,7 +17,7 @@
 //!
 //! [`SimStats`]: schedtask_kernel::SimStats
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -26,8 +26,11 @@ use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use schedtask::StealPolicy;
-use schedtask_kernel::FaultPlan;
+use schedtask_kernel::{DeviceModelConfig, FaultPlan};
 use schedtask_obs::{ObsEvent, Observer};
+use schedtask_sim::{
+    CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, TraceCacheConfig,
+};
 use schedtask_workload::BenchmarkKind;
 
 use crate::runner::{parse_device_spec, ExpParams, Technique};
@@ -73,21 +76,148 @@ impl JobSpec {
         }
     }
 
-    /// The canonical text the cache key is derived from. Every field
-    /// that influences the simulation output appears here — technique,
-    /// benchmark, scale (exact bits), steal override, and the full
-    /// `ExpParams` including the machine config, seed, and fault plan —
-    /// so two specs hash alike only when a deterministic engine would
-    /// produce identical stats.
+    /// The canonical text the cache key is derived from: every input
+    /// that influences the simulation output, as `name=value` pairs
+    /// separated by `;` in a fixed order. Technique and benchmark appear
+    /// by display name, other enums by variant name, floats as their
+    /// exact bits, an absent option as `-`, the fault plan and device
+    /// models in their wire spec forms, and each cache level as
+    /// `size/associativity/line/latency`. Two specs share a text exactly
+    /// when their fields are equal, so a deterministic engine produces
+    /// identical stats for both.
+    ///
+    /// Every struct is destructured without `..`, so a field added to
+    /// any of them fails to compile here until it is part of the key.
+    /// Any change to this text changes every key once;
+    /// `canonical_text_and_keys_are_pinned` pins it.
     pub fn canonical_text(&self) -> String {
-        format!(
-            "technique={:?};benchmark={:?};scale={:016x};steal={:?};params={:?}",
-            self.technique,
-            self.benchmark,
-            self.scale.to_bits(),
-            self.steal,
-            self.params
-        )
+        let mut text = String::with_capacity(640);
+        self.write_canonical(&mut text)
+            .expect("writing to a String cannot fail");
+        text
+    }
+
+    fn write_canonical(&self, out: &mut String) -> fmt::Result {
+        let JobSpec {
+            technique,
+            benchmark,
+            scale,
+            steal,
+            params,
+        } = self;
+        let ExpParams {
+            cores,
+            max_instructions,
+            warmup_instructions,
+            seed,
+            system,
+            epoch_cycles,
+            faults,
+            sanitize,
+            devices,
+        } = params;
+        let SystemConfig {
+            num_cores,
+            clock_hz,
+            hierarchy,
+            itlb_entries,
+            dtlb_entries,
+            tlb_miss_penalty,
+            base_cpi,
+            data_overlap_hidden,
+            prefetcher,
+            trace_cache,
+            l1_replacement,
+            data_prefetcher,
+            branch_predictor,
+            nuca,
+        } = system;
+        let HierarchyConfig {
+            l1i,
+            l1d,
+            l2,
+            llc,
+            memory_latency,
+        } = hierarchy;
+        write!(
+            out,
+            "technique={};benchmark={};scale={:016x};steal=",
+            technique.name(),
+            benchmark.name(),
+            scale.to_bits()
+        )?;
+        match steal {
+            Some(policy) => write!(out, "{policy:?}")?,
+            None => out.push('-'),
+        }
+        write!(
+            out,
+            ";cores={cores};max_instructions={max_instructions};\
+             warmup_instructions={warmup_instructions};seed={seed};\
+             epoch_cycles={epoch_cycles};faults="
+        )?;
+        match faults {
+            Some(plan) => render_fault_spec(out, plan)?,
+            None => out.push('-'),
+        }
+        write!(out, ";sanitize={sanitize};devices=")?;
+        for (i, device) in devices.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            render_device_spec(out, device)?;
+        }
+        write!(out, ";num_cores={num_cores};clock_hz={clock_hz};l1i=")?;
+        write_cache_params(out, l1i)?;
+        out.push_str(";l1d=");
+        write_cache_params(out, l1d)?;
+        out.push_str(";l2=");
+        match l2 {
+            Some(l2) => write_cache_params(out, l2)?,
+            None => out.push('-'),
+        }
+        out.push_str(";llc=");
+        write_cache_params(out, llc)?;
+        write!(
+            out,
+            ";memory_latency={memory_latency};itlb_entries={itlb_entries};\
+             dtlb_entries={dtlb_entries};tlb_miss_penalty={tlb_miss_penalty};\
+             base_cpi={:016x};data_overlap_hidden={:016x};prefetcher=",
+            base_cpi.to_bits(),
+            data_overlap_hidden.to_bits()
+        )?;
+        match prefetcher {
+            PrefetcherConfig::None => out.push('-'),
+            PrefetcherConfig::CallGraph {
+                degree,
+                table_entries,
+            } => write!(out, "call_graph/{degree}/{table_entries}")?,
+        }
+        out.push_str(";trace_cache=");
+        match trace_cache {
+            TraceCacheConfig::None => out.push('-'),
+            TraceCacheConfig::Enabled {
+                entries,
+                trace_lines,
+            } => write!(out, "{entries}/{trace_lines}")?,
+        }
+        write!(
+            out,
+            ";l1_replacement={l1_replacement:?};data_prefetcher={data_prefetcher};\
+             branch_predictor="
+        )?;
+        match branch_predictor {
+            Some((entries, penalty)) => write!(out, "{entries}/{penalty}")?,
+            None => out.push('-'),
+        }
+        out.push_str(";nuca=");
+        match nuca {
+            Some((base, per_hop)) => write!(out, "{base}/{per_hop}"),
+            None => {
+                out.push('-');
+                Ok(())
+            }
+        }
     }
 
     /// Content-addressed cache key: FNV-1a 64 of [`JobSpec::canonical_text`].
@@ -139,22 +269,26 @@ impl JobSpec {
             self.params.seed
         ));
         if let Some(plan) = &self.params.faults {
-            line.push_str(&format!(
-                ",\"faults\":\"{}\"",
-                escape_json(&render_fault_spec(plan))
-            ));
+            // Fault and device specs are numbers and ASCII names, so
+            // they need no escaping inside the JSON string.
+            line.push_str(",\"faults\":\"");
+            render_fault_spec(&mut line, plan).expect("writing to a String cannot fail");
+            line.push('"');
         }
         if self.params.sanitize {
             line.push_str(",\"sanitize\":true");
         }
         if !self.params.devices.is_empty() {
-            let specs: Vec<String> = self
-                .params
-                .devices
-                .iter()
-                .map(|d| format!("\"{}\"", escape_json(&render_device_spec(d))))
-                .collect();
-            line.push_str(&format!(",\"devices\":[{}]", specs.join(",")));
+            line.push_str(",\"devices\":[");
+            for (i, device) in self.params.devices.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                line.push('"');
+                render_device_spec(&mut line, device).expect("writing to a String cannot fail");
+                line.push('"');
+            }
+            line.push(']');
         }
         if want_obs {
             line.push_str(",\"obs\":true");
@@ -164,38 +298,62 @@ impl JobSpec {
     }
 }
 
-/// Renders a fault plan as the explicit `key=value` spec
+/// Writes a fault plan as the explicit `key=value` spec
 /// [`FaultPlan::parse`] reads back field-for-field: every rate and
 /// budget is spelled out (floats via `{:?}`, the shortest round-trip
 /// form), including the seed, so the default-seed argument at the
 /// parsing side never matters.
-fn render_fault_spec(plan: &FaultPlan) -> String {
-    format!(
-        "seed={},heatmap_bitflip_rate={:?},drop_irq_rate={:?},irq_retry_cycles={},\
-         spurious_irq_rate={:?},delay_completion_rate={:?},delay_completion_instructions={},\
-         stall_core_rate={:?},stall_cycles={}",
-        plan.seed,
-        plan.heatmap_bitflip_rate,
-        plan.drop_irq_rate,
-        plan.irq_retry_cycles,
-        plan.spurious_irq_rate,
-        plan.delay_completion_rate,
-        plan.delay_completion_instructions,
-        plan.stall_core_rate,
-        plan.stall_cycles
+fn render_fault_spec(out: &mut String, plan: &FaultPlan) -> fmt::Result {
+    let FaultPlan {
+        seed,
+        heatmap_bitflip_rate,
+        drop_irq_rate,
+        irq_retry_cycles,
+        spurious_irq_rate,
+        delay_completion_rate,
+        delay_completion_instructions,
+        stall_core_rate,
+        stall_cycles,
+    } = plan;
+    write!(
+        out,
+        "seed={seed},heatmap_bitflip_rate={heatmap_bitflip_rate:?},\
+         drop_irq_rate={drop_irq_rate:?},irq_retry_cycles={irq_retry_cycles},\
+         spurious_irq_rate={spurious_irq_rate:?},\
+         delay_completion_rate={delay_completion_rate:?},\
+         delay_completion_instructions={delay_completion_instructions},\
+         stall_core_rate={stall_core_rate:?},stall_cycles={stall_cycles}"
     )
 }
 
-/// Renders a device model as the `KIND:PERIOD` spec
-/// `parse_device_spec` reads back.
-fn render_device_spec(device: &schedtask_kernel::DeviceModelConfig) -> String {
+/// Writes a device model as the `KIND:PERIOD` spec `parse_device_spec`
+/// reads back.
+fn render_device_spec(out: &mut String, device: &DeviceModelConfig) -> fmt::Result {
     use schedtask_workload::DeviceKind;
-    let kind = match device.kind {
+    let DeviceModelConfig {
+        kind,
+        period_cycles,
+    } = device;
+    let kind = match kind {
         DeviceKind::Disk => "disk",
         DeviceKind::Network => "network",
         DeviceKind::Timer => "timer",
     };
-    format!("{kind}:{}", device.period_cycles)
+    write!(out, "{kind}:{period_cycles}")
+}
+
+/// Writes one cache level's geometry as `size/associativity/line/latency`.
+fn write_cache_params(out: &mut String, params: &CacheParams) -> fmt::Result {
+    let CacheParams {
+        size_bytes,
+        associativity,
+        line_bytes,
+        latency_cycles,
+    } = params;
+    write!(
+        out,
+        "{size_bytes}/{associativity}/{line_bytes}/{latency_cycles}"
+    )
 }
 
 /// FNV-1a 64-bit hash: the job cache key ([`JobSpec::cache_key`]), the
@@ -345,13 +503,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one step.
+        // Both are ASCII, so the run ends on a char boundary and each
+        // byte is validated once.
+        let start = *pos;
+        *pos += bytes[start..]
+            .iter()
+            .position(|&b| matches!(b, b'"' | b'\\'))
+            .unwrap_or(bytes.len() - start);
+        out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_owned()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped on a backslash.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -363,29 +531,44 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        out.push(unicode_escape(bytes, pos, code).unwrap_or('\u{fffd}'));
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
         }
     }
+}
+
+/// The value of the four hex digits at `bytes[at..at + 4]`; a sign or
+/// any other non-digit is refused.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad \\u escape digit {:?}", char::from(b)))?;
+        Ok(code << 4 | digit)
+    })
+}
+
+/// The scalar a `\u` escape with value `code` stands for, with `*pos`
+/// on its last hex digit. A high surrogate followed by a `\u` low
+/// surrogate combines with it into one scalar, and `*pos` moves to the
+/// pair's last digit; a lone surrogate is `None`.
+fn unicode_escape(bytes: &[u8], pos: &mut usize, code: u32) -> Option<char> {
+    if !(0xD800..0xDC00).contains(&code) || bytes.get(*pos + 1..*pos + 3) != Some(&b"\\u"[..]) {
+        return char::from_u32(code);
+    }
+    let low = hex4(bytes, *pos + 3).ok()?;
+    if !(0xDC00..0xE000).contains(&low) {
+        return None;
+    }
+    *pos += 6;
+    char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -446,18 +629,36 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal, copying the
+/// runs between characters that need escaping in one step. Every such
+/// character is ASCII, so each run ends on a char boundary.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -797,22 +998,40 @@ pub enum Response {
     },
 }
 
-fn id_prefix(id: &Option<String>) -> String {
-    match id {
-        Some(id) => format!("\"id\":\"{}\",", escape_json(id)),
-        None => String::new(),
-    }
-}
-
 impl Response {
     /// Renders the single-line JSON response. Field order is fixed
     /// (`v`, `id`, `status`, then variant fields, `result` second to
     /// last and `jsonl` last) so clients may extract the raw result
     /// payload textually.
     pub fn render(&self) -> String {
+        let (id, payload) = match self {
+            Response::Ok {
+                id, result, jsonl, ..
+            } => (
+                id,
+                result.len() + jsonl.as_ref().map_or(0, |j| j.len() + j.len() / 4),
+            ),
+            Response::Error { id, error, .. } => (id, error.len()),
+            Response::Rejected { id, .. }
+            | Response::Pong { id, .. }
+            | Response::ShuttingDown { id } => (id, 0),
+        };
+        // Room for the fixed fields plus some slack for escapes.
+        let mut line = String::with_capacity(160 + payload + id.as_ref().map_or(0, String::len));
+        self.write_line(&mut line, id)
+            .expect("writing to a String cannot fail");
+        line
+    }
+
+    fn write_line(&self, out: &mut String, id: &Option<String>) -> fmt::Result {
+        write!(out, "{{\"v\":{PROTOCOL_VERSION},")?;
+        if let Some(id) = id {
+            out.push_str("\"id\":\"");
+            push_escaped(out, id);
+            out.push_str("\",");
+        }
         match self {
             Response::Ok {
-                id,
                 cached,
                 coalesced,
                 key,
@@ -820,49 +1039,53 @@ impl Response {
                 latency_us,
                 result,
                 jsonl,
+                ..
             } => {
-                let mut line = format!(
-                    "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"cached\":{cached},\
-                     \"coalesced\":{coalesced},\"key\":\"{}\",\"queue_depth\":{queue_depth},\
-                     \"latency_us\":{latency_us},\"result\":{result}",
-                    id_prefix(id),
-                    escape_json(key)
-                );
+                write!(
+                    out,
+                    "\"status\":\"ok\",\"cached\":{cached},\"coalesced\":{coalesced},\"key\":\""
+                )?;
+                push_escaped(out, key);
+                write!(
+                    out,
+                    "\",\"queue_depth\":{queue_depth},\"latency_us\":{latency_us},\"result\":"
+                )?;
+                out.push_str(result);
                 if let Some(jsonl) = jsonl {
-                    line.push_str(&format!(",\"jsonl\":\"{}\"", escape_json(jsonl)));
+                    out.push_str(",\"jsonl\":\"");
+                    push_escaped(out, jsonl);
+                    out.push('"');
                 }
-                line.push('}');
-                line
             }
             Response::Rejected {
-                id,
                 queue_depth,
                 retry_after_ms,
-            } => format!(
-                "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"rejected\",\
-                 \"queue_depth\":{queue_depth},\"retry_after_ms\":{retry_after_ms}}}",
-                id_prefix(id)
-            ),
-            Response::Error { id, code, error } => {
-                let code = match code {
-                    Some(code) => format!("\"code\":\"{}\",", escape_json(code)),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"error\",{code}\"error\":\"{}\"}}",
-                    id_prefix(id),
-                    escape_json(error)
-                )
+                ..
+            } => write!(
+                out,
+                "\"status\":\"rejected\",\"queue_depth\":{queue_depth},\
+                 \"retry_after_ms\":{retry_after_ms}"
+            )?,
+            Response::Error { code, error, .. } => {
+                out.push_str("\"status\":\"error\",");
+                if let Some(code) = code {
+                    out.push_str("\"code\":\"");
+                    push_escaped(out, code);
+                    out.push_str("\",");
+                }
+                out.push_str("\"error\":\"");
+                push_escaped(out, error);
+                out.push('"');
             }
-            Response::Pong { id, proto } => format!(
-                "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"pong\":true,\"proto\":{proto}}}",
-                id_prefix(id)
-            ),
-            Response::ShuttingDown { id } => format!(
-                "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"shutting_down\":true}}",
-                id_prefix(id)
-            ),
+            Response::Pong { proto, .. } => {
+                write!(out, "\"status\":\"ok\",\"pong\":true,\"proto\":{proto}")?
+            }
+            Response::ShuttingDown { .. } => {
+                out.push_str("\"status\":\"ok\",\"shutting_down\":true")
+            }
         }
+        out.push('}');
+        Ok(())
     }
 
     /// Parses a response line rendered by [`Response::render`]. The
@@ -1471,55 +1694,79 @@ mod tests {
     #[test]
     fn responses_render_and_parse_as_inverses() {
         let responses = [
-            Response::Ok {
-                id: Some("job-1".to_owned()),
-                cached: true,
-                coalesced: false,
-                key: "00deadbeef00cafe".to_owned(),
-                queue_depth: 3,
-                latency_us: 1250,
-                result: "{\"cycles\":12,\"nested\":{\"a\":[1,2]}}".to_owned(),
-                jsonl: Some("{\"ev\":\"x\"}\n{\"ev\":\"y\"}\n".to_owned()),
-            },
-            Response::Ok {
-                id: None,
-                cached: false,
-                coalesced: true,
-                key: "0000000000000001".to_owned(),
-                queue_depth: 0,
-                latency_us: 7,
-                result: "{\"cycles\":99}".to_owned(),
-                jsonl: None,
-            },
-            Response::Rejected {
-                id: Some("j".to_owned()),
-                queue_depth: 64,
-                retry_after_ms: 800,
-            },
-            Response::Error {
-                id: None,
-                code: Some("unsupported_version".to_owned()),
-                error: "unsupported protocol version 9".to_owned(),
-            },
-            Response::Error {
-                id: Some("x".to_owned()),
-                code: None,
-                error: "unknown workload \"Fnid\"".to_owned(),
-            },
-            Response::Pong {
-                id: Some("p".to_owned()),
-                proto: PROTOCOL_VERSION,
-            },
-            Response::ShuttingDown { id: None },
+            (
+                Response::Ok {
+                    id: Some("job \"1\"\t\u{1f}é😀".to_owned()),
+                    cached: true,
+                    coalesced: false,
+                    key: "00deadbeef00cafe".to_owned(),
+                    queue_depth: 3,
+                    latency_us: 1250,
+                    result: "{\"cycles\":12,\"nested\":{\"a\":[1,2]}}".to_owned(),
+                    jsonl: Some("{\"ev\":\"x\"}\n{\"ev\":\"y\\\\z\"}\r\n".to_owned()),
+                },
+                "{\"v\":1,\"id\":\"job \\\"1\\\"\\t\\u001fé😀\",\"status\":\"ok\",\"cached\":true,\
+                 \"coalesced\":false,\"key\":\"00deadbeef00cafe\",\"queue_depth\":3,\
+                 \"latency_us\":1250,\"result\":{\"cycles\":12,\"nested\":{\"a\":[1,2]}},\
+                 \"jsonl\":\"{\\\"ev\\\":\\\"x\\\"}\\n{\\\"ev\\\":\\\"y\\\\\\\\z\\\"}\\r\\n\"}",
+            ),
+            (
+                Response::Ok {
+                    id: None,
+                    cached: false,
+                    coalesced: true,
+                    key: "0000000000000001".to_owned(),
+                    queue_depth: 0,
+                    latency_us: 7,
+                    result: "{\"cycles\":99}".to_owned(),
+                    jsonl: None,
+                },
+                "{\"v\":1,\"status\":\"ok\",\"cached\":false,\"coalesced\":true,\
+                 \"key\":\"0000000000000001\",\"queue_depth\":0,\"latency_us\":7,\
+                 \"result\":{\"cycles\":99}}",
+            ),
+            (
+                Response::Rejected {
+                    id: Some("j".to_owned()),
+                    queue_depth: 64,
+                    retry_after_ms: 800,
+                },
+                "{\"v\":1,\"id\":\"j\",\"status\":\"rejected\",\"queue_depth\":64,\
+                 \"retry_after_ms\":800}",
+            ),
+            (
+                Response::Error {
+                    id: None,
+                    code: Some("unsupported_version".to_owned()),
+                    error: "unsupported protocol version 9".to_owned(),
+                },
+                "{\"v\":1,\"status\":\"error\",\"code\":\"unsupported_version\",\
+                 \"error\":\"unsupported protocol version 9\"}",
+            ),
+            (
+                Response::Error {
+                    id: Some("x".to_owned()),
+                    code: None,
+                    error: "unknown workload \"Fnid\"\n".to_owned(),
+                },
+                "{\"v\":1,\"id\":\"x\",\"status\":\"error\",\
+                 \"error\":\"unknown workload \\\"Fnid\\\"\\n\"}",
+            ),
+            (
+                Response::Pong {
+                    id: Some("p".to_owned()),
+                    proto: PROTOCOL_VERSION,
+                },
+                "{\"v\":1,\"id\":\"p\",\"status\":\"ok\",\"pong\":true,\"proto\":1}",
+            ),
+            (
+                Response::ShuttingDown { id: None },
+                "{\"v\":1,\"status\":\"ok\",\"shutting_down\":true}",
+            ),
         ];
-        for response in responses {
-            let line = response.render();
-            assert!(
-                line.starts_with(&format!("{{\"v\":{PROTOCOL_VERSION},")),
-                "{line}"
-            );
-            let parsed = Response::parse(&line).expect("parses");
-            assert_eq!(parsed, response, "{line}");
+        for (response, line) in responses {
+            assert_eq!(response.render(), line);
+            assert_eq!(Response::parse(line), Ok(response), "{line}");
         }
     }
 
@@ -1583,21 +1830,71 @@ mod tests {
         let base = run_spec("{\"workload\":\"Find\"}");
         let same = run_spec("{\"workload\":\"Find\"}");
         assert_eq!(base.cache_key(), same.cache_key());
+        let mut specs = vec![("base".to_owned(), base.clone())];
         for line in [
             "{\"workload\":\"Iscp\"}",
             "{\"workload\":\"Find\",\"technique\":\"Baseline\"}",
             "{\"workload\":\"Find\",\"scale\":2.25}",
             "{\"workload\":\"Find\",\"seed\":99}",
             "{\"workload\":\"Find\",\"cores\":3}",
+            "{\"workload\":\"Find\",\"max_instructions\":1600001}",
+            "{\"workload\":\"Find\",\"warmup_instructions\":400001}",
+            "{\"workload\":\"Find\",\"epoch_cycles\":50001}",
             "{\"workload\":\"Find\",\"faults\":\"light\"}",
+            "{\"workload\":\"Find\",\"faults\":\"light@8\"}",
             "{\"workload\":\"Find\",\"steal\":\"nothing\"}",
             "{\"workload\":\"Find\",\"sanitize\":true}",
             "{\"workload\":\"Find\",\"quick\":false}",
             "{\"workload\":\"Find\",\"devices\":[\"network\"]}",
             "{\"workload\":\"Find\",\"devices\":[\"network\",\"disk:40000\"]}",
         ] {
-            let other = run_spec(line);
-            assert_ne!(base.cache_key(), other.cache_key(), "collision for {line}");
+            specs.push((line.to_owned(), run_spec(line)));
+        }
+        // The wire cannot set the machine template, so every
+        // SystemConfig and HierarchyConfig field is varied in-process.
+        type Vary = fn(&mut SystemConfig);
+        let machine: &[(&str, Vary)] = &[
+            ("num_cores", |s| s.num_cores = 16),
+            ("clock_hz", |s| s.clock_hz = 3_000_000_000),
+            ("l1i.size_bytes", |s| s.hierarchy.l1i.size_bytes = 16 * 1024),
+            ("l1i.associativity", |s| s.hierarchy.l1i.associativity = 8),
+            ("l1i.line_bytes", |s| s.hierarchy.l1i.line_bytes = 32),
+            ("l1i.latency_cycles", |s| s.hierarchy.l1i.latency_cycles = 4),
+            ("l1d", |s| s.hierarchy.l1d.latency_cycles = 4),
+            ("l2 absent", |s| s.hierarchy.l2 = None),
+            ("l2", |s| {
+                s.hierarchy.l2 = Some(CacheParams::new(512 * 1024, 8, 64, 10))
+            }),
+            ("llc", |s| s.hierarchy.llc.latency_cycles = 8),
+            ("memory_latency", |s| s.hierarchy.memory_latency = 300),
+            ("itlb_entries", |s| s.itlb_entries = 64),
+            ("dtlb_entries", |s| s.dtlb_entries = 64),
+            ("tlb_miss_penalty", |s| s.tlb_miss_penalty = 60),
+            ("base_cpi", |s| s.base_cpi = 0.5),
+            ("data_overlap_hidden", |s| s.data_overlap_hidden = 0.6),
+            ("prefetcher", |s| {
+                *s = s.clone().with_call_graph_prefetcher()
+            }),
+            ("trace_cache", |s| *s = s.clone().with_trace_cache()),
+            ("l1_replacement", |s| {
+                s.l1_replacement = schedtask_sim::ReplacementPolicy::Fifo
+            }),
+            ("data_prefetcher", |s| s.data_prefetcher = true),
+            ("branch_predictor", |s| {
+                *s = s.clone().with_branch_predictor()
+            }),
+            ("nuca", |s| *s = s.clone().with_nuca()),
+        ];
+        for (field, vary) in machine {
+            let mut spec = base.clone();
+            vary(&mut spec.params.system);
+            specs.push(((*field).to_owned(), spec));
+        }
+        let mut seen = std::collections::HashMap::new();
+        for (name, spec) in &specs {
+            if let Some(other) = seen.insert(spec.cache_key(), name) {
+                panic!("{name} collides with {other}");
+            }
         }
     }
 
@@ -1649,5 +1946,128 @@ mod tests {
             assert_eq!(req.op, op, "{line}");
         }
         assert!(parse_request("{\"op\":\"dance\"}").is_err());
+    }
+
+    #[test]
+    fn canonical_text_and_keys_are_pinned() {
+        // The disk tier persists results under these keys, so any change
+        // here turns every disk cache cold (DESIGN §11.3).
+        const MACHINE: &str = "num_cores=32;clock_hz=2000000000;l1i=32768/4/64/3;\
+            l1d=32768/4/64/3;l2=262144/4/64/8;llc=8388608/8/64/18;memory_latency=200;\
+            itlb_entries=128;dtlb_entries=128;tlb_miss_penalty=50;\
+            base_cpi=3fd999999999999a;data_overlap_hidden=3fe6666666666666;prefetcher=-;\
+            trace_cache=-;l1_replacement=Lru;data_prefetcher=false;branch_predictor=-;nuca=-";
+        const ID: &str = "job \"7\"\n\u{1}é😀";
+        let cases = [
+            (
+                "{\"workload\":\"Find\"}",
+                "technique=SchedTask;benchmark=Find;scale=4000000000000000;steal=-;cores=8;\
+                 max_instructions=1600000;warmup_instructions=400000;seed=1592614637;\
+                 epoch_cycles=50000;faults=-;sanitize=false;devices=;",
+                "7f133df92340b740",
+                "{\"v\":1,\"op\":\"run\",\"workload\":\"Find\",\"technique\":\"SchedTask\",\
+                 \"scale\":2.0,\"quick\":true,\"cores\":8,\"max_instructions\":1600000,\
+                 \"warmup_instructions\":400000,\"epoch_cycles\":50000,\"seed\":1592614637}",
+            ),
+            (
+                "{\"workload\":\"Find\",\"quick\":false}",
+                "technique=SchedTask;benchmark=Find;scale=4000000000000000;steal=-;cores=32;\
+                 max_instructions=16000000;warmup_instructions=4000000;seed=1592614637;\
+                 epoch_cycles=60000;faults=-;sanitize=false;devices=;",
+                "816339e2c5b84176",
+                "{\"v\":1,\"op\":\"run\",\"workload\":\"Find\",\"technique\":\"SchedTask\",\
+                 \"scale\":2.0,\"quick\":true,\"cores\":32,\"max_instructions\":16000000,\
+                 \"warmup_instructions\":4000000,\"epoch_cycles\":60000,\"seed\":1592614637}",
+            ),
+            (
+                "{\"workload\":\"Iscp\",\"steal\":\"same\",\"faults\":\"light@7\",\
+                 \"devices\":[\"network:25000\",\"disk\"],\"sanitize\":true,\"seed\":42}",
+                "technique=SchedTask;benchmark=Iscp;scale=4000000000000000;\
+                 steal=SameWorkOnly;cores=8;max_instructions=1600000;\
+                 warmup_instructions=400000;seed=42;epoch_cycles=50000;\
+                 faults=seed=7,heatmap_bitflip_rate=0.001,drop_irq_rate=0.005,\
+                 irq_retry_cycles=20000,spurious_irq_rate=0.002,delay_completion_rate=0.005,\
+                 delay_completion_instructions=2000,stall_core_rate=0.0005,stall_cycles=50000;\
+                 sanitize=true;devices=network:25000,disk:25000;",
+                "6b620e828922f9f3",
+                "{\"v\":1,\"op\":\"run\",\"workload\":\"Iscp\",\"technique\":\"SchedTask\",\
+                 \"steal\":\"SameWorkOnly\",\"scale\":2.0,\"quick\":true,\"cores\":8,\
+                 \"max_instructions\":1600000,\"warmup_instructions\":400000,\
+                 \"epoch_cycles\":50000,\"seed\":42,\"faults\":\"seed=7,\
+                 heatmap_bitflip_rate=0.001,drop_irq_rate=0.005,irq_retry_cycles=20000,\
+                 spurious_irq_rate=0.002,delay_completion_rate=0.005,\
+                 delay_completion_instructions=2000,stall_core_rate=0.0005,\
+                 stall_cycles=50000\",\"sanitize\":true,\
+                 \"devices\":[\"network:25000\",\"disk:25000\"]}",
+            ),
+        ];
+        for (line, head, key, wire) in cases {
+            let spec = run_spec(line);
+            assert_eq!(spec.canonical_text(), format!("{head}{MACHINE}"), "{line}");
+            assert_eq!(spec.cache_key_hex(), key, "{line}");
+            assert_eq!(spec.to_request_line(None, false), wire);
+            let body = &wire["{\"v\":1,".len()..wire.len() - 1];
+            assert_eq!(
+                spec.to_request_line(Some(ID), true),
+                format!("{{\"v\":1,\"id\":\"job \\\"7\\\"\\n\\u0001é😀\",{body},\"obs\":true}}")
+            );
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_combine_surrogate_pairs_and_need_four_hex_digits() {
+        let parse = |text: &str| Json::parse(text).map(|v| v.as_str().map(str::to_owned));
+        let ok = |s: &str| Ok(Some(s.to_owned()));
+        // Encoders that escape non-BMP characters (Python's json.dumps
+        // among them) send one scalar as a UTF-16 surrogate pair.
+        assert_eq!(parse("\"\\ud83d\\ude00\""), ok("😀"));
+        assert_eq!(parse("\"a\\uD83D\\uDE00b\""), ok("a😀b"));
+        let req = parse_request("{\"id\":\"\\ud83d\\ude00\",\"op\":\"ping\"}").expect("parses");
+        assert_eq!(req.id.as_deref(), Some("😀"));
+        // Lone surrogates stay U+FFFD; an escape after a high surrogate
+        // that is no low surrogate decodes on its own.
+        assert_eq!(parse("\"\\ud83d\""), ok("\u{fffd}"));
+        assert_eq!(parse("\"\\ud83dx\""), ok("\u{fffd}x"));
+        assert_eq!(parse("\"\\ude00\\ud83d\""), ok("\u{fffd}\u{fffd}"));
+        assert_eq!(parse("\"\\ud83d\\u0041\""), ok("\u{fffd}A"));
+        assert_eq!(parse("\"\\u00e9\\u0041\""), ok("éA"));
+        // Exactly four hex digits: no sign, no short form.
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u00g1\"",
+            "\"\\ud83d\\u+e00\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be refused");
+        }
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_length() {
+        // Best of three parses of one string literal of about `bytes`
+        // bytes, mixing ASCII runs, a two-byte character and an escape.
+        let best_parse = |bytes: usize| {
+            let unit = "abcdefé\\n";
+            let text = format!("\"{}\"", unit.repeat(bytes / unit.len()));
+            (0..3)
+                .map(|_| {
+                    let started = Instant::now();
+                    std::hint::black_box(Json::parse(&text).expect("parses"));
+                    started.elapsed()
+                })
+                .min()
+                .expect("three timings")
+        };
+        let small = best_parse(8 << 10);
+        let large = best_parse(128 << 10);
+        // 16x the bytes: a linear parser takes about 16x as long, one
+        // that rescans the rest of the input per character about 256x.
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(
+            ratio < 64.0,
+            "8 KiB took {small:?}, 128 KiB took {large:?} ({ratio:.1}x)"
+        );
     }
 }

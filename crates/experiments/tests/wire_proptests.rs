@@ -1,6 +1,6 @@
 //! Property tests for the versioned wire protocol.
 //!
-//! Three properties from the PR contract:
+//! Four properties:
 //!
 //! 1. For an arbitrary [`JobSpec`] (any technique × benchmark, steal
 //!    overrides, fault plans, device models, ids, the obs flag),
@@ -14,19 +14,70 @@
 //!    [`PROTOCOL_VERSION`] is refused with a structured
 //!    `unsupported_version` error, and that error response itself
 //!    round-trips.
+//! 4. Long strings (up to 64 KiB) full of quotes, backslashes, control
+//!    characters and multi-byte characters round-trip through
+//!    `escape_json` and `Json::parse` as values, as object keys, and as
+//!    request ids, and parse back from an ASCII-only encoding too.
 
 use proptest::prelude::*;
 use schedtask::StealPolicy;
 use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
-    parse_request, JobSpec, RequestError, RequestOp, Response, PROTOCOL_VERSION,
+    escape_json, parse_request, JobSpec, Json, RequestError, RequestOp, Response, PROTOCOL_VERSION,
 };
 use schedtask_experiments::Technique;
 use schedtask_kernel::FaultPlan;
 use schedtask_workload::BenchmarkKind;
 
+/// Strings of up to 16 Ki characters (64 KiB): arbitrary scalars mixed
+/// with the characters the codec treats specially, namely quotes,
+/// backslashes, control characters, and non-BMP characters, which some
+/// encoders send as surrogate pairs.
+fn wire_string() -> impl Strategy<Value = String> {
+    prop::collection::vec((0u32..6, 0u32..0x11_0000), 0..16_384).prop_map(|chars| {
+        chars
+            .into_iter()
+            .map(|(pick, code)| match pick {
+                0 => '"',
+                1 => '\\',
+                2 => char::from_u32(code % 0x20).expect("a control character"),
+                3 => char::from_u32(0x1_0000 + code % 0x10_0000).expect("a non-BMP scalar"),
+                4 => char::from(b' ' + (code % 95) as u8),
+                _ => char::from_u32(code).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn long_escaped_and_multibyte_strings_round_trip(s in wire_string()) {
+        let escaped = escape_json(&s);
+        prop_assert_eq!(Json::parse(&format!("\"{escaped}\"")), Ok(Json::Str(s.clone())));
+        // As an ASCII-only encoder sends it: every other character as
+        // `\u` escapes, non-BMP ones as surrogate pairs.
+        let ascii: String = escaped
+            .chars()
+            .map(|c| match c.is_ascii() {
+                true => c.to_string(),
+                false => c
+                    .encode_utf16(&mut [0; 2])
+                    .iter()
+                    .map(|unit| format!("\\u{unit:04x}"))
+                    .collect(),
+            })
+            .collect();
+        prop_assert_eq!(Json::parse(&format!("\"{ascii}\"")), Ok(Json::Str(s.clone())));
+        prop_assert_eq!(
+            Json::parse(&format!("{{\"{escaped}\":1}}")),
+            Ok(Json::Obj(vec![(s.clone(), Json::Num("1".to_owned()))]))
+        );
+        let line = JobSpec::new(Technique::SchedTask, BenchmarkKind::Find)
+            .to_request_line(Some(&s), false);
+        prop_assert_eq!(parse_request(&line).map(|request| request.id), Ok(Some(s)));
+    }
 
     #[test]
     fn run_requests_round_trip(

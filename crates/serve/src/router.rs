@@ -25,8 +25,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use schedtask_experiments::serve_api::{
-    escape_json, fnv1a64, parse_request, ClientTimeouts, Endpoint, Json, RequestOp, Response,
-    ServeClient, PROTOCOL_VERSION,
+    escape_json, fnv1a64, parse_request, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp,
+    Response, ServeClient, PROTOCOL_VERSION,
 };
 use schedtask_kernel::SimStats;
 use schedtask_obs::{Aggregator, Counter, CounterSnapshot, ObsEvent, Observer, SpanKind};
@@ -205,25 +205,16 @@ impl Router {
     }
 
     /// Routes one run request through the hot-key tier and the ring.
-    fn handle_run(
-        &self,
-        spec: &schedtask_experiments::JobSpec,
-        want_obs: bool,
-        id: &Option<String>,
-    ) -> String {
+    fn handle_run(&self, spec: &JobSpec, want_obs: bool, id: &Option<String>) -> String {
         let key = spec.cache_key();
         let started = Instant::now();
-        // The canonical re-encode of the parsed spec: what we forward.
-        // Round-tripping through JobSpec means the worker sees exactly
-        // the bytes the cache key was derived from.
-        let forward_line = spec.to_request_line(id.as_deref(), want_obs);
 
         // Requests that ask for the JSONL event stream bypass the hot
         // tier: the router caches only result bytes (obs streams are
         // large and rarely replayed), and the worker's own cache still
         // replays the jsonl byte-identically.
         if want_obs {
-            return self.forward_with_failover(key, &forward_line, id);
+            return self.forward_with_failover(key, spec, true, id).0;
         }
 
         match self.hot.lookup_or_claim(key) {
@@ -270,11 +261,11 @@ impl Router {
                 }
             }
             Lookup::Claimed(slot) => {
-                let response = self.forward_with_failover(key, &forward_line, id);
+                let (response, parsed) = self.forward_with_failover(key, spec, false, id);
                 // Publish into the hot tier only on a successful run;
                 // rejections and errors fail the slot so coalesced
                 // duplicates see the outcome and a retry re-forwards.
-                match Response::parse(&response) {
+                match parsed {
                     Ok(Response::Ok {
                         key: hex, result, ..
                     }) => {
@@ -308,11 +299,22 @@ impl Router {
         }
     }
 
-    /// Forwards a request line to the key's owner, walking the ring's
-    /// failover order on transport failures. Worker-level rejections
-    /// and errors are final (propagated, not retried elsewhere): the
-    /// job's owner is the source of truth for backpressure.
-    fn forward_with_failover(&self, key: u64, line: &str, id: &Option<String>) -> String {
+    /// Forwards a run request to the key's owner, walking the ring's
+    /// failover order on transport failures, and returns the response
+    /// line with its one parse. Worker-level rejections and errors are
+    /// final (propagated, not retried elsewhere): the job's owner is the
+    /// source of truth for backpressure.
+    fn forward_with_failover(
+        &self,
+        key: u64,
+        spec: &JobSpec,
+        want_obs: bool,
+        id: &Option<String>,
+    ) -> (String, Result<Response, String>) {
+        // The canonical re-encode of the parsed spec: what we forward.
+        // Round-tripping through JobSpec means the worker sees exactly
+        // the bytes the cache key was derived from.
+        let line = spec.to_request_line(id.as_deref(), want_obs);
         let order = route_candidates(&self.ring, key, self.cfg.workers.len());
         let mut previous: Option<usize> = None;
         for worker in order {
@@ -324,34 +326,29 @@ impl Router {
                     to: worker as u32,
                 });
             }
-            match self.forward_once(worker, key, line) {
+            match self.forward_once(worker, key, &line) {
                 Ok(response) => {
-                    if let Ok(json) = Json::parse(&response) {
-                        if json.get("status").and_then(Json::as_str) == Some("rejected") {
-                            let hint = json
-                                .get("retry_after_ms")
-                                .and_then(Json::as_u64)
-                                .unwrap_or(0);
-                            self.agg.event(&ObsEvent::RouterShed {
-                                at: self.now_ms(),
-                                worker: worker as u32,
-                                retry_after_ms: hint,
-                            });
-                        }
+                    let parsed = Response::parse(&response);
+                    if let Ok(Response::Rejected { retry_after_ms, .. }) = parsed {
+                        self.agg.event(&ObsEvent::RouterShed {
+                            at: self.now_ms(),
+                            worker: worker as u32,
+                            retry_after_ms,
+                        });
                     }
-                    return response;
+                    return (response, parsed);
                 }
                 Err(_) => {
                     previous = Some(worker);
                 }
             }
         }
-        Response::Error {
+        let unreachable = Response::Error {
             id: id.clone(),
             code: None,
             error: "all workers unreachable".to_owned(),
-        }
-        .render()
+        };
+        (unreachable.render(), Ok(unreachable))
     }
 
     /// One forward attempt against one worker: check out (or dial) a

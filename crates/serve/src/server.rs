@@ -213,7 +213,7 @@ impl Server {
                 if self.chaos_worker_panic() {
                     panic!("chaos: injected worker panic");
                 }
-                execute_job(&job.spec)
+                execute_job(&job.spec, job.key)
             }))
             .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(payload))));
             let micros = started.elapsed().as_micros() as u64;
@@ -535,11 +535,11 @@ fn error_response(id: &Option<String>, err: &str) -> String {
     .render()
 }
 
-/// Simulates one job and packages the cacheable output. The JSONL
-/// stream is always captured: it is part of the cached artefact, so
-/// replays are byte-identical whether or not the first submitter asked
-/// for it.
-fn execute_job(spec: &JobSpec) -> Result<JobOutput, String> {
+/// Simulates one job, whose cache key is `key`, and packages the
+/// cacheable output. The JSONL stream is always captured: it is part of
+/// the cached artefact, so replays are byte-identical whether or not the
+/// first submitter asked for it.
+fn execute_job(spec: &JobSpec, key: u64) -> Result<JobOutput, String> {
     let label = format!("{}/{}", spec.technique.name(), spec.benchmark.name());
     let sink = Arc::new(JsonlSink::with_label(Vec::new(), Some(label)));
     let mut builder =
@@ -559,7 +559,7 @@ fn execute_job(spec: &JobSpec) -> Result<JobOutput, String> {
         .run()
         .map_err(|e| e.to_string())?;
     Ok(JobOutput {
-        key: spec.cache_key_hex(),
+        key: format!("{key:016x}"),
         stats_json: stats.to_canonical_json(),
         jsonl: sink.take(),
         stats,
