@@ -8,7 +8,6 @@
 //!                    [--device KIND[:PERIOD]] [--obs FILE] [--profile]
 //!                    [--keep-going]
 //! repro submit  --addr ENDPOINT [client options...]
-//! repro loadgen [--addr ENDPOINT | --spawn N] [load options...]
 //! repro chaos   [--chaos SPEC] [--jobs N] [--cache-dir DIR] [--keep-dir]
 //!
 //! experiments:
@@ -42,11 +41,6 @@
 //!   server to drain and exit; `--retries N` retries each submission
 //!   with deadline/backoff discipline; `--out FILE` records the result
 //!   payload bytes for later byte-identity comparison.
-//! * `repro loadgen` is the fleet load harness: it drives a mixed
-//!   hit/miss/duplicate stream of submissions at configurable
-//!   concurrency against `--addr`, or self-spawns a router plus
-//!   `--spawn N` workers, and reports p50/p99/p999 latency,
-//!   shed/retry rates, and per-tier cache-hit counts.
 //! * `repro chaos` is the crash-recovery harness: it boots `schedtaskd`
 //!   with a persistent cache and a deterministic chaos plan, drives a
 //!   retrying client through it, SIGKILLs the daemon mid-flight,
@@ -87,7 +81,6 @@
 //! historical exit-0 behaviour for exploratory sessions.
 
 use schedtask::StealPolicy;
-use schedtask_experiments::loadgen::daemon_path;
 use schedtask_experiments::runner::{parse_device_spec, run_sweep_observed};
 use schedtask_experiments::serve_api::{
     result_payload, submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
@@ -373,14 +366,13 @@ fn run_sweep_experiment(opts: &Opts, p: &ExpParams, md: bool) -> Vec<Failure> {
 }
 
 fn main() {
-    // The submit/chaos/loadgen subcommands take their own argument sets, so
+    // The submit and chaos subcommands take their own argument sets, so
     // they are dispatched before the experiment-flag parser (which
     // rejects unknown arguments) ever sees them.
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
         Some("submit") => run_submit(raw.split_off(1)),
         Some("chaos") => run_chaos(raw.split_off(1)),
-        Some("loadgen") => schedtask_experiments::loadgen::run_loadgen(raw.split_off(1)),
         _ => {}
     }
     let opts = parse_args();
@@ -621,6 +613,23 @@ fn print_chaos_help() {
            --keep-dir      keep the cache dir for inspection\n\
            --retries N     per-request retry budget (default 10)"
     );
+}
+
+/// The `schedtaskd` binary that cargo builds next to the running
+/// executable; `repro chaos` launches this one.
+fn daemon_path() -> Result<std::path::PathBuf, String> {
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| {
+            exe.parent()
+                .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
+        })
+        .filter(|p| p.exists())
+        .ok_or_else(|| {
+            "schedtaskd binary not found next to repro; \
+             build it with `cargo build -p schedtask-serve`"
+                .to_owned()
+        })
 }
 
 /// Spawns the sibling `schedtaskd` with a persistent cache, returning

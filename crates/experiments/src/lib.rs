@@ -35,7 +35,6 @@ pub mod comparison;
 pub mod fig04_breakup;
 pub mod fig09_stealing;
 pub mod fig11_heatmap;
-pub mod loadgen;
 pub mod overheads;
 pub mod runner;
 pub mod serve_api;

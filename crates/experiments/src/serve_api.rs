@@ -1343,7 +1343,9 @@ impl ServeClient {
         }
     }
 
-    /// Sends one request line and reads one response line.
+    /// Sends one request line and reads one response line. A line the
+    /// server cut short by closing the connection is an
+    /// [`io::ErrorKind::UnexpectedEof`] error, never a response.
     pub fn request_line(&mut self, line: &str) -> io::Result<String> {
         // One write per request: splitting the newline into its own
         // small write would let Nagle hold it back for the peer's
@@ -1354,11 +1356,11 @@ impl ServeClient {
         self.writer.write_all(framed.as_bytes())?;
         self.writer.flush()?;
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
+        self.reader.read_line(&mut response)?;
+        if !response.ends_with('\n') {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
+                "server closed the connection before the end of the response line",
             ));
         }
         while response.ends_with('\n') || response.ends_with('\r') {
@@ -1483,8 +1485,10 @@ pub fn error_is_transient(message: &str) -> bool {
 /// refused (daemon restarting) and dropped or truncated responses
 /// re-dial the endpoint; `status:"rejected"` honours the server's
 /// `retry_after_ms` hint; transient `status:"error"` responses (e.g. a
-/// panicked worker) resubmit the idempotent job. Each scheduled retry
-/// is announced to `observer` as an [`ObsEvent::RetryScheduled`].
+/// panicked worker) resubmit the idempotent job. A complete line that
+/// is not JSON is a permanent error: the peer does not speak the
+/// protocol. Each scheduled retry is announced to `observer` as an
+/// [`ObsEvent::RetryScheduled`].
 pub fn submit_with_retry(
     endpoint: &Endpoint,
     timeouts: &ClientTimeouts,
@@ -1550,11 +1554,9 @@ pub fn submit_with_retry(
         let json = match Json::parse(&response) {
             Ok(json) => json,
             Err(e) => {
-                // A truncated response line is indistinguishable from
-                // garbage; the connection's framing is gone with it.
-                last_error = format!("unparseable response ({e}): {response}");
-                retry(None, &mut total_backoff_ms);
-                continue;
+                // Torn lines never get here (`request_line` refuses
+                // them), so a retry cannot help.
+                return Err(format!("unparseable response ({e}): {response}"));
             }
         };
         match json.get("status").and_then(Json::as_str) {

@@ -270,10 +270,7 @@ impl Observer for Aggregator {
             }
             ObsEvent::RouterCoalesced { .. } => self.counters.add(Counter::ServeRouterCoalesced, 1),
             ObsEvent::RouterShed { .. } => self.counters.add(Counter::ServeRouterShed, 1),
-            ObsEvent::RouterFailover { .. } => {
-                self.counters.add(Counter::ServeRouterFailovers, 1);
-                self.counters.add(Counter::ServeRouterWorkerErrors, 1);
-            }
+            ObsEvent::RouterFailover { .. } => self.counters.add(Counter::ServeRouterFailovers, 1),
         }
     }
 

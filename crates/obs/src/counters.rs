@@ -126,8 +126,6 @@ pub enum Counter {
     /// Forwards rerouted to the next ring worker after a transport
     /// failure on the hashed owner.
     ServeRouterFailovers,
-    /// Worker-side transport/protocol errors observed by the router.
-    ServeRouterWorkerErrors,
 }
 
 impl Counter {
@@ -135,7 +133,7 @@ impl Counter {
     pub const COUNT: usize = Counter::ALL.len();
 
     /// All counters, in index order.
-    pub const ALL: [Counter; 56] = [
+    pub const ALL: [Counter; 55] = [
         Counter::Dispatches,
         Counter::Preemptions,
         Counter::Blocks,
@@ -191,7 +189,6 @@ impl Counter {
         Counter::ServeRouterCoalesced,
         Counter::ServeRouterShed,
         Counter::ServeRouterFailovers,
-        Counter::ServeRouterWorkerErrors,
     ];
 
     /// Stable snake_case name used in summary tables and CI diffs.
@@ -252,7 +249,6 @@ impl Counter {
             Counter::ServeRouterCoalesced => "serve_router_coalesced",
             Counter::ServeRouterShed => "serve_router_shed",
             Counter::ServeRouterFailovers => "serve_router_failovers",
-            Counter::ServeRouterWorkerErrors => "serve_router_worker_errors",
         }
     }
 }

@@ -31,6 +31,9 @@
 //!   across downstream workers via [`router::Router`], layering a
 //!   router-side single-flight hot-key cache above each worker's
 //!   memory/disk tiers and propagating honest backpressure upstream.
+//! - **Transport** — [`daemon::serve`] is the one accept loop for
+//!   workers and routers alike: newline framing, read deadlines,
+//!   chaos-mangled writes, and a bounded drain on stop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +41,7 @@
 
 pub mod cache;
 pub mod chaos;
+pub mod daemon;
 pub mod disk;
 pub mod queue;
 pub mod router;
@@ -45,6 +49,7 @@ pub mod server;
 
 pub use cache::{JobOutput, Lookup, ResultCache};
 pub use chaos::{ChaosInjector, ChaosPlan, ResponseAction};
+pub use daemon::{serve, Daemon, Listener, Serving};
 pub use disk::{crc32, DiskCache, DiskRecord, RecoveryReport};
 pub use queue::{Backpressure, JobQueue, QueuedJob, SubmitError};
 pub use router::{Router, RouterConfig};

@@ -1,7 +1,7 @@
 //! The server core: request handling, the dispatcher, and job
-//! execution. Transport (sockets, signals) lives in the `schedtaskd`
-//! binary; everything here works on request/response strings, which is
-//! what the tests drive directly.
+//! execution. Transport (sockets) lives in [`crate::daemon`], signals
+//! in the `schedtaskd` binary; everything here works on
+//! request/response strings, which is what the tests drive directly.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -569,7 +569,7 @@ fn execute_job(spec: &JobSpec, key: u64) -> Result<JobOutput, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schedtask_experiments::serve_api::Json;
+    use schedtask_experiments::serve_api::{result_payload, Json};
     use schedtask_obs::Counter;
 
     fn quick_run_line(id: &str, workload: &str) -> String {
@@ -609,11 +609,8 @@ mod tests {
         );
         // The cached replay carries byte-identical result bytes: strip
         // the differing envelope (id, latency) and compare the payload.
-        let result_of = |resp: &str| {
-            let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-            resp[start..resp.len() - 1].to_owned()
-        };
-        assert_eq!(result_of(&first), result_of(&second));
+        assert!(result_payload(&first).is_some(), "{first}");
+        assert_eq!(result_payload(&first), result_payload(&second));
 
         let snap = server.counters();
         assert_eq!(snap.get(Counter::ServeSubmitted), 2);
@@ -741,10 +738,6 @@ mod tests {
             cache_dir: Some(dir.clone()),
             chaos: None,
         };
-        let result_of = |resp: &str| {
-            let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-            resp[start..resp.len() - 1].to_owned()
-        };
         // First lifetime: execute and persist.
         let first = {
             let server = Arc::new(Server::new(cfg.clone()));
@@ -772,7 +765,7 @@ mod tests {
             Some(true),
             "{second}"
         );
-        assert_eq!(result_of(&first), result_of(&second));
+        assert_eq!(result_payload(&first), result_payload(&second));
         assert_eq!(server.counters().get(Counter::ServeDiskHits), 1);
         assert_eq!(server.counters().get(Counter::ServeExecuted), 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");

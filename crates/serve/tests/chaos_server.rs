@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use schedtask_experiments::serve_api::Json;
+use schedtask_experiments::serve_api::{result_payload, Json};
 use schedtask_serve::{ChaosPlan, ServeConfig, Server};
 
 fn tmp_dir(case: u64) -> PathBuf {
@@ -42,13 +42,6 @@ fn submit_until_ok(server: &Server, line: &str) -> String {
         }
     }
     panic!("job never succeeded under chaos: {line}");
-}
-
-/// The `"result":...` payload bytes — exactly what must replay
-/// byte-identical across the crash.
-fn result_payload(response: &str) -> &str {
-    let start = response.find("\"result\":").expect("result field") + "\"result\":".len();
-    &response[start..response.len() - 1]
 }
 
 proptest! {
@@ -96,8 +89,8 @@ proptest! {
         for (line, first) in jobs.iter().zip(&before) {
             let second = submit_until_ok(&server, line);
             prop_assert_eq!(
-                result_payload(first),
-                result_payload(&second),
+                result_payload(first).expect("an ok run response"),
+                result_payload(&second).expect("an ok run response"),
                 "result bytes changed across the crash"
             );
             let json = Json::parse(&second).expect("response parses");

@@ -11,51 +11,32 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
 
-use schedtask_experiments::serve_api::{Endpoint, JobSpec, Json, Response};
+use schedtask_experiments::serve_api::{result_payload, Endpoint, JobSpec, Json, Response};
 use schedtask_experiments::Technique;
 use schedtask_obs::Counter;
 use schedtask_serve::router::{build_ring, route, RING_REPLICAS};
-use schedtask_serve::{Router, RouterConfig, ServeConfig, Server};
+use schedtask_serve::{Daemon, Router, RouterConfig, ServeConfig, Server, Serving};
 use schedtask_workload::BenchmarkKind;
 
-/// Binds an ephemeral TCP port and serves connections against a fresh
-/// `Server` — the same shape as the daemon's accept loop.
-fn start_worker(cfg: ServeConfig) -> (String, Arc<Server>, thread::JoinHandle<()>) {
+/// Serves a fresh `Server` on an ephemeral TCP port.
+fn start_worker(cfg: ServeConfig) -> (Endpoint, Arc<Server>, Serving) {
     let server = Arc::new(Server::new(cfg));
-    let dispatcher = server.spawn_dispatcher();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("bound address").to_string();
-    let accept_server = Arc::clone(&server);
-    thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { return };
-            let server = Arc::clone(&accept_server);
-            thread::spawn(move || {
-                let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-                let mut out = stream;
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) | Err(_) => return,
-                        Ok(_) => {}
-                    }
-                    let (resp, shutdown) = server.handle_request_line(&line);
-                    if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() || shutdown {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    (addr, server, dispatcher)
+    let serving =
+        Serving::start(Daemon::Worker(Arc::clone(&server))).expect("serve an ephemeral port");
+    (serving.endpoint().clone(), server, serving)
 }
 
+/// The first 40 bytes of an ok response: what a worker that dies
+/// mid-write leaves on the wire.
+const TORN_OK: &str = "{\"v\":1,\"status\":\"ok\",\"cached\":false,\"coa";
+
 /// A fake worker that answers the router's join-time ping correctly,
-/// then serves `canned` to every subsequent request on that connection,
-/// and refuses all connections after the first (the listener is
-/// dropped) — a worker that joins the fleet and then dies.
-fn start_canned_worker(canned: Option<String>) -> String {
+/// then writes `reply` verbatim to every subsequent request on that
+/// connection, and refuses all connections after the first (the
+/// listener is dropped) — a worker that joins the fleet and then dies.
+/// With no reply, or a reply cut short of its newline, the connection
+/// closes after the first request.
+fn start_canned_worker(reply: Option<&'static str>) -> Endpoint {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("bound address").to_string();
     thread::spawn(move || {
@@ -73,19 +54,24 @@ fn start_canned_worker(canned: Option<String>) -> String {
                 Ok(_) => {}
             }
             let resp = if line.contains("\"op\":\"ping\"") {
-                "{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":1}".to_owned()
+                "{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":1}\n"
             } else {
-                match &canned {
-                    Some(canned) => canned.clone(),
+                match reply {
+                    Some(reply) => reply,
                     None => return,
                 }
             };
-            if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() {
+            if out
+                .write_all(resp.as_bytes())
+                .and_then(|()| out.flush())
+                .is_err()
+                || !resp.ends_with('\n')
+            {
                 return;
             }
         }
     });
-    addr
+    Endpoint::Tcp(addr)
 }
 
 fn tiny_spec(seed: u64) -> JobSpec {
@@ -97,11 +83,6 @@ fn tiny_spec(seed: u64) -> JobSpec {
     spec
 }
 
-fn result_of(resp: &str) -> String {
-    let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-    resp[start..resp.len() - 1].to_owned()
-}
-
 #[test]
 fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     let cfg = ServeConfig {
@@ -110,14 +91,11 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
         workers: 2,
         ..ServeConfig::default()
     };
-    let (addr_a, worker_a, dispatcher_a) = start_worker(cfg.clone());
-    let (addr_b, worker_b, dispatcher_b) = start_worker(cfg);
+    let (addr_a, worker_a, serving_a) = start_worker(cfg.clone());
+    let (addr_b, worker_b, serving_b) = start_worker(cfg);
+    let workers = vec![addr_a, addr_b];
     let router = Arc::new(
-        Router::new(RouterConfig::new(vec![
-            Endpoint::Tcp(addr_a.clone()),
-            Endpoint::Tcp(addr_b.clone()),
-        ]))
-        .expect("router joins both workers"),
+        Router::new(RouterConfig::new(workers.clone())).expect("router joins both workers"),
     );
 
     let line = tiny_spec(7).to_request_line(Some("dup"), false);
@@ -135,15 +113,14 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
         .map(|h| h.join().expect("submitter does not panic"))
         .collect();
 
-    let first = result_of(&responses[0]);
+    let first = result_payload(&responses[0]);
+    assert!(first.is_some(), "{}", responses[0]);
     for resp in &responses {
-        let json = Json::parse(resp).expect("response parses");
         assert_eq!(
-            json.get("status").and_then(Json::as_str),
-            Some("ok"),
-            "{resp}"
+            result_payload(resp),
+            first,
+            "identical bytes for every caller"
         );
-        assert_eq!(result_of(resp), first, "identical bytes for every caller");
     }
 
     // Exactly one execution across the whole fleet.
@@ -156,7 +133,7 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     let (replay, _) = router.handle_request_line(&line);
     let rj = Json::parse(&replay).expect("replay parses");
     assert_eq!(rj.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(result_of(&replay), first);
+    assert_eq!(result_payload(&replay), first);
     assert_eq!(
         router.counter(Counter::ServeRouterForwarded),
         forwarded_before
@@ -166,58 +143,54 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     // Byte identity against a run that never saw the router: ask the
     // owning worker directly.
     let owner = route(
-        &build_ring(
-            &[Endpoint::Tcp(addr_a), Endpoint::Tcp(addr_b)],
-            RING_REPLICAS,
-        ),
+        &build_ring(&workers, RING_REPLICAS),
         tiny_spec(7).cache_key(),
     );
     let direct_worker = if owner == 0 { &worker_a } else { &worker_b };
     let (direct, _) = direct_worker.handle_request_line(&line);
-    assert_eq!(result_of(&direct), first, "router is byte-transparent");
+    assert_eq!(result_payload(&direct), first, "router is byte-transparent");
 
-    worker_a.close();
-    worker_b.close();
-    dispatcher_a.join().expect("dispatcher a exits");
-    dispatcher_b.join().expect("dispatcher b exits");
+    serving_a.kill();
+    serving_b.kill();
 }
 
 #[test]
 fn transport_failures_fail_over_to_the_next_ring_worker() {
-    let (addr_live, worker, dispatcher) = start_worker(ServeConfig {
+    let (live, _worker, serving) = start_worker(ServeConfig {
         queue_capacity: 16,
         batch_max: 4,
         workers: 2,
         ..ServeConfig::default()
     });
     // The dead worker joins the fleet (answers the version handshake),
-    // then drops every later connection.
-    let addr_dead = start_canned_worker(None);
-    let workers = vec![Endpoint::Tcp(addr_live), Endpoint::Tcp(addr_dead)];
-    let router = Router::new(RouterConfig::new(workers.clone())).expect("router starts");
+    // then drops the connection on the next request, or tears its reply
+    // mid-line, and refuses every later dial.
+    for dead_reply in [None, Some(TORN_OK)] {
+        let workers = vec![live.clone(), start_canned_worker(dead_reply)];
+        let router = Router::new(RouterConfig::new(workers.clone())).expect("router starts");
 
-    // Find a spec the ring assigns to the dead worker so the forward
-    // must fail over.
-    let ring = build_ring(&workers, RING_REPLICAS);
-    let seed = (0..u64::MAX)
-        .find(|&s| route(&ring, tiny_spec(s).cache_key()) == 1)
-        .expect("some key routes to the dead worker");
-    let line = tiny_spec(seed).to_request_line(Some("failover"), false);
+        // Find a spec the ring assigns to the dead worker so the forward
+        // must fail over.
+        let ring = build_ring(&workers, RING_REPLICAS);
+        let seed = (0..u64::MAX)
+            .find(|&s| route(&ring, tiny_spec(s).cache_key()) == 1)
+            .expect("some key routes to the dead worker");
+        let line = tiny_spec(seed).to_request_line(Some("failover"), false);
 
-    let (resp, _) = router.handle_request_line(&line);
-    let json = Json::parse(&resp).expect("response parses");
-    assert_eq!(
-        json.get("status").and_then(Json::as_str),
-        Some("ok"),
-        "the live worker serves the job: {resp}"
-    );
-    assert!(
-        router.counter(Counter::ServeRouterFailovers) >= 1,
-        "failover must be counted"
-    );
+        let (resp, _) = router.handle_request_line(&line);
+        let json = Json::parse(&resp).expect("response parses");
+        assert_eq!(
+            json.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "the live worker serves the job ({dead_reply:?}): {resp}"
+        );
+        assert!(
+            router.counter(Counter::ServeRouterFailovers) >= 1,
+            "failover must be counted ({dead_reply:?})"
+        );
+    }
 
-    worker.close();
-    dispatcher.join().expect("dispatcher exits");
+    serving.kill();
 }
 
 #[test]
@@ -225,12 +198,10 @@ fn worker_rejections_propagate_verbatim_with_retry_hints() {
     // Both workers are canned rejecters, so whichever owns the key
     // sheds the job; the router must pass the hint through untouched.
     let rejected = "{\"v\":1,\"id\":\"shed\",\"status\":\"rejected\",\
-                    \"queue_depth\":9,\"retry_after_ms\":1234}";
-    let addr_a = start_canned_worker(Some(rejected.to_owned()));
-    let addr_b = start_canned_worker(Some(rejected.to_owned()));
+                    \"queue_depth\":9,\"retry_after_ms\":1234}\n";
     let router = Router::new(RouterConfig::new(vec![
-        Endpoint::Tcp(addr_a),
-        Endpoint::Tcp(addr_b),
+        start_canned_worker(Some(rejected)),
+        start_canned_worker(Some(rejected)),
     ]))
     .expect("router starts");
 

@@ -1,61 +1,33 @@
-//! End-to-end test over real TCP: a minimal accept loop (the same
-//! shape as the `schedtaskd` binary's) drives
-//! `Server::handle_request_line`, and the `ServeClient` from
-//! `serve_api` talks to it over the wire.
+//! End-to-end tests over real TCP: the daemon's own transport
+//! (`schedtask_serve::daemon`) serves a `Server`, and the `ServeClient`
+//! from `serve_api` — or a raw socket, for framing — talks to it over
+//! the wire.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread;
 
-use schedtask_experiments::serve_api::{JobSpec, Json, ServeClient};
+use schedtask_experiments::serve_api::{
+    result_payload, Endpoint, JobSpec, Json, Response, ServeClient,
+};
 use schedtask_experiments::Technique;
-use schedtask_serve::{ServeConfig, Server};
+use schedtask_serve::daemon::MAX_LINE_BYTES;
+use schedtask_serve::{Daemon, ServeConfig, Server, Serving};
 use schedtask_workload::BenchmarkKind;
 
-/// Binds an ephemeral TCP port and serves connections (one thread each)
-/// against a fresh `Server`. Returns the address, the server handle,
-/// and the dispatcher join handle; the accept thread is detached and
-/// dies with the test process.
-fn start_tcp(cfg: ServeConfig) -> (String, Arc<Server>, thread::JoinHandle<()>) {
-    let server = Arc::new(Server::new(cfg));
-    let dispatcher = server.spawn_dispatcher();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("bound address").to_string();
-    let accept_server = Arc::clone(&server);
-    thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { return };
-            let server = Arc::clone(&accept_server);
-            thread::spawn(move || {
-                let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-                let mut out = stream;
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) | Err(_) => return,
-                        Ok(_) => {}
-                    }
-                    let (resp, shutdown) = server.handle_request_line(&line);
-                    if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() || shutdown {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    (addr, server, dispatcher)
-}
-
-fn result_of(resp: &str) -> String {
-    let start = resp.find("\"result\":").expect("result field") + "\"result\":".len();
-    resp[start..resp.len() - 1].to_owned()
+/// Serves a fresh `Server` on an ephemeral TCP port.
+fn start_worker(cfg: ServeConfig) -> (String, Serving) {
+    let serving = Serving::start(Daemon::Worker(Arc::new(Server::new(cfg))))
+        .expect("serve an ephemeral port");
+    let Endpoint::Tcp(addr) = serving.endpoint().clone() else {
+        panic!("Serving binds TCP");
+    };
+    (addr, serving)
 }
 
 #[test]
 fn tcp_round_trip_caches_and_acknowledges_shutdown() {
-    let (addr, server, dispatcher) = start_tcp(ServeConfig {
+    let (addr, serving) = start_worker(ServeConfig {
         queue_capacity: 8,
         batch_max: 4,
         workers: 2,
@@ -88,7 +60,7 @@ fn tcp_round_trip_caches_and_acknowledges_shutdown() {
         Some(true),
         "{second}"
     );
-    assert_eq!(result_of(&first), result_of(&second));
+    assert_eq!(result_payload(&first), result_payload(&second));
 
     // Stats over the wire reflect one miss, one hit, one cached entry.
     let stats = client.request_line("{\"op\":\"stats\"}").expect("stats");
@@ -114,6 +86,43 @@ fn tcp_round_trip_caches_and_acknowledges_shutdown() {
         .expect("shutdown ack");
     assert!(bye.contains("\"shutting_down\":true"), "{bye}");
 
-    server.close();
-    dispatcher.join().expect("dispatcher exits");
+    serving.kill();
+}
+
+#[test]
+fn oversized_frames_are_refused_and_pipelined_requests_answered_in_order() {
+    let (addr, serving) = start_worker(ServeConfig::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut responses = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut out = stream;
+    let mut next_response = || {
+        let mut line = String::new();
+        responses.read_line(&mut line).expect("read a response");
+        Response::parse(line.trim_end()).expect("a protocol envelope")
+    };
+    let ping = |id: &str| format!("{{\"v\":1,\"op\":\"ping\",\"id\":\"{id}\"}}\n");
+    let pong = |id: &str| Response::Pong {
+        id: Some(id.to_owned()),
+        proto: 1,
+    };
+
+    // A frame over the limit gets exactly one error response, and the
+    // next line on the same connection is still served.
+    let mut frame = vec![b'x'; MAX_LINE_BYTES + 10];
+    frame.push(b'\n');
+    frame.extend_from_slice(ping("after").as_bytes());
+    out.write_all(&frame).expect("send the oversized frame");
+    match next_response() {
+        Response::Error { error, .. } => assert!(error.contains("exceeds"), "{error}"),
+        other => panic!("expected an oversized-frame error, got {other:?}"),
+    }
+    assert_eq!(next_response(), pong("after"));
+
+    // Two requests in one write get two responses, in order.
+    out.write_all(format!("{}{}", ping("a"), ping("b")).as_bytes())
+        .expect("send two requests at once");
+    assert_eq!(next_response(), pong("a"));
+    assert_eq!(next_response(), pong("b"));
+
+    serving.kill();
 }
