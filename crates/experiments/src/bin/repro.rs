@@ -8,7 +8,6 @@
 //!                    [--device KIND[:PERIOD]] [--obs FILE] [--profile]
 //!                    [--keep-going]
 //! repro submit  --addr ENDPOINT [client options...]
-//! repro chaos   [--chaos SPEC] [--jobs N] [--cache-dir DIR] [--keep-dir]
 //!
 //! experiments:
 //!   fig4        Figure 4 instruction breakups + Section 4.4 epoch similarity
@@ -30,22 +29,15 @@
 //! ```
 //!
 //! Serving: the job server is the `schedtaskd` binary from
-//! `crates/serve`; these subcommands drive it.
-//!
-//! * `repro submit` is the line client: it submits one run request per
-//!   `technique × workload` pair to `--addr ENDPOINT`
-//!   (`tcp://HOST:PORT` or `unix:///PATH`) and prints each response.
-//!   `--ping` waits for server readiness; `--expect-cached` exits non-zero if
-//!   any successful response was not served from the result cache;
-//!   `--stats` prints the server's counters; `--shutdown` asks the
-//!   server to drain and exit; `--retries N` retries each submission
-//!   with deadline/backoff discipline; `--out FILE` records the result
-//!   payload bytes for later byte-identity comparison.
-//! * `repro chaos` is the crash-recovery harness: it boots `schedtaskd`
-//!   with a persistent cache and a deterministic chaos plan, drives a
-//!   retrying client through it, SIGKILLs the daemon mid-flight,
-//!   restarts it on the same cache directory, and asserts that every
-//!   pre-crash result is replayed byte-identically.
+//! `crates/serve`; `repro submit` is its line client. It submits one
+//! run request per `technique × workload` pair to `--addr ENDPOINT`
+//! (`tcp://HOST:PORT` or `unix:///PATH`) and prints each response.
+//! `--ping` waits for server readiness; `--expect-cached` exits non-zero
+//! if any successful response was not served from the result cache;
+//! `--stats` prints the server's counters; `--shutdown` asks the server
+//! to drain and exit; `--retries N` retries each submission with
+//! deadline/backoff discipline; `--out FILE` records the result payload
+//! bytes for later byte-identity comparison.
 //!
 //! Robustness options:
 //!
@@ -88,10 +80,12 @@ use schedtask_experiments::serve_api::{
 use schedtask_experiments::{
     ablations, appendix, fig04_breakup, fig09_stealing, fig11_heatmap, overheads, table4_workload,
 };
-use schedtask_experiments::{Comparison, ExpParams, ExperimentError, Table, Technique};
+use schedtask_experiments::{Comparison, ExpParams, Table, Technique};
 use schedtask_kernel::obs::{render_counter_table, render_span_table};
 use schedtask_kernel::FaultPlan;
 use schedtask_workload::BenchmarkKind;
+use std::cell::OnceCell;
+use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -366,14 +360,12 @@ fn run_sweep_experiment(opts: &Opts, p: &ExpParams, md: bool) -> Vec<Failure> {
 }
 
 fn main() {
-    // The submit and chaos subcommands take their own argument sets, so
-    // they are dispatched before the experiment-flag parser (which
-    // rejects unknown arguments) ever sees them.
+    // The submit subcommand takes its own argument set, so it is
+    // dispatched before the experiment-flag parser (which rejects
+    // unknown arguments) ever sees it.
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("submit") => run_submit(raw.split_off(1)),
-        Some("chaos") => run_chaos(raw.split_off(1)),
-        _ => {}
+    if raw.first().map(String::as_str) == Some("submit") {
+        run_submit(raw.split_off(1));
     }
     let opts = parse_args();
     if (opts.obs.is_some() || opts.profile)
@@ -386,7 +378,16 @@ fn main() {
     let started = Instant::now();
     let md = opts.markdown;
 
-    let run_experiment = |name: &str| -> Result<(), ExperimentError> {
+    // fig7, fig8 and fig10 read the same deterministic comparison, so
+    // `all` runs it once; a failure is reported by each of the three.
+    let comparison_cell = OnceCell::new();
+    let comparison = || -> Result<&Comparison, Box<dyn Error>> {
+        comparison_cell
+            .get_or_init(|| Comparison::run(&p, 2.0).map_err(|e| e.to_string()))
+            .as_ref()
+            .map_err(|e| e.clone().into())
+    };
+    let run_experiment = |name: &str| -> Result<(), Box<dyn Error>> {
         match name {
             "fig4" => {
                 let results = fig04_breakup::run(&p)?;
@@ -394,11 +395,11 @@ fn main() {
                 emit(&fig04_breakup::epoch_similarity_table(&results), md);
             }
             "fig7" => {
-                let c = Comparison::run(&p, 2.0)?;
+                let c = comparison()?;
                 emit(&c.fig07_performance(), md);
             }
             "fig8" => {
-                let c = Comparison::run(&p, 2.0)?;
+                let c = comparison()?;
                 for t in c.fig08_all() {
                     emit(&t, md);
                 }
@@ -411,7 +412,7 @@ fn main() {
                 emit(&fig09_stealing::icache_table(&runs), md);
             }
             "fig10" => {
-                let c = Comparison::run(&p, 2.0)?;
+                let c = comparison()?;
                 emit(&c.fig10_migrations(), md);
             }
             "fig11" => {
@@ -589,288 +590,7 @@ fn main() {
 }
 
 // ---------------------------------------------------------------------------
-// Serving subcommands.
-
-fn print_chaos_help() {
-    println!(
-        "repro chaos — crash-recovery harness for schedtaskd\n\n\
-         usage: repro chaos [--chaos SPEC] [--jobs N] [--seed S]\n\
-                [--addr tcp://HOST:PORT] [--cache-dir DIR] [--keep-dir]\n\
-                [--retries N]\n\n\
-         Boots schedtaskd with a persistent cache (--cache-dir) and a\n\
-         deterministic chaos plan, submits N distinct jobs through a\n\
-         retrying client, SIGKILLs the daemon mid-flight, restarts it\n\
-         on the same cache directory, resubmits every job, and asserts:\n\
-           1. every resubmission succeeds (retry discipline converges),\n\
-           2. every result is byte-identical to its pre-crash bytes,\n\
-           3. recovery replayed records and served disk-tier hits.\n\n\
-           --chaos SPEC    chaos plan (default light@7); none disables\n\
-           --addr ENDPOINT daemon listen endpoint (tcp:// only;\n\
-                           default tcp://127.0.0.1:0)\n\
-           --jobs N        distinct jobs to submit (default 6)\n\
-           --seed S        base engine seed for the jobs (default 1)\n\
-           --cache-dir DIR persistent cache dir (default: fresh tmp dir)\n\
-           --keep-dir      keep the cache dir for inspection\n\
-           --retries N     per-request retry budget (default 10)"
-    );
-}
-
-/// The `schedtaskd` binary that cargo builds next to the running
-/// executable; `repro chaos` launches this one.
-fn daemon_path() -> Result<std::path::PathBuf, String> {
-    std::env::current_exe()
-        .ok()
-        .and_then(|exe| {
-            exe.parent()
-                .map(|dir| dir.join(format!("schedtaskd{}", std::env::consts::EXE_SUFFIX)))
-        })
-        .filter(|p| p.exists())
-        .ok_or_else(|| {
-            "schedtaskd binary not found next to repro; \
-             build it with `cargo build -p schedtask-serve`"
-                .to_owned()
-        })
-}
-
-/// Spawns the sibling `schedtaskd` with a persistent cache, returning
-/// the child, the bound address, and the recovery line it printed.
-fn spawn_chaos_daemon(
-    daemon: &std::path::Path,
-    listen: &str,
-    cache_dir: &std::path::Path,
-    chaos: &str,
-) -> (std::process::Child, String, String) {
-    let mut cmd = std::process::Command::new(daemon);
-    cmd.arg("--addr")
-        .arg(format!("tcp://{listen}"))
-        .arg("--cache-dir")
-        .arg(cache_dir)
-        .arg("--drain-deadline-ms")
-        .arg("2000")
-        .stdout(std::process::Stdio::piped());
-    if chaos != "none" {
-        cmd.arg("--chaos").arg(chaos);
-    }
-    let mut child = cmd
-        .spawn()
-        .unwrap_or_else(|e| die(&format!("cannot launch {}: {e}", daemon.display())));
-    let stdout = child.stdout.take().expect("stdout piped");
-    let mut reader = std::io::BufReader::new(stdout);
-    let mut read_line = |what: &str| -> String {
-        use std::io::BufRead;
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => line.trim_end().to_owned(),
-            _ => die(&format!("daemon exited before printing its {what} line")),
-        }
-    };
-    let listening = read_line("listening");
-    let addr = listening
-        .strip_prefix("schedtaskd listening on ")
-        .unwrap_or_else(|| die(&format!("unexpected daemon banner: {listening}")))
-        .to_owned();
-    let recovery = read_line("recovery");
-    // Keep the pipe open so the daemon's shutdown prints don't SIGPIPE;
-    // the reader thread drains anything else it says.
-    std::thread::spawn(move || {
-        use std::io::BufRead;
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    (child, addr, recovery)
-}
-
-/// `repro chaos`: boot → chaos-submit → SIGKILL → restart → verify.
-fn run_chaos(args: Vec<String>) -> ! {
-    use schedtask_experiments::Response;
-    use schedtask_obs::{Aggregator, Counter};
-
-    let mut chaos = "light@7".to_owned();
-    let mut jobs: u32 = 6;
-    let mut seed: u64 = 1;
-    let mut cache_dir: Option<String> = None;
-    let mut keep_dir = false;
-    let mut retries: u32 = 10;
-    let mut listen = "127.0.0.1:0".to_owned();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        match a.as_str() {
-            "--chaos" => chaos = value("--chaos"),
-            "--addr" => {
-                // The harness restarts the daemon and must re-dial it,
-                // so only TCP endpoints make sense here.
-                match value("--addr").parse::<Endpoint>() {
-                    Ok(Endpoint::Tcp(addr)) => listen = addr,
-                    Ok(_) => die("chaos --addr must be a tcp:// endpoint"),
-                    Err(e) => die(&format!("bad --addr: {e}")),
-                }
-            }
-            "--jobs" => {
-                jobs = value("--jobs")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("bad --jobs: {e}")))
-            }
-            "--seed" => {
-                seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("bad --seed: {e}")))
-            }
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")),
-            "--keep-dir" => keep_dir = true,
-            "--retries" => {
-                retries = value("--retries")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("bad --retries: {e}")))
-            }
-            "--help" | "-h" => {
-                print_chaos_help();
-                std::process::exit(0);
-            }
-            other => die(&format!("chaos: unknown argument {other:?} (try --help)")),
-        }
-    }
-    if jobs == 0 {
-        die("--jobs must be positive");
-    }
-
-    let daemon = daemon_path().unwrap_or_else(|e| die(&e));
-    let dir = std::path::PathBuf::from(cache_dir.unwrap_or_else(|| {
-        format!(
-            "{}/schedtask-chaos-{}",
-            std::env::temp_dir().display(),
-            std::process::id()
-        )
-    }));
-
-    let agg = Aggregator::new();
-    let timeouts = ClientTimeouts::default();
-    let policy = RetryPolicy {
-        max_attempts: retries.max(1),
-        ..RetryPolicy::default()
-    };
-    let request_line = |i: u32| -> String {
-        let mut spec = JobSpec::new(Technique::SchedTask, BenchmarkKind::Find);
-        spec.params.cores = 2;
-        spec.params.max_instructions = 60_000;
-        spec.params.warmup_instructions = 20_000;
-        spec.params.seed = seed + u64::from(i);
-        spec.to_request_line(Some(&format!("chaos-{i}")), false)
-    };
-
-    // Phase 1: fresh daemon, chaos plan armed, submit every job.
-    println!("[chaos] phase 1: boot daemon (chaos={chaos}) and submit {jobs} jobs");
-    let (mut child, addr, recovery) = spawn_chaos_daemon(&daemon, &listen, &dir, &chaos);
-    println!("[chaos] daemon on {addr}; {recovery}");
-    let endpoint = Endpoint::Tcp(addr);
-    let mut before: Vec<String> = Vec::new();
-    for i in 0..jobs {
-        let outcome =
-            submit_with_retry(&endpoint, &timeouts, &policy, &request_line(i), Some(&agg))
-                .unwrap_or_else(|e| die(&format!("job {i} failed pre-crash: {e}")));
-        let payload = result_payload(&outcome.response)
-            .unwrap_or_else(|| die(&format!("job {i}: ok response without result payload")));
-        println!(
-            "[chaos] job {i}: ok on attempt {} ({} ms backoff)",
-            outcome.attempts, outcome.total_backoff_ms
-        );
-        before.push(payload);
-    }
-
-    // SIGKILL with a victim job in flight: no drain, no final fsync
-    // beyond what each append already did — exactly the crash the
-    // segment log must absorb.
-    let victim_line = request_line(jobs);
-    let victim_endpoint = endpoint.clone();
-    let victim_timeouts = timeouts;
-    let victim = std::thread::spawn(move || {
-        let one_shot = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
-        let _ = submit_with_retry(
-            &victim_endpoint,
-            &victim_timeouts,
-            &one_shot,
-            &victim_line,
-            None,
-        );
-    });
-    std::thread::sleep(std::time::Duration::from_millis(30));
-    println!("[chaos] SIGKILL daemon mid-flight");
-    let _ = child.kill();
-    let _ = child.wait();
-    let _ = victim.join();
-
-    // Phase 2: restart on the same cache dir; resubmit everything.
-    println!("[chaos] phase 2: restart daemon on the same cache dir and resubmit");
-    let (mut child, addr, recovery) = spawn_chaos_daemon(&daemon, &listen, &dir, &chaos);
-    println!("[chaos] daemon on {addr}; {recovery}");
-    let endpoint = Endpoint::Tcp(addr);
-    let mut cached_hits = 0u32;
-    let mut mismatches = 0u32;
-    for (i, expected) in before.iter().enumerate() {
-        let outcome = submit_with_retry(
-            &endpoint,
-            &timeouts,
-            &policy,
-            &request_line(i as u32),
-            Some(&agg),
-        )
-        .unwrap_or_else(|e| die(&format!("job {i} failed post-restart: {e}")));
-        let Ok(Response::Ok {
-            cached,
-            result: payload,
-            ..
-        }) = Response::parse(&outcome.response)
-        else {
-            die(&format!("job {i}: ok response without result payload"));
-        };
-        if cached {
-            cached_hits += 1;
-        }
-        if payload == *expected {
-            println!("[chaos] job {i}: byte-identical (cached={cached})");
-        } else {
-            mismatches += 1;
-            eprintln!("[chaos] job {i}: RESULT BYTES CHANGED ACROSS CRASH (cached={cached})");
-        }
-    }
-    // Shut the daemon down cleanly and reap it.
-    if let Ok(mut c) = ServeClient::dial(&endpoint, &timeouts) {
-        let _ = c.request_line("{\"op\":\"shutdown\"}");
-    }
-    let _ = child.wait();
-
-    let retry_attempts = agg.counters().get(Counter::ServeRetryAttempts);
-    let retry_backoff = agg.counters().get(Counter::ServeRetryBackoffMs);
-    println!(
-        "[chaos] client scheduled {retry_attempts} retries ({retry_backoff} ms total backoff)"
-    );
-    if !keep_dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    } else {
-        println!("[chaos] cache dir kept at {}", dir.display());
-    }
-    if mismatches > 0 {
-        eprintln!("[chaos] FAIL: {mismatches} result(s) changed across the crash");
-        std::process::exit(1);
-    }
-    if cached_hits == 0 {
-        eprintln!("[chaos] FAIL: recovery served no disk-tier hits — persistence is broken");
-        std::process::exit(1);
-    }
-    println!(
-        "[chaos] PASS: {jobs} jobs byte-identical across SIGKILL, {cached_hits} served from \
-         the recovered disk tier"
-    );
-    std::process::exit(0);
-}
+// The serving client.
 
 fn print_submit_help() {
     println!(

@@ -1293,17 +1293,6 @@ impl ServeClient {
         })
     }
 
-    /// Connects over a Unix domain socket with no socket deadlines.
-    #[cfg(unix)]
-    pub fn connect_unix(path: &str) -> io::Result<ServeClient> {
-        let stream = UnixStream::connect(path)?;
-        let reader = stream.try_clone()?;
-        Ok(ServeClient {
-            reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(stream),
-        })
-    }
-
     /// Dials `endpoint` and arms every configured socket deadline.
     pub fn dial(endpoint: &Endpoint, timeouts: &ClientTimeouts) -> io::Result<ServeClient> {
         match endpoint {

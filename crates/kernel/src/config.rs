@@ -46,17 +46,6 @@ impl Default for WatchdogConfig {
     }
 }
 
-impl WatchdogConfig {
-    /// Disables every budget.
-    pub fn disabled() -> Self {
-        WatchdogConfig {
-            max_stall_cycles: 0,
-            max_events: 0,
-            max_wall_ms: 0,
-        }
-    }
-}
-
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -188,12 +177,6 @@ impl EngineConfig {
     /// Enables the invariant sanitizer.
     pub fn with_sanitizer(mut self) -> Self {
         self.sanitize = true;
-        self
-    }
-
-    /// Overrides the watchdog budgets.
-    pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = watchdog;
         self
     }
 
@@ -389,11 +372,9 @@ mod tests {
     fn fault_and_sanitizer_builders() {
         let cfg = EngineConfig::fast()
             .with_faults(crate::faults::FaultPlan::light(3))
-            .with_sanitizer()
-            .with_watchdog(WatchdogConfig::disabled());
+            .with_sanitizer();
         assert!(cfg.faults.as_ref().is_some_and(|p| p.is_active()));
         assert!(cfg.sanitize);
-        assert_eq!(cfg.watchdog, WatchdogConfig::disabled());
         assert!(cfg.validate().is_ok());
     }
 }

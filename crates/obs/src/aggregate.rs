@@ -227,7 +227,6 @@ impl Observer for Aggregator {
                 self.counters.add(Counter::ServeExecMicros, micros);
             }
             ObsEvent::BatchExecuted { .. } => self.counters.add(Counter::ServeBatches, 1),
-            ObsEvent::DiskCacheHit { .. } => self.counters.add(Counter::ServeDiskHits, 1),
             ObsEvent::DiskWritten { bytes, .. } => {
                 self.counters.add(Counter::ServeDiskWrites, 1);
                 self.counters.add(Counter::ServeDiskWriteBytes, bytes);

@@ -78,7 +78,9 @@ pub enum Counter {
     ServeBatches,
     /// Total wall-clock microseconds spent simulating jobs.
     ServeExecMicros,
-    /// Job requests answered from the persistent on-disk cache tier.
+    /// Always zero: recovery fills the memory tier, so a recovered key
+    /// counts as a `serve_cache_hits` hit. Kept because the benchmark
+    /// reads it as `worker.disk_hits`.
     ServeDiskHits,
     /// Completed jobs appended to the persistent cache.
     ServeDiskWrites,

@@ -147,43 +147,22 @@ impl ChaosKind {
     }
 }
 
-/// Coarse classification of an engine component: a per-core machine,
-/// one of the engine's event sources, or a device model.
+/// Classification of an engine component that emits component spans.
+/// Only device models do; cores and the engine's event sources emit
+/// their ordinary events instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentClass {
-    /// A per-core execution machine.
-    CoreMachine,
-    /// The periodic timer-tick source.
-    TimerSource,
-    /// The spontaneous external-IRQ source.
-    IrqSource,
-    /// The TAlloc epoch boundary source.
-    EpochSource,
-    /// The device-completion bank (blocked-SF wakeups).
-    DeviceBank,
     /// A DMA/NIC-style device model injecting interrupt traffic.
     DmaDevice,
 }
 
 impl ComponentClass {
     /// All component classes, in a stable order.
-    pub const ALL: [ComponentClass; 6] = [
-        ComponentClass::CoreMachine,
-        ComponentClass::TimerSource,
-        ComponentClass::IrqSource,
-        ComponentClass::EpochSource,
-        ComponentClass::DeviceBank,
-        ComponentClass::DmaDevice,
-    ];
+    pub const ALL: [ComponentClass; 1] = [ComponentClass::DmaDevice];
 
     /// Stable snake_case name used in JSONL output and summary tables.
     pub fn name(self) -> &'static str {
         match self {
-            ComponentClass::CoreMachine => "core_machine",
-            ComponentClass::TimerSource => "timer_source",
-            ComponentClass::IrqSource => "irq_source",
-            ComponentClass::EpochSource => "epoch_source",
-            ComponentClass::DeviceBank => "device_bank",
             ComponentClass::DmaDevice => "dma_device",
         }
     }
@@ -420,14 +399,6 @@ pub enum ObsEvent {
         /// Number of jobs in the batch.
         jobs: u32,
     },
-    /// A job request missed the in-memory cache but was answered from
-    /// the persistent on-disk tier without re-simulating.
-    DiskCacheHit {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
     /// A completed job's output was appended to the persistent cache.
     DiskWritten {
         /// Milliseconds since server start.
@@ -478,9 +449,9 @@ pub enum ObsEvent {
         irqs: u32,
     },
     /// A retrying client scheduled a back-off before its next attempt
-    /// (emitted by client-side harnesses such as `repro chaos`).
+    /// (emitted by `submit_with_retry` when it is given an observer).
     RetryScheduled {
-        /// Milliseconds since harness start.
+        /// Milliseconds since the client's first attempt.
         at: u64,
         /// Truncated canonical cache key of the retried job.
         key: u64,
@@ -568,7 +539,6 @@ impl ObsEvent {
             ObsEvent::JobRejected { .. } => "job_rejected",
             ObsEvent::JobExecuted { .. } => "job_executed",
             ObsEvent::BatchExecuted { .. } => "batch_executed",
-            ObsEvent::DiskCacheHit { .. } => "disk_cache_hit",
             ObsEvent::DiskWritten { .. } => "disk_written",
             ObsEvent::DiskWriteFailed { .. } => "disk_write_failed",
             ObsEvent::DiskRecovered { .. } => "disk_recovered",
@@ -609,7 +579,6 @@ impl ObsEvent {
             | ObsEvent::JobRejected { at, .. }
             | ObsEvent::JobExecuted { at, .. }
             | ObsEvent::BatchExecuted { at, .. }
-            | ObsEvent::DiskCacheHit { at, .. }
             | ObsEvent::DiskWritten { at, .. }
             | ObsEvent::DiskWriteFailed { at, .. }
             | ObsEvent::DiskRecovered { at, .. }

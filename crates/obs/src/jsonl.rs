@@ -121,7 +121,7 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
         ObsEvent::BatchExecuted { jobs, .. } => {
             line.push_str(&format!(",\"jobs\":{jobs}"));
         }
-        ObsEvent::DiskCacheHit { key, .. } | ObsEvent::DiskWriteFailed { key, .. } => {
+        ObsEvent::DiskWriteFailed { key, .. } => {
             line.push_str(&format!(",\"key\":\"{key:016x}\""));
         }
         ObsEvent::DiskWritten { key, bytes, .. } => {

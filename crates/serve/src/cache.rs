@@ -9,20 +9,15 @@
 //! are cached.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-use schedtask_kernel::SimStats;
 
 /// Everything one successful execution produced, cached immutably.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
     /// Canonical cache key, as the wire-format hex string.
     pub key: String,
-    /// The raw statistics.
-    pub stats: SimStats,
-    /// `SimStats::to_canonical_json` of `stats` — the response payload,
+    /// The run's canonical `SimStats` JSON — the response payload,
     /// byte-identical on every replay.
     pub stats_json: String,
     /// The labelled JSONL event stream captured during the run.
@@ -97,13 +92,12 @@ pub enum Lookup {
 }
 
 /// The content-addressed cache. Probing is a single small critical
-/// section; execution and waiting happen outside the map lock.
+/// section; execution and waiting happen outside the map lock. Hits,
+/// misses and coalesced waits are counted by the callers, in the obs
+/// counters.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     slots: Mutex<HashMap<u64, Arc<Slot>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl ResultCache {
@@ -121,25 +115,17 @@ impl ResultCache {
             drop(slots);
             let state = slot.state.lock().expect("cache slot poisoned");
             return match &*state {
-                SlotState::Ready(out) => {
-                    let out = Arc::clone(out);
-                    drop(state);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Lookup::Hit(out)
-                }
+                SlotState::Ready(out) => Lookup::Hit(Arc::clone(out)),
                 // `Failed` slots are evicted under the map lock before
                 // release, so a mapped slot is Ready or Pending.
                 _ => {
                     drop(state);
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
                     Lookup::InFlight(slot)
                 }
             };
         }
         let slot = Slot::new();
         slots.insert(key, Arc::clone(&slot));
-        drop(slots);
-        self.misses.fetch_add(1, Ordering::Relaxed);
         Lookup::Claimed(slot)
     }
 
@@ -186,32 +172,17 @@ impl ResultCache {
             })
             .count()
     }
-
-    /// Lifetime cache hits.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime cache misses (claims).
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime coalesced waits on in-flight executions.
-    pub fn coalesced_count(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
     fn output(key: u64) -> JobOutput {
         JobOutput {
             key: format!("{key:016x}"),
-            stats: SimStats::default(),
             stats_json: format!("{{\"k\":{key}}}"),
             jsonl: String::new(),
         }
@@ -231,8 +202,6 @@ mod tests {
                 other => panic!("expected hit, got {other:?}"),
             }
         }
-        assert_eq!(cache.miss_count(), 1);
-        assert_eq!(cache.hit_count(), 3);
         assert_eq!(cache.entries(), 1);
     }
 

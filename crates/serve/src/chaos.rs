@@ -5,10 +5,12 @@
 //! engine: a declaration of *what* to break and *how often*, with a
 //! private RNG stream seeded only by [`ChaosPlan::seed`] so the same
 //! plan breaks the same things in the same order on every run. The
-//! chaos harness (`repro chaos` and the serve proptests) leans on that
-//! determinism to assert invariants — no corrupt bytes served, recovery
-//! converges, a retrying client eventually gets byte-identical results
-//! — instead of hoping a flaky run happens to exercise the right path.
+//! serve proptests (`tests/chaos_server.rs` for a worker killed and
+//! restarted on its cache directory, `tests/fleet_chaos.rs` for a
+//! fleet) lean on that determinism to assert invariants — no corrupt
+//! bytes served, recovery converges, a retrying client eventually gets
+//! byte-identical results — instead of hoping a flaky run happens to
+//! exercise the right path.
 //!
 //! Five failure classes are modelled:
 //!

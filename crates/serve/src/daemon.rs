@@ -446,9 +446,13 @@ impl Serving {
     }
 
     /// Stops the daemon at once, as SIGKILL would: the listener and
-    /// every open connection close without a drain. A worker's
-    /// dispatcher finishes the batch it holds in the background, but
-    /// no response reaches a client any more.
+    /// every open connection close without a drain, and no response
+    /// reaches a client any more. Unlike a killed process, a worker's
+    /// dispatcher keeps running in the background until it has run
+    /// every queued job and appended each result to the disk tier; a
+    /// second [`DiskCache::open`](crate::DiskCache::open) of the same
+    /// directory during one of those appends would truncate the record
+    /// being written.
     pub fn kill(self) {
         self.stop.store(true, Ordering::SeqCst);
         self.thread.join().expect("the accept loop does not panic");

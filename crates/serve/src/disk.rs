@@ -3,11 +3,13 @@
 //! Every successful job execution is appended to the current segment
 //! under `--cache-dir` as one length-framed, CRC-checked record, then
 //! flushed with `sync_data` before the response leaves the server. On
-//! startup, [`DiskCache::open`] replays every segment to rebuild the
-//! in-memory index, truncating a torn tail (a record cut short by a
-//! crash mid-write) and quarantining any record whose CRC does not
+//! startup, [`DiskCache::open`] replays every segment once and returns
+//! the records it recovered, truncating a torn tail (a record cut short
+//! by a crash mid-write) and quarantining any record whose CRC does not
 //! match its payload — corrupt bytes are counted and preserved in
-//! `quarantine.log` for forensics, but **never served**.
+//! `quarantine.log` for forensics, but **never served**. The caller
+//! (the worker) fills its memory tier with the recovered records; from
+//! then on the log is only appended to, never read.
 //!
 //! # Record format
 //!
@@ -84,7 +86,7 @@ pub struct DiskRecord {
 /// What [`DiskCache::open`] found while replaying the segment log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Valid records replayed into the index.
+    /// Valid records recovered (one per key).
     pub records: u64,
     /// Records with intact framing but a CRC mismatch — quarantined.
     pub corrupt: u64,
@@ -99,22 +101,21 @@ struct SegmentWriter {
     file: File,
     path: PathBuf,
     written: u64,
-    seq: u32,
 }
 
 #[derive(Debug)]
 struct DiskInner {
-    index: HashMap<u64, DiskRecord>,
     writer: Option<SegmentWriter>,
     next_seq: u32,
+    records: u64,
 }
 
-/// The persistent tier: an on-disk segment log plus the in-memory
-/// index rebuilt from it at startup.
+/// The persistent tier: an append-only segment log. It holds no record
+/// bytes in memory; [`DiskCache::open`] hands the recovered records to
+/// the caller.
 ///
-/// All methods take `&self`; the single internal lock covers both the
-/// index and the active segment writer, so appends are serialized and
-/// a probe never observes a half-written index entry.
+/// All methods take `&self`; the single internal lock covers the active
+/// segment writer and the record count, so appends are serialized.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -168,11 +169,16 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, DiskRecord)> {
 
 impl DiskCache {
     /// Opens (creating if needed) the cache directory, replays every
-    /// segment to rebuild the index, and reports what recovery found.
+    /// segment, and returns the log, what recovery found, and the
+    /// recovered records by key (a later record for a key wins).
     ///
     /// Recovery is idempotent: torn tails are physically truncated, so
     /// a second open of the same directory reports zero repairs.
-    pub fn open(dir: &Path) -> io::Result<(DiskCache, RecoveryReport)> {
+    ///
+    /// Only one `DiskCache` may be open on a directory at a time: an
+    /// open during another's append would truncate the record being
+    /// written as a torn tail.
+    pub fn open(dir: &Path) -> io::Result<(DiskCache, RecoveryReport, HashMap<u64, DiskRecord>)> {
         std::fs::create_dir_all(dir)?;
         let mut segments: Vec<(u32, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -190,11 +196,11 @@ impl DiskCache {
         segments.sort_by_key(|(seq, _)| *seq);
 
         let mut report = RecoveryReport::default();
-        let mut index = HashMap::new();
+        let mut records = HashMap::new();
         let mut quarantined: Vec<u8> = Vec::new();
         for (_, path) in &segments {
             report.segments += 1;
-            Self::replay_segment(path, &mut index, &mut report, &mut quarantined)?;
+            Self::replay_segment(path, &mut records, &mut report, &mut quarantined)?;
         }
         if !quarantined.is_empty() {
             let mut qfile = OpenOptions::new()
@@ -204,24 +210,25 @@ impl DiskCache {
             qfile.write_all(&quarantined)?;
             qfile.sync_data()?;
         }
-        report.records = index.len() as u64;
+        report.records = records.len() as u64;
         let next_seq = segments.last().map_or(0, |(seq, _)| seq + 1);
         Ok((
             DiskCache {
                 dir: dir.to_path_buf(),
                 inner: Mutex::new(DiskInner {
-                    index,
                     writer: None,
                     next_seq,
+                    records: report.records,
                 }),
             },
             report,
+            records,
         ))
     }
 
     fn replay_segment(
         path: &Path,
-        index: &mut HashMap<u64, DiskRecord>,
+        records: &mut HashMap<u64, DiskRecord>,
         report: &mut RecoveryReport,
         quarantined: &mut Vec<u8>,
     ) -> io::Result<()> {
@@ -249,7 +256,7 @@ impl DiskCache {
                 report.corrupt += 1;
                 quarantined.extend_from_slice(&buf[off..record_end]);
             } else if let Some((key, record)) = decode_payload(body) {
-                index.insert(key, record);
+                records.insert(key, record);
             } else {
                 // Framing and CRC agree but the payload structure is
                 // nonsense — quarantine rather than guess.
@@ -267,28 +274,14 @@ impl DiskCache {
         Ok(())
     }
 
-    /// Number of records in the index.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("disk cache poisoned").index.len()
+    /// Records on disk: those recovered at open plus every successful
+    /// append since.
+    pub fn records(&self) -> u64 {
+        self.inner.lock().expect("disk cache poisoned").records
     }
 
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Probes the index for `key`.
-    pub fn get(&self, key: u64) -> Option<DiskRecord> {
-        self.inner
-            .lock()
-            .expect("disk cache poisoned")
-            .index
-            .get(&key)
-            .cloned()
-    }
-
-    /// Appends one record, fsyncs it, and indexes it. Returns the
-    /// number of bytes written to the segment log.
+    /// Appends one record and fsyncs it. Returns the number of bytes
+    /// written to the segment log.
     pub fn append(&self, key: u64, stats_json: &str, jsonl: &str) -> io::Result<u64> {
         let encoded = encode_record(key, stats_json, jsonl);
         let mut inner = self.inner.lock().expect("disk cache poisoned");
@@ -296,18 +289,12 @@ impl DiskCache {
         writer.file.write_all(&encoded)?;
         writer.file.sync_data()?;
         writer.written += encoded.len() as u64;
-        inner.index.insert(
-            key,
-            DiskRecord {
-                stats_json: stats_json.to_owned(),
-                jsonl: jsonl.to_owned(),
-            },
-        );
+        inner.records += 1;
         Ok(encoded.len() as u64)
     }
 
     /// Chaos hook: writes only the first `keep_bytes` bytes of the
-    /// record (simulating a crash mid-append), does **not** index it,
+    /// record (simulating a crash mid-append), does **not** count it,
     /// and rotates to a fresh segment so later appends land after the
     /// torn tail exactly as they would after a real crash and restart.
     pub fn append_torn(
@@ -349,7 +336,6 @@ impl DiskCache {
                 file,
                 path,
                 written: 0,
-                seq,
             });
         }
         Ok(inner.writer.as_mut().expect("writer just ensured"))
@@ -361,12 +347,6 @@ impl DiskCache {
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         let writer = Self::writer_for(&self.dir, &mut inner, 0)?;
         Ok(writer.path.clone())
-    }
-
-    /// Sequence number the next rotated segment will use.
-    pub fn next_segment_seq(&self) -> u32 {
-        let inner = self.inner.lock().expect("disk cache poisoned");
-        inner.writer.as_ref().map_or(inner.next_seq, |w| w.seq + 1)
     }
 }
 
@@ -390,19 +370,22 @@ mod tests {
     fn roundtrip_append_reopen() {
         let dir = tmp_dir("roundtrip");
         {
-            let (cache, report) = DiskCache::open(&dir).expect("open");
+            let (cache, report, records) = DiskCache::open(&dir).expect("open");
             assert_eq!(report, RecoveryReport::default());
+            assert!(records.is_empty());
             cache.append(7, "{\"a\":1}", "line1\n").expect("append");
             cache.append(9, "{\"b\":2}", "").expect("append");
+            assert_eq!(cache.records(), 2);
         }
-        let (cache, report) = DiskCache::open(&dir).expect("reopen");
+        let (cache, report, records) = DiskCache::open(&dir).expect("reopen");
         assert_eq!(report.records, 2);
         assert_eq!(report.corrupt, 0);
         assert_eq!(report.truncated_tails, 0);
-        let rec = cache.get(7).expect("key 7 recovered");
+        assert_eq!(cache.records(), 2);
+        let rec = &records[&7];
         assert_eq!(rec.stats_json, "{\"a\":1}");
         assert_eq!(rec.jsonl, "line1\n");
-        assert!(cache.get(42).is_none());
+        assert!(!records.contains_key(&42));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -410,20 +393,20 @@ mod tests {
     fn torn_tail_is_truncated_and_prior_records_survive() {
         let dir = tmp_dir("torn");
         {
-            let (cache, _) = DiskCache::open(&dir).expect("open");
+            let (cache, _, _) = DiskCache::open(&dir).expect("open");
             cache.append(1, "{\"ok\":1}", "x\n").expect("append");
             cache
                 .append_torn(2, "{\"torn\":1}", "never\n", 5)
                 .expect("torn append");
+            assert_eq!(cache.records(), 1, "a torn append is not a record");
         }
-        let (cache, report) = DiskCache::open(&dir).expect("recover");
+        let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.records, 1);
         assert_eq!(report.truncated_tails, 1);
-        assert_eq!(cache.get(1).expect("survives").stats_json, "{\"ok\":1}");
-        assert!(cache.get(2).is_none(), "torn record must not be served");
+        assert_eq!(records[&1].stats_json, "{\"ok\":1}");
+        assert!(!records.contains_key(&2), "torn record must not be served");
         // Recovery is idempotent: the tail was physically truncated.
-        drop(cache);
-        let (_, report) = DiskCache::open(&dir).expect("recover again");
+        let (_, report, _) = DiskCache::open(&dir).expect("recover again");
         assert_eq!(report.truncated_tails, 0);
         assert_eq!(report.records, 1);
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -433,7 +416,7 @@ mod tests {
     fn corrupt_record_is_quarantined_not_served() {
         let dir = tmp_dir("corrupt");
         let seg = {
-            let (cache, _) = DiskCache::open(&dir).expect("open");
+            let (cache, _, _) = DiskCache::open(&dir).expect("open");
             cache.append(1, "{\"first\":1}", "").expect("append");
             cache.append(2, "{\"second\":2}", "").expect("append");
             cache.active_segment_path().expect("segment path")
@@ -442,14 +425,14 @@ mod tests {
         let mut bytes = std::fs::read(&seg).expect("read segment");
         bytes[HEADER_BYTES + 2] ^= 0xFF;
         std::fs::write(&seg, &bytes).expect("write corrupted");
-        let (cache, report) = DiskCache::open(&dir).expect("recover");
+        let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.corrupt, 1);
         assert_eq!(report.records, 1);
-        assert!(cache.get(1).is_none(), "corrupt bytes must never be served");
-        assert_eq!(
-            cache.get(2).expect("intact record").stats_json,
-            "{\"second\":2}"
+        assert!(
+            !records.contains_key(&1),
+            "corrupt bytes must never be served"
         );
+        assert_eq!(records[&2].stats_json, "{\"second\":2}");
         assert!(
             dir.join("quarantine.log").exists(),
             "corrupt bytes preserved for forensics"
@@ -461,13 +444,13 @@ mod tests {
     fn later_record_wins_for_duplicate_key() {
         let dir = tmp_dir("dup");
         {
-            let (cache, _) = DiskCache::open(&dir).expect("open");
+            let (cache, _, _) = DiskCache::open(&dir).expect("open");
             cache.append(5, "{\"v\":1}", "").expect("append");
             cache.append(5, "{\"v\":2}", "").expect("append");
         }
-        let (cache, report) = DiskCache::open(&dir).expect("recover");
+        let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.records, 1);
-        assert_eq!(cache.get(5).expect("present").stats_json, "{\"v\":2}");
+        assert_eq!(records[&5].stats_json, "{\"v\":2}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -475,14 +458,14 @@ mod tests {
     fn appends_after_torn_write_land_in_new_segment() {
         let dir = tmp_dir("rotate");
         {
-            let (cache, _) = DiskCache::open(&dir).expect("open");
+            let (cache, _, _) = DiskCache::open(&dir).expect("open");
             cache.append_torn(1, "{\"t\":1}", "", 3).expect("torn");
             cache.append(2, "{\"ok\":2}", "").expect("append");
         }
-        let (cache, report) = DiskCache::open(&dir).expect("recover");
+        let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.segments, 2);
         assert_eq!(report.truncated_tails, 1);
-        assert_eq!(cache.get(2).expect("present").stats_json, "{\"ok\":2}");
+        assert_eq!(records[&2].stats_json, "{\"ok\":2}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -21,16 +21,18 @@
 //!   sizes, and per-job latency spans all flow through `schedtask-obs`
 //!   counters and the `--profile` tables.
 //! - **Durability** — with `--cache-dir`, every result is also appended
-//!   to a crash-safe [`disk::DiskCache`] segment log; restart recovery
-//!   truncates torn tails, quarantines corrupt records, and serves
-//!   everything that survived as byte-identical cache hits.
+//!   to a crash-safe [`disk::DiskCache`] segment log before it is
+//!   published. The log is read once, at startup: recovery truncates
+//!   torn tails, quarantines corrupt records, and fills the memory tier
+//!   with everything that survived, which is then served as
+//!   byte-identical cache hits. The memory tier is the only index.
 //! - **Chaos** — a seed-driven [`chaos::ChaosPlan`] can tear disk
 //!   writes, panic workers, and mangle responses deterministically, so
 //!   tests assert recovery invariants instead of getting lucky.
 //! - **Fleet** — `schedtaskd --router` consistent-hashes job keys
 //!   across downstream workers via [`router::Router`], layering a
-//!   router-side single-flight hot-key cache above each worker's
-//!   memory/disk tiers and propagating honest backpressure upstream.
+//!   router-side single-flight hot-key cache above each worker's memory
+//!   tier and propagating honest backpressure upstream.
 //! - **Transport** — [`daemon::serve`] is the one accept loop for
 //!   workers and routers alike: newline framing, read deadlines,
 //!   chaos-mangled writes, and a bounded drain on stop.

@@ -28,7 +28,6 @@ use schedtask_experiments::serve_api::{
     escape_json, fnv1a64, parse_request, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp,
     Response, ServeClient, PROTOCOL_VERSION,
 };
-use schedtask_kernel::SimStats;
 use schedtask_obs::{Aggregator, Counter, CounterSnapshot, ObsEvent, Observer, SpanKind};
 
 use crate::cache::{JobOutput, Lookup, ResultCache};
@@ -273,7 +272,6 @@ impl Router {
                             &slot,
                             JobOutput {
                                 key: hex,
-                                stats: SimStats::default(),
                                 stats_json: result,
                                 jsonl: String::new(),
                             },

@@ -15,7 +15,6 @@ use schedtask_experiments::runner::{panic_message, RunBuilder};
 use schedtask_experiments::serve_api::{
     parse_request, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
 };
-use schedtask_kernel::SimStats;
 use schedtask_obs::{
     render_counter_table, render_span_table, Aggregator, ChaosKind, CounterSnapshot, JsonlSink,
     ObsEvent, Observer, SpanKind,
@@ -87,15 +86,31 @@ impl Server {
     }
 
     /// A fresh server, recovering the persistent tier when
-    /// `cfg.cache_dir` is set. Recovery results are published as a
-    /// [`ObsEvent::DiskRecovered`] event (visible in `--profile`) and
-    /// via [`Server::recovery`].
+    /// `cfg.cache_dir` is set: every recovered record is filled into the
+    /// memory tier, so it is served as an ordinary cache hit. Recovery
+    /// results are published as a [`ObsEvent::DiskRecovered`] event
+    /// (visible in `--profile`) and via [`Server::recovery`].
     pub fn try_new(cfg: ServeConfig) -> io::Result<Server> {
         let started = Instant::now();
         let agg = Arc::new(Aggregator::new());
+        let cache = ResultCache::new();
         let (disk, recovery) = match &cfg.cache_dir {
             Some(dir) => {
-                let (disk, report) = DiskCache::open(dir)?;
+                let (disk, report, records) = DiskCache::open(dir)?;
+                // The keys are distinct and the cache is empty, so every
+                // lookup claims.
+                for (key, record) in records {
+                    if let Lookup::Claimed(slot) = cache.lookup_or_claim(key) {
+                        cache.fill(
+                            &slot,
+                            JobOutput {
+                                key: format!("{key:016x}"),
+                                stats_json: record.stats_json,
+                                jsonl: record.jsonl,
+                            },
+                        );
+                    }
+                }
                 agg.event(&ObsEvent::DiskRecovered {
                     at: started.elapsed().as_millis() as u64,
                     records: report.records,
@@ -114,7 +129,7 @@ impl Server {
         Ok(Server {
             queue: JobQueue::new(cfg.queue_capacity),
             cfg,
-            cache: ResultCache::new(),
+            cache,
             disk,
             recovery,
             chaos,
@@ -128,9 +143,10 @@ impl Server {
         self.recovery
     }
 
-    /// Number of records in the persistent tier's index.
-    pub fn disk_entries(&self) -> usize {
-        self.disk.as_ref().map_or(0, DiskCache::len)
+    /// Records in the persistent tier: those recovered at startup plus
+    /// every successful append since.
+    pub fn disk_entries(&self) -> u64 {
+        self.disk.as_ref().map_or(0, DiskCache::records)
     }
 
     /// Milliseconds since server start (the `at` clock of serve events).
@@ -155,11 +171,6 @@ impl Server {
     /// Current admission-queue depth.
     pub fn queue_depth(&self) -> usize {
         self.queue.depth()
-    }
-
-    /// The result cache (tests probe hit/miss/entry counts).
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
     }
 
     /// Closes the admission queue: future runs are rejected and the
@@ -408,65 +419,43 @@ impl Server {
                 (slot.wait(), false, true)
             }
             Lookup::Claimed(slot) => {
-                // Memory miss: probe the persistent tier before paying
-                // for an execution. A disk hit fills the claimed slot,
-                // so coalesced waiters and later submitters replay the
-                // promoted bytes from memory.
-                if let Some(record) = self.disk.as_ref().and_then(|disk| disk.get(key)) {
-                    self.emit(ObsEvent::DiskCacheHit {
-                        at: self.now_ms(),
-                        key,
-                    });
-                    let out = self.cache.fill(
-                        &slot,
-                        JobOutput {
-                            key: format!("{key:016x}"),
-                            stats: SimStats::default(),
-                            stats_json: record.stats_json,
-                            jsonl: record.jsonl,
-                        },
-                    );
-                    (Ok(out), true, false)
-                } else {
-                    let job = QueuedJob {
-                        spec,
-                        key,
-                        slot: Arc::clone(&slot),
-                    };
-                    match self.queue.submit(job) {
-                        Ok(depth) => {
-                            self.emit(ObsEvent::JobAdmitted {
-                                at: self.now_ms(),
-                                key,
-                                depth: depth as u32,
-                            });
-                            (slot.wait(), false, false)
+                let job = QueuedJob {
+                    spec,
+                    key,
+                    slot: Arc::clone(&slot),
+                };
+                match self.queue.submit(job) {
+                    Ok(depth) => {
+                        self.emit(ObsEvent::JobAdmitted {
+                            at: self.now_ms(),
+                            key,
+                            depth: depth as u32,
+                        });
+                        (slot.wait(), false, false)
+                    }
+                    Err(SubmitError::Full(bp)) => {
+                        self.emit(ObsEvent::JobRejected {
+                            at: self.now_ms(),
+                            depth: bp.depth as u32,
+                        });
+                        // Release the claim so a retry after back-off
+                        // re-executes instead of waiting forever.
+                        self.cache
+                            .fail(key, &slot, "rejected: queue full".to_owned());
+                        return Response::Rejected {
+                            id: id.clone(),
+                            queue_depth: bp.depth as u64,
+                            retry_after_ms: bp.retry_after_ms,
                         }
-                        Err(SubmitError::Full(bp)) => {
-                            self.emit(ObsEvent::JobRejected {
-                                at: self.now_ms(),
-                                depth: bp.depth as u32,
-                            });
-                            // Release the claim so a retry after
-                            // back-off re-executes instead of waiting
-                            // forever.
-                            self.cache
-                                .fail(key, &slot, "rejected: queue full".to_owned());
-                            return Response::Rejected {
-                                id: id.clone(),
-                                queue_depth: bp.depth as u64,
-                                retry_after_ms: bp.retry_after_ms,
-                            }
-                            .render();
-                        }
-                        Err(SubmitError::Closed) => {
-                            // Terminal: the daemon is shutting down. No
-                            // retry hint — the client must not spin
-                            // against a dying endpoint.
-                            self.cache
-                                .fail(key, &slot, "server shutting down".to_owned());
-                            return error_response(id, "server shutting down; queue closed");
-                        }
+                        .render();
+                    }
+                    Err(SubmitError::Closed) => {
+                        // Terminal: the daemon is shutting down. No
+                        // retry hint — the client must not spin against
+                        // a dying endpoint.
+                        self.cache
+                            .fail(key, &slot, "server shutting down".to_owned());
+                        return error_response(id, "server shutting down; queue closed");
                     }
                 }
             }
@@ -562,7 +551,6 @@ fn execute_job(spec: &JobSpec, key: u64) -> Result<JobOutput, String> {
         key: format!("{key:016x}"),
         stats_json: stats.to_canonical_json(),
         jsonl: sink.take(),
-        stats,
     })
 }
 
@@ -738,36 +726,54 @@ mod tests {
             cache_dir: Some(dir.clone()),
             chaos: None,
         };
+        let workloads = ["Find", "Iscp"];
         // First lifetime: execute and persist.
-        let first = {
+        let first: Vec<String> = {
             let server = Arc::new(Server::new(cfg.clone()));
             let dispatcher = server.spawn_dispatcher();
-            let (resp, _) = server.handle_request_line(&quick_run_line("a", "Find"));
-            let json = Json::parse(&resp).expect("response is JSON");
-            assert_eq!(
-                json.get("status").and_then(Json::as_str),
-                Some("ok"),
-                "{resp}"
-            );
-            assert_eq!(server.disk_entries(), 1, "result persisted");
+            let responses = workloads
+                .iter()
+                .map(|workload| {
+                    let (resp, _) = server.handle_request_line(&quick_run_line("a", workload));
+                    let json = Json::parse(&resp).expect("response is JSON");
+                    assert_eq!(
+                        json.get("status").and_then(Json::as_str),
+                        Some("ok"),
+                        "{resp}"
+                    );
+                    resp
+                })
+                .collect();
+            assert_eq!(server.disk_entries(), 2, "results persisted");
             server.close();
             dispatcher.join().expect("dispatcher exits");
-            resp
+            responses
         };
-        // Second lifetime, same directory: recovery promotes the disk
-        // record — no execution, byte-identical result payload.
+        // Second lifetime, same directory: recovery fills the memory
+        // tier before any request arrives.
         let server = Arc::new(Server::new(cfg));
-        assert_eq!(server.recovery().expect("recovery ran").records, 1);
-        let (second, _) = server.handle_request_line(&quick_run_line("b", "Find"));
-        let json = Json::parse(&second).expect("response is JSON");
-        assert_eq!(
-            json.get("cached").and_then(Json::as_bool),
-            Some(true),
-            "{second}"
-        );
-        assert_eq!(result_payload(&first), result_payload(&second));
-        assert_eq!(server.counters().get(Counter::ServeDiskHits), 1);
+        assert_eq!(server.recovery().expect("recovery ran").records, 2);
+        let dispatcher = server.spawn_dispatcher();
+        let (stats, _) = server.handle_request_line("{\"op\":\"stats\"}");
+        let stats = Json::parse(&stats).expect("stats is JSON");
+        assert_eq!(stats.get("cache_entries").and_then(Json::as_u64), Some(2));
+        assert_eq!(stats.get("disk_entries").and_then(Json::as_u64), Some(2));
+        // A recovered key is a memory hit: no execution, byte-identical
+        // result payload.
+        for (workload, first) in workloads.iter().zip(&first) {
+            let (second, _) = server.handle_request_line(&quick_run_line("b", workload));
+            let json = Json::parse(&second).expect("response is JSON");
+            assert_eq!(
+                json.get("cached").and_then(Json::as_bool),
+                Some(true),
+                "{second}"
+            );
+            assert_eq!(result_payload(first), result_payload(&second));
+        }
+        assert_eq!(server.counters().get(Counter::ServeCacheHits), 2);
         assert_eq!(server.counters().get(Counter::ServeExecuted), 0);
+        server.close();
+        dispatcher.join().expect("dispatcher exits");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

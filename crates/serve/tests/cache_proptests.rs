@@ -153,11 +153,13 @@ proptest! {
             prop_assert_eq!(result_to_end(resp), first.clone());
         }
         // Exactly one claim executed; everyone else hit or coalesced.
-        prop_assert_eq!(server.counters().get(Counter::ServeExecuted), 1u64);
-        prop_assert_eq!(server.cache().miss_count(), 1u64);
+        let counters = server.counters();
+        prop_assert_eq!(counters.get(Counter::ServeExecuted), 1u64);
+        prop_assert_eq!(counters.get(Counter::ServeCacheMisses), 1u64);
         prop_assert_eq!(
-            server.counters().get(Counter::ServeSubmitted),
-            submitters as u64
+            counters.get(Counter::ServeCacheHits) + counters.get(Counter::ServeCoalesced),
+            submitters as u64 - 1
         );
+        prop_assert_eq!(counters.get(Counter::ServeSubmitted), submitters as u64);
     }
 }

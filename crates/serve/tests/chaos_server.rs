@@ -1,21 +1,43 @@
-//! Acceptance proptest for the crash-recovery story: a server with a
-//! persistent cache and an active chaos plan executes jobs, the process
-//! "dies" (the server is dropped — torn-write chaos has already placed
-//! partial records on disk, exactly what a kill -9 mid-append leaves),
-//! and a second server on the same directory must serve every
-//! previously-acknowledged result byte-identical, from the disk tier
-//! wherever a record survived.
+//! The crash-recovery proof. A worker with a persistent cache and a
+//! seeded chaos plan runs on the daemon's own transport
+//! (`schedtask_serve::daemon`), and a client submits every job through
+//! `submit_with_retry`, so torn and failed disk appends, worker panics,
+//! and delayed, truncated and dropped responses all fire. The worker is
+//! then killed, as SIGKILL would kill it, and a new worker opens the
+//! same cache directory and serves the same jobs.
+//!
+//! What recovery guarantees, for every seed and for each of the `none`,
+//! `light` and `heavy` plans:
+//!
+//! * every request succeeds, before and after the restart;
+//! * every payload after the restart equals its bytes before the kill;
+//! * recovery finds exactly the records the first worker appended:
+//!   `recovery.records` equals its `disk_entries()`;
+//! * on the restarted worker, `serve_jobs_executed −
+//!   serve_chaos_worker_panics` equals the number of jobs that were not
+//!   recovered: a recovered key never runs again, and every other key
+//!   runs exactly once;
+//! * with no chaos, every job is recovered.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use schedtask_experiments::serve_api::{result_payload, Json};
-use schedtask_serve::{ChaosPlan, ServeConfig, Server};
+use proptest::test_runner::TestCaseError;
+use schedtask_experiments::serve_api::{
+    submit_with_retry, ClientTimeouts, Endpoint, Response, RetryPolicy,
+};
+use schedtask_obs::Counter;
+use schedtask_serve::{ChaosPlan, Daemon, ServeConfig, Server, Serving};
 
-fn tmp_dir(case: u64) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("schedtask-chaosprop-{}-{case}", std::process::id()));
+/// Distinct jobs per case and plan.
+const JOBS: u64 = 4;
+
+fn tmp_dir(plan: &str, seed: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "schedtask-chaosprop-{}-{plan}-{seed}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -28,84 +50,120 @@ fn request_line(i: u64, seed: u64) -> String {
     )
 }
 
-/// Submits `line`, retrying transient failures (chaos worker panics
-/// surface as error responses; a panicked claim is evicted so a resubmit
-/// re-executes). Returns the final ok response.
-fn submit_until_ok(server: &Server, line: &str) -> String {
-    for _ in 0..32 {
-        let (response, _) = server.handle_request_line(line);
-        let json = Json::parse(&response).expect("response parses");
-        match json.get("status").and_then(Json::as_str) {
-            Some("ok") => return response,
-            Some("error") | Some("rejected") => continue,
-            other => panic!("unexpected status {other:?} in {response}"),
-        }
+/// Submits `line` through a retrying client and returns the payload of
+/// its ok response.
+fn submit(endpoint: &Endpoint, line: &str) -> Result<String, TestCaseError> {
+    let timeouts = ClientTimeouts {
+        connect_ms: 1_000,
+        read_ms: 10_000,
+        write_ms: 1_000,
+    };
+    let policy = RetryPolicy {
+        max_attempts: 32,
+        base_ms: 2,
+        max_ms: 50,
+        seed: 0,
+    };
+    let response = submit_with_retry(endpoint, &timeouts, &policy, line, None)
+        .map_err(|e| TestCaseError::Fail(format!("a request failed: {e}")))?
+        .response;
+    match Response::parse(&response) {
+        Ok(Response::Ok { result, .. }) => Ok(result),
+        other => Err(TestCaseError::Fail(format!(
+            "not an ok run response ({other:?}): {response}"
+        ))),
     }
-    panic!("job never succeeded under chaos: {line}");
+}
+
+/// One worker lifetime: opens the cache directory, serves, and submits
+/// every job. Returns the server, its serving handle and the payloads.
+fn lifetime(
+    cfg: &ServeConfig,
+    jobs: &[String],
+) -> Result<(Arc<Server>, Serving, Vec<String>), TestCaseError> {
+    let server = Arc::new(Server::try_new(cfg.clone()).expect("the cache directory opens"));
+    let serving = Serving::start(Daemon::Worker(Arc::clone(&server))).expect("the worker serves");
+    let payloads = jobs
+        .iter()
+        .map(|line| submit(serving.endpoint(), line))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((server, serving, payloads))
+}
+
+fn kill_and_restart(plan: &str, seed: u64) -> Result<(), TestCaseError> {
+    let dir = tmp_dir(plan, seed);
+    let cfg = ServeConfig {
+        queue_capacity: 16,
+        batch_max: 4,
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        chaos: Some(ChaosPlan::parse(&format!("{plan}@{seed}"), 0).expect("plan parses")),
+    };
+    let jobs: Vec<String> = (0..JOBS).map(|i| request_line(i, seed)).collect();
+
+    let (server, serving, before) = lifetime(&cfg, &jobs)?;
+    let persisted = server.disk_entries();
+    // A killed worker's dispatcher still runs every queued job and
+    // appends its result, and a second open of the directory during an
+    // append would truncate that record as a torn tail. Reopening is
+    // safe here because every request already has its final response:
+    // a result is appended before it is published, and no job is left
+    // in the queue.
+    serving.kill();
+
+    let (server, serving, after) = lifetime(&cfg, &jobs)?;
+    serving.kill();
+    let recovery = server.recovery().expect("the persistent tier is on");
+    for (i, (first, second)) in before.iter().zip(&after).enumerate() {
+        prop_assert_eq!(
+            first,
+            second,
+            "{}@{}: job {} changed bytes across the restart",
+            plan,
+            seed,
+            i
+        );
+    }
+    prop_assert_eq!(
+        recovery.records,
+        persisted,
+        "{}@{}: recovered {} records, {} were appended",
+        plan,
+        seed,
+        recovery.records,
+        persisted
+    );
+    let counters = server.counters();
+    let completed =
+        counters.get(Counter::ServeExecuted) - counters.get(Counter::ServeChaosWorkerPanics);
+    prop_assert_eq!(
+        completed,
+        JOBS - recovery.records,
+        "{}@{}: {} completed executions, {} of {} jobs recovered",
+        plan,
+        seed,
+        completed,
+        recovery.records,
+        JOBS
+    );
+    if plan == "none" {
+        prop_assert_eq!(
+            recovery.records,
+            JOBS,
+            "without chaos every job is recovered"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn restart_after_chaos_serves_byte_identical_results(
-        plan in prop::sample::select(vec!["none", "light", "heavy"]),
-        seed in 1u64..1_000,
-    ) {
-        let dir = tmp_dir(seed);
-        let chaos = ChaosPlan::parse(&format!("{plan}@{seed}"), 0).expect("plan parses");
-        let cfg = ServeConfig {
-            queue_capacity: 16,
-            batch_max: 4,
-            workers: 2,
-            cache_dir: Some(dir.clone()),
-            chaos: Some(chaos),
-        };
-        let jobs: Vec<String> = (0..3).map(|i| request_line(i, seed)).collect();
-
-        // Phase 1: execute every job under chaos, keeping the
-        // acknowledged result bytes.
-        let server = Arc::new(Server::try_new(cfg.clone()).expect("first server opens"));
-        let dispatcher = server.spawn_dispatcher();
-        let before: Vec<String> = jobs
-            .iter()
-            .map(|line| submit_until_ok(&server, line))
-            .collect();
-        let persisted = server.disk_entries();
-        server.close();
-        dispatcher.join().expect("dispatcher exits");
-        drop(server);
-
-        // Phase 2: a new server on the same directory. Recovery must
-        // swallow whatever torn tails chaos left behind, and every
-        // resubmission must come back byte-identical — from the disk
-        // tier for each record that reached the log.
-        let server = Arc::new(Server::try_new(cfg).expect("second server recovers"));
-        let dispatcher = server.spawn_dispatcher();
-        let recovery = server.recovery().expect("persistence enabled");
-        prop_assert_eq!(recovery.records, persisted as u64,
-            "recovery replays exactly the records that were acknowledged to disk");
-        let mut disk_hits = 0u64;
-        for (line, first) in jobs.iter().zip(&before) {
-            let second = submit_until_ok(&server, line);
-            prop_assert_eq!(
-                result_payload(first).expect("an ok run response"),
-                result_payload(&second).expect("an ok run response"),
-                "result bytes changed across the crash"
-            );
-            let json = Json::parse(&second).expect("response parses");
-            if json.get("cached").and_then(Json::as_bool) == Some(true) {
-                disk_hits += 1;
-            }
+    fn restart_after_chaos_serves_byte_identical_results(seed in 1u64..1_000) {
+        for plan in ["none", "light", "heavy"] {
+            kill_and_restart(plan, seed)?;
         }
-        prop_assert_eq!(disk_hits, recovery.records,
-            "every recovered record is served as a cache hit, nothing more");
-        if plan == "none" {
-            prop_assert_eq!(disk_hits, jobs.len() as u64,
-                "without chaos every pre-crash result is a disk hit");
-        }
-        server.close();
-        dispatcher.join().expect("dispatcher exits");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! Three invariants, each driven by proptest-chosen damage:
 //!
-//! 1. **Round-trip**: whatever was appended is served byte-identical
-//!    after a reopen, with a clean recovery report.
+//! 1. **Round-trip**: whatever was appended is recovered byte-identical
+//!    by a reopen, with a clean recovery report.
 //! 2. **Torn tail**: cutting the segment at an arbitrary byte keeps
 //!    every record that was fully on disk before the cut, loses only
 //!    the torn suffix, and a second open finds nothing left to repair.
 //! 3. **Corruption**: flipping a byte inside a record quarantines that
-//!    record — it is never served — while every other record is still
-//!    served byte-identical.
+//!    record — it is never recovered, so never served — while every
+//!    other record is still recovered byte-identical.
 
 use std::path::PathBuf;
 
@@ -60,16 +60,18 @@ proptest! {
     ) {
         let dir = tmp_dir("roundtrip", case);
         {
-            let (cache, report) = DiskCache::open(&dir).expect("open fresh");
+            let (cache, report, recovered) = DiskCache::open(&dir).expect("open fresh");
             prop_assert_eq!(report, RecoveryReport::default());
+            prop_assert!(recovered.is_empty());
             fill(&cache, &records);
         }
-        let (cache, report) = DiskCache::open(&dir).expect("reopen");
+        let (_, report, recovered) = DiskCache::open(&dir).expect("reopen");
         prop_assert_eq!(report.records, records.len() as u64);
         prop_assert_eq!(report.corrupt, 0);
         prop_assert_eq!(report.truncated_tails, 0);
+        prop_assert_eq!(recovered.len(), records.len());
         for (i, (stats, jsonl)) in records.iter().enumerate() {
-            let rec = cache.get(i as u64 + 1).expect("record survives reopen");
+            let rec = recovered.get(&(i as u64 + 1)).expect("record survives reopen");
             prop_assert_eq!(&rec.stats_json, stats);
             prop_assert_eq!(&rec.jsonl, jsonl);
         }
@@ -84,7 +86,7 @@ proptest! {
     ) {
         let dir = tmp_dir("torn", case);
         let (sizes, segment) = {
-            let (cache, _) = DiskCache::open(&dir).expect("open fresh");
+            let (cache, _, _) = DiskCache::open(&dir).expect("open fresh");
             let sizes = fill(&cache, &records);
             (sizes, cache.active_segment_path().expect("active segment"))
         };
@@ -112,23 +114,22 @@ proptest! {
         // A cut exactly on a record boundary leaves no torn bytes; any
         // other cut leaves a partial record that must be truncated away.
         let torn_tail = !boundaries.contains(&cut);
-        let (cache, report) = DiskCache::open(&dir).expect("recover");
+        let (_, report, recovered) = DiskCache::open(&dir).expect("recover");
         prop_assert_eq!(report.records, survivors);
         prop_assert_eq!(report.corrupt, 0);
         prop_assert_eq!(report.truncated_tails, u64::from(torn_tail));
         for (i, (stats, jsonl)) in records.iter().enumerate().take(survivors as usize) {
-            let rec = cache.get(i as u64 + 1).expect("pre-cut record survives");
+            let rec = recovered.get(&(i as u64 + 1)).expect("pre-cut record survives");
             prop_assert_eq!(&rec.stats_json, stats);
             prop_assert_eq!(&rec.jsonl, jsonl);
         }
         for i in survivors..sizes.len() as u64 {
-            prop_assert!(cache.get(i + 1).is_none(), "torn record must not be served");
+            prop_assert!(!recovered.contains_key(&(i + 1)), "torn record must not be served");
         }
-        drop(cache);
 
         // Recovery converges: the repair was physical, so a second open
         // has nothing left to do.
-        let (_cache, second) = DiskCache::open(&dir).expect("reopen after repair");
+        let (_, second, _) = DiskCache::open(&dir).expect("reopen after repair");
         prop_assert_eq!(second.records, survivors);
         prop_assert_eq!(second.corrupt, 0);
         prop_assert_eq!(second.truncated_tails, 0);
@@ -145,7 +146,7 @@ proptest! {
     ) {
         let dir = tmp_dir("flip", case);
         let (sizes, segment) = {
-            let (cache, _) = DiskCache::open(&dir).expect("open fresh");
+            let (cache, _, _) = DiskCache::open(&dir).expect("open fresh");
             let sizes = fill(&cache, &records);
             (sizes, cache.active_segment_path().expect("active segment"))
         };
@@ -170,19 +171,19 @@ proptest! {
             file.write_all(&byte).expect("flip byte");
         }
 
-        let (cache, report) = DiskCache::open(&dir).expect("recover");
+        let (_, report, recovered) = DiskCache::open(&dir).expect("recover");
         prop_assert_eq!(report.corrupt, 1, "flipped record is quarantined");
         prop_assert_eq!(report.records, records.len() as u64 - 1);
         prop_assert_eq!(report.truncated_tails, 0);
         prop_assert!(
-            cache.get(victim as u64 + 1).is_none(),
+            !recovered.contains_key(&(victim as u64 + 1)),
             "corrupt bytes must never be served"
         );
         for (i, (stats, jsonl)) in records.iter().enumerate() {
             if i == victim {
                 continue;
             }
-            let rec = cache.get(i as u64 + 1).expect("undamaged record survives");
+            let rec = recovered.get(&(i as u64 + 1)).expect("undamaged record survives");
             prop_assert_eq!(&rec.stats_json, stats);
             prop_assert_eq!(&rec.jsonl, jsonl);
         }
