@@ -806,7 +806,7 @@ fn run_submit(args: Vec<String>) -> ! {
             }
             let line = spec.to_request_line(Some(&format!("{tech}/{wl}")), false);
             let response = if retries > 0 {
-                match submit_with_retry(&endpoint, &timeouts, &policy, &line, None) {
+                match submit_with_retry(&endpoint, &timeouts, &policy, &line) {
                     Ok(outcome) => {
                         if outcome.attempts > 1 {
                             println!(

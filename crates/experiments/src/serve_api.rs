@@ -23,11 +23,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use schedtask::StealPolicy;
 use schedtask_kernel::{DeviceModelConfig, FaultPlan};
-use schedtask_obs::{ObsEvent, Observer};
 use schedtask_sim::{
     CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, TraceCacheConfig,
 };
@@ -1449,18 +1448,22 @@ pub struct RetryOutcome {
 }
 
 /// Whether a `status:"error"` message is worth retrying: execution
-/// hiccups (panicked workers, timeouts, a daemon mid-restart) are;
-/// request parse and validation errors are permanent.
+/// hiccups (panicked workers, timeouts, a daemon mid-restart) and
+/// backpressure are; request parse and validation errors are permanent.
 pub fn error_is_transient(message: &str) -> bool {
     // "unreachable" covers the router's all-workers-down error: a
     // worker restarting behind the router comes back within a backoff
-    // or two, so the idempotent resubmission is worth it.
+    // or two, so the idempotent resubmission is worth it. "queue full"
+    // and "shed the job" are what a duplicate sees when it coalesced
+    // onto a job that a worker or the router rejected for backpressure.
     [
         "panicked",
         "timed out",
         "shutting down",
         "queue closed",
         "unreachable",
+        "queue full",
+        "shed the job",
     ]
     .iter()
     .any(|marker| message.contains(marker))
@@ -1476,24 +1479,13 @@ pub fn error_is_transient(message: &str) -> bool {
 /// `retry_after_ms` hint; transient `status:"error"` responses (e.g. a
 /// panicked worker) resubmit the idempotent job. A complete line that
 /// is not JSON is a permanent error: the peer does not speak the
-/// protocol. Each scheduled retry is announced to `observer` as an
-/// [`ObsEvent::RetryScheduled`].
+/// protocol.
 pub fn submit_with_retry(
     endpoint: &Endpoint,
     timeouts: &ClientTimeouts,
     policy: &RetryPolicy,
     line: &str,
-    observer: Option<&dyn Observer>,
 ) -> Result<RetryOutcome, String> {
-    let started = Instant::now();
-    // Best-effort key for the retry events; non-run requests hash to 0.
-    let key = parse_request(line)
-        .ok()
-        .and_then(|req| match req.op {
-            RequestOp::Run(spec, _) => Some(spec.cache_key()),
-            _ => None,
-        })
-        .unwrap_or(0);
     let mut client: Option<ServeClient> = None;
     let mut total_backoff_ms = 0u64;
     let mut last_error = String::from("no attempts made");
@@ -1506,14 +1498,6 @@ pub fn submit_with_retry(
                 return;
             }
             let backoff = policy.backoff_ms(attempt, hint);
-            if let Some(obs) = observer {
-                obs.event(&ObsEvent::RetryScheduled {
-                    at: started.elapsed().as_millis() as u64,
-                    key,
-                    attempt: attempt + 1,
-                    backoff_ms: backoff,
-                });
-            }
             std::thread::sleep(Duration::from_millis(backoff));
             *total += backoff;
         };
@@ -1588,6 +1572,7 @@ pub fn submit_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn run_spec(line: &str) -> JobSpec {
         match parse_request(line).expect("parses").op {
@@ -1890,8 +1875,18 @@ mod tests {
     }
 
     #[test]
+    fn backpressure_errors_are_transient() {
+        // What a duplicate reads when it coalesced onto a job that the
+        // worker's queue rejected or that the router shed.
+        assert!(error_is_transient("rejected: queue full"));
+        assert!(error_is_transient(
+            "worker shed the job; retry after 1234 ms"
+        ));
+        assert!(!error_is_transient("unknown workload \"Fnid\""));
+    }
+
+    #[test]
     fn a_failed_last_attempt_does_not_back_off() {
-        use schedtask_obs::{Aggregator, Counter};
         // A port nothing listens on: every dial is refused.
         let port = std::net::TcpListener::bind("127.0.0.1:0")
             .and_then(|listener| listener.local_addr())
@@ -1904,20 +1899,15 @@ mod tests {
             max_ms: 40,
             ..RetryPolicy::default()
         };
-        let agg = Aggregator::new();
         let err = submit_with_retry(
             &endpoint,
             &ClientTimeouts::default(),
             &policy,
             "{\"op\":\"ping\"}",
-            Some(&agg),
         )
         .expect_err("nothing listens");
         // Two attempts have one backoff between them and none after.
         let backoff = policy.backoff_ms(0, None);
-        let counters = agg.counters();
-        assert_eq!(counters.get(Counter::ServeRetryAttempts), 1, "{err}");
-        assert_eq!(counters.get(Counter::ServeRetryBackoffMs), backoff, "{err}");
         assert!(
             err.starts_with(&format!(
                 "gave up after 2 attempts ({backoff} ms of backoff)"

@@ -226,7 +226,6 @@ impl Observer for Aggregator {
                 self.counters.add(Counter::ServeExecuted, 1);
                 self.counters.add(Counter::ServeExecMicros, micros);
             }
-            ObsEvent::BatchExecuted { .. } => self.counters.add(Counter::ServeBatches, 1),
             ObsEvent::DiskWritten { bytes, .. } => {
                 self.counters.add(Counter::ServeDiskWrites, 1);
                 self.counters.add(Counter::ServeDiskWriteBytes, bytes);
@@ -258,10 +257,6 @@ impl Observer for Aggregator {
                 self.counters.add(Counter::EngineComponentTicks, 1);
                 self.counters
                     .add(Counter::EngineComponentIrqs, u64::from(irqs));
-            }
-            ObsEvent::RetryScheduled { backoff_ms, .. } => {
-                self.counters.add(Counter::ServeRetryAttempts, 1);
-                self.counters.add(Counter::ServeRetryBackoffMs, backoff_ms);
             }
             ObsEvent::RouterForwarded { .. } => self.counters.add(Counter::ServeRouterForwarded, 1),
             ObsEvent::RouterHotCacheHit { .. } => {
@@ -480,7 +475,6 @@ mod tests {
             key: 7,
             micros: 1200,
         });
-        agg.event(&ObsEvent::BatchExecuted { at: 5, jobs: 1 });
         agg.span_enter(Some(0), SpanKind::Job, 1_000);
         agg.span_exit(Some(0), SpanKind::Job, 2_500);
         let snap = agg.counters();
@@ -490,7 +484,6 @@ mod tests {
         assert_eq!(snap.get(Counter::ServeRejected), 1);
         assert_eq!(snap.get(Counter::ServeExecuted), 1);
         assert_eq!(snap.get(Counter::ServeExecMicros), 1200);
-        assert_eq!(snap.get(Counter::ServeBatches), 1);
         let rows = agg.span_rows();
         let job = rows.iter().find(|r| r.kind == "job").expect("job row");
         assert_eq!(job.count, 1);

@@ -74,7 +74,9 @@ pub enum Counter {
     ServeRejected,
     /// Jobs actually simulated by the worker fleet.
     ServeExecuted,
-    /// Batches drained from the job queue by the dispatcher.
+    /// Always zero: each executor takes one job at a time, so nothing
+    /// counts batches. Kept because the benchmark reads it as
+    /// `worker.batches`.
     ServeBatches,
     /// Total wall-clock microseconds spent simulating jobs.
     ServeExecMicros,
@@ -95,11 +97,6 @@ pub enum Counter {
     ServeDiskCorrupt,
     /// Torn segment tails truncated during recovery.
     ServeDiskTruncatedTails,
-    /// Client retry attempts scheduled after a rejection or transport
-    /// failure (counted by client-side harnesses).
-    ServeRetryAttempts,
-    /// Total client back-off milliseconds across retry attempts.
-    ServeRetryBackoffMs,
     /// Injected torn disk writes (chaos).
     ServeChaosTornWrites,
     /// Injected disk-full append failures (chaos).
@@ -135,7 +132,7 @@ impl Counter {
     pub const COUNT: usize = Counter::ALL.len();
 
     /// All counters, in index order.
-    pub const ALL: [Counter; 55] = [
+    pub const ALL: [Counter; 53] = [
         Counter::Dispatches,
         Counter::Preemptions,
         Counter::Blocks,
@@ -176,8 +173,6 @@ impl Counter {
         Counter::ServeDiskRecovered,
         Counter::ServeDiskCorrupt,
         Counter::ServeDiskTruncatedTails,
-        Counter::ServeRetryAttempts,
-        Counter::ServeRetryBackoffMs,
         Counter::ServeChaosTornWrites,
         Counter::ServeChaosDiskFull,
         Counter::ServeChaosWorkerPanics,
@@ -236,8 +231,6 @@ impl Counter {
             Counter::ServeDiskRecovered => "serve_disk_recovered",
             Counter::ServeDiskCorrupt => "serve_disk_corrupt",
             Counter::ServeDiskTruncatedTails => "serve_disk_truncated_tails",
-            Counter::ServeRetryAttempts => "serve_retry_attempts",
-            Counter::ServeRetryBackoffMs => "serve_retry_backoff_ms",
             Counter::ServeChaosTornWrites => "serve_chaos_torn_writes",
             Counter::ServeChaosDiskFull => "serve_chaos_disk_full",
             Counter::ServeChaosWorkerPanics => "serve_chaos_worker_panics",

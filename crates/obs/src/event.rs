@@ -391,14 +391,6 @@ pub enum ObsEvent {
         /// Wall-clock execution time in microseconds.
         micros: u64,
     },
-    /// The dispatcher drained one batch of compatible jobs from the
-    /// queue and ran it on the worker fleet.
-    BatchExecuted {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Number of jobs in the batch.
-        jobs: u32,
-    },
     /// A completed job's output was appended to the persistent cache.
     DiskWritten {
         /// Milliseconds since server start.
@@ -447,18 +439,6 @@ pub enum ObsEvent {
         class: ComponentClass,
         /// Interrupts raised by this tick.
         irqs: u32,
-    },
-    /// A retrying client scheduled a back-off before its next attempt
-    /// (emitted by `submit_with_retry` when it is given an observer).
-    RetryScheduled {
-        /// Milliseconds since the client's first attempt.
-        at: u64,
-        /// Truncated canonical cache key of the retried job.
-        key: u64,
-        /// 1-based attempt number that just failed or was rejected.
-        attempt: u32,
-        /// Chosen back-off before the next attempt, in milliseconds.
-        backoff_ms: u64,
     },
     /// The fleet router forwarded a run request to its hashed worker.
     ///
@@ -538,13 +518,11 @@ impl ObsEvent {
             ObsEvent::JobAdmitted { .. } => "job_admitted",
             ObsEvent::JobRejected { .. } => "job_rejected",
             ObsEvent::JobExecuted { .. } => "job_executed",
-            ObsEvent::BatchExecuted { .. } => "batch_executed",
             ObsEvent::DiskWritten { .. } => "disk_written",
             ObsEvent::DiskWriteFailed { .. } => "disk_write_failed",
             ObsEvent::DiskRecovered { .. } => "disk_recovered",
             ObsEvent::ChaosInjected { .. } => "chaos",
             ObsEvent::ComponentTick { .. } => "component_tick",
-            ObsEvent::RetryScheduled { .. } => "retry_scheduled",
             ObsEvent::RouterForwarded { .. } => "router_forwarded",
             ObsEvent::RouterHotCacheHit { .. } => "router_hot_cache_hit",
             ObsEvent::RouterCoalesced { .. } => "router_coalesced",
@@ -578,13 +556,11 @@ impl ObsEvent {
             | ObsEvent::JobAdmitted { at, .. }
             | ObsEvent::JobRejected { at, .. }
             | ObsEvent::JobExecuted { at, .. }
-            | ObsEvent::BatchExecuted { at, .. }
             | ObsEvent::DiskWritten { at, .. }
             | ObsEvent::DiskWriteFailed { at, .. }
             | ObsEvent::DiskRecovered { at, .. }
             | ObsEvent::ChaosInjected { at, .. }
             | ObsEvent::ComponentTick { at, .. }
-            | ObsEvent::RetryScheduled { at, .. }
             | ObsEvent::RouterForwarded { at, .. }
             | ObsEvent::RouterHotCacheHit { at, .. }
             | ObsEvent::RouterCoalesced { at, .. }

@@ -118,9 +118,6 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
         ObsEvent::JobExecuted { key, micros, .. } => {
             line.push_str(&format!(",\"key\":\"{key:016x}\",\"micros\":{micros}"));
         }
-        ObsEvent::BatchExecuted { jobs, .. } => {
-            line.push_str(&format!(",\"jobs\":{jobs}"));
-        }
         ObsEvent::DiskWriteFailed { key, .. } => {
             line.push_str(&format!(",\"key\":\"{key:016x}\""));
         }
@@ -151,16 +148,6 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
                 component,
                 class.name(),
                 irqs
-            ));
-        }
-        ObsEvent::RetryScheduled {
-            key,
-            attempt,
-            backoff_ms,
-            ..
-        } => {
-            line.push_str(&format!(
-                ",\"key\":\"{key:016x}\",\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"
             ));
         }
         ObsEvent::RouterForwarded { key, worker, .. } => {

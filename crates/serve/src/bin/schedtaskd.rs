@@ -1,9 +1,8 @@
 //! `schedtaskd` — the simulation-job server daemon.
 //!
 //! ```text
-//! schedtaskd [--addr ENDPOINT] [--queue-capacity N]
-//!            [--batch-max N] [--workers N] [--cache-dir DIR]
-//!            [--chaos SPEC] [--read-timeout-ms N]
+//! schedtaskd [--addr ENDPOINT] [--queue-capacity N] [--workers N]
+//!            [--cache-dir DIR] [--chaos SPEC] [--read-timeout-ms N]
 //!            [--drain-deadline-ms N] [--profile]
 //! schedtaskd --router [--addr ENDPOINT] --worker ENDPOINT [--worker ...]
 //!            [--read-timeout-ms N] [--profile]
@@ -14,11 +13,12 @@
 //! (default `tcp://127.0.0.1:0`; the bound address is printed on
 //! stdout) or `--addr unix:///PATH`.
 //! One thread per connection (the transport is
-//! `schedtask_serve::daemon`); a shared dispatcher executes admitted
-//! jobs in batches. Exits cleanly — queue closed, backlog drained
-//! (bounded by `--drain-deadline-ms`), responses flushed — on SIGTERM,
-//! SIGINT, or a `shutdown` request. With `--profile`, the serve counter
-//! and span tables are printed on exit.
+//! `schedtask_serve::daemon`); `--workers` executors run admitted jobs,
+//! each taking one job at a time from the shared queue. Exits cleanly
+//! — queue closed, backlog drained (bounded by `--drain-deadline-ms`),
+//! responses flushed — on SIGTERM, SIGINT, or a `shutdown` request.
+//! With `--profile`, the serve counter and span tables are printed on
+//! exit.
 //!
 //! With `--router`, the daemon is a fleet router instead of a worker:
 //! it consistent-hashes each job's cache key across the `--worker`
@@ -127,11 +127,6 @@ fn parse_args() -> Opts {
                     .parse()
                     .unwrap_or_else(|e| die(&format!("bad --queue-capacity: {e}")))
             }
-            "--batch-max" => {
-                opts.cfg.batch_max = value("--batch-max")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("bad --batch-max: {e}")))
-            }
             "--workers" => {
                 opts.cfg.workers = value("--workers")
                     .parse()
@@ -160,7 +155,7 @@ fn parse_args() -> Opts {
             "--help" | "-h" => {
                 println!(
                     "usage: schedtaskd [--addr ENDPOINT] [--queue-capacity N] \
-                     [--batch-max N] [--workers N] [--cache-dir DIR] [--chaos SPEC] \
+                     [--workers N] [--cache-dir DIR] [--chaos SPEC] \
                      [--read-timeout-ms N] [--drain-deadline-ms N] [--profile]\n\
                      \x20      schedtaskd --router [--addr ENDPOINT] --worker ENDPOINT \
                      [--worker ENDPOINT ...] [--read-timeout-ms N] [--profile]\n\
@@ -171,8 +166,8 @@ fn parse_args() -> Opts {
             other => die(&format!("unknown argument {other:?} (try --help)")),
         }
     }
-    if opts.cfg.queue_capacity == 0 || opts.cfg.batch_max == 0 || opts.cfg.workers == 0 {
-        die("--queue-capacity, --batch-max, and --workers must be positive");
+    if opts.cfg.queue_capacity == 0 || opts.cfg.workers == 0 {
+        die("--queue-capacity and --workers must be positive");
     }
     if opts.drain_deadline_ms == 0 {
         die("--drain-deadline-ms must be positive");

@@ -18,7 +18,7 @@
 //!   record, as a crash mid-`write` would leave it.
 //! * **disk full** — an append fails outright; the job still succeeds
 //!   from memory, the disk tier just misses one record.
-//! * **worker panics** — a batch worker panics mid-job; the existing
+//! * **worker panics** — an executor panics mid-job; the existing
 //!   `catch_unwind` isolation must convert it into a per-job error.
 //! * **delayed / truncated responses** — the daemon stalls before
 //!   responding or sends only a prefix of the response line.

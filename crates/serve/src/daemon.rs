@@ -29,7 +29,7 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// fanning them out across a fleet.
 #[derive(Clone)]
 pub enum Daemon {
-    /// A worker: admission queue, dispatcher and cache tiers.
+    /// A worker: admission queue, executors and cache tiers.
     Worker(Arc<Server>),
     /// A fleet router in front of workers.
     Router(Arc<Router>),
@@ -342,13 +342,13 @@ struct Connection {
 
 /// Serves `daemon` on `listener`, one thread per connection, until
 /// `stop` is raised or a client sends `shutdown`. A worker's
-/// dispatcher runs for as long as the daemon does. A read deadline of
+/// executors run for as long as the daemon does. A read deadline of
 /// `read_timeout_ms` disconnects peers that stall mid-request; `0`
 /// disables it.
 ///
 /// Then it drains: a worker stops admitting and finishes its backlog,
 /// and open connections finish their exchanges — but never for longer
-/// than `drain_deadline`, so a stop cannot hang on a wedged batch or a
+/// than `drain_deadline`, so a stop cannot hang on a wedged job or a
 /// stalled peer. Whatever is still open after that is closed, as the
 /// process exiting would close it. Returns `false` when the deadline
 /// cut a worker's backlog short.
@@ -448,7 +448,7 @@ impl Serving {
     /// Stops the daemon at once, as SIGKILL would: the listener and
     /// every open connection close without a drain, and no response
     /// reaches a client any more. Unlike a killed process, a worker's
-    /// dispatcher keeps running in the background until it has run
+    /// executors keep running in the background until they have run
     /// every queued job and appended each result to the disk tier; a
     /// second [`DiskCache::open`](crate::DiskCache::open) of the same
     /// directory during one of those appends would truncate the record

@@ -9,17 +9,17 @@
 //! - **Admission** — a bounded [`queue::JobQueue`]; when full,
 //!   submissions are rejected with a `retry_after_ms` backpressure
 //!   response instead of queueing unboundedly.
-//! - **Batching** — the dispatcher drains runs of cost-compatible
-//!   requests (same core count and instruction budget) and executes
-//!   each batch on the `scoped_pool` worker fleet.
+//! - **Execution** — `--workers` long-lived executors each take one
+//!   job at a time from the queue, so an idle executor takes the next
+//!   job instead of waiting for a busy one.
 //! - **Caching** — a content-addressed [`cache::ResultCache`] keyed by
 //!   the canonical hash of the full job spec. The engine is
 //!   deterministic, so a hit replays byte-identical canonical
 //!   `SimStats` JSON and JSONL event text. Identical in-flight
 //!   submissions coalesce onto one execution.
-//! - **Observability** — hits/misses, queue depth, rejections, batch
-//!   sizes, and per-job latency spans all flow through `schedtask-obs`
-//!   counters and the `--profile` tables.
+//! - **Observability** — hits/misses, queue depth, rejections, and
+//!   per-job latency spans all flow through `schedtask-obs` counters
+//!   and the `--profile` tables.
 //! - **Durability** — with `--cache-dir`, every result is also appended
 //!   to a crash-safe [`disk::DiskCache`] segment log before it is
 //!   published. The log is read once, at startup: recovery truncates

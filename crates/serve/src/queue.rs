@@ -1,12 +1,11 @@
 //! The bounded admission queue between connection handlers and the
-//! dispatcher.
+//! executors.
 //!
 //! Submissions beyond capacity are rejected immediately with a
 //! [`Backpressure`] hint instead of blocking the client — admission
-//! control, not unbounded buffering. The dispatcher blocks on
-//! [`JobQueue::next_batch`], which drains a run of *cost-compatible*
-//! jobs (same core count, instruction budget, and sanitizer setting) so
-//! one batch's workers finish together instead of straggling.
+//! control, not unbounded buffering. Each executor blocks on
+//! [`JobQueue::next`], which hands it one job, so an idle executor
+//! takes the next queued job instead of waiting for a busy one.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -49,13 +48,13 @@ pub enum SubmitError {
 #[derive(Debug, Default)]
 struct QueueInner {
     jobs: VecDeque<QueuedJob>,
-    /// Jobs handed to the dispatcher but not yet finished — they still
-    /// occupy workers, so the backpressure hint must account for them.
+    /// Jobs taken by an executor but not yet finished — they still
+    /// occupy executors, so the backpressure hint must account for them.
     in_flight: usize,
     closed: bool,
 }
 
-/// A bounded multi-producer queue with a blocking batch consumer.
+/// A bounded multi-producer, multi-consumer queue.
 #[derive(Debug)]
 pub struct JobQueue {
     inner: Mutex<QueueInner>,
@@ -83,7 +82,7 @@ impl JobQueue {
         self.inner.lock().expect("job queue poisoned").jobs.len()
     }
 
-    /// Jobs currently dispatched but not yet finished.
+    /// Jobs taken by an executor but not yet finished.
     pub fn in_flight(&self) -> usize {
         self.inner.lock().expect("job queue poisoned").in_flight
     }
@@ -102,9 +101,9 @@ impl JobQueue {
         if inner.jobs.len() >= self.capacity {
             let depth = inner.jobs.len();
             // The backlog a new job waits behind is the queue *plus*
-            // the batch the workers are chewing on right now; a hint
+            // the jobs the executors are running right now; a hint
             // derived from queue depth alone under-estimates drain
-            // time whenever a batch is in flight.
+            // time whenever an executor is busy.
             let backlog = depth + inner.in_flight;
             drop(inner);
             return Err(SubmitError::Full(Backpressure {
@@ -122,28 +121,14 @@ impl JobQueue {
         Ok(depth)
     }
 
-    /// Blocks until at least one job is queued, then drains up to `max`
-    /// cost-compatible jobs from the front. Returns `None` once the
-    /// queue is closed and empty (dispatcher shutdown).
-    pub fn next_batch(&self, max: usize) -> Option<Vec<QueuedJob>> {
-        let max = max.max(1);
+    /// Blocks until a job is queued, then takes it. Returns `None` once
+    /// the queue is closed and empty (executor shutdown).
+    pub fn next(&self) -> Option<QueuedJob> {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         loop {
-            if let Some(first) = inner.jobs.pop_front() {
-                let mut batch = vec![first];
-                while batch.len() < max {
-                    let compatible = inner
-                        .jobs
-                        .front()
-                        .is_some_and(|next| cost_compatible(&batch[0].spec, &next.spec));
-                    if !compatible {
-                        break;
-                    }
-                    let job = inner.jobs.pop_front().expect("front checked above");
-                    batch.push(job);
-                }
-                inner.in_flight += batch.len();
-                return Some(batch);
+            if let Some(job) = inner.jobs.pop_front() {
+                inner.in_flight += 1;
+                return Some(job);
             }
             if inner.closed {
                 return None;
@@ -152,31 +137,21 @@ impl JobQueue {
         }
     }
 
-    /// Marks `n` dispatched jobs as finished; the dispatcher calls this
-    /// after a batch completes so backpressure hints deflate again.
-    pub fn finish_batch(&self, n: usize) {
+    /// Marks one taken job as finished; its executor calls this after
+    /// publishing the result so backpressure hints deflate again.
+    pub fn finish(&self) {
         let mut inner = self.inner.lock().expect("job queue poisoned");
-        inner.in_flight = inner.in_flight.saturating_sub(n);
+        inner.in_flight = inner.in_flight.saturating_sub(1);
     }
 
     /// Closes the queue: future submissions are rejected, and
-    /// [`JobQueue::next_batch`] returns `None` once drained.
+    /// [`JobQueue::next`] returns `None` once drained.
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         inner.closed = true;
         drop(inner);
         self.cv.notify_all();
     }
-}
-
-/// Whether two jobs belong in the same batch: equal core count,
-/// instruction budgets, and sanitizer setting, so their runtimes are
-/// comparable and the batch barrier doesn't straggle.
-fn cost_compatible(a: &JobSpec, b: &JobSpec) -> bool {
-    a.params.cores == b.params.cores
-        && a.params.max_instructions == b.params.max_instructions
-        && a.params.warmup_instructions == b.params.warmup_instructions
-        && a.params.sanitize == b.params.sanitize
 }
 
 #[cfg(test)]
@@ -220,14 +195,14 @@ mod tests {
     }
 
     #[test]
-    fn retry_hint_counts_in_flight_batch() {
+    fn retry_hint_counts_busy_executors() {
         let q = JobQueue::new(2);
         q.submit(job("{\"workload\":\"Find\"}")).expect("fits");
         q.submit(job("{\"workload\":\"Iscp\"}")).expect("fits");
-        // The dispatcher takes both jobs; the queue is momentarily
-        // empty but the workers are busy.
-        let batch = q.next_batch(8).expect("open queue");
-        assert_eq!(batch.len(), 2);
+        // Two executors take one job each; the queue is momentarily
+        // empty but both executors are busy.
+        q.next().expect("open queue");
+        q.next().expect("open queue");
         assert_eq!(q.in_flight(), 2);
         q.submit(job("{\"workload\":\"Oscp\"}")).expect("fits");
         q.submit(job("{\"workload\":\"Dss\"}")).expect("fits");
@@ -235,32 +210,16 @@ mod tests {
             q.submit(job("{\"workload\":\"Find\"}"))
                 .expect_err("must reject"),
         );
-        // Backlog = 2 queued + 2 in flight, not just the 2 queued.
+        // Backlog = 2 queued + 2 busy executors, not just the 2 queued.
         assert_eq!(bp.retry_after_ms, 400);
-        q.finish_batch(batch.len());
+        q.finish();
+        q.finish();
         assert_eq!(q.in_flight(), 0);
         let bp = full_rejection(
             q.submit(job("{\"workload\":\"Find\"}"))
                 .expect_err("still full"),
         );
         assert_eq!(bp.retry_after_ms, 200, "hint deflates after finish");
-    }
-
-    #[test]
-    fn batches_cost_compatible_prefix() {
-        let q = JobQueue::new(8);
-        q.submit(job("{\"workload\":\"Find\"}")).expect("fits");
-        q.submit(job("{\"workload\":\"Iscp\"}")).expect("fits");
-        // Different core count → different cost class, breaks the batch.
-        q.submit(job("{\"workload\":\"Oscp\",\"cores\":2}"))
-            .expect("fits");
-        q.submit(job("{\"workload\":\"Dss\"}")).expect("fits");
-        let batch = q.next_batch(8).expect("open queue");
-        assert_eq!(batch.len(), 2);
-        let batch = q.next_batch(8).expect("open queue");
-        assert_eq!(batch.len(), 1);
-        let batch = q.next_batch(8).expect("open queue");
-        assert_eq!(batch.len(), 1);
     }
 
     #[test]
@@ -273,8 +232,8 @@ mod tests {
                 .expect_err("closed queue rejects"),
             SubmitError::Closed
         );
-        assert_eq!(q.next_batch(4).expect("drains remaining").len(), 1);
-        assert!(q.next_batch(4).is_none());
+        assert!(q.next().is_some(), "drains remaining");
+        assert!(q.next().is_none());
     }
 
     #[test]
@@ -296,8 +255,8 @@ mod tests {
             SubmitError::Closed
         );
         // The already-admitted job still drains.
-        assert_eq!(q.next_batch(4).expect("drains").len(), 1);
-        assert!(q.next_batch(4).is_none());
+        assert!(q.next().is_some(), "drains");
+        assert!(q.next().is_none());
         // And producers keep observing Closed promptly afterwards.
         assert_eq!(
             q.submit(job("{\"workload\":\"Oscp\"}"))

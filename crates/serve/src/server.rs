@@ -1,4 +1,4 @@
-//! The server core: request handling, the dispatcher, and job
+//! The server core: request handling, the executors, and job
 //! execution. Transport (sockets) lives in [`crate::daemon`], signals
 //! in the `schedtaskd` binary; everything here works on
 //! request/response strings, which is what the tests drive directly.
@@ -31,9 +31,7 @@ pub struct ServeConfig {
     /// Bounded queue capacity; submissions beyond it are rejected with
     /// backpressure.
     pub queue_capacity: usize,
-    /// Maximum jobs the dispatcher drains into one batch.
-    pub batch_max: usize,
-    /// Worker threads simulating one batch.
+    /// Executors, each simulating one job at a time.
     pub workers: usize,
     /// Directory for the persistent cache tier; `None` disables it.
     pub cache_dir: Option<PathBuf>,
@@ -46,7 +44,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 64,
-            batch_max: 8,
             workers: 4,
             cache_dir: None,
             chaos: None,
@@ -56,8 +53,7 @@ impl Default for ServeConfig {
 
 /// The server core. Transport-agnostic: hand request lines to
 /// [`Server::handle_request_line`] from any number of threads; run
-/// [`Server::run_dispatcher`] (or [`Server::spawn_dispatcher`]) to
-/// execute admitted jobs.
+/// [`Server::spawn_dispatcher`] to execute admitted jobs.
 #[derive(Debug)]
 pub struct Server {
     cfg: ServeConfig,
@@ -174,7 +170,7 @@ impl Server {
     }
 
     /// Closes the admission queue: future runs are rejected and the
-    /// dispatcher exits once the backlog is drained.
+    /// executors exit once the backlog is drained.
     pub fn close(&self) {
         self.queue.close();
     }
@@ -192,33 +188,29 @@ impl Server {
         out
     }
 
-    /// Runs the dispatcher until the queue is closed and drained.
-    pub fn run_dispatcher(&self) {
-        while let Some(batch) = self.queue.next_batch(self.cfg.batch_max) {
-            self.run_batch(batch);
-        }
-    }
-
-    /// Spawns the dispatcher on its own thread. Tests that need a full
-    /// queue call this only after staging submissions.
+    /// Spawns `cfg.workers` executors. Each takes one job at a time
+    /// from the queue, so an idle executor never waits for a busy one.
+    /// The returned handle finishes once every executor has drained the
+    /// closed queue. Tests that need a full queue call this only after
+    /// staging submissions.
     pub fn spawn_dispatcher(self: &Arc<Self>) -> thread::JoinHandle<()> {
         let server = Arc::clone(self);
-        thread::spawn(move || server.run_dispatcher())
+        thread::spawn(move || {
+            thread::scope(|scope| {
+                for index in 0..server.cfg.workers.max(1) as u32 {
+                    let server = &server;
+                    scope.spawn(move || server.run_executor(index));
+                }
+            });
+        })
     }
 
-    fn run_batch(&self, batch: Vec<QueuedJob>) {
-        // Single-flight claiming guarantees each queued key is unique,
-        // so the batch needs no dedup. Lane indices only label the job
-        // spans.
-        let items: Vec<(u32, QueuedJob)> = batch
-            .into_iter()
-            .enumerate()
-            .map(|(lane, job)| (lane as u32, job))
-            .collect();
-        let jobs = items.len() as u32;
-        let results = scoped_pool::scoped_map(&items, self.cfg.workers, |(lane, job)| {
+    /// One executor: runs queued jobs until the queue is closed and
+    /// drained. `index` labels its job spans.
+    fn run_executor(&self, index: u32) {
+        while let Some(job) = self.queue.next() {
             let enter_us = self.now_us();
-            self.agg.span_enter(Some(*lane), SpanKind::Job, enter_us);
+            self.agg.span_enter(Some(index), SpanKind::Job, enter_us);
             let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if self.chaos_worker_panic() {
@@ -229,10 +221,7 @@ impl Server {
             .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(payload))));
             let micros = started.elapsed().as_micros() as u64;
             self.agg
-                .span_exit(Some(*lane), SpanKind::Job, enter_us + micros);
-            (micros, result)
-        });
-        for ((_, job), (micros, result)) in items.iter().zip(results) {
+                .span_exit(Some(index), SpanKind::Job, enter_us + micros);
             self.emit(ObsEvent::JobExecuted {
                 at: self.now_ms(),
                 key: job.key,
@@ -248,12 +237,8 @@ impl Server {
                 }
                 Err(err) => self.cache.fail(job.key, &job.slot, err),
             }
+            self.queue.finish();
         }
-        self.queue.finish_batch(items.len());
-        self.emit(ObsEvent::BatchExecuted {
-            at: self.now_ms(),
-            jobs,
-        });
     }
 
     /// Appends one fresh result to the persistent tier (when enabled),
@@ -571,7 +556,6 @@ mod tests {
     fn run_then_rerun_hits_cache_with_identical_bytes() {
         let server = Arc::new(Server::new(ServeConfig {
             queue_capacity: 4,
-            batch_max: 2,
             workers: 2,
             ..ServeConfig::default()
         }));
@@ -616,7 +600,6 @@ mod tests {
         // deterministic.
         let server = Arc::new(Server::new(ServeConfig {
             queue_capacity: 2,
-            batch_max: 2,
             workers: 1,
             ..ServeConfig::default()
         }));
@@ -674,6 +657,47 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_job_does_not_hold_an_idle_executor() {
+        let server = Arc::new(Server::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        }));
+        let dispatcher = server.spawn_dispatcher();
+        let status = |resp: &str| {
+            Json::parse(resp)
+                .expect("response is JSON")
+                .get("status")
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+        };
+        // About 110 ms on a warm debug build; the quick run takes 3.5 ms.
+        let slow = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || {
+                let line = "{\"id\":\"slow\",\"workload\":\"Find\",\"cores\":2,\
+                            \"max_instructions\":3000000,\"warmup_instructions\":20000}";
+                server.handle_request_line(line).0
+            })
+        };
+        // Admitted and no longer queued: an executor holds the slow job.
+        while server.counters().get(Counter::ServeCacheMisses) < 1 || server.queue_depth() > 0 {
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let (fast, _) = server.handle_request_line(&quick_run_line("fast", "Find"));
+        assert_eq!(status(&fast).as_deref(), Some("ok"), "{fast}");
+        assert_eq!(
+            server.counters().get(Counter::ServeExecuted),
+            1,
+            "the idle executor ran the quick job while the slow one ran"
+        );
+        let slow = slow.join().expect("no panic");
+        assert_eq!(status(&slow).as_deref(), Some("ok"), "{slow}");
+        assert_eq!(server.counters().get(Counter::ServeExecuted), 2);
+        server.close();
+        dispatcher.join().expect("executors exit");
+    }
+
+    #[test]
     fn ping_stats_and_shutdown_requests() {
         let server = Server::new(ServeConfig::default());
         let (pong, shutdown) = server.handle_request_line("{\"op\":\"ping\",\"id\":\"p\"}");
@@ -721,7 +745,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServeConfig {
             queue_capacity: 4,
-            batch_max: 2,
             workers: 2,
             cache_dir: Some(dir.clone()),
             chaos: None,

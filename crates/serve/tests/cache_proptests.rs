@@ -86,7 +86,6 @@ proptest! {
 
         let server = Arc::new(Server::new(ServeConfig {
             queue_capacity: 4,
-            batch_max: 2,
             workers: 2,
             ..ServeConfig::default()
         }));
@@ -127,7 +126,6 @@ proptest! {
         );
         let server = Arc::new(Server::new(ServeConfig {
             queue_capacity: 16,
-            batch_max: 4,
             workers: 2,
             ..ServeConfig::default()
         }));

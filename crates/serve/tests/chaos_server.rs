@@ -64,7 +64,7 @@ fn submit(endpoint: &Endpoint, line: &str) -> Result<String, TestCaseError> {
         max_ms: 50,
         seed: 0,
     };
-    let response = submit_with_retry(endpoint, &timeouts, &policy, line, None)
+    let response = submit_with_retry(endpoint, &timeouts, &policy, line)
         .map_err(|e| TestCaseError::Fail(format!("a request failed: {e}")))?
         .response;
     match Response::parse(&response) {
@@ -94,7 +94,6 @@ fn kill_and_restart(plan: &str, seed: u64) -> Result<(), TestCaseError> {
     let dir = tmp_dir(plan, seed);
     let cfg = ServeConfig {
         queue_capacity: 16,
-        batch_max: 4,
         workers: 2,
         cache_dir: Some(dir.clone()),
         chaos: Some(ChaosPlan::parse(&format!("{plan}@{seed}"), 0).expect("plan parses")),

@@ -168,9 +168,8 @@ impl Fleet {
                         let mut outcomes = Vec::new();
                         for (key, line) in asks.iter().skip(client).step_by(CLIENTS) {
                             let started = Instant::now();
-                            let response =
-                                submit_with_retry(&router, &timeouts, &policy, line, None)
-                                    .map(|outcome| outcome.response);
+                            let response = submit_with_retry(&router, &timeouts, &policy, line)
+                                .map(|outcome| outcome.response);
                             outcomes.push(Outcome {
                                 key: *key,
                                 response,

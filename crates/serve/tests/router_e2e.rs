@@ -4,14 +4,18 @@
 //! (router hot-cache + single-flight above the workers' own tiers),
 //! result bytes through the router are identical to a direct worker
 //! run, transport failures fail over around the ring, and worker
-//! rejections propagate verbatim with their retry hints.
+//! rejections propagate verbatim with their retry hints; a duplicate
+//! that coalesced onto a shed job gets an error a client retries.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::Duration;
 
-use schedtask_experiments::serve_api::{result_payload, Endpoint, JobSpec, Json, Response};
+use schedtask_experiments::serve_api::{
+    error_is_transient, result_payload, Endpoint, JobSpec, Json, Response,
+};
 use schedtask_experiments::Technique;
 use schedtask_obs::Counter;
 use schedtask_serve::router::{build_ring, route, RING_REPLICAS};
@@ -31,12 +35,12 @@ fn start_worker(cfg: ServeConfig) -> (Endpoint, Arc<Server>, Serving) {
 const TORN_OK: &str = "{\"v\":1,\"status\":\"ok\",\"cached\":false,\"coa";
 
 /// A fake worker that answers the router's join-time ping correctly,
-/// then writes `reply` verbatim to every subsequent request on that
-/// connection, and refuses all connections after the first (the
-/// listener is dropped) — a worker that joins the fleet and then dies.
-/// With no reply, or a reply cut short of its newline, the connection
-/// closes after the first request.
-fn start_canned_worker(reply: Option<&'static str>) -> Endpoint {
+/// then writes `reply` verbatim, `delay` after each subsequent request
+/// on that connection, and refuses all connections after the first
+/// (the listener is dropped) — a worker that joins the fleet and then
+/// dies. With no reply, or a reply cut short of its newline, the
+/// connection closes after the first request.
+fn start_canned_worker(reply: Option<&'static str>, delay: Duration) -> Endpoint {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("bound address").to_string();
     thread::spawn(move || {
@@ -56,6 +60,7 @@ fn start_canned_worker(reply: Option<&'static str>) -> Endpoint {
             let resp = if line.contains("\"op\":\"ping\"") {
                 "{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":1}\n"
             } else {
+                thread::sleep(delay);
                 match reply {
                     Some(reply) => reply,
                     None => return,
@@ -87,7 +92,6 @@ fn tiny_spec(seed: u64) -> JobSpec {
 fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
     let cfg = ServeConfig {
         queue_capacity: 16,
-        batch_max: 4,
         workers: 2,
         ..ServeConfig::default()
     };
@@ -158,7 +162,6 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
 fn transport_failures_fail_over_to_the_next_ring_worker() {
     let (live, _worker, serving) = start_worker(ServeConfig {
         queue_capacity: 16,
-        batch_max: 4,
         workers: 2,
         ..ServeConfig::default()
     });
@@ -166,7 +169,10 @@ fn transport_failures_fail_over_to_the_next_ring_worker() {
     // then drops the connection on the next request, or tears its reply
     // mid-line, and refuses every later dial.
     for dead_reply in [None, Some(TORN_OK)] {
-        let workers = vec![live.clone(), start_canned_worker(dead_reply)];
+        let workers = vec![
+            live.clone(),
+            start_canned_worker(dead_reply, Duration::ZERO),
+        ];
         let router = Router::new(RouterConfig::new(workers.clone())).expect("router starts");
 
         // Find a spec the ring assigns to the dead worker so the forward
@@ -200,8 +206,8 @@ fn worker_rejections_propagate_verbatim_with_retry_hints() {
     let rejected = "{\"v\":1,\"id\":\"shed\",\"status\":\"rejected\",\
                     \"queue_depth\":9,\"retry_after_ms\":1234}\n";
     let router = Router::new(RouterConfig::new(vec![
-        start_canned_worker(Some(rejected)),
-        start_canned_worker(Some(rejected)),
+        start_canned_worker(Some(rejected), Duration::ZERO),
+        start_canned_worker(Some(rejected), Duration::ZERO),
     ]))
     .expect("router starts");
 
@@ -226,4 +232,57 @@ fn worker_rejections_propagate_verbatim_with_retry_hints() {
     let (again, _) = router.handle_request_line(&line);
     assert!(again.contains("\"status\":\"rejected\""), "{again}");
     assert!(router.counter(Counter::ServeRouterForwarded) > forwarded_before);
+}
+
+#[test]
+fn a_duplicate_of_a_shed_job_gets_a_transient_error() {
+    // The worker sheds the job only after a delay, so of two identical
+    // requests started together, the second coalesces onto the first's
+    // forward and reads the failed hot-tier slot's error.
+    let rejected = "{\"v\":1,\"id\":\"shed\",\"status\":\"rejected\",\
+                    \"queue_depth\":9,\"retry_after_ms\":1234}\n";
+    let router = Arc::new(
+        Router::new(RouterConfig::new(vec![start_canned_worker(
+            Some(rejected),
+            Duration::from_millis(300),
+        )]))
+        .expect("router starts"),
+    );
+    let line = tiny_spec(1).to_request_line(Some("shed"), false);
+    let start = Arc::new(Barrier::new(2));
+    let handles: Vec<thread::JoinHandle<String>> = (0..2)
+        .map(|_| {
+            let (router, line, start) = (Arc::clone(&router), line.clone(), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                router.handle_request_line(&line).0
+            })
+        })
+        .collect();
+    let responses: Vec<String> = handles
+        .into_iter()
+        .map(|h| h.join().expect("submitter does not panic"))
+        .collect();
+    assert_eq!(
+        router.counter(Counter::ServeRouterCoalesced),
+        1,
+        "{responses:?}"
+    );
+    let errors: Vec<String> = responses
+        .iter()
+        .filter_map(|resp| match Response::parse(resp) {
+            Ok(Response::Error { error, .. }) => Some(error),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        errors.len(),
+        1,
+        "one rejection, one duplicate: {responses:?}"
+    );
+    assert!(
+        error_is_transient(&errors[0]),
+        "a retry after backpressure can succeed: {}",
+        errors[0]
+    );
 }

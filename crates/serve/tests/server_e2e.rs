@@ -29,7 +29,6 @@ fn start_worker(cfg: ServeConfig) -> (String, Serving) {
 fn tcp_round_trip_caches_and_acknowledges_shutdown() {
     let (addr, serving) = start_worker(ServeConfig {
         queue_capacity: 8,
-        batch_max: 4,
         workers: 2,
         ..ServeConfig::default()
     });
