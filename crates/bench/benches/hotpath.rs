@@ -1,13 +1,12 @@
 //! Micro-benchmarks of the data-oriented hot-path structures: the flat
 //! set-associative cache, the open-addressed TLB, the open-addressed
-//! coherence directory, the calendar event queue, the Page-heatmap
-//! insert/overlap pair, and an in-situ replica of the engine's
-//! per-block execute loop. These are the structures every simulated
-//! instruction flows through; `perfbench`'s `sim_fig7` workload
-//! measures the same path end-to-end (see `perfbench/README.md`).
+//! coherence directory, the Page-heatmap insert/overlap pair, and an
+//! in-situ replica of the engine's per-block execute loop. These are
+//! the structures every simulated instruction flows through;
+//! `perfbench`'s `sim_fig7` workload measures the same path end-to-end
+//! (see `perfbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use schedtask_kernel::BenchEventQueue;
 use schedtask_sim::{
     CacheParams, CodeDomain, Directory, GshareBranchPredictor, MemorySystem, PageHeatmap,
     SetAssocCache, SystemConfig, Tlb,
@@ -97,37 +96,6 @@ fn bench_directory(c: &mut Criterion) {
     g.finish();
 }
 
-/// Calendar event queue under the engine's real traffic shape: mostly
-/// near-future pushes (device completions, timer ticks) with a far tail,
-/// interleaved pops.
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hotpath");
-    g.sample_size(SAMPLES);
-    g.bench_function("event_queue_push_pop", |b| {
-        let mut q = BenchEventQueue::new();
-        let mut now = 0u64;
-        let mut s = Stream(0xE4E7);
-        for _ in 0..64 {
-            q.push(1000);
-        }
-        b.iter(|| {
-            let r = s.next();
-            // Near-future deltas dominate; 1/16 land past the ring window.
-            let delta = if r & 15 != 0 {
-                r % 200_000
-            } else {
-                10_000_000 + r % 5_000_000
-            };
-            q.push(now + delta);
-            if let Some(t) = q.pop() {
-                now = now.max(t);
-            }
-            black_box(now)
-        });
-    });
-    g.finish();
-}
-
 /// One Page-heatmap insert followed by an overlap against a fixed
 /// 64-page heatmap: the 512-bit AND/popcount that TAlloc's overlap
 /// table repeats N² times per epoch.
@@ -206,7 +174,6 @@ criterion_group!(
     bench_cache,
     bench_tlb,
     bench_directory,
-    bench_event_queue,
     bench_heatmap,
     bench_block_loop
 );

@@ -1019,6 +1019,25 @@ mod tests {
     }
 
     #[test]
+    fn a_machine_over_64_cores_is_a_typed_config_error() {
+        use schedtask_kernel::ConfigError;
+        // SelectiveOffload doubles 33 cores to 66, past the directory's
+        // 64-bit sharer mask.
+        let err = RunBuilder::new(&ExpParams::quick().with_cores(33))
+            .technique(Technique::SelectiveOffload)
+            .benchmark(BenchmarkKind::Apache, 1.0)
+            .run()
+            .expect_err("66 cores must be rejected");
+        assert!(
+            matches!(
+                err.cause,
+                FailureCause::Engine(EngineError::Config(ConfigError::System(_)))
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn engine_config_carries_faults_and_sanitizer() {
         let p = ExpParams::quick()
             .with_faults(FaultPlan::light(11))

@@ -1883,6 +1883,11 @@ mod tests {
             "worker shed the job; retry after 1234 ms"
         ));
         assert!(!error_is_transient("unknown workload \"Fnid\""));
+        assert!(!error_is_transient(
+            "SelectiveOffload on Apache: invalid configuration: invalid machine \
+             configuration: num_cores 66 exceeds 64, the width of the coherence \
+             directory's sharer mask"
+        ));
     }
 
     #[test]

@@ -17,35 +17,6 @@ pub struct DeviceModelConfig {
     pub period_cycles: u64,
 }
 
-/// Watchdog budgets: the engine's defence against livelock. Each field
-/// set to zero disables that budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Fail with [`crate::EngineError::Livelock`] if this many simulated
-    /// cycles pass without a single workload instruction retiring.
-    pub max_stall_cycles: u64,
-    /// Fail with [`crate::EngineError::EventBudgetExceeded`] after this
-    /// many processed events plus core steps.
-    pub max_events: u64,
-    /// Fail with [`crate::EngineError::WallClockExceeded`] after this
-    /// many wall-clock milliseconds.
-    pub max_wall_ms: u64,
-}
-
-impl Default for WatchdogConfig {
-    /// Only the stall budget is armed by default: generous enough that
-    /// no legitimate run (device latencies are well under a million
-    /// cycles) can trip it, tight enough to catch a scheduler that
-    /// stops dispatching work.
-    fn default() -> Self {
-        WatchdogConfig {
-            max_stall_cycles: 500_000_000,
-            max_events: 0,
-            max_wall_ms: 0,
-        }
-    }
-}
-
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -76,8 +47,6 @@ pub struct EngineConfig {
     pub max_instructions: u64,
     /// Instructions executed before statistics are reset (cache warm-up).
     pub warmup_instructions: u64,
-    /// Hard stop on simulated cycles (safety net).
-    pub max_cycles: u64,
     /// Master seed for all deterministic randomness.
     pub seed: u64,
     /// Width of the hardware Page-heatmap registers in bits.
@@ -92,15 +61,8 @@ pub struct EngineConfig {
     /// roughly 2-4x wall clock; intended for tests and debugging, off by
     /// default.
     pub sanitize: bool,
-    /// Livelock watchdog budgets.
-    pub watchdog: WatchdogConfig,
     /// DMA/NIC-style device models injecting interrupt traffic.
     pub devices: Vec<DeviceModelConfig>,
-    /// Per-core clock dividers: core `c` runs at `1/dividers[c]` of the
-    /// reference clock, so every cycle it charges (instruction execution
-    /// and scheduler overhead) is multiplied by its divider. Empty means
-    /// all cores run at the reference clock (divider 1).
-    pub core_clock_dividers: Vec<u64>,
 }
 
 impl EngineConfig {
@@ -119,15 +81,12 @@ impl EngineConfig {
             migration_cost_cycles: 100,
             max_instructions: 50_000_000,
             warmup_instructions: 2_000_000,
-            max_cycles: u64::MAX,
             seed: 0x5EED_5EED,
             heatmap_bits: 512,
             collect_epoch_breakups: false,
             faults: None,
             sanitize: false,
-            watchdog: WatchdogConfig::default(),
             devices: Vec::new(),
-            core_clock_dividers: Vec::new(),
             system,
         }
     }
@@ -186,12 +145,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets per-core clock dividers (one entry per core).
-    pub fn with_core_clock_dividers(mut self, dividers: Vec<u64>) -> Self {
-        self.core_clock_dividers = dividers;
-        self
-    }
-
     /// Validates the whole configuration. [`crate::Engine::new`] calls
     /// this, so a bad configuration fails fast with a typed error
     /// instead of panicking mid-run.
@@ -224,18 +177,6 @@ impl EngineConfig {
         for (index, dev) in self.devices.iter().enumerate() {
             if dev.period_cycles == 0 {
                 return Err(ConfigError::BadDevicePeriod { index });
-            }
-        }
-        if !self.core_clock_dividers.is_empty() {
-            if self.core_clock_dividers.len() != self.system.num_cores {
-                return Err(ConfigError::BadClockDividers {
-                    detail: "must be empty or have one entry per core",
-                });
-            }
-            if self.core_clock_dividers.iter().any(|&d| d == 0 || d > 1024) {
-                return Err(ConfigError::BadClockDividers {
-                    detail: "each divider must be in 1..=1024",
-                });
             }
         }
         Ok(())
@@ -337,12 +278,10 @@ mod tests {
 
     #[test]
     fn device_and_divider_builders_validate() {
-        let cfg = EngineConfig::fast()
-            .with_device(DeviceModelConfig {
-                kind: DeviceKind::Network,
-                period_cycles: 80_000,
-            })
-            .with_core_clock_dividers(vec![1; SystemConfig::table2().num_cores]);
+        let cfg = EngineConfig::fast().with_device(DeviceModelConfig {
+            kind: DeviceKind::Network,
+            period_cycles: 80_000,
+        });
         assert!(cfg.validate().is_ok());
 
         let cfg = EngineConfig::fast().with_device(DeviceModelConfig {
@@ -352,19 +291,6 @@ mod tests {
         assert!(matches!(
             cfg.validate(),
             Err(ConfigError::BadDevicePeriod { index: 0 })
-        ));
-
-        let cfg = EngineConfig::fast().with_core_clock_dividers(vec![1, 2]);
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::BadClockDividers { .. })
-        ));
-        let cfg =
-            EngineConfig::fast()
-                .with_core_clock_dividers(vec![0; SystemConfig::table2().num_cores]);
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::BadClockDividers { .. })
         ));
     }
 

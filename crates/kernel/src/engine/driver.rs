@@ -256,23 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_dividers_slow_the_core() {
-        let cfg = base_cfg().with_core_clock_dividers(vec![1, 4]);
-        let engine = engine_with(cfg.clone());
-        let dividers: Vec<u64> = engine.core.cores.iter().map(|c| c.divider).collect();
-        assert_eq!(dividers, vec![1, 4]);
-
-        let slow = run_stats(cfg);
-        let even = run_stats(base_cfg());
-        assert!(
-            slow.final_cycle > even.final_cycle,
-            "a divided core must stretch wall-clock: {} vs {}",
-            slow.final_cycle,
-            even.final_cycle
-        );
-    }
-
-    #[test]
     fn device_model_injects_interrupt_traffic() {
         let quiet = run_stats(base_cfg());
         let noisy = run_stats(base_cfg().with_device(DeviceModelConfig {

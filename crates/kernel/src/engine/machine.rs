@@ -8,7 +8,7 @@
 //! the memory system, the heatmap registers, or the per-quantum
 //! instruction walk lives here.
 
-use super::events::EventQueue;
+use super::events::HeapEvent;
 use super::interrupts::PendingIrq;
 use super::KERNEL_TID;
 use crate::config::EngineConfig;
@@ -26,7 +26,7 @@ use schedtask_workload::{
     BenchmarkInstance, BenchmarkSpec, Footprint, FootprintWalker, PageAllocator, ServiceCatalog,
     SfCategory, SuperFuncType, WalkParams, LINES_PER_PAGE,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// One simulated thread (or single-threaded process instance).
@@ -48,11 +48,6 @@ pub(crate) struct CoreState {
     pub(crate) preempt_stack: Vec<SfId>,
     pub(crate) pending_irqs: VecDeque<PendingIrq>,
     pub(super) idle: bool,
-    /// Clock divider: every cycle this core charges is multiplied by
-    /// this factor, modelling a core running at `1/divider` of the
-    /// reference clock (the seed of ROADMAP item 4's big.LITTLE
-    /// support). `1` everywhere is the homogeneous default.
-    pub(super) divider: u64,
     /// The hardware Page-heatmap register (Section 5.4), if armed.
     heatmap: Option<PageHeatmap>,
     /// Exact page collection (Figure 11's ideal-ranking baseline).
@@ -85,7 +80,7 @@ pub struct EngineCore {
     pub(super) threads: Vec<Thread>,
     pub(crate) sfs: HashMap<SfId, SuperFunction>,
     pub(crate) cores: Vec<CoreState>,
-    pub(crate) events: EventQueue,
+    pub(crate) events: BinaryHeap<HeapEvent>,
     pub(super) event_seq: u64,
     pub(super) id_alloc: SfIdAllocator,
     pub(crate) stats: SimStats,
@@ -150,11 +145,6 @@ impl EngineCore {
     /// Panics if the SuperFunction does not exist.
     pub fn sf_type(&self, sf: SfId) -> SuperFuncType {
         self.sf(sf).sf_type
-    }
-
-    /// SuperFunction state.
-    pub fn sf_state(&self, sf: SfId) -> SfState {
-        self.sf(sf).state
     }
 
     /// SuperFunction parent (`parentSuperFuncPtr`).
@@ -273,14 +263,6 @@ impl EngineCore {
         &self.stats
     }
 
-    /// True when at least one enabled [`Observer`] is attached.
-    ///
-    /// Schedulers can use this to skip expensive event preparation; the
-    /// engine's own emit helpers already check it.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_enabled()
-    }
-
     /// Emits a structured observability event to every attached sink.
     ///
     /// The closure runs only when an enabled observer is attached, so
@@ -357,7 +339,6 @@ impl EngineCore {
             executed += block.instructions as u64;
         }
         cycles += (executed as f64 * base_cpi).round() as u64;
-        cycles = cycles.saturating_mul(core.divider);
         core.clock += cycles;
         self.stats.core_time[c].busy_cycles += cycles;
         self.stats.instructions.scheduler += executed;
@@ -417,7 +398,6 @@ impl EngineCore {
         self.stats.branches += branches;
         self.stats.branch_mispredictions += mispredicts;
         cycles += (executed as f64 * base_cpi).round() as u64;
-        cycles = cycles.saturating_mul(core.divider);
 
         core.clock += cycles;
         sf.cycles_used += cycles;
@@ -648,7 +628,6 @@ impl EngineCore {
                 preempt_stack: Vec::new(),
                 pending_irqs: VecDeque::new(),
                 idle: false,
-                divider: cfg.core_clock_dividers.get(c).copied().unwrap_or(1),
                 heatmap: None,
                 exact_pages: None,
                 sched_walker: FootprintWalker::new(
@@ -679,7 +658,7 @@ impl EngineCore {
             threads,
             sfs,
             cores,
-            events: EventQueue::new(),
+            events: BinaryHeap::new(),
             event_seq: 0,
             id_alloc,
             stats,

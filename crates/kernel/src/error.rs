@@ -14,8 +14,6 @@ use std::fmt;
 /// mid-run).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// The machine has no cores.
-    ZeroCores,
     /// The workload has no benchmark parts.
     EmptyWorkload,
     /// The scheduling epoch length is zero or implausibly long.
@@ -46,11 +44,6 @@ pub enum ConfigError {
         /// Index of the rejected device in `EngineConfig::devices`.
         index: usize,
     },
-    /// The per-core clock dividers are malformed.
-    BadClockDividers {
-        /// What was rejected.
-        detail: &'static str,
-    },
     /// The simulated machine failed validation (`schedtask-sim`).
     System(String),
 }
@@ -58,7 +51,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroCores => write!(f, "machine must have at least one core"),
             ConfigError::EmptyWorkload => write!(f, "workload must not be empty"),
             ConfigError::EpochOutOfRange { cycles } => {
                 write!(f, "epoch length of {cycles} cycles is out of range")
@@ -79,9 +71,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadDevicePeriod { index } => {
                 write!(f, "device model {index} has a zero inter-arrival period")
             }
-            ConfigError::BadClockDividers { detail } => {
-                write!(f, "invalid core clock dividers: {detail}")
-            }
             ConfigError::System(msg) => write!(f, "invalid machine configuration: {msg}"),
         }
     }
@@ -98,9 +87,6 @@ impl std::error::Error for ConfigError {}
 /// converts it into [`EngineError::Scheduler`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedError {
-    /// The scheduler was handed (or produced) an id for a SuperFunction
-    /// the engine does not know.
-    UnknownSuperFunction(SfId),
     /// A per-core queue is internally inconsistent (bad position, lost
     /// entry).
     CorruptQueue {
@@ -122,9 +108,6 @@ pub enum SchedError {
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedError::UnknownSuperFunction(sf) => {
-                write!(f, "scheduler references unknown SuperFunction {sf}")
-            }
             SchedError::CorruptQueue { core, detail } => {
                 write!(f, "corrupt runnable queue on {core}: {detail}")
             }
@@ -187,20 +170,11 @@ pub enum EngineError {
     Livelock {
         /// Simulated cycle at detection.
         at_cycle: u64,
-        /// Simulated cycles since the last retired workload instruction.
+        /// Simulated cycles since the last retired application or
+        /// system-call instruction.
         stalled_cycles: u64,
         /// Events processed in total.
         events_processed: u64,
-    },
-    /// The watchdog's total event budget was exhausted.
-    EventBudgetExceeded {
-        /// Events processed when the budget tripped.
-        events_processed: u64,
-    },
-    /// The watchdog's wall-clock budget was exhausted.
-    WallClockExceeded {
-        /// The configured budget in milliseconds.
-        limit_ms: u64,
     },
     /// The sanitizer detected an invariant violation.
     InvariantViolation(Violation),
@@ -238,15 +212,6 @@ impl fmt::Display for EngineError {
                 "livelock: no workload progress for {stalled_cycles} cycles \
                  (at cycle {at_cycle}, {events_processed} events processed)"
             ),
-            EngineError::EventBudgetExceeded { events_processed } => {
-                write!(
-                    f,
-                    "watchdog event budget exhausted after {events_processed} events"
-                )
-            }
-            EngineError::WallClockExceeded { limit_ms } => {
-                write!(f, "watchdog wall-clock budget of {limit_ms} ms exhausted")
-            }
             EngineError::InvariantViolation(v) => write!(f, "{v}"),
             EngineError::StateCorruption { detail } => {
                 write!(f, "engine state corruption: {detail}")
@@ -286,8 +251,8 @@ mod tests {
         assert!(e.to_string().contains("sf7"));
         let e = EngineError::NoCurrentSf { core: CoreId(3) };
         assert!(e.to_string().contains("core3"));
-        let e = EngineError::from(ConfigError::ZeroCores);
-        assert!(e.to_string().contains("at least one core"));
+        let e = EngineError::from(ConfigError::ZeroQuantum);
+        assert!(e.to_string().contains("quantum_instructions"));
         let e = EngineError::from(SchedError::NoCandidate {
             detail: "steal victim".into(),
         });

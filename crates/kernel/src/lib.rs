@@ -18,8 +18,8 @@
 //! * a robustness layer: typed errors ([`EngineError`], [`SchedError`],
 //!   [`ConfigError`]), a deterministic fault-injection framework
 //!   ([`FaultPlan`]), an opt-in invariant sanitizer
-//!   ([`EngineConfig::sanitize`]), and a per-run watchdog
-//!   ([`WatchdogConfig`]) that converts livelock into a structured error.
+//!   ([`EngineConfig::sanitize`]), and a per-run watchdog that converts
+//!   livelock into [`EngineError::Livelock`].
 //!
 //! # Examples
 //!
@@ -58,10 +58,7 @@ pub mod superfunction;
 /// separate dependency edge).
 pub use schedtask_obs as obs;
 
-pub use config::{DeviceModelConfig, EngineConfig, WatchdogConfig};
-
-#[doc(hidden)]
-pub use engine::events::BenchEventQueue;
+pub use config::{DeviceModelConfig, EngineConfig};
 pub use engine::{Engine, EngineCore, WorkloadSpec, KERNEL_TID};
 pub use error::{ConfigError, EngineError, SchedError, Violation};
 pub use faults::{FaultCounts, FaultPlan};

@@ -274,13 +274,19 @@ impl SystemConfig {
     }
 
     /// Checks the machine description for nonsense that would otherwise
-    /// surface as a panic deep inside a run (zero cores, a stopped
-    /// clock, non-probability timing fractions). Construction-time
-    /// builders already reject most bad shapes; this covers structs
-    /// assembled field by field.
+    /// surface as a panic deep inside a run (zero cores, more cores than
+    /// the coherence directory tracks, a stopped clock, non-probability
+    /// timing fractions). Construction-time builders already reject most
+    /// bad shapes; this covers structs assembled field by field.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_cores == 0 {
             return Err("num_cores must be positive".into());
+        }
+        if self.num_cores > 64 {
+            return Err(format!(
+                "num_cores {} exceeds 64, the width of the coherence directory's sharer mask",
+                self.num_cores
+            ));
         }
         if self.clock_hz == 0 {
             return Err("clock_hz must be positive".into());
@@ -394,6 +400,16 @@ mod tests {
         let mut cfg = SystemConfig::table2();
         cfg.base_cpi = 0.0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn more_than_64_cores_is_rejected() {
+        assert!(SystemConfig::table2().with_cores(64).validate().is_ok());
+        let err = SystemConfig::table2()
+            .with_cores(65)
+            .validate()
+            .expect_err("65 cores overflow the sharer mask");
+        assert!(err.contains("sharer mask"), "{err}");
     }
 
     #[test]

@@ -67,6 +67,11 @@ pub struct MemorySystem {
 
 impl MemorySystem {
     /// Builds the memory system described by `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has zero or more than 64 cores, which
+    /// [`SystemConfig::validate`] rejects.
     pub fn new(cfg: &SystemConfig) -> Self {
         let h = &cfg.hierarchy;
         // Decorrelate each cache's Random-victim RNG by level and core
@@ -113,7 +118,7 @@ impl MemorySystem {
             // making every probe a cold cache miss, while a dense table
             // stays resident in the host's caches. Growth rehashing is
             // invisible to the point queries the directory serves.
-            directory: Directory::new(cfg.num_cores.min(64)),
+            directory: Directory::new(cfg.num_cores),
             stats: MemStats::new(),
             lines_per_page: PAGE_BYTES / h.l1i.line_bytes,
             page_shift: {
@@ -243,9 +248,8 @@ impl MemorySystem {
 
         // Coherence: writes always consult the directory (a write hit on
         // a shared copy still needs an ownership upgrade).
-        let dir_core = core.min(63);
         if write {
-            let outcome = self.directory.on_write(dir_core, line);
+            let outcome = self.directory.on_write(core, line);
             if !outcome.silent && !outcome.invalidate.is_empty() {
                 for c in outcome.invalidate {
                     self.invalidate_private(c, line);
@@ -266,7 +270,7 @@ impl MemorySystem {
                 // the line through the memory path.
                 raw_penalty += self.refill_data_from_outer(core, line);
             } else {
-                match self.directory.on_read(dir_core, line) {
+                match self.directory.on_read(core, line) {
                     ReadOutcome::CacheToCache { owner: _ } => {
                         // Served dirty by the remote owner at LLC
                         // latency; fills our private hierarchy too.
