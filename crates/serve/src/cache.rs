@@ -12,6 +12,19 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use crate::disk::RecordLoc;
+
+/// Where a cached result's labelled JSONL event stream lives.
+#[derive(Debug, Clone)]
+pub enum EventStream {
+    /// In memory, the only copy: the worker has no log, or the append
+    /// failed or tore.
+    Held(String),
+    /// In the worker's segment log, read back only for a request that
+    /// asks for the stream.
+    Logged(RecordLoc),
+}
+
 /// Everything one successful execution produced, cached immutably.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
@@ -20,8 +33,8 @@ pub struct JobOutput {
     /// The run's canonical `SimStats` JSON — the response payload,
     /// byte-identical on every replay.
     pub stats_json: String,
-    /// The labelled JSONL event stream captured during the run.
-    pub jsonl: String,
+    /// The JSONL event stream captured during the run.
+    pub jsonl: EventStream,
 }
 
 #[derive(Debug)]
@@ -159,6 +172,16 @@ impl ResultCache {
         slot.cv.notify_all();
     }
 
+    /// The cached output for `key`, if it is ready. Never claims.
+    pub fn get(&self, key: u64) -> Option<Arc<JobOutput>> {
+        let slots = self.slots.lock().expect("cache map poisoned");
+        let state = slots.get(&key)?.state.lock().expect("cache slot poisoned");
+        match &*state {
+            SlotState::Ready(out) => Some(Arc::clone(out)),
+            _ => None,
+        }
+    }
+
     /// Number of cached (ready) results.
     pub fn entries(&self) -> usize {
         let slots = self.slots.lock().expect("cache map poisoned");
@@ -184,7 +207,7 @@ mod tests {
         JobOutput {
             key: format!("{key:016x}"),
             stats_json: format!("{{\"k\":{key}}}"),
-            jsonl: String::new(),
+            jsonl: EventStream::Held(String::new()),
         }
     }
 

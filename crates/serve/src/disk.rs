@@ -4,12 +4,13 @@
 //! under `--cache-dir` as one length-framed, CRC-checked record, then
 //! flushed with `sync_data` before the response leaves the server. On
 //! startup, [`DiskCache::open`] replays every segment once and returns
-//! the records it recovered, truncating a torn tail (a record cut short
-//! by a crash mid-write) and quarantining any record whose CRC does not
-//! match its payload — corrupt bytes are counted and preserved in
-//! `quarantine.log` for forensics, but **never served**. The caller
-//! (the worker) fills its memory tier with the recovered records; from
-//! then on the log is only appended to, never read.
+//! each recovered key's stats bytes and [`RecordLoc`], truncating a torn
+//! tail (a record cut short by a crash mid-write) and quarantining any
+//! record whose CRC does not match its payload — corrupt bytes are
+//! counted and preserved in `quarantine.log` for forensics, but **never
+//! served**. The caller (the worker) fills its memory tier with the
+//! stats; a record's JSONL stays in the log, and [`DiskCache::read`]
+//! reads it back, checked again, only when a request asks for it.
 //!
 //! # Record format
 //!
@@ -28,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -74,7 +75,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// One durable cache record, as recovered from (or written to) disk.
+/// One cache record's bytes: what an execution produces, what
+/// [`DiskCache::append`] writes and what [`DiskCache::read`] returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskRecord {
     /// Canonical `SimStats` JSON, byte-identical to the original run.
@@ -82,6 +84,21 @@ pub struct DiskRecord {
     /// Labelled JSONL event text captured during the original run.
     pub jsonl: String,
 }
+
+/// Where one record sits in the segment log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordLoc {
+    /// Segment number: the record is in `segment-NNNNN.log`.
+    pub segment: u32,
+    /// Byte offset of the record's header in the segment.
+    pub offset: u64,
+    /// Record length on disk, including its 8-byte header.
+    pub len: u32,
+}
+
+/// What [`DiskCache::open`] recovered: each key's stats bytes and the
+/// location of its record.
+pub type Recovered = HashMap<u64, (String, RecordLoc)>;
 
 /// What [`DiskCache::open`] found while replaying the segment log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,7 +116,7 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 struct SegmentWriter {
     file: File,
-    path: PathBuf,
+    seq: u32,
     written: u64,
 }
 
@@ -111,11 +128,13 @@ struct DiskInner {
 }
 
 /// The persistent tier: an append-only segment log. It holds no record
-/// bytes in memory; [`DiskCache::open`] hands the recovered records to
-/// the caller.
+/// bytes in memory; [`DiskCache::open`] hands the recovered stats and
+/// locations to the caller, and [`DiskCache::read`] reads one record
+/// back.
 ///
 /// All methods take `&self`; the single internal lock covers the active
 /// segment writer and the record count, so appends are serialized.
+/// Reads open the segment by name and take no lock.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -141,36 +160,36 @@ fn encode_record(key: u64, stats_json: &str, jsonl: &str) -> Vec<u8> {
     buf
 }
 
-fn decode_payload(payload: &[u8]) -> Option<(u64, DiskRecord)> {
+fn le_u32(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4-byte slice"))
+}
+
+/// Splits a CRC-checked payload into its key, stats JSON and JSONL.
+fn decode_payload(payload: &[u8]) -> Option<(u64, &str, &str)> {
     if payload.len() < MIN_PAYLOAD_BYTES {
         return None;
     }
     let key = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let stats_len = u32::from_le_bytes(payload[8..12].try_into().ok()?) as usize;
+    let stats_len = le_u32(payload, 8) as usize;
     let stats_end = 12usize.checked_add(stats_len)?;
     if stats_end + 4 > payload.len() {
         return None;
     }
     let stats_json = std::str::from_utf8(&payload[12..stats_end]).ok()?;
-    let jsonl_len = u32::from_le_bytes(payload[stats_end..stats_end + 4].try_into().ok()?) as usize;
+    let jsonl_len = le_u32(payload, stats_end) as usize;
     let jsonl_end = (stats_end + 4).checked_add(jsonl_len)?;
     if jsonl_end != payload.len() {
         return None;
     }
     let jsonl = std::str::from_utf8(&payload[stats_end + 4..jsonl_end]).ok()?;
-    Some((
-        key,
-        DiskRecord {
-            stats_json: stats_json.to_owned(),
-            jsonl: jsonl.to_owned(),
-        },
-    ))
+    Some((key, stats_json, jsonl))
 }
 
 impl DiskCache {
     /// Opens (creating if needed) the cache directory, replays every
-    /// segment, and returns the log, what recovery found, and the
-    /// recovered records by key (a later record for a key wins).
+    /// segment, and returns the log, what recovery found, and each
+    /// recovered key's stats bytes and record location (a later record
+    /// for a key wins).
     ///
     /// Recovery is idempotent: torn tails are physically truncated, so
     /// a second open of the same directory reports zero repairs.
@@ -178,7 +197,7 @@ impl DiskCache {
     /// Only one `DiskCache` may be open on a directory at a time: an
     /// open during another's append would truncate the record being
     /// written as a torn tail.
-    pub fn open(dir: &Path) -> io::Result<(DiskCache, RecoveryReport, HashMap<u64, DiskRecord>)> {
+    pub fn open(dir: &Path) -> io::Result<(DiskCache, RecoveryReport, Recovered)> {
         std::fs::create_dir_all(dir)?;
         let mut segments: Vec<(u32, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -198,9 +217,9 @@ impl DiskCache {
         let mut report = RecoveryReport::default();
         let mut records = HashMap::new();
         let mut quarantined: Vec<u8> = Vec::new();
-        for (_, path) in &segments {
+        for (seq, path) in &segments {
             report.segments += 1;
-            Self::replay_segment(path, &mut records, &mut report, &mut quarantined)?;
+            Self::replay_segment(*seq, path, &mut records, &mut report, &mut quarantined)?;
         }
         if !quarantined.is_empty() {
             let mut qfile = OpenOptions::new()
@@ -227,8 +246,9 @@ impl DiskCache {
     }
 
     fn replay_segment(
+        seq: u32,
         path: &Path,
-        records: &mut HashMap<u64, DiskRecord>,
+        records: &mut Recovered,
         report: &mut RecoveryReport,
         quarantined: &mut Vec<u8>,
     ) -> io::Result<()> {
@@ -242,8 +262,8 @@ impl DiskCache {
                 truncate_at = Some(off);
                 break;
             }
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4-byte slice"));
-            let crc = u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("4-byte slice"));
+            let len = le_u32(&buf, off);
+            let crc = le_u32(&buf, off + 4);
             if len > MAX_RECORD_BYTES || (len as usize) > remaining - HEADER_BYTES {
                 // Implausible or cut-short record: everything from here
                 // on is a torn tail.
@@ -255,8 +275,13 @@ impl DiskCache {
             if crc32(body) != crc {
                 report.corrupt += 1;
                 quarantined.extend_from_slice(&buf[off..record_end]);
-            } else if let Some((key, record)) = decode_payload(body) {
-                records.insert(key, record);
+            } else if let Some((key, stats_json, _)) = decode_payload(body) {
+                let loc = RecordLoc {
+                    segment: seq,
+                    offset: off as u64,
+                    len: HEADER_BYTES as u32 + len,
+                };
+                records.insert(key, (stats_json.to_owned(), loc));
             } else {
                 // Framing and CRC agree but the payload structure is
                 // nonsense — quarantine rather than guess.
@@ -280,17 +305,14 @@ impl DiskCache {
         self.inner.lock().expect("disk cache poisoned").records
     }
 
-    /// Appends one record and fsyncs it. Returns the number of bytes
-    /// written to the segment log.
-    pub fn append(&self, key: u64, stats_json: &str, jsonl: &str) -> io::Result<u64> {
+    /// Appends one record and fsyncs it. Returns where the record sits;
+    /// its `len` is the number of bytes written to the segment log.
+    pub fn append(&self, key: u64, stats_json: &str, jsonl: &str) -> io::Result<RecordLoc> {
         let encoded = encode_record(key, stats_json, jsonl);
         let mut inner = self.inner.lock().expect("disk cache poisoned");
-        let writer = Self::writer_for(&self.dir, &mut inner, encoded.len() as u64)?;
-        writer.file.write_all(&encoded)?;
-        writer.file.sync_data()?;
-        writer.written += encoded.len() as u64;
+        let loc = Self::write(&self.dir, &mut inner, &encoded)?;
         inner.records += 1;
-        Ok(encoded.len() as u64)
+        Ok(loc)
     }
 
     /// Chaos hook: writes only the first `keep_bytes` bytes of the
@@ -307,12 +329,70 @@ impl DiskCache {
         let encoded = encode_record(key, stats_json, jsonl);
         let cut = keep_bytes.min(encoded.len().saturating_sub(1)).max(1);
         let mut inner = self.inner.lock().expect("disk cache poisoned");
-        let writer = Self::writer_for(&self.dir, &mut inner, cut as u64)?;
-        writer.file.write_all(&encoded[..cut])?;
-        writer.file.sync_data()?;
+        let written = Self::write(&self.dir, &mut inner, &encoded[..cut]);
         // Force rotation: the torn bytes must stay a *tail*.
         inner.writer = None;
-        Ok(cut as u64)
+        written.map(|_| cut as u64)
+    }
+
+    /// Writes `bytes` at the end of the active segment and fsyncs them.
+    /// A failed write or sync drops the writer, so any partial bytes
+    /// stay a torn tail and the next append opens a fresh segment.
+    fn write(dir: &Path, inner: &mut DiskInner, bytes: &[u8]) -> io::Result<RecordLoc> {
+        let writer = Self::writer_for(dir, inner, bytes.len() as u64)?;
+        let loc = RecordLoc {
+            segment: writer.seq,
+            offset: writer.written,
+            len: bytes.len() as u32,
+        };
+        match writer
+            .file
+            .write_all(bytes)
+            .and_then(|()| writer.file.sync_data())
+        {
+            Ok(()) => {
+                writer.written += bytes.len() as u64;
+                Ok(loc)
+            }
+            Err(err) => {
+                inner.writer = None;
+                Err(err)
+            }
+        }
+    }
+
+    /// Reads back the record for `key` at `loc` and checks its framing,
+    /// CRC and key. An error names the record; damaged bytes are never
+    /// returned.
+    pub fn read(&self, key: u64, loc: RecordLoc) -> io::Result<DiskRecord> {
+        let name = format!(
+            "record {key:016x} at segment-{:05}.log offset {}",
+            loc.segment, loc.offset
+        );
+        let mut buf = vec![0u8; loc.len as usize];
+        File::open(segment_path(&self.dir, loc.segment))
+            .and_then(|mut file| {
+                file.seek(SeekFrom::Start(loc.offset))?;
+                file.read_exact(&mut buf)
+            })
+            .map_err(|err| io::Error::new(err.kind(), format!("{name}: {err}")))?;
+        let damaged =
+            |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {what}"));
+        if buf.len() < HEADER_BYTES || le_u32(&buf, 0) as usize != buf.len() - HEADER_BYTES {
+            return Err(damaged("length mismatch"));
+        }
+        let payload = &buf[HEADER_BYTES..];
+        if crc32(payload) != le_u32(&buf, 4) {
+            return Err(damaged("CRC mismatch"));
+        }
+        match decode_payload(payload) {
+            Some((found, stats_json, jsonl)) if found == key => Ok(DiskRecord {
+                stats_json: stats_json.to_owned(),
+                jsonl: jsonl.to_owned(),
+            }),
+            Some(_) => Err(damaged("key mismatch")),
+            None => Err(damaged("malformed payload")),
+        }
     }
 
     fn writer_for<'a>(
@@ -330,11 +410,13 @@ impl DiskCache {
         if inner.writer.is_none() {
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            let path = segment_path(dir, seq);
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            let file = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(segment_path(dir, seq))?;
             inner.writer = Some(SegmentWriter {
                 file,
-                path,
+                seq,
                 written: 0,
             });
         }
@@ -346,7 +428,7 @@ impl DiskCache {
     pub fn active_segment_path(&self) -> io::Result<PathBuf> {
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         let writer = Self::writer_for(&self.dir, &mut inner, 0)?;
-        Ok(writer.path.clone())
+        Ok(segment_path(&self.dir, writer.seq))
     }
 }
 
@@ -369,23 +451,89 @@ mod tests {
     #[test]
     fn roundtrip_append_reopen() {
         let dir = tmp_dir("roundtrip");
-        {
+        let appended = {
             let (cache, report, records) = DiskCache::open(&dir).expect("open");
             assert_eq!(report, RecoveryReport::default());
             assert!(records.is_empty());
-            cache.append(7, "{\"a\":1}", "line1\n").expect("append");
-            cache.append(9, "{\"b\":2}", "").expect("append");
+            let first = cache.append(7, "{\"a\":1}", "line1\n").expect("append");
+            let second = cache.append(9, "{\"b\":2}", "").expect("append");
             assert_eq!(cache.records(), 2);
-        }
+            assert_eq!((first.segment, first.offset), (0, 0));
+            assert_eq!(second.offset, u64::from(first.len));
+            vec![(7, first), (9, second)]
+        };
         let (cache, report, records) = DiskCache::open(&dir).expect("reopen");
         assert_eq!(report.records, 2);
         assert_eq!(report.corrupt, 0);
         assert_eq!(report.truncated_tails, 0);
         assert_eq!(cache.records(), 2);
-        let rec = &records[&7];
+        for (key, loc) in appended {
+            assert_eq!(records[&key].1, loc, "recovery finds the appended record");
+        }
+        assert_eq!(records[&7].0, "{\"a\":1}");
+        let rec = cache.read(7, records[&7].1).expect("read back");
         assert_eq!(rec.stats_json, "{\"a\":1}");
         assert_eq!(rec.jsonl, "line1\n");
+        assert_eq!(cache.read(9, records[&9].1).expect("read back").jsonl, "");
         assert!(!records.contains_key(&42));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn read_refuses_a_damaged_or_mismatched_record() {
+        let dir = tmp_dir("read");
+        let (cache, _, _) = DiskCache::open(&dir).expect("open");
+        let loc = cache.append(3, "{\"s\":3}", "stream\n").expect("append");
+        let err = cache.read(4, loc).expect_err("another key's record");
+        assert!(err.to_string().contains("key mismatch"), "{err}");
+        let short = RecordLoc {
+            len: loc.len - 1,
+            ..loc
+        };
+        let err = cache.read(3, short).expect_err("wrong length");
+        assert!(err.to_string().contains("length mismatch"), "{err}");
+        let seg = cache.active_segment_path().expect("segment path");
+        let mut bytes = std::fs::read(&seg).expect("read segment");
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0x01;
+        std::fs::write(&seg, &bytes).expect("write corrupted");
+        let err = cache.read(3, loc).expect_err("flipped JSONL byte");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("record 0000000000000003 at segment-00000.log offset 0"),
+            "{err}"
+        );
+        std::fs::remove_file(&seg).expect("remove segment");
+        let err = cache.read(3, loc).expect_err("missing segment");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_append_rotates_to_a_fresh_segment() {
+        let dir = tmp_dir("full");
+        let (cache, _, _) = DiskCache::open(&dir).expect("open");
+        // The first segment is a full disk until it is removed.
+        let full = segment_path(&dir, 0);
+        std::os::unix::fs::symlink("/dev/full", &full).expect("symlink /dev/full");
+        cache
+            .append(1, "{\"a\":1}", "x\n")
+            .expect_err("a full disk fails the append");
+        std::fs::remove_file(&full).expect("remove the full segment");
+        let loc = cache
+            .append(2, "{\"b\":2}", "y\n")
+            .expect("the disk has space again");
+        assert_eq!(loc.segment, 1, "the failed segment is not written again");
+        assert_eq!(cache.records(), 1);
+        drop(cache);
+        let (cache, report, records) = DiskCache::open(&dir).expect("reopen");
+        assert_eq!(report.records, 1);
+        assert_eq!(
+            cache.read(2, records[&2].1).expect("read back").jsonl,
+            "y\n"
+        );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -403,7 +551,7 @@ mod tests {
         let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.records, 1);
         assert_eq!(report.truncated_tails, 1);
-        assert_eq!(records[&1].stats_json, "{\"ok\":1}");
+        assert_eq!(records[&1].0, "{\"ok\":1}");
         assert!(!records.contains_key(&2), "torn record must not be served");
         // Recovery is idempotent: the tail was physically truncated.
         let (_, report, _) = DiskCache::open(&dir).expect("recover again");
@@ -432,7 +580,7 @@ mod tests {
             !records.contains_key(&1),
             "corrupt bytes must never be served"
         );
-        assert_eq!(records[&2].stats_json, "{\"second\":2}");
+        assert_eq!(records[&2].0, "{\"second\":2}");
         assert!(
             dir.join("quarantine.log").exists(),
             "corrupt bytes preserved for forensics"
@@ -450,7 +598,7 @@ mod tests {
         }
         let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.records, 1);
-        assert_eq!(records[&5].stats_json, "{\"v\":2}");
+        assert_eq!(records[&5].0, "{\"v\":2}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -465,7 +613,7 @@ mod tests {
         let (_, report, records) = DiskCache::open(&dir).expect("recover");
         assert_eq!(report.segments, 2);
         assert_eq!(report.truncated_tails, 1);
-        assert_eq!(records[&2].stats_json, "{\"ok\":2}");
+        assert_eq!(records[&2].0, "{\"ok\":2}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -22,10 +22,12 @@
 //!   and the `--profile` tables.
 //! - **Durability** — with `--cache-dir`, every result is also appended
 //!   to a crash-safe [`disk::DiskCache`] segment log before it is
-//!   published. The log is read once, at startup: recovery truncates
-//!   torn tails, quarantines corrupt records, and fills the memory tier
-//!   with everything that survived, which is then served as
-//!   byte-identical cache hits. The memory tier is the only index.
+//!   published. Startup recovery truncates torn tails, quarantines
+//!   corrupt records, and fills the memory tier with the stats bytes and
+//!   record location of everything that survived, which is then served
+//!   as byte-identical cache hits. The memory tier is the only index. A
+//!   persisted result's JSONL stream lives only in the log, which is
+//!   read again only to answer a request that asks for the stream.
 //! - **Chaos** — a seed-driven [`chaos::ChaosPlan`] can tear disk
 //!   writes, panic workers, and mangle responses deterministically, so
 //!   tests assert recovery invariants instead of getting lucky.
@@ -49,10 +51,10 @@ pub mod queue;
 pub mod router;
 pub mod server;
 
-pub use cache::{JobOutput, Lookup, ResultCache};
+pub use cache::{EventStream, JobOutput, Lookup, ResultCache};
 pub use chaos::{ChaosInjector, ChaosPlan, ResponseAction};
 pub use daemon::{serve, Daemon, Listener, Serving};
-pub use disk::{crc32, DiskCache, DiskRecord, RecoveryReport};
+pub use disk::{crc32, DiskCache, DiskRecord, RecordLoc, RecoveryReport};
 pub use queue::{Backpressure, JobQueue, QueuedJob, SubmitError};
 pub use router::{Router, RouterConfig};
 pub use server::{ServeConfig, Server};

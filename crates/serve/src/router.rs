@@ -30,7 +30,7 @@ use schedtask_experiments::serve_api::{
 };
 use schedtask_obs::{Aggregator, Counter, CounterSnapshot, ObsEvent, Observer, SpanKind};
 
-use crate::cache::{JobOutput, Lookup, ResultCache};
+use crate::cache::{EventStream, JobOutput, Lookup, ResultCache};
 
 /// Virtual nodes per worker on the hash ring. Enough that adding or
 /// removing one worker moves ~1/N of the key space and shard sizes stay
@@ -273,7 +273,7 @@ impl Router {
                             JobOutput {
                                 key: hex,
                                 stats_json: result,
-                                jsonl: String::new(),
+                                jsonl: EventStream::Held(String::new()),
                             },
                         );
                     }

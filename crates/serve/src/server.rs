@@ -20,9 +20,9 @@ use schedtask_obs::{
     ObsEvent, Observer, SpanKind,
 };
 
-use crate::cache::{JobOutput, Lookup, ResultCache};
+use crate::cache::{EventStream, JobOutput, Lookup, ResultCache};
 use crate::chaos::{ChaosInjector, ChaosPlan, ResponseAction};
-use crate::disk::{DiskCache, RecoveryReport};
+use crate::disk::{DiskCache, DiskRecord, RecordLoc, RecoveryReport};
 use crate::queue::{JobQueue, QueuedJob, SubmitError};
 
 /// Tunables for one server instance.
@@ -82,8 +82,9 @@ impl Server {
     }
 
     /// A fresh server, recovering the persistent tier when
-    /// `cfg.cache_dir` is set: every recovered record is filled into the
-    /// memory tier, so it is served as an ordinary cache hit. Recovery
+    /// `cfg.cache_dir` is set: every recovered record's stats bytes and
+    /// location are filled into the memory tier, so it is served as an
+    /// ordinary cache hit and its stream is read from the log. Recovery
     /// results are published as a [`ObsEvent::DiskRecovered`] event
     /// (visible in `--profile`) and via [`Server::recovery`].
     pub fn try_new(cfg: ServeConfig) -> io::Result<Server> {
@@ -95,14 +96,14 @@ impl Server {
                 let (disk, report, records) = DiskCache::open(dir)?;
                 // The keys are distinct and the cache is empty, so every
                 // lookup claims.
-                for (key, record) in records {
+                for (key, (stats_json, loc)) in records {
                     if let Lookup::Claimed(slot) = cache.lookup_or_claim(key) {
                         cache.fill(
                             &slot,
                             JobOutput {
                                 key: format!("{key:016x}"),
-                                stats_json: record.stats_json,
-                                jsonl: record.jsonl,
+                                stats_json,
+                                jsonl: EventStream::Logged(loc),
                             },
                         );
                     }
@@ -143,6 +144,11 @@ impl Server {
     /// every successful append since.
     pub fn disk_entries(&self) -> u64 {
         self.disk.as_ref().map_or(0, DiskCache::records)
+    }
+
+    /// The memory tier's output for a job key, if it is cached.
+    pub fn cached(&self, key: u64) -> Option<Arc<JobOutput>> {
+        self.cache.get(key)
     }
 
     /// Milliseconds since server start (the `at` clock of serve events).
@@ -216,7 +222,7 @@ impl Server {
                 if self.chaos_worker_panic() {
                     panic!("chaos: injected worker panic");
                 }
-                execute_job(&job.spec, job.key)
+                execute_job(&job.spec)
             }))
             .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(payload))));
             let micros = started.elapsed().as_micros() as u64;
@@ -228,11 +234,20 @@ impl Server {
                 micros,
             });
             match result {
-                Ok(output) => {
+                Ok(run) => {
                     // Persist (and fsync) before publishing: once a
                     // response leaves the server, the record must
-                    // survive a crash.
-                    self.persist(job.key, &output);
+                    // survive a crash. A logged stream is not kept in
+                    // memory.
+                    let jsonl = match self.persist(job.key, &run) {
+                        Some(loc) => EventStream::Logged(loc),
+                        None => EventStream::Held(run.jsonl),
+                    };
+                    let output = JobOutput {
+                        key: format!("{:016x}", job.key),
+                        stats_json: run.stats_json,
+                        jsonl,
+                    };
                     self.cache.fill(&job.slot, output);
                 }
                 Err(err) => self.cache.fail(job.key, &job.slot, err),
@@ -242,37 +257,34 @@ impl Server {
     }
 
     /// Appends one fresh result to the persistent tier (when enabled),
-    /// letting the chaos plan tear or fail the write. Persistence
-    /// failures never fail the job — the result is already served from
-    /// memory; the disk tier just loses one record, which a resubmit
-    /// after restart will regenerate.
-    fn persist(&self, key: u64, out: &JobOutput) {
-        let Some(disk) = &self.disk else { return };
-        let record_len = out.stats_json.len() + out.jsonl.len() + 24;
+    /// letting the chaos plan tear or fail the write, and returns where
+    /// the record sits. Persistence failures never fail the job: the
+    /// stream stays held in memory, and only durability is lost until a
+    /// resubmit after a restart regenerates the record.
+    fn persist(&self, key: u64, run: &DiskRecord) -> Option<RecordLoc> {
+        let disk = self.disk.as_ref()?;
+        let record_len = run.stats_json.len() + run.jsonl.len() + 24;
         match self.chaos_disk_action(record_len) {
-            DiskAction::Persist => match disk.append(key, &out.stats_json, &out.jsonl) {
-                Ok(bytes) => self.emit(ObsEvent::DiskWritten {
-                    at: self.now_ms(),
-                    key,
-                    bytes,
-                }),
-                Err(_) => self.emit(ObsEvent::DiskWriteFailed {
-                    at: self.now_ms(),
-                    key,
-                }),
-            },
-            DiskAction::Torn(keep) => {
-                let _ = disk.append_torn(key, &out.stats_json, &out.jsonl, keep);
-                self.emit(ObsEvent::DiskWriteFailed {
-                    at: self.now_ms(),
-                    key,
-                });
+            DiskAction::Persist => {
+                if let Ok(loc) = disk.append(key, &run.stats_json, &run.jsonl) {
+                    self.emit(ObsEvent::DiskWritten {
+                        at: self.now_ms(),
+                        key,
+                        bytes: u64::from(loc.len),
+                    });
+                    return Some(loc);
+                }
             }
-            DiskAction::Fail => self.emit(ObsEvent::DiskWriteFailed {
-                at: self.now_ms(),
-                key,
-            }),
+            DiskAction::Torn(keep) => {
+                let _ = disk.append_torn(key, &run.stats_json, &run.jsonl, keep);
+            }
+            DiskAction::Fail => {}
         }
+        self.emit(ObsEvent::DiskWriteFailed {
+            at: self.now_ms(),
+            key,
+        });
+        None
     }
 
     /// Rolls the chaos dice for one disk append.
@@ -445,20 +457,40 @@ impl Server {
                 }
             }
         };
-        let latency_us = submitted.elapsed().as_micros() as u64;
-        match output {
-            Ok(out) => Response::Ok {
-                id: id.clone(),
-                cached,
-                coalesced,
-                key: out.key.clone(),
-                queue_depth: self.queue.depth() as u64,
-                latency_us,
-                result: out.stats_json.clone(),
-                jsonl: want_obs.then(|| out.jsonl.clone()),
-            }
-            .render(),
-            Err(err) => error_response(id, &err),
+        let out = match output {
+            Ok(out) => out,
+            Err(err) => return error_response(id, &err),
+        };
+        let jsonl = match want_obs.then(|| self.event_stream(key, &out)).transpose() {
+            Ok(jsonl) => jsonl,
+            Err(err) => return error_response(id, &err),
+        };
+        Response::Ok {
+            id: id.clone(),
+            cached,
+            coalesced,
+            key: out.key.clone(),
+            queue_depth: self.queue.depth() as u64,
+            latency_us: submitted.elapsed().as_micros() as u64,
+            result: out.stats_json.clone(),
+            jsonl,
+        }
+        .render()
+    }
+
+    /// A cached result's JSONL stream: the memory copy when it is held,
+    /// else its log record, read back and checked. A damaged record is
+    /// an error, never served and never regenerated.
+    fn event_stream(&self, key: u64, out: &JobOutput) -> Result<String, String> {
+        match &out.jsonl {
+            EventStream::Held(jsonl) => Ok(jsonl.clone()),
+            EventStream::Logged(loc) => self
+                .disk
+                .as_ref()
+                .expect("a logged stream has a log")
+                .read(key, *loc)
+                .map(|record| record.jsonl)
+                .map_err(|err| format!("event stream unreadable: {err}")),
         }
     }
 
@@ -509,11 +541,11 @@ fn error_response(id: &Option<String>, err: &str) -> String {
     .render()
 }
 
-/// Simulates one job, whose cache key is `key`, and packages the
-/// cacheable output. The JSONL stream is always captured: it is part of
-/// the cached artefact, so replays are byte-identical whether or not the
-/// first submitter asked for it.
-fn execute_job(spec: &JobSpec, key: u64) -> Result<JobOutput, String> {
+/// Simulates one job and returns its canonical stats JSON and JSONL
+/// stream. The stream is always captured: it is part of the cached
+/// artefact, so replays are byte-identical whether or not the first
+/// submitter asked for it.
+fn execute_job(spec: &JobSpec) -> Result<DiskRecord, String> {
     let label = format!("{}/{}", spec.technique.name(), spec.benchmark.name());
     let sink = Arc::new(JsonlSink::with_label(Vec::new(), Some(label)));
     let mut builder =
@@ -532,8 +564,7 @@ fn execute_job(spec: &JobSpec, key: u64) -> Result<JobOutput, String> {
         .benchmark(spec.benchmark, spec.scale)
         .run()
         .map_err(|e| e.to_string())?;
-    Ok(JobOutput {
-        key: format!("{key:016x}"),
+    Ok(DiskRecord {
         stats_json: stats.to_canonical_json(),
         jsonl: sink.take(),
     })
@@ -550,6 +581,24 @@ mod tests {
             "{{\"id\":\"{id}\",\"workload\":\"{workload}\",\"cores\":2,\
              \"max_instructions\":60000,\"warmup_instructions\":20000}}"
         )
+    }
+
+    /// `quick_run_line` for Find, asking for the JSONL stream.
+    const QUICK_OBS_LINE: &str = "{\"id\":\"o\",\"workload\":\"Find\",\"cores\":2,\
+        \"max_instructions\":60000,\"warmup_instructions\":20000,\"obs\":true}";
+
+    fn spec_of(line: &str) -> JobSpec {
+        match parse_request(line).expect("request parses").op {
+            RequestOp::Run(spec, _) => *spec,
+            other => panic!("expected a run op, got {other:?}"),
+        }
+    }
+
+    fn tmp_cache_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("schedtask-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -740,9 +789,7 @@ mod tests {
 
     #[test]
     fn restart_serves_disk_tier_as_byte_identical_cache_hit() {
-        let dir =
-            std::env::temp_dir().join(format!("schedtask-server-disk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_cache_dir("disk");
         let cfg = ServeConfig {
             queue_capacity: 4,
             workers: 2,
@@ -795,6 +842,88 @@ mod tests {
         }
         assert_eq!(server.counters().get(Counter::ServeCacheHits), 2);
         assert_eq!(server.counters().get(Counter::ServeExecuted), 0);
+        server.close();
+        dispatcher.join().expect("dispatcher exits");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_persisted_stream_is_read_back_from_the_log() {
+        let dir = tmp_cache_dir("readback");
+        let spec = spec_of(QUICK_OBS_LINE);
+        let key = spec.cache_key();
+        let fresh = execute_job(&spec).expect("a fresh run").jsonl;
+        // The first lifetime executes and persists; the second recovers.
+        for executed in [1, 0] {
+            let server = Arc::new(Server::new(ServeConfig {
+                cache_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            }));
+            let dispatcher = server.spawn_dispatcher();
+            for _ in 0..2 {
+                let (resp, _) = server.handle_request_line(QUICK_OBS_LINE);
+                let json = Json::parse(&resp).expect("response is JSON");
+                assert_eq!(json.get("status").and_then(Json::as_str), Some("ok"));
+                assert!(
+                    json.get("jsonl").and_then(Json::as_str) == Some(fresh.as_str()),
+                    "the obs response carries a fresh run's stream"
+                );
+            }
+            let out = server.cached(key).expect("the key is cached");
+            assert!(
+                matches!(out.jsonl, EventStream::Logged(_)),
+                "the stream is logged, not held"
+            );
+            assert_eq!(server.counters().get(Counter::ServeExecuted), executed);
+            server.close();
+            dispatcher.join().expect("dispatcher exits");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_damaged_log_record_is_never_served_as_an_obs_stream() {
+        let dir = tmp_cache_dir("damaged");
+        let server = Arc::new(Server::new(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        }));
+        let dispatcher = server.spawn_dispatcher();
+        let (first, _) = server.handle_request_line(QUICK_OBS_LINE);
+        let key = spec_of(QUICK_OBS_LINE).cache_key();
+        let EventStream::Logged(loc) = server.cached(key).expect("cached").jsonl else {
+            panic!("a persisted stream is logged");
+        };
+        // Flip one byte in the middle of the record's JSONL, the last
+        // field of the payload.
+        let jsonl_len = Json::parse(&first)
+            .expect("response is JSON")
+            .get("jsonl")
+            .and_then(Json::as_str)
+            .expect("obs response carries the stream")
+            .len();
+        let segment = dir.join(format!("segment-{:05}.log", loc.segment));
+        let mut bytes = std::fs::read(&segment).expect("read segment");
+        let at = (loc.offset + u64::from(loc.len)) as usize - jsonl_len / 2;
+        bytes[at] ^= 0x20;
+        std::fs::write(&segment, &bytes).expect("damage segment");
+
+        let (obs, _) = server.handle_request_line(QUICK_OBS_LINE);
+        let json = Json::parse(&obs).expect("response is JSON");
+        assert_eq!(json.get("status").and_then(Json::as_str), Some("error"));
+        let error = json
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error text");
+        assert!(error.contains(&format!("record {key:016x}")), "{error}");
+        assert!(error.contains("CRC mismatch"), "{error}");
+
+        let (plain, _) = server.handle_request_line(&quick_run_line("p", "Find"));
+        let json = Json::parse(&plain).expect("response is JSON");
+        assert_eq!(json.get("cached").and_then(Json::as_bool), Some(true));
+        assert!(result_payload(&first).is_some(), "{first}");
+        assert_eq!(result_payload(&plain), result_payload(&first));
+        assert_eq!(server.counters().get(Counter::ServeExecuted), 1);
         server.close();
         dispatcher.join().expect("dispatcher exits");
         std::fs::remove_dir_all(&dir).expect("cleanup");

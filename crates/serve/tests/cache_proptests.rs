@@ -5,49 +5,33 @@
 //! 1. For arbitrary job parameters (including light fault plans and the
 //!    sanitizer), a cache hit replays byte-identical canonical stats
 //!    JSON *and* a byte-identical JSONL event stream compared to both
-//!    the first server execution and a fresh out-of-server run.
+//!    the first server execution and a fresh out-of-server run, with
+//!    the stream held in memory and, with a cache directory, read back
+//!    from the log before and after a restart.
 //! 2. N concurrent submitters of an identical spec trigger exactly one
 //!    execution and all receive identical result bytes.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{fresh_run, spec_of};
 use proptest::prelude::*;
-use schedtask::{SchedTaskConfig, SchedTaskScheduler};
-use schedtask_experiments::runner::RunBuilder;
-use schedtask_experiments::serve_api::{parse_request, JobSpec, Json, RequestOp};
-use schedtask_obs::{Counter, JsonlSink, Observer};
+use schedtask_experiments::serve_api::Json;
+use schedtask_obs::Counter;
 use schedtask_serve::{ServeConfig, Server};
 
-/// Parses a request line into the job spec the server would queue.
-fn spec_of(line: &str) -> JobSpec {
-    match parse_request(line).expect("request parses").op {
-        RequestOp::Run(spec, _) => *spec,
-        other => panic!("expected a run op, got {other:?}"),
-    }
-}
-
-/// Runs `spec` directly — no server, no queue, no cache — mirroring the
-/// daemon's executor, and returns (canonical stats JSON, JSONL stream).
-fn fresh_run(spec: &JobSpec) -> (String, String) {
-    let label = format!("{}/{}", spec.technique.name(), spec.benchmark.name());
-    let sink = Arc::new(JsonlSink::with_label(Vec::new(), Some(label)));
-    let mut builder =
-        RunBuilder::new(&spec.params).observer(Arc::clone(&sink) as Arc<dyn Observer>);
-    builder = match spec.steal {
-        Some(policy) => builder.scheduler(Box::new(SchedTaskScheduler::new(
-            spec.params.cores,
-            SchedTaskConfig {
-                steal_policy: policy,
-                ..SchedTaskConfig::default()
-            },
-        ))),
-        None => builder.technique(spec.technique),
-    };
-    let stats = builder
-        .benchmark(spec.benchmark, spec.scale)
-        .run()
-        .expect("fresh run succeeds");
-    (stats.to_canonical_json(), sink.take())
+/// Serves `line` `times` times on a new server and returns the
+/// responses and how many jobs the server executed.
+fn serve(cfg: &ServeConfig, line: &str, times: usize) -> (Vec<String>, u64) {
+    let server = Arc::new(Server::new(cfg.clone()));
+    let dispatcher = server.spawn_dispatcher();
+    let responses = (0..times)
+        .map(|_| server.handle_request_line(line).0)
+        .collect();
+    server.close();
+    dispatcher.join().expect("dispatcher exits");
+    (responses, server.counters().get(Counter::ServeExecuted))
 }
 
 /// Extracts the `result` object bytes from an ok response that also
@@ -83,36 +67,42 @@ proptest! {
             budget * 10_000
         );
         let (fresh_json, fresh_jsonl) = fresh_run(&spec_of(&line));
+        let dir = std::env::temp_dir().join(format!(
+            "schedtask-cacheprop-{}-{seed}-{budget}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
 
-        let server = Arc::new(Server::new(ServeConfig {
-            queue_capacity: 4,
-            workers: 2,
-            ..ServeConfig::default()
-        }));
-        let dispatcher = server.spawn_dispatcher();
-        let (first, _) = server.handle_request_line(&line);
-        let (second, _) = server.handle_request_line(&line);
-        server.close();
-        dispatcher.join().expect("dispatcher exits");
-
-        let fj = Json::parse(&first).expect("first response parses");
-        let sj = Json::parse(&second).expect("second response parses");
-        prop_assert_eq!(fj.get("status").and_then(Json::as_str), Some("ok"), "{}", first);
-        prop_assert_eq!(fj.get("cached").and_then(Json::as_bool), Some(false));
-        prop_assert_eq!(sj.get("cached").and_then(Json::as_bool), Some(true));
-
-        // The replayed result and event stream are byte-identical to the
-        // first execution and to a run that never saw the server.
-        prop_assert_eq!(result_before_jsonl(&first), result_before_jsonl(&second));
-        prop_assert_eq!(result_before_jsonl(&first), fresh_json);
-        let jsonl_of = |j: &Json| {
-            j.get("jsonl")
-                .and_then(Json::as_str)
-                .expect("jsonl field")
-                .to_owned()
-        };
-        prop_assert_eq!(jsonl_of(&fj), jsonl_of(&sj));
-        prop_assert_eq!(jsonl_of(&fj), fresh_jsonl);
+        // In memory only, then with a cache directory and a restart on
+        // it: the restarted server replays from the log without
+        // executing.
+        for cache_dir in [None, Some(dir.clone())] {
+            let cfg = ServeConfig {
+                queue_capacity: 4,
+                workers: 2,
+                cache_dir,
+                ..ServeConfig::default()
+            };
+            let (mut responses, executed) = serve(&cfg, &line, 2);
+            prop_assert_eq!(executed, 1);
+            if cfg.cache_dir.is_some() {
+                let (restarted, executed) = serve(&cfg, &line, 1);
+                prop_assert_eq!(executed, 0, "a recovered key never runs again");
+                responses.extend(restarted);
+            }
+            // Every replay carries the result and event stream of the
+            // first execution, which equal a run that never saw the
+            // server.
+            for (i, resp) in responses.iter().enumerate() {
+                let json = Json::parse(resp).expect("response parses");
+                prop_assert_eq!(json.get("status").and_then(Json::as_str), Some("ok"), "{}", resp);
+                prop_assert_eq!(json.get("cached").and_then(Json::as_bool), Some(i > 0));
+                prop_assert_eq!(result_before_jsonl(resp), fresh_json.clone());
+                let jsonl = json.get("jsonl").and_then(Json::as_str).expect("jsonl field");
+                prop_assert_eq!(jsonl, fresh_jsonl.as_str());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

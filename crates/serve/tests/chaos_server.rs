@@ -11,6 +11,12 @@
 //!
 //! * every request succeeds, before and after the restart;
 //! * every payload after the restart equals its bytes before the kill;
+//! * every other job asks for its JSONL stream, which equals a direct
+//!   `RunBuilder` run's in both lifetimes;
+//! * a stream whose append succeeded is read from the log, and the rest
+//!   (torn writes, a full disk) are held in memory: the first worker
+//!   logs exactly `disk_entries()` streams, and after the restart every
+//!   recovered key's stream comes from the log;
 //! * recovery finds exactly the records the first worker appended:
 //!   `recovery.records` equals its `disk_entries()`;
 //! * on the restarted worker, `serve_jobs_executed −
@@ -19,16 +25,19 @@
 //!   runs exactly once;
 //! * with no chaos, every job is recovered.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use common::{fresh_run, spec_of};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use schedtask_experiments::serve_api::{
     submit_with_retry, ClientTimeouts, Endpoint, Response, RetryPolicy,
 };
 use schedtask_obs::Counter;
-use schedtask_serve::{ChaosPlan, Daemon, ServeConfig, Server, Serving};
+use schedtask_serve::{ChaosPlan, Daemon, EventStream, ServeConfig, Server, Serving};
 
 /// Distinct jobs per case and plan.
 const JOBS: u64 = 4;
@@ -42,17 +51,22 @@ fn tmp_dir(plan: &str, seed: u64) -> PathBuf {
     dir
 }
 
+/// Job `i` of a case; every other job asks for its JSONL stream.
 fn request_line(i: u64, seed: u64) -> String {
     format!(
         "{{\"workload\":\"Find\",\"cores\":2,\"seed\":{},\
-         \"max_instructions\":40000,\"warmup_instructions\":10000}}",
-        seed * 100 + i
+         \"max_instructions\":40000,\"warmup_instructions\":10000,\"obs\":{}}}",
+        seed * 100 + i,
+        i.is_multiple_of(2)
     )
 }
 
-/// Submits `line` through a retrying client and returns the payload of
-/// its ok response.
-fn submit(endpoint: &Endpoint, line: &str) -> Result<String, TestCaseError> {
+/// A job's result payload and, for an obs request, its JSONL stream.
+type Reply = (String, Option<String>);
+
+/// Submits `line` through a retrying client and returns the payload and
+/// stream of its ok response.
+fn submit(endpoint: &Endpoint, line: &str) -> Result<Reply, TestCaseError> {
     let timeouts = ClientTimeouts {
         connect_ms: 1_000,
         read_ms: 10_000,
@@ -68,7 +82,7 @@ fn submit(endpoint: &Endpoint, line: &str) -> Result<String, TestCaseError> {
         .map_err(|e| TestCaseError::Fail(format!("a request failed: {e}")))?
         .response;
     match Response::parse(&response) {
-        Ok(Response::Ok { result, .. }) => Ok(result),
+        Ok(Response::Ok { result, jsonl, .. }) => Ok((result, jsonl)),
         other => Err(TestCaseError::Fail(format!(
             "not an ok run response ({other:?}): {response}"
         ))),
@@ -76,11 +90,11 @@ fn submit(endpoint: &Endpoint, line: &str) -> Result<String, TestCaseError> {
 }
 
 /// One worker lifetime: opens the cache directory, serves, and submits
-/// every job. Returns the server, its serving handle and the payloads.
+/// every job. Returns the server, its serving handle and the replies.
 fn lifetime(
     cfg: &ServeConfig,
     jobs: &[String],
-) -> Result<(Arc<Server>, Serving, Vec<String>), TestCaseError> {
+) -> Result<(Arc<Server>, Serving, Vec<Reply>), TestCaseError> {
     let server = Arc::new(Server::try_new(cfg.clone()).expect("the cache directory opens"));
     let serving = Serving::start(Daemon::Worker(Arc::clone(&server))).expect("the worker serves");
     let payloads = jobs
@@ -99,9 +113,20 @@ fn kill_and_restart(plan: &str, seed: u64) -> Result<(), TestCaseError> {
         chaos: Some(ChaosPlan::parse(&format!("{plan}@{seed}"), 0).expect("plan parses")),
     };
     let jobs: Vec<String> = (0..JOBS).map(|i| request_line(i, seed)).collect();
+    let keys: Vec<u64> = jobs.iter().map(|line| spec_of(line).cache_key()).collect();
+    // Which jobs' streams a worker reads from its log.
+    let logged = |server: &Server| -> Vec<bool> {
+        keys.iter()
+            .map(|&key| {
+                let out = server.cached(key).expect("every job is cached");
+                matches!(out.jsonl, EventStream::Logged(_))
+            })
+            .collect()
+    };
 
     let (server, serving, before) = lifetime(&cfg, &jobs)?;
     let persisted = server.disk_entries();
+    let logged_before = logged(&server);
     // A killed worker's dispatcher still runs every queued job and
     // appends its result, and a second open of the directory during an
     // append would truncate that record as a torn tail. Reopening is
@@ -118,6 +143,33 @@ fn kill_and_restart(plan: &str, seed: u64) -> Result<(), TestCaseError> {
             first,
             second,
             "{}@{}: job {} changed bytes across the restart",
+            plan,
+            seed,
+            i
+        );
+        let direct = i.is_multiple_of(2).then(|| fresh_run(&spec_of(&jobs[i])).1);
+        prop_assert!(
+            first.1 == direct,
+            "{}@{}: job {}'s stream differs from a direct run's",
+            plan,
+            seed,
+            i
+        );
+    }
+    let logged_after = logged(&server);
+    let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u64;
+    prop_assert_eq!(
+        count(&logged_before),
+        persisted,
+        "{}@{}: the first worker logs exactly the streams it appended",
+        plan,
+        seed
+    );
+    prop_assert_eq!(count(&logged_after), server.disk_entries());
+    for (i, (&was, &is)) in logged_before.iter().zip(&logged_after).enumerate() {
+        prop_assert!(
+            !was || is,
+            "{}@{}: recovered job {}'s stream is not read from the log",
             plan,
             seed,
             i

@@ -10,10 +10,16 @@
 //! 3. **Corruption**: flipping a byte inside a record quarantines that
 //!    record — it is never recovered, so never served — while every
 //!    other record is still recovered byte-identical.
+//!
+//! "Recovered byte-identical" means: recovery returns the appended
+//! stats bytes, and [`DiskCache::read`] at the location it returns
+//! reads back the appended stats and JSONL.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use schedtask_serve::disk::Recovered;
 use schedtask_serve::{DiskCache, RecoveryReport};
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
@@ -32,11 +38,33 @@ fn fill(cache: &DiskCache, records: &[(String, String)]) -> Vec<u64> {
         .iter()
         .enumerate()
         .map(|(i, (stats, jsonl))| {
-            cache
+            let loc = cache
                 .append(i as u64 + 1, stats, jsonl)
-                .expect("append succeeds")
+                .expect("append succeeds");
+            u64::from(loc.len)
         })
         .collect()
+}
+
+/// Checks that record `i` of `records` was recovered byte-identical.
+fn check_recovered(
+    cache: &DiskCache,
+    recovered: &Recovered,
+    records: &[(String, String)],
+    i: usize,
+) -> Result<(), TestCaseError> {
+    let key = i as u64 + 1;
+    let (stats, jsonl) = &records[i];
+    let (recovered_stats, loc) = recovered
+        .get(&key)
+        .ok_or_else(|| TestCaseError::Fail(format!("record {i} was not recovered")))?;
+    prop_assert_eq!(recovered_stats, stats);
+    let record = cache
+        .read(key, *loc)
+        .map_err(|e| TestCaseError::Fail(format!("record {i} does not read back: {e}")))?;
+    prop_assert_eq!(&record.stats_json, stats);
+    prop_assert_eq!(&record.jsonl, jsonl);
+    Ok(())
 }
 
 /// Printable-ASCII strings up to `max` bytes (the vendored proptest has
@@ -65,15 +93,13 @@ proptest! {
             prop_assert!(recovered.is_empty());
             fill(&cache, &records);
         }
-        let (_, report, recovered) = DiskCache::open(&dir).expect("reopen");
+        let (cache, report, recovered) = DiskCache::open(&dir).expect("reopen");
         prop_assert_eq!(report.records, records.len() as u64);
         prop_assert_eq!(report.corrupt, 0);
         prop_assert_eq!(report.truncated_tails, 0);
         prop_assert_eq!(recovered.len(), records.len());
-        for (i, (stats, jsonl)) in records.iter().enumerate() {
-            let rec = recovered.get(&(i as u64 + 1)).expect("record survives reopen");
-            prop_assert_eq!(&rec.stats_json, stats);
-            prop_assert_eq!(&rec.jsonl, jsonl);
+        for i in 0..records.len() {
+            check_recovered(&cache, &recovered, &records, i)?;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -114,14 +140,12 @@ proptest! {
         // A cut exactly on a record boundary leaves no torn bytes; any
         // other cut leaves a partial record that must be truncated away.
         let torn_tail = !boundaries.contains(&cut);
-        let (_, report, recovered) = DiskCache::open(&dir).expect("recover");
+        let (cache, report, recovered) = DiskCache::open(&dir).expect("recover");
         prop_assert_eq!(report.records, survivors);
         prop_assert_eq!(report.corrupt, 0);
         prop_assert_eq!(report.truncated_tails, u64::from(torn_tail));
-        for (i, (stats, jsonl)) in records.iter().enumerate().take(survivors as usize) {
-            let rec = recovered.get(&(i as u64 + 1)).expect("pre-cut record survives");
-            prop_assert_eq!(&rec.stats_json, stats);
-            prop_assert_eq!(&rec.jsonl, jsonl);
+        for i in 0..survivors as usize {
+            check_recovered(&cache, &recovered, &records, i)?;
         }
         for i in survivors..sizes.len() as u64 {
             prop_assert!(!recovered.contains_key(&(i + 1)), "torn record must not be served");
@@ -129,6 +153,7 @@ proptest! {
 
         // Recovery converges: the repair was physical, so a second open
         // has nothing left to do.
+        drop(cache);
         let (_, second, _) = DiskCache::open(&dir).expect("reopen after repair");
         prop_assert_eq!(second.records, survivors);
         prop_assert_eq!(second.corrupt, 0);
@@ -171,7 +196,7 @@ proptest! {
             file.write_all(&byte).expect("flip byte");
         }
 
-        let (_, report, recovered) = DiskCache::open(&dir).expect("recover");
+        let (cache, report, recovered) = DiskCache::open(&dir).expect("recover");
         prop_assert_eq!(report.corrupt, 1, "flipped record is quarantined");
         prop_assert_eq!(report.records, records.len() as u64 - 1);
         prop_assert_eq!(report.truncated_tails, 0);
@@ -179,13 +204,8 @@ proptest! {
             !recovered.contains_key(&(victim as u64 + 1)),
             "corrupt bytes must never be served"
         );
-        for (i, (stats, jsonl)) in records.iter().enumerate() {
-            if i == victim {
-                continue;
-            }
-            let rec = recovered.get(&(i as u64 + 1)).expect("undamaged record survives");
-            prop_assert_eq!(&rec.stats_json, stats);
-            prop_assert_eq!(&rec.jsonl, jsonl);
+        for i in (0..records.len()).filter(|&i| i != victim) {
+            check_recovered(&cache, &recovered, &records, i)?;
         }
         let quarantine = dir.join("quarantine.log");
         let quarantined = std::fs::metadata(&quarantine).expect("quarantine file").len();
