@@ -414,6 +414,10 @@ impl DiskCache {
                 .create(true)
                 .append(true)
                 .open(segment_path(dir, seq))?;
+            // `sync_data` on the segment makes its bytes durable, not its
+            // name: sync the directory once, before the first record in
+            // the segment can be acknowledged (DESIGN §12.1).
+            File::open(dir)?.sync_all()?;
             inner.writer = Some(SegmentWriter {
                 file,
                 seq,

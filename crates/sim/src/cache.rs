@@ -15,9 +15,14 @@
 //! id is ever needed. This is observationally identical to the previous
 //! `Vec<Vec<u64>>` representation (same hit/miss sequence, same
 //! victims, same RNG consumption) but with zero pointer chasing: a whole
-//! 4–8-way set is one or two hardware cache lines, recency refresh is a
-//! `copy_within` of at most `assoc` words, and the common repeat-hit on
-//! the MRU way early-returns after a single load.
+//! 4–8-way set is one or two hardware cache lines, and recency refresh
+//! is a `copy_within` of at most `assoc` words.
+//!
+//! The common case, a repeat hit on the MRU way of a narrow store, is a
+//! few inline instructions in every caller of `access` and `fill`: it
+//! changes no state but the hit counter. Everything else (the way
+//! search, the LRU rotation, eviction, and tag widening) is one
+//! out-of-line call.
 //!
 //! Tags are stored *narrow* (`u32`) while every resident line id fits in
 //! 32 bits — true for all the repo's workloads, whose line ids are dense
@@ -166,9 +171,25 @@ impl SetAssocCache {
         }
     }
 
-    /// Core lookup/insert shared by [`access`](Self::access) (counted)
-    /// and [`fill`](Self::fill) (uncounted). Returns `true` on hit.
+    /// True when `line` is the MRU way of its set in the narrow tag
+    /// store: a hit that reorders nothing under any policy (Lru would
+    /// move it to the front, where it is; Fifo and Random never refresh)
+    /// and widens nothing, so it needs no state change at all.
     #[inline]
+    fn is_narrow_mru(&self, line: u64) -> bool {
+        let TagStore::Narrow(tags) = &self.lines else {
+            return false;
+        };
+        let set_idx = self.set_index(line);
+        line <= u32::MAX as u64
+            && self.occupancy[set_idx] != 0
+            && tags[set_idx * self.assoc] == line as u32
+    }
+
+    /// Core lookup/insert shared by [`access`](Self::access) (counted)
+    /// and [`fill`](Self::fill) (uncounted) once the inline MRU check
+    /// has missed. Returns `true` on hit.
+    #[inline(never)]
     fn touch(&mut self, line: u64) -> bool {
         let set_idx = self.set_index(line);
         let base = set_idx * self.assoc;
@@ -212,7 +233,7 @@ impl SetAssocCache {
     /// the set is full.
     #[inline]
     pub fn access(&mut self, line: u64) -> bool {
-        let hit = self.touch(line);
+        let hit = self.is_narrow_mru(line) || self.touch(line);
         if hit {
             self.hits += 1;
         } else {
@@ -236,8 +257,9 @@ impl SetAssocCache {
 
     /// Inserts `line` without counting a demand access (used by
     /// prefetchers). Returns `true` if the line was already resident.
+    #[inline]
     pub fn fill(&mut self, line: u64) -> bool {
-        self.touch(line)
+        self.is_narrow_mru(line) || self.touch(line)
     }
 
     /// Removes `line` if resident; returns whether it was present.
@@ -310,12 +332,6 @@ fn touch_set<T: Copy + PartialEq>(
     policy: ReplacementPolicy,
     rng_state: &mut u64,
 ) -> (bool, bool) {
-    // MRU fast path: a repeat access to the most-recent way needs no
-    // reorder under any policy (Lru would move it to front — it is
-    // the front; Fifo/Random never refresh).
-    if occ > 0 && set[0] == line {
-        return (true, false);
-    }
     if let Some(pos) = set[..occ].iter().position(|&l| l == line) {
         if policy == ReplacementPolicy::Lru {
             // Move to MRU position (LRU only; FIFO/Random keep

@@ -7,7 +7,7 @@
 //! structures (i-cache pollution, d-cache locality, TLB pressure).
 
 use crate::cache::{ReplacementPolicy, SetAssocCache};
-use crate::coherence::{Directory, ReadOutcome};
+use crate::coherence::{Directory, ReadOutcome, SharerMask};
 use crate::config::{PrefetcherConfig, SystemConfig, TraceCacheConfig};
 use crate::prefetch::{CallGraphPrefetcher, StrideDataPrefetcher};
 use crate::stats::{CodeDomain, MemStats};
@@ -158,22 +158,28 @@ impl MemorySystem {
     /// Fetches the instruction line `line` on `core`, returning the stall
     /// cycles this fetch adds on top of the base CPI (0 for an L1i hit).
     ///
+    /// Only the demand path is inline here: the TLB and L1i hit checks
+    /// inline their own MRU case, and the refill and the prefetcher are
+    /// calls taken only on a miss or on a machine that has one.
+    ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn fetch_code(&mut self, core: usize, line: u64, domain: CodeDomain) -> u64 {
         let page = self.page_of_line(line);
-        let mut penalty = 0u64;
+        let cm = &mut self.cores[core];
 
         // Instruction TLB.
-        let itlb_hit = self.cores[core].itlb.access(page);
+        let itlb_hit = cm.itlb.access(page);
         self.stats.itlb.record(itlb_hit);
-        if !itlb_hit {
-            penalty += self.cfg.tlb_miss_penalty;
-        }
+        let mut penalty = if itlb_hit {
+            0
+        } else {
+            self.cfg.tlb_miss_penalty
+        };
 
         // Trace cache: a covered fetch bypasses the i-cache entirely.
-        if let Some(tc) = self.cores[core].trace_cache.as_mut() {
+        if let Some(tc) = cm.trace_cache.as_mut() {
             if tc.fetch(line) {
                 self.stats.trace_cache_covered += 1;
                 return penalty;
@@ -181,7 +187,8 @@ impl MemorySystem {
         }
 
         // Demand fetch through the hierarchy.
-        let l1_hit = self.cores[core].l1i.access(line);
+        let l1_hit = cm.l1i.access(line);
+        let has_prefetcher = cm.prefetcher.is_some();
         match domain {
             CodeDomain::Application => self.stats.icache_app.record(l1_hit),
             CodeDomain::Os => self.stats.icache_os.record(l1_hit),
@@ -189,40 +196,40 @@ impl MemorySystem {
         if !l1_hit {
             penalty += self.refill_from_outer(core, line);
         }
+        if has_prefetcher {
+            self.prefetch_code(core, line, l1_hit);
+        }
+        penalty
+    }
 
-        // Train and trigger the instruction prefetcher.
-        let predictions = match self.cores[core].prefetcher.as_mut() {
-            Some(p) => {
-                p.observe(line);
-                if l1_hit {
-                    Vec::new()
-                } else {
-                    p.predict(line)
-                }
-            }
-            None => Vec::new(),
+    /// Trains the call-graph prefetcher on a demand fetch of `line` and,
+    /// after an L1i miss, fills its predictions that L1i lacks into L1i,
+    /// L2 and the LLC.
+    #[inline(never)]
+    fn prefetch_code(&mut self, core: usize, line: u64, l1_hit: bool) {
+        let cm = &mut self.cores[core];
+        let Some(p) = cm.prefetcher.as_mut() else {
+            return;
         };
-        if !predictions.is_empty() {
-            let mut fills = 0;
-            for pline in predictions {
-                if !self.cores[core].l1i.probe(pline) {
-                    self.cores[core].l1i.fill(pline);
-                    if let Some(l2) = self.cores[core].l2.as_mut() {
-                        l2.fill(pline);
-                    }
-                    self.llc.fill(pline);
-                    fills += 1;
+        p.observe(line);
+        if l1_hit {
+            return;
+        }
+        let mut fills = 0;
+        for pline in p.predict(line) {
+            if !cm.l1i.probe(pline) {
+                cm.l1i.fill(pline);
+                if let Some(l2) = cm.l2.as_mut() {
+                    l2.fill(pline);
                 }
-            }
-            if fills > 0 {
-                self.stats.prefetch_fills += fills;
-                if let Some(p) = self.cores[core].prefetcher.as_mut() {
-                    p.note_issued(fills);
-                }
+                self.llc.fill(pline);
+                fills += 1;
             }
         }
-
-        penalty
+        if fills > 0 {
+            self.stats.prefetch_fills += fills;
+            p.note_issued(fills);
+        }
     }
 
     /// Performs a data access to `line` on `core`; returns the *visible*
@@ -233,75 +240,45 @@ impl MemorySystem {
     /// cores' private caches (a MOESI-style upgrade, charged one LLC
     /// round-trip).
     ///
+    /// As in [`fetch_code`](Self::fetch_code), only the demand path is
+    /// inline: the invalidation fan-out, the refill and the stride
+    /// prefetcher are calls.
+    ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn access_data(&mut self, core: usize, line: u64, write: bool, domain: CodeDomain) -> u64 {
         let page = self.page_of_line(line);
-        let mut raw_penalty = 0u64;
 
         let dtlb_hit = self.cores[core].dtlb.access(page);
         self.stats.dtlb.record(dtlb_hit);
-        if !dtlb_hit {
-            raw_penalty += self.cfg.tlb_miss_penalty;
-        }
+        let mut raw_penalty = if dtlb_hit {
+            0
+        } else {
+            self.cfg.tlb_miss_penalty
+        };
 
         // Coherence: writes always consult the directory (a write hit on
         // a shared copy still needs an ownership upgrade).
         if write {
             let outcome = self.directory.on_write(core, line);
             if !outcome.silent && !outcome.invalidate.is_empty() {
-                for c in outcome.invalidate {
-                    self.invalidate_private(c, line);
-                }
-                self.stats.coherence_invalidations += u64::from(outcome.invalidate.count());
-                raw_penalty += self.llc_latency(core, line);
+                raw_penalty += self.invalidate_sharers(core, line, outcome.invalidate);
             }
         }
 
-        let l1_hit = self.cores[core].l1d.access(line);
+        let cm = &mut self.cores[core];
+        let l1_hit = cm.l1d.access(line);
+        let has_prefetcher = cm.data_prefetcher.is_some();
         match domain {
             CodeDomain::Application => self.stats.dcache_app.record(l1_hit),
             CodeDomain::Os => self.stats.dcache_os.record(l1_hit),
         }
         if !l1_hit {
-            if write {
-                // The directory already granted ownership above; fetch
-                // the line through the memory path.
-                raw_penalty += self.refill_data_from_outer(core, line);
-            } else {
-                match self.directory.on_read(core, line) {
-                    ReadOutcome::CacheToCache { owner: _ } => {
-                        // Served dirty by the remote owner at LLC
-                        // latency; fills our private hierarchy too.
-                        self.stats.coherence_transfers += 1;
-                        raw_penalty += self.llc_latency(core, line);
-                        if let Some(l2) = self.cores[core].l1d_l2_mut() {
-                            l2.fill(line);
-                        }
-                        self.cores[core].l1d.fill(line);
-                        self.llc.fill(line);
-                    }
-                    ReadOutcome::FromMemoryPath => {
-                        raw_penalty += self.refill_data_from_outer(core, line);
-                    }
-                }
-            }
+            raw_penalty += self.refill_data(core, line, write);
         }
-
-        // Stride data prefetcher: train on the demand stream and fill
-        // predicted lines into the private hierarchy.
-        let predicted = match self.cores[core].data_prefetcher.as_mut() {
-            Some(p) => p.observe(line),
-            None => Vec::new(),
-        };
-        for pline in predicted {
-            self.cores[core].l1d.fill(pline);
-            if let Some(l2) = self.cores[core].l2.as_mut() {
-                l2.fill(pline);
-            }
-            self.llc.fill(pline);
-            self.stats.prefetch_fills += 1;
+        if has_prefetcher {
+            self.prefetch_data(core, line);
         }
 
         if raw_penalty == 0 {
@@ -313,21 +290,72 @@ impl MemorySystem {
         (raw_penalty as f64 * (1.0 - hidden)).round() as u64
     }
 
+    /// Invalidates `line` in the private caches of every core in
+    /// `sharers` after `core`'s write; returns the upgrade's cost, one
+    /// LLC round-trip.
+    #[inline(never)]
+    fn invalidate_sharers(&mut self, core: usize, line: u64, sharers: SharerMask) -> u64 {
+        for c in sharers {
+            let cm = &mut self.cores[c];
+            cm.l1d.invalidate(line);
+            if let Some(l2) = cm.l2.as_mut() {
+                l2.invalidate(line);
+            }
+        }
+        self.stats.coherence_invalidations += u64::from(sharers.count());
+        self.llc_latency(core, line)
+    }
+
+    /// Refills a data line after an L1d miss; returns added cycles. A
+    /// write already holds ownership and reads through the memory path.
+    /// A read asks the directory, which may serve it from a remote dirty
+    /// copy at LLC latency, filling the L2 and the LLC; the missing
+    /// `access` already put the line in the L1d.
+    #[inline(never)]
+    fn refill_data(&mut self, core: usize, line: u64, write: bool) -> u64 {
+        if write {
+            return self.refill_from_outer(core, line);
+        }
+        match self.directory.on_read(core, line) {
+            ReadOutcome::CacheToCache { owner: _ } => {
+                self.stats.coherence_transfers += 1;
+                if let Some(l2) = self.cores[core].l2.as_mut() {
+                    l2.fill(line);
+                }
+                self.llc.fill(line);
+                self.llc_latency(core, line)
+            }
+            ReadOutcome::FromMemoryPath => self.refill_from_outer(core, line),
+        }
+    }
+
+    /// Trains the stride data prefetcher on the demand access to `line`
+    /// and fills its predictions into the private hierarchy and the LLC.
+    #[inline(never)]
+    fn prefetch_data(&mut self, core: usize, line: u64) {
+        let cm = &mut self.cores[core];
+        let Some(p) = cm.data_prefetcher.as_mut() else {
+            return;
+        };
+        for pline in p.observe(line) {
+            cm.l1d.fill(pline);
+            if let Some(l2) = cm.l2.as_mut() {
+                l2.fill(pline);
+            }
+            self.llc.fill(pline);
+            self.stats.prefetch_fills += 1;
+        }
+    }
+
     /// True if `core`'s L1i currently holds `line` (no state change). Used
     /// by SLICC's remote-tag search, which the paper models at zero cost.
     pub fn probe_icache(&self, core: usize, line: u64) -> bool {
         self.cores[core].l1i.probe(line)
     }
 
-    fn invalidate_private(&mut self, core: usize, line: u64) {
-        self.cores[core].l1d.invalidate(line);
-        if let Some(l2) = self.cores[core].l2.as_mut() {
-            l2.invalidate(line);
-        }
-    }
-
-    /// Refills an instruction line from L2/LLC/memory; returns added
+    /// Refills a line from L2/LLC/memory after an L1 miss; returns added
     /// cycles.
+    #[inline(never)]
     fn refill_from_outer(&mut self, core: usize, line: u64) -> u64 {
         // Per-core L2s are built from `hierarchy.l2`, so the config is
         // present whenever the cache is; fall through to the LLC if not.
@@ -345,12 +373,6 @@ impl MemorySystem {
         } else {
             self.cfg.hierarchy.memory_latency
         }
-    }
-
-    /// Refills a data line from L2/LLC/memory; returns added cycles.
-    fn refill_data_from_outer(&mut self, core: usize, line: u64) -> u64 {
-        // Identical path; kept separate so d-side prefetching could hook in.
-        self.refill_from_outer(core, line)
     }
 
     /// Accumulated statistics.
@@ -382,13 +404,6 @@ impl MemorySystem {
     /// d-TLB hit rate so far.
     pub fn dtlb_hit_rate(&self) -> f64 {
         self.stats.dtlb.hit_rate()
-    }
-}
-
-impl CoreMem {
-    /// Helper: mutable access to the L2 (for data fills).
-    fn l1d_l2_mut(&mut self) -> Option<&mut SetAssocCache> {
-        self.l2.as_mut()
     }
 }
 

@@ -10,11 +10,13 @@
 //! fixed-size open-addressed index (linear probing, backward-shift
 //! deletion) of interleaved `(page, slot+1)` pairs mapping page → slot
 //! — again one line per probe — fronted by a single-entry MRU check
-//! that catches the long same-page streaks of instruction fetch. The
-//! min-stamp victim scan runs only on a capacity miss. This replaces a
-//! `VecDeque` that paid an O(n) search plus `remove` + `push_front`
-//! shuffle on every access; both representations implement exact LRU,
-//! so hit/miss sequences are identical.
+//! that catches the long same-page streaks of instruction fetch. Only
+//! that check inlines into the caller; the index probe and the install
+//! are one out-of-line call. The min-stamp victim scan runs only on a
+//! capacity miss. This replaces a `VecDeque` that paid an O(n) search
+//! plus `remove` + `push_front` shuffle on every access; both
+//! representations implement exact LRU, so hit/miss sequences are
+//! identical.
 
 /// A fully-associative TLB over page identifiers.
 ///
@@ -135,12 +137,20 @@ impl Tlb {
     pub fn access(&mut self, page: u64) -> bool {
         self.clock += 1;
         // Fast path: instruction streams touch the same page for long
-        // streaks, so one compare avoids even the index probe.
+        // streaks, so one compare avoids even the index probe. It is
+        // small enough to inline into every caller; the rest is not.
         if self.len > 0 && self.entries[2 * self.mru] == page {
             self.entries[2 * self.mru + 1] = self.clock;
             self.hits += 1;
             return true;
         }
+        self.access_other(page)
+    }
+
+    /// [`access`](Self::access) past the MRU entry: the index probe, and
+    /// on a miss the install with its LRU eviction.
+    #[inline(never)]
+    fn access_other(&mut self, page: u64) -> bool {
         if let Some(i) = self.idx_find(page) {
             let slot = (self.idx[2 * i + 1] - 1) as usize;
             self.entries[2 * slot + 1] = self.clock;

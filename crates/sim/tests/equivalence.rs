@@ -50,7 +50,8 @@ impl RefCache {
         }
     }
 
-    fn access(&mut self, line: u64) -> bool {
+    /// Looks `line` up and inserts it on a miss; counts nothing.
+    fn fill(&mut self, line: u64) -> bool {
         let num_sets = self.sets.len() as u64;
         let set = &mut self.sets[(line % num_sets) as usize];
         if let Some(pos) = set.iter().position(|&l| l == line) {
@@ -58,7 +59,6 @@ impl RefCache {
                 set.remove(pos);
                 set.insert(0, line);
             }
-            self.hits += 1;
             true
         } else {
             if set.len() == self.assoc {
@@ -71,9 +71,18 @@ impl RefCache {
                 set.remove(victim);
             }
             set.insert(0, line);
-            self.misses += 1;
             false
         }
+    }
+
+    fn access(&mut self, line: u64) -> bool {
+        let hit = self.fill(line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
     }
 
     fn probe(&self, line: u64) -> bool {
@@ -106,34 +115,57 @@ fn policy_strategy() -> impl Strategy<Value = ReplacementPolicy> {
 
 proptest! {
     /// The flat cache and the reference per-set-`Vec` model agree on
-    /// every access's hit/miss result, on probes, on invalidations, and
-    /// on the final counters — under all three replacement policies.
-    /// Selector: 0-7 access, 8 invalidate, 9 flush. Every 37th operation
-    /// shifts its line past `u32::MAX` so the narrow→wide tag-store
+    /// every access's and fill's hit/miss result, on probes, on
+    /// invalidations, and on the final counters — under all three
+    /// replacement policies. Selector: 0-3 access a fresh line, 4-7
+    /// access the previous op's line again (the inline MRU hit), 8-9
+    /// fill a fresh line, 10 fill the previous line, 11 invalidate a
+    /// fresh line, 12 invalidate the previous line and access it again,
+    /// 13 flush (the next repeat then asks for a line whose stale tag
+    /// still sits in its set's first way). Every 37th operation uses a
+    /// fresh line past `u32::MAX`, so the narrow→wide tag-store
     /// transition is also exercised.
     #[test]
     fn cache_matches_reference_model(
         policy in policy_strategy(),
-        ops in prop::collection::vec((0u8..10, 0u64..512), 0..400),
+        ops in prop::collection::vec((0u8..14, 0u64..512), 0..400),
     ) {
         // 8 sets x 4 ways: small enough that random streams evict.
         let params = CacheParams::new(2048, 4, 64, 1);
         let mut fast = SetAssocCache::with_policy(params, policy);
         let mut reference = RefCache::new(8, 4, policy);
-        for (i, &(sel, l)) in ops.iter().enumerate() {
-            let l = if i % 37 == 36 { l + (u32::MAX as u64 + 1) } else { l };
+        let mut prev = 0u64;
+        for (i, &(sel, fresh)) in ops.iter().enumerate() {
+            let repeat = matches!(sel, 4..=7 | 10 | 12);
+            let l = if i % 37 == 36 {
+                fresh + (u32::MAX as u64 + 1)
+            } else if repeat {
+                prev
+            } else {
+                fresh
+            };
             match sel {
                 0..=7 => {
                     prop_assert_eq!(fast.access(l), reference.access(l), "access #{} line {}", i, l);
                 }
-                8 => {
+                8..=10 => {
+                    prop_assert_eq!(fast.fill(l), reference.fill(l), "fill #{} line {}", i, l);
+                }
+                11 => {
                     prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
                 }
+                12 => {
+                    prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
+                    prop_assert_eq!(fast.access(l), reference.access(l), "re-access #{}", i);
+                }
                 _ => {
+                    // Keep `prev`: its stale tag still sits in way 0.
                     fast.flush();
                     reference.sets.iter_mut().for_each(Vec::clear);
+                    continue;
                 }
             }
+            prev = l;
         }
         prop_assert_eq!(fast.hits(), reference.hits);
         prop_assert_eq!(fast.misses(), reference.misses);
@@ -145,20 +177,24 @@ proptest! {
 
     /// The open-addressed TLB and a front-is-MRU `Vec` reference LRU
     /// agree on every access over random page streams with interleaved
-    /// flushes.
+    /// flushes. Selector: 0 flush, 1-4 the previous page again (the
+    /// inline MRU hit, also right after a flush), 5-9 a fresh page.
     #[test]
     fn tlb_matches_reference_lru(
         entries in 1usize..24,
-        ops in prop::collection::vec((0u64..200, prop::bool::ANY), 0..600),
+        ops in prop::collection::vec((0u8..10, 0u64..200), 0..600),
     ) {
         let mut tlb = Tlb::new(entries);
         let mut reference: Vec<u64> = Vec::new(); // front = MRU
-        for &(page, flush) in &ops {
-            if flush {
+        let mut prev = 0u64;
+        for &(sel, fresh) in &ops {
+            if sel == 0 {
                 tlb.flush();
                 reference.clear();
                 continue;
             }
+            let page = if sel <= 4 { prev } else { fresh };
+            prev = page;
             let expect = if let Some(pos) = reference.iter().position(|&p| p == page) {
                 reference.remove(pos);
                 reference.insert(0, page);

@@ -11,7 +11,7 @@
 
 use crate::footprint::{Footprint, LINES_PER_PAGE};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// One data reference emitted alongside a code block.
@@ -79,6 +79,53 @@ impl Default for WalkParams {
     }
 }
 
+/// Fraction of data references that land in the hot first quarter of a
+/// data footprint.
+const HOT_DATA: f64 = 0.8;
+
+/// `Rng::gen_bool(p)` as an integer threshold: `gen_bool` draws one
+/// `x = next_u64()` and tests `(x >> 11) · 2⁻⁵³ < clamp(p, 0, 1)`. Both
+/// sides are exact dyadic values, so for the integer `x >> 11` that test
+/// is exactly `(x >> 11) < ceil(clamp(p, 0, 1) · 2⁵³)`. A NaN `p` never
+/// passes `gen_bool`'s test and maps to 0, which never passes either.
+fn bool_threshold(p: f64) -> u64 {
+    (p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`bool_threshold`]: the same single
+/// `next_u64` and the same outcome as `gen_bool` on its probability.
+#[inline]
+fn draw(rng: &mut impl RngCore, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
+/// The walk's seven Bernoulli draws as [`bool_threshold`]s, computed once
+/// per walker so each draw is one shift and one compare.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    data: u64,
+    write: u64,
+    data_repeat: u64,
+    shared_data: u64,
+    hot_data: u64,
+    jump: u64,
+    hot_bias: u64,
+}
+
+impl Thresholds {
+    fn new(p: &WalkParams) -> Self {
+        Thresholds {
+            data: bool_threshold(p.p_data),
+            write: bool_threshold(p.p_write),
+            data_repeat: bool_threshold(p.p_data_repeat),
+            shared_data: bool_threshold(p.p_shared_data),
+            hot_data: bool_threshold(HOT_DATA),
+            jump: bool_threshold(p.p_jump),
+            hot_bias: bool_threshold(p.hot_bias),
+        }
+    }
+}
+
 /// A deterministic walk over one SuperFunction instance's code and data.
 ///
 /// # Examples
@@ -100,6 +147,7 @@ pub struct FootprintWalker {
     shared_data: Arc<Footprint>,
     private_data: Arc<Footprint>,
     params: WalkParams,
+    thresholds: Thresholds,
     rng: SmallRng,
     page_idx: usize,
     line_in_page: u64,
@@ -130,6 +178,7 @@ impl FootprintWalker {
             shared_data,
             private_data,
             params,
+            thresholds: Thresholds::new(&params),
             rng: SmallRng::seed_from_u64(seed),
             page_idx: 0,
             line_in_page: 0,
@@ -152,17 +201,18 @@ impl FootprintWalker {
     }
 
     fn maybe_data_ref(&mut self) -> Option<DataRef> {
-        if !self.rng.gen_bool(self.params.p_data) {
+        let t = self.thresholds;
+        if !draw(&mut self.rng, t.data) {
             return None;
         }
-        let write = self.rng.gen_bool(self.params.p_write);
+        let write = draw(&mut self.rng, t.write);
         // Temporal locality: working variables are re-touched constantly.
         if let Some(last) = self.last_data_line {
-            if self.rng.gen_bool(self.params.p_data_repeat) {
+            if draw(&mut self.rng, t.data_repeat) {
                 return Some(DataRef { line: last, write });
             }
         }
-        let fp = if self.rng.gen_bool(self.params.p_shared_data) && !self.shared_data.is_empty() {
+        let fp = if draw(&mut self.rng, t.shared_data) && !self.shared_data.is_empty() {
             &self.shared_data
         } else if !self.private_data.is_empty() {
             &self.private_data
@@ -174,7 +224,7 @@ impl FootprintWalker {
         // Spatial locality: the first quarter of the data footprint is hot
         // (stacks, headers, frequently-used structures).
         let n = fp.num_pages();
-        let page_idx = if self.rng.gen_bool(0.8) {
+        let page_idx = if draw(&mut self.rng, t.hot_data) {
             self.rng.gen_range(0..(n / 4).max(1))
         } else {
             self.rng.gen_range(0..n)
@@ -190,12 +240,12 @@ impl FootprintWalker {
     fn advance(&mut self) -> bool {
         self.line_in_page += 1;
         let page_end = self.line_in_page >= LINES_PER_PAGE;
-        if page_end || self.rng.gen_bool(self.params.p_jump) {
+        if page_end || draw(&mut self.rng, self.thresholds.jump) {
             // Taken branch (or fall off the page): land in the hot region
             // with `hot_bias`. Execution is page-local loops, so page
             // boundaries behave like jumps rather than falling through the
             // whole footprint.
-            let to_hot = self.rng.gen_bool(self.params.hot_bias);
+            let to_hot = draw(&mut self.rng, self.thresholds.hot_bias);
             self.page_idx = if to_hot {
                 self.rng.gen_range(0..self.hot_pages)
             } else {
@@ -354,6 +404,73 @@ mod tests {
             WalkParams::default(),
             1,
         );
+    }
+
+    /// An RNG whose next draw is a chosen word, so a test can place
+    /// `x >> 11` exactly at, below or above a threshold.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn bool_threshold_matches_gen_bool_at_the_edges() {
+        const ONE: u64 = 1 << 53;
+        let mut ps = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            1.5,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            HOT_DATA,
+            0.35,
+        ];
+        // Exact multiples of 2⁻⁵³, then every value's neighbours one ulp
+        // either side.
+        for k in [1, 2, 3, ONE / 4, ONE / 2, ONE / 2 + 1, ONE - 2, ONE - 1] {
+            ps.push(k as f64 / ONE as f64);
+        }
+        for p in ps.clone() {
+            ps.push(p.next_up());
+            ps.push(p.next_down());
+        }
+        for &p in &ps {
+            let t = bool_threshold(p);
+            assert!(t <= ONE, "p = {p:e}: threshold {t} above 2^53");
+            // The 53 bits `draw` and `gen_bool` compare, around the
+            // threshold and at both ends, with the 11 discarded low bits
+            // all clear and all set.
+            for m in [0, 1, t.saturating_sub(1), t, t + 1, ONE - 1] {
+                for low in [0, 0x7FF] {
+                    let x = (m.min(ONE - 1) << 11) | low;
+                    assert_eq!(
+                        draw(&mut Fixed(x), t),
+                        Fixed(x).gen_bool(p),
+                        "p = {p:e}, x = {x:#x}"
+                    );
+                }
+            }
+        }
+        assert_eq!(bool_threshold(0.0), 0);
+        assert_eq!(bool_threshold(-1.0), 0);
+        assert_eq!(bool_threshold(f64::NAN), 0);
+        assert_eq!(bool_threshold(5e-324), 1);
+        assert_eq!(bool_threshold(1.0 / ONE as f64), 1);
+        assert_eq!(bool_threshold((1.0 / ONE as f64).next_up()), 2);
+        assert_eq!(bool_threshold(0.5), ONE / 2);
+        assert_eq!(bool_threshold(1.0f64.next_down()), ONE - 1);
+        assert_eq!(bool_threshold(1.0), ONE);
+        assert_eq!(bool_threshold(2.0), ONE);
     }
 
     #[test]
