@@ -27,12 +27,15 @@ use std::time::Duration;
 
 use schedtask::StealPolicy;
 use schedtask_kernel::{DeviceModelConfig, FaultPlan};
+use schedtask_obs::push_escaped;
 use schedtask_sim::{
     CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, TraceCacheConfig,
 };
 use schedtask_workload::BenchmarkKind;
 
 use crate::runner::{parse_device_spec, ExpParams, Technique};
+
+pub use schedtask_obs::escape_json;
 
 /// The wire protocol version this build speaks. Every request and
 /// response carries it as `"v"`; a request naming any other version is
@@ -623,41 +626,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             other => return Err(format!("expected ',' or '}}' but found {other:?}")),
         }
     }
-}
-
-/// Escapes a string for embedding inside a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s);
-    out
-}
-
-/// Appends `s` to `out` escaped for a JSON string literal, copying the
-/// runs between characters that need escaping in one step. Every such
-/// character is ASCII, so each run ends on a char boundary.
-fn push_escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
 }
 
 // ---------------------------------------------------------------------------

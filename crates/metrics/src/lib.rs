@@ -27,10 +27,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod summary;
-
-pub use summary::Summary;
-
 /// Cosine similarity between two equal-length vectors (Equation 1 in the
 /// paper).
 ///

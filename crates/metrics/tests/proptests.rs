@@ -1,9 +1,7 @@
 //! Property-based tests for the statistics crate.
 
 use proptest::prelude::*;
-use schedtask_metrics::{
-    cosine_similarity, geometric_mean_pct, jain_fairness, kendall_tau_b, Summary,
-};
+use schedtask_metrics::{cosine_similarity, geometric_mean_pct, jain_fairness, kendall_tau_b};
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len..=len)
@@ -79,26 +77,5 @@ proptest! {
         let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(g >= lo - 1e-6);
         prop_assert!(g <= hi + 1e-6);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential(
-        a in prop::collection::vec(-1e3f64..1e3, 0..64),
-        b in prop::collection::vec(-1e3f64..1e3, 0..64),
-    ) {
-        let combined: Summary = a.iter().chain(b.iter()).cloned().collect();
-        let mut left: Summary = a.iter().cloned().collect();
-        let right: Summary = b.iter().cloned().collect();
-        left.merge(&right);
-        prop_assert_eq!(left.count(), combined.count());
-        prop_assert!((left.mean() - combined.mean()).abs() < 1e-6);
-        prop_assert!((left.population_variance() - combined.population_variance()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn summary_mean_within_min_max(v in prop::collection::vec(-1e3f64..1e3, 1..64)) {
-        let s: Summary = v.iter().cloned().collect();
-        prop_assert!(s.mean() >= s.min() - 1e-9);
-        prop_assert!(s.mean() <= s.max() + 1e-9);
     }
 }

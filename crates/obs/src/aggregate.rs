@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::counters::{Counter, CounterSet, CounterSnapshot};
-use crate::event::{ChaosKind, ComponentClass, ObsEvent, SfClass, SpanKind, StealLevel};
+use crate::event::{ComponentClass, ObsEvent, SfClass, SpanKind, StealLevel};
 use crate::{FaultKind, Observer};
 
 /// One row of the span summary: how many spans of a kind ran, their
@@ -39,18 +39,6 @@ struct SpanState {
     open_components: HashMap<u32, (ComponentClass, u64)>,
     /// Closed component spans per class: (count, cycles).
     components: HashMap<ComponentClass, (u64, u64)>,
-    /// Open serve-layer job span per worker slot: entry timestamp.
-    open_jobs: HashMap<u32, u64>,
-    /// Closed serve-layer job spans: count and total duration. Job span
-    /// timestamps are microseconds, not cycles (see [`SpanKind::Job`]).
-    job_count: u64,
-    job_total: u64,
-    /// Open router-hop span per connection slot: entry timestamp.
-    open_hops: HashMap<u32, u64>,
-    /// Closed router-hop spans: count and total duration in
-    /// microseconds (see [`SpanKind::RouterHop`]).
-    hop_count: u64,
-    hop_total: u64,
 }
 
 impl SpanState {
@@ -125,22 +113,6 @@ impl Aggregator {
                     self_cycles: cycles,
                 });
             }
-        }
-        if state.job_count > 0 {
-            rows.push(SpanRow {
-                kind: "job".to_owned(),
-                count: state.job_count,
-                total_cycles: state.job_total,
-                self_cycles: state.job_total,
-            });
-        }
-        if state.hop_count > 0 {
-            rows.push(SpanRow {
-                kind: "router_hop".to_owned(),
-                count: state.hop_count,
-                total_cycles: state.hop_total,
-                self_cycles: state.hop_total,
-            });
         }
         rows
     }
@@ -217,54 +189,11 @@ impl Observer for Aggregator {
                 self.counters.add(Counter::ExactPageStores, 1);
                 self.counters.add(Counter::ExactPagesCollected, pages);
             }
-            ObsEvent::JobSubmitted { .. } => self.counters.add(Counter::ServeSubmitted, 1),
-            ObsEvent::JobCacheHit { .. } => self.counters.add(Counter::ServeCacheHits, 1),
-            ObsEvent::JobCoalesced { .. } => self.counters.add(Counter::ServeCoalesced, 1),
-            ObsEvent::JobAdmitted { .. } => self.counters.add(Counter::ServeCacheMisses, 1),
-            ObsEvent::JobRejected { .. } => self.counters.add(Counter::ServeRejected, 1),
-            ObsEvent::JobExecuted { micros, .. } => {
-                self.counters.add(Counter::ServeExecuted, 1);
-                self.counters.add(Counter::ServeExecMicros, micros);
-            }
-            ObsEvent::DiskWritten { bytes, .. } => {
-                self.counters.add(Counter::ServeDiskWrites, 1);
-                self.counters.add(Counter::ServeDiskWriteBytes, bytes);
-            }
-            ObsEvent::DiskWriteFailed { .. } => self.counters.add(Counter::ServeDiskWriteErrors, 1),
-            ObsEvent::DiskRecovered {
-                records,
-                corrupt,
-                truncated,
-                ..
-            } => {
-                self.counters.add(Counter::ServeDiskRecovered, records);
-                self.counters.add(Counter::ServeDiskCorrupt, corrupt);
-                self.counters
-                    .add(Counter::ServeDiskTruncatedTails, truncated);
-            }
-            ObsEvent::ChaosInjected { kind, .. } => {
-                let counter = match kind {
-                    ChaosKind::TornWrite => Counter::ServeChaosTornWrites,
-                    ChaosKind::DiskFull => Counter::ServeChaosDiskFull,
-                    ChaosKind::WorkerPanic => Counter::ServeChaosWorkerPanics,
-                    ChaosKind::DelayedResponse => Counter::ServeChaosDelayedResponses,
-                    ChaosKind::TruncatedResponse => Counter::ServeChaosTruncatedResponses,
-                    ChaosKind::DroppedConnection => Counter::ServeChaosDroppedConns,
-                };
-                self.counters.add(counter, 1);
-            }
             ObsEvent::ComponentTick { irqs, .. } => {
                 self.counters.add(Counter::EngineComponentTicks, 1);
                 self.counters
                     .add(Counter::EngineComponentIrqs, u64::from(irqs));
             }
-            ObsEvent::RouterForwarded { .. } => self.counters.add(Counter::ServeRouterForwarded, 1),
-            ObsEvent::RouterHotCacheHit { .. } => {
-                self.counters.add(Counter::ServeRouterHotHits, 1);
-            }
-            ObsEvent::RouterCoalesced { .. } => self.counters.add(Counter::ServeRouterCoalesced, 1),
-            ObsEvent::RouterShed { .. } => self.counters.add(Counter::ServeRouterShed, 1),
-            ObsEvent::RouterFailover { .. } => self.counters.add(Counter::ServeRouterFailovers, 1),
         }
     }
 
@@ -273,14 +202,6 @@ impl Observer for Aggregator {
             (Some(core), SpanKind::Sf(class)) => {
                 let mut s = self.spans.lock().expect("span state poisoned");
                 s.open.insert(core, (class, at));
-            }
-            (Some(slot), SpanKind::Job) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
-                s.open_jobs.insert(slot, at);
-            }
-            (Some(slot), SpanKind::RouterHop) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
-                s.open_hops.insert(slot, at);
             }
             (Some(idx), SpanKind::Component(class)) => {
                 let mut s = self.spans.lock().expect("span state poisoned");
@@ -298,20 +219,6 @@ impl Observer for Aggregator {
                     let entry = s.sf.entry(class).or_insert((0, 0));
                     entry.0 += 1;
                     entry.1 += at.saturating_sub(start);
-                }
-            }
-            (Some(slot), SpanKind::Job) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
-                if let Some(start) = s.open_jobs.remove(&slot) {
-                    s.job_count += 1;
-                    s.job_total += at.saturating_sub(start);
-                }
-            }
-            (Some(slot), SpanKind::RouterHop) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
-                if let Some(start) = s.open_hops.remove(&slot) {
-                    s.hop_count += 1;
-                    s.hop_total += at.saturating_sub(start);
                 }
             }
             (Some(idx), SpanKind::Component(_)) => {
@@ -456,38 +363,6 @@ mod tests {
             .expect("sf row");
         assert_eq!(sf.count, 1);
         assert_eq!(sf.total_cycles, 30);
-    }
-
-    #[test]
-    fn serve_events_roll_into_counters_and_job_spans() {
-        let agg = Aggregator::new();
-        agg.event(&ObsEvent::JobSubmitted { at: 1, key: 7 });
-        agg.event(&ObsEvent::JobAdmitted {
-            at: 1,
-            key: 7,
-            depth: 1,
-        });
-        agg.event(&ObsEvent::JobSubmitted { at: 2, key: 7 });
-        agg.event(&ObsEvent::JobCacheHit { at: 2, key: 7 });
-        agg.event(&ObsEvent::JobRejected { at: 3, depth: 64 });
-        agg.event(&ObsEvent::JobExecuted {
-            at: 5,
-            key: 7,
-            micros: 1200,
-        });
-        agg.span_enter(Some(0), SpanKind::Job, 1_000);
-        agg.span_exit(Some(0), SpanKind::Job, 2_500);
-        let snap = agg.counters();
-        assert_eq!(snap.get(Counter::ServeSubmitted), 2);
-        assert_eq!(snap.get(Counter::ServeCacheMisses), 1);
-        assert_eq!(snap.get(Counter::ServeCacheHits), 1);
-        assert_eq!(snap.get(Counter::ServeRejected), 1);
-        assert_eq!(snap.get(Counter::ServeExecuted), 1);
-        assert_eq!(snap.get(Counter::ServeExecMicros), 1200);
-        let rows = agg.span_rows();
-        let job = rows.iter().find(|r| r.kind == "job").expect("job row");
-        assert_eq!(job.count, 1);
-        assert_eq!(job.total_cycles, 1_500);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Cheap atomic counters with stable names and snapshot arithmetic.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every counter the observability layer knows about.
@@ -342,17 +341,6 @@ impl CounterSnapshot {
             *out = a.saturating_add(*b);
         }
         CounterSnapshot { values }
-    }
-}
-
-impl fmt::Display for CounterSnapshot {
-    /// Renders only the non-zero counters, one `name=value` pair per
-    /// line, in stable index order.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (c, v) in self.iter().filter(|&(_, v)| v > 0) {
-            writeln!(f, "{}={}", c.name(), v)?;
-        }
-        Ok(())
     }
 }
 

@@ -103,50 +103,6 @@ impl FaultKind {
     }
 }
 
-/// The kind of serve-layer chaos the injector fired, mirroring the
-/// serve crate's `ChaosPlan` classes without depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChaosKind {
-    /// A persistent-cache append was torn mid-record (simulated crash
-    /// during a disk write).
-    TornWrite,
-    /// A persistent-cache append failed outright (simulated disk full).
-    DiskFull,
-    /// A worker panicked while executing a job.
-    WorkerPanic,
-    /// A response was delayed before hitting the socket.
-    DelayedResponse,
-    /// Only a prefix of a response reached the socket before the
-    /// connection dropped.
-    TruncatedResponse,
-    /// The connection was dropped before any response bytes were sent.
-    DroppedConnection,
-}
-
-impl ChaosKind {
-    /// All chaos kinds, in a stable order.
-    pub const ALL: [ChaosKind; 6] = [
-        ChaosKind::TornWrite,
-        ChaosKind::DiskFull,
-        ChaosKind::WorkerPanic,
-        ChaosKind::DelayedResponse,
-        ChaosKind::TruncatedResponse,
-        ChaosKind::DroppedConnection,
-    ];
-
-    /// Stable snake_case name used in JSONL output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaosKind::TornWrite => "torn_write",
-            ChaosKind::DiskFull => "disk_full",
-            ChaosKind::WorkerPanic => "worker_panic",
-            ChaosKind::DelayedResponse => "delayed_response",
-            ChaosKind::TruncatedResponse => "truncated_response",
-            ChaosKind::DroppedConnection => "dropped_connection",
-        }
-    }
-}
-
 /// Classification of an engine component that emits component spans.
 /// Only device models do; cores and the engine's event sources emit
 /// their ordinary events instead.
@@ -168,34 +124,23 @@ impl ComponentClass {
     }
 }
 
-/// Span kinds forming the run → epoch → SuperFunction hierarchy.
-///
-/// Run and epoch spans are derived by sinks from [`ObsEvent::RunStart`],
-/// [`ObsEvent::RunEnd`], and [`ObsEvent::EpochStart`]; only per-core
-/// SuperFunction execution segments flow through
+/// The spans that flow through
 /// [`Observer::span_enter`]/[`Observer::span_exit`].
+///
+/// The run and epoch levels of the run → epoch → SuperFunction
+/// hierarchy have no kind: sinks derive them from
+/// [`ObsEvent::RunStart`], [`ObsEvent::RunEnd`], and
+/// [`ObsEvent::EpochStart`].
 ///
 /// [`Observer::span_enter`]: crate::Observer::span_enter
 /// [`Observer::span_exit`]: crate::Observer::span_exit
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// The whole simulation run.
-    Run,
-    /// One TAlloc epoch.
-    Epoch,
     /// One contiguous execution segment of a SuperFunction on a core.
     Sf(SfClass),
-    /// One job handled by the `schedtaskd` serve layer, from admission to
-    /// response. Timestamps are microseconds since server start (the serve
-    /// layer has no cycle clock).
-    Job,
     /// One self-driven action of an engine component (currently device
     /// model ticks; core quanta are far too hot to span individually).
     Component(ComponentClass),
-    /// One request forwarded by the fleet router to a downstream
-    /// worker, from forward to response. Timestamps are microseconds
-    /// since router start.
-    RouterHop,
 }
 
 /// One structured observability event.
@@ -338,95 +283,6 @@ pub enum ObsEvent {
         /// Number of page addresses collected.
         pages: u64,
     },
-    /// The serve layer received a job request over the wire.
-    ///
-    /// Serve-layer events are stamped with milliseconds since server
-    /// start instead of a cycle count — `schedtaskd` has no simulation
-    /// clock of its own.
-    JobSubmitted {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
-    /// A job request was answered from the result cache without
-    /// re-simulating.
-    JobCacheHit {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
-    /// A job request arrived while an identical job was already in
-    /// flight; the caller was coalesced onto the pending execution.
-    JobCoalesced {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
-    /// A cache-miss job was admitted into the bounded queue.
-    JobAdmitted {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-        /// Queue depth after admission.
-        depth: u32,
-    },
-    /// The bounded queue was full; the submission was rejected with a
-    /// backpressure response.
-    JobRejected {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Queue depth at rejection time.
-        depth: u32,
-    },
-    /// A worker finished simulating a job.
-    JobExecuted {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-        /// Wall-clock execution time in microseconds.
-        micros: u64,
-    },
-    /// A completed job's output was appended to the persistent cache.
-    DiskWritten {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-        /// Record size on disk, including framing, in bytes.
-        bytes: u64,
-    },
-    /// An append to the persistent cache failed (I/O error, injected
-    /// tear, or simulated disk-full); the in-memory tier still serves
-    /// the result, so only durability is lost.
-    DiskWriteFailed {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
-    /// Persistent-cache recovery finished scanning the segment log.
-    DiskRecovered {
-        /// Milliseconds since server start.
-        at: u64,
-        /// Intact records recovered into the index.
-        records: u64,
-        /// Corrupt records quarantined (counted, never served).
-        corrupt: u64,
-        /// Torn segment tails truncated.
-        truncated: u64,
-    },
-    /// The serve-layer chaos injector fired.
-    ChaosInjected {
-        /// Milliseconds since server start.
-        at: u64,
-        /// What kind of chaos was injected.
-        kind: ChaosKind,
-    },
     /// An engine component took one self-driven action (currently
     /// emitted by device models when they raise interrupt traffic).
     ComponentTick {
@@ -439,56 +295,6 @@ pub enum ObsEvent {
         class: ComponentClass,
         /// Interrupts raised by this tick.
         irqs: u32,
-    },
-    /// The fleet router forwarded a run request to its hashed worker.
-    ///
-    /// Router events are stamped with milliseconds since router start,
-    /// like the serve-layer events.
-    RouterForwarded {
-        /// Milliseconds since router start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-        /// Ring index of the worker the request was forwarded to.
-        worker: u32,
-    },
-    /// A run request was answered from the router's hot-key cache
-    /// without touching any worker.
-    RouterHotCacheHit {
-        /// Milliseconds since router start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
-    /// A run request arrived while an identical key was already being
-    /// forwarded; the caller was coalesced onto the pending hop.
-    RouterCoalesced {
-        /// Milliseconds since router start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-    },
-    /// The router shed a request, propagating a worker's backpressure
-    /// hint upstream.
-    RouterShed {
-        /// Milliseconds since router start.
-        at: u64,
-        /// Ring index of the worker that rejected the request.
-        worker: u32,
-        /// Backpressure hint propagated to the client, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// A forward failed on the hashed owner and was rerouted to the
-    /// next distinct worker on the ring.
-    RouterFailover {
-        /// Milliseconds since router start.
-        at: u64,
-        /// Truncated canonical cache key of the job.
-        key: u64,
-        /// Ring index of the worker that failed.
-        from: u32,
-        /// Ring index of the worker tried next.
-        to: u32,
     },
 }
 
@@ -512,22 +318,7 @@ impl ObsEvent {
             ObsEvent::EpochRealloc { .. } => "epoch_realloc",
             ObsEvent::HeatmapStored { .. } => "heatmap_stored",
             ObsEvent::ExactPagesStored { .. } => "exact_pages_stored",
-            ObsEvent::JobSubmitted { .. } => "job_submitted",
-            ObsEvent::JobCacheHit { .. } => "job_cache_hit",
-            ObsEvent::JobCoalesced { .. } => "job_coalesced",
-            ObsEvent::JobAdmitted { .. } => "job_admitted",
-            ObsEvent::JobRejected { .. } => "job_rejected",
-            ObsEvent::JobExecuted { .. } => "job_executed",
-            ObsEvent::DiskWritten { .. } => "disk_written",
-            ObsEvent::DiskWriteFailed { .. } => "disk_write_failed",
-            ObsEvent::DiskRecovered { .. } => "disk_recovered",
-            ObsEvent::ChaosInjected { .. } => "chaos",
             ObsEvent::ComponentTick { .. } => "component_tick",
-            ObsEvent::RouterForwarded { .. } => "router_forwarded",
-            ObsEvent::RouterHotCacheHit { .. } => "router_hot_cache_hit",
-            ObsEvent::RouterCoalesced { .. } => "router_coalesced",
-            ObsEvent::RouterShed { .. } => "router_shed",
-            ObsEvent::RouterFailover { .. } => "router_failover",
         }
     }
 
@@ -550,22 +341,7 @@ impl ObsEvent {
             | ObsEvent::EpochRealloc { at }
             | ObsEvent::HeatmapStored { at, .. }
             | ObsEvent::ExactPagesStored { at, .. }
-            | ObsEvent::JobSubmitted { at, .. }
-            | ObsEvent::JobCacheHit { at, .. }
-            | ObsEvent::JobCoalesced { at, .. }
-            | ObsEvent::JobAdmitted { at, .. }
-            | ObsEvent::JobRejected { at, .. }
-            | ObsEvent::JobExecuted { at, .. }
-            | ObsEvent::DiskWritten { at, .. }
-            | ObsEvent::DiskWriteFailed { at, .. }
-            | ObsEvent::DiskRecovered { at, .. }
-            | ObsEvent::ChaosInjected { at, .. }
-            | ObsEvent::ComponentTick { at, .. }
-            | ObsEvent::RouterForwarded { at, .. }
-            | ObsEvent::RouterHotCacheHit { at, .. }
-            | ObsEvent::RouterCoalesced { at, .. }
-            | ObsEvent::RouterShed { at, .. }
-            | ObsEvent::RouterFailover { at, .. } => at,
+            | ObsEvent::ComponentTick { at, .. } => at,
         }
     }
 }

@@ -10,21 +10,39 @@ use std::sync::Mutex;
 use crate::event::ObsEvent;
 use crate::Observer;
 
-/// Escapes a label for embedding inside a JSON string literal.
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding inside a JSON string literal.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal, copying the
+/// runs between characters that need escaping in one step. Every such
+/// character is ASCII, so each run ends on a char boundary.
+pub fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Serializes one event as a single JSON object line (no trailing
@@ -37,7 +55,7 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
     line.push('"');
     if let Some(label) = label {
         line.push_str(",\"cell\":\"");
-        line.push_str(&escape_json(label));
+        push_escaped(&mut line, label);
         line.push('"');
     }
     line.push_str(&format!(",\"at\":{}", ev.at()));
@@ -103,40 +121,6 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
         ObsEvent::ExactPagesStored { core, pages, .. } => {
             line.push_str(&format!(",\"core\":{core},\"pages\":{pages}"));
         }
-        ObsEvent::JobSubmitted { key, .. } | ObsEvent::JobCacheHit { key, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\""));
-        }
-        ObsEvent::JobCoalesced { key, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\""));
-        }
-        ObsEvent::JobAdmitted { key, depth, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\",\"depth\":{depth}"));
-        }
-        ObsEvent::JobRejected { depth, .. } => {
-            line.push_str(&format!(",\"depth\":{depth}"));
-        }
-        ObsEvent::JobExecuted { key, micros, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\",\"micros\":{micros}"));
-        }
-        ObsEvent::DiskWriteFailed { key, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\""));
-        }
-        ObsEvent::DiskWritten { key, bytes, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\",\"bytes\":{bytes}"));
-        }
-        ObsEvent::DiskRecovered {
-            records,
-            corrupt,
-            truncated,
-            ..
-        } => {
-            line.push_str(&format!(
-                ",\"records\":{records},\"corrupt\":{corrupt},\"truncated\":{truncated}"
-            ));
-        }
-        ObsEvent::ChaosInjected { kind, .. } => {
-            line.push_str(&format!(",\"kind\":\"{}\"", kind.name()));
-        }
         ObsEvent::ComponentTick {
             component,
             class,
@@ -148,26 +132,6 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
                 component,
                 class.name(),
                 irqs
-            ));
-        }
-        ObsEvent::RouterForwarded { key, worker, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\",\"worker\":{worker}"));
-        }
-        ObsEvent::RouterHotCacheHit { key, .. } | ObsEvent::RouterCoalesced { key, .. } => {
-            line.push_str(&format!(",\"key\":\"{key:016x}\""));
-        }
-        ObsEvent::RouterShed {
-            worker,
-            retry_after_ms,
-            ..
-        } => {
-            line.push_str(&format!(
-                ",\"worker\":{worker},\"retry_after_ms\":{retry_after_ms}"
-            ));
-        }
-        ObsEvent::RouterFailover { key, from, to, .. } => {
-            line.push_str(&format!(
-                ",\"key\":\"{key:016x}\",\"from\":{from},\"to\":{to}"
             ));
         }
     }

@@ -7,6 +7,11 @@
 //! [`JsonlSink`] event writer, and the human summary tables rendered by
 //! [`render_counter_table`] / [`render_span_table`].
 //!
+//! The event and span vocabulary is the simulator's: only the engine
+//! and its schedulers emit [`ObsEvent`]s. The `schedtaskd` worker and
+//! router have no events of their own; each adds to a [`CounterSet`]
+//! of its own and prints it with [`render_counter_table`].
+//!
 //! # The `Observer` trait
 //!
 //! Everything funnels through one trait. The engine (and schedulers,
@@ -38,8 +43,8 @@ mod jsonl;
 
 pub use aggregate::{render_counter_table, render_span_table, Aggregator, SpanRow};
 pub use counters::{Counter, CounterSet, CounterSnapshot};
-pub use event::{ChaosKind, ComponentClass, FaultKind, ObsEvent, SfClass, SpanKind, StealLevel};
-pub use jsonl::{event_to_json, JsonlSink};
+pub use event::{ComponentClass, FaultKind, ObsEvent, SfClass, SpanKind, StealLevel};
+pub use jsonl::{escape_json, event_to_json, push_escaped, JsonlSink};
 
 /// A sink for structured observability data.
 ///
@@ -61,9 +66,9 @@ pub trait Observer: Send + Sync {
         let _ = ev;
     }
 
-    /// A span opened. `core` is `Some` for per-core SF execution
-    /// segments and `None` for global (run/epoch) spans; `at` is the
-    /// relevant clock in cycles.
+    /// A span opened. `core` is the executing core of an SF execution
+    /// segment and the device index of a component span (the engine
+    /// always passes `Some`); `at` is the relevant clock in cycles.
     fn span_enter(&self, core: Option<u32>, kind: SpanKind, at: u64) {
         let _ = (core, kind, at);
     }

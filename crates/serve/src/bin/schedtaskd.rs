@@ -17,8 +17,7 @@
 //! each taking one job at a time from the shared queue. Exits cleanly
 //! — queue closed, backlog drained (bounded by `--drain-deadline-ms`),
 //! responses flushed — on SIGTERM, SIGINT, or a `shutdown` request.
-//! With `--profile`, the serve counter and span tables are printed on
-//! exit.
+//! With `--profile`, the daemon's counter table is printed on exit.
 //!
 //! With `--router`, the daemon is a fleet router instead of a worker:
 //! it consistent-hashes each job's cache key across the `--worker`

@@ -15,6 +15,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use schedtask_experiments::serve_api::{Endpoint, Response};
+use schedtask_obs::render_counter_table;
 
 use crate::chaos::ResponseAction;
 use crate::router::Router;
@@ -52,12 +53,14 @@ impl Daemon {
         }
     }
 
-    /// The `--profile` report printed on shutdown.
+    /// The `--profile` report printed on shutdown: the daemon's
+    /// counter table.
     pub fn profile_text(&self) -> String {
-        match self {
-            Daemon::Worker(s) => s.profile_text(),
-            Daemon::Router(r) => r.profile_text(),
-        }
+        let counters = match self {
+            Daemon::Worker(s) => s.counters(),
+            Daemon::Router(r) => r.counters(),
+        };
+        render_counter_table(&[("schedtaskd".to_owned(), counters)])
     }
 }
 

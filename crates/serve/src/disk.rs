@@ -198,7 +198,21 @@ impl DiskCache {
     /// open during another's append would truncate the record being
     /// written as a torn tail.
     pub fn open(dir: &Path) -> io::Result<(DiskCache, RecoveryReport, Recovered)> {
+        // A new directory's name is durable only once its parent is
+        // synced, like a new segment's (DESIGN §12.1): sync the parent
+        // of every level this call creates.
+        let missing: Vec<&Path> = dir
+            .ancestors()
+            .take_while(|level| !level.as_os_str().is_empty() && !level.exists())
+            .collect();
         std::fs::create_dir_all(dir)?;
+        for level in missing {
+            let parent = level
+                .parent()
+                .filter(|parent| !parent.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            File::open(parent)?.sync_all()?;
+        }
         let mut segments: Vec<(u32, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
@@ -481,6 +495,17 @@ mod tests {
         assert_eq!(cache.read(9, records[&9].1).expect("read back").jsonl, "");
         assert!(!records.contains_key(&42));
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn open_creates_every_missing_level() {
+        let root = tmp_dir("nested");
+        let dir = root.join("a").join("b");
+        let (cache, _, _) = DiskCache::open(&dir).expect("open");
+        cache.append(5, "{}", "").expect("append");
+        let (_, report, _) = DiskCache::open(&dir).expect("reopen");
+        assert_eq!(report.records, 1);
+        std::fs::remove_dir_all(&root).expect("cleanup");
     }
 
     #[test]

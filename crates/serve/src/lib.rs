@@ -17,9 +17,11 @@
 //!   deterministic, so a hit replays byte-identical canonical
 //!   `SimStats` JSON and JSONL event text. Identical in-flight
 //!   submissions coalesce onto one execution.
-//! - **Observability** — hits/misses, queue depth, rejections, and
-//!   per-job latency spans all flow through `schedtask-obs` counters
-//!   and the `--profile` tables.
+//! - **Observability** — the worker counts hits, misses, rejections,
+//!   executions, disk writes and chaos injections, and the router its
+//!   hot hits, forwards, sheds and failovers, each in a
+//!   `schedtask-obs` `CounterSet` of its own; the `stats` op serves it
+//!   and `--profile` prints it as a counter table.
 //! - **Durability** — with `--cache-dir`, every result is also appended
 //!   to a crash-safe [`disk::DiskCache`] segment log before it is
 //!   published. Startup recovery truncates torn tails, quarantines

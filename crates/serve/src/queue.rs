@@ -88,12 +88,11 @@ impl JobQueue {
     }
 
     /// Admits a job, or rejects it when the queue is full or closed.
-    /// Returns the depth after admission.
     ///
     /// A [`SubmitError::Closed`] rejection is terminal — producers must
     /// observe shutdown promptly and report a hard error, not a
     /// backpressure hint that invites a futile retry.
-    pub fn submit(&self, job: QueuedJob) -> Result<usize, SubmitError> {
+    pub fn submit(&self, job: QueuedJob) -> Result<(), SubmitError> {
         let mut inner = self.inner.lock().expect("job queue poisoned");
         if inner.closed {
             return Err(SubmitError::Closed);
@@ -115,10 +114,9 @@ impl JobQueue {
             }));
         }
         inner.jobs.push_back(job);
-        let depth = inner.jobs.len();
         drop(inner);
         self.cv.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Blocks until a job is queued, then takes it. Returns `None` once

@@ -20,17 +20,17 @@
 //! `serve_router_failovers`) before giving up with a transient
 //! `unreachable` error that retrying clients know to back off on.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use schedtask_experiments::serve_api::{
-    escape_json, fnv1a64, parse_request, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp,
-    Response, ServeClient, PROTOCOL_VERSION,
+    fnv1a64, parse_request, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp, Response,
+    ServeClient, PROTOCOL_VERSION,
 };
-use schedtask_obs::{Aggregator, Counter, CounterSnapshot, ObsEvent, Observer, SpanKind};
+use schedtask_obs::{Counter, CounterSet, CounterSnapshot};
 
 use crate::cache::{EventStream, JobOutput, Lookup, ResultCache};
+use crate::server::{counters_object, id_field};
 
 /// Virtual nodes per worker on the hash ring. Enough that adding or
 /// removing one worker moves ~1/N of the key space and shard sizes stay
@@ -111,9 +111,7 @@ pub struct Router {
     /// return it on success, so steady-state traffic re-uses sockets.
     pools: Vec<Mutex<Vec<ServeClient>>>,
     hot: ResultCache,
-    agg: Aggregator,
-    started: Instant,
-    hop_ticket: AtomicU32,
+    counters: CounterSet,
 }
 
 impl Router {
@@ -150,9 +148,7 @@ impl Router {
             ring,
             pools,
             hot: ResultCache::new(),
-            agg: Aggregator::new(),
-            started: Instant::now(),
-            hop_ticket: AtomicU32::new(0),
+            counters: CounterSet::new(),
         })
     }
 
@@ -163,15 +159,7 @@ impl Router {
 
     /// Snapshot of the router's own counters.
     pub fn counters(&self) -> CounterSnapshot {
-        self.agg.counters()
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
+        self.counters.snapshot()
     }
 
     /// Handles one request line; returns the response line and whether
@@ -218,10 +206,7 @@ impl Router {
 
         match self.hot.lookup_or_claim(key) {
             Lookup::Hit(out) => {
-                self.agg.event(&ObsEvent::RouterHotCacheHit {
-                    at: self.now_ms(),
-                    key,
-                });
+                self.counters.add(Counter::ServeRouterHotHits, 1);
                 Response::Ok {
                     id: id.clone(),
                     cached: true,
@@ -235,10 +220,7 @@ impl Router {
                 .render()
             }
             Lookup::InFlight(slot) => {
-                self.agg.event(&ObsEvent::RouterCoalesced {
-                    at: self.now_ms(),
-                    key,
-                });
+                self.counters.add(Counter::ServeRouterCoalesced, 1);
                 match slot.wait() {
                     Ok(out) => Response::Ok {
                         id: id.clone(),
@@ -314,31 +296,18 @@ impl Router {
         // the bytes the cache key was derived from.
         let line = spec.to_request_line(id.as_deref(), want_obs);
         let order = route_candidates(&self.ring, key, self.cfg.workers.len());
-        let mut previous: Option<usize> = None;
-        for worker in order {
-            if let Some(from) = previous {
-                self.agg.event(&ObsEvent::RouterFailover {
-                    at: self.now_ms(),
-                    key,
-                    from: from as u32,
-                    to: worker as u32,
-                });
+        // Every attempt after the first follows a transport failure.
+        for (attempt, worker) in order.into_iter().enumerate() {
+            if attempt > 0 {
+                self.counters.add(Counter::ServeRouterFailovers, 1);
             }
-            match self.forward_once(worker, key, &line) {
-                Ok(response) => {
-                    let parsed = Response::parse(&response);
-                    if let Ok(Response::Rejected { retry_after_ms, .. }) = parsed {
-                        self.agg.event(&ObsEvent::RouterShed {
-                            at: self.now_ms(),
-                            worker: worker as u32,
-                            retry_after_ms,
-                        });
-                    }
-                    return (response, parsed);
+            if let Ok(response) = self.forward_once(worker, &line) {
+                self.counters.add(Counter::ServeRouterForwarded, 1);
+                let parsed = Response::parse(&response);
+                if matches!(parsed, Ok(Response::Rejected { .. })) {
+                    self.counters.add(Counter::ServeRouterShed, 1);
                 }
-                Err(_) => {
-                    previous = Some(worker);
-                }
+                return (response, parsed);
             }
         }
         let unreachable = Response::Error {
@@ -353,24 +322,7 @@ impl Router {
     /// connection, send, and return the connection to the pool on
     /// success. A send failure retries once on a fresh dial before
     /// reporting the worker down.
-    fn forward_once(&self, worker: usize, key: u64, line: &str) -> Result<String, String> {
-        let slot = self.hop_ticket.fetch_add(1, Ordering::Relaxed);
-        self.agg
-            .span_enter(Some(slot), SpanKind::RouterHop, self.now_us());
-        let result = self.forward_on_conn(worker, line);
-        self.agg
-            .span_exit(Some(slot), SpanKind::RouterHop, self.now_us());
-        if result.is_ok() {
-            self.agg.event(&ObsEvent::RouterForwarded {
-                at: self.now_ms(),
-                key,
-                worker: worker as u32,
-            });
-        }
-        result
-    }
-
-    fn forward_on_conn(&self, worker: usize, line: &str) -> Result<String, String> {
+    fn forward_once(&self, worker: usize, line: &str) -> Result<String, String> {
         let pooled = {
             let mut pool = self.pools[worker].lock().unwrap_or_else(|e| e.into_inner());
             pool.pop()
@@ -407,7 +359,7 @@ impl Router {
         let mut worker_sums: Vec<(String, u64)> = Vec::new();
         let mut reachable = 0usize;
         for worker in 0..self.cfg.workers.len() {
-            let Ok(line) = self.forward_on_conn(worker, "{\"v\":1,\"op\":\"stats\"}") else {
+            let Ok(line) = self.forward_once(worker, "{\"v\":1,\"op\":\"stats\"}") else {
                 continue;
             };
             let Ok(json) = Json::parse(&line) else {
@@ -424,21 +376,6 @@ impl Router {
                 }
             }
         }
-        let id_field = match id {
-            Some(id) => format!("\"id\":\"{}\",", escape_json(id)),
-            None => String::new(),
-        };
-        let mut own = String::from("{");
-        let snap = self.agg.counters();
-        let mut first = true;
-        for (c, v) in snap.iter().filter(|&(_, v)| v > 0) {
-            if !first {
-                own.push(',');
-            }
-            first = false;
-            own.push_str(&format!("\"{}\":{v}", c.name()));
-        }
-        own.push('}');
         let mut workers = String::from("{");
         let mut first = true;
         for (name, v) in &worker_sums {
@@ -450,27 +387,19 @@ impl Router {
         }
         workers.push('}');
         format!(
-            "{{\"v\":{PROTOCOL_VERSION},{id_field}\"status\":\"ok\",\"router\":true,\
+            "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"router\":true,\
              \"workers\":{},\"workers_reachable\":{reachable},\
-             \"hot_entries\":{},\"counters\":{own},\"worker_counters\":{workers}}}",
+             \"hot_entries\":{},\"counters\":{},\"worker_counters\":{workers}}}",
+            id_field(id),
             self.cfg.workers.len(),
-            self.hot.entries()
+            self.hot.entries(),
+            counters_object(&self.counters())
         )
-    }
-
-    /// The `--profile` shutdown table: the router's non-zero counters.
-    pub fn profile_text(&self) -> String {
-        let snap = self.agg.counters();
-        let mut out = String::new();
-        for (c, v) in snap.iter().filter(|&(_, v)| v > 0) {
-            out.push_str(&format!("{}={v}\n", c.name()));
-        }
-        out
     }
 
     /// Lifetime count of one router counter (test hook).
     pub fn counter(&self, c: Counter) -> u64 {
-        self.agg.counters().get(c)
+        self.counters.get(c)
     }
 }
 

@@ -13,12 +13,9 @@ use std::time::Instant;
 use schedtask::{SchedTaskConfig, SchedTaskScheduler};
 use schedtask_experiments::runner::{panic_message, RunBuilder};
 use schedtask_experiments::serve_api::{
-    parse_request, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
+    escape_json, parse_request, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
 };
-use schedtask_obs::{
-    render_counter_table, render_span_table, Aggregator, ChaosKind, CounterSnapshot, JsonlSink,
-    ObsEvent, Observer, SpanKind,
-};
+use schedtask_obs::{Counter, CounterSet, CounterSnapshot, JsonlSink, Observer};
 
 use crate::cache::{EventStream, JobOutput, Lookup, ResultCache};
 use crate::chaos::{ChaosInjector, ChaosPlan, ResponseAction};
@@ -62,8 +59,7 @@ pub struct Server {
     recovery: Option<RecoveryReport>,
     chaos: Option<Mutex<ChaosInjector>>,
     queue: JobQueue,
-    agg: Arc<Aggregator>,
-    started: Instant,
+    counters: CounterSet,
 }
 
 /// What a chaos-inflected disk append should do.
@@ -84,12 +80,12 @@ impl Server {
     /// A fresh server, recovering the persistent tier when
     /// `cfg.cache_dir` is set: every recovered record's stats bytes and
     /// location are filled into the memory tier, so it is served as an
-    /// ordinary cache hit and its stream is read from the log. Recovery
-    /// results are published as a [`ObsEvent::DiskRecovered`] event
-    /// (visible in `--profile`) and via [`Server::recovery`].
+    /// ordinary cache hit and its stream is read from the log. What
+    /// recovery found is added to the `serve_disk_recovered`,
+    /// `serve_disk_corrupt` and `serve_disk_truncated_tails` counters
+    /// (visible in `--profile`) and returned by [`Server::recovery`].
     pub fn try_new(cfg: ServeConfig) -> io::Result<Server> {
-        let started = Instant::now();
-        let agg = Arc::new(Aggregator::new());
+        let counters = CounterSet::new();
         let cache = ResultCache::new();
         let (disk, recovery) = match &cfg.cache_dir {
             Some(dir) => {
@@ -108,12 +104,9 @@ impl Server {
                         );
                     }
                 }
-                agg.event(&ObsEvent::DiskRecovered {
-                    at: started.elapsed().as_millis() as u64,
-                    records: report.records,
-                    corrupt: report.corrupt,
-                    truncated: report.truncated_tails,
-                });
+                counters.add(Counter::ServeDiskRecovered, report.records);
+                counters.add(Counter::ServeDiskCorrupt, report.corrupt);
+                counters.add(Counter::ServeDiskTruncatedTails, report.truncated_tails);
                 (Some(disk), Some(report))
             }
             None => (None, None),
@@ -130,8 +123,7 @@ impl Server {
             disk,
             recovery,
             chaos,
-            agg,
-            started,
+            counters,
         })
     }
 
@@ -151,23 +143,9 @@ impl Server {
         self.cache.get(key)
     }
 
-    /// Milliseconds since server start (the `at` clock of serve events).
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Microseconds since server start (the job-span clock).
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
-    fn emit(&self, ev: ObsEvent) {
-        self.agg.event(&ev);
-    }
-
     /// Snapshot of the serve counters.
     pub fn counters(&self) -> CounterSnapshot {
-        self.agg.counters()
+        self.counters.snapshot()
     }
 
     /// Current admission-queue depth.
@@ -181,19 +159,6 @@ impl Server {
         self.queue.close();
     }
 
-    /// The `--profile` report: counter and span tables.
-    pub fn profile_text(&self) -> String {
-        let mut out = render_counter_table(&[("schedtaskd".to_owned(), self.agg.counters())]);
-        let spans = render_span_table(&self.agg.span_rows());
-        if !spans.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&spans);
-        }
-        out
-    }
-
     /// Spawns `cfg.workers` executors. Each takes one job at a time
     /// from the queue, so an idle executor never waits for a busy one.
     /// The returned handle finishes once every executor has drained the
@@ -203,20 +168,17 @@ impl Server {
         let server = Arc::clone(self);
         thread::spawn(move || {
             thread::scope(|scope| {
-                for index in 0..server.cfg.workers.max(1) as u32 {
-                    let server = &server;
-                    scope.spawn(move || server.run_executor(index));
+                for _ in 0..server.cfg.workers.max(1) {
+                    scope.spawn(|| server.run_executor());
                 }
             });
         })
     }
 
     /// One executor: runs queued jobs until the queue is closed and
-    /// drained. `index` labels its job spans.
-    fn run_executor(&self, index: u32) {
+    /// drained.
+    fn run_executor(&self) {
         while let Some(job) = self.queue.next() {
-            let enter_us = self.now_us();
-            self.agg.span_enter(Some(index), SpanKind::Job, enter_us);
             let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if self.chaos_worker_panic() {
@@ -225,14 +187,11 @@ impl Server {
                 execute_job(&job.spec)
             }))
             .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(payload))));
-            let micros = started.elapsed().as_micros() as u64;
-            self.agg
-                .span_exit(Some(index), SpanKind::Job, enter_us + micros);
-            self.emit(ObsEvent::JobExecuted {
-                at: self.now_ms(),
-                key: job.key,
-                micros,
-            });
+            self.counters.add(Counter::ServeExecuted, 1);
+            self.counters.add(
+                Counter::ServeExecMicros,
+                started.elapsed().as_micros() as u64,
+            );
             match result {
                 Ok(run) => {
                     // Persist (and fsync) before publishing: once a
@@ -267,11 +226,9 @@ impl Server {
         match self.chaos_disk_action(record_len) {
             DiskAction::Persist => {
                 if let Ok(loc) = disk.append(key, &run.stats_json, &run.jsonl) {
-                    self.emit(ObsEvent::DiskWritten {
-                        at: self.now_ms(),
-                        key,
-                        bytes: u64::from(loc.len),
-                    });
+                    self.counters.add(Counter::ServeDiskWrites, 1);
+                    self.counters
+                        .add(Counter::ServeDiskWriteBytes, u64::from(loc.len));
                     return Some(loc);
                 }
             }
@@ -280,10 +237,7 @@ impl Server {
             }
             DiskAction::Fail => {}
         }
-        self.emit(ObsEvent::DiskWriteFailed {
-            at: self.now_ms(),
-            key,
-        });
+        self.counters.add(Counter::ServeDiskWriteErrors, 1);
         None
     }
 
@@ -294,19 +248,11 @@ impl Server {
         };
         let mut inj = chaos.lock().expect("chaos injector poisoned");
         if let Some(keep) = inj.torn_write(record_len) {
-            drop(inj);
-            self.emit(ObsEvent::ChaosInjected {
-                at: self.now_ms(),
-                kind: ChaosKind::TornWrite,
-            });
+            self.counters.add(Counter::ServeChaosTornWrites, 1);
             return DiskAction::Torn(keep);
         }
         if inj.disk_full() {
-            drop(inj);
-            self.emit(ObsEvent::ChaosInjected {
-                at: self.now_ms(),
-                kind: ChaosKind::DiskFull,
-            });
+            self.counters.add(Counter::ServeChaosDiskFull, 1);
             return DiskAction::Fail;
         }
         DiskAction::Persist
@@ -322,18 +268,15 @@ impl Server {
             .expect("chaos injector poisoned")
             .worker_panic();
         if fire {
-            self.emit(ObsEvent::ChaosInjected {
-                at: self.now_ms(),
-                kind: ChaosKind::WorkerPanic,
-            });
+            self.counters.add(Counter::ServeChaosWorkerPanics, 1);
         }
         fire
     }
 
     /// Rolls the chaos dice for one outgoing response line of
     /// `line_len` bytes. The transport layer (the daemon) applies the
-    /// returned action; chaos events are emitted here so `--profile`
-    /// accounts every injection.
+    /// returned action; each injection is counted here so `--profile`
+    /// accounts for all of them.
     pub fn chaos_response_action(&self, line_len: usize) -> ResponseAction {
         let Some(chaos) = &self.chaos else {
             return ResponseAction::Normal;
@@ -342,16 +285,13 @@ impl Server {
             .lock()
             .expect("chaos injector poisoned")
             .response_action(line_len);
-        let kind = match action {
+        let counter = match action {
             ResponseAction::Normal => return action,
-            ResponseAction::Delay(_) => ChaosKind::DelayedResponse,
-            ResponseAction::Truncate(_) => ChaosKind::TruncatedResponse,
-            ResponseAction::Drop => ChaosKind::DroppedConnection,
+            ResponseAction::Delay(_) => Counter::ServeChaosDelayedResponses,
+            ResponseAction::Truncate(_) => Counter::ServeChaosTruncatedResponses,
+            ResponseAction::Drop => Counter::ServeChaosDroppedConns,
         };
-        self.emit(ObsEvent::ChaosInjected {
-            at: self.now_ms(),
-            kind,
-        });
+        self.counters.add(counter, 1);
         action
     }
 
@@ -396,23 +336,14 @@ impl Server {
     fn handle_run(&self, id: &Option<String>, spec: JobSpec, want_obs: bool) -> String {
         let key = spec.cache_key();
         let submitted = Instant::now();
-        self.emit(ObsEvent::JobSubmitted {
-            at: self.now_ms(),
-            key,
-        });
+        self.counters.add(Counter::ServeSubmitted, 1);
         let (output, cached, coalesced) = match self.cache.lookup_or_claim(key) {
             Lookup::Hit(out) => {
-                self.emit(ObsEvent::JobCacheHit {
-                    at: self.now_ms(),
-                    key,
-                });
+                self.counters.add(Counter::ServeCacheHits, 1);
                 (Ok(out), true, false)
             }
             Lookup::InFlight(slot) => {
-                self.emit(ObsEvent::JobCoalesced {
-                    at: self.now_ms(),
-                    key,
-                });
+                self.counters.add(Counter::ServeCoalesced, 1);
                 (slot.wait(), false, true)
             }
             Lookup::Claimed(slot) => {
@@ -422,19 +353,12 @@ impl Server {
                     slot: Arc::clone(&slot),
                 };
                 match self.queue.submit(job) {
-                    Ok(depth) => {
-                        self.emit(ObsEvent::JobAdmitted {
-                            at: self.now_ms(),
-                            key,
-                            depth: depth as u32,
-                        });
+                    Ok(()) => {
+                        self.counters.add(Counter::ServeCacheMisses, 1);
                         (slot.wait(), false, false)
                     }
                     Err(SubmitError::Full(bp)) => {
-                        self.emit(ObsEvent::JobRejected {
-                            at: self.now_ms(),
-                            depth: bp.depth as u32,
-                        });
+                        self.counters.add(Counter::ServeRejected, 1);
                         // Release the claim so a retry after back-off
                         // re-executes instead of waiting forever.
                         self.cache
@@ -495,40 +419,42 @@ impl Server {
     }
 
     fn stats_response(&self, id: &Option<String>) -> String {
-        let snap = self.agg.counters();
-        let mut counters = String::from("{");
-        let mut first = true;
-        for (c, v) in snap.iter().filter(|&(_, v)| v > 0) {
-            if !first {
-                counters.push(',');
-            }
-            first = false;
-            counters.push_str(&format!("\"{}\":{v}", c.name()));
-        }
-        counters.push('}');
         format!(
             "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"queue_depth\":{},\
              \"queue_capacity\":{},\"cache_entries\":{},\"disk_entries\":{},\
-             \"counters\":{counters}}}",
+             \"counters\":{}}}",
             id_field(id),
             self.queue.depth(),
             self.queue.capacity(),
             self.cache.entries(),
-            self.disk_entries()
+            self.disk_entries(),
+            counters_object(&self.counters())
         )
     }
 }
 
-/// Renders the optional leading `"id":"...",` response field (stats
-/// responses only; typed responses render through [`Response`]).
-fn id_field(id: &Option<String>) -> String {
+/// Renders the optional leading `"id":"...",` field of a `stats`
+/// response, worker or router; typed responses render through
+/// [`Response`].
+pub(crate) fn id_field(id: &Option<String>) -> String {
     match id {
-        Some(id) => format!(
-            "\"id\":\"{}\",",
-            schedtask_experiments::serve_api::escape_json(id)
-        ),
+        Some(id) => format!("\"id\":\"{}\",", escape_json(id)),
         None => String::new(),
     }
+}
+
+/// Renders a snapshot's non-zero counters, in index order, as the
+/// `{"name":value,...}` object of a `stats` response, worker or router.
+pub(crate) fn counters_object(snap: &CounterSnapshot) -> String {
+    let mut out = String::from("{");
+    for (c, v) in snap.iter().filter(|&(_, v)| v > 0) {
+        if out.len() > 1 {
+            out.push(',');
+        }
+        out.push_str(&format!("\"{}\":{v}", c.name()));
+    }
+    out.push('}');
+    out
 }
 
 /// Renders an error response line with no machine-readable code.
@@ -927,6 +853,106 @@ mod tests {
         server.close();
         dispatcher.join().expect("dispatcher exits");
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn disk_and_chaos_counters_count_what_happened() {
+        let line = quick_run_line("c", "Find");
+        let key = spec_of(&line).cache_key();
+        let run_once = |tag: &str, chaos: Option<ChaosPlan>| {
+            let dir = tmp_cache_dir(tag);
+            let server = Arc::new(Server::new(ServeConfig {
+                cache_dir: Some(dir.clone()),
+                chaos,
+                ..ServeConfig::default()
+            }));
+            let dispatcher = server.spawn_dispatcher();
+            let (resp, _) = server.handle_request_line(&line);
+            let json = Json::parse(&resp).expect("response is JSON");
+            assert_eq!(json.get("status").and_then(Json::as_str), Some("ok"));
+            server.close();
+            dispatcher.join().expect("dispatcher exits");
+            (server, dir)
+        };
+
+        let (server, dir) = run_once("counted", None);
+        let EventStream::Logged(loc) = server.cached(key).expect("cached").jsonl else {
+            panic!("a persisted stream is logged");
+        };
+        let snap = server.counters();
+        assert_eq!(snap.get(Counter::ServeDiskWrites), 1);
+        assert_eq!(snap.get(Counter::ServeDiskWriteBytes), u64::from(loc.len));
+        assert_eq!(snap.get(Counter::ServeDiskWriteErrors), 0);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        let full = ChaosPlan {
+            disk_full_rate: 1.0,
+            ..ChaosPlan::none(1)
+        };
+        let (server, dir) = run_once("full", Some(full));
+        let snap = server.counters();
+        assert_eq!(snap.get(Counter::ServeChaosDiskFull), 1);
+        assert_eq!(snap.get(Counter::ServeDiskWriteErrors), 1);
+        assert_eq!(snap.get(Counter::ServeDiskWrites), 0);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        let torn = ChaosPlan {
+            torn_write_rate: 1.0,
+            ..ChaosPlan::none(1)
+        };
+        let (server, dir) = run_once("torn", Some(torn));
+        let snap = server.counters();
+        assert_eq!(snap.get(Counter::ServeChaosTornWrites), 1);
+        assert_eq!(snap.get(Counter::ServeDiskWriteErrors), 1);
+        assert_eq!(snap.get(Counter::ServeDiskWrites), 0);
+        let reopened = Server::new(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let report = reopened.recovery().expect("recovery ran");
+        assert_eq!(report.truncated_tails, 1, "{report:?}");
+        let snap = reopened.counters();
+        assert_eq!(snap.get(Counter::ServeDiskRecovered), report.records);
+        assert_eq!(snap.get(Counter::ServeDiskCorrupt), report.corrupt);
+        assert_eq!(
+            snap.get(Counter::ServeDiskTruncatedTails),
+            report.truncated_tails
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+
+        let none = ChaosPlan::none(1);
+        for (plan, counter) in [
+            (
+                ChaosPlan {
+                    delay_response_rate: 1.0,
+                    ..none.clone()
+                },
+                Counter::ServeChaosDelayedResponses,
+            ),
+            (
+                ChaosPlan {
+                    truncate_response_rate: 1.0,
+                    ..none.clone()
+                },
+                Counter::ServeChaosTruncatedResponses,
+            ),
+            (
+                ChaosPlan {
+                    drop_connection_rate: 1.0,
+                    ..none
+                },
+                Counter::ServeChaosDroppedConns,
+            ),
+        ] {
+            let server = Server::new(ServeConfig {
+                chaos: Some(plan),
+                ..ServeConfig::default()
+            });
+            assert_ne!(server.chaos_response_action(80), ResponseAction::Normal);
+            let snap = server.counters();
+            assert_eq!(snap.get(counter), 1, "{}", counter.name());
+            assert_eq!(snap.total(), 1, "{} counts only itself", counter.name());
+        }
     }
 
     #[test]
