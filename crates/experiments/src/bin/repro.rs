@@ -30,8 +30,10 @@
 //!
 //! Serving: the job server is the `schedtaskd` binary from
 //! `crates/serve`; `repro submit` is its line client. It submits one
-//! run request per `technique × workload` pair to `--addr ENDPOINT`
-//! (`tcp://HOST:PORT` or `unix:///PATH`) and prints each response.
+//! run request per `technique × workload` pair (default `SchedTask ×
+//! Find`) to `--addr ENDPOINT` (`tcp://HOST:PORT` or `unix:///PATH`)
+//! and prints each response; `--stats` or `--shutdown` without
+//! `--workload` or `--technique` submits no run.
 //! `--ping` waits for server readiness; `--expect-cached` exits non-zero
 //! if any successful response was not served from the result cache;
 //! `--stats` prints the server's counters; `--shutdown` asks the server
@@ -604,8 +606,9 @@ fn print_submit_help() {
                 [--wait-ms N]\n\n\
          ENDPOINT is tcp://HOST:PORT or unix:///PATH.\n\n\
          One run request is sent per technique x workload pair (comma\n\
-         lists). Requests default to quick-size parameters; --standard\n\
-         submits full-size runs.\n\n\
+         lists; default SchedTask x Find). --stats or --shutdown without\n\
+         --workload or --technique sends no run request. Requests default\n\
+         to quick-size parameters; --standard submits full-size runs.\n\n\
            --ping            wait until the server answers, then exit 0\n\
            --expect-cached   exit 1 if any ok response missed the cache\n\
            --stats           print the server's counters after submitting\n\
@@ -623,8 +626,8 @@ fn run_submit(args: Vec<String>) -> ! {
     use schedtask_experiments::serve_api::Json;
 
     let mut addr: Option<Endpoint> = None;
-    let mut workloads = vec!["Find".to_owned()];
-    let mut techniques = vec!["SchedTask".to_owned()];
+    let mut workloads: Option<Vec<String>> = None;
+    let mut techniques: Option<Vec<String>> = None;
     let mut steal: Option<String> = None;
     let mut scale: Option<f64> = None;
     let mut quick = true;
@@ -657,9 +660,11 @@ fn run_submit(args: Vec<String>) -> ! {
                         .unwrap_or_else(|e| die(&format!("bad --addr: {e}"))),
                 )
             }
-            "--workload" => workloads = value("--workload").split(',').map(str::to_owned).collect(),
+            "--workload" => {
+                workloads = Some(value("--workload").split(',').map(str::to_owned).collect())
+            }
             "--technique" => {
-                techniques = value("--technique").split(',').map(str::to_owned).collect()
+                techniques = Some(value("--technique").split(',').map(str::to_owned).collect())
             }
             "--steal" => steal = Some(value("--steal")),
             "--scale" => {
@@ -724,6 +729,15 @@ fn run_submit(args: Vec<String>) -> ! {
         }
     }
     let endpoint = addr.unwrap_or_else(|| die("submit needs --addr ENDPOINT"));
+    // `--stats` or `--shutdown` on its own sends only those ops; any other
+    // invocation runs the default SchedTask/Find job where a list is unset.
+    let (workloads, techniques) = match (workloads, techniques) {
+        (None, None) if want_stats || want_shutdown => (Vec::new(), Vec::new()),
+        (w, t) => (
+            w.unwrap_or_else(|| vec!["Find".to_owned()]),
+            t.unwrap_or_else(|| vec!["SchedTask".to_owned()]),
+        ),
+    };
     let timeouts = ClientTimeouts::default();
 
     // Connect with retry so a freshly-spawned server has time to bind;

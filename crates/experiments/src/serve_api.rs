@@ -300,6 +300,30 @@ impl JobSpec {
     }
 }
 
+/// Splits a request line that opens the way [`JobSpec::to_request_line`]
+/// renders an id, `{"v":1,"id":"ID"` followed by the rest of the line,
+/// into `(ID, rest)` without allocating. `ID` must contain no byte that
+/// [`escape_json`] escapes (`"`, `\`, or a byte below 0x20), so it is
+/// its own wire spelling; any other line, including one with a missing,
+/// numeric or escaped id, gives `None`.
+///
+/// For a spec and an id with no such byte, the rest of
+/// `spec.to_request_line(Some(id), obs)` is `spec.to_request_line(None,
+/// obs)` without its leading `{"v":1`, whatever the id.
+pub fn split_request_line(line: &str) -> Option<(&str, &str)> {
+    let after_v = line.strip_prefix("{\"v\":")?;
+    let digits = after_v.bytes().take_while(u8::is_ascii_digit).count();
+    let (version, after_version) = after_v.split_at(digits);
+    if version.starts_with('0') || version.parse::<u32>() != Ok(PROTOCOL_VERSION) {
+        return None;
+    }
+    let id_and_rest = after_version.strip_prefix(",\"id\":\"")?;
+    let end = id_and_rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
+    (id_and_rest.as_bytes()[end] == b'"').then(|| (&id_and_rest[..end], &id_and_rest[end + 1..]))
+}
+
 /// Writes a fault plan as the explicit `key=value` spec
 /// [`FaultPlan::parse`] reads back field-for-field: every rate and
 /// budget is spelled out (floats via `{:?}`, the shortest round-trip

@@ -7,6 +7,8 @@
 //!    `parse_request(spec.to_request_line(..))` recovers an identical
 //!    spec — same cache key, same id, same obs flag — and re-encoding
 //!    the parsed spec reproduces the original line byte for byte.
+//!    `split_request_line` splits the line at its id exactly when the
+//!    id needs no escaping, and the rest is the line without an id.
 //! 2. Every [`Response`] variant round-trips through render/parse,
 //!    including error responses with machine-readable codes and ok
 //!    responses carrying raw result payloads and JSONL streams.
@@ -23,7 +25,8 @@ use proptest::prelude::*;
 use schedtask::StealPolicy;
 use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
-    escape_json, parse_request, JobSpec, Json, RequestError, RequestOp, Response, PROTOCOL_VERSION,
+    escape_json, parse_request, split_request_line, JobSpec, Json, RequestError, RequestOp,
+    Response, PROTOCOL_VERSION,
 };
 use schedtask_experiments::Technique;
 use schedtask_kernel::FaultPlan;
@@ -47,6 +50,60 @@ fn wire_string() -> impl Strategy<Value = String> {
             })
             .collect()
     })
+}
+
+/// Optional request ids of up to 7 characters, each a quote, a
+/// backslash, a control character, DEL, an arbitrary scalar or
+/// printable ASCII, so some need escaping and some do not.
+fn request_id() -> impl Strategy<Value = Option<String>> {
+    (
+        prop::bool::ANY,
+        prop::collection::vec((0u32..8, 0u32..0x11_0000), 0..8),
+    )
+        .prop_map(|(some, chars)| {
+            some.then(|| {
+                chars
+                    .into_iter()
+                    .map(|(pick, code)| match pick {
+                        0 => '"',
+                        1 => '\\',
+                        2 => char::from_u32(code % 0x20).expect("a control character"),
+                        3 => '\u{7f}',
+                        4 => char::from_u32(code).unwrap_or('\u{fffd}'),
+                        _ => char::from(b' ' + (code % 95) as u8),
+                    })
+                    .collect()
+            })
+        })
+}
+
+#[test]
+fn lines_without_a_verbatim_leading_id_do_not_split() {
+    let spec = JobSpec::new(Technique::SchedTask, BenchmarkKind::Find);
+    let bare = spec.to_request_line(None, false);
+    let rest = bare
+        .strip_prefix("{\"v\":1")
+        .expect("a line opens with its version");
+    assert_eq!(
+        split_request_line(&spec.to_request_line(Some("job-1"), false)),
+        Some(("job-1", rest))
+    );
+    for line in [
+        bare.clone(),
+        format!("{{\"v\":1,\"id\":7{rest}"),
+        format!("{{\"v\":1,\"id\":\"a\\\"b\"{rest}"),
+        format!("{{\"v\":1,\"id\":\"tab\ttab\"{rest}"),
+        format!("{{\"id\":\"job-1\",\"v\":1{rest}"),
+        format!("{{\"v\":2,\"id\":\"job-1\"{rest}"),
+        format!("{{\"v\":01,\"id\":\"job-1\"{rest}"),
+        format!("{{\"v\":10,\"id\":\"job-1\"{rest}"),
+        format!("{{ \"v\":1,\"id\":\"job-1\"{rest}"),
+        format!("{{\"v\":1, \"id\":\"job-1\"{rest}"),
+        "{\"v\":1,\"id\":\"job-1".to_owned(),
+        String::new(),
+    ] {
+        assert_eq!(split_request_line(&line), None, "{line}");
+    }
 }
 
 proptest! {
@@ -108,7 +165,7 @@ proptest! {
             vec!["disk:700"],
             vec!["network:900", "timer:450"],
         ]),
-        id in prop::sample::select(vec![None, Some("job-1"), Some("weird \"id\"\twith\nescapes")]),
+        id in request_id(),
         want_obs in prop::bool::ANY,
     ) {
         let mut spec = JobSpec::new(technique, benchmark);
@@ -133,6 +190,7 @@ proptest! {
             .map(|d| parse_device_spec(d).expect("device spec parses"))
             .collect();
 
+        let id = id.as_deref();
         let line = spec.to_request_line(id, want_obs);
         let request = match parse_request(&line) {
             Ok(request) => request,
@@ -154,7 +212,16 @@ proptest! {
         prop_assert_eq!(parsed.cache_key(), spec.cache_key());
         // Encoding is canonical: re-rendering the parsed spec must
         // reproduce the original wire bytes exactly.
-        prop_assert_eq!(parsed.to_request_line(id, want_obs), line);
+        prop_assert_eq!(parsed.to_request_line(id, want_obs), line.clone());
+        // The line splits at an id that needs no escaping, and what
+        // follows it is the same line without an id, less its version.
+        let bare = spec.to_request_line(None, want_obs);
+        let head = format!("{{\"v\":{PROTOCOL_VERSION}");
+        let verbatim = id.filter(|id| escape_json(id) == *id);
+        prop_assert_eq!(
+            split_request_line(&line),
+            verbatim.map(|id| (id, &bare[head.len()..]))
+        );
     }
 
     #[test]

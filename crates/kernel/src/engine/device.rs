@@ -53,7 +53,7 @@ impl DmaDevice {
         let at = ctx.now;
         let component = self.index as u32;
         ctx.obs.span_enter(
-            Some(component),
+            component,
             SpanKind::Component(ComponentClass::DmaDevice),
             at,
         );
@@ -76,7 +76,7 @@ impl DmaDevice {
         let delta = self.draw();
         ctx.schedule_event(at + delta, EventKind::DeviceTick { device: self.index });
         ctx.obs.span_exit(
-            Some(component),
+            component,
             SpanKind::Component(ComponentClass::DmaDevice),
             at,
         );

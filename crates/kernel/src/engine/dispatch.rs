@@ -74,7 +74,7 @@ impl EngineCore {
             core: c as u32,
         });
         self.obs
-            .span_enter(Some(c as u32), SpanKind::Sf(class_of(category)), at);
+            .span_enter(c as u32, SpanKind::Sf(class_of(category)), at);
         Ok(())
     }
 
@@ -84,7 +84,7 @@ impl EngineCore {
         if self.obs.is_enabled() {
             let class = class_of(self.sf(sf_id).category());
             let at = self.cores[c].clock;
-            self.obs.span_exit(Some(c as u32), SpanKind::Sf(class), at);
+            self.obs.span_exit(c as u32, SpanKind::Sf(class), at);
         }
     }
 

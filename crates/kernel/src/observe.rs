@@ -66,7 +66,7 @@ impl ObserverSet {
 
     /// Fans out a span open (only when enabled).
     #[inline]
-    pub(crate) fn span_enter(&self, core: Option<u32>, kind: SpanKind, at: u64) {
+    pub(crate) fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
         if self.enabled {
             for obs in &self.observers {
                 obs.span_enter(core, kind, at);
@@ -76,7 +76,7 @@ impl ObserverSet {
 
     /// Fans out a span close (only when enabled).
     #[inline]
-    pub(crate) fn span_exit(&self, core: Option<u32>, kind: SpanKind, at: u64) {
+    pub(crate) fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
         if self.enabled {
             for obs in &self.observers {
                 obs.span_exit(core, kind, at);

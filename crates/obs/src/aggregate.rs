@@ -197,39 +197,35 @@ impl Observer for Aggregator {
         }
     }
 
-    fn span_enter(&self, core: Option<u32>, kind: SpanKind, at: u64) {
-        match (core, kind) {
-            (Some(core), SpanKind::Sf(class)) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
+    fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
+        let mut s = self.spans.lock().expect("span state poisoned");
+        match kind {
+            SpanKind::Sf(class) => {
                 s.open.insert(core, (class, at));
             }
-            (Some(idx), SpanKind::Component(class)) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
-                s.open_components.insert(idx, (class, at));
+            SpanKind::Component(class) => {
+                s.open_components.insert(core, (class, at));
             }
-            _ => {}
         }
     }
 
-    fn span_exit(&self, core: Option<u32>, kind: SpanKind, at: u64) {
-        match (core, kind) {
-            (Some(core), SpanKind::Sf(_)) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
+    fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
+        let mut s = self.spans.lock().expect("span state poisoned");
+        match kind {
+            SpanKind::Sf(_) => {
                 if let Some((class, start)) = s.open.remove(&core) {
                     let entry = s.sf.entry(class).or_insert((0, 0));
                     entry.0 += 1;
                     entry.1 += at.saturating_sub(start);
                 }
             }
-            (Some(idx), SpanKind::Component(_)) => {
-                let mut s = self.spans.lock().expect("span state poisoned");
-                if let Some((class, start)) = s.open_components.remove(&idx) {
+            SpanKind::Component(_) => {
+                if let Some((class, start)) = s.open_components.remove(&core) {
                     let entry = s.components.entry(class).or_insert((0, 0));
                     entry.0 += 1;
                     entry.1 += at.saturating_sub(start);
                 }
             }
-            _ => {}
         }
     }
 }
@@ -346,8 +342,8 @@ mod tests {
         let agg = Aggregator::new();
         agg.event(&ObsEvent::RunStart { at: 0 });
         agg.event(&ObsEvent::EpochStart { at: 0 });
-        agg.span_enter(Some(0), SpanKind::Sf(SfClass::SystemCall), 10);
-        agg.span_exit(Some(0), SpanKind::Sf(SfClass::SystemCall), 40);
+        agg.span_enter(0, SpanKind::Sf(SfClass::SystemCall), 10);
+        agg.span_exit(0, SpanKind::Sf(SfClass::SystemCall), 40);
         agg.event(&ObsEvent::EpochStart { at: 100 });
         agg.event(&ObsEvent::RunEnd { at: 150 });
         let rows = agg.span_rows();

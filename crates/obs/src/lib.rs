@@ -67,14 +67,14 @@ pub trait Observer: Send + Sync {
     }
 
     /// A span opened. `core` is the executing core of an SF execution
-    /// segment and the device index of a component span (the engine
-    /// always passes `Some`); `at` is the relevant clock in cycles.
-    fn span_enter(&self, core: Option<u32>, kind: SpanKind, at: u64) {
+    /// segment and the device index of a component span; `at` is the
+    /// relevant clock in cycles.
+    fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
         let _ = (core, kind, at);
     }
 
     /// The matching close of [`Observer::span_enter`].
-    fn span_exit(&self, core: Option<u32>, kind: SpanKind, at: u64) {
+    fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
         let _ = (core, kind, at);
     }
 }
@@ -103,7 +103,7 @@ mod tests {
         let obs: Arc<dyn Observer> = Arc::new(NoopObserver);
         assert!(obs.enabled());
         obs.event(&ObsEvent::RunStart { at: 0 });
-        obs.span_enter(Some(0), SpanKind::Sf(SfClass::Application), 0);
-        obs.span_exit(Some(0), SpanKind::Sf(SfClass::Application), 1);
+        obs.span_enter(0, SpanKind::Sf(SfClass::Application), 0);
+        obs.span_exit(0, SpanKind::Sf(SfClass::Application), 1);
     }
 }

@@ -11,7 +11,9 @@
 //! submissions for one key execute once fleet-wide — concurrent
 //! duplicates coalesce at the router before a second forward ever
 //! happens, and later duplicates replay the router-cached bytes without
-//! touching a worker.
+//! touching a worker. A duplicate whose line is a canonical hot line
+//! again, with another id that needs no escaping, is answered from a
+//! line index before it is parsed (DESIGN §14.3).
 //!
 //! Failure handling preserves the honest-backpressure discipline of the
 //! single server: a worker's `rejected` response is propagated verbatim
@@ -20,12 +22,13 @@
 //! `serve_router_failovers`) before giving up with a transient
 //! `unreachable` error that retrying clients know to back off on.
 
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use schedtask_experiments::serve_api::{
-    fnv1a64, parse_request, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp, Response,
-    ServeClient, PROTOCOL_VERSION,
+    fnv1a64, parse_request, split_request_line, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp,
+    Response, ServeClient, PROTOCOL_VERSION,
 };
 use schedtask_obs::{Counter, CounterSet, CounterSnapshot};
 
@@ -70,21 +73,14 @@ pub fn build_ring(workers: &[Endpoint], replicas: usize) -> Vec<(u64, usize)> {
     ring
 }
 
-/// The worker owning `key`: the first ring point at or after the
-/// rehashed key, wrapping at the top of the ring.
+/// The failover order for `key`: the owning worker, then each next
+/// distinct worker walking clockwise around the ring. The owner is the
+/// worker of the first ring point at or after the rehashed key,
+/// wrapping at the top of the ring.
 ///
 /// The key is itself an FNV-1a hash of the job's canonical text, but
 /// rehashing its bytes decorrelates ring position from the original
 /// hash structure, which keeps shards balanced.
-pub fn route(ring: &[(u64, usize)], key: u64) -> usize {
-    assert!(!ring.is_empty(), "cannot route on an empty ring");
-    let h = fnv1a64(&key.to_le_bytes());
-    let idx = ring.partition_point(|&(point, _)| point < h);
-    ring[idx % ring.len()].1
-}
-
-/// The failover order for `key`: the owning worker, then each next
-/// distinct worker walking clockwise around the ring.
 pub fn route_candidates(ring: &[(u64, usize)], key: u64, worker_count: usize) -> Vec<usize> {
     assert!(!ring.is_empty(), "cannot route on an empty ring");
     let h = fnv1a64(&key.to_le_bytes());
@@ -111,6 +107,10 @@ pub struct Router {
     /// return it on success, so steady-state traffic re-uses sockets.
     pools: Vec<Mutex<Vec<ServeClient>>>,
     hot: ResultCache,
+    /// The hot tier's canonical request lines, keyed by the text after
+    /// their verbatim id (see [`split_request_line`]): a repeat of one
+    /// is answered from the hot tier without a parse.
+    line_index: RwLock<HashMap<String, u64>>,
     counters: CounterSet,
 }
 
@@ -148,6 +148,7 @@ impl Router {
             ring,
             pools,
             hot: ResultCache::new(),
+            line_index: RwLock::new(HashMap::new()),
             counters: CounterSet::new(),
         })
     }
@@ -165,6 +166,9 @@ impl Router {
     /// Handles one request line; returns the response line and whether
     /// the connection should close (shutdown acknowledged).
     pub fn handle_request_line(&self, line: &str) -> (String, bool) {
+        if let Some(response) = self.indexed_hit(line) {
+            return (response, false);
+        }
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(err) => {
@@ -187,12 +191,68 @@ impl Router {
             ),
             RequestOp::Stats => (self.stats_response(&req.id), false),
             RequestOp::Shutdown => (Response::ShuttingDown { id: req.id }.render(), true),
-            RequestOp::Run(spec, want_obs) => (self.handle_run(&spec, want_obs, &req.id), false),
+            RequestOp::Run(spec, want_obs) => {
+                (self.handle_run(line, &spec, want_obs, &req.id), false)
+            }
+        }
+    }
+
+    /// Answers `line` from the hot tier when it repeats an indexed
+    /// canonical line with another verbatim id. Such a line parses to
+    /// the indexed line's spec with this id and `obs:false`, so the full
+    /// path would answer it with the same hot hit.
+    fn indexed_hit(&self, line: &str) -> Option<String> {
+        let started = Instant::now();
+        let (id, rest) = split_request_line(line)?;
+        let key = *self
+            .line_index
+            .read()
+            .expect("line index poisoned")
+            .get(rest)?;
+        let out = self.hot.get(key)?;
+        Some(self.hot_hit(Some(id.to_owned()), &out, started))
+    }
+
+    /// The `ok` line for a hot-tier hit, counted as one.
+    fn hot_hit(&self, id: Option<String>, out: &JobOutput, started: Instant) -> String {
+        self.counters.add(Counter::ServeRouterHotHits, 1);
+        Response::Ok {
+            id,
+            cached: true,
+            coalesced: false,
+            key: out.key.clone(),
+            queue_depth: 0,
+            latency_us: started.elapsed().as_micros() as u64,
+            result: out.stats_json.clone(),
+            jsonl: None,
+        }
+        .render()
+    }
+
+    /// Indexes `line` under `key` when it is the canonical rendering of
+    /// `spec` with a verbatim id. There is one canonical line per spec
+    /// apart from its id, so the index holds at most one entry per hot
+    /// key.
+    fn index_line(&self, line: &str, spec: &JobSpec, id: &Option<String>, key: u64) {
+        let Some((_, rest)) = split_request_line(line) else {
+            return;
+        };
+        if spec.to_request_line(id.as_deref(), false) == line {
+            self.line_index
+                .write()
+                .expect("line index poisoned")
+                .insert(rest.to_owned(), key);
         }
     }
 
     /// Routes one run request through the hot-key tier and the ring.
-    fn handle_run(&self, spec: &JobSpec, want_obs: bool, id: &Option<String>) -> String {
+    fn handle_run(
+        &self,
+        line: &str,
+        spec: &JobSpec,
+        want_obs: bool,
+        id: &Option<String>,
+    ) -> String {
         let key = spec.cache_key();
         let started = Instant::now();
 
@@ -206,18 +266,8 @@ impl Router {
 
         match self.hot.lookup_or_claim(key) {
             Lookup::Hit(out) => {
-                self.counters.add(Counter::ServeRouterHotHits, 1);
-                Response::Ok {
-                    id: id.clone(),
-                    cached: true,
-                    coalesced: false,
-                    key: out.key.clone(),
-                    queue_depth: 0,
-                    latency_us: started.elapsed().as_micros() as u64,
-                    result: out.stats_json.clone(),
-                    jsonl: None,
-                }
-                .render()
+                self.index_line(line, spec, id, key);
+                self.hot_hit(id.clone(), &out, started)
             }
             Lookup::InFlight(slot) => {
                 self.counters.add(Counter::ServeRouterCoalesced, 1);
@@ -405,7 +455,13 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use schedtask_experiments::Technique;
+    use schedtask_workload::BenchmarkKind;
+
     use super::*;
+    use crate::{Daemon, ServeConfig, Server, Serving};
 
     fn endpoints(n: usize) -> Vec<Endpoint> {
         (0..n)
@@ -423,13 +479,17 @@ mod tests {
         }
     }
 
+    fn owner(ring: &[(u64, usize)], key: u64, worker_count: usize) -> usize {
+        route_candidates(ring, key, worker_count)[0]
+    }
+
     #[test]
     fn routing_is_deterministic_and_balanced() {
         let ring = build_ring(&endpoints(4), RING_REPLICAS);
         let mut counts = [0usize; 4];
         for key in 0..10_000u64 {
-            let w = route(&ring, key);
-            assert_eq!(w, route(&ring, key), "routing must be stable");
+            let w = owner(&ring, key, 4);
+            assert_eq!(w, owner(&ring, key, 4), "routing must be stable");
             counts[w] += 1;
         }
         // With 100 vnodes/worker, shards stay within a loose 2x band.
@@ -445,7 +505,7 @@ mod tests {
         let before = build_ring(&endpoints(4), RING_REPLICAS);
         let after = build_ring(&endpoints(5), RING_REPLICAS);
         let moved = (0..KEYS)
-            .filter(|&key| route(&before, key) != route(&after, key))
+            .filter(|&key| owner(&before, key, 4) != owner(&after, key, 5))
             .count();
         // Ideal is KEYS/5 = 2000: only the keys claimed by the new
         // worker move. Allow generous tolerance for hash variance, but
@@ -462,12 +522,128 @@ mod tests {
         let ring = build_ring(&endpoints(4), RING_REPLICAS);
         for key in [0u64, 1, 42, u64::MAX] {
             let order = route_candidates(&ring, key, 4);
-            assert_eq!(order[0], route(&ring, key));
+            // The owner holds the first ring point at or after the
+            // rehashed key, wrapping at the top.
+            let h = fnv1a64(&key.to_le_bytes());
+            let first = ring
+                .iter()
+                .find(|&&(point, _)| point >= h)
+                .unwrap_or(&ring[0]);
+            assert_eq!(order[0], first.1);
             let mut sorted = order.clone();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), 4, "each worker appears exactly once");
         }
+    }
+
+    /// A router over one in-process worker on an ephemeral TCP port.
+    fn router_over_one_worker() -> (Router, Serving) {
+        let server = Arc::new(Server::new(ServeConfig {
+            queue_capacity: 16,
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        let serving = Serving::start(Daemon::Worker(server)).expect("serve an ephemeral port");
+        let router = Router::new(RouterConfig::new(vec![serving.endpoint().clone()]))
+            .expect("router joins the worker");
+        (router, serving)
+    }
+
+    fn tiny_spec(seed: u64) -> JobSpec {
+        let mut spec = JobSpec::new(Technique::SchedTask, BenchmarkKind::Find);
+        spec.params.cores = 1;
+        spec.params.max_instructions = 30_000;
+        spec.params.warmup_instructions = 10_000;
+        spec.params.seed = seed;
+        spec
+    }
+
+    fn indexed_lines(router: &Router) -> usize {
+        router.line_index.read().expect("line index poisoned").len()
+    }
+
+    #[test]
+    fn a_canonical_hit_indexes_its_line_for_the_next_id() {
+        let (router, serving) = router_over_one_worker();
+        let spec = tiny_spec(3);
+        let line = |id: &str| spec.to_request_line(Some(id), false);
+
+        // A miss forwards and indexes nothing.
+        router.handle_request_line(&line("first"));
+        assert_eq!(router.counter(Counter::ServeRouterForwarded), 1);
+        assert_eq!(indexed_lines(&router), 0);
+        assert_eq!(router.indexed_hit(&line("second")), None);
+        // A full-path hit indexes its line...
+        router.handle_request_line(&line("second"));
+        assert_eq!(indexed_lines(&router), 1);
+        // ...so the next id is answered from the index, as a hot hit.
+        let third = router.indexed_hit(&line("third")).expect("an index hit");
+        match Response::parse(&third) {
+            Ok(Response::Ok {
+                id, cached: true, ..
+            }) => assert_eq!(id.as_deref(), Some("third")),
+            other => panic!("expected a hot hit, got {other:?}"),
+        }
+        assert_eq!(router.counter(Counter::ServeRouterHotHits), 2);
+        assert_eq!(router.counter(Counter::ServeRouterForwarded), 1);
+
+        // Many ids keep one entry per key; a second key adds its own.
+        for i in 0..50 {
+            router.handle_request_line(&line(&format!("id-{i}")));
+        }
+        assert_eq!(router.counter(Counter::ServeRouterHotHits), 52);
+        assert_eq!(indexed_lines(&router), 1);
+        let other = tiny_spec(4);
+        router.handle_request_line(&other.to_request_line(Some("a"), false));
+        router.handle_request_line(&other.to_request_line(Some("b"), false));
+        assert_eq!(indexed_lines(&router), 2);
+        serving.kill();
+    }
+
+    #[test]
+    fn only_canonical_lines_with_verbatim_ids_are_indexed() {
+        let (router, serving) = router_over_one_worker();
+        let spec = tiny_spec(5);
+        let canonical = spec.to_request_line(Some("a"), false);
+        router.handle_request_line(&canonical);
+
+        // Hot hits that are not the canonical line with a verbatim id:
+        // a space after a colon, reordered fields, a numeric id, an id
+        // with escapes.
+        let not_indexed = [
+            canonical.replacen("\"op\":\"run\"", "\"op\": \"run\"", 1),
+            canonical.replacen(
+                "\"workload\":\"Find\",\"technique\":\"SchedTask\"",
+                "\"technique\":\"SchedTask\",\"workload\":\"Find\"",
+                1,
+            ),
+            canonical.replacen("\"id\":\"a\"", "\"id\":7", 1),
+            spec.to_request_line(Some("a\"b"), false),
+        ];
+        for line in &not_indexed {
+            assert_ne!(line, &canonical);
+            let (resp, _) = router.handle_request_line(line);
+            assert!(resp.contains("\"cached\":true"), "{line}: {resp}");
+            assert_eq!(indexed_lines(&router), 0, "{line}");
+            assert_eq!(router.indexed_hit(line), None, "{line}");
+        }
+        assert_eq!(router.counter(Counter::ServeRouterHotHits), 4);
+
+        // Once the canonical line is indexed, an obs repeat and the
+        // other ops still take the full path.
+        router.handle_request_line(&canonical);
+        assert_eq!(indexed_lines(&router), 1);
+        let obs = spec.to_request_line(Some("a"), true);
+        assert_eq!(router.indexed_hit(&obs), None);
+        router.handle_request_line(&obs);
+        assert_eq!(router.counter(Counter::ServeRouterForwarded), 2);
+        for op in ["ping", "stats", "shutdown"] {
+            let line = format!("{{\"v\":1,\"id\":\"a\",\"op\":\"{op}\"}}");
+            assert_eq!(router.indexed_hit(&line), None, "{line}");
+        }
+        assert_eq!(router.counter(Counter::ServeRouterHotHits), 5);
+        serving.kill();
     }
 
     #[test]

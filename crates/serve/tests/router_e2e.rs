@@ -3,7 +3,8 @@
 //! The fleet contract: duplicates execute exactly once fleet-wide
 //! (router hot-cache + single-flight above the workers' own tiers),
 //! result bytes through the router are identical to a direct worker
-//! run, transport failures fail over around the ring, and worker
+//! run, a repeated request line gets the answer the full path gives it,
+//! transport failures fail over around the ring, and worker
 //! rejections propagate verbatim with their retry hints; a duplicate
 //! that coalesced onto a shed job gets an error a client retries.
 
@@ -18,7 +19,7 @@ use schedtask_experiments::serve_api::{
 };
 use schedtask_experiments::Technique;
 use schedtask_obs::Counter;
-use schedtask_serve::router::{build_ring, route, RING_REPLICAS};
+use schedtask_serve::router::{build_ring, route_candidates, RING_REPLICAS};
 use schedtask_serve::{Daemon, Router, RouterConfig, ServeConfig, Server, Serving};
 use schedtask_workload::BenchmarkKind;
 
@@ -146,13 +147,132 @@ fn duplicates_execute_once_fleet_wide_with_byte_identical_results() {
 
     // Byte identity against a run that never saw the router: ask the
     // owning worker directly.
-    let owner = route(
+    let owner = route_candidates(
         &build_ring(&workers, RING_REPLICAS),
         tiny_spec(7).cache_key(),
-    );
+        workers.len(),
+    )[0];
     let direct_worker = if owner == 0 { &worker_a } else { &worker_b };
     let (direct, _) = direct_worker.handle_request_line(&line);
     assert_eq!(result_payload(&direct), first, "router is byte-transparent");
+
+    serving_a.kill();
+    serving_b.kill();
+}
+
+#[test]
+fn repeated_request_lines_get_the_full_path_answer() {
+    let cfg = ServeConfig {
+        queue_capacity: 16,
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let (addr_a, worker_a, serving_a) = start_worker(cfg.clone());
+    let (addr_b, worker_b, serving_b) = start_worker(cfg);
+    let router = Router::new(RouterConfig::new(vec![addr_a, addr_b])).expect("router joins");
+    let spec = tiny_spec(11);
+
+    // One key three times with different ids: a forward, then two hits.
+    let responses: Vec<String> = ["first", "second", "third"]
+        .into_iter()
+        .map(|id| {
+            router
+                .handle_request_line(&spec.to_request_line(Some(id), false))
+                .0
+        })
+        .collect();
+    let payload = result_payload(&responses[0]);
+    assert!(payload.is_some(), "{}", responses[0]);
+    for resp in &responses {
+        assert_eq!(result_payload(resp), payload, "identical bytes: {resp}");
+    }
+    let parsed: Vec<Response> = responses
+        .iter()
+        .map(|resp| Response::parse(resp).expect("response parses"))
+        .collect();
+    assert!(
+        matches!(parsed[0], Response::Ok { cached: false, .. }),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        matches!(
+            parsed[1],
+            Response::Ok {
+                cached: true,
+                coalesced: false,
+                ..
+            }
+        ),
+        "{}",
+        responses[1]
+    );
+    // The third answer is the second's, rendered for its own id; only
+    // the latency may differ.
+    let mut expected = parsed[1].clone();
+    match (&mut expected, &parsed[2]) {
+        (
+            Response::Ok { id, latency_us, .. },
+            Response::Ok {
+                latency_us: third_latency,
+                ..
+            },
+        ) => {
+            *id = Some("third".to_owned());
+            *latency_us = *third_latency;
+        }
+        _ => panic!("hits are ok responses: {responses:?}"),
+    }
+    assert_eq!(expected.render(), responses[2]);
+    let executed = || {
+        worker_a.counters().get(Counter::ServeExecuted)
+            + worker_b.counters().get(Counter::ServeExecuted)
+    };
+    assert_eq!(executed(), 1, "one execution fleet-wide");
+    assert_eq!(router.counter(Counter::ServeRouterHotHits), 2);
+    assert_eq!(router.counter(Counter::ServeRouterForwarded), 1);
+
+    // An id with escapes, and spellings of the same job that are not
+    // canonical, are hot hits that echo their ids.
+    let canonical = spec.to_request_line(Some("plain"), false);
+    let spaced = canonical.replacen("\"op\":\"run\"", "\"op\": \"run\"", 1);
+    let reordered = canonical.replacen(
+        "\"workload\":\"Find\",\"technique\":\"SchedTask\"",
+        "\"technique\":\"SchedTask\",\"workload\":\"Find\"",
+        1,
+    );
+    let escaped_id = "quote\" back\\slash\ttab";
+    let variants = [
+        (spec.to_request_line(Some(escaped_id), false), escaped_id),
+        (spaced, "plain"),
+        (reordered, "plain"),
+    ];
+    for (line, want_id) in &variants {
+        assert_ne!(line, &canonical);
+        let (resp, _) = router.handle_request_line(line);
+        match Response::parse(&resp) {
+            Ok(Response::Ok {
+                id, cached: true, ..
+            }) => assert_eq!(id.as_deref(), Some(*want_id)),
+            other => panic!("expected a hot hit for {line}, got {other:?}"),
+        }
+        assert_eq!(result_payload(&resp), payload);
+    }
+    assert_eq!(router.counter(Counter::ServeRouterHotHits), 5);
+
+    // A repeat that asks for the event stream bypasses the hot tier.
+    let (obs, _) = router.handle_request_line(&spec.to_request_line(Some("third"), true));
+    match Response::parse(&obs) {
+        Ok(Response::Ok {
+            jsonl: Some(stream),
+            ..
+        }) => assert!(!stream.is_empty()),
+        other => panic!("expected the event stream, got {other:?}"),
+    }
+    assert_eq!(result_payload(&obs), payload);
+    assert_eq!(router.counter(Counter::ServeRouterForwarded), 2);
+    assert_eq!(router.counter(Counter::ServeRouterHotHits), 5);
+    assert_eq!(executed(), 1);
 
     serving_a.kill();
     serving_b.kill();
@@ -179,7 +299,7 @@ fn transport_failures_fail_over_to_the_next_ring_worker() {
         // must fail over.
         let ring = build_ring(&workers, RING_REPLICAS);
         let seed = (0..u64::MAX)
-            .find(|&s| route(&ring, tiny_spec(s).cache_key()) == 1)
+            .find(|&s| route_candidates(&ring, tiny_spec(s).cache_key(), 2)[0] == 1)
             .expect("some key routes to the dead worker");
         let line = tiny_spec(seed).to_request_line(Some("failover"), false);
 

@@ -146,7 +146,7 @@ pub struct FootprintWalker {
     code: Arc<Footprint>,
     shared_data: Arc<Footprint>,
     private_data: Arc<Footprint>,
-    params: WalkParams,
+    instr_per_line: u32,
     thresholds: Thresholds,
     rng: SmallRng,
     page_idx: usize,
@@ -177,7 +177,7 @@ impl FootprintWalker {
             code,
             shared_data,
             private_data,
-            params,
+            instr_per_line: params.instr_per_line,
             thresholds: Thresholds::new(&params),
             rng: SmallRng::seed_from_u64(seed),
             page_idx: 0,
@@ -194,7 +194,7 @@ impl FootprintWalker {
         let branch_taken = self.advance();
         CodeBlock {
             line,
-            instructions: self.params.instr_per_line,
+            instructions: self.instr_per_line,
             data_ref,
             branch_taken,
         }
@@ -256,11 +256,6 @@ impl FootprintWalker {
         } else {
             false
         }
-    }
-
-    /// The walk parameters in use.
-    pub fn params(&self) -> &WalkParams {
-        &self.params
     }
 
     /// The code footprint being walked (SLICC's hardware inspects the
