@@ -10,8 +10,10 @@
 //! idle-core work stealing — its idle fraction is high at 1X and shrinks
 //! as the workload scales (Table 4).
 
-use crate::common::CoreQueues;
-use schedtask_kernel::{CoreId, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason};
+use schedtask_kernel::{
+    apportion_cores, CoreId, CoreQueues, EngineCore, SchedError, SchedEvent, Scheduler, SfId,
+    SwitchReason,
+};
 use schedtask_workload::{SfCategory, SuperFuncType};
 use std::collections::HashMap;
 
@@ -58,7 +60,6 @@ pub struct DisAggregateOsScheduler {
     allocation: HashMap<Region, Vec<usize>>,
     /// Cycles observed per region this epoch.
     region_cycles: HashMap<Region, u64>,
-    dispatch_cycles: HashMap<SfId, u64>,
     spread: usize,
 }
 
@@ -69,7 +70,6 @@ impl DisAggregateOsScheduler {
             queues: CoreQueues::new(num_cores),
             allocation: HashMap::new(),
             region_cycles: HashMap::new(),
-            dispatch_cycles: HashMap::new(),
             spread: 0,
         }
     }
@@ -115,13 +115,8 @@ impl Scheduler for DisAggregateOsScheduler {
         true
     }
 
-    fn on_dispatch(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId) {
-        self.dispatch_cycles.insert(sf, ctx.sf_cycles(sf));
-    }
-
     fn on_switch_out(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId, _r: SwitchReason) {
-        let start = self.dispatch_cycles.remove(&sf).unwrap_or(0);
-        let seg = ctx.sf_cycles(sf).saturating_sub(start);
+        let seg = ctx.sf_segment_cycles(sf);
         let ty = ctx.sf_type(sf);
         self.queues.record_exec(ty, seg);
         if let Some(r) = region_of(ty) {
@@ -130,46 +125,14 @@ impl Scheduler for DisAggregateOsScheduler {
     }
 
     fn on_epoch(&mut self, ctx: &mut EngineCore) -> Result<(), SchedError> {
-        // Proportional core allocation per region (largest remainder).
-        let total: u64 = self.region_cycles.values().sum();
-        if total == 0 {
-            return Ok(());
-        }
-        let n = ctx.num_cores();
-        let mut regions: Vec<(Region, u64)> = self.region_cycles.drain().collect();
+        // Proportional core allocation per region; an epoch without
+        // region cycles keeps the allocation and the zero-cycle entries.
+        let mut regions: Vec<(Region, u64)> =
+            self.region_cycles.iter().map(|(&r, &c)| (r, c)).collect();
         regions.sort();
-        let mut shares: Vec<(Region, usize, f64)> = regions
-            .iter()
-            .map(|&(r, c)| {
-                let quota = c as f64 / total as f64 * n as f64;
-                (r, quota.floor() as usize, quota - quota.floor())
-            })
-            .collect();
-        let assigned: usize = shares.iter().map(|s| s.1).sum();
-        let mut leftover = n.saturating_sub(assigned);
-        let mut order: Vec<usize> = (0..shares.len()).collect();
-        order.sort_by(|&a, &b| {
-            shares[b]
-                .2
-                .partial_cmp(&shares[a].2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for &i in &order {
-            if leftover == 0 {
-                break;
-            }
-            shares[i].1 += 1;
-            leftover -= 1;
-        }
-        self.allocation.clear();
-        let mut next = 0;
-        for (r, count, _) in shares {
-            if count == 0 {
-                continue;
-            }
-            self.allocation
-                .insert(r, (next..next + count).map(|c| c % n).collect());
-            next += count;
+        if let Some(runs) = apportion_cores(&regions, ctx.num_cores()) {
+            self.allocation = runs.into_iter().collect();
+            self.region_cycles.clear();
         }
         Ok(())
     }

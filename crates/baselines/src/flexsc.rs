@@ -15,12 +15,12 @@
 //! FlexSC specializes cores for *all* system calls together (no
 //! per-handler grouping) and is agnostic to interrupts and bottom halves.
 
-use crate::common::CoreQueues;
+use schedtask_kernel::obs::StealLevel;
 use schedtask_kernel::{
-    CoreId, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason, KERNEL_TID,
+    CoreId, CoreQueues, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason,
+    KERNEL_TID,
 };
 use schedtask_workload::SfCategory;
-use std::collections::HashMap;
 
 /// Instructions of Linux-scheduler code a single-threaded application
 /// pays per system call (entering and leaving the kernel scheduler).
@@ -33,7 +33,6 @@ pub struct FlexScScheduler {
     /// Cores `0..syscall_cores` run system calls; the rest run
     /// application threads. Re-proportioned each epoch.
     syscall_cores: usize,
-    dispatch_cycles: HashMap<SfId, u64>,
     /// Cycles observed per group in the current epoch (for adaptation).
     syscall_cycles: u64,
     app_cycles: u64,
@@ -54,7 +53,6 @@ impl FlexScScheduler {
         FlexScScheduler {
             queues: CoreQueues::new(num_cores),
             syscall_cores: (num_cores / 2).max(1),
-            dispatch_cycles: HashMap::new(),
             syscall_cycles: 0,
             app_cycles: 0,
         }
@@ -112,15 +110,15 @@ impl Scheduler for FlexScScheduler {
         // Steal within the core's own group first, then anywhere —
         // FlexSC's balancing keeps idleness at ~0 % (Figure 8b).
         let n = self.queues.num_cores();
-        let own: Vec<usize> = if core.0 < self.syscall_cores {
-            (0..self.syscall_cores).collect()
+        let own = if core.0 < self.syscall_cores {
+            0..self.syscall_cores
         } else {
-            (self.syscall_cores..n).collect()
+            self.syscall_cores..n
         };
-        Ok(self.queues.steal_any(ctx, core.0, &own).or_else(|| {
-            let all: Vec<usize> = (0..n).collect();
-            self.queues.steal_any(ctx, core.0, &all)
-        }))
+        Ok(self
+            .queues
+            .steal_any(ctx, core.0, own, StealLevel::Any)
+            .or_else(|| self.queues.steal_any(ctx, core.0, 0..n, StealLevel::Any)))
     }
 
     fn queued_sfs(&self, out: &mut Vec<SfId>) -> bool {
@@ -128,13 +126,8 @@ impl Scheduler for FlexScScheduler {
         true
     }
 
-    fn on_dispatch(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId) {
-        self.dispatch_cycles.insert(sf, ctx.sf_cycles(sf));
-    }
-
     fn on_switch_out(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId, _r: SwitchReason) {
-        let start = self.dispatch_cycles.remove(&sf).unwrap_or(0);
-        let seg = ctx.sf_cycles(sf).saturating_sub(start);
+        let seg = ctx.sf_segment_cycles(sf);
         let ty = ctx.sf_type(sf);
         self.queues.record_exec(ty, seg);
         match ty.category() {

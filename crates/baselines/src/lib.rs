@@ -38,14 +38,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod common;
 pub mod disaggregate;
 pub mod flexsc;
 pub mod linux;
 pub mod selective_offload;
 pub mod slicc;
 
-pub use common::CoreQueues;
 pub use disaggregate::DisAggregateOsScheduler;
 pub use flexsc::FlexScScheduler;
 pub use linux::LinuxScheduler;

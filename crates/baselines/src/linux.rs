@@ -8,8 +8,10 @@
 //! interrupt fired; interrupts are spread across cores statically (as
 //! `irqbalance` does).
 
-use crate::common::CoreQueues;
-use schedtask_kernel::{CoreId, EngineCore, SchedError, Scheduler, SfId, SwitchReason, KERNEL_TID};
+use schedtask_kernel::obs::StealLevel;
+use schedtask_kernel::{
+    CoreId, CoreQueues, EngineCore, SchedError, Scheduler, SfId, SwitchReason, KERNEL_TID,
+};
 use schedtask_workload::SfCategory;
 use std::collections::HashMap;
 
@@ -24,7 +26,6 @@ pub struct LinuxScheduler {
     /// Thread → home core.
     home: HashMap<u64, usize>,
     next_home: usize,
-    dispatch_cycles: HashMap<SfId, u64>,
 }
 
 impl LinuxScheduler {
@@ -34,7 +35,6 @@ impl LinuxScheduler {
             queues: CoreQueues::new(num_cores),
             home: HashMap::new(),
             next_home: 0,
-            dispatch_cycles: HashMap::new(),
         }
     }
 
@@ -86,8 +86,8 @@ impl Scheduler for LinuxScheduler {
         // CFS idle balancing: pull from the busiest run queue, re-homing
         // the thread (this is the "significant imbalance" migration — an
         // idle core vs. a backlogged one).
-        let candidates: Vec<usize> = (0..self.queues.num_cores()).collect();
-        let Some(stolen) = self.queues.steal_any(ctx, core.0, &candidates) else {
+        let n = self.queues.num_cores();
+        let Some(stolen) = self.queues.steal_any(ctx, core.0, 0..n, StealLevel::Any) else {
             return Ok(None);
         };
         let tid = ctx.sf_tid(stolen);
@@ -102,14 +102,9 @@ impl Scheduler for LinuxScheduler {
         true
     }
 
-    fn on_dispatch(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId) {
-        self.dispatch_cycles.insert(sf, ctx.sf_cycles(sf));
-    }
-
     fn on_switch_out(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId, _r: SwitchReason) {
-        let start = self.dispatch_cycles.remove(&sf).unwrap_or(0);
-        let seg = ctx.sf_cycles(sf).saturating_sub(start);
-        self.queues.record_exec(ctx.sf_type(sf), seg);
+        self.queues
+            .record_exec(ctx.sf_type(sf), ctx.sf_segment_cycles(sf));
     }
 
     fn on_epoch(&mut self, ctx: &mut EngineCore) -> Result<(), SchedError> {

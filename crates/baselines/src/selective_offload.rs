@@ -8,8 +8,9 @@
 //! ≈50 % in Figure 8b, and it does not specialize OS cores for specific
 //! OS tasks, so OS-side i-cache pollution stays high.
 
-use crate::common::CoreQueues;
-use schedtask_kernel::{CoreId, EngineCore, SchedError, Scheduler, SfId, SwitchReason, KERNEL_TID};
+use schedtask_kernel::{
+    CoreId, CoreQueues, EngineCore, SchedError, Scheduler, SfId, SwitchReason, KERNEL_TID,
+};
 use schedtask_workload::SfCategory;
 use std::collections::HashMap;
 
@@ -36,7 +37,6 @@ pub struct SelectiveOffloadScheduler {
     os_home: HashMap<u64, usize>,
     next_app: usize,
     next_os: usize,
-    dispatch_cycles: HashMap<SfId, u64>,
 }
 
 impl SelectiveOffloadScheduler {
@@ -56,7 +56,6 @@ impl SelectiveOffloadScheduler {
             os_home: HashMap::new(),
             next_app: 0,
             next_os: 0,
-            dispatch_cycles: HashMap::new(),
         }
     }
 
@@ -178,14 +177,9 @@ impl Scheduler for SelectiveOffloadScheduler {
         true
     }
 
-    fn on_dispatch(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId) {
-        self.dispatch_cycles.insert(sf, ctx.sf_cycles(sf));
-    }
-
     fn on_switch_out(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId, _r: SwitchReason) {
-        let start = self.dispatch_cycles.remove(&sf).unwrap_or(0);
-        let seg = ctx.sf_cycles(sf).saturating_sub(start);
-        self.queues.record_exec(ctx.sf_type(sf), seg);
+        self.queues
+            .record_exec(ctx.sf_type(sf), ctx.sf_segment_cycles(sf));
     }
 
     fn route_interrupt(&mut self, ctx: &mut EngineCore, irq: u64) -> CoreId {

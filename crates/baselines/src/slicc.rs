@@ -17,9 +17,9 @@
 //!   (Section 1), producing SLICC's ≈5 % residual idleness at 2X and its
 //!   heavy idleness at 1X (Table 4).
 
-use crate::common::CoreQueues;
 use schedtask_kernel::{
-    CoreId, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason, KERNEL_TID,
+    CoreId, CoreQueues, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason,
+    KERNEL_TID,
 };
 use std::collections::HashMap;
 
@@ -38,7 +38,6 @@ pub struct SliccScheduler {
     /// what the hardware's tag search effectively keys on; segments
     /// spill onto more cores as their queues back up.
     segment_cores: HashMap<(u64, u64), Vec<usize>>,
-    dispatch_cycles: HashMap<SfId, u64>,
 }
 
 impl SliccScheduler {
@@ -47,7 +46,6 @@ impl SliccScheduler {
         SliccScheduler {
             queues: CoreQueues::new(num_cores),
             segment_cores: HashMap::new(),
-            dispatch_cycles: HashMap::new(),
         }
     }
 
@@ -147,14 +145,9 @@ impl Scheduler for SliccScheduler {
         true
     }
 
-    fn on_dispatch(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId) {
-        self.dispatch_cycles.insert(sf, ctx.sf_cycles(sf));
-    }
-
     fn on_switch_out(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId, _r: SwitchReason) {
-        let start = self.dispatch_cycles.remove(&sf).unwrap_or(0);
-        let seg = ctx.sf_cycles(sf).saturating_sub(start);
-        self.queues.record_exec(ctx.sf_type(sf), seg);
+        self.queues
+            .record_exec(ctx.sf_type(sf), ctx.sf_segment_cycles(sf));
     }
 
     fn route_interrupt(&mut self, ctx: &mut EngineCore, irq: u64) -> CoreId {

@@ -3,7 +3,7 @@
 //! fraction in the last epoch.
 
 use crate::stats_table::StatsTable;
-use schedtask_kernel::CoreId;
+use schedtask_kernel::{apportion_cores, CoreId};
 use schedtask_workload::SuperFuncType;
 use std::collections::BTreeMap;
 
@@ -26,58 +26,21 @@ impl AllocationTable {
 
     /// Builds the allocation from a system-wide stats table: each type
     /// receives cores in direct proportion to its execution fraction,
-    /// using the largest-remainder method so exactly `num_cores` cores
-    /// are assigned. Types whose share rounds to zero get no entry (their
-    /// SuperFunctions run on the local core, as Section 5.3 specifies).
+    /// using the largest-remainder method ([`apportion_cores`]) so
+    /// exactly `num_cores` cores are assigned. Types whose share rounds
+    /// to zero get no entry (their SuperFunctions run on the local core,
+    /// as Section 5.3 specifies).
     pub fn from_stats(stats: &StatsTable, num_cores: usize) -> Self {
-        let fractions = stats.exec_fractions();
         let mut table = AllocationTable::new(num_cores);
-        if fractions.is_empty() {
-            return table;
-        }
-
-        // Largest-remainder apportionment.
-        let mut shares: Vec<(SuperFuncType, usize, f64)> = fractions
-            .iter()
-            .map(|&(ty, f)| {
-                let quota = f * num_cores as f64;
-                (ty, quota.floor() as usize, quota - quota.floor())
-            })
-            .collect();
-        let assigned: usize = shares.iter().map(|&(_, n, _)| n).sum();
-        let mut leftover = num_cores.saturating_sub(assigned);
-        // Distribute leftover cores by descending remainder (ties broken
-        // by type order for determinism).
-        let mut order: Vec<usize> = (0..shares.len()).collect();
-        order.sort_by(|&a, &b| {
-            shares[b]
-                .2
-                .partial_cmp(&shares[a].2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(shares[a].0.cmp(&shares[b].0))
-        });
-        for &i in &order {
-            if leftover == 0 {
-                break;
-            }
-            shares[i].1 += 1;
-            leftover -= 1;
-        }
-
-        // Hand out consecutive core ids.
-        let mut next_core = 0usize;
-        for (ty, count, _) in shares {
-            if count == 0 {
-                continue;
-            }
-            let cores: Vec<CoreId> = (next_core..next_core + count)
-                .map(|c| CoreId(c % num_cores))
-                .collect();
-            next_core += count;
+        let weights: Vec<(SuperFuncType, u64)> =
+            stats.iter().map(|(&ty, e)| (ty, e.exec_cycles)).collect();
+        for (ty, cores) in apportion_cores(&weights, num_cores).unwrap_or_default() {
             for &c in &cores {
-                table.by_core[c.0].push(ty);
+                table.by_core[c].push(ty);
             }
-            table.by_type.insert(ty, cores);
+            table
+                .by_type
+                .insert(ty, cores.into_iter().map(CoreId).collect());
         }
         table
     }

@@ -6,11 +6,13 @@ use crate::overlap::OverlapTable;
 use crate::stats_table::StatsTable;
 use crate::stealing::StealPolicy;
 use schedtask_kernel::obs::{ObsEvent, Observer, StealLevel};
-use schedtask_kernel::{CoreId, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason};
+use schedtask_kernel::{
+    CoreId, CoreQueues, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason,
+};
 use schedtask_metrics::cosine_similarity;
 use schedtask_sim::PageHeatmap;
 use schedtask_workload::{SfCategory, SuperFuncType};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Configuration of the SchedTask technique.
@@ -144,12 +146,9 @@ pub struct SchedTaskScheduler {
     per_core_stats: Vec<StatsTable>,
     alloc: AllocationTable,
     overlap: OverlapTable,
-    queues: Vec<VecDeque<SfId>>,
-    waiting_cycles: Vec<f64>,
-    mean_exec: HashMap<SuperFuncType, f64>,
-    dispatch_cycles_at: HashMap<SfId, u64>,
-    dispatch_instr_at: HashMap<SfId, u64>,
-    last_segment_instr: u64,
+    /// Per-core queues; TAlloc sets their estimates to its per-epoch
+    /// mean execution times.
+    queues: CoreQueues,
     prev_fractions: BTreeMap<SuperFuncType, f64>,
     irq_routes: HashMap<u64, CoreId>,
     validation: Option<Arc<RankingObserver>>,
@@ -157,10 +156,6 @@ pub struct SchedTaskScheduler {
     epochs_run: u64,
     reallocations: u64,
 }
-
-/// Default waiting-time estimate before a type's mean execution time is
-/// known (cycles).
-const DEFAULT_EXEC_ESTIMATE: f64 = 3_000.0;
 
 impl SchedTaskScheduler {
     /// Creates a SchedTask scheduler for `num_cores` cores.
@@ -171,12 +166,7 @@ impl SchedTaskScheduler {
                 .collect(),
             alloc: AllocationTable::new(num_cores),
             overlap: OverlapTable::new(),
-            queues: vec![VecDeque::new(); num_cores],
-            waiting_cycles: vec![0.0; num_cores],
-            mean_exec: HashMap::new(),
-            dispatch_cycles_at: HashMap::new(),
-            dispatch_instr_at: HashMap::new(),
-            last_segment_instr: 0,
+            queues: CoreQueues::new(num_cores),
             prev_fractions: BTreeMap::new(),
             irq_routes: HashMap::new(),
             validation: None,
@@ -211,43 +201,6 @@ impl SchedTaskScheduler {
         self.reallocations
     }
 
-    fn exec_estimate(&self, ty: SuperFuncType) -> f64 {
-        self.mean_exec
-            .get(&ty)
-            .copied()
-            .unwrap_or(DEFAULT_EXEC_ESTIMATE)
-    }
-
-    fn push_queue(&mut self, ctx: &EngineCore, core: usize, sf: SfId) {
-        let ty = ctx.sf_type(sf);
-        self.waiting_cycles[core] += self.exec_estimate(ty);
-        // Bottom halves are softirqs: they run ahead of ordinary work,
-        // as in the Linux kernel. Everything else is FCFS (which is what
-        // gives SchedTask its 0.99 Jain fairness, Section 6.1).
-        if ty.category() == SfCategory::BottomHalf {
-            self.queues[core].push_front(sf);
-        } else {
-            self.queues[core].push_back(sf);
-        }
-    }
-
-    fn pop_queue(&mut self, ctx: &EngineCore, core: usize) -> Option<SfId> {
-        let sf = self.queues[core].pop_front()?;
-        let ty = ctx.sf_type(sf);
-        self.waiting_cycles[core] = (self.waiting_cycles[core] - self.exec_estimate(ty)).max(0.0);
-        Some(sf)
-    }
-
-    fn remove_from_queue(&mut self, ctx: &EngineCore, core: usize, pos: usize) -> Option<SfId> {
-        // Positions come from a `position()`/`enumerate()` over the same
-        // queue in the same borrow, so this only returns `None` if a
-        // caller miscomputes.
-        let sf = self.queues[core].remove(pos)?;
-        let ty = ctx.sf_type(sf);
-        self.waiting_cycles[core] = (self.waiting_cycles[core] - self.exec_estimate(ty)).max(0.0);
-        Some(sf)
-    }
-
     /// Steal-same-work-only: take one SuperFunction whose type is mapped
     /// to `me`, preferring the victim with the maximum waiting time.
     fn steal_same(&mut self, ctx: &EngineCore, me: usize) -> Option<SfId> {
@@ -255,19 +208,22 @@ impl SchedTaskScheduler {
         if my_types.is_empty() {
             return None;
         }
-        let mut victims: Vec<usize> = (0..self.queues.len()).filter(|&c| c != me).collect();
+        let mut victims: Vec<usize> = (0..self.queues.num_cores()).filter(|&c| c != me).collect();
         victims.sort_by(|&a, &b| {
-            self.waiting_cycles[b]
-                .partial_cmp(&self.waiting_cycles[a])
+            self.queues
+                .waiting(b)
+                .partial_cmp(&self.queues.waiting(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
         for v in victims {
-            let pos = self.queues[v]
+            let pos = self
+                .queues
+                .queue(v)
                 .iter()
                 .position(|&sf| my_types.contains(&ctx.sf_type(sf)));
             if let Some(pos) = pos {
-                if let Some(sf) = self.remove_from_queue(ctx, v, pos) {
+                if let Some(sf) = self.queues.remove_at(ctx, v, pos) {
                     let at = ctx.now();
                     ctx.emit_obs(|| ObsEvent::Stolen {
                         at,
@@ -292,11 +248,13 @@ impl SchedTaskScheduler {
         let my_types = self.alloc.types_on(CoreId(me)).to_vec();
         let ranking = self.overlap.combined_ranking(&my_types);
         for (cand, _ov) in ranking {
-            for v in 0..self.queues.len() {
+            for v in 0..self.queues.num_cores() {
                 if v == me {
                     continue;
                 }
-                let positions: Vec<usize> = self.queues[v]
+                let positions: Vec<usize> = self
+                    .queues
+                    .queue(v)
                     .iter()
                     .enumerate()
                     .filter(|&(_, &sf)| ctx.sf_type(sf) == cand)
@@ -314,7 +272,7 @@ impl SchedTaskScheduler {
                 };
                 let mut stolen = Vec::with_capacity(take);
                 for &pos in positions.iter().rev().take(take) {
-                    stolen.extend(self.remove_from_queue(ctx, v, pos));
+                    stolen.extend(self.queues.remove_at(ctx, v, pos));
                 }
                 if stolen.is_empty() {
                     continue;
@@ -332,35 +290,12 @@ impl SchedTaskScheduler {
                 }
                 let first = stolen.remove(0);
                 for sf in stolen {
-                    self.push_queue(ctx, me, sf);
+                    self.queues.insert(ctx, me, sf);
                 }
                 return Some(first);
             }
         }
         None
-    }
-
-    /// Alternate strategy: take the head of the queue with the maximum
-    /// waiting time, ignoring similarity.
-    fn steal_max_waiting(&mut self, ctx: &EngineCore, me: usize) -> Option<SfId> {
-        let victim = (0..self.queues.len())
-            .filter(|&c| c != me && !self.queues[c].is_empty())
-            .max_by(|&a, &b| {
-                self.waiting_cycles[a]
-                    .partial_cmp(&self.waiting_cycles[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            })?;
-        let sf = self.pop_queue(ctx, victim)?;
-        let at = ctx.now();
-        ctx.emit_obs(|| ObsEvent::Stolen {
-            at,
-            sf: sf.0,
-            thief: me as u32,
-            victim: victim as u32,
-            level: StealLevel::MaxWaiting,
-        });
-        Some(sf)
     }
 
     /// The TAlloc pass (Section 5.2).
@@ -379,7 +314,7 @@ impl SchedTaskScheduler {
 
         // 2. Update mean execution times (for waiting-time estimates).
         for (ty, e) in system.iter() {
-            self.mean_exec.insert(*ty, e.mean_exec_cycles());
+            self.queues.set_estimate(*ty, e.mean_exec_cycles());
         }
 
         // 3. Re-allocate cores only if the breakup changed enough.
@@ -479,7 +414,7 @@ impl Scheduler for SchedTaskScheduler {
             match origin {
                 Some(c) => c.0,
                 None => {
-                    self.spread_counter = (self.spread_counter + 1) % self.queues.len();
+                    self.spread_counter = (self.spread_counter + 1) % self.queues.num_cores();
                     self.spread_counter
                 }
             }
@@ -487,36 +422,22 @@ impl Scheduler for SchedTaskScheduler {
             // The allocated core with the least waiting time; among
             // near-equally loaded cores, prefer the thread's last core to
             // preserve its private-data locality.
-            let min_core = cores
-                .iter()
-                .map(|c| c.0)
-                .min_by(|&a, &b| {
-                    self.waiting_cycles[a]
-                        .partial_cmp(&self.waiting_cycles[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                })
-                .ok_or_else(|| SchedError::NoCandidate {
-                    detail: format!("allocation entry for {ty:?} lists no cores"),
-                })?;
+            let min_core = self.queues.least_loaded(cores.iter().map(|c| c.0));
             match ctx.thread_last_core(ctx.sf_tid(sf)) {
                 Some(last)
                     if cores.contains(&last)
-                        && self.waiting_cycles[last.0]
-                            <= self.waiting_cycles[min_core] + self.exec_estimate(ty) =>
+                        && self.queues.waiting(last.0)
+                            <= self.queues.waiting(min_core) + self.queues.exec_estimate(ty) =>
                 {
                     last.0
                 }
                 _ => min_core,
             }
         };
-        let at = ctx.now();
-        ctx.emit_obs(|| ObsEvent::Enqueued {
-            at,
-            sf: sf.0,
-            core: target as u32,
-        });
-        self.push_queue(ctx, target, sf);
+        // Bottom halves are softirqs and run ahead of ordinary work;
+        // everything else is FCFS (which is what gives SchedTask its
+        // 0.99 Jain fairness, Section 6.1).
+        self.queues.push(ctx, target, sf);
         Ok(())
     }
 
@@ -525,9 +446,12 @@ impl Scheduler for SchedTaskScheduler {
         ctx: &mut EngineCore,
         core: CoreId,
     ) -> Result<Option<SfId>, SchedError> {
-        if let Some(sf) = self.pop_queue(ctx, core.0) {
+        if let Some(sf) = self.queues.pop(ctx, core.0) {
             return Ok(Some(sf));
         }
+        let max_waiting = |queues: &mut CoreQueues| {
+            queues.steal_any(ctx, core.0, 0..queues.num_cores(), StealLevel::MaxWaiting)
+        };
         Ok(match self.cfg.steal_policy {
             StealPolicy::Nothing => None,
             StealPolicy::SameWorkOnly => self.steal_same(ctx, core.0),
@@ -539,22 +463,18 @@ impl Scheduler for SchedTaskScheduler {
                 // this point (the overlap table never spans the OS ↔
                 // application divide), and the paper's measured idleness
                 // for the default strategy is ≈0 %.
-                .or_else(|| self.steal_max_waiting(ctx, core.0)),
-            StealPolicy::MaxWaitingTime => self.steal_max_waiting(ctx, core.0),
+                .or_else(|| max_waiting(&mut self.queues)),
+            StealPolicy::MaxWaitingTime => max_waiting(&mut self.queues),
         })
     }
 
     fn queued_sfs(&self, out: &mut Vec<SfId>) -> bool {
-        for q in &self.queues {
-            out.extend(q.iter().copied());
-        }
+        self.queues.all_queued(out);
         true
     }
 
-    fn on_dispatch(&mut self, ctx: &mut EngineCore, core: CoreId, sf: SfId) {
+    fn on_dispatch(&mut self, ctx: &mut EngineCore, core: CoreId, _sf: SfId) {
         // startStatsCollection: clear and arm the Page-heatmap register.
-        self.dispatch_cycles_at.insert(sf, ctx.sf_cycles(sf));
-        self.dispatch_instr_at.insert(sf, ctx.sf_instructions(sf));
         ctx.heatmap_load(core, PageHeatmap::new(self.cfg.heatmap_bits));
     }
 
@@ -567,10 +487,7 @@ impl Scheduler for SchedTaskScheduler {
     ) {
         // stopStatsCollection: account execution time, OR the register
         // into this core's stats-table entry.
-        let start = self.dispatch_cycles_at.remove(&sf).unwrap_or(0);
-        let segment = ctx.sf_cycles(sf).saturating_sub(start);
-        let instr_start = self.dispatch_instr_at.remove(&sf).unwrap_or(0);
-        self.last_segment_instr = ctx.sf_instructions(sf).saturating_sub(instr_start);
+        let segment = ctx.sf_segment_cycles(sf);
         let heatmap = ctx.heatmap_take(core);
         let exact = if self.cfg.use_exact_overlap || self.cfg.collect_ranking_validation {
             Some(ctx.exact_pages_take(core))
@@ -609,16 +526,9 @@ impl Scheduler for SchedTaskScheduler {
         // virtual address to its PFN costs extra kernel work — modelled
         // as ~12 % of the just-executed segment, charged when the
         // segment ends.
-        let extra = match event {
-            SchedEvent::SfStop | SchedEvent::SfPause => {
-                let segment = sf
-                    .and_then(|id| {
-                        self.dispatch_instr_at
-                            .get(&id)
-                            .map(|&at| ctx.sf_instructions(id).saturating_sub(at))
-                    })
-                    .unwrap_or(self.last_segment_instr);
-                segment / 8
+        let extra = match (event, sf) {
+            (SchedEvent::SfStop | SchedEvent::SfPause, Some(id)) => {
+                ctx.sf_segment_instructions(id) / 8
             }
             _ => 0,
         };

@@ -296,25 +296,6 @@ pub fn replacement_policy_table(params: &ExpParams) -> Result<Table, ExperimentE
     Ok(t)
 }
 
-/// Data-prefetcher ablation: with stride prefetching hiding d-side
-/// misses, how does the benefit shift?
-pub fn data_prefetcher_table(params: &ExpParams) -> Result<Table, ExperimentError> {
-    let mut t = Table::new("Ablation: stride data prefetcher")
-        .with_note("Section 2.2's design argument: d-cache latencies are already largely hidden by modern cores, so i-cache locality is the right scheduling target. A d-side prefetcher strengthens that premise.")
-        .with_headers(["machine", "gmean Δ throughput vs. Linux (%)"]);
-    for (name, dp) in [
-        ("no data prefetcher (paper)", false),
-        ("with stride data prefetcher", true),
-    ] {
-        let mut p = params.clone();
-        p.system.data_prefetcher = dp;
-        let base = baselines(&p)?;
-        let g = gmean_against(&base, |k| run_schedtask(&p, SchedTaskConfig::default(), k))?;
-        t.push_row([name.to_string(), f1(g)]);
-    }
-    Ok(t)
-}
-
 #[cfg(test)]
 mod extra_tests {
     use super::*;
@@ -326,7 +307,6 @@ mod extra_tests {
         p.max_instructions = 200_000;
         p.warmup_instructions = 40_000;
         assert_eq!(replacement_policy_table(&p).expect("runs").rows.len(), 3);
-        assert_eq!(data_prefetcher_table(&p).expect("runs").rows.len(), 2);
     }
 }
 

@@ -77,7 +77,7 @@
 use schedtask::StealPolicy;
 use schedtask_experiments::runner::{parse_device_spec, run_sweep_observed};
 use schedtask_experiments::serve_api::{
-    result_payload, submit_with_retry, ClientTimeouts, Endpoint, JobSpec, RetryPolicy, ServeClient,
+    submit_with_retry, ClientTimeouts, Endpoint, JobSpec, Response, RetryPolicy, ServeClient,
 };
 use schedtask_experiments::{
     ablations, appendix, fig04_breakup, fig09_stealing, fig11_heatmap, overheads, table4_workload,
@@ -499,7 +499,6 @@ fn main() {
                     md,
                 );
                 emit(&ablations::replacement_policy_table(&p)?, md);
-                emit(&ablations::data_prefetcher_table(&p)?, md);
                 let scales: &[f64] = if opts.quick {
                     &[2.0, 12.0]
                 } else {
@@ -623,8 +622,6 @@ fn print_submit_help() {
 
 /// `repro submit`: the native line client for a running `schedtaskd`.
 fn run_submit(args: Vec<String>) -> ! {
-    use schedtask_experiments::serve_api::Json;
-
     let mut addr: Option<Endpoint> = None;
     let mut workloads: Option<Vec<String>> = None;
     let mut techniques: Option<Vec<String>> = None;
@@ -838,16 +835,16 @@ fn run_submit(args: Vec<String>) -> ! {
                     .request_line(&line)
                     .unwrap_or_else(|e| die(&format!("request failed: {e}")))
             };
-            let json = Json::parse(&response)
-                .unwrap_or_else(|e| die(&format!("unparseable response: {e}")));
-            match json.get("status").and_then(Json::as_str).unwrap_or("?") {
-                "ok" => {
+            match Response::parse(&response) {
+                Ok(Response::Ok {
+                    cached,
+                    coalesced,
+                    key,
+                    latency_us,
+                    result,
+                    ..
+                }) => {
                     ok += 1;
-                    let cached = json.get("cached").and_then(Json::as_bool).unwrap_or(false);
-                    let coalesced = json
-                        .get("coalesced")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false);
                     if cached {
                         cache_hits += 1;
                     } else {
@@ -856,34 +853,28 @@ fn run_submit(args: Vec<String>) -> ! {
                     if coalesced {
                         coalesced_n += 1;
                     }
-                    let key = json.get("key").and_then(Json::as_str).unwrap_or("?");
-                    let latency = json.get("latency_us").and_then(Json::as_u64).unwrap_or(0);
                     println!(
                         "[submit] {tech}/{wl}: ok cached={cached} coalesced={coalesced} \
-                         key={key} latency_us={latency}"
+                         key={key} latency_us={latency_us}"
                     );
                     if out_file.is_some() {
-                        match result_payload(&response) {
-                            Some(payload) => out_lines.push(format!("{tech}/{wl} {payload}")),
-                            None => die("ok response without a result payload"),
-                        }
+                        out_lines.push(format!("{tech}/{wl} {result}"));
                     }
                 }
-                "rejected" => {
+                Ok(Response::Rejected { retry_after_ms, .. }) => {
                     rejected += 1;
-                    let retry = json
-                        .get("retry_after_ms")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0);
-                    println!("[submit] {tech}/{wl}: rejected (queue full) retry_after_ms={retry}");
+                    println!(
+                        "[submit] {tech}/{wl}: rejected (queue full) \
+                         retry_after_ms={retry_after_ms}"
+                    );
                 }
-                _ => {
+                Ok(Response::Error { error, .. }) => {
                     errors += 1;
-                    let detail = json
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or(response.as_str());
-                    println!("[submit] {tech}/{wl}: error: {detail}");
+                    println!("[submit] {tech}/{wl}: error: {error}");
+                }
+                Ok(_) | Err(_) => {
+                    errors += 1;
+                    println!("[submit] {tech}/{wl}: error: {response}");
                 }
             }
         }

@@ -45,7 +45,9 @@ pub enum FailureCause {
     Engine(EngineError),
     /// The cell panicked; the payload message is preserved.
     Panic(String),
-    /// A [`RunBuilder`] was started without a required input.
+    /// A [`RunBuilder`] was started without a required input, or the
+    /// technique cannot run on the configured machine (FlexSC on one
+    /// core).
     Builder(String),
 }
 
@@ -167,7 +169,28 @@ impl Technique {
         self == Technique::SelectiveOffload
     }
 
+    /// Checks that the technique can run on a machine of `engine_cores`
+    /// cores: FlexSC and SelectiveOffload give application and OS work
+    /// separate cores, so they need two.
+    pub fn check_cores(self, engine_cores: usize) -> Result<(), String> {
+        let need = match self {
+            Technique::FlexSc | Technique::SelectiveOffload => 2,
+            _ => 1,
+        };
+        if engine_cores < need {
+            return Err(format!(
+                "{} needs at least {need} cores, got {engine_cores}",
+                self.name()
+            ));
+        }
+        Ok(())
+    }
+
     /// Builds the scheduler for a machine with `engine_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Technique::check_cores`] refuses `engine_cores`.
     pub fn scheduler(self, engine_cores: usize) -> Box<dyn Scheduler> {
         match self {
             Technique::Linux => Box::new(LinuxScheduler::new(engine_cores)),
@@ -459,19 +482,23 @@ impl RunBuilder {
         };
         let sched = match self.scheduler.take() {
             Some(s) => s,
-            None => self
-                .technique
-                .ok_or_else(|| {
+            None => {
+                let technique = self.technique.ok_or_else(|| {
                     ExperimentError::builder(
                         &label,
                         &wl_label,
                         "no scheduler: call .technique() or .scheduler()",
                     )
-                })?
+                })?;
                 // The config is authoritative about the machine size, so
                 // the scheduler always matches it (core doubling
                 // included).
-                .scheduler(cfg.system.num_cores),
+                let cores = cfg.system.num_cores;
+                technique
+                    .check_cores(cores)
+                    .map_err(|e| ExperimentError::builder(&label, &wl_label, &e))?;
+                technique.scheduler(cores)
+            }
         };
         let mut engine = Engine::new(cfg, &workload, sched)
             .map_err(|e| ExperimentError::engine(&label, &wl_label, e))?;
@@ -856,7 +883,11 @@ pub fn run_sweep_observed(
         });
         let result = catch_unwind(AssertUnwindSafe(|| {
             let cfg = params.engine_config(technique);
-            let mut sched = technique.scheduler(params.engine_cores(technique));
+            let cores = params.engine_cores(technique);
+            technique
+                .check_cores(cores)
+                .map_err(|e| ExperimentError::builder(technique.name(), benchmark.name(), &e))?;
+            let mut sched = technique.scheduler(cores);
             if let Some(after) = forced {
                 sched = Box::new(FailAfterScheduler::new(sched, after));
             }
@@ -1034,6 +1065,33 @@ mod tests {
                 FailureCause::Engine(EngineError::Config(ConfigError::System(_)))
             ),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn one_core_flexsc_is_a_typed_diagnosis() {
+        let mut p = ExpParams::quick().with_cores(1);
+        p.max_instructions = 60_000;
+        p.warmup_instructions = 20_000;
+        let err = RunBuilder::new(&p)
+            .technique(Technique::FlexSc)
+            .benchmark(BenchmarkKind::Find, 1.0)
+            .run()
+            .expect_err("FlexSC needs two cores");
+        assert!(matches!(err.cause, FailureCause::Builder(_)), "{err}");
+        // SelectiveOffload doubles one core to two and runs.
+        let report = run_sweep(
+            &p,
+            &[Technique::FlexSc, Technique::SelectiveOffload],
+            &[BenchmarkKind::Find],
+            1.0,
+            None,
+        );
+        assert_eq!(report.succeeded(), 1);
+        let failure = report.failures().next().expect("one failure");
+        assert_eq!(
+            failure.to_string(),
+            "FlexSC on Find: FlexSC needs at least 2 cores, got 1"
         );
     }
 

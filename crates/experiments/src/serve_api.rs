@@ -130,7 +130,6 @@ impl JobSpec {
             prefetcher,
             trace_cache,
             l1_replacement,
-            data_prefetcher,
             branch_predictor,
             nuca,
         } = system;
@@ -203,11 +202,7 @@ impl JobSpec {
                 trace_lines,
             } => write!(out, "{entries}/{trace_lines}")?,
         }
-        write!(
-            out,
-            ";l1_replacement={l1_replacement:?};data_prefetcher={data_prefetcher};\
-             branch_predictor="
-        )?;
+        write!(out, ";l1_replacement={l1_replacement:?};branch_predictor=")?;
         match branch_predictor {
             Some((entries, penalty)) => write!(out, "{entries}/{penalty}")?,
             None => out.push('-'),
@@ -865,6 +860,7 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
         }
         params.cores = cores as usize;
     }
+    technique.check_cores(params.engine_cores(technique))?;
     if let Some(v) = u64_field("max_instructions")? {
         params.max_instructions = v;
     }
@@ -1783,6 +1779,24 @@ mod tests {
     }
 
     #[test]
+    fn techniques_that_split_cores_need_two() {
+        let err = parse_request("{\"workload\":\"Find\",\"technique\":\"FlexSC\",\"cores\":1}")
+            .expect_err("must reject one-core FlexSC");
+        assert_eq!(err.to_string(), "FlexSC needs at least 2 cores, got 1");
+        assert_eq!(
+            run_spec("{\"workload\":\"Find\",\"technique\":\"FlexSC\",\"cores\":2}")
+                .params
+                .cores,
+            2
+        );
+        // SelectiveOffload doubles the cores it is given.
+        for t in ["SelectiveOffload", "Baseline", "SchedTask"] {
+            let line = format!("{{\"workload\":\"Find\",\"technique\":\"{t}\",\"cores\":1}}");
+            assert_eq!(run_spec(&line).params.cores, 1, "{t}");
+        }
+    }
+
+    #[test]
     fn unknown_fields_are_rejected() {
         let err =
             parse_request("{\"workload\":\"Find\",\"sede\":7}").expect_err("must reject typos");
@@ -1847,7 +1861,6 @@ mod tests {
             ("l1_replacement", |s| {
                 s.l1_replacement = schedtask_sim::ReplacementPolicy::Fifo
             }),
-            ("data_prefetcher", |s| s.data_prefetcher = true),
             ("branch_predictor", |s| {
                 *s = s.clone().with_branch_predictor()
             }),
@@ -1934,7 +1947,7 @@ mod tests {
             l1d=32768/4/64/3;l2=262144/4/64/8;llc=8388608/8/64/18;memory_latency=200;\
             itlb_entries=128;dtlb_entries=128;tlb_miss_penalty=50;\
             base_cpi=3fd999999999999a;data_overlap_hidden=3fe6666666666666;prefetcher=-;\
-            trace_cache=-;l1_replacement=Lru;data_prefetcher=false;branch_predictor=-;nuca=-";
+            trace_cache=-;l1_replacement=Lru;branch_predictor=-;nuca=-";
         const ID: &str = "job \"7\"\n\u{1}é😀";
         let cases = [
             (
@@ -1942,7 +1955,7 @@ mod tests {
                 "technique=SchedTask;benchmark=Find;scale=4000000000000000;steal=-;cores=8;\
                  max_instructions=1600000;warmup_instructions=400000;seed=1592614637;\
                  epoch_cycles=50000;faults=-;sanitize=false;devices=;",
-                "7f133df92340b740",
+                "fa76716d8393ad14",
                 "{\"v\":1,\"op\":\"run\",\"workload\":\"Find\",\"technique\":\"SchedTask\",\
                  \"scale\":2.0,\"quick\":true,\"cores\":8,\"max_instructions\":1600000,\
                  \"warmup_instructions\":400000,\"epoch_cycles\":50000,\"seed\":1592614637}",
@@ -1952,7 +1965,7 @@ mod tests {
                 "technique=SchedTask;benchmark=Find;scale=4000000000000000;steal=-;cores=32;\
                  max_instructions=16000000;warmup_instructions=4000000;seed=1592614637;\
                  epoch_cycles=60000;faults=-;sanitize=false;devices=;",
-                "816339e2c5b84176",
+                "97a5dcb0c88b6bca",
                 "{\"v\":1,\"op\":\"run\",\"workload\":\"Find\",\"technique\":\"SchedTask\",\
                  \"scale\":2.0,\"quick\":true,\"cores\":32,\"max_instructions\":16000000,\
                  \"warmup_instructions\":4000000,\"epoch_cycles\":60000,\"seed\":1592614637}",
@@ -1967,7 +1980,7 @@ mod tests {
                  irq_retry_cycles=20000,spurious_irq_rate=0.002,delay_completion_rate=0.005,\
                  delay_completion_instructions=2000,stall_core_rate=0.0005,stall_cycles=50000;\
                  sanitize=true;devices=network:25000,disk:25000;",
-                "6b620e828922f9f3",
+                "865d9864ad192913",
                 "{\"v\":1,\"op\":\"run\",\"workload\":\"Iscp\",\"technique\":\"SchedTask\",\
                  \"steal\":\"SameWorkOnly\",\"scale\":2.0,\"quick\":true,\"cores\":8,\
                  \"max_instructions\":1600000,\"warmup_instructions\":400000,\

@@ -176,7 +176,12 @@ proptest! {
             Technique::SchedTask => steal,
             _ => None,
         };
-        spec.params.cores = cores;
+        // FlexSC needs separate application and system-call cores, which
+        // the parser enforces too.
+        spec.params.cores = match technique {
+            Technique::FlexSc => cores.max(2),
+            _ => cores,
+        };
         spec.params.max_instructions = budget * 10_000;
         spec.params.warmup_instructions = 10_000;
         spec.params.seed = seed;

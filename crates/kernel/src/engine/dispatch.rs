@@ -19,8 +19,9 @@ use schedtask_workload::{DeviceKind, FootprintWalker, SfCategory, WalkParams};
 use std::sync::Arc;
 
 impl EngineCore {
-    /// Marks `sf` running on core `c`, counting thread migrations and
-    /// resampling the application burst if needed.
+    /// Marks `sf` running on core `c`, starting its execution segment,
+    /// counting thread migrations and resampling the application burst
+    /// if needed.
     pub(super) fn prepare_dispatch(&mut self, c: usize, sf_id: SfId) -> Result<(), EngineError> {
         let sf = self
             .sfs
@@ -32,6 +33,7 @@ impl EngineCore {
             sf.state
         );
         sf.state = SfState::Running;
+        sf.segment_start = (sf.cycles_used, sf.instructions_retired);
         let tid = sf.tid;
         let category = sf.category();
 
@@ -140,6 +142,7 @@ impl EngineCore {
             walker,
             cycles_used: 0,
             instructions_retired: 0,
+            segment_start: (0, 0),
             runnable_since: self.cores[c].clock,
         };
         self.sfs.insert(id, sf);

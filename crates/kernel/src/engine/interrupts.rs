@@ -65,6 +65,7 @@ impl EngineCore {
             walker,
             cycles_used: 0,
             instructions_retired: 0,
+            segment_start: (0, 0),
             runnable_since: self.cores[c].clock,
         };
         let sf_type = sf.sf_type;
@@ -121,6 +122,7 @@ impl EngineCore {
             walker,
             cycles_used: 0,
             instructions_retired: 0,
+            segment_start: (0, 0),
             runnable_since: self.cores[c].clock,
         };
         let sf_type = sf.sf_type;

@@ -157,14 +157,19 @@ impl EngineCore {
         self.sf(sf).tid
     }
 
-    /// Cycles the SuperFunction has consumed so far.
-    pub fn sf_cycles(&self, sf: SfId) -> u64 {
-        self.sf(sf).cycles_used
+    /// Cycles the SuperFunction has consumed since it was last
+    /// dispatched: its current execution segment, or its latest one once
+    /// it has been switched out.
+    pub fn sf_segment_cycles(&self, sf: SfId) -> u64 {
+        let s = self.sf(sf);
+        s.cycles_used - s.segment_start.0
     }
 
-    /// Instructions the SuperFunction has retired so far.
-    pub fn sf_instructions(&self, sf: SfId) -> u64 {
-        self.sf(sf).instructions_retired
+    /// Instructions the SuperFunction has retired since it was last
+    /// dispatched (see [`EngineCore::sf_segment_cycles`]).
+    pub fn sf_segment_instructions(&self, sf: SfId) -> u64 {
+        let s = self.sf(sf);
+        s.instructions_retired - s.segment_start.1
     }
 
     /// The physical code pages the SuperFunction executes from (models
@@ -601,6 +606,7 @@ impl EngineCore {
                     walker,
                     cycles_used: 0,
                     instructions_retired: 0,
+                    segment_start: (0, 0),
                     runnable_since: 0,
                 };
                 sfs.insert(sf_id, sf);

@@ -11,7 +11,9 @@
 //! * threads, system-call dispatch, the interrupt controller, bottom
 //!   halves, and blocking devices;
 //! * the [`Scheduler`] plug-in trait — every technique the paper
-//!   evaluates implements it;
+//!   evaluates implements it — and the placement machinery they share:
+//!   per-core run queues ([`CoreQueues`]) and largest-remainder core
+//!   apportionment ([`apportion_cores`]);
 //! * the [`Engine`], which executes SuperFunctions quantum by quantum
 //!   through the cache hierarchy and collects the statistics every figure
 //!   of the paper reports ([`SimStats`]);
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod common;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -58,6 +61,7 @@ pub mod superfunction;
 /// separate dependency edge).
 pub use schedtask_obs as obs;
 
+pub use common::{apportion_cores, CoreQueues};
 pub use config::{DeviceModelConfig, EngineConfig};
 pub use engine::{Engine, EngineCore, WorkloadSpec, KERNEL_TID};
 pub use error::{ConfigError, EngineError, SchedError, Violation};

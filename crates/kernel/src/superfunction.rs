@@ -81,6 +81,10 @@ pub struct SuperFunction {
     pub cycles_used: u64,
     /// Instructions this SuperFunction has retired so far.
     pub instructions_retired: u64,
+    /// `(cycles_used, instructions_retired)` when the SuperFunction was
+    /// last dispatched: the start of its current (or, once switched out,
+    /// its latest) execution segment.
+    pub segment_start: (u64, u64),
     /// Cycle at which the SuperFunction became runnable (for queueing
     /// metrics such as interrupt latency).
     pub runnable_since: u64,
@@ -133,6 +137,7 @@ mod tests {
             walker: FootprintWalker::new(code, empty.clone(), empty, WalkParams::default(), 1),
             cycles_used: 0,
             instructions_retired: 0,
+            segment_start: (0, 0),
             runnable_since: 0,
         }
     }

@@ -233,6 +233,64 @@ fn heatmap_register_fills_during_execution() {
 }
 
 #[test]
+fn segment_clock_opens_at_dispatch_and_closes_at_switch_out() {
+    use schedtask_kernel::SwitchReason;
+    /// Counts the segments that closed with work in them.
+    struct SegmentProbe(GlobalFifoScheduler, Arc<Mutex<u64>>);
+    impl Scheduler for SegmentProbe {
+        fn name(&self) -> &'static str {
+            "SegmentProbe"
+        }
+        fn enqueue(
+            &mut self,
+            ctx: &mut EngineCore,
+            sf: SfId,
+            origin: Option<CoreId>,
+        ) -> Result<(), SchedError> {
+            self.0.enqueue(ctx, sf, origin)
+        }
+        fn pick_next(
+            &mut self,
+            ctx: &mut EngineCore,
+            core: CoreId,
+        ) -> Result<Option<SfId>, SchedError> {
+            self.0.pick_next(ctx, core)
+        }
+        fn on_dispatch(&mut self, ctx: &mut EngineCore, _core: CoreId, sf: SfId) {
+            let segment = (ctx.sf_segment_cycles(sf), ctx.sf_segment_instructions(sf));
+            assert_eq!(segment, (0, 0), "{sf} resumed inside an old segment");
+        }
+        fn on_switch_out(
+            &mut self,
+            ctx: &mut EngineCore,
+            _core: CoreId,
+            sf: SfId,
+            reason: SwitchReason,
+        ) {
+            // Only an interrupt can end a segment before its first
+            // quantum; every other switch-out follows executed work.
+            if reason != SwitchReason::Preempted {
+                assert!(ctx.sf_segment_cycles(sf) > 0, "{sf}: {reason:?}");
+                assert!(ctx.sf_segment_instructions(sf) > 0, "{sf}: {reason:?}");
+                *self.1.lock().expect("probe lock") += 1;
+            }
+        }
+    }
+    let closed = Arc::new(Mutex::new(0));
+    let mut engine = Engine::new(
+        small_cfg(2, 150_000),
+        &WorkloadSpec::single(BenchmarkKind::MailSrvIo, 1.0),
+        Box::new(SegmentProbe(
+            GlobalFifoScheduler::new(),
+            Arc::clone(&closed),
+        )),
+    )
+    .expect("engine builds");
+    engine.run().expect("run succeeds");
+    assert!(*closed.lock().expect("probe lock") > 0, "no segment closed");
+}
+
+#[test]
 fn exact_page_collection_works() {
     use schedtask_kernel::obs::{Aggregator, Counter};
     struct ExactHarvest(GlobalFifoScheduler);

@@ -570,6 +570,36 @@ mod tests {
     }
 
     #[test]
+    fn one_core_flexsc_is_refused_before_admission() {
+        let server = Arc::new(Server::new(ServeConfig {
+            queue_capacity: 4,
+            workers: 1,
+            ..ServeConfig::default()
+        }));
+        let dispatcher = server.spawn_dispatcher();
+        let line =
+            "{\"v\":1,\"op\":\"run\",\"workload\":\"Find\",\"technique\":\"FlexSC\",\"cores\":1}";
+        for _ in 0..2 {
+            let (resp, _) = server.handle_request_line(line);
+            let json = Json::parse(&resp).expect("response is JSON");
+            assert_eq!(
+                json.get("status").and_then(Json::as_str),
+                Some("error"),
+                "{resp}"
+            );
+            assert_eq!(
+                json.get("error").and_then(Json::as_str),
+                Some("FlexSC needs at least 2 cores, got 1")
+            );
+        }
+        let snap = server.counters();
+        assert_eq!(snap.get(Counter::ServeSubmitted), 0);
+        assert_eq!(snap.get(Counter::ServeExecuted), 0);
+        server.close();
+        dispatcher.join().expect("dispatcher exits");
+    }
+
+    #[test]
     fn full_queue_rejects_with_backpressure() {
         // No dispatcher: the queue cannot drain, so filling it is
         // deterministic.

@@ -187,8 +187,6 @@ pub struct SystemConfig {
     /// Replacement policy of the private L1 caches (the paper's machine
     /// uses LRU; alternatives exist for the replacement ablation).
     pub l1_replacement: crate::cache::ReplacementPolicy,
-    /// Enable the per-core stride data prefetcher.
-    pub data_prefetcher: bool,
     /// Explicit branch modelling: `(predictor entries, mispredict
     /// penalty in cycles)`. `None` folds branch effects into the base
     /// CPI, as the default timing model does.
@@ -214,7 +212,6 @@ impl SystemConfig {
             prefetcher: PrefetcherConfig::None,
             trace_cache: TraceCacheConfig::None,
             l1_replacement: crate::cache::ReplacementPolicy::Lru,
-            data_prefetcher: false,
             branch_predictor: None,
             nuca: None,
         }

@@ -52,7 +52,7 @@ pub use config::{CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, T
 pub use heatmap::PageHeatmap;
 pub use memory::{MemorySystem, PAGE_BYTES};
 pub use nuca::NucaModel;
-pub use prefetch::{CallGraphPrefetcher, StrideDataPrefetcher};
+pub use prefetch::CallGraphPrefetcher;
 pub use stats::{CodeDomain, HitMiss, MemStats};
 pub use tlb::Tlb;
 pub use trace_cache::TraceCache;

@@ -9,7 +9,7 @@
 use crate::cache::{ReplacementPolicy, SetAssocCache};
 use crate::coherence::{Directory, ReadOutcome, SharerMask};
 use crate::config::{PrefetcherConfig, SystemConfig, TraceCacheConfig};
-use crate::prefetch::{CallGraphPrefetcher, StrideDataPrefetcher};
+use crate::prefetch::CallGraphPrefetcher;
 use crate::stats::{CodeDomain, MemStats};
 use crate::tlb::Tlb;
 use crate::trace_cache::TraceCache;
@@ -26,7 +26,6 @@ struct CoreMem {
     itlb: Tlb,
     dtlb: Tlb,
     prefetcher: Option<CallGraphPrefetcher>,
-    data_prefetcher: Option<StrideDataPrefetcher>,
     trace_cache: Option<TraceCache>,
 }
 
@@ -94,11 +93,6 @@ impl MemorySystem {
                         degree,
                         table_entries,
                     } => Some(CallGraphPrefetcher::new(table_entries, degree)),
-                },
-                data_prefetcher: if cfg.data_prefetcher {
-                    Some(StrideDataPrefetcher::new())
-                } else {
-                    None
                 },
                 trace_cache: match cfg.trace_cache {
                     TraceCacheConfig::None => None,
@@ -241,8 +235,7 @@ impl MemorySystem {
     /// round-trip).
     ///
     /// As in [`fetch_code`](Self::fetch_code), only the demand path is
-    /// inline: the invalidation fan-out, the refill and the stride
-    /// prefetcher are calls.
+    /// inline: the invalidation fan-out and the refill are calls.
     ///
     /// # Panics
     ///
@@ -269,16 +262,12 @@ impl MemorySystem {
 
         let cm = &mut self.cores[core];
         let l1_hit = cm.l1d.access(line);
-        let has_prefetcher = cm.data_prefetcher.is_some();
         match domain {
             CodeDomain::Application => self.stats.dcache_app.record(l1_hit),
             CodeDomain::Os => self.stats.dcache_os.record(l1_hit),
         }
         if !l1_hit {
             raw_penalty += self.refill_data(core, line, write);
-        }
-        if has_prefetcher {
-            self.prefetch_data(core, line);
         }
 
         if raw_penalty == 0 {
@@ -326,24 +315,6 @@ impl MemorySystem {
                 self.llc_latency(core, line)
             }
             ReadOutcome::FromMemoryPath => self.refill_from_outer(core, line),
-        }
-    }
-
-    /// Trains the stride data prefetcher on the demand access to `line`
-    /// and fills its predictions into the private hierarchy and the LLC.
-    #[inline(never)]
-    fn prefetch_data(&mut self, core: usize, line: u64) {
-        let cm = &mut self.cores[core];
-        let Some(p) = cm.data_prefetcher.as_mut() else {
-            return;
-        };
-        for pline in p.observe(line) {
-            cm.l1d.fill(pline);
-            if let Some(l2) = cm.l2.as_mut() {
-                l2.fill(pline);
-            }
-            self.llc.fill(pline);
-            self.stats.prefetch_fills += 1;
         }
     }
 

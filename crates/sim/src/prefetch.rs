@@ -156,100 +156,3 @@ mod tests {
         CallGraphPrefetcher::new(0, 1);
     }
 }
-
-/// A per-core stride data prefetcher: detects a repeated line-stride in
-/// the data stream and prefetches the next line(s) along it. Modern
-/// cores ship one (Section 2.2 notes that data prefetchers are among the
-/// optimizations that already hide d-cache latencies); it is optional
-/// here for the data-prefetcher ablation.
-#[derive(Debug, Clone, Default)]
-pub struct StrideDataPrefetcher {
-    last_line: Option<u64>,
-    last_stride: i64,
-    confidence: u8,
-    issued: u64,
-}
-
-impl StrideDataPrefetcher {
-    /// Creates an untrained prefetcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes a demand data access; returns lines to prefetch (empty
-    /// until a stride repeats).
-    pub fn observe(&mut self, line: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        if let Some(prev) = self.last_line {
-            let stride = line as i64 - prev as i64;
-            if stride != 0 && stride == self.last_stride {
-                self.confidence = (self.confidence + 1).min(4);
-            } else {
-                self.confidence = 0;
-            }
-            self.last_stride = stride;
-            if self.confidence >= 2 {
-                // Confident: prefetch the next two lines along the stride.
-                for k in 1..=2i64 {
-                    let target = line as i64 + self.last_stride * k;
-                    if target >= 0 {
-                        out.push(target as u64);
-                    }
-                }
-                self.issued += out.len() as u64;
-            }
-        }
-        self.last_line = Some(line);
-        out
-    }
-
-    /// Total prefetches issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-}
-
-#[cfg(test)]
-mod stride_tests {
-    use super::*;
-
-    #[test]
-    fn untrained_issues_nothing() {
-        let mut p = StrideDataPrefetcher::new();
-        assert!(p.observe(100).is_empty());
-        assert!(p.observe(200).is_empty()); // first stride observation
-    }
-
-    #[test]
-    fn repeated_stride_triggers() {
-        let mut p = StrideDataPrefetcher::new();
-        p.observe(100);
-        p.observe(104);
-        p.observe(108); // stride 4 repeated once -> confidence building
-        let pf = p.observe(112);
-        assert_eq!(pf, vec![116, 120]);
-        assert!(p.issued() >= 2);
-    }
-
-    #[test]
-    fn stride_change_resets_confidence() {
-        let mut p = StrideDataPrefetcher::new();
-        for l in [100u64, 104, 108, 112] {
-            p.observe(l);
-        }
-        assert!(!p.observe(116).is_empty());
-        // Break the stride.
-        assert!(p.observe(500).is_empty());
-        assert!(p.observe(501).is_empty());
-    }
-
-    #[test]
-    fn negative_strides_work() {
-        let mut p = StrideDataPrefetcher::new();
-        for l in [100u64, 96, 92, 88] {
-            p.observe(l);
-        }
-        let pf = p.observe(84);
-        assert_eq!(pf, vec![80, 76]);
-    }
-}

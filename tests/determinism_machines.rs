@@ -5,9 +5,9 @@
 //! `tests/determinism_golden.rs` and perfbench's `sim_fig7` digests
 //! cover only the paper's Table 2 machine. The variants here take the
 //! paths that machine never takes: the call-graph instruction
-//! prefetcher, the trace cache, the stride data prefetcher, Fifo and
-//! Random L1 replacement, the banked NUCA LLC, explicit branch
-//! prediction, and the two-level Config1 hierarchy without an L2. Two
+//! prefetcher, the trace cache, Fifo and Random L1 replacement, the
+//! banked NUCA LLC, explicit branch prediction, and the two-level
+//! Config1 hierarchy without an L2. Two
 //! cells shrink Config1's LLC to 64 KB, so that its evictions expose
 //! every LLC fill a prefetch or a cache-to-cache transfer makes. A
 //! change to the hierarchy's miss, fill or invalidation paths that
@@ -21,9 +21,7 @@ use schedtask_suite::experiments::runner::RunBuilder;
 use schedtask_suite::experiments::serve_api::fnv1a64;
 use schedtask_suite::experiments::{ExpParams, Technique};
 use schedtask_suite::kernel::SimStats;
-use schedtask_suite::sim::{
-    CacheParams, CodeDomain, HierarchyConfig, MemorySystem, ReplacementPolicy, SystemConfig,
-};
+use schedtask_suite::sim::{CacheParams, HierarchyConfig, ReplacementPolicy, SystemConfig};
 use schedtask_suite::workload::BenchmarkKind;
 
 /// One pinned cell: the machine variant, a check that the variant's
@@ -65,8 +63,6 @@ fn with_l1(policy: ReplacementPolicy) -> SystemConfig {
 }
 
 fn cells() -> Vec<Cell> {
-    let mut data_prefetcher = table2();
-    data_prefetcher.data_prefetcher = true;
     vec![
         Cell {
             name: "call_graph_prefetcher",
@@ -96,19 +92,6 @@ fn cells() -> Vec<Cell> {
             benchmark: BenchmarkKind::Find,
             engaged: |s| s.mem.trace_cache_covered > 0,
             stats_digest: 0xc864b54f9f2c6808,
-        },
-        // The walker's data references never repeat a non-zero stride
-        // three times running, so this cell trains the prefetcher on
-        // every reference but issues no fill;
-        // `stride_prefetcher_fills_match_the_golden_digest` drives the
-        // fills.
-        Cell {
-            name: "stride_data_prefetcher",
-            system: data_prefetcher,
-            technique: Technique::SchedTask,
-            benchmark: BenchmarkKind::MailSrvIo,
-            engaged: |s| s.mem.dcache_os.total() + s.mem.dcache_app.total() > 0,
-            stats_digest: 0x1f10262ed1febf9f,
         },
         Cell {
             name: "fifo_l1",
@@ -182,36 +165,5 @@ fn machine_variants_match_the_golden_digests() {
         mismatches.is_empty(),
         "machine digests moved:\n{}",
         mismatches.join("\n")
-    );
-}
-
-/// The stride data prefetcher's fill path, which no walker stream
-/// reaches: two cores sweep strided data lines, read and write, over a
-/// three-level and a two-level hierarchy, with code fetches in between.
-/// Pins every memory counter and the sum of the returned penalties.
-#[test]
-fn stride_prefetcher_fills_match_the_golden_digest() {
-    let mut digests = Vec::new();
-    for hierarchy in [HierarchyConfig::table2(), HierarchyConfig::config1()] {
-        let mut system = table2().with_cores(2).with_hierarchy(hierarchy);
-        system.data_prefetcher = true;
-        let mut mem = MemorySystem::new(&system);
-        let mut cycles = 0u64;
-        for round in 0..4u64 {
-            for i in 0..2_000u64 {
-                let core = (i / 500 % 2) as usize;
-                let stride = 1 + round % 3;
-                let line = 1_000_000 + (i % 700) * stride;
-                cycles += mem.fetch_code(core, 10_000 + i % 300, CodeDomain::Os);
-                cycles += mem.access_data(core, line, i % 5 == 0, CodeDomain::Os);
-            }
-        }
-        assert!(mem.stats().prefetch_fills > 0, "no prefetch fill issued");
-        digests.push(fnv1a64(format!("{:?} {cycles}", mem.stats()).as_bytes()));
-    }
-    assert_eq!(
-        digests,
-        [0xb5d7e75db7526dae, 0x6ae76595be576f3a],
-        "stride prefetcher digests moved: {digests:#018x?}"
     );
 }
