@@ -5,7 +5,7 @@ use crate::alloc_table::AllocationTable;
 use crate::overlap::OverlapTable;
 use crate::stats_table::StatsTable;
 use crate::stealing::StealPolicy;
-use schedtask_kernel::obs::{ObsEvent, Observer, StealLevel};
+use schedtask_kernel::obs::{ObsEvent, StealLevel};
 use schedtask_kernel::{
     CoreId, CoreQueues, EngineCore, SchedError, SchedEvent, Scheduler, SfId, SwitchReason,
 };
@@ -32,9 +32,6 @@ pub struct SchedTaskConfig {
     /// overlap table (Figure 11's "ideal ranking" configuration;
     /// impossible in real hardware).
     pub use_exact_overlap: bool,
-    /// Record, at every TAlloc, both the Bloom and the exact pairwise
-    /// overlaps so experiments can compute Kendall's τ_B (Figure 11).
-    pub collect_ranking_validation: bool,
     /// Model the *software rendition* of the Page-heatmap that
     /// Section 3.2 discusses and rejects: without the hardware register,
     /// software must translate every instruction's virtual address to
@@ -54,7 +51,6 @@ impl Default for SchedTaskConfig {
             steal_policy: StealPolicy::SimilarWorkAlso,
             realloc_threshold: 0.98,
             use_exact_overlap: false,
-            collect_ranking_validation: false,
             software_rendition: false,
             steal_one_only: false,
         }
@@ -65,16 +61,15 @@ impl Default for SchedTaskConfig {
 /// same-domain candidate with its Bloom overlap and exact page overlap.
 pub type EpochRankings = Vec<(SuperFuncType, Vec<(SuperFuncType, u32, u32)>)>;
 
-/// Observer that accumulates TAlloc's ranking-validation snapshots
-/// (Figure 11).
+/// TAlloc's ranking-validation snapshots (Figure 11): at every TAlloc
+/// pass, the Bloom and the exact pairwise overlaps of every type.
 ///
-/// Shares the [`Observer`] trait with the generic sinks so experiments
-/// hold it as an `Arc` like any other observer; the rankings themselves
-/// are typed data the scheduler pushes directly (they are too rich for
-/// the generic event stream). The scheduler half lives inside an engine
+/// The scheduler pushes these typed rows directly; they are too rich for
+/// the generic event stream, so this is not an `Observer` and never
+/// attaches to the engine. The scheduler half lives inside an engine
 /// that parallel sweeps move onto worker threads, while the experiment
-/// half reads the snapshots after `run()` returns — hence the interior
-/// `Mutex`.
+/// half reads the snapshots after `run()` returns — hence the shared
+/// `Arc` and the interior `Mutex`.
 #[derive(Debug, Default)]
 pub struct RankingObserver {
     shared: Mutex<Vec<EpochRankings>>,
@@ -112,10 +107,6 @@ impl RankingObserver {
         self.shared.lock().expect("ranking observer lock").clone()
     }
 }
-
-/// The rankings arrive through the typed [`RankingObserver::snapshots`]
-/// side channel, so the generic event stream needs no handling here.
-impl Observer for RankingObserver {}
 
 /// The SchedTask scheduler.
 ///
@@ -177,17 +168,24 @@ impl SchedTaskScheduler {
         }
     }
 
-    /// Creates the scheduler plus a shared observer for Figure 11's
-    /// ranking validation (forces `collect_ranking_validation`).
+    /// Creates the scheduler plus the shared record of Figure 11's
+    /// ranking validation: every TAlloc then records both the Bloom and
+    /// the exact pairwise overlaps, so experiments can compute Kendall's
+    /// τ_B.
     pub fn with_ranking_observer(
         num_cores: usize,
-        mut cfg: SchedTaskConfig,
+        cfg: SchedTaskConfig,
     ) -> (Self, Arc<RankingObserver>) {
-        cfg.collect_ranking_validation = true;
         let mut s = Self::new(num_cores, cfg);
         let observer = Arc::new(RankingObserver::new());
         s.validation = Some(Arc::clone(&observer));
         (s, observer)
+    }
+
+    /// Exact page sets are harvested for the ideal ranking and for
+    /// ranking validation.
+    fn tracks_exact_pages(&self) -> bool {
+        self.cfg.use_exact_overlap || self.validation.is_some()
     }
 
     /// Epochs processed so far.
@@ -358,26 +356,24 @@ impl SchedTaskScheduler {
         self.overlap = OverlapTable::from_stats(&system, self.cfg.use_exact_overlap);
 
         // 5. Ranking validation for Figure 11.
-        if self.cfg.collect_ranking_validation {
-            if let Some(obs) = &self.validation {
-                let mut epoch: EpochRankings = Vec::new();
-                for (&a, sa) in system.iter() {
-                    let mut row = Vec::new();
-                    for (&b, sb) in system.iter() {
-                        if a == b || a.is_os() != b.is_os() {
-                            continue;
-                        }
-                        let bloom = sa.heatmap.overlap(&sb.heatmap);
-                        let exact = sa.exact_pages.intersection(&sb.exact_pages).count() as u32;
-                        row.push((b, bloom, exact));
+        if let Some(obs) = &self.validation {
+            let mut epoch: EpochRankings = Vec::new();
+            for (&a, sa) in system.iter() {
+                let mut row = Vec::new();
+                for (&b, sb) in system.iter() {
+                    if a == b || a.is_os() != b.is_os() {
+                        continue;
                     }
-                    if !row.is_empty() {
-                        epoch.push((a, row));
-                    }
+                    let bloom = sa.heatmap.overlap(&sb.heatmap);
+                    let exact = sa.exact_pages.intersection(&sb.exact_pages).count() as u32;
+                    row.push((b, bloom, exact));
                 }
-                if !epoch.is_empty() {
-                    obs.record(epoch);
+                if !row.is_empty() {
+                    epoch.push((a, row));
                 }
+            }
+            if !epoch.is_empty() {
+                obs.record(epoch);
             }
         }
 
@@ -394,7 +390,7 @@ impl Scheduler for SchedTaskScheduler {
     }
 
     fn init(&mut self, ctx: &mut EngineCore) -> Result<(), SchedError> {
-        if self.cfg.use_exact_overlap || self.cfg.collect_ranking_validation {
+        if self.tracks_exact_pages() {
             ctx.exact_pages_enable(true);
         }
         Ok(())
@@ -489,7 +485,7 @@ impl Scheduler for SchedTaskScheduler {
         // into this core's stats-table entry.
         let segment = ctx.sf_segment_cycles(sf);
         let heatmap = ctx.heatmap_take(core);
-        let exact = if self.cfg.use_exact_overlap || self.cfg.collect_ranking_validation {
+        let exact = if self.tracks_exact_pages() {
             Some(ctx.exact_pages_take(core))
         } else {
             None

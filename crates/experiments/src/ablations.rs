@@ -7,15 +7,21 @@
 //! * the **epoch length** (the paper fixes 3 ms);
 //! * the **re-allocation trigger** (cosine similarity < 0.98);
 //! * **"steal half of them"** versus stealing a single SuperFunction;
-//! * the **thread-migration cost** assumption.
+//! * the **thread-migration cost** assumption;
+//! * the L1 replacement policy, explicit branch modelling and a banked
+//!   NUCA LLC.
 
-use crate::runner::{self, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{
+    performance_change, throughput_change, ExpParams, ExperimentError, Grid, Runner, Technique,
+    Variant,
+};
 use crate::table::{f1, Table};
-use schedtask::{SchedTaskConfig, SchedTaskScheduler};
+use schedtask::SchedTaskConfig;
 use schedtask_kernel::SimStats;
 use schedtask_metrics::geometric_mean_pct;
 use schedtask_sim::ReplacementPolicy;
 use schedtask_workload::BenchmarkKind;
+use std::iter;
 
 /// The benchmarks ablations run on (one from each regime: syscall-heavy,
 /// interrupt-heavy, app-heavy).
@@ -27,183 +33,198 @@ pub fn ablation_benchmarks() -> [BenchmarkKind; 3] {
     ]
 }
 
-fn run_schedtask(
+/// The geometric mean over the ablation benchmarks of `metric(row 0,
+/// row)`, for every row after the baseline row 0.
+fn gmeans(
+    runner: &mut Runner,
     params: &ExpParams,
-    cfg: SchedTaskConfig,
-    kind: BenchmarkKind,
-) -> Result<SimStats, ExperimentError> {
-    let sched = SchedTaskScheduler::new(params.cores, cfg);
-    RunBuilder::new(params)
-        .scheduler(Box::new(sched))
-        .benchmark(kind, 2.0)
-        .run()
+    rows: Vec<Variant>,
+    metric: impl Fn(&SimStats, &SimStats) -> f64,
+) -> Result<Vec<f64>, ExperimentError> {
+    let n = rows.len();
+    let grid = Grid::benchmarks(params, &ablation_benchmarks(), 2.0, rows);
+    let r = runner.run(&grid).complete()?;
+    Ok((1..n)
+        .map(|row| geometric_mean_pct(&r.vs_baseline(row, &metric)))
+        .collect())
 }
 
-fn baselines(params: &ExpParams) -> Result<Vec<(BenchmarkKind, SimStats)>, ExperimentError> {
-    let mut out = Vec::new();
-    for k in ablation_benchmarks() {
-        let stats = RunBuilder::new(params)
-            .technique(Technique::Linux)
-            .benchmark(k, 2.0)
-            .run()?;
-        out.push((k, stats));
-    }
-    Ok(out)
+/// Linux, then SchedTask under each of `configs`.
+fn against_linux(configs: impl IntoIterator<Item = SchedTaskConfig>) -> Vec<Variant> {
+    iter::once(Technique::Linux.into())
+        .chain(configs.into_iter().map(Variant::schedtask))
+        .collect()
 }
 
-fn gmean_against(
-    baselines: &[(BenchmarkKind, SimStats)],
-    mut run_one: impl FnMut(BenchmarkKind) -> Result<SimStats, ExperimentError>,
-) -> Result<f64, ExperimentError> {
-    let mut vals = Vec::with_capacity(baselines.len());
-    for (k, base) in baselines {
-        let s = run_one(*k)?;
-        vals.push(runner::throughput_change(base, &s));
-    }
-    Ok(geometric_mean_pct(&vals))
-}
-
-/// Like [`gmean_against`] but on application performance (ops/s) — the
-/// right metric when a configuration *adds* kernel instructions, which
-/// inflate raw instruction throughput without doing application work
-/// (the paper makes the same point about FlexSC in Section 6.1).
-fn gmean_perf_against(
-    clock_hz: u64,
-    baselines: &[(BenchmarkKind, SimStats)],
-    mut run_one: impl FnMut(BenchmarkKind) -> Result<SimStats, ExperimentError>,
-) -> Result<f64, ExperimentError> {
-    let mut vals = Vec::with_capacity(baselines.len());
-    for (k, base) in baselines {
-        let s = run_one(*k)?;
-        vals.push(runner::performance_change(base, &s, clock_hz));
-    }
-    Ok(geometric_mean_pct(&vals))
+/// Default SchedTask's gmean Δ throughput against Linux at `params`.
+fn schedtask_gain(runner: &mut Runner, params: &ExpParams) -> Result<f64, ExperimentError> {
+    let rows = against_linux([SchedTaskConfig::default()]);
+    Ok(gmeans(runner, params, rows, throughput_change)?[0])
 }
 
 /// Hardware Page-heatmap versus the rejected software rendition.
-pub fn software_rendition_table(params: &ExpParams) -> Result<Table, ExperimentError> {
-    let base = baselines(params)?;
+pub fn software_rendition_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+) -> Result<Table, ExperimentError> {
     let clock = params.clock_hz();
+    let software = SchedTaskConfig {
+        software_rendition: true,
+        ..SchedTaskConfig::default()
+    };
     // Application performance, not raw throughput: the rendition's extra
     // mapping instructions retire (and inflate throughput) without doing
     // application work.
-    let hw = gmean_perf_against(clock, &base, |k| {
-        run_schedtask(params, SchedTaskConfig::default(), k)
-    })?;
-    let sw = gmean_perf_against(clock, &base, |k| {
-        run_schedtask(
-            params,
-            SchedTaskConfig {
-                software_rendition: true,
-                ..SchedTaskConfig::default()
-            },
-            k,
-        )
-    })?;
+    let g = gmeans(
+        runner,
+        params,
+        against_linux([SchedTaskConfig::default(), software]),
+        |b, s| performance_change(b, s, clock),
+    )?;
     let mut t = Table::new("Ablation: hardware Page-heatmap vs. software rendition (Section 3.2)")
         .with_note("The software approach must map each instruction's virtual address to its PFN at run time; the paper rejects it for exactly this overhead (and for Rowhammer-style security concerns). Measured on application performance — the mapping instructions inflate raw throughput.")
         .with_headers(["configuration", "gmean Δ app performance vs. Linux (%)"]);
-    t.push_row(["hardware register".to_string(), f1(hw)]);
-    t.push_row(["software rendition".to_string(), f1(sw)]);
+    t.push_row(["hardware register".to_string(), f1(g[0])]);
+    t.push_row(["software rendition".to_string(), f1(g[1])]);
     Ok(t)
 }
 
 /// Sensitivity to the scheduling-epoch length.
-pub fn epoch_length_table(params: &ExpParams, epochs: &[u64]) -> Result<Table, ExperimentError> {
+pub fn epoch_length_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+    epochs: &[u64],
+) -> Result<Table, ExperimentError> {
     let mut t = Table::new("Ablation: scheduling-epoch length")
         .with_note("The paper fixes 3 ms epochs; too-short epochs give TAlloc noisy profiles, too-long epochs adapt slowly.")
         .with_headers(["epoch (cycles)", "gmean Δ throughput vs. Linux (%)"]);
     for &epoch in epochs {
         let mut p = params.clone();
         p.epoch_cycles = epoch;
-        let base = baselines(&p)?;
-        let g = gmean_against(&base, |k| run_schedtask(&p, SchedTaskConfig::default(), k))?;
-        t.push_row([format!("{epoch}"), f1(g)]);
+        t.push_row([format!("{epoch}"), f1(schedtask_gain(runner, &p)?)]);
     }
     Ok(t)
 }
 
 /// Sensitivity to the TAlloc re-allocation threshold.
 pub fn realloc_threshold_table(
+    runner: &mut Runner,
     params: &ExpParams,
     thresholds: &[f64],
 ) -> Result<Table, ExperimentError> {
-    let base = baselines(params)?;
+    let configs = thresholds.iter().map(|&th| SchedTaskConfig {
+        realloc_threshold: th,
+        ..SchedTaskConfig::default()
+    });
+    let g = gmeans(runner, params, against_linux(configs), throughput_change)?;
     let mut t = Table::new("Ablation: TAlloc re-allocation trigger (cosine-similarity threshold)")
         .with_note("0.0 allocates once and never adapts; 1.01 re-allocates every epoch; the paper picks 0.98.")
         .with_headers(["threshold", "gmean Δ throughput vs. Linux (%)"]);
-    for &th in thresholds {
-        let g = gmean_against(&base, |k| {
-            run_schedtask(
-                params,
-                SchedTaskConfig {
-                    realloc_threshold: th,
-                    ..SchedTaskConfig::default()
-                },
-                k,
-            )
-        })?;
+    for (th, g) in thresholds.iter().zip(g) {
         t.push_row([format!("{th:.2}"), f1(g)]);
     }
     Ok(t)
 }
 
 /// "Steal half of them" versus stealing one SuperFunction per steal.
-pub fn steal_amount_table(params: &ExpParams) -> Result<Table, ExperimentError> {
-    let base = baselines(params)?;
-    let half = gmean_against(&base, |k| {
-        run_schedtask(params, SchedTaskConfig::default(), k)
-    })?;
-    let one = gmean_against(&base, |k| {
-        run_schedtask(
-            params,
-            SchedTaskConfig {
-                steal_one_only: true,
-                ..SchedTaskConfig::default()
-            },
-            k,
-        )
-    })?;
+pub fn steal_amount_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+) -> Result<Table, ExperimentError> {
+    let one = SchedTaskConfig {
+        steal_one_only: true,
+        ..SchedTaskConfig::default()
+    };
+    let g = gmeans(
+        runner,
+        params,
+        against_linux([SchedTaskConfig::default(), one]),
+        throughput_change,
+    )?;
     let mut t = Table::new("Ablation: similar-work steal amount")
         .with_note("TMigrate steals half of the matching SuperFunctions to amortize the stolen type's cold i-cache misses (Section 5.3).")
         .with_headers(["steal amount", "gmean Δ throughput vs. Linux (%)"]);
-    t.push_row(["half of the matching SFs (paper)".to_string(), f1(half)]);
-    t.push_row(["one SF per steal".to_string(), f1(one)]);
+    t.push_row(["half of the matching SFs (paper)".to_string(), f1(g[0])]);
+    t.push_row(["one SF per steal".to_string(), f1(g[1])]);
     Ok(t)
 }
 
 /// Sensitivity to the per-migration context-transfer cost.
-pub fn migration_cost_table(params: &ExpParams, costs: &[u64]) -> Result<Table, ExperimentError> {
+pub fn migration_cost_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+    costs: &[u64],
+) -> Result<Table, ExperimentError> {
     let mut t = Table::new("Ablation: thread-migration context-transfer cost")
         .with_note("Cache-affinity losses are modelled by the memory system; this sweeps only the fixed per-migration cycles.")
         .with_headers(["cycles/migration", "gmean Δ throughput vs. Linux (%)"]);
     for &cost in costs {
-        let mut base: Vec<(BenchmarkKind, SimStats)> = Vec::new();
-        for k in ablation_benchmarks() {
-            let mut cfg = params.engine_config(Technique::Linux);
-            cfg.migration_cost_cycles = cost;
-            let stats = RunBuilder::from_config(cfg)
-                .label(Technique::Linux.name())
-                .scheduler(Technique::Linux.scheduler(params.cores))
-                .benchmark(k, 2.0)
-                .run()?;
-            base.push((k, stats));
-        }
-        let mut vals = Vec::new();
-        for (k, b) in &base {
-            let mut cfg = params.engine_config(Technique::SchedTask);
-            cfg.migration_cost_cycles = cost;
-            let stats = RunBuilder::from_config(cfg)
-                .label(Technique::SchedTask.name())
-                .scheduler(Box::new(SchedTaskScheduler::new(
-                    params.cores,
-                    SchedTaskConfig::default(),
-                )))
-                .benchmark(*k, 2.0)
-                .run()?;
-            vals.push(runner::throughput_change(b, &stats));
-        }
-        t.push_row([format!("{cost}"), f1(geometric_mean_pct(&vals))]);
+        let rows = [Technique::Linux, Technique::SchedTask]
+            .map(|tech| Variant::from(tech).with_migration_cost(cost))
+            .to_vec();
+        let g = gmeans(runner, params, rows, throughput_change)?;
+        t.push_row([format!("{cost}"), f1(g[0])]);
+    }
+    Ok(t)
+}
+
+/// L1 replacement-policy ablation: how much of the specialization
+/// benefit survives weaker replacement?
+pub fn replacement_policy_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+) -> Result<Table, ExperimentError> {
+    let mut t = Table::new("Ablation: L1 replacement policy")
+        .with_note("SchedTask's benefit comes from keeping a type's hot lines resident between invocations; weaker replacement erodes exactly that retention.")
+        .with_headers(["policy", "gmean Δ throughput vs. Linux (%)"]);
+    for (name, policy) in [
+        ("LRU (paper)", ReplacementPolicy::Lru),
+        ("FIFO", ReplacementPolicy::Fifo),
+        ("random", ReplacementPolicy::Random),
+    ] {
+        let mut p = params.clone();
+        p.system.l1_replacement = policy;
+        t.push_row([name.to_string(), f1(schedtask_gain(runner, &p)?)]);
+    }
+    Ok(t)
+}
+
+/// Branch-modelling ablation: flat base-CPI folding (the default, like
+/// Table 2's "Avg." LLC latency) versus explicit gshare prediction with
+/// per-mispredict penalties.
+pub fn branch_model_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+) -> Result<Table, ExperimentError> {
+    let mut t = Table::new("Ablation: explicit branch modelling (Table 2's TAGE, modelled as gshare)")
+        .with_note("Branch penalties hit all techniques roughly equally, so the specialization benefit should survive explicit modelling.")
+        .with_headers(["machine", "gmean Δ throughput vs. Linux (%)"]);
+    let modelled = params
+        .clone()
+        .with_system(params.system.clone().with_branch_predictor());
+    for (name, p) in [
+        ("folded into base CPI (default)", params),
+        ("explicit gshare predictor", &modelled),
+    ] {
+        t.push_row([name.to_string(), f1(schedtask_gain(runner, p)?)]);
+    }
+    Ok(t)
+}
+
+/// NUCA ablation: flat average LLC latency (Table 2's quoted 18-cycle
+/// mean) versus the explicit banked mesh model.
+pub fn nuca_table(runner: &mut Runner, params: &ExpParams) -> Result<Table, ExperimentError> {
+    let mut t = Table::new("Ablation: banked NUCA LLC vs. flat average latency")
+        .with_note("Table 2 quotes the L3's *average* latency; the banked model distributes it over a mesh. Distance effects touch all techniques similarly.")
+        .with_headers(["LLC model", "gmean Δ throughput vs. Linux (%)"]);
+    let banked = params
+        .clone()
+        .with_system(params.system.clone().with_nuca());
+    for (name, p) in [
+        ("flat 18-cycle average (default)", params),
+        ("banked mesh NUCA", &banked),
+    ] {
+        t.push_row([name.to_string(), f1(schedtask_gain(runner, p)?)]);
     }
     Ok(t)
 }
@@ -227,17 +248,15 @@ mod tests {
         // same workload. The performance delta is asserted at full scale
         // by `repro ablations`.
         let p = tiny();
-        let hw = run_schedtask(&p, SchedTaskConfig::default(), BenchmarkKind::MailSrvIo)
-            .expect("run succeeds");
-        let sw = run_schedtask(
-            &p,
-            SchedTaskConfig {
-                software_rendition: true,
-                ..SchedTaskConfig::default()
-            },
-            BenchmarkKind::MailSrvIo,
-        )
-        .expect("run succeeds");
+        let mut runner = Runner::new(1);
+        let software = SchedTaskConfig {
+            software_rendition: true,
+            ..SchedTaskConfig::default()
+        };
+        let rows = [SchedTaskConfig::default(), software].map(Variant::schedtask);
+        let grid = Grid::benchmarks(&p, &[BenchmarkKind::MailSrvIo], 2.0, rows);
+        let r = runner.run(&grid).complete().expect("runs succeed");
+        let (hw, sw) = (r.stats(0, 0), r.stats(1, 0));
         assert!(
             sw.instructions.scheduler as f64 > hw.instructions.scheduler as f64 * 1.5,
             "software rendition scheduler instr {} vs hardware {}",
@@ -246,7 +265,10 @@ mod tests {
         );
         // And the table renders.
         assert_eq!(
-            software_rendition_table(&p).expect("table runs").rows.len(),
+            software_rendition_table(&mut runner, &p)
+                .expect("table runs")
+                .rows
+                .len(),
             2
         );
     }
@@ -254,46 +276,13 @@ mod tests {
     #[test]
     fn ablation_tables_render() {
         let p = tiny();
-        assert_eq!(
-            epoch_length_table(&p, &[40_000]).expect("runs").rows.len(),
-            1
-        );
-        assert_eq!(
-            realloc_threshold_table(&p, &[0.98])
-                .expect("runs")
-                .rows
-                .len(),
-            1
-        );
-        assert_eq!(steal_amount_table(&p).expect("runs").rows.len(), 2);
-        assert_eq!(
-            migration_cost_table(&p, &[0, 400])
-                .expect("runs")
-                .rows
-                .len(),
-            2
-        );
+        let runner = &mut Runner::new(1);
+        let rows = |t: Result<Table, ExperimentError>| t.expect("runs").rows.len();
+        assert_eq!(rows(epoch_length_table(runner, &p, &[40_000])), 1);
+        assert_eq!(rows(realloc_threshold_table(runner, &p, &[0.98])), 1);
+        assert_eq!(rows(steal_amount_table(runner, &p)), 2);
+        assert_eq!(rows(migration_cost_table(runner, &p, &[0, 400])), 2);
     }
-}
-
-/// L1 replacement-policy ablation: how much of the specialization
-/// benefit survives weaker replacement?
-pub fn replacement_policy_table(params: &ExpParams) -> Result<Table, ExperimentError> {
-    let mut t = Table::new("Ablation: L1 replacement policy")
-        .with_note("SchedTask's benefit comes from keeping a type's hot lines resident between invocations; weaker replacement erodes exactly that retention.")
-        .with_headers(["policy", "gmean Δ throughput vs. Linux (%)"]);
-    for (name, policy) in [
-        ("LRU (paper)", ReplacementPolicy::Lru),
-        ("FIFO", ReplacementPolicy::Fifo),
-        ("random", ReplacementPolicy::Random),
-    ] {
-        let mut p = params.clone();
-        p.system.l1_replacement = policy;
-        let base = baselines(&p)?;
-        let g = gmean_against(&base, |k| run_schedtask(&p, SchedTaskConfig::default(), k))?;
-        t.push_row([name.to_string(), f1(g)]);
-    }
-    Ok(t)
 }
 
 #[cfg(test)]
@@ -306,51 +295,9 @@ mod extra_tests {
         p.cores = 4;
         p.max_instructions = 200_000;
         p.warmup_instructions = 40_000;
-        assert_eq!(replacement_policy_table(&p).expect("runs").rows.len(), 3);
+        let t = replacement_policy_table(&mut Runner::new(1), &p).expect("runs");
+        assert_eq!(t.rows.len(), 3);
     }
-}
-
-/// Branch-modelling ablation: flat base-CPI folding (the default, like
-/// Table 2's "Avg." LLC latency) versus explicit gshare prediction with
-/// per-mispredict penalties.
-pub fn branch_model_table(params: &ExpParams) -> Result<Table, ExperimentError> {
-    let mut t = Table::new("Ablation: explicit branch modelling (Table 2's TAGE, modelled as gshare)")
-        .with_note("Branch penalties hit all techniques roughly equally, so the specialization benefit should survive explicit modelling.")
-        .with_headers(["machine", "gmean Δ throughput vs. Linux (%)"]);
-    for (name, on) in [
-        ("folded into base CPI (default)", false),
-        ("explicit gshare predictor", true),
-    ] {
-        let mut p = params.clone();
-        if on {
-            p.system = p.system.clone().with_branch_predictor();
-        }
-        let base = baselines(&p)?;
-        let g = gmean_against(&base, |k| run_schedtask(&p, SchedTaskConfig::default(), k))?;
-        t.push_row([name.to_string(), f1(g)]);
-    }
-    Ok(t)
-}
-
-/// NUCA ablation: flat average LLC latency (Table 2's quoted 18-cycle
-/// mean) versus the explicit banked mesh model.
-pub fn nuca_table(params: &ExpParams) -> Result<Table, ExperimentError> {
-    let mut t = Table::new("Ablation: banked NUCA LLC vs. flat average latency")
-        .with_note("Table 2 quotes the L3's *average* latency; the banked model distributes it over a mesh. Distance effects touch all techniques similarly.")
-        .with_headers(["LLC model", "gmean Δ throughput vs. Linux (%)"]);
-    for (name, on) in [
-        ("flat 18-cycle average (default)", false),
-        ("banked mesh NUCA", true),
-    ] {
-        let mut p = params.clone();
-        if on {
-            p.system = p.system.clone().with_nuca();
-        }
-        let base = baselines(&p)?;
-        let g = gmean_against(&base, |k| run_schedtask(&p, SchedTaskConfig::default(), k))?;
-        t.push_row([name.to_string(), f1(g)]);
-    }
-    Ok(t)
 }
 
 #[cfg(test)]
@@ -363,7 +310,8 @@ mod machine_ablation_tests {
         p.cores = 4;
         p.max_instructions = 150_000;
         p.warmup_instructions = 30_000;
-        assert_eq!(branch_model_table(&p).expect("runs").rows.len(), 2);
-        assert_eq!(nuca_table(&p).expect("runs").rows.len(), 2);
+        let runner = &mut Runner::new(1);
+        assert_eq!(branch_model_table(runner, &p).expect("runs").rows.len(), 2);
+        assert_eq!(nuca_table(runner, &p).expect("runs").rows.len(), 2);
     }
 }

@@ -24,9 +24,16 @@
 //!   cores       Appendix Table 4 core-count sweep
 //!   prefetch    Appendix Figure 2 instruction prefetcher
 //!   tracecache  Appendix Figure 3 trace cache
+//!   ablations   design-choice ablations (beyond the paper)
 //!   sweep       resilient technique × benchmark sweep (per-cell isolation)
 //!   all         everything above, in order
 //! ```
+//!
+//! Every experiment declares the grid of cells it needs, and one
+//! runner per invocation simulates each distinct cell once: `all`
+//! prints exactly what the experiments print one by one, but Figures 8
+//! and 10, Table 4's 2X block and the other points equal to Figure 7's
+//! read its cells back instead of re-running them.
 //!
 //! Serving: the job server is the `schedtaskd` binary from
 //! `crates/serve`; `repro submit` is its line client. It submits one
@@ -50,9 +57,10 @@
 //! * `--sanitize` runs the engine's invariant sanitizer on every run.
 //! * `--force-fail TECH:BENCH[:N]` breaks one sweep cell on purpose after
 //!   `N` dispatches (default 100) — demonstrates per-cell isolation.
-//! * `--jobs N` runs sweep cells on up to `N` worker threads. Per-cell
-//!   `SimStats` are bit-identical to the serial run (each cell's seed is
-//!   a pure function of the parameters); only wall-clock time changes.
+//! * `--jobs N` runs every experiment's cells on up to `N` worker
+//!   threads. Per-cell `SimStats` are bit-identical to the serial run
+//!   (each cell's seed is a pure function of the parameters); only
+//!   wall-clock time changes.
 //!
 //! Device options:
 //!
@@ -68,25 +76,25 @@
 //! * `--profile` attaches an in-memory aggregator to every sweep cell
 //!   and prints per-technique counter and span summary tables.
 //!
-//! Failures never abort a sweep or `all`: each failed experiment is
-//! recorded with a structured diagnosis, partial results still print,
-//! and a failure summary follows. The process then exits non-zero so CI
-//! cannot green-light a partial run; pass `--keep-going` to keep the
-//! historical exit-0 behaviour for exploratory sessions.
+//! Failures never abort a sweep or `all`: each failed cell is recorded
+//! with a structured diagnosis (an experiment other than the sweep
+//! reports its first failed cell and prints no tables), partial results
+//! still print, and a failure summary follows. The process then exits
+//! non-zero so CI cannot green-light a partial run; pass `--keep-going`
+//! to keep the historical exit-0 behaviour for exploratory sessions.
 
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::{parse_device_spec, run_sweep_observed};
+use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
     submit_with_retry, ClientTimeouts, Endpoint, JobSpec, Response, RetryPolicy, ServeClient,
 };
 use schedtask_experiments::{
     ablations, appendix, fig04_breakup, fig09_stealing, fig11_heatmap, overheads, table4_workload,
 };
-use schedtask_experiments::{Comparison, ExpParams, Table, Technique};
+use schedtask_experiments::{Comparison, ExpParams, Grid, Runner, Table, Technique};
 use schedtask_kernel::obs::{render_counter_table, render_span_table};
-use schedtask_kernel::FaultPlan;
-use schedtask_workload::BenchmarkKind;
-use std::cell::OnceCell;
+use schedtask_kernel::{FaultPlan, WorkloadSpec};
+use schedtask_workload::{BenchmarkKind, MultiProgrammedWorkload};
 use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -287,45 +295,65 @@ struct Failure {
     detail: String,
 }
 
-fn run_sweep_experiment(opts: &Opts, p: &ExpParams, md: bool) -> Vec<Failure> {
-    let techniques: Vec<Technique> = Technique::all().to_vec();
-    let benchmarks = if opts.quick {
+/// Every experiment, in `all`'s order.
+const EXPERIMENTS: [&str; 16] = [
+    "fig4",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "overheads",
+    "table4",
+    "mpw",
+    "icache",
+    "cacheconfig",
+    "cores",
+    "prefetch",
+    "tracecache",
+    "ablations",
+    "sweep",
+];
+
+/// The benchmarks of the sweep and Figure 11: two under `--quick`.
+fn benchmarks(opts: &Opts) -> Vec<BenchmarkKind> {
+    if opts.quick {
         vec![BenchmarkKind::Find, BenchmarkKind::MailSrvIo]
     } else {
         BenchmarkKind::all().to_vec()
-    };
-    let collect_obs = opts.obs.is_some() || opts.profile;
-    let report = run_sweep_observed(
-        p,
-        &techniques,
-        &benchmarks,
-        2.0,
-        opts.force_fail,
-        opts.jobs,
-        collect_obs,
-    );
+    }
+}
+
+fn run_sweep_experiment(opts: &Opts, p: &ExpParams, runner: &mut Runner) -> Vec<Failure> {
+    let techniques = Technique::all();
+    let benchmarks = benchmarks(opts);
+    let mut grid = Grid::benchmarks(p, &benchmarks, 2.0, techniques);
+    if opts.obs.is_some() || opts.profile {
+        grid = grid.observed();
+    }
+    if let Some((tech, bench, after)) = opts.force_fail {
+        let row = techniques.iter().position(|&t| t == tech);
+        let col = benchmarks.iter().position(|&b| b == bench);
+        if let (Some(row), Some(col)) = (row, col) {
+            grid = grid.fail_after(row, col, after);
+        }
+    }
+    let report = runner.run(&grid);
 
     let mut t = Table::new("Sweep: instruction throughput (G instr / G cycles) per cell")
         .with_note("Failed cells print their diagnosis below instead of a value.");
     let mut headers = vec!["technique".to_string()];
     headers.extend(benchmarks.iter().map(|b| b.name().to_string()));
     t = t.with_headers(headers);
-    for &tech in &techniques {
-        let mut row = vec![tech.name().to_string()];
-        for &bench in &benchmarks {
-            let cell = report
-                .cells
-                .iter()
-                .find(|c| c.technique == tech && c.benchmark == bench);
-            row.push(match cell.map(|c| &c.result) {
-                Some(Ok(s)) => format!("{:.3}", s.instruction_throughput()),
-                Some(Err(_)) => "FAILED".to_string(),
-                None => "-".to_string(),
-            });
-        }
-        t.push_row(row);
+    for (row, tech) in techniques.iter().enumerate() {
+        let mut cells = vec![tech.name().to_string()];
+        cells.extend(report.row(row).iter().map(|c| match &c.result {
+            Ok(s) => format!("{:.3}", s.instruction_throughput()),
+            Err(_) => "FAILED".to_string(),
+        }));
+        t.push_row(cells);
     }
-    emit(&t, md);
+    emit(&t, opts.markdown);
 
     let mut failures = Vec::new();
     for e in report.failures() {
@@ -361,6 +389,143 @@ fn run_sweep_experiment(opts: &Opts, p: &ExpParams, md: bool) -> Vec<Failure> {
     failures
 }
 
+/// Runs one experiment other than the sweep and prints its tables; its
+/// cells come from (and stay in) `runner`.
+fn run_experiment(
+    name: &str,
+    opts: &Opts,
+    p: &ExpParams,
+    runner: &mut Runner,
+) -> Result<(), Box<dyn Error>> {
+    let md = opts.markdown;
+    let all = BenchmarkKind::all();
+    match name {
+        "fig4" => {
+            let results = fig04_breakup::run(runner, p)?;
+            emit(&fig04_breakup::breakup_table(&results), md);
+            emit(&fig04_breakup::epoch_similarity_table(&results), md);
+        }
+        "fig7" => {
+            let c = Comparison::run(runner, p, 2.0, &all)?;
+            emit(&c.fig07_performance(), md);
+        }
+        "fig8" => {
+            let c = Comparison::run(runner, p, 2.0, &all)?;
+            for t in c.fig08_all() {
+                emit(&t, md);
+            }
+            emit(&c.baseline_absolute_table(), md);
+        }
+        "fig9" => {
+            let runs = fig09_stealing::run(runner, p, &StealPolicy::all())?;
+            emit(&fig09_stealing::throughput_table(&runs), md);
+            emit(&fig09_stealing::idleness_table(&runs), md);
+            emit(&fig09_stealing::icache_table(&runs), md);
+        }
+        "fig10" => {
+            let c = Comparison::run(runner, p, 2.0, &all)?;
+            emit(&c.fig10_migrations(), md);
+        }
+        "fig11" => {
+            let sweep = fig11_heatmap::run(runner, p, &benchmarks(opts))?;
+            emit(&fig11_heatmap::tau_table(&sweep), md);
+            emit(&fig11_heatmap::perf_table(&sweep), md);
+            // The width gradient needs large application footprints in
+            // the ranking: tau again over multi-programmed bags.
+            let bags: Vec<(String, WorkloadSpec)> = MultiProgrammedWorkload::all()
+                .iter()
+                .take(if opts.quick { 2 } else { 6 })
+                .map(|b| (b.name.to_string(), WorkloadSpec::from(b)))
+                .collect();
+            let mpw = fig11_heatmap::run_tau_on_workloads(runner, p, &bags)?;
+            emit(&fig11_heatmap::mpw_tau_table(&mpw), md);
+        }
+        "overheads" => {
+            let r = overheads::run(runner, p)?;
+            emit(&overheads::report_table(&r), md);
+        }
+        "table4" => {
+            let scales: &[f64] = if opts.quick {
+                &[1.0, 4.0]
+            } else {
+                &table4_workload::SCALES
+            };
+            for block in table4_workload::run(runner, p, scales)? {
+                emit(&table4_workload::block_table(&block), md);
+            }
+        }
+        "mpw" => {
+            emit(&appendix::multiprog_table(runner, p)?, md);
+        }
+        "icache" => {
+            let sweep = appendix::icache_size_sweep(runner, p, &all)?;
+            for t in appendix::icache_size_tables(&sweep) {
+                emit(&t, md);
+            }
+        }
+        "cacheconfig" => {
+            let sweep = appendix::cache_config_sweep(runner, p, &all)?;
+            for t in appendix::cache_config_tables(&sweep) {
+                emit(&t, md);
+            }
+        }
+        "cores" => {
+            let counts: &[usize] = if opts.quick {
+                &[4, 8]
+            } else {
+                &[8, 16, 24, 32]
+            };
+            let sweep = appendix::core_count_sweep(runner, p, counts, &all)?;
+            for t in appendix::core_count_tables(&sweep) {
+                emit(&t, md);
+            }
+        }
+        "prefetch" => {
+            let mut t = appendix::prefetcher_comparison(runner, p, &all)?.fig08a_throughput();
+            t.title =
+                "Appendix Figure 2 (with instruction prefetcher): change in instruction throughput (%)"
+                    .to_string();
+            emit(&t, md);
+        }
+        "ablations" => {
+            emit(&ablations::software_rendition_table(runner, p)?, md);
+            let epochs: &[u64] = if opts.quick {
+                &[30_000, 120_000]
+            } else {
+                &[15_000, 30_000, 60_000, 120_000, 240_000]
+            };
+            emit(&ablations::epoch_length_table(runner, p, epochs)?, md);
+            let thresholds = [0.0, 0.9, 0.98, 1.01];
+            emit(
+                &ablations::realloc_threshold_table(runner, p, &thresholds)?,
+                md,
+            );
+            emit(&ablations::steal_amount_table(runner, p)?, md);
+            let costs = [0, 100, 400, 1_600];
+            emit(&ablations::migration_cost_table(runner, p, &costs)?, md);
+            emit(&ablations::replacement_policy_table(runner, p)?, md);
+            let scales: &[f64] = if opts.quick {
+                &[2.0, 12.0]
+            } else {
+                &[2.0, 8.0, 12.0, 16.0]
+            };
+            emit(&table4_workload::beyond_8x_table(runner, p, scales)?, md);
+            emit(&ablations::branch_model_table(runner, p)?, md);
+            emit(&ablations::nuca_table(runner, p)?, md);
+        }
+        "tracecache" => {
+            let mut t = appendix::trace_cache_comparison(runner, p, &all)?.fig08a_throughput();
+            t.title = "Appendix Figure 3 (with trace cache): change in instruction throughput (%)"
+                .to_string();
+            emit(&t, md);
+        }
+        other => {
+            die(&format!("unknown experiment {other:?}"));
+        }
+    }
+    Ok(())
+}
+
 fn main() {
     // The submit subcommand takes its own argument set, so it is
     // dispatched before the experiment-flag parser (which rejects
@@ -378,197 +543,41 @@ fn main() {
     }
     let p = params(&opts);
     let started = Instant::now();
-    let md = opts.markdown;
-
-    // fig7, fig8 and fig10 read the same deterministic comparison, so
-    // `all` runs it once; a failure is reported by each of the three.
-    let comparison_cell = OnceCell::new();
-    let comparison = || -> Result<&Comparison, Box<dyn Error>> {
-        comparison_cell
-            .get_or_init(|| Comparison::run(&p, 2.0).map_err(|e| e.to_string()))
-            .as_ref()
-            .map_err(|e| e.clone().into())
-    };
-    let run_experiment = |name: &str| -> Result<(), Box<dyn Error>> {
-        match name {
-            "fig4" => {
-                let results = fig04_breakup::run(&p)?;
-                emit(&fig04_breakup::breakup_table(&results), md);
-                emit(&fig04_breakup::epoch_similarity_table(&results), md);
-            }
-            "fig7" => {
-                let c = comparison()?;
-                emit(&c.fig07_performance(), md);
-            }
-            "fig8" => {
-                let c = comparison()?;
-                for t in c.fig08_all() {
-                    emit(&t, md);
-                }
-                emit(&c.baseline_absolute_table(), md);
-            }
-            "fig9" => {
-                let runs = fig09_stealing::run(&p, &StealPolicy::all())?;
-                emit(&fig09_stealing::throughput_table(&runs), md);
-                emit(&fig09_stealing::idleness_table(&runs), md);
-                emit(&fig09_stealing::icache_table(&runs), md);
-            }
-            "fig10" => {
-                let c = comparison()?;
-                emit(&c.fig10_migrations(), md);
-            }
-            "fig11" => {
-                let benches = if opts.quick {
-                    vec![BenchmarkKind::Find, BenchmarkKind::MailSrvIo]
-                } else {
-                    BenchmarkKind::all().to_vec()
-                };
-                let sweep = fig11_heatmap::run(&p, &benches)?;
-                emit(&fig11_heatmap::tau_table(&sweep), md);
-                emit(&fig11_heatmap::perf_table(&sweep), md);
-                // The width gradient needs large application footprints in
-                // the ranking: rerun tau over multi-programmed bags.
-                let bags: Vec<(String, schedtask_kernel::WorkloadSpec)> =
-                    schedtask_workload::MultiProgrammedWorkload::all()
-                        .iter()
-                        .take(if opts.quick { 2 } else { 6 })
-                        .map(|b| (b.name.to_string(), schedtask_kernel::WorkloadSpec::from(b)))
-                        .collect();
-                let mpw = fig11_heatmap::run_tau_on_workloads(&p, &bags)?;
-                emit(&fig11_heatmap::mpw_tau_table(&mpw), md);
-            }
-            "overheads" => {
-                let r = overheads::run(&p)?;
-                emit(&overheads::report_table(&r), md);
-            }
-            "table4" => {
-                let scales: &[f64] = if opts.quick {
-                    &[1.0, 4.0]
-                } else {
-                    &table4_workload::SCALES
-                };
-                for block in table4_workload::run(&p, scales)? {
-                    emit(&table4_workload::block_table(&block), md);
-                }
-            }
-            "mpw" => {
-                emit(&appendix::multiprog_table(&p)?, md);
-            }
-            "icache" => {
-                for t in appendix::icache_size_tables(&appendix::icache_size_sweep(&p)?) {
-                    emit(&t, md);
-                }
-            }
-            "cacheconfig" => {
-                for t in appendix::cache_config_tables(&appendix::cache_config_sweep(&p)?) {
-                    emit(&t, md);
-                }
-            }
-            "cores" => {
-                let counts: &[usize] = if opts.quick {
-                    &[4, 8]
-                } else {
-                    &[8, 16, 24, 32]
-                };
-                for t in appendix::core_count_tables(&appendix::core_count_sweep(&p, counts)?) {
-                    emit(&t, md);
-                }
-            }
-            "prefetch" => {
-                let mut t = appendix::prefetcher_comparison(&p)?.fig08a_throughput();
-                t.title =
-                    "Appendix Figure 2 (with instruction prefetcher): change in instruction throughput (%)"
-                        .to_string();
-                emit(&t, md);
-            }
-            "ablations" => {
-                emit(&ablations::software_rendition_table(&p)?, md);
-                let epochs: &[u64] = if opts.quick {
-                    &[30_000, 120_000]
-                } else {
-                    &[15_000, 30_000, 60_000, 120_000, 240_000]
-                };
-                emit(&ablations::epoch_length_table(&p, epochs)?, md);
-                emit(
-                    &ablations::realloc_threshold_table(&p, &[0.0, 0.9, 0.98, 1.01])?,
-                    md,
-                );
-                emit(&ablations::steal_amount_table(&p)?, md);
-                emit(
-                    &ablations::migration_cost_table(&p, &[0, 100, 400, 1_600])?,
-                    md,
-                );
-                emit(&ablations::replacement_policy_table(&p)?, md);
-                let scales: &[f64] = if opts.quick {
-                    &[2.0, 12.0]
-                } else {
-                    &[2.0, 8.0, 12.0, 16.0]
-                };
-                emit(&table4_workload::beyond_8x_table(&p, scales)?, md);
-                emit(&ablations::branch_model_table(&p)?, md);
-                emit(&ablations::nuca_table(&p)?, md);
-            }
-            "tracecache" => {
-                let mut t = appendix::trace_cache_comparison(&p)?.fig08a_throughput();
-                t.title =
-                    "Appendix Figure 3 (with trace cache): change in instruction throughput (%)"
-                        .to_string();
-                emit(&t, md);
-            }
-            other => {
-                die(&format!("unknown experiment {other:?}"));
-            }
-        }
-        Ok(())
+    // One runner for the whole invocation: experiments that need the
+    // same cell (fig7, fig8, fig10, Table 4's 2X block, ...) share it.
+    let mut runner = Runner::new(opts.jobs);
+    let names: Vec<&str> = if opts.experiment == "all" {
+        EXPERIMENTS.to_vec()
+    } else {
+        vec![opts.experiment.as_str()]
     };
 
     // Isolate each experiment: a typed error or panic is recorded and the
     // remaining experiments still run.
     let mut failures: Vec<Failure> = Vec::new();
-    let mut run_isolated = |name: &str| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_experiment(name)));
-        match outcome {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => failures.push(Failure {
-                experiment: name.to_string(),
-                detail: e.to_string(),
-            }),
-            Err(payload) => failures.push(Failure {
-                experiment: name.to_string(),
-                detail: format!(
-                    "panic: {}",
-                    schedtask_experiments::runner::panic_message(payload)
-                ),
-            }),
-        }
-    };
-
-    if opts.experiment == "all" {
-        for name in [
-            "fig4",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "overheads",
-            "table4",
-            "mpw",
-            "icache",
-            "cacheconfig",
-            "cores",
-            "prefetch",
-            "tracecache",
-            "ablations",
-        ] {
+    for name in names {
+        if opts.experiment == "all" {
             eprintln!("[repro] running {name} ({:.0?} elapsed)", started.elapsed());
-            run_isolated(name);
         }
-        failures.extend(run_sweep_experiment(&opts, &p, md));
-    } else if opts.experiment == "sweep" {
-        failures.extend(run_sweep_experiment(&opts, &p, md));
-    } else {
-        run_isolated(&opts.experiment);
+        if name == "sweep" {
+            failures.extend(run_sweep_experiment(&opts, &p, &mut runner));
+            continue;
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_experiment(name, &opts, &p, &mut runner)
+        }));
+        let detail = match outcome {
+            Ok(Ok(())) => continue,
+            Ok(Err(e)) => e.to_string(),
+            Err(payload) => format!(
+                "panic: {}",
+                schedtask_experiments::runner::panic_message(payload)
+            ),
+        };
+        failures.push(Failure {
+            experiment: name.to_string(),
+            detail,
+        });
     }
 
     if !failures.is_empty() {

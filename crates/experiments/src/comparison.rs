@@ -1,26 +1,16 @@
-//! The main comparison harness: every technique over every benchmark on
-//! one machine configuration. Figures 7, 8 and 10 read directly from it;
-//! the appendix experiments (i-cache size, cache configs, core counts,
-//! prefetcher, trace cache) rerun it with different machine templates.
+//! The main comparison harness: every technique over a set of
+//! benchmarks on one machine configuration. Figures 7, 8 and 10 read
+//! directly from it; Table 4 reads it at each workload scale, and the
+//! appendix experiments (i-cache size, cache configs, core counts,
+//! prefetcher, trace cache) read it on other machine templates.
 
-use crate::runner::{self, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{self, ExpParams, ExperimentError, Grid, Runner, SweepReport, Technique};
 use crate::table::{f1, Table};
-use schedtask_kernel::{SimStats, WorkloadSpec};
-use schedtask_metrics::geometric_mean_pct;
+use schedtask_kernel::SimStats;
+use schedtask_metrics::{geometric_mean_pct, mean};
 use schedtask_workload::BenchmarkKind;
 
-/// All runs for one benchmark.
-#[derive(Debug, Clone)]
-pub struct ComparisonRun {
-    /// The benchmark.
-    pub kind: BenchmarkKind,
-    /// The Linux-baseline statistics.
-    pub baseline: SimStats,
-    /// Per-technique statistics, in [`Technique::compared`] order.
-    pub techniques: Vec<(Technique, SimStats)>,
-}
-
-/// The full comparison: 8 benchmarks × (baseline + 5 techniques).
+/// Every technique over a set of benchmarks at one workload scale.
 #[derive(Debug, Clone)]
 pub struct Comparison {
     /// Parameters used.
@@ -28,89 +18,61 @@ pub struct Comparison {
     /// Workload scale (the paper's main evaluation doubles the baseline
     /// ensemble: 2X).
     pub scale: f64,
-    /// One entry per benchmark.
-    pub runs: Vec<ComparisonRun>,
+    /// The benchmarks, in column order.
+    pub kinds: Vec<BenchmarkKind>,
+    /// One row per technique in [`Technique::all`] order, the Linux
+    /// baseline first.
+    report: SweepReport,
 }
 
 impl Comparison {
-    /// Runs the comparison over all 8 benchmarks.
-    pub fn run(params: &ExpParams, scale: f64) -> Result<Self, ExperimentError> {
-        Self::run_subset(params, scale, &BenchmarkKind::all())
-    }
-
-    /// Runs the comparison over a subset of benchmarks (used by quick
-    /// benches). Fails fast on the first broken cell; sweeps that must
-    /// survive individual failures use [`runner::run_sweep`] instead.
-    pub fn run_subset(
+    /// Runs every technique over `kinds` at `scale`; cells `runner` has
+    /// already simulated are read back, not re-run.
+    pub fn run(
+        runner: &mut Runner,
         params: &ExpParams,
         scale: f64,
         kinds: &[BenchmarkKind],
     ) -> Result<Self, ExperimentError> {
-        let mut runs = Vec::with_capacity(kinds.len());
-        for &kind in kinds {
-            let w = WorkloadSpec::single(kind, scale);
-            let baseline = RunBuilder::new(params)
-                .technique(Technique::Linux)
-                .workload(&w)
-                .run()?;
-            let mut techniques = Vec::new();
-            for t in Technique::compared() {
-                let stats = RunBuilder::new(params).technique(t).workload(&w).run()?;
-                techniques.push((t, stats));
-            }
-            runs.push(ComparisonRun {
-                kind,
-                baseline,
-                techniques,
-            });
-        }
+        let grid = Grid::benchmarks(params, kinds, scale, Technique::all());
         Ok(Comparison {
             params: params.clone(),
             scale,
-            runs,
+            kinds: kinds.to_vec(),
+            report: runner.run(&grid).complete()?,
         })
     }
 
-    fn technique_column<F>(&self, technique: Technique, f: F) -> Vec<f64>
+    /// `f(baseline, cell)` per benchmark for `technique`'s row.
+    pub fn technique_column<F>(&self, technique: Technique, f: F) -> Vec<f64>
     where
         F: Fn(&SimStats, &SimStats) -> f64,
     {
-        self.runs
+        let row = Technique::all()
             .iter()
-            .map(|r| {
-                let stats = &r
-                    .techniques
-                    .iter()
-                    .find(|(t, _)| *t == technique)
-                    .expect("technique present")
-                    .1;
-                f(&r.baseline, stats)
-            })
-            .collect()
+            .position(|&t| t == technique)
+            .expect("every technique has a row");
+        self.report.vs_baseline(row, f)
     }
 
-    fn benchmark_headers(&self) -> Vec<String> {
-        let mut h = vec!["technique".to_string()];
-        h.extend(self.runs.iter().map(|r| r.kind.name().to_string()));
-        h.push("gmean".to_string());
-        h
+    fn benchmark_names(&self) -> Vec<String> {
+        self.kinds.iter().map(|k| k.name().to_string()).collect()
     }
 
-    fn change_table<F>(&self, title: &str, note: &str, f: F) -> Table
+    /// One row per compared technique of `f(baseline, cell)`.
+    fn change_table<F>(&self, title: &str, note: &str, summarize: fn(&[f64]) -> f64, f: F) -> Table
     where
         F: Fn(&SimStats, &SimStats) -> f64,
     {
-        let mut t = Table::new(title)
-            .with_note(note)
-            .with_headers(self.benchmark_headers());
-        for technique in Technique::compared() {
-            let vals = self.technique_column(technique, &f);
-            let mut row = vec![technique.name().to_string()];
-            row.extend(vals.iter().map(|&v| f1(v)));
-            row.push(f1(geometric_mean_pct(&vals)));
-            t.push_row(row);
-        }
-        t
+        let rows =
+            Technique::compared().map(|t| (t.name().to_string(), self.technique_column(t, &f)));
+        Table::new(title).with_note(note).with_value_rows(
+            "technique",
+            &self.benchmark_names(),
+            ("gmean", summarize),
+            f1,
+            rows,
+        )
     }
 
     /// Figure 7: change in application's performance (%) relative to the
@@ -120,6 +82,7 @@ impl Comparison {
         self.change_table(
             "Figure 7: change in application's performance (%)",
             "Application-specific operations per second vs. the Linux baseline.",
+            geometric_mean_pct,
             |base, s| runner::performance_change(base, s, clock),
         )
     }
@@ -129,113 +92,57 @@ impl Comparison {
         self.change_table(
             "Figure 8a: change in instruction throughput (%)",
             "",
+            geometric_mean_pct,
             runner::throughput_change,
-        )
-    }
-
-    /// Figure 8b: fraction of idle time (%), absolute per technique.
-    pub fn fig08b_idleness(&self) -> Table {
-        let mut t = Table::new("Figure 8b: fraction of idle time (%)")
-            .with_headers(self.benchmark_headers());
-        for technique in Technique::compared() {
-            let vals = self.technique_column(technique, |_b, s| s.mean_idle_fraction() * 100.0);
-            let mean = schedtask_metrics::mean(&vals);
-            let mut row = vec![technique.name().to_string()];
-            row.extend(vals.iter().map(|&v| f1(v)));
-            row.push(f1(mean));
-            t.push_row(row);
-        }
-        t
-    }
-
-    /// Figure 8c: change in i-cache hit rate, application code
-    /// (percentage points).
-    pub fn fig08c_icache_app(&self) -> Table {
-        self.change_table(
-            "Figure 8c: change in i-cache hit rate, application (pp)",
-            "",
-            |b, s| {
-                runner::hit_rate_delta_pp(b.mem.icache_app.hit_rate(), s.mem.icache_app.hit_rate())
-            },
-        )
-    }
-
-    /// Figure 8d: change in i-cache hit rate, OS code (percentage
-    /// points).
-    pub fn fig08d_icache_os(&self) -> Table {
-        self.change_table(
-            "Figure 8d: change in i-cache hit rate, OS (pp)",
-            "",
-            |b, s| {
-                runner::hit_rate_delta_pp(b.mem.icache_os.hit_rate(), s.mem.icache_os.hit_rate())
-            },
-        )
-    }
-
-    /// Figure 8e: change in d-cache hit rate, application code
-    /// (percentage points).
-    pub fn fig08e_dcache_app(&self) -> Table {
-        self.change_table(
-            "Figure 8e: change in d-cache hit rate, application (pp)",
-            "",
-            |b, s| {
-                runner::hit_rate_delta_pp(b.mem.dcache_app.hit_rate(), s.mem.dcache_app.hit_rate())
-            },
-        )
-    }
-
-    /// Figure 8f: change in d-cache hit rate, OS code (percentage
-    /// points).
-    pub fn fig08f_dcache_os(&self) -> Table {
-        self.change_table(
-            "Figure 8f: change in d-cache hit rate, OS (pp)",
-            "",
-            |b, s| {
-                runner::hit_rate_delta_pp(b.mem.dcache_os.hit_rate(), s.mem.dcache_os.hit_rate())
-            },
         )
     }
 
     /// Figure 10: inter-core thread migrations per billion instructions
     /// (including the baseline row).
     pub fn fig10_migrations(&self) -> Table {
-        let mut headers = vec!["technique".to_string()];
-        headers.extend(self.runs.iter().map(|r| r.kind.name().to_string()));
-        headers.push("gmean".to_string());
-        let mut t = Table::new("Figure 10: inter-core thread migrations per billion instructions")
-            .with_headers(headers);
-
-        let base_vals: Vec<f64> = self
-            .runs
-            .iter()
-            .map(|r| r.baseline.migrations_per_billion_instructions())
-            .collect();
-        let mut row = vec!["Baseline".to_string()];
-        row.extend(base_vals.iter().map(|&v| format!("{v:.0}")));
-        let gmean = geo_mean_abs(&base_vals);
-        row.push(format!("{gmean:.0}"));
-        t.push_row(row);
-
-        for technique in Technique::compared() {
-            let vals =
-                self.technique_column(technique, |_b, s| s.migrations_per_billion_instructions());
-            let mut row = vec![technique.name().to_string()];
-            row.extend(vals.iter().map(|&v| format!("{v:.0}")));
-            row.push(format!("{:.0}", geo_mean_abs(&vals)));
-            t.push_row(row);
-        }
-        t
+        let rows = Technique::all().map(|t| {
+            let vals = self.technique_column(t, |_b, s| s.migrations_per_billion_instructions());
+            (t.name().to_string(), vals)
+        });
+        Table::new("Figure 10: inter-core thread migrations per billion instructions")
+            .with_value_rows(
+                "technique",
+                &self.benchmark_names(),
+                ("gmean", geo_mean_abs),
+                |v| format!("{v:.0}"),
+                rows,
+            )
     }
 
-    /// All Figure 8 sub-tables in order.
+    /// All Figure 8 sub-tables in order: 8a throughput, 8b idle time
+    /// (absolute, per technique), and 8c-8f the change in i-cache and
+    /// d-cache hit rates for application and OS code (percentage
+    /// points).
     pub fn fig08_all(&self) -> Vec<Table> {
+        let pp = |title: &str, rate: fn(&SimStats) -> f64| {
+            self.change_table(title, "", geometric_mean_pct, move |b, s| {
+                runner::hit_rate_delta_pp(rate(b), rate(s))
+            })
+        };
         vec![
             self.fig08a_throughput(),
-            self.fig08b_idleness(),
-            self.fig08c_icache_app(),
-            self.fig08d_icache_os(),
-            self.fig08e_dcache_app(),
-            self.fig08f_dcache_os(),
+            self.change_table("Figure 8b: fraction of idle time (%)", "", mean, |_b, s| {
+                s.mean_idle_fraction() * 100.0
+            }),
+            pp(
+                "Figure 8c: change in i-cache hit rate, application (pp)",
+                |s| s.mem.icache_app.hit_rate(),
+            ),
+            pp("Figure 8d: change in i-cache hit rate, OS (pp)", |s| {
+                s.mem.icache_os.hit_rate()
+            }),
+            pp(
+                "Figure 8e: change in d-cache hit rate, application (pp)",
+                |s| s.mem.dcache_app.hit_rate(),
+            ),
+            pp("Figure 8f: change in d-cache hit rate, OS (pp)", |s| {
+                s.mem.dcache_os.hit_rate()
+            }),
         ]
     }
 
@@ -252,13 +159,14 @@ impl Comparison {
             "i-hit (%)",
             "d-hit (%)",
         ]);
-        for r in &self.runs {
+        for (col, kind) in self.kinds.iter().enumerate() {
+            let base = self.report.stats(0, col);
             t.push_row([
-                r.kind.name().to_string(),
-                format!("{:.3}", r.baseline.instruction_throughput() / cores),
-                format!("{:.0}", r.baseline.app_performance(clock)),
-                format!("{:.1}", r.baseline.mem.icache_overall_hit_rate() * 100.0),
-                format!("{:.1}", r.baseline.mem.dcache_overall_hit_rate() * 100.0),
+                kind.name().to_string(),
+                format!("{:.3}", base.instruction_throughput() / cores),
+                format!("{:.0}", base.app_performance(clock)),
+                format!("{:.1}", base.mem.icache_overall_hit_rate() * 100.0),
+                format!("{:.1}", base.mem.dcache_overall_hit_rate() * 100.0),
             ]);
         }
         t
@@ -291,14 +199,14 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 200_000;
         p.warmup_instructions = 50_000;
-        Comparison::run_subset(&p, 1.0, &[BenchmarkKind::Find, BenchmarkKind::MailSrvIo])
-            .expect("comparison runs")
+        let kinds = [BenchmarkKind::Find, BenchmarkKind::MailSrvIo];
+        Comparison::run(&mut Runner::new(1), &p, 1.0, &kinds).expect("comparison runs")
     }
 
     #[test]
     fn comparison_produces_all_tables() {
         let c = tiny();
-        assert_eq!(c.runs.len(), 2);
+        assert_eq!(c.kinds.len(), 2);
         let t7 = c.fig07_performance();
         assert_eq!(t7.rows.len(), 5);
         assert_eq!(t7.headers.len(), 4); // technique, 2 benches, gmean

@@ -1,9 +1,8 @@
 //! Figure 4 (instruction breakup per benchmark) and Section 4.4
 //! (cosine similarity of breakups across consecutive epochs).
 
-use crate::runner::{ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{ExpParams, ExperimentError, Grid, Runner, Technique, Variant};
 use crate::table::{f1, f3, Table};
-use schedtask_kernel::WorkloadSpec;
 use schedtask_metrics::cosine_similarity;
 use schedtask_workload::BenchmarkKind;
 
@@ -19,30 +18,33 @@ pub struct Characterization {
     pub epoch_similarities: Vec<f64>,
 }
 
-/// Runs the Figure 4 characterization under the baseline Linux scheduler.
-pub fn run(params: &ExpParams) -> Result<Vec<Characterization>, ExperimentError> {
-    let mut results = Vec::new();
-    for kind in BenchmarkKind::all() {
-        let mut cfg = params.engine_config(Technique::Linux);
-        cfg.collect_epoch_breakups = true;
-        let sched = Technique::Linux.scheduler(params.cores);
-        let stats = RunBuilder::from_config(cfg)
-            .label(Technique::Linux.name())
-            .scheduler(sched)
-            .workload(&WorkloadSpec::single(kind, 1.0))
-            .run()?;
-        let epoch_similarities = stats
-            .epoch_breakups
-            .windows(2)
-            .map(|w| cosine_similarity(&w[0], &w[1]))
-            .collect();
-        results.push(Characterization {
-            kind,
-            breakup: stats.instructions.breakup_percent(),
-            epoch_similarities,
-        });
-    }
-    Ok(results)
+/// Runs the Figure 4 characterization under the baseline Linux
+/// scheduler, every benchmark at 1X.
+pub fn run(
+    runner: &mut Runner,
+    params: &ExpParams,
+) -> Result<Vec<Characterization>, ExperimentError> {
+    let kinds = BenchmarkKind::all();
+    let linux = Variant::from(Technique::Linux).with_epoch_breakups();
+    let r = runner
+        .run(&Grid::benchmarks(params, &kinds, 1.0, [linux]))
+        .complete()?;
+    Ok(kinds
+        .iter()
+        .enumerate()
+        .map(|(col, &kind)| {
+            let stats = r.stats(0, col);
+            Characterization {
+                kind,
+                breakup: stats.instructions.breakup_percent(),
+                epoch_similarities: stats
+                    .epoch_breakups
+                    .windows(2)
+                    .map(|w| cosine_similarity(&w[0], &w[1]))
+                    .collect(),
+            }
+        })
+        .collect())
 }
 
 /// Formats Figure 4.
@@ -100,7 +102,7 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 400_000;
         p.warmup_instructions = 100_000;
-        let results = run(&p).expect("characterization runs");
+        let results = run(&mut Runner::new(1), &p).expect("characterization runs");
         assert_eq!(results.len(), 8);
         for r in &results {
             let sum: f64 = r.breakup.iter().sum();
@@ -141,7 +143,7 @@ mod tests {
         p.max_instructions = 800_000;
         p.warmup_instructions = 100_000;
         p.epoch_cycles = 120_000; // larger epochs give less sampling noise
-        let results = run(&p).expect("characterization runs");
+        let results = run(&mut Runner::new(1), &p).expect("characterization runs");
         // After warm-up, the workload is repetitive: median similarity
         // should be very high (the paper reports > 0.995 at steady
         // state). FileSrv and Apache are excluded at this miniature

@@ -3,132 +3,94 @@
 //! Section 6.4 "alternate strategy" (always steal from the max-waiting
 //! core).
 
-use crate::runner::{self, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{
+    hit_rate_delta_pp, throughput_change, ExpParams, ExperimentError, Grid, Runner, SweepReport,
+    Technique, Variant,
+};
 use crate::table::{f1, Table};
-use schedtask::{SchedTaskConfig, SchedTaskScheduler, StealPolicy};
-use schedtask_kernel::{SimStats, WorkloadSpec};
-use schedtask_metrics::geometric_mean_pct;
+use schedtask::{SchedTaskConfig, StealPolicy};
+use schedtask_kernel::SimStats;
+use schedtask_metrics::{geometric_mean_pct, mean};
 use schedtask_workload::BenchmarkKind;
+use std::iter;
 
-/// Results for one stealing strategy across all benchmarks.
+/// Figure 9's cells: the Linux baseline, then SchedTask under each
+/// strategy, over every benchmark at 2X.
 #[derive(Debug, Clone)]
-pub struct StealingRun {
-    /// The strategy.
-    pub policy: StealPolicy,
-    /// (benchmark, baseline stats, SchedTask-with-policy stats).
-    pub per_benchmark: Vec<(BenchmarkKind, SimStats, SimStats)>,
+pub struct Stealing {
+    /// The strategies, in row order.
+    pub policies: Vec<StealPolicy>,
+    report: SweepReport,
 }
 
 /// Runs Figure 9 for the given strategies.
 pub fn run(
+    runner: &mut Runner,
     params: &ExpParams,
     policies: &[StealPolicy],
-) -> Result<Vec<StealingRun>, ExperimentError> {
-    let mut baselines: Vec<(BenchmarkKind, SimStats)> = Vec::new();
-    for kind in BenchmarkKind::all() {
-        baselines.push((
-            kind,
-            RunBuilder::new(params)
-                .technique(Technique::Linux)
-                .workload(&WorkloadSpec::single(kind, 2.0))
-                .run()?,
-        ));
-    }
-
-    let mut runs = Vec::with_capacity(policies.len());
-    for &policy in policies {
-        let mut per_benchmark = Vec::new();
-        for (kind, base) in &baselines {
-            let sched = SchedTaskScheduler::new(
-                params.cores,
-                SchedTaskConfig {
-                    steal_policy: policy,
-                    ..SchedTaskConfig::default()
-                },
-            );
-            let stats = RunBuilder::new(params)
-                .scheduler(Box::new(sched))
-                .workload(&WorkloadSpec::single(*kind, 2.0))
-                .run()?;
-            per_benchmark.push((*kind, base.clone(), stats));
-        }
-        runs.push(StealingRun {
-            policy,
-            per_benchmark,
-        });
-    }
-    Ok(runs)
+) -> Result<Stealing, ExperimentError> {
+    let variants = iter::once(Technique::Linux.into()).chain(policies.iter().map(|&policy| {
+        Variant::schedtask(SchedTaskConfig {
+            steal_policy: policy,
+            ..SchedTaskConfig::default()
+        })
+    }));
+    let grid = Grid::benchmarks(params, &BenchmarkKind::all(), 2.0, variants);
+    Ok(Stealing {
+        policies: policies.to_vec(),
+        report: runner.run(&grid).complete()?,
+    })
 }
 
-fn headers(runs: &[StealingRun]) -> Vec<String> {
-    let mut h = vec!["strategy".to_string()];
-    h.extend(
-        runs[0]
-            .per_benchmark
-            .iter()
-            .map(|(k, _, _)| k.name().to_string()),
-    );
-    h.push("gmean".to_string());
-    h
+impl Stealing {
+    /// `f(baseline, cell)` per benchmark for each strategy.
+    fn column(&self, i: usize, f: impl Fn(&SimStats, &SimStats) -> f64) -> Vec<f64> {
+        self.report.vs_baseline(i + 1, f)
+    }
+
+    fn table(
+        &self,
+        title: &str,
+        summarize: fn(&[f64]) -> f64,
+        f: impl Fn(&SimStats, &SimStats) -> f64,
+    ) -> Table {
+        let names = BenchmarkKind::all().map(|k| k.name().to_string());
+        let rows =
+            (0..self.policies.len()).map(|i| (self.policies[i].to_string(), self.column(i, &f)));
+        Table::new(title).with_value_rows("strategy", &names, ("gmean", summarize), f1, rows)
+    }
 }
 
 /// Figure 9a: change in instruction throughput (%).
-pub fn throughput_table(runs: &[StealingRun]) -> Table {
-    let mut t = Table::new("Figure 9a: work stealing — change in instruction throughput (%)")
-        .with_headers(headers(runs));
-    for r in runs {
-        let vals: Vec<f64> = r
-            .per_benchmark
-            .iter()
-            .map(|(_, b, s)| runner::throughput_change(b, s))
-            .collect();
-        let mut row = vec![r.policy.to_string()];
-        row.extend(vals.iter().map(|&v| f1(v)));
-        row.push(f1(geometric_mean_pct(&vals)));
-        t.push_row(row);
-    }
-    t
+pub fn throughput_table(runs: &Stealing) -> Table {
+    runs.table(
+        "Figure 9a: work stealing — change in instruction throughput (%)",
+        geometric_mean_pct,
+        throughput_change,
+    )
 }
 
 /// Figure 9b: fraction of idle time (%).
-pub fn idleness_table(runs: &[StealingRun]) -> Table {
-    let mut t = Table::new("Figure 9b: work stealing — fraction of idle time (%)")
-        .with_headers(headers(runs));
-    for r in runs {
-        let vals: Vec<f64> = r
-            .per_benchmark
-            .iter()
-            .map(|(_, _, s)| s.mean_idle_fraction() * 100.0)
-            .collect();
-        let mut row = vec![r.policy.to_string()];
-        row.extend(vals.iter().map(|&v| f1(v)));
-        row.push(f1(schedtask_metrics::mean(&vals)));
-        t.push_row(row);
-    }
-    t
+pub fn idleness_table(runs: &Stealing) -> Table {
+    runs.table(
+        "Figure 9b: work stealing — fraction of idle time (%)",
+        mean,
+        |_b, s| s.mean_idle_fraction() * 100.0,
+    )
 }
 
 /// Figure 9c: change in overall i-cache hit rate (percentage points).
-pub fn icache_table(runs: &[StealingRun]) -> Table {
-    let mut t = Table::new("Figure 9c: work stealing — change in overall i-cache hit rate (pp)")
-        .with_headers(headers(runs));
-    for r in runs {
-        let vals: Vec<f64> = r
-            .per_benchmark
-            .iter()
-            .map(|(_, b, s)| {
-                runner::hit_rate_delta_pp(
-                    b.mem.icache_overall_hit_rate(),
-                    s.mem.icache_overall_hit_rate(),
-                )
-            })
-            .collect();
-        let mut row = vec![r.policy.to_string()];
-        row.extend(vals.iter().map(|&v| f1(v)));
-        row.push(f1(schedtask_metrics::mean(&vals)));
-        t.push_row(row);
-    }
-    t
+pub fn icache_table(runs: &Stealing) -> Table {
+    runs.table(
+        "Figure 9c: work stealing — change in overall i-cache hit rate (pp)",
+        mean,
+        |b, s| {
+            hit_rate_delta_pp(
+                b.mem.icache_overall_hit_rate(),
+                s.mem.icache_overall_hit_rate(),
+            )
+        },
+    )
 }
 
 #[cfg(test)]
@@ -141,19 +103,17 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 500_000;
         p.warmup_instructions = 100_000;
-        let runs =
-            run(&p, &[StealPolicy::Nothing, StealPolicy::SimilarWorkAlso]).expect("runs succeed");
-        assert_eq!(runs.len(), 2);
-        let idle_of = |r: &StealingRun| -> f64 {
-            r.per_benchmark
-                .iter()
-                .map(|(_, _, s)| s.mean_idle_fraction())
-                .sum::<f64>()
-                / r.per_benchmark.len() as f64
-        };
+        let runs = run(
+            &mut Runner::new(1),
+            &p,
+            &[StealPolicy::Nothing, StealPolicy::SimilarWorkAlso],
+        )
+        .expect("runs succeed");
+        assert_eq!(runs.policies.len(), 2);
+        let idle_of = |i: usize| mean(&runs.column(i, |_b, s| s.mean_idle_fraction()));
         // Never stealing must idle at least as much as the default
         // strategy (Figure 9b).
-        assert!(idle_of(&runs[0]) + 1e-9 >= idle_of(&runs[1]));
+        assert!(idle_of(0) + 1e-9 >= idle_of(1));
         // Tables render with one row per strategy.
         assert_eq!(throughput_table(&runs).rows.len(), 2);
         assert_eq!(idleness_table(&runs).rows.len(), 2);

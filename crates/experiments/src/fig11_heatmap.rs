@@ -7,117 +7,61 @@
 //! * the mean performance benefit per register width, plus the ideal
 //!   (exact-ranking) configuration.
 
-use crate::runner::{self, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{
+    performance_change, ExpParams, ExperimentError, Grid, Runner, SweepReport, Technique, Variant,
+};
 use crate::table::{f1, f3, Table};
-use schedtask::{SchedTaskConfig, SchedTaskScheduler};
+use schedtask::{EpochRankings, SchedTaskConfig};
 use schedtask_kernel::WorkloadSpec;
 use schedtask_metrics::{geometric_mean_pct, kendall_tau_b, mean};
 use schedtask_workload::BenchmarkKind;
-
-/// Per-width Kendall τ_B per workload: `(bits, [(workload name, τ_B)])`.
-pub type TauByWidth = Vec<(u32, Vec<(String, f64)>)>;
+use std::iter;
 
 /// The register widths swept in Figure 11.
 pub const WIDTHS: [u32; 5] = [128, 256, 512, 1024, 2048];
 
-/// Results for one register width.
-#[derive(Debug, Clone)]
-pub struct WidthResult {
-    /// Register width in bits.
-    pub bits: u32,
-    /// Mean Kendall τ_B of the Bloom ranking vs. the exact ranking, per
-    /// benchmark.
-    pub tau_per_benchmark: Vec<(BenchmarkKind, f64)>,
-    /// Performance change (%) vs. the Linux baseline, per benchmark.
-    pub perf_per_benchmark: Vec<(BenchmarkKind, f64)>,
-}
-
-/// Full Figure 11 output.
+/// A Figure 11 grid's outcome: SchedTask at every width of [`WIDTHS`],
+/// recording its rankings, over named workloads.
 #[derive(Debug, Clone)]
 pub struct HeatmapSweep {
-    /// One entry per width.
-    pub widths: Vec<WidthResult>,
-    /// Performance change (%) per benchmark with the ideal (exact)
-    /// ranking.
-    pub ideal_perf: Vec<(BenchmarkKind, f64)>,
+    /// Workload column names.
+    pub workloads: Vec<String>,
+    clock_hz: u64,
+    report: SweepReport,
+    /// The row of the first width: 1 behind a Linux baseline row.
+    first_width: usize,
 }
 
-/// Runs the sweep.
+/// SchedTask at `bits`, recording its rankings.
+fn ranked(bits: u32) -> Variant {
+    Variant::schedtask(SchedTaskConfig {
+        heatmap_bits: bits,
+        ..SchedTaskConfig::default()
+    })
+    .with_rankings()
+}
+
+/// Runs Figure 11 over single benchmarks at 2X: the Linux baseline,
+/// every width, and the ideal (exact) ranking.
 pub fn run(
+    runner: &mut Runner,
     params: &ExpParams,
     benchmarks: &[BenchmarkKind],
 ) -> Result<HeatmapSweep, ExperimentError> {
-    let clock = params.clock_hz();
-    let mut baselines = Vec::new();
-    for &k in benchmarks {
-        baselines.push((
-            k,
-            RunBuilder::new(params)
-                .technique(Technique::Linux)
-                .workload(&WorkloadSpec::single(k, 2.0))
-                .run()?,
-        ));
-    }
-
-    let mut widths = Vec::new();
-    for &bits in WIDTHS.iter() {
-        let mut tau_per_benchmark = Vec::new();
-        let mut perf_per_benchmark = Vec::new();
-        for (kind, base) in &baselines {
-            let (sched, observer) = SchedTaskScheduler::with_ranking_observer(
-                params.cores,
-                SchedTaskConfig {
-                    heatmap_bits: bits,
-                    ..SchedTaskConfig::default()
-                },
-            );
-            let stats = RunBuilder::new(params)
-                .scheduler(Box::new(sched))
-                .workload(&WorkloadSpec::single(*kind, 2.0))
-                .run()?;
-            // τ_B: for every TAlloc snapshot and every type with ≥2
-            // candidates, compare the Bloom scores against the exact
-            // scores over the same candidate list.
-            let mut taus = Vec::new();
-            for epoch in observer.snapshots().iter() {
-                for (_ty, row) in epoch {
-                    if row.len() < 2 {
-                        continue;
-                    }
-                    let bloom: Vec<f64> = row.iter().map(|&(_, b, _)| b as f64).collect();
-                    let exact: Vec<f64> = row.iter().map(|&(_, _, e)| e as f64).collect();
-                    if exact.iter().any(|&e| e > 0.0) {
-                        taus.push(kendall_tau_b(&bloom, &exact));
-                    }
-                }
-            }
-            tau_per_benchmark.push((*kind, mean(&taus)));
-            perf_per_benchmark.push((*kind, runner::performance_change(base, &stats, clock)));
-        }
-        widths.push(WidthResult {
-            bits,
-            tau_per_benchmark,
-            perf_per_benchmark,
-        });
-    }
-
-    let mut ideal_perf = Vec::new();
-    for (kind, base) in &baselines {
-        let sched = SchedTaskScheduler::new(
-            params.cores,
-            SchedTaskConfig {
-                use_exact_overlap: true,
-                ..SchedTaskConfig::default()
-            },
-        );
-        let stats = RunBuilder::new(params)
-            .scheduler(Box::new(sched))
-            .workload(&WorkloadSpec::single(*kind, 2.0))
-            .run()?;
-        ideal_perf.push((*kind, runner::performance_change(base, &stats, clock)));
-    }
-
-    Ok(HeatmapSweep { widths, ideal_perf })
+    let ideal = Variant::schedtask(SchedTaskConfig {
+        use_exact_overlap: true,
+        ..SchedTaskConfig::default()
+    });
+    let variants = iter::once(Technique::Linux.into())
+        .chain(WIDTHS.map(ranked))
+        .chain(iter::once(ideal));
+    let grid = Grid::benchmarks(params, benchmarks, 2.0, variants);
+    Ok(HeatmapSweep {
+        workloads: benchmarks.iter().map(|k| k.name().to_string()).collect(),
+        clock_hz: params.clock_hz(),
+        report: runner.run(&grid).complete()?,
+        first_width: 1,
+    })
 }
 
 /// τ_B per register width for arbitrary named workloads. The
@@ -128,97 +72,106 @@ pub fn run(
 /// is where the narrow registers saturate and the Figure 11 gradient
 /// emerges.
 pub fn run_tau_on_workloads(
+    runner: &mut Runner,
     params: &ExpParams,
-    workloads: &[(String, schedtask_kernel::WorkloadSpec)],
-) -> Result<TauByWidth, ExperimentError> {
-    let mut sweep = Vec::new();
-    for &bits in WIDTHS.iter() {
-        let mut per_workload = Vec::new();
-        for (name, w) in workloads {
-            let (sched, observer) = SchedTaskScheduler::with_ranking_observer(
-                params.cores,
-                SchedTaskConfig {
-                    heatmap_bits: bits,
-                    ..SchedTaskConfig::default()
-                },
-            );
-            let _stats = RunBuilder::new(params)
-                .scheduler(Box::new(sched))
-                .workload(w)
-                .run()?;
-            let mut taus = Vec::new();
-            for epoch in observer.snapshots().iter() {
-                for (_ty, row) in epoch {
-                    if row.len() < 2 {
-                        continue;
-                    }
-                    let bloom: Vec<f64> = row.iter().map(|&(_, b, _)| b as f64).collect();
-                    let exact: Vec<f64> = row.iter().map(|&(_, _, e)| e as f64).collect();
-                    if exact.iter().any(|&e| e > 0.0) {
-                        taus.push(kendall_tau_b(&bloom, &exact));
-                    }
-                }
-            }
-            per_workload.push((name.clone(), mean(&taus)));
-        }
-        sweep.push((bits, per_workload));
+    workloads: &[(String, WorkloadSpec)],
+) -> Result<HeatmapSweep, ExperimentError> {
+    let grid = Grid::new(
+        params,
+        workloads.iter().map(|(_, w)| w.clone()),
+        WIDTHS.map(ranked),
+    );
+    Ok(HeatmapSweep {
+        workloads: workloads.iter().map(|(name, _)| name.clone()).collect(),
+        clock_hz: params.clock_hz(),
+        report: runner.run(&grid).complete()?,
+        first_width: 0,
+    })
+}
+
+impl HeatmapSweep {
+    /// Mean Kendall τ_B of the Bloom ranking vs. the exact ranking, per
+    /// workload, for each width of [`WIDTHS`].
+    pub fn tau(&self) -> Vec<Vec<f64>> {
+        (0..WIDTHS.len())
+            .map(|i| {
+                let row = self.report.row(self.first_width + i);
+                row.iter().map(|c| mean_tau(&c.rankings)).collect()
+            })
+            .collect()
     }
-    Ok(sweep)
+
+    fn tau_table(&self, title: &str, note: &str) -> Table {
+        let rows = WIDTHS
+            .iter()
+            .zip(self.tau())
+            .map(|(bits, taus)| (format!("{bits} bits"), taus));
+        Table::new(title).with_note(note).with_value_rows(
+            "bits",
+            &self.workloads,
+            ("mean", mean),
+            f3,
+            rows,
+        )
+    }
+}
+
+/// τ_B over a cell's TAlloc snapshots: for every type with ≥2
+/// candidates, the Bloom scores against the exact scores over the same
+/// candidate list.
+fn mean_tau(rankings: &[EpochRankings]) -> f64 {
+    let mut taus = Vec::new();
+    for epoch in rankings {
+        for (_ty, row) in epoch {
+            if row.len() < 2 {
+                continue;
+            }
+            let bloom: Vec<f64> = row.iter().map(|&(_, b, _)| b as f64).collect();
+            let exact: Vec<f64> = row.iter().map(|&(_, _, e)| e as f64).collect();
+            if exact.iter().any(|&e| e > 0.0) {
+                taus.push(kendall_tau_b(&bloom, &exact));
+            }
+        }
+    }
+    mean(&taus)
 }
 
 /// Formats the multi-programmed τ_B sweep.
-pub fn mpw_tau_table(sweep: &[(u32, Vec<(String, f64)>)]) -> Table {
-    let mut headers = vec!["bits".to_string()];
-    headers.extend(sweep[0].1.iter().map(|(n, _)| n.clone()));
-    headers.push("mean".to_string());
-    let mut t = Table::new(
+pub fn mpw_tau_table(sweep: &HeatmapSweep) -> Table {
+    sweep.tau_table(
         "Figure 11 (multi-programmed): tau_B of the Bloom ranking vs. the ideal ranking",
+        "Large shared application footprints (mysqld, scp) saturate narrow registers — this is where the paper's width gradient lives.",
     )
-    .with_note("Large shared application footprints (mysqld, scp) saturate narrow registers — this is where the paper's width gradient lives.")
-    .with_headers(headers);
-    for (bits, taus) in sweep {
-        let vals: Vec<f64> = taus.iter().map(|&(_, v)| v).collect();
-        let mut row = vec![format!("{bits} bits")];
-        row.extend(vals.iter().map(|&v| f3(v)));
-        row.push(f3(mean(&vals)));
-        t.push_row(row);
-    }
-    t
 }
 
 /// Figure 11 proper: τ_B per benchmark per register width.
 pub fn tau_table(sweep: &HeatmapSweep) -> Table {
-    let mut headers = vec!["bits".to_string()];
-    headers.extend(
-        sweep.widths[0]
-            .tau_per_benchmark
-            .iter()
-            .map(|(k, _)| k.name().to_string()),
-    );
-    headers.push("mean".to_string());
-    let mut t = Table::new("Figure 11: Kendall's tau_B of the Bloom ranking vs. the ideal ranking")
-        .with_headers(headers);
-    for w in &sweep.widths {
-        let vals: Vec<f64> = w.tau_per_benchmark.iter().map(|&(_, v)| v).collect();
-        let mut row = vec![format!("{} bits", w.bits)];
-        row.extend(vals.iter().map(|&v| f3(v)));
-        row.push(f3(mean(&vals)));
-        t.push_row(row);
-    }
-    t
+    sweep.tau_table(
+        "Figure 11: Kendall's tau_B of the Bloom ranking vs. the ideal ranking",
+        "",
+    )
 }
 
-/// Section 6.5's performance-per-width summary (including ideal).
+/// Section 6.5's performance-per-width summary (including ideal), from
+/// [`run`]'s sweep.
 pub fn perf_table(sweep: &HeatmapSweep) -> Table {
+    let clock = sweep.clock_hz;
+    let perf = |row| {
+        let vals = sweep
+            .report
+            .vs_baseline(row, |b, s| performance_change(b, s, clock));
+        f1(geometric_mean_pct(&vals))
+    };
     let mut t = Table::new("Section 6.5: mean SchedTask benefit per Page-heatmap register width")
         .with_note("The paper reports 15.87 / 19.37 / 22.79 / 22.63 / 22.71 % for 128-2048 bits and 24.99 % for the ideal ranking; 512 bits is the chosen configuration.")
         .with_headers(["configuration", "mean performance change (%)"]);
-    for w in &sweep.widths {
-        let vals: Vec<f64> = w.perf_per_benchmark.iter().map(|&(_, v)| v).collect();
-        t.push_row([format!("{} bits", w.bits), f1(geometric_mean_pct(&vals))]);
+    for (i, bits) in WIDTHS.iter().enumerate() {
+        t.push_row([format!("{bits} bits"), perf(sweep.first_width + i)]);
     }
-    let ideal: Vec<f64> = sweep.ideal_perf.iter().map(|&(_, v)| v).collect();
-    t.push_row(["ideal ranking".to_string(), f1(geometric_mean_pct(&ideal))]);
+    t.push_row([
+        "ideal ranking".to_string(),
+        perf(sweep.first_width + WIDTHS.len()),
+    ]);
     t
 }
 
@@ -232,20 +185,14 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 600_000;
         p.warmup_instructions = 150_000;
-        let sweep = run(&p, &[BenchmarkKind::Find, BenchmarkKind::MailSrvIo]).expect("sweep runs");
-        assert_eq!(sweep.widths.len(), 5);
+        let kinds = [BenchmarkKind::Find, BenchmarkKind::MailSrvIo];
+        let sweep = run(&mut Runner::new(1), &p, &kinds).expect("sweep runs");
+        let tau = sweep.tau();
+        assert_eq!(tau.len(), 5);
         // τ at 2048 bits should beat τ at 128 bits on average (an
         // exponential width increase raises ranking quality, Fig 11).
-        let tau_mean = |w: &WidthResult| {
-            mean(
-                &w.tau_per_benchmark
-                    .iter()
-                    .map(|&(_, v)| v)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let t128 = tau_mean(&sweep.widths[0]);
-        let t2048 = tau_mean(&sweep.widths[4]);
+        let t128 = mean(&tau[0]);
+        let t2048 = mean(&tau[4]);
         // At tiny scales the 128-bit filter may already be collision
         // free, so only require non-degradation here; the full-size run
         // shows the Figure 11 gradient.

@@ -1,9 +1,12 @@
 //! Experiment harness regenerating every table and figure of the
 //! SchedTask paper (MICRO 2017) and its arXiv appendix.
 //!
-//! Each module corresponds to one table/figure; the `repro` binary
-//! exposes them as subcommands. See DESIGN.md's experiment index for the
-//! mapping:
+//! Each module corresponds to one table/figure and keeps only its table
+//! formatting: it declares the [`Grid`] of cells it needs, and one
+//! [`Runner`] simulates them, each distinct cell once per runner, so the
+//! figures of one `repro` invocation share their common cells. The
+//! `repro` binary exposes the modules as subcommands. See DESIGN.md's
+//! experiment index for the mapping:
 //!
 //! | Paper artefact | Module |
 //! |---|---|
@@ -19,10 +22,18 @@
 //! # Examples
 //!
 //! ```no_run
-//! use schedtask_experiments::{Comparison, ExpParams};
+//! use schedtask_experiments::{table4_workload, Comparison, ExpParams, Runner};
+//! use schedtask_workload::BenchmarkKind;
 //!
-//! let comparison = Comparison::run(&ExpParams::standard(), 2.0).expect("runs succeed");
+//! let mut runner = Runner::new(4); // up to four cells at a time
+//! let p = ExpParams::standard();
+//! let comparison =
+//!     Comparison::run(&mut runner, &p, 2.0, &BenchmarkKind::all()).expect("runs succeed");
 //! println!("{}", comparison.fig07_performance());
+//! // Table 4's 2X block is the same grid: read back, not re-simulated.
+//! let blocks = table4_workload::run(&mut runner, &p, &[2.0]).expect("runs succeed");
+//! println!("{}", table4_workload::block_table(&blocks[0]));
+//! assert_eq!(runner.simulated(), 48);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,8 +54,8 @@ pub mod table4_workload;
 
 pub use comparison::Comparison;
 pub use runner::{
-    CellObs, CellOutcome, ExpParams, ExperimentError, FailAfterScheduler, FailureCause, RunBuilder,
-    SweepReport, Technique,
+    CellObs, CellOutcome, ExpParams, ExperimentError, FailAfterScheduler, FailureCause, Grid,
+    RunBuilder, Runner, SweepReport, Technique, Variant,
 };
 pub use serve_api::{Endpoint, JobSpec, Request, RequestOp, Response, ServeClient};
 pub use table::Table;

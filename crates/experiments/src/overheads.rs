@@ -1,9 +1,9 @@
 //! Section 6.1's "other statistics": SchedTask-related overheads, TLB hit
 //! rates, interrupt latency, and scheduling fairness.
 
-use crate::runner::{self, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{hit_rate_delta_pp, ExpParams, ExperimentError, Grid, Runner, Technique};
 use crate::table::{f2, f3, Table};
-use schedtask_kernel::WorkloadSpec;
+use schedtask_kernel::SimStats;
 use schedtask_metrics::mean;
 use schedtask_workload::BenchmarkKind;
 
@@ -25,51 +25,33 @@ pub struct OverheadReport {
     pub fairness: f64,
 }
 
-/// Runs the overhead characterization.
-pub fn run(params: &ExpParams) -> Result<OverheadReport, ExperimentError> {
-    let mut sched_pct = Vec::new();
-    let mut base_pct = Vec::new();
-    let mut itlb = Vec::new();
-    let mut dtlb = Vec::new();
-    let mut irq_lat = Vec::new();
-    let mut fairness = Vec::new();
-    for kind in BenchmarkKind::all() {
-        let w = WorkloadSpec::single(kind, 2.0);
-        let base = RunBuilder::new(params)
-            .technique(Technique::Linux)
-            .workload(&w)
-            .run()?;
-        let st = RunBuilder::new(params)
-            .technique(Technique::SchedTask)
-            .workload(&w)
-            .run()?;
-        base_pct
-            .push(base.instructions.scheduler as f64 / base.total_instructions() as f64 * 100.0);
-        sched_pct.push(st.instructions.scheduler as f64 / st.total_instructions() as f64 * 100.0);
-        itlb.push(runner::hit_rate_delta_pp(
-            base.mem.itlb.hit_rate(),
-            st.mem.itlb.hit_rate(),
-        ));
-        dtlb.push(runner::hit_rate_delta_pp(
-            base.mem.dtlb.hit_rate(),
-            st.mem.dtlb.hit_rate(),
-        ));
-        if base.mean_interrupt_latency() > 0.0 {
-            irq_lat.push(
-                (st.mean_interrupt_latency() - base.mean_interrupt_latency())
-                    / base.mean_interrupt_latency()
-                    * 100.0,
-            );
-        }
-        fairness.push(st.fairness());
-    }
+/// Runs the overhead characterization: Linux and SchedTask over every
+/// benchmark at 2X.
+pub fn run(runner: &mut Runner, params: &ExpParams) -> Result<OverheadReport, ExperimentError> {
+    let rows = [Technique::Linux, Technique::SchedTask];
+    let grid = Grid::benchmarks(params, &BenchmarkKind::all(), 2.0, rows);
+    let r = runner.run(&grid).complete()?;
+    let scheduler_pct =
+        |s: &SimStats| s.instructions.scheduler as f64 / s.total_instructions() as f64 * 100.0;
+    let irq_lat: Vec<f64> = r
+        .vs_baseline(1, |base, st| {
+            let base_lat = base.mean_interrupt_latency();
+            (base_lat > 0.0).then(|| (st.mean_interrupt_latency() - base_lat) / base_lat * 100.0)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     Ok(OverheadReport {
-        schedtask_scheduler_pct: mean(&sched_pct),
-        baseline_scheduler_pct: mean(&base_pct),
-        itlb_delta_pp: mean(&itlb),
-        dtlb_delta_pp: mean(&dtlb),
+        schedtask_scheduler_pct: mean(&r.vs_baseline(1, |_, st| scheduler_pct(st))),
+        baseline_scheduler_pct: mean(&r.vs_baseline(1, |base, _| scheduler_pct(base))),
+        itlb_delta_pp: mean(&r.vs_baseline(1, |base, st| {
+            hit_rate_delta_pp(base.mem.itlb.hit_rate(), st.mem.itlb.hit_rate())
+        })),
+        dtlb_delta_pp: mean(&r.vs_baseline(1, |base, st| {
+            hit_rate_delta_pp(base.mem.dtlb.hit_rate(), st.mem.dtlb.hit_rate())
+        })),
         interrupt_latency_change_pct: mean(&irq_lat),
-        fairness: mean(&fairness),
+        fairness: mean(&r.vs_baseline(1, |_, st| st.fairness())),
     })
 }
 
@@ -109,7 +91,7 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 500_000;
         p.warmup_instructions = 100_000;
-        let r = run(&p).expect("overheads run");
+        let r = run(&mut Runner::new(1), &p).expect("overheads run");
         assert!(
             r.schedtask_scheduler_pct < 10.0,
             "scheduler share {}",

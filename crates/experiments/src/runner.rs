@@ -1,12 +1,16 @@
 //! Shared experiment infrastructure: technique construction, run
-//! execution, derived metrics, and the resilient sweep harness.
+//! execution, derived metrics, and the one cell runner every experiment
+//! goes through.
 //!
-//! Every run returns `Result<SimStats, ExperimentError>`: engine and
-//! scheduler failures surface as structured diagnostics instead of
-//! panics, so a sweep over the full technique × benchmark matrix can
-//! record which cells failed and keep going (see [`run_sweep`]).
+//! An experiment declares a [`Grid`] — variant rows (a technique, a
+//! SchedTask configuration, an engine tweak) over workload columns at
+//! one [`ExpParams`] — and a [`Runner`] simulates its cells, each
+//! distinct cell once per runner, in parallel and in isolation. Every
+//! cell ends as `Result<SimStats, ExperimentError>`: engine and
+//! scheduler failures and panics surface as structured diagnostics, so
+//! a sweep records which cells failed and keeps going.
 
-use schedtask::{SchedTaskConfig, SchedTaskScheduler};
+use schedtask::{EpochRankings, SchedTaskConfig, SchedTaskScheduler};
 use schedtask_baselines::{
     DisAggregateOsScheduler, FlexScScheduler, LinuxScheduler, SelectiveOffloadScheduler,
     SliccScheduler,
@@ -26,8 +30,8 @@ use std::sync::Arc;
 ///
 /// Wraps the engine's typed error with the technique/workload labels a
 /// sweep report needs; panics caught at a cell boundary are folded into
-/// the same shape (see [`run_sweep`]).
-#[derive(Debug)]
+/// the same shape (see [`Runner`]).
+#[derive(Debug, Clone)]
 pub struct ExperimentError {
     /// Technique display name.
     pub technique: String,
@@ -38,7 +42,7 @@ pub struct ExperimentError {
 }
 
 /// The underlying cause of an [`ExperimentError`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum FailureCause {
     /// The engine returned a typed error (config, scheduler, watchdog,
     /// invariant violation, ...).
@@ -295,13 +299,8 @@ impl ExpParams {
 
     /// The engine configuration for `technique`.
     pub fn engine_config(&self, technique: Technique) -> EngineConfig {
-        let engine_cores = if technique.doubles_cores() {
-            self.cores * 2
-        } else {
-            self.cores
-        };
         let mut cfg = EngineConfig::fast()
-            .with_system(self.system.clone().with_cores(engine_cores))
+            .with_system(self.system.clone().with_cores(self.engine_cores(technique)))
             .with_max_instructions(self.max_instructions)
             .with_seed(self.seed);
         cfg.workload_reference_cores = self.cores;
@@ -335,9 +334,10 @@ impl ExpParams {
 }
 
 /// Fluent, single entry point for running one simulation: a
-/// [`Technique`] or a custom scheduler, an optional full engine-config
-/// override, and any number of [`Observer`]s are all accepted
-/// uniformly.
+/// [`Technique`] or a custom scheduler, a full engine configuration or
+/// one derived from [`ExpParams`], and any number of [`Observer`]s are
+/// all accepted uniformly. Experiments go through a [`Runner`], which
+/// runs each cell with this builder.
 ///
 /// Resolution rules:
 ///
@@ -346,9 +346,10 @@ impl ExpParams {
 /// * A custom [`scheduler`](Self::scheduler) wins over
 ///   [`technique`](Self::technique); with neither, `run` fails with a
 ///   [`FailureCause::Builder`] diagnosis.
-/// * The engine configuration comes from exactly one source: an
-///   explicit [`config`](Self::config), else the one derived from the
-///   [`ExpParams`] (fault plan, sanitizer, and device models included).
+/// * The engine configuration comes from exactly one source: the one
+///   given to [`from_config`](Self::from_config), else the one derived
+///   from the [`ExpParams`] (fault plan, sanitizer, and device models
+///   included).
 /// * Without a technique the derived config never doubles cores.
 ///
 /// # Examples
@@ -419,12 +420,6 @@ impl RunBuilder {
         self
     }
 
-    /// Overrides the engine configuration entirely.
-    pub fn config(mut self, cfg: EngineConfig) -> Self {
-        self.config = Some(cfg);
-        self
-    }
-
     /// Overrides the label used in failure diagnostics.
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
@@ -475,7 +470,7 @@ impl RunBuilder {
                     ExperimentError::builder(
                         &label,
                         &wl_label,
-                        "no engine configuration: use RunBuilder::new or .config()",
+                        "no engine configuration: use RunBuilder::new or RunBuilder::from_config",
                     )
                 })?
                 .engine_config(shape),
@@ -578,13 +573,13 @@ pub fn hit_rate_delta_pp(base: f64, other: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Forced failures (`repro --force-fail`) and the resilient sweep.
+// Forced failures (`repro --force-fail`), grids and the cell runner.
 // ---------------------------------------------------------------------------
 
 /// Wraps any scheduler and makes `pick_next` fail with a [`SchedError`]
-/// after a fixed number of dispatches. The `repro --force-fail` hook:
-/// demonstrates (and tests) that the sweep harness records a failed cell
-/// and continues with the rest of the matrix.
+/// after a fixed number of dispatches. The `repro --force-fail` hook
+/// ([`Grid::fail_after`]): demonstrates (and tests) that the runner
+/// records a failed cell and continues with the rest of the grid.
 pub struct FailAfterScheduler {
     inner: Box<dyn Scheduler>,
     remaining: u64,
@@ -680,8 +675,8 @@ impl Scheduler for FailAfterScheduler {
     }
 }
 
-/// Per-cell observability data, collected when a sweep is asked to
-/// observe its cells (see [`run_sweep_observed`]).
+/// Per-cell observability data, collected when a grid is
+/// [`observed`](Grid::observed).
 ///
 /// Lives next to — never inside — the cell's `SimStats`, so the
 /// bit-identical serial/parallel determinism contract on the statistics
@@ -694,31 +689,349 @@ pub struct CellObs {
     /// Hierarchical span rows (run / epoch / per-class SuperFunction).
     pub spans: Vec<SpanRow>,
     /// The cell's JSONL event log, one event per line, each labelled
-    /// with `technique/benchmark`.
+    /// with `technique/workload`.
     pub jsonl: String,
 }
 
-/// One (technique, benchmark) cell of a sweep.
+/// What one cell of a grid produced.
 #[derive(Debug)]
 pub struct CellOutcome {
-    /// The technique.
+    /// The technique the cell ran.
     pub technique: Technique,
-    /// The benchmark.
-    pub benchmark: BenchmarkKind,
     /// Statistics on success, diagnostics on failure.
     pub result: Result<SimStats, ExperimentError>,
-    /// Observability data when the sweep collected it.
+    /// TAlloc's ranking snapshots, when the variant asked for them
+    /// ([`Variant::with_rankings`]); empty otherwise.
+    pub rankings: Vec<EpochRankings>,
+    /// Observability data when the grid was observed.
     pub obs: Option<CellObs>,
 }
 
-/// A full technique × benchmark sweep with per-cell failure isolation.
+/// One row of a [`Grid`]: the scheduler its cells run and any engine
+/// setting the row changes.
+#[derive(Debug, Clone)]
+pub struct Variant {
+    technique: Technique,
+    schedtask: SchedTaskConfig,
+    rankings: bool,
+    migration_cost_cycles: Option<u64>,
+    epoch_breakups: bool,
+}
+
+impl From<Technique> for Variant {
+    fn from(technique: Technique) -> Self {
+        Variant {
+            technique,
+            schedtask: SchedTaskConfig::default(),
+            rankings: false,
+            migration_cost_cycles: None,
+            epoch_breakups: false,
+        }
+    }
+}
+
+impl Variant {
+    /// SchedTask under `cfg` (its default is the [`Technique::SchedTask`]
+    /// row).
+    pub fn schedtask(cfg: SchedTaskConfig) -> Self {
+        Variant {
+            schedtask: cfg,
+            ..Technique::SchedTask.into()
+        }
+    }
+
+    /// Also records TAlloc's Bloom and exact rankings into
+    /// [`CellOutcome::rankings`] (Figure 11; SchedTask only).
+    pub fn with_rankings(mut self) -> Self {
+        self.rankings = true;
+        self
+    }
+
+    /// Charges `cycles` per thread migration instead of the engine's
+    /// default.
+    pub fn with_migration_cost(mut self, cycles: u64) -> Self {
+        self.migration_cost_cycles = Some(cycles);
+        self
+    }
+
+    /// Records per-epoch instruction breakups (Section 4.4).
+    pub fn with_epoch_breakups(mut self) -> Self {
+        self.epoch_breakups = true;
+        self
+    }
+}
+
+/// What an experiment simulates: every variant row over every workload
+/// column at one [`ExpParams`]. Linux-relative experiments put the
+/// baseline in row 0, which [`SweepReport::vs_baseline`] reads.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    params: ExpParams,
+    workloads: Vec<WorkloadSpec>,
+    variants: Vec<Variant>,
+    observe: bool,
+    fail: Option<(usize, usize, u64)>,
+}
+
+impl Grid {
+    /// `variants` × `workloads` at `params`.
+    pub fn new<V: Into<Variant>>(
+        params: &ExpParams,
+        workloads: impl IntoIterator<Item = WorkloadSpec>,
+        variants: impl IntoIterator<Item = V>,
+    ) -> Self {
+        Grid {
+            params: params.clone(),
+            workloads: workloads.into_iter().collect(),
+            variants: variants.into_iter().map(Into::into).collect(),
+            observe: false,
+            fail: None,
+        }
+    }
+
+    /// `variants` × single-benchmark workloads of `kinds` at `scale`.
+    pub fn benchmarks<V: Into<Variant>>(
+        params: &ExpParams,
+        kinds: &[BenchmarkKind],
+        scale: f64,
+        variants: impl IntoIterator<Item = V>,
+    ) -> Self {
+        let workloads = kinds.iter().map(|&k| WorkloadSpec::single(k, scale));
+        Self::new(params, workloads, variants)
+    }
+
+    /// Attaches an in-memory aggregator and a labelled JSONL sink to
+    /// every cell, filling [`CellOutcome::obs`]. Observation does not
+    /// perturb the simulation, but an observed cell is never served from
+    /// an unobserved one: it needs its own event stream.
+    pub fn observed(mut self) -> Self {
+        self.observe = true;
+        self
+    }
+
+    /// Breaks cell (`row`, `col`) on purpose: its scheduler fails after
+    /// `dispatches` dispatches (the `--force-fail` hook).
+    pub fn fail_after(mut self, row: usize, col: usize, dispatches: u64) -> Self {
+        self.fail = Some((row, col, dispatches));
+        self
+    }
+
+    /// Every cell, row-major.
+    fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::with_capacity(self.variants.len() * self.workloads.len());
+        for (row, v) in self.variants.iter().enumerate() {
+            let mut config = self.params.engine_config(v.technique);
+            if let Some(cycles) = v.migration_cost_cycles {
+                config.migration_cost_cycles = cycles;
+            }
+            config.collect_epoch_breakups = v.epoch_breakups;
+            for (col, workload) in self.workloads.iter().enumerate() {
+                cells.push(Cell {
+                    technique: v.technique,
+                    rankings: v.rankings,
+                    observe: self.observe,
+                    fail_after: self
+                        .fail
+                        .filter(|&(r, c, _)| (r, c) == (row, col))
+                        .map(|(_, _, after)| after),
+                    workload: workload.clone(),
+                    schedtask: v.schedtask.clone(),
+                    config: config.clone(),
+                });
+            }
+        }
+        cells
+    }
+}
+
+/// Everything one simulation's outcome depends on. Equal cells give
+/// equal outcomes, so a [`Runner`] simulates each distinct cell once.
+/// The engine configuration is compared after the variant's tweaks, so
+/// a sweep point that equals the default (a 32 KB i-cache, 32 cores at
+/// the standard budget, the default migration cost) is the same cell.
+#[derive(Debug, Clone, PartialEq)]
+struct Cell {
+    technique: Technique,
+    rankings: bool,
+    observe: bool,
+    fail_after: Option<u64>,
+    workload: WorkloadSpec,
+    /// SchedTask's configuration; the default for other techniques.
+    schedtask: SchedTaskConfig,
+    config: EngineConfig,
+}
+
+impl Cell {
+    /// Simulates the cell, isolating it: a typed engine error *or a
+    /// panic* becomes the outcome's diagnosis. Failed cells keep
+    /// whatever was observed up to the failure — a partial event log is
+    /// exactly what a post-mortem wants.
+    fn run(&self) -> CellOutcome {
+        let name = self.technique.name();
+        let label = workload_label(&self.workload);
+        let sinks = self.observe.then(|| {
+            (
+                Arc::new(Aggregator::new()),
+                Arc::new(JsonlSink::with_label(
+                    Vec::new(),
+                    Some(format!("{name}/{label}")),
+                )),
+            )
+        });
+        let mut rankings = None;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let cores = self.config.system.num_cores;
+            self.technique
+                .check_cores(cores)
+                .map_err(|e| ExperimentError::builder(name, &label, &e))?;
+            let mut sched: Box<dyn Scheduler> = match self.technique {
+                Technique::SchedTask if self.rankings => {
+                    let (sched, record) =
+                        SchedTaskScheduler::with_ranking_observer(cores, self.schedtask.clone());
+                    rankings = Some(record);
+                    Box::new(sched)
+                }
+                Technique::SchedTask => {
+                    Box::new(SchedTaskScheduler::new(cores, self.schedtask.clone()))
+                }
+                t => t.scheduler(cores),
+            };
+            if let Some(after) = self.fail_after {
+                sched = Box::new(FailAfterScheduler::new(sched, after));
+            }
+            let mut builder = RunBuilder::from_config(self.config.clone())
+                .label(name)
+                .scheduler(sched)
+                .workload(&self.workload);
+            if let Some((agg, sink)) = &sinks {
+                builder = builder
+                    .observer(Arc::clone(agg) as Arc<dyn Observer>)
+                    .observer(Arc::clone(sink) as Arc<dyn Observer>);
+            }
+            builder.run()
+        }))
+        .unwrap_or_else(|payload| {
+            Err(ExperimentError {
+                technique: name.to_string(),
+                workload: label.clone(),
+                cause: FailureCause::Panic(panic_message(payload)),
+            })
+        });
+        CellOutcome {
+            technique: self.technique,
+            result,
+            rankings: rankings.map(|r| r.snapshots()).unwrap_or_default(),
+            obs: sinks.map(|(agg, sink)| CellObs {
+                counters: agg.counters(),
+                spans: agg.span_rows(),
+                jsonl: sink.take(),
+            }),
+        }
+    }
+}
+
+/// Runs grids, simulating each distinct cell once over the runner's
+/// lifetime (one `repro` invocation) on up to `jobs` worker threads.
+///
+/// Cells are independent simulations: each builds its own engine, and
+/// its seed is a pure function of its parameters, never of scheduling
+/// order, so a cell's `SimStats` are **bit-identical** whichever grid
+/// asks first, on however many workers; parallelism only changes
+/// wall-clock time. `jobs <= 1` runs cells serially on the caller's
+/// thread.
 #[derive(Debug)]
+pub struct Runner {
+    jobs: usize,
+    done: Vec<(Cell, Arc<CellOutcome>)>,
+}
+
+impl Runner {
+    /// A runner with no cells simulated yet.
+    pub fn new(jobs: usize) -> Self {
+        Runner {
+            jobs,
+            done: Vec::new(),
+        }
+    }
+
+    /// Simulates the cells of `grid` this runner has not simulated yet,
+    /// and returns every cell's outcome.
+    pub fn run(&mut self, grid: &Grid) -> SweepReport {
+        let cells = grid.cells();
+        let mut todo: Vec<Cell> = Vec::new();
+        for cell in &cells {
+            if self.find(cell).is_none() && !todo.contains(cell) {
+                todo.push(cell.clone());
+            }
+        }
+        let outcomes = scoped_pool::scoped_map(&todo, self.jobs, Cell::run);
+        self.done
+            .extend(todo.into_iter().zip(outcomes.into_iter().map(Arc::new)));
+        SweepReport {
+            width: grid.workloads.len(),
+            cells: cells
+                .iter()
+                .map(|c| self.find(c).expect("every cell has run"))
+                .collect(),
+        }
+    }
+
+    /// Distinct cells simulated so far.
+    pub fn simulated(&self) -> usize {
+        self.done.len()
+    }
+
+    fn find(&self, cell: &Cell) -> Option<Arc<CellOutcome>> {
+        self.done
+            .iter()
+            .find(|(c, _)| c == cell)
+            .map(|(_, outcome)| Arc::clone(outcome))
+    }
+}
+
+/// One grid's outcomes: variant rows × workload columns.
+#[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// Every cell, in (technique-major, benchmark-minor) order.
-    pub cells: Vec<CellOutcome>,
+    width: usize,
+    /// Every cell, row-major (variant-major, workload-minor).
+    pub cells: Vec<Arc<CellOutcome>>,
 }
 
 impl SweepReport {
+    /// Row `row`'s cells, one per workload.
+    pub fn row(&self, row: usize) -> &[Arc<CellOutcome>] {
+        &self.cells[row * self.width..(row + 1) * self.width]
+    }
+
+    /// The report, or the first failed cell's diagnosis in cell order.
+    pub fn complete(self) -> Result<Self, ExperimentError> {
+        if let Some(e) = self.failures().next() {
+            return Err(e.clone());
+        }
+        Ok(self)
+    }
+
+    /// The statistics of cell (`row`, `col`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell failed; [`complete`](Self::complete) rules
+    /// that out.
+    pub fn stats(&self, row: usize, col: usize) -> &SimStats {
+        self.row(row)[col]
+            .result
+            .as_ref()
+            .expect("a completed report has no failed cell")
+    }
+
+    /// `f(baseline, cell)` for every workload of `row`, the baseline
+    /// being row 0's cell on the same workload.
+    pub fn vs_baseline<T>(&self, row: usize, f: impl Fn(&SimStats, &SimStats) -> T) -> Vec<T> {
+        (0..self.width)
+            .map(|col| f(self.stats(0, col), self.stats(row, col)))
+            .collect()
+    }
+
     /// Number of cells that completed.
     pub fn succeeded(&self) -> usize {
         self.cells.iter().filter(|c| c.result.is_ok()).count()
@@ -731,11 +1044,11 @@ impl SweepReport {
 
     /// The failed cells' diagnostics.
     pub fn failures(&self) -> impl Iterator<Item = &ExperimentError> {
-        self.cells.iter().filter_map(|c| c.result.as_err())
+        self.cells.iter().filter_map(|c| c.result.as_ref().err())
     }
 
     /// Counter totals summed over every observed cell (zero when the
-    /// sweep ran unobserved).
+    /// grid ran unobserved).
     pub fn counter_rollup(&self) -> CounterSnapshot {
         self.cells
             .iter()
@@ -796,134 +1109,6 @@ impl SweepReport {
             .map(|o| o.jsonl.as_str())
             .collect()
     }
-}
-
-/// `Result::as_ref().err()` spelled as a helper so `failures()` can
-/// return references with a clean lifetime.
-trait AsErr<E> {
-    fn as_err(&self) -> Option<&E>;
-}
-
-impl<T, E> AsErr<E> for Result<T, E> {
-    fn as_err(&self) -> Option<&E> {
-        self.as_ref().err()
-    }
-}
-
-/// Runs every technique over every benchmark, isolating each cell: a
-/// typed engine error *or a panic* in one cell is recorded as that
-/// cell's diagnosis and the sweep continues. `scale` is the workload
-/// scale; `force_fail` optionally breaks one cell on purpose after the
-/// given number of dispatches (the `--force-fail` hook).
-///
-/// Serial convenience wrapper over [`run_sweep_jobs`] with `jobs = 1`.
-pub fn run_sweep(
-    params: &ExpParams,
-    techniques: &[Technique],
-    benchmarks: &[BenchmarkKind],
-    scale: f64,
-    force_fail: Option<(Technique, BenchmarkKind, u64)>,
-) -> SweepReport {
-    run_sweep_jobs(params, techniques, benchmarks, scale, force_fail, 1)
-}
-
-/// [`run_sweep`] on up to `jobs` worker threads.
-///
-/// Cells are independent simulations: each one builds its own engine
-/// from the same [`ExpParams`] (the per-cell seed is a pure function of
-/// the parameters, never of scheduling order), so the per-cell
-/// `SimStats` are **bit-identical** to a serial sweep — parallelism only
-/// changes wall-clock time. Per-cell `catch_unwind` isolation and fault
-/// plans carry over unchanged; `jobs <= 1` is exactly the serial sweep.
-pub fn run_sweep_jobs(
-    params: &ExpParams,
-    techniques: &[Technique],
-    benchmarks: &[BenchmarkKind],
-    scale: f64,
-    force_fail: Option<(Technique, BenchmarkKind, u64)>,
-    jobs: usize,
-) -> SweepReport {
-    run_sweep_observed(
-        params, techniques, benchmarks, scale, force_fail, jobs, false,
-    )
-}
-
-/// [`run_sweep_jobs`] that additionally attaches an in-memory aggregator
-/// and a JSONL sink to every cell when `collect_obs` is set, filling
-/// [`CellOutcome::obs`]. Observation does not perturb the simulation:
-/// the per-cell `SimStats` stay bit-identical to an unobserved sweep,
-/// and the obs data itself is deterministic (serial and parallel sweeps
-/// produce equal counters).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_observed(
-    params: &ExpParams,
-    techniques: &[Technique],
-    benchmarks: &[BenchmarkKind],
-    scale: f64,
-    force_fail: Option<(Technique, BenchmarkKind, u64)>,
-    jobs: usize,
-    collect_obs: bool,
-) -> SweepReport {
-    let pairs: Vec<(Technique, BenchmarkKind)> = techniques
-        .iter()
-        .flat_map(|&t| benchmarks.iter().map(move |&b| (t, b)))
-        .collect();
-    let cells = scoped_pool::scoped_map(&pairs, jobs, |&(technique, benchmark)| {
-        let w = WorkloadSpec::single(benchmark, scale);
-        let forced = match force_fail {
-            Some((t, b, after)) if t == technique && b == benchmark => Some(after),
-            _ => None,
-        };
-        let sinks = collect_obs.then(|| {
-            let label = format!("{}/{}", technique.name(), benchmark.name());
-            (
-                Arc::new(Aggregator::new()),
-                Arc::new(JsonlSink::with_label(Vec::new(), Some(label))),
-            )
-        });
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let cfg = params.engine_config(technique);
-            let cores = params.engine_cores(technique);
-            technique
-                .check_cores(cores)
-                .map_err(|e| ExperimentError::builder(technique.name(), benchmark.name(), &e))?;
-            let mut sched = technique.scheduler(cores);
-            if let Some(after) = forced {
-                sched = Box::new(FailAfterScheduler::new(sched, after));
-            }
-            let mut builder = RunBuilder::from_config(cfg)
-                .label(technique.name())
-                .scheduler(sched)
-                .workload(&w);
-            if let Some((agg, sink)) = &sinks {
-                builder = builder
-                    .observer(Arc::clone(agg) as Arc<dyn Observer>)
-                    .observer(Arc::clone(sink) as Arc<dyn Observer>);
-            }
-            builder.run()
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ExperimentError {
-                technique: technique.name().to_string(),
-                workload: benchmark.name().to_string(),
-                cause: FailureCause::Panic(panic_message(payload)),
-            })
-        });
-        // Failed cells keep whatever was observed up to the failure — a
-        // partial event log is exactly what a post-mortem wants.
-        let obs = sinks.map(|(agg, sink)| CellObs {
-            counters: agg.counters(),
-            spans: agg.span_rows(),
-            jsonl: sink.take(),
-        });
-        CellOutcome {
-            technique,
-            benchmark,
-            result,
-            obs,
-        }
-    });
-    SweepReport { cells }
 }
 
 /// Extracts a readable message from a panic payload.
@@ -1016,15 +1201,10 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 120_000;
         p.warmup_instructions = 30_000;
-        let report = run_sweep_observed(
-            &p,
-            &[Technique::Linux, Technique::SchedTask],
-            &[BenchmarkKind::Find],
-            1.0,
-            None,
-            1,
-            true,
-        );
+        let rows = [Technique::Linux, Technique::SchedTask];
+        let grid = Grid::benchmarks(&p, &[BenchmarkKind::Find], 1.0, rows);
+        let mut runner = Runner::new(1);
+        let report = runner.run(&grid.clone().observed());
         assert!(report.cells.iter().all(|c| c.obs.is_some()));
         let rollup = report.counter_rollup();
         assert!(rollup.get(Counter::Dispatches) > 0);
@@ -1033,10 +1213,18 @@ mod tests {
         let jsonl = report.jsonl();
         assert!(jsonl.contains("\"cell\":\"Baseline/Find\""));
         assert!(jsonl.contains("\"cell\":\"SchedTask/Find\""));
-        // An unobserved sweep leaves the cells bare.
-        let bare = run_sweep(&p, &[Technique::Linux], &[BenchmarkKind::Find], 1.0, None);
+        // An unobserved grid leaves the cells bare: it is not served
+        // from the observed cells, nor they from it.
+        let bare = runner.run(&grid);
         assert!(bare.cells.iter().all(|c| c.obs.is_none()));
         assert_eq!(bare.counter_rollup(), CounterSnapshot::zero());
+        assert_eq!(runner.simulated(), 4);
+        assert_eq!(
+            bare.cells[0].result.as_ref().ok(),
+            report.cells[0].result.as_ref().ok()
+        );
+        assert!(runner.run(&grid.observed()).cells[1].obs.is_some());
+        assert_eq!(runner.simulated(), 4);
     }
 
     #[test]
@@ -1080,13 +1268,8 @@ mod tests {
             .expect_err("FlexSC needs two cores");
         assert!(matches!(err.cause, FailureCause::Builder(_)), "{err}");
         // SelectiveOffload doubles one core to two and runs.
-        let report = run_sweep(
-            &p,
-            &[Technique::FlexSc, Technique::SelectiveOffload],
-            &[BenchmarkKind::Find],
-            1.0,
-            None,
-        );
+        let rows = [Technique::FlexSc, Technique::SelectiveOffload];
+        let report = Runner::new(1).run(&Grid::benchmarks(&p, &[BenchmarkKind::Find], 1.0, rows));
         assert_eq!(report.succeeded(), 1);
         let failure = report.failures().next().expect("one failure");
         assert_eq!(
@@ -1133,13 +1316,13 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 120_000;
         p.warmup_instructions = 30_000;
-        let report = run_sweep(
-            &p,
-            &[Technique::Linux, Technique::Slicc],
-            &[BenchmarkKind::Find],
-            1.0,
-            Some((Technique::Slicc, BenchmarkKind::Find, 5)),
-        );
+        let rows = [Technique::Linux, Technique::Slicc];
+        let grid = Grid::benchmarks(&p, &[BenchmarkKind::Find], 1.0, rows);
+        let mut runner = Runner::new(1);
+        assert_eq!(runner.run(&grid).failed(), 0);
+        // The broken cell is its own cell, never served from the sound one.
+        let report = runner.run(&grid.fail_after(1, 0, 5));
+        assert_eq!(runner.simulated(), 3);
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.succeeded(), 1);
         assert_eq!(report.failed(), 1);
@@ -1152,6 +1335,57 @@ mod tests {
             ),
             "unexpected cause: {:?}",
             failure.cause
+        );
+    }
+
+    #[test]
+    fn equal_cells_are_simulated_once() {
+        let mut p = ExpParams::quick();
+        p.cores = 2;
+        p.max_instructions = 60_000;
+        p.warmup_instructions = 20_000;
+        let find = [BenchmarkKind::Find];
+        let mut runner = Runner::new(2);
+        let first = runner.run(&Grid::benchmarks(&p, &find, 2.0, Technique::all()));
+        assert_eq!(runner.simulated(), 6);
+        // The same cells spelled another way: a default SchedTask
+        // configuration, the engine's default migration cost, and an
+        // i-cache sweep point equal to the machine's own.
+        let l1i = p.system.hierarchy.l1i.size_bytes;
+        let same_machine = p.clone().with_system(
+            p.system
+                .clone()
+                .with_hierarchy(p.system.hierarchy.clone().with_icache_size(l1i)),
+        );
+        let rows = [
+            Variant::schedtask(SchedTaskConfig::default()),
+            Variant::from(Technique::Linux)
+                .with_migration_cost(p.engine_config(Technique::Linux).migration_cost_cycles),
+        ];
+        let again = runner.run(&Grid::benchmarks(&same_machine, &find, 2.0, rows));
+        assert_eq!(runner.simulated(), 6);
+        assert!(Arc::ptr_eq(&again.cells[0], &first.cells[5]));
+        assert!(Arc::ptr_eq(&again.cells[1], &first.cells[0]));
+        // A real change is a new cell.
+        let rows = [Variant::from(Technique::Linux).with_migration_cost(0)];
+        runner.run(&Grid::benchmarks(&p, &find, 2.0, rows));
+        assert_eq!(runner.simulated(), 7);
+    }
+
+    #[test]
+    fn a_grid_fails_with_its_first_failed_cell() {
+        let mut p = ExpParams::quick().with_cores(1);
+        p.max_instructions = 60_000;
+        p.warmup_instructions = 20_000;
+        let rows = [Technique::Linux, Technique::FlexSc];
+        let kinds = [BenchmarkKind::Find, BenchmarkKind::Iscp];
+        let err = Runner::new(1)
+            .run(&Grid::benchmarks(&p, &kinds, 1.0, rows))
+            .complete()
+            .expect_err("FlexSC needs two cores");
+        assert_eq!(
+            err.to_string(),
+            "FlexSC on Find: FlexSC needs at least 2 cores, got 1"
         );
     }
 
@@ -1171,8 +1405,9 @@ mod tests {
                 })
                 .collect()
         };
-        let a = run_sweep(&p, &[Technique::Linux], &[BenchmarkKind::Find], 1.0, None);
-        let b = run_sweep(&p, &[Technique::Linux], &[BenchmarkKind::Find], 1.0, None);
+        let grid = Grid::benchmarks(&p, &[BenchmarkKind::Find], 1.0, [Technique::Linux]);
+        let a = Runner::new(1).run(&grid);
+        let b = Runner::new(1).run(&grid);
         assert_eq!(summarize(&a), summarize(&b));
     }
 }

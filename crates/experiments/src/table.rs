@@ -63,6 +63,31 @@ impl Table {
         self.rows.push(row);
     }
 
+    /// Sets the headers — `corner`, one per `columns`, then `summary` —
+    /// and appends one row per `(label, values)`: the label, each value
+    /// in `fmt`, and `summarize` of the values. Most of the paper's
+    /// figures have this shape.
+    pub fn with_value_rows(
+        mut self,
+        corner: &str,
+        columns: &[String],
+        (summary, summarize): (&str, fn(&[f64]) -> f64),
+        fmt: fn(f64) -> String,
+        rows: impl IntoIterator<Item = (String, Vec<f64>)>,
+    ) -> Self {
+        let mut headers = vec![corner.to_string()];
+        headers.extend(columns.iter().cloned());
+        headers.push(summary.to_string());
+        self.headers = headers;
+        for (label, vals) in rows {
+            let mut row = vec![label];
+            row.extend(vals.iter().map(|&v| fmt(v)));
+            row.push(fmt(summarize(&vals)));
+            self.push_row(row);
+        }
+        self
+    }
+
     /// Renders the table as GitHub-flavoured Markdown.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();

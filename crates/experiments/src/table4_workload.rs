@@ -1,75 +1,32 @@
 //! Table 4: impact of the workload (1X / 2X / 4X / 8X) on instruction
-//! throughput and idle-time fractions.
+//! throughput and idle-time fractions — the main comparison read at
+//! each workload scale.
 
-use crate::runner::{self, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::comparison::Comparison;
+use crate::runner::{throughput_change, ExpParams, ExperimentError, Grid, Runner, Technique};
 use crate::table::Table;
-use schedtask_kernel::{SimStats, WorkloadSpec};
-use schedtask_metrics::geometric_mean_pct;
+use schedtask_metrics::{geometric_mean_pct, mean};
 use schedtask_workload::BenchmarkKind;
 
 /// The workload scales of Table 4.
 pub const SCALES: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 
-/// One (scale, technique, benchmark) cell.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Idle-time fraction (%).
-    pub idle_pct: f64,
-    /// Change in instruction throughput (%) vs. the baseline at the same
-    /// scale.
-    pub perf_pct: f64,
-}
-
-/// One scale's block of Table 4.
-#[derive(Debug, Clone)]
-pub struct ScaleBlock {
-    /// The workload scale.
-    pub scale: f64,
-    /// Rows per technique: (technique, per-benchmark cells).
-    pub rows: Vec<(Technique, Vec<(BenchmarkKind, Cell)>)>,
-}
-
-/// Runs Table 4 for the given scales.
-pub fn run(params: &ExpParams, scales: &[f64]) -> Result<Vec<ScaleBlock>, ExperimentError> {
-    let mut blocks = Vec::with_capacity(scales.len());
-    for &scale in scales {
-        let mut baselines: Vec<(BenchmarkKind, SimStats)> = Vec::new();
-        for k in BenchmarkKind::all() {
-            baselines.push((
-                k,
-                RunBuilder::new(params)
-                    .technique(Technique::Linux)
-                    .workload(&WorkloadSpec::single(k, scale))
-                    .run()?,
-            ));
-        }
-        let mut rows = Vec::new();
-        for t in Technique::compared() {
-            let mut cells = Vec::new();
-            for (k, base) in &baselines {
-                let stats = RunBuilder::new(params)
-                    .technique(t)
-                    .workload(&WorkloadSpec::single(*k, scale))
-                    .run()?;
-                cells.push((
-                    *k,
-                    Cell {
-                        idle_pct: stats.mean_idle_fraction() * 100.0,
-                        perf_pct: runner::throughput_change(base, &stats),
-                    },
-                ));
-            }
-            rows.push((t, cells));
-        }
-        blocks.push(ScaleBlock { scale, rows });
-    }
-    Ok(blocks)
+/// Runs Table 4: one comparison over every benchmark per scale.
+pub fn run(
+    runner: &mut Runner,
+    params: &ExpParams,
+    scales: &[f64],
+) -> Result<Vec<Comparison>, ExperimentError> {
+    scales
+        .iter()
+        .map(|&scale| Comparison::run(runner, params, scale, &BenchmarkKind::all()))
+        .collect()
 }
 
 /// Formats one block of Table 4 (idle % and Δ throughput per benchmark).
-pub fn block_table(block: &ScaleBlock) -> Table {
+pub fn block_table(block: &Comparison) -> Table {
     let mut headers = vec!["technique".to_string()];
-    for (k, _) in &block.rows[0].1 {
+    for k in &block.kinds {
         headers.push(format!("{} idle", k.name()));
         headers.push(format!("{} perf", k.name()));
     }
@@ -79,13 +36,13 @@ pub fn block_table(block: &ScaleBlock) -> Table {
         block.scale
     ))
     .with_headers(headers);
-    for (tech, cells) in &block.rows {
+    for tech in Technique::compared() {
+        let idles = block.technique_column(tech, |_b, s| s.mean_idle_fraction() * 100.0);
+        let perfs = block.technique_column(tech, throughput_change);
         let mut row = vec![tech.name().to_string()];
-        let mut perfs = Vec::new();
-        for (_, c) in cells {
-            row.push(format!("{:.0}", c.idle_pct));
-            row.push(format!("{:.0}", c.perf_pct));
-            perfs.push(c.perf_pct);
+        for (idle, perf) in idles.iter().zip(&perfs) {
+            row.push(format!("{idle:.0}"));
+            row.push(format!("{perf:.0}"));
         }
         row.push(format!("{:.0}", geometric_mean_pct(&perfs)));
         t.push_row(row);
@@ -98,7 +55,11 @@ pub fn block_table(block: &ScaleBlock) -> Table {
 /// threads becomes high. This leads to lower performance and is counter
 /// productive." This table extends the scaling sweep past 8X to show
 /// the benefit rolling off.
-pub fn beyond_8x_table(params: &ExpParams, scales: &[f64]) -> Result<Table, ExperimentError> {
+pub fn beyond_8x_table(
+    runner: &mut Runner,
+    params: &ExpParams,
+    scales: &[f64],
+) -> Result<Table, ExperimentError> {
     let mut t = Table::new("Section 6.3 (beyond 8X): SchedTask benefit vs. workload scale")
         .with_headers([
             "scale",
@@ -106,24 +67,17 @@ pub fn beyond_8x_table(params: &ExpParams, scales: &[f64]) -> Result<Table, Expe
             "SchedTask idle (%)",
         ]);
     for &scale in scales {
-        let mut perfs = Vec::new();
-        let mut idles = Vec::new();
-        for kind in schedtask_workload::BenchmarkKind::all() {
-            let base = RunBuilder::new(params)
-                .technique(Technique::Linux)
-                .workload(&WorkloadSpec::single(kind, scale))
-                .run()?;
-            let st = RunBuilder::new(params)
-                .technique(Technique::SchedTask)
-                .workload(&WorkloadSpec::single(kind, scale))
-                .run()?;
-            perfs.push(runner::throughput_change(&base, &st));
-            idles.push(st.mean_idle_fraction() * 100.0);
-        }
+        let rows = [Technique::Linux, Technique::SchedTask];
+        let grid = Grid::benchmarks(params, &BenchmarkKind::all(), scale, rows);
+        let r = runner.run(&grid).complete()?;
+        let idles = r.vs_baseline(1, |_b, s| s.mean_idle_fraction() * 100.0);
         t.push_row([
             format!("{scale}X"),
-            format!("{:.1}", geometric_mean_pct(&perfs)),
-            format!("{:.1}", schedtask_metrics::mean(&idles)),
+            format!(
+                "{:.1}",
+                geometric_mean_pct(&r.vs_baseline(1, throughput_change))
+            ),
+            format!("{:.1}", mean(&idles)),
         ]);
     }
     Ok(t)
@@ -139,12 +93,10 @@ mod tests {
         p.cores = 4;
         p.max_instructions = 400_000;
         p.warmup_instructions = 100_000;
-        // Use a reduced matrix for the test: SLICC only, two scales.
-        let blocks = run(&p, &[0.5, 4.0]).expect("table 4 runs");
+        let blocks = run(&mut Runner::new(1), &p, &[0.5, 4.0]).expect("table 4 runs");
         assert_eq!(blocks.len(), 2);
-        let idle_at = |b: &ScaleBlock, tech: Technique| -> f64 {
-            let (_, cells) = b.rows.iter().find(|(t, _)| *t == tech).unwrap();
-            cells.iter().map(|(_, c)| c.idle_pct).sum::<f64>() / cells.len() as f64
+        let idle_at = |b: &Comparison, tech: Technique| -> f64 {
+            mean(&b.technique_column(tech, |_b, s| s.mean_idle_fraction() * 100.0))
         };
         // Techniques without stealing idle much more at low load
         // (Table 4's 1X vs 4X/8X trend).

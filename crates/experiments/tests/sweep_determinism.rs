@@ -1,14 +1,13 @@
-//! Parallel-sweep determinism: `run_sweep_jobs(.., jobs)` must produce
-//! per-cell `SimStats` that are **bit-identical** to the serial
-//! `run_sweep`, for any job count, with and without fault injection.
+//! Parallel-runner determinism: a grid run on `jobs` workers must
+//! produce per-cell `SimStats` that are **bit-identical** to a serial
+//! run, for any job count, with and without fault injection.
 //!
-//! This is the contract that makes `repro sweep --jobs N` safe to use
-//! for paper artefacts: parallelism may only change wall-clock time,
-//! never a single statistic.
+//! This is the contract that makes `repro --jobs N` safe to use for
+//! paper artefacts: parallelism may only change wall-clock time, never
+//! a single statistic.
 
 use proptest::prelude::*;
-use schedtask_experiments::runner::{run_sweep, run_sweep_jobs, run_sweep_observed};
-use schedtask_experiments::{ExpParams, SweepReport, Technique};
+use schedtask_experiments::{ExpParams, Grid, Runner, SweepReport, Technique};
 use schedtask_kernel::FaultPlan;
 use schedtask_workload::BenchmarkKind;
 
@@ -26,29 +25,35 @@ fn params(seed: u64) -> ExpParams {
 const TECHNIQUES: [Technique; 2] = [Technique::Linux, Technique::SchedTask];
 const BENCHMARKS: [BenchmarkKind; 2] = [BenchmarkKind::Find, BenchmarkKind::Iscp];
 
+/// `grid` on a fresh runner with `jobs` workers.
+fn run(grid: &Grid, jobs: usize) -> SweepReport {
+    Runner::new(jobs).run(grid)
+}
+
+fn sweep(p: &ExpParams, techniques: &[Technique], benchmarks: &[BenchmarkKind]) -> Grid {
+    Grid::benchmarks(p, benchmarks, 1.0, techniques.iter().copied())
+}
+
 /// Asserts both sweeps have the same cells in the same order with
 /// bit-identical statistics (full `SimStats` equality, not a summary).
 fn assert_cells_identical(serial: &SweepReport, parallel: &SweepReport) {
     assert_eq!(serial.cells.len(), parallel.cells.len());
     for (s, p) in serial.cells.iter().zip(parallel.cells.iter()) {
         assert_eq!(s.technique, p.technique);
-        assert_eq!(s.benchmark, p.benchmark);
         let s_stats = s.result.as_ref().expect("serial cell succeeds");
         let p_stats = p.result.as_ref().expect("parallel cell succeeds");
         assert_eq!(
             s_stats, p_stats,
-            "cell ({:?}, {:?}) diverged between serial and parallel sweeps",
-            s.technique, s.benchmark
+            "{:?} cell diverged between serial and parallel sweeps",
+            s.technique
         );
     }
 }
 
 #[test]
 fn parallel_sweep_matches_serial() {
-    let p = params(0x5EED_5EED);
-    let serial = run_sweep(&p, &TECHNIQUES, &BENCHMARKS, 1.0, None);
-    let parallel = run_sweep_jobs(&p, &TECHNIQUES, &BENCHMARKS, 1.0, None, 4);
-    assert_cells_identical(&serial, &parallel);
+    let grid = sweep(&params(0x5EED_5EED), &TECHNIQUES, &BENCHMARKS);
+    assert_cells_identical(&run(&grid, 1), &run(&grid, 4));
 }
 
 #[test]
@@ -59,9 +64,9 @@ fn parallel_sweep_matches_serial_under_light_faults() {
     let p = params(0x5EED_5EED)
         .with_faults(FaultPlan::light(7))
         .with_sanitize();
-    let serial = run_sweep(&p, &TECHNIQUES, &BENCHMARKS, 1.0, None);
-    let parallel = run_sweep_jobs(&p, &TECHNIQUES, &BENCHMARKS, 1.0, None, 4);
-    assert_cells_identical(&serial, &parallel);
+    let grid = sweep(&p, &TECHNIQUES, &BENCHMARKS);
+    let serial = run(&grid, 1);
+    assert_cells_identical(&serial, &run(&grid, 4));
     // Faults were actually exercised, not silently disabled.
     let injected: u64 = serial
         .cells
@@ -74,17 +79,8 @@ fn parallel_sweep_matches_serial_under_light_faults() {
 #[test]
 fn oversubscribed_pool_matches_serial() {
     // More workers than cells: idle workers must not perturb results.
-    let p = params(0xFACE);
-    let serial = run_sweep(&p, &[Technique::Slicc], &[BenchmarkKind::Find], 1.0, None);
-    let parallel = run_sweep_jobs(
-        &p,
-        &[Technique::Slicc],
-        &[BenchmarkKind::Find],
-        1.0,
-        None,
-        8,
-    );
-    assert_cells_identical(&serial, &parallel);
+    let grid = sweep(&params(0xFACE), &[Technique::Slicc], &[BenchmarkKind::Find]);
+    assert_cells_identical(&run(&grid, 1), &run(&grid, 8));
 }
 
 proptest! {
@@ -102,8 +98,8 @@ proptest! {
         if with_faults {
             p = p.with_faults(FaultPlan::light(fault_seed));
         }
-        let serial = run_sweep(&p, &TECHNIQUES, &[BenchmarkKind::Find], 1.0, None);
-        let parallel = run_sweep_jobs(&p, &TECHNIQUES, &[BenchmarkKind::Find], 1.0, None, 4);
+        let grid = sweep(&p, &TECHNIQUES, &[BenchmarkKind::Find]);
+        let (serial, parallel) = (run(&grid, 1), run(&grid, 4));
         prop_assert_eq!(serial.cells.len(), parallel.cells.len());
         for (s, par) in serial.cells.iter().zip(parallel.cells.iter()) {
             let s_stats = s.result.as_ref().expect("serial cell succeeds");
@@ -126,13 +122,12 @@ proptest! {
         fault_seed in 0u64..1_000,
     ) {
         let p = params(seed).with_faults(FaultPlan::heavy(fault_seed));
-        let serial = run_sweep_observed(&p, &TECHNIQUES, &BENCHMARKS, 1.0, None, 1, true);
-        let parallel = run_sweep_observed(&p, &TECHNIQUES, &BENCHMARKS, 1.0, None, 4, true);
+        let grid = sweep(&p, &TECHNIQUES, &BENCHMARKS).observed();
+        let (serial, parallel) = (run(&grid, 1), run(&grid, 4));
         prop_assert_eq!(serial.cells.len(), parallel.cells.len());
         let mut any_faults = false;
         for (s, par) in serial.cells.iter().zip(parallel.cells.iter()) {
             prop_assert_eq!(s.technique, par.technique);
-            prop_assert_eq!(s.benchmark, par.benchmark);
             let s_obs = s.obs.as_ref().expect("serial cell observed");
             let p_obs = par.obs.as_ref().expect("parallel cell observed");
             prop_assert_eq!(&s_obs.counters, &p_obs.counters);

@@ -49,8 +49,6 @@ pub struct EngineConfig {
     pub warmup_instructions: u64,
     /// Master seed for all deterministic randomness.
     pub seed: u64,
-    /// Width of the hardware Page-heatmap registers in bits.
-    pub heatmap_bits: u32,
     /// Record per-epoch instruction breakups (Section 4.4).
     pub collect_epoch_breakups: bool,
     /// Optional deterministic fault-injection plan (see
@@ -82,7 +80,6 @@ impl EngineConfig {
             max_instructions: 50_000_000,
             warmup_instructions: 2_000_000,
             seed: 0x5EED_5EED,
-            heatmap_bits: 512,
             collect_epoch_breakups: false,
             faults: None,
             sanitize: false,
@@ -166,11 +163,6 @@ impl EngineConfig {
         if self.max_instructions == 0 {
             return Err(ConfigError::ZeroMaxInstructions);
         }
-        if self.heatmap_bits == 0 || !self.heatmap_bits.is_multiple_of(64) {
-            return Err(ConfigError::BadHeatmapWidth {
-                bits: self.heatmap_bits,
-            });
-        }
         if let Some(plan) = &self.faults {
             plan.validate()?;
         }
@@ -197,7 +189,6 @@ mod tests {
     fn paper_epoch_is_3ms_at_2ghz() {
         let cfg = EngineConfig::paper();
         assert_eq!(cfg.epoch_cycles, 6_000_000);
-        assert_eq!(cfg.heatmap_bits, 512);
     }
 
     #[test]
@@ -249,13 +240,6 @@ mod tests {
         assert!(matches!(
             cfg.validate(),
             Err(ConfigError::ZeroMaxInstructions)
-        ));
-
-        let mut cfg = EngineConfig::fast();
-        cfg.heatmap_bits = 100;
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::BadHeatmapWidth { bits: 100 })
         ));
 
         let mut cfg = EngineConfig::fast();

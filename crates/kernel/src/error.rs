@@ -23,11 +23,6 @@ pub enum ConfigError {
     },
     /// The execution quantum is zero.
     ZeroQuantum,
-    /// The Page-heatmap width is zero or not a multiple of 64.
-    BadHeatmapWidth {
-        /// The rejected width.
-        bits: u32,
-    },
     /// The post-warm-up instruction budget is zero.
     ZeroMaxInstructions,
     /// `workload_reference_cores` is zero.
@@ -56,9 +51,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "epoch length of {cycles} cycles is out of range")
             }
             ConfigError::ZeroQuantum => write!(f, "quantum_instructions must be positive"),
-            ConfigError::BadHeatmapWidth { bits } => {
-                write!(f, "heatmap width {bits} is not a positive multiple of 64")
-            }
             ConfigError::ZeroMaxInstructions => {
                 write!(f, "max_instructions must be positive")
             }
