@@ -10,7 +10,7 @@ use crate::config::DeviceModelConfig;
 use crate::scheduler::Scheduler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use schedtask_obs::{ComponentClass, ObsEvent, SpanKind};
+use schedtask_obs::{ComponentClass, ObsEvent};
 
 /// One interrupt-injecting device model.
 #[derive(Debug)]
@@ -47,39 +47,21 @@ impl DmaDevice {
         ctx.schedule_event(first, EventKind::DeviceTick { device: self.index });
     }
 
-    /// One arrival: routes the device's interrupt, then schedules the
+    /// One arrival: raises the device's interrupt, then schedules the
     /// next arrival.
     pub(super) fn tick(&mut self, ctx: &mut EngineCore, sched: &mut dyn Scheduler) {
         let at = ctx.now;
-        let component = self.index as u32;
-        ctx.obs.span_enter(
-            component,
-            SpanKind::Component(ComponentClass::DmaDevice),
-            at,
-        );
         let spec = ctx.catalog.interrupt_for_device(self.cfg.kind);
-        let irq_name = spec.name;
-        let irq_id = spec.irq;
-        let target = sched.route_interrupt(ctx, irq_id);
-        ctx.obs.emit(|| ObsEvent::IrqRouted {
-            at,
-            irq: irq_id,
-            core: target.0 as u32,
-        });
-        interrupts::deliver_irq(ctx, target.0, irq_name, None, at);
+        let (name, irq) = (spec.name, spec.sf_type.subcategory());
+        interrupts::raise_irq(ctx, sched, name, irq, None);
         ctx.obs.emit(|| ObsEvent::ComponentTick {
             at,
-            component,
+            component: self.index as u32,
             class: ComponentClass::DmaDevice,
             irqs: 1,
         });
         let delta = self.draw();
         ctx.schedule_event(at + delta, EventKind::DeviceTick { device: self.index });
-        ctx.obs.span_exit(
-            component,
-            SpanKind::Component(ComponentClass::DmaDevice),
-            at,
-        );
     }
 }
 

@@ -7,15 +7,15 @@
 //! pick_next, on_switch_out, on_complete, and the overhead charges.
 
 use super::machine::Boundary;
-use super::{EngineCore, EventKind, KERNEL_TID};
+use super::{interrupts, EngineCore, EventKind, KERNEL_TID};
 use crate::error::EngineError;
 use crate::faults::FaultInjector;
 use crate::ids::{CoreId, SfId, ThreadId};
 use crate::observe::class_of;
 use crate::scheduler::{SchedEvent, Scheduler, SwitchReason};
-use crate::superfunction::{SfBody, SfState, SuperFunction};
-use schedtask_obs::{FaultKind, ObsEvent, SfClass, SpanKind};
-use schedtask_workload::{DeviceKind, FootprintWalker, SfCategory, WalkParams};
+use crate::superfunction::{SfBody, SfState};
+use schedtask_obs::{FaultKind, ObsEvent, SpanKind};
+use schedtask_workload::{DeviceKind, SfCategory};
 use std::sync::Arc;
 
 impl EngineCore {
@@ -90,7 +90,8 @@ impl EngineCore {
         }
     }
 
-    /// Creates a system-call SuperFunction for `tid` on core `c`.
+    /// Creates a system-call SuperFunction for `tid` on core `c`; its
+    /// name, length and blocking roll come from the thread's RNG.
     pub(super) fn create_syscall_sf(
         &mut self,
         c: usize,
@@ -101,13 +102,7 @@ impl EngineCore {
         let inst = &self.instances[t.benchmark];
         let progress = self.syscalls_completed[t.benchmark];
         let name = inst.sample_syscall_at(&mut t.rng, progress);
-        let spec = self
-            .catalog
-            .try_syscall(name)
-            .ok_or_else(|| EngineError::UnknownService {
-                kind: "syscall",
-                name: name.to_string(),
-            })?;
+        let spec = interrupts::service(&self.catalog, SfCategory::SystemCall, name)?.clone();
         let len = spec.len.sample(&mut t.rng).max(1);
         let block_mult = inst.spec.blocking_multiplier;
         let block = spec.blocking.and_then(|b| {
@@ -119,42 +114,12 @@ impl EngineCore {
                 None
             }
         });
-        let id = self.id_alloc.next(CoreId(c));
-        let seed = self.cfg.seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let walker = FootprintWalker::new(
-            Arc::clone(&spec.code),
-            Arc::clone(&spec.shared_data),
-            Arc::clone(&t.private_data),
-            WalkParams::default(),
-            seed,
-        );
-        let sf_type = spec.super_func_type();
-        let sf = SuperFunction {
-            id,
-            sf_type,
-            parent: Some(parent),
-            tid,
-            state: SfState::Runnable,
-            body: SfBody::Syscall {
-                remaining: len,
-                block,
-            },
-            walker,
-            cycles_used: 0,
-            instructions_retired: 0,
-            segment_start: (0, 0),
-            runnable_since: self.cores[c].clock,
+        let private_data = Arc::clone(&t.private_data);
+        let body = SfBody::Syscall {
+            remaining: len,
+            block,
         };
-        self.sfs.insert(id, sf);
-        let at = self.cores[c].clock;
-        self.obs.emit(|| ObsEvent::SfCreated {
-            at,
-            sf: id.0,
-            sf_type: sf_type.raw(),
-            class: SfClass::SystemCall,
-            tid: tid.0,
-        });
-        Ok(id)
+        Ok(self.mint_sf(c, spec, private_data, Some(parent), tid, body))
     }
 }
 
@@ -184,7 +149,7 @@ pub(super) fn step_core(
     }
 
     // 1. Service a pending interrupt: preempt whatever runs.
-    if super::interrupts::service_pending_irq(core, sched, c)? {
+    if interrupts::service_pending_irq(core, sched, c)? {
         return Ok(());
     }
 

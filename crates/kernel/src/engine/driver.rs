@@ -13,7 +13,7 @@ use crate::faults::FaultInjector;
 use crate::ids::SfId;
 use crate::scheduler::{SchedEvent, Scheduler};
 use schedtask_obs::{FaultKind, ObsEvent};
-use schedtask_workload::DeviceKind;
+use schedtask_workload::{DeviceKind, SfCategory};
 
 impl Engine {
     /// Seeds the recurring event streams: per-core timer ticks, the
@@ -184,21 +184,10 @@ fn on_external_irq(
             ),
         });
     };
-    let irq_id = ctx
-        .catalog
-        .try_interrupt(irq_name)
-        .ok_or_else(|| EngineError::UnknownService {
-            kind: "interrupt",
-            name: irq_name.to_string(),
-        })?
-        .irq;
-    let target = sched.route_interrupt(ctx, irq_id);
-    ctx.obs.emit(|| ObsEvent::IrqRouted {
-        at,
-        irq: irq_id,
-        core: target.0 as u32,
-    });
-    interrupts::deliver_irq(ctx, target.0, irq_name, None, at);
+    let irq = interrupts::service(&ctx.catalog, SfCategory::Interrupt, irq_name)?
+        .sf_type
+        .subcategory();
+    interrupts::raise_irq(ctx, sched, irq_name, irq, None);
     let base = ctx.irq_rate_interval[bench];
     let jitter = {
         use rand::Rng;
@@ -216,16 +205,9 @@ fn on_device_complete(
     device: DeviceKind,
     waiter: SfId,
 ) {
-    let at = ctx.now;
     let spec = ctx.catalog.interrupt_for_device(device);
-    let (irq_name, irq_id) = (spec.name, spec.irq);
-    let target = sched.route_completion(ctx, irq_id, waiter);
-    ctx.obs.emit(|| ObsEvent::IrqRouted {
-        at,
-        irq: irq_id,
-        core: target.0 as u32,
-    });
-    interrupts::deliver_irq(ctx, target.0, irq_name, Some(waiter), at);
+    let (name, irq) = (spec.name, spec.sf_type.subcategory());
+    interrupts::raise_irq(ctx, sched, name, irq, Some(waiter));
 }
 
 #[cfg(test)]

@@ -1,17 +1,22 @@
-//! The interrupts subsystem: the device/IRQ/bottom-half model.
+//! The interrupts subsystem: the device/IRQ/bottom-half model and the
+//! one mint for OS SuperFunctions.
 //!
-//! Interrupts are delivered to a core's pending queue ([`PendingIrq`])
-//! and serviced at the next core step by preempting whatever runs; the
-//! interrupt and deferred-work (bottom-half) SuperFunctions are minted
-//! here from the OS service catalog.
+//! A routed interrupt ([`raise_irq`]) is delivered to a core's pending
+//! queue ([`PendingIrq`]) and serviced at the next core step by
+//! preempting whatever runs. Every OS SuperFunction — system call,
+//! interrupt or bottom half — is minted by [`EngineCore::mint_sf`] from
+//! its [`ServiceSpec`] in the OS service catalog.
 
 use super::{EngineCore, KERNEL_TID};
 use crate::error::EngineError;
-use crate::ids::{CoreId, SfId};
+use crate::ids::{CoreId, SfId, ThreadId};
+use crate::observe::class_of;
 use crate::scheduler::{SchedEvent, Scheduler, SwitchReason};
 use crate::superfunction::{SfBody, SfState, SuperFunction};
-use schedtask_obs::{ObsEvent, SfClass};
-use schedtask_workload::{Footprint, FootprintWalker, WalkParams};
+use schedtask_obs::ObsEvent;
+use schedtask_workload::{
+    Footprint, FootprintWalker, ServiceCatalog, ServiceSpec, SfCategory, WalkParams,
+};
 use std::sync::Arc;
 
 /// An interrupt delivered to a core but not yet serviced.
@@ -22,121 +27,141 @@ pub(crate) struct PendingIrq {
     pub(super) raised_at: u64,
 }
 
+/// Looks up the `category` handler called `name`, a typed error if the
+/// catalog has none.
+pub(super) fn service<'a>(
+    catalog: &'a ServiceCatalog,
+    category: SfCategory,
+    name: &str,
+) -> Result<&'a ServiceSpec, EngineError> {
+    catalog
+        .get(category, name)
+        .ok_or_else(|| EngineError::UnknownService {
+            category,
+            name: name.to_string(),
+        })
+}
+
 impl EngineCore {
-    /// Creates an interrupt SuperFunction on core `c`.
+    /// Mints a runnable OS SuperFunction of `spec` on core `c`: allocates
+    /// its id on the core, seeds its walker with `cfg.seed ^ id·salt`
+    /// (one salt per category), inserts it and announces it.
+    pub(super) fn mint_sf(
+        &mut self,
+        c: usize,
+        spec: ServiceSpec,
+        private_data: Arc<Footprint>,
+        parent: Option<SfId>,
+        tid: ThreadId,
+        body: SfBody,
+    ) -> SfId {
+        let sf_type = spec.sf_type;
+        let salt: u64 = match sf_type.category() {
+            SfCategory::SystemCall => 0x9E37_79B9_7F4A_7C15,
+            SfCategory::Interrupt => 0xD134_2543_DE82_EF95,
+            // Application SuperFunctions are built with the engine.
+            SfCategory::BottomHalf | SfCategory::Application => 0xA076_1D64_78BD_642F,
+        };
+        let id = self.id_alloc.next(CoreId(c));
+        let walker = FootprintWalker::new(
+            spec.code,
+            spec.shared_data,
+            private_data,
+            WalkParams::default(),
+            self.cfg.seed ^ id.0.wrapping_mul(salt),
+        );
+        let at = self.cores[c].clock;
+        let sf = SuperFunction {
+            id,
+            sf_type,
+            parent,
+            tid,
+            state: SfState::Runnable,
+            body,
+            walker,
+            cycles_used: 0,
+            instructions_retired: 0,
+            segment_start: (0, 0),
+            runnable_since: at,
+        };
+        self.sfs.insert(id, sf);
+        self.obs.emit(|| ObsEvent::SfCreated {
+            at,
+            sf: id.0,
+            sf_type: sf_type.raw(),
+            class: class_of(sf_type.category()),
+            tid: tid.0,
+        });
+        id
+    }
+
+    /// The thread an interrupt or bottom half runs for: the waiting
+    /// SuperFunction's, or the kernel's.
+    fn waiter_tid(&self, waiter: Option<SfId>) -> Result<ThreadId, EngineError> {
+        Ok(match waiter {
+            Some(w) => self.try_sf(w)?.tid,
+            None => KERNEL_TID,
+        })
+    }
+
+    /// Creates an interrupt SuperFunction on core `c`; its length comes
+    /// from the engine RNG.
     pub(super) fn create_interrupt_sf(
         &mut self,
         c: usize,
         irq_name: &'static str,
         waiter: Option<SfId>,
     ) -> Result<SfId, EngineError> {
-        let spec =
-            self.catalog
-                .try_interrupt(irq_name)
-                .ok_or_else(|| EngineError::UnknownService {
-                    kind: "interrupt",
-                    name: irq_name.to_string(),
-                })?;
-        let len = spec.len.sample(&mut self.rng).max(1);
-        let id = self.id_alloc.next(CoreId(c));
-        let seed = self.cfg.seed ^ id.0.wrapping_mul(0xD134_2543_DE82_EF95);
-        let tid = match waiter {
-            Some(w) => self.try_sf(w)?.tid,
-            None => KERNEL_TID,
+        let spec = service(&self.catalog, SfCategory::Interrupt, irq_name)?.clone();
+        let body = SfBody::Interrupt {
+            remaining: spec.len.sample(&mut self.rng).max(1),
+            bottom_half: spec.bottom_half,
+            waiter,
         };
-        let walker = FootprintWalker::new(
-            Arc::clone(&spec.code),
-            Arc::clone(&spec.shared_data),
-            Arc::new(Footprint::new()),
-            WalkParams::default(),
-            seed,
-        );
-        let sf = SuperFunction {
-            id,
-            sf_type: spec.super_func_type(),
-            parent: None,
-            tid,
-            state: SfState::Runnable,
-            body: SfBody::Interrupt {
-                remaining: len,
-                bottom_half: spec.bottom_half,
-                waiter,
-            },
-            walker,
-            cycles_used: 0,
-            instructions_retired: 0,
-            segment_start: (0, 0),
-            runnable_since: self.cores[c].clock,
-        };
-        let sf_type = sf.sf_type;
-        self.sfs.insert(id, sf);
-        let at = self.cores[c].clock;
-        self.obs.emit(|| ObsEvent::SfCreated {
-            at,
-            sf: id.0,
-            sf_type: sf_type.raw(),
-            class: SfClass::Interrupt,
-            tid: tid.0,
-        });
-        Ok(id)
+        let tid = self.waiter_tid(waiter)?;
+        Ok(self.mint_sf(c, spec, Arc::new(Footprint::new()), None, tid, body))
     }
 
-    /// Creates a bottom-half SuperFunction on core `c`.
+    /// Creates a bottom-half SuperFunction on core `c`; its length comes
+    /// from the engine RNG.
     pub(super) fn create_bottom_half_sf(
         &mut self,
         c: usize,
         name: &'static str,
         wake: Option<SfId>,
     ) -> Result<SfId, EngineError> {
-        let spec =
-            self.catalog
-                .try_bottom_half(name)
-                .ok_or_else(|| EngineError::UnknownService {
-                    kind: "bottom half",
-                    name: name.to_string(),
-                })?;
-        let len = spec.len.sample(&mut self.rng).max(1);
-        let id = self.id_alloc.next(CoreId(c));
-        let seed = self.cfg.seed ^ id.0.wrapping_mul(0xA076_1D64_78BD_642F);
-        let tid = match wake {
-            Some(w) => self.try_sf(w)?.tid,
-            None => KERNEL_TID,
+        let spec = service(&self.catalog, SfCategory::BottomHalf, name)?.clone();
+        let body = SfBody::BottomHalf {
+            remaining: spec.len.sample(&mut self.rng).max(1),
+            wake,
         };
-        let walker = FootprintWalker::new(
-            Arc::clone(&spec.code),
-            Arc::clone(&spec.shared_data),
-            Arc::new(Footprint::new()),
-            WalkParams::default(),
-            seed,
-        );
-        let sf = SuperFunction {
-            id,
-            sf_type: spec.super_func_type(),
-            parent: None,
-            tid,
-            state: SfState::Runnable,
-            body: SfBody::BottomHalf {
-                remaining: len,
-                wake,
-            },
-            walker,
-            cycles_used: 0,
-            instructions_retired: 0,
-            segment_start: (0, 0),
-            runnable_since: self.cores[c].clock,
-        };
-        let sf_type = sf.sf_type;
-        self.sfs.insert(id, sf);
-        let at = self.cores[c].clock;
-        self.obs.emit(|| ObsEvent::SfCreated {
-            at,
-            sf: id.0,
-            sf_type: sf_type.raw(),
-            class: SfClass::BottomHalf,
-            tid: tid.0,
-        });
-        Ok(id)
+        let tid = self.waiter_tid(wake)?;
+        Ok(self.mint_sf(c, spec, Arc::new(Footprint::new()), None, tid, body))
     }
+}
+
+/// Routes interrupt line `irq` (catalog handler `name`) to a core and
+/// delivers it there: a device completion carrying `waiter` goes
+/// through the scheduler's `route_completion`, any other interrupt
+/// through `route_interrupt`.
+pub(super) fn raise_irq(
+    ctx: &mut EngineCore,
+    sched: &mut dyn Scheduler,
+    name: &'static str,
+    irq: u64,
+    waiter: Option<SfId>,
+) {
+    let at = ctx.now;
+    let target = match waiter {
+        Some(w) => sched.route_completion(ctx, irq, w),
+        None => sched.route_interrupt(ctx, irq),
+    };
+    ctx.obs.emit(|| ObsEvent::IrqRouted {
+        at,
+        irq,
+        core: target.0 as u32,
+    });
+    deliver_irq(ctx, target.0, name, waiter, at);
 }
 
 /// Queues an interrupt on core `c` and wakes the core if idle.

@@ -25,8 +25,10 @@
 //!   cache hierarchy;
 //! * `events` — the global timer/epoch/device event queue and its
 //!   deterministic ordering;
-//! * `interrupts` — the device/IRQ/bottom-half model: delivery,
-//!   pending queues, and interrupt/bottom-half SuperFunction creation;
+//! * `interrupts` — the device/IRQ/bottom-half model: routing
+//!   (`raise_irq`), delivery, pending queues, and the one mint for OS
+//!   SuperFunctions (`EngineCore::mint_sf`) with the interrupt and
+//!   bottom-half creators;
 //! * `dispatch` — the TMigrate/TAlloc hook sites: quantum boundaries,
 //!   system-call creation, blocking, completion, and wakeups;
 //! * `driver` — the engine loop, event priming, and the per-event

@@ -8,6 +8,7 @@
 //! and continue.
 
 use crate::ids::{CoreId, SfId};
+use schedtask_workload::SfCategory;
 use std::fmt;
 
 /// A configuration rejected at construction time (instead of panicking
@@ -151,9 +152,9 @@ pub enum EngineError {
     EventQueueUnderflow,
     /// A service-catalog lookup (syscall / interrupt / bottom half) failed.
     UnknownService {
-        /// `"syscall"`, `"interrupt"`, or `"bottom half"`.
-        kind: &'static str,
-        /// The unknown name.
+        /// The category searched.
+        category: SfCategory,
+        /// The name no handler of that category has.
         name: String,
     },
     /// A scheduler hook failed.
@@ -191,8 +192,8 @@ impl fmt::Display for EngineError {
                 write!(f, "{core} has no current SuperFunction to execute")
             }
             EngineError::EventQueueUnderflow => write!(f, "event queue underflow"),
-            EngineError::UnknownService { kind, name } => {
-                write!(f, "unknown {kind} {name:?} in service catalog")
+            EngineError::UnknownService { category, name } => {
+                write!(f, "unknown {category} {name:?} in service catalog")
             }
             EngineError::Scheduler(e) => write!(f, "scheduler failure: {e}"),
             EngineError::Livelock {

@@ -125,69 +125,92 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Parses the `repro --faults` spec: either a preset name
-    /// (`none`, `light`, `heavy`) or a comma-separated
-    /// `key=value` list, e.g.
-    /// `drop_irq_rate=0.05,stall_core_rate=0.001,seed=7`.
-    /// Unknown keys are rejected.
+    /// Parses the `repro --faults` spec in the [`parse_plan`] grammar,
+    /// e.g. `heavy@42` or `drop_irq_rate=0.05,stall_core_rate=0.001,seed=7`.
     pub fn parse(spec: &str, default_seed: u64) -> Result<Self, String> {
-        // Presets, optionally with an explicit seed: `light`, `heavy@42`.
-        let (preset, preset_seed) = match spec.split_once('@') {
-            Some((name, seed)) => {
-                let seed = seed
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad fault plan seed {seed:?}: {e}"))?;
-                (name.trim(), seed)
-            }
-            None => (spec, default_seed),
-        };
-        match preset {
-            "none" => return Ok(FaultPlan::none(preset_seed)),
-            "light" => return Ok(FaultPlan::light(preset_seed)),
-            "heavy" => return Ok(FaultPlan::heavy(preset_seed)),
-            _ if spec.contains('@') => {
-                return Err(format!(
-                    "unknown fault plan preset {preset:?}, want none|light|heavy"
-                ))
-            }
-            _ => {}
+        fn field<'a>(p: &'a mut FaultPlan, key: &str) -> Option<PlanField<'a>> {
+            use PlanField::{F64, U64};
+            Some(match key {
+                "seed" => U64(&mut p.seed),
+                "heatmap_bitflip_rate" => F64(&mut p.heatmap_bitflip_rate),
+                "drop_irq_rate" => F64(&mut p.drop_irq_rate),
+                "irq_retry_cycles" => U64(&mut p.irq_retry_cycles),
+                "spurious_irq_rate" => F64(&mut p.spurious_irq_rate),
+                "delay_completion_rate" => F64(&mut p.delay_completion_rate),
+                "delay_completion_instructions" => U64(&mut p.delay_completion_instructions),
+                "stall_core_rate" => F64(&mut p.stall_core_rate),
+                "stall_cycles" => U64(&mut p.stall_cycles),
+                _ => return None,
+            })
         }
-        let mut plan = FaultPlan::none(default_seed);
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad fault spec component {part:?}, want key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad value for {key}: {e}"))
-            };
-            let parse_u64 = || {
-                value
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad value for {key}: {e}"))
-            };
-            match key {
-                "seed" => plan.seed = parse_u64()?,
-                "heatmap_bitflip_rate" => plan.heatmap_bitflip_rate = parse_f64()?,
-                "drop_irq_rate" => plan.drop_irq_rate = parse_f64()?,
-                "irq_retry_cycles" => plan.irq_retry_cycles = parse_u64()?,
-                "spurious_irq_rate" => plan.spurious_irq_rate = parse_f64()?,
-                "delay_completion_rate" => plan.delay_completion_rate = parse_f64()?,
-                "delay_completion_instructions" => {
-                    plan.delay_completion_instructions = parse_u64()?
-                }
-                "stall_core_rate" => plan.stall_core_rate = parse_f64()?,
-                "stall_cycles" => plan.stall_cycles = parse_u64()?,
-                other => return Err(format!("unknown fault plan key {other:?}")),
-            }
-        }
-        plan.validate().map_err(|e| e.to_string())?;
-        Ok(plan)
+        parse_plan(
+            spec,
+            default_seed,
+            "fault",
+            [FaultPlan::none, FaultPlan::light, FaultPlan::heavy],
+            field,
+            |plan| plan.validate().map_err(|e| e.to_string()),
+        )
     }
+}
+
+/// The field one `key=value` key of a plan spec sets.
+#[derive(Debug)]
+pub enum PlanField<'a> {
+    /// A rate, parsed as `f64`.
+    F64(&'a mut f64),
+    /// A seed, count or duration, parsed as `u64`.
+    U64(&'a mut u64),
+}
+
+/// Parses a plan spec in the grammar `--faults` and `--chaos` share:
+/// a preset (`none`, `light`, `heavy`), optionally with an explicit
+/// seed (`light@42`), or a comma-separated `key=value` list applied to
+/// the `none` preset. `presets` builds the three presets at a seed,
+/// `field` is the plan's key table (`None` rejects the key), and
+/// `validate` checks a plan built from keys. `noun` names the plan in
+/// errors (`"fault"` gives "unknown fault plan key ...").
+pub fn parse_plan<P>(
+    spec: &str,
+    default_seed: u64,
+    noun: &str,
+    presets: [fn(u64) -> P; 3],
+    field: for<'a> fn(&'a mut P, &str) -> Option<PlanField<'a>>,
+    validate: fn(&P) -> Result<(), String>,
+) -> Result<P, String> {
+    let (preset, seed) = match spec.split_once('@') {
+        Some((name, seed)) => {
+            let seed = seed
+                .trim()
+                .parse::<u64>()
+                .map_err(|e| format!("bad {noun} plan seed {seed:?}: {e}"))?;
+            (name.trim(), seed)
+        }
+        None => (spec, default_seed),
+    };
+    if let Some(i) = ["none", "light", "heavy"].iter().position(|&p| p == preset) {
+        return Ok(presets[i](seed));
+    }
+    if spec.contains('@') {
+        return Err(format!(
+            "unknown {noun} plan preset {preset:?}, want none|light|heavy"
+        ));
+    }
+    let mut plan = presets[0](default_seed);
+    for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+        let (key, value) = part
+            .split_once('=')
+            .ok_or_else(|| format!("bad {noun} spec component {part:?}, want key=value"))?;
+        let (key, value) = (key.trim(), value.trim());
+        let bad = |e: &dyn std::fmt::Display| format!("bad value for {key}: {e}");
+        match field(&mut plan, key) {
+            Some(PlanField::F64(slot)) => *slot = value.parse().map_err(|e| bad(&e))?,
+            Some(PlanField::U64(slot)) => *slot = value.parse().map_err(|e| bad(&e))?,
+            None => return Err(format!("unknown {noun} plan key {key:?}")),
+        }
+    }
+    validate(&plan)?;
+    Ok(plan)
 }
 
 /// How many faults of each class were actually injected during a run.
@@ -394,5 +417,50 @@ mod tests {
         assert!(FaultPlan::parse("bogus_key=1", 7).is_err());
         assert!(FaultPlan::parse("drop_irq_rate=2.0", 7).is_err());
         assert!(FaultPlan::parse("drop_irq_rate", 7).is_err());
+    }
+
+    #[test]
+    fn parse_sets_each_key_and_names_the_fault_plan_in_errors() {
+        let spec = "seed=1,heatmap_bitflip_rate=0.1,drop_irq_rate=0.2,irq_retry_cycles=3,\
+                    spurious_irq_rate=0.4,delay_completion_rate=0.5,\
+                    delay_completion_instructions=6,stall_core_rate=0.7,stall_cycles=8";
+        let want = FaultPlan {
+            seed: 1,
+            heatmap_bitflip_rate: 0.1,
+            drop_irq_rate: 0.2,
+            irq_retry_cycles: 3,
+            spurious_irq_rate: 0.4,
+            delay_completion_rate: 0.5,
+            delay_completion_instructions: 6,
+            stall_core_rate: 0.7,
+            stall_cycles: 8,
+        };
+        assert_eq!(FaultPlan::parse(spec, 9), Ok(want));
+        assert_eq!(FaultPlan::parse("heavy@42", 7), Ok(FaultPlan::heavy(42)));
+        for (spec, err) in [
+            (
+                "bogus@1",
+                "unknown fault plan preset \"bogus\", want none|light|heavy",
+            ),
+            (
+                "light@x",
+                "bad fault plan seed \"x\": invalid digit found in string",
+            ),
+            (
+                "stall_cycles",
+                "bad fault spec component \"stall_cycles\", want key=value",
+            ),
+            ("bogus_key=1", "unknown fault plan key \"bogus_key\""),
+            (
+                "stall_cycles=-1",
+                "bad value for stall_cycles: invalid digit found in string",
+            ),
+            (
+                "drop_irq_rate=x",
+                "bad value for drop_irq_rate: invalid float literal",
+            ),
+        ] {
+            assert_eq!(FaultPlan::parse(spec, 7), Err(err.to_string()), "{spec}");
+        }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::counters::{Counter, CounterSet, CounterSnapshot};
-use crate::event::{ComponentClass, ObsEvent, SfClass, SpanKind, StealLevel};
+use crate::event::{ObsEvent, SfClass, SpanKind, StealLevel};
 use crate::{FaultKind, Observer};
 
 /// One row of the span summary: how many spans of a kind ran, their
@@ -35,10 +35,6 @@ struct SpanState {
     open: HashMap<u32, (SfClass, u64)>,
     /// Closed SF segments per class: (count, cycles).
     sf: HashMap<SfClass, (u64, u64)>,
-    /// Open component span per component index: (class, entry cycle).
-    open_components: HashMap<u32, (ComponentClass, u64)>,
-    /// Closed component spans per class: (count, cycles).
-    components: HashMap<ComponentClass, (u64, u64)>,
 }
 
 impl SpanState {
@@ -98,16 +94,6 @@ impl Aggregator {
             if let Some(&(count, cycles)) = state.sf.get(&class) {
                 rows.push(SpanRow {
                     kind: class.name().to_owned(),
-                    count,
-                    total_cycles: cycles,
-                    self_cycles: cycles,
-                });
-            }
-        }
-        for class in ComponentClass::ALL {
-            if let Some(&(count, cycles)) = state.components.get(&class) {
-                rows.push(SpanRow {
-                    kind: format!("component:{}", class.name()),
                     count,
                     total_cycles: cycles,
                     self_cycles: cycles,
@@ -198,34 +184,17 @@ impl Observer for Aggregator {
     }
 
     fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
+        let SpanKind::Sf(class) = kind;
         let mut s = self.spans.lock().expect("span state poisoned");
-        match kind {
-            SpanKind::Sf(class) => {
-                s.open.insert(core, (class, at));
-            }
-            SpanKind::Component(class) => {
-                s.open_components.insert(core, (class, at));
-            }
-        }
+        s.open.insert(core, (class, at));
     }
 
-    fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
+    fn span_exit(&self, core: u32, _kind: SpanKind, at: u64) {
         let mut s = self.spans.lock().expect("span state poisoned");
-        match kind {
-            SpanKind::Sf(_) => {
-                if let Some((class, start)) = s.open.remove(&core) {
-                    let entry = s.sf.entry(class).or_insert((0, 0));
-                    entry.0 += 1;
-                    entry.1 += at.saturating_sub(start);
-                }
-            }
-            SpanKind::Component(_) => {
-                if let Some((class, start)) = s.open_components.remove(&core) {
-                    let entry = s.components.entry(class).or_insert((0, 0));
-                    entry.0 += 1;
-                    entry.1 += at.saturating_sub(start);
-                }
-            }
+        if let Some((class, start)) = s.open.remove(&core) {
+            let entry = s.sf.entry(class).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 += at.saturating_sub(start);
         }
     }
 }

@@ -103,9 +103,9 @@ impl FaultKind {
     }
 }
 
-/// Classification of an engine component that emits component spans.
-/// Only device models do; cores and the engine's event sources emit
-/// their ordinary events instead.
+/// Classification of an engine component that reports its ticks as
+/// [`ObsEvent::ComponentTick`]. Only device models do; cores and the
+/// engine's event sources emit their ordinary events instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentClass {
     /// A DMA/NIC-style device model injecting interrupt traffic.
@@ -113,10 +113,7 @@ pub enum ComponentClass {
 }
 
 impl ComponentClass {
-    /// All component classes, in a stable order.
-    pub const ALL: [ComponentClass; 1] = [ComponentClass::DmaDevice];
-
-    /// Stable snake_case name used in JSONL output and summary tables.
+    /// Stable snake_case name used in JSONL output.
     pub fn name(self) -> &'static str {
         match self {
             ComponentClass::DmaDevice => "dma_device",
@@ -138,9 +135,6 @@ impl ComponentClass {
 pub enum SpanKind {
     /// One contiguous execution segment of a SuperFunction on a core.
     Sf(SfClass),
-    /// One self-driven action of an engine component (currently device
-    /// model ticks; core quanta are far too hot to span individually).
-    Component(ComponentClass),
 }
 
 /// One structured observability event.

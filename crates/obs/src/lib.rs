@@ -66,9 +66,8 @@ pub trait Observer: Send + Sync {
         let _ = ev;
     }
 
-    /// A span opened. `core` is the executing core of an SF execution
-    /// segment and the device index of a component span; `at` is the
-    /// relevant clock in cycles.
+    /// A span opened. `core` is the core executing the SuperFunction
+    /// segment; `at` is its clock in cycles.
     fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
         let _ = (core, kind, at);
     }

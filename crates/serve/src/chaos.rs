@@ -27,6 +27,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use schedtask_kernel::faults::{parse_plan, PlanField};
 
 /// How often to inject each serve-path failure class. All `*_rate`
 /// fields are per-opportunity probabilities in `[0, 1]`.
@@ -125,64 +126,32 @@ impl ChaosPlan {
         Ok(())
     }
 
-    /// Parses the `--chaos` spec: a preset name (`none`, `light`,
-    /// `heavy`), optionally with an explicit seed (`light@42`), or a
-    /// comma-separated `key=value` list, e.g.
+    /// Parses the `--chaos` spec in the grammar `--faults` shares
+    /// ([`parse_plan`]), e.g. `light@42` or
     /// `torn_write_rate=0.5,drop_connection_rate=0.1,seed=7`.
-    /// Unknown keys are rejected.
     pub fn parse(spec: &str, default_seed: u64) -> Result<Self, String> {
-        let (preset, preset_seed) = match spec.split_once('@') {
-            Some((name, seed)) => {
-                let seed = seed
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad chaos plan seed {seed:?}: {e}"))?;
-                (name.trim(), seed)
-            }
-            None => (spec, default_seed),
-        };
-        match preset {
-            "none" => return Ok(ChaosPlan::none(preset_seed)),
-            "light" => return Ok(ChaosPlan::light(preset_seed)),
-            "heavy" => return Ok(ChaosPlan::heavy(preset_seed)),
-            _ if spec.contains('@') => {
-                return Err(format!(
-                    "unknown chaos plan preset {preset:?}, want none|light|heavy"
-                ))
-            }
-            _ => {}
+        fn field<'a>(p: &'a mut ChaosPlan, key: &str) -> Option<PlanField<'a>> {
+            use PlanField::{F64, U64};
+            Some(match key {
+                "seed" => U64(&mut p.seed),
+                "torn_write_rate" => F64(&mut p.torn_write_rate),
+                "disk_full_rate" => F64(&mut p.disk_full_rate),
+                "worker_panic_rate" => F64(&mut p.worker_panic_rate),
+                "delay_response_rate" => F64(&mut p.delay_response_rate),
+                "delay_ms" => U64(&mut p.delay_ms),
+                "truncate_response_rate" => F64(&mut p.truncate_response_rate),
+                "drop_connection_rate" => F64(&mut p.drop_connection_rate),
+                _ => return None,
+            })
         }
-        let mut plan = ChaosPlan::none(default_seed);
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad chaos spec component {part:?}, want key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad value for {key}: {e}"))
-            };
-            let parse_u64 = || {
-                value
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad value for {key}: {e}"))
-            };
-            match key {
-                "seed" => plan.seed = parse_u64()?,
-                "torn_write_rate" => plan.torn_write_rate = parse_f64()?,
-                "disk_full_rate" => plan.disk_full_rate = parse_f64()?,
-                "worker_panic_rate" => plan.worker_panic_rate = parse_f64()?,
-                "delay_response_rate" => plan.delay_response_rate = parse_f64()?,
-                "delay_ms" => plan.delay_ms = parse_u64()?,
-                "truncate_response_rate" => plan.truncate_response_rate = parse_f64()?,
-                "drop_connection_rate" => plan.drop_connection_rate = parse_f64()?,
-                other => return Err(format!("unknown chaos plan key {other:?}")),
-            }
-        }
-        plan.validate()?;
-        Ok(plan)
+        parse_plan(
+            spec,
+            default_seed,
+            "chaos",
+            [ChaosPlan::none, ChaosPlan::light, ChaosPlan::heavy],
+            field,
+            ChaosPlan::validate,
+        )
     }
 }
 
@@ -303,6 +272,49 @@ mod tests {
         assert!(ChaosPlan::parse("bogus_key=1", 7).is_err());
         assert!(ChaosPlan::parse("torn_write_rate=2.0", 7).is_err());
         assert!(ChaosPlan::parse("torn_write_rate", 7).is_err());
+    }
+
+    #[test]
+    fn parse_sets_each_key_and_names_the_chaos_plan_in_errors() {
+        let spec = "seed=1,torn_write_rate=0.1,disk_full_rate=0.2,worker_panic_rate=0.3,\
+                    delay_response_rate=0.4,delay_ms=5,truncate_response_rate=0.6,\
+                    drop_connection_rate=0.7";
+        let want = ChaosPlan {
+            seed: 1,
+            torn_write_rate: 0.1,
+            disk_full_rate: 0.2,
+            worker_panic_rate: 0.3,
+            delay_response_rate: 0.4,
+            delay_ms: 5,
+            truncate_response_rate: 0.6,
+            drop_connection_rate: 0.7,
+        };
+        assert_eq!(ChaosPlan::parse(spec, 9), Ok(want));
+        for (spec, err) in [
+            (
+                "bogus@1",
+                "unknown chaos plan preset \"bogus\", want none|light|heavy",
+            ),
+            (
+                "light@x",
+                "bad chaos plan seed \"x\": invalid digit found in string",
+            ),
+            (
+                "delay_ms",
+                "bad chaos spec component \"delay_ms\", want key=value",
+            ),
+            ("bogus_key=1", "unknown chaos plan key \"bogus_key\""),
+            (
+                "delay_ms=-1",
+                "bad value for delay_ms: invalid digit found in string",
+            ),
+            (
+                "disk_full_rate=2",
+                "chaos rate disk_full_rate must be in [0, 1], got 2",
+            ),
+        ] {
+            assert_eq!(ChaosPlan::parse(spec, 7), Err(err.to_string()), "{spec}");
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ use std::sync::Mutex;
 /// Rotate to a fresh segment once the current one exceeds this size.
 pub const SEGMENT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
 
-/// Upper bound on a single record's payload; anything larger in a
-/// segment header is treated as tail corruption and truncated.
+/// Upper bound on a single record's payload: [`DiskCache::append`]
+/// refuses a larger one, and recovery treats a larger length in a
+/// segment header as tail corruption and truncates it.
 pub const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 const HEADER_BYTES: usize = 8;
@@ -320,8 +321,17 @@ impl DiskCache {
     }
 
     /// Appends one record and fsyncs it. Returns where the record sits;
-    /// its `len` is the number of bytes written to the segment log.
+    /// its `len` is the number of bytes written to the segment log. A
+    /// payload over [`MAX_RECORD_BYTES`], which recovery would truncate
+    /// as a torn tail, is refused before any byte is written.
     pub fn append(&self, key: u64, stats_json: &str, jsonl: &str) -> io::Result<RecordLoc> {
+        let payload_len = MIN_PAYLOAD_BYTES + stats_json.len() + jsonl.len();
+        if payload_len > MAX_RECORD_BYTES as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("record {key:016x}: {payload_len}-byte payload exceeds {MAX_RECORD_BYTES}"),
+            ));
+        }
         let encoded = encode_record(key, stats_json, jsonl);
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         let loc = Self::write(&self.dir, &mut inner, &encoded)?;
@@ -562,6 +572,47 @@ mod tests {
         assert_eq!(
             cache.read(2, records[&2].1).expect("read back").jsonl,
             "y\n"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn oversized_append_is_refused_before_any_byte_is_written() {
+        let dir = tmp_dir("oversized");
+        let sizes = || {
+            let mut sizes: Vec<(PathBuf, u64)> = std::fs::read_dir(&dir)
+                .expect("list cache dir")
+                .map(|e| {
+                    let e = e.expect("dir entry");
+                    (e.path(), e.metadata().expect("stat").len())
+                })
+                .collect();
+            sizes.sort();
+            sizes
+        };
+        {
+            let (cache, _, _) = DiskCache::open(&dir).expect("open");
+            cache.append(1, "{\"a\":1}", "x\n").expect("append");
+            let before = sizes();
+            // One byte over the payload bound recovery accepts.
+            let jsonl = "y".repeat(MAX_RECORD_BYTES as usize - MIN_PAYLOAD_BYTES - 2 + 1);
+            let err = cache
+                .append(2, "{}", &jsonl)
+                .expect_err("a record recovery would drop is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(sizes(), before, "no byte written, no segment opened");
+            assert_eq!(cache.records(), 1);
+            cache.append(3, "{\"c\":3}", "z\n").expect("append");
+        }
+        let (cache, report, records) = DiskCache::open(&dir).expect("reopen");
+        assert_eq!(report.truncated_tails, 0);
+        assert_eq!(report.corrupt, 0);
+        assert_eq!(report.records, 2);
+        assert!(!records.contains_key(&2));
+        assert_eq!(records[&1].0, "{\"a\":1}");
+        assert_eq!(
+            cache.read(3, records[&3].1).expect("read back").jsonl,
+            "z\n"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -98,14 +98,6 @@ impl MemStats {
         }
     }
 
-    /// L1 d-cache counters for the given domain.
-    pub fn dcache(&self, domain: CodeDomain) -> &HitMiss {
-        match domain {
-            CodeDomain::Application => &self.dcache_app,
-            CodeDomain::Os => &self.dcache_os,
-        }
-    }
-
     /// Overall i-cache hit rate across both domains.
     pub fn icache_overall_hit_rate(&self) -> f64 {
         let mut all = self.icache_app;

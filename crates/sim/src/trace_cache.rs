@@ -126,11 +126,6 @@ impl TraceCache {
         self.covered
     }
 
-    /// Total fetches observed.
-    pub fn total_fetches(&self) -> u64 {
-        self.total
-    }
-
     /// Fraction of fetches covered; 0.0 before any fetch.
     pub fn coverage(&self) -> f64 {
         if self.total == 0 {

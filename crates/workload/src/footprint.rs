@@ -9,13 +9,11 @@
 //! `read` and `pread` handlers both include the `vfs_common` region, so
 //! their footprints overlap in exactly the way the paper exploits.
 
-use crate::pagealloc::PageAllocator;
-
 /// Lines per 4 KB page with 64-byte lines.
 pub const LINES_PER_PAGE: u64 = 64;
 
 /// A contiguous run of physical pages with a name, produced by
-/// [`PageAllocator::region`].
+/// [`PageAllocator::region`](crate::PageAllocator::region).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     name: String,
@@ -178,13 +176,6 @@ impl FromIterator<u64> for Footprint {
         }
         fp
     }
-}
-
-/// Convenience: build a standalone footprint of `pages` fresh private
-/// pages from `alloc`.
-pub fn private_footprint(alloc: &mut PageAllocator, name: &str, pages: u64) -> Footprint {
-    let r = alloc.region(name, pages);
-    Footprint::from_regions([&r])
 }
 
 #[cfg(test)]

@@ -48,8 +48,6 @@ pub use dist::LenDist;
 pub use footprint::{Footprint, Region, LINES_PER_PAGE};
 pub use multiprog::MultiProgrammedWorkload;
 pub use pagealloc::PageAllocator;
-pub use services::{
-    BlockingProfile, BottomHalfSpec, DeviceKind, InterruptSpec, ServiceCatalog, SyscallSpec,
-};
+pub use services::{BlockingProfile, DeviceKind, ServiceCatalog, ServiceSpec};
 pub use types::{SfCategory, SuperFuncType};
 pub use walker::{CodeBlock, DataRef, FootprintWalker, WalkParams};

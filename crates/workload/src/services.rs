@@ -1,6 +1,7 @@
 //! The OS service catalog: system-call handlers, interrupt handlers, and
 //! bottom-half handlers with their code footprints, lengths, and blocking
-//! behaviour.
+//! behaviour. All three kinds are one [`ServiceSpec`] type, told apart by
+//! the category of its [`SuperFuncType`] (Table 1).
 //!
 //! Footprints are built from named regions so that related services share
 //! physical pages exactly as the paper describes: `read` and `pread`
@@ -10,7 +11,7 @@
 //! Bloom filters detect at run time.
 
 use crate::dist::LenDist;
-use crate::footprint::Footprint;
+use crate::footprint::{Footprint, Region, LINES_PER_PAGE};
 use crate::pagealloc::PageAllocator;
 use crate::types::{SfCategory, SuperFuncType};
 use std::collections::HashMap;
@@ -47,13 +48,25 @@ pub struct BlockingProfile {
     pub at_fraction: f64,
 }
 
-/// A system-call handler.
+/// A system call's blocking behaviour, in catalog shorthand.
+fn blocks(device: DeviceKind, probability: f64, at_fraction: f64) -> Option<BlockingProfile> {
+    Some(BlockingProfile {
+        device,
+        probability,
+        at_fraction,
+    })
+}
+
+/// One OS service handler: a system call, an interrupt top half, or a
+/// bottom half.
 #[derive(Debug, Clone)]
-pub struct SyscallSpec {
-    /// System-call number (Linux 2.6 x86 table where the paper pins one:
-    /// `read` is 3).
-    pub id: u64,
-    /// Handler name.
+pub struct ServiceSpec {
+    /// The handler's SuperFunction type. Its subcategory is the
+    /// system-call number (Linux 2.6 x86 table where the paper pins one:
+    /// `read` is 3), the IRQ line, or a bottom half's entry PC (the
+    /// first instruction line of its footprint).
+    pub sf_type: SuperFuncType,
+    /// Handler name, unique across the catalog.
     pub name: &'static str,
     /// Code footprint (includes shared kernel regions).
     pub code: Arc<Footprint>,
@@ -61,63 +74,11 @@ pub struct SyscallSpec {
     pub shared_data: Arc<Footprint>,
     /// Instruction-count distribution per invocation.
     pub len: LenDist,
-    /// Blocking behaviour, if any.
+    /// Blocking behaviour of a system call, if any.
     pub blocking: Option<BlockingProfile>,
-}
-
-impl SyscallSpec {
-    /// The handler's SuperFunction type (category 0, subcategory = id).
-    pub fn super_func_type(&self) -> SuperFuncType {
-        SuperFuncType::new(SfCategory::SystemCall, self.id)
-    }
-}
-
-/// A (top-half) interrupt handler.
-#[derive(Debug, Clone)]
-pub struct InterruptSpec {
-    /// Interrupt id (IRQ line).
-    pub irq: u64,
-    /// Handler name.
-    pub name: &'static str,
-    /// Code footprint.
-    pub code: Arc<Footprint>,
-    /// Shared kernel data.
-    pub shared_data: Arc<Footprint>,
-    /// Instruction-count distribution.
-    pub len: LenDist,
-    /// Bottom half scheduled when the top half completes, if any.
+    /// Bottom half an interrupt schedules when its top half completes,
+    /// if any.
     pub bottom_half: Option<&'static str>,
-}
-
-impl InterruptSpec {
-    /// The handler's SuperFunction type (category 1, subcategory = IRQ).
-    pub fn super_func_type(&self) -> SuperFuncType {
-        SuperFuncType::new(SfCategory::Interrupt, self.irq)
-    }
-}
-
-/// A bottom-half (softirq) handler.
-#[derive(Debug, Clone)]
-pub struct BottomHalfSpec {
-    /// Identifier: the program counter of the handler routine (Table 1) —
-    /// we use the first instruction line of its footprint.
-    pub entry_pc: u64,
-    /// Handler name.
-    pub name: &'static str,
-    /// Code footprint.
-    pub code: Arc<Footprint>,
-    /// Shared kernel data.
-    pub shared_data: Arc<Footprint>,
-    /// Instruction-count distribution.
-    pub len: LenDist,
-}
-
-impl BottomHalfSpec {
-    /// The handler's SuperFunction type (category 2, subcategory =
-    /// entry PC).
-    pub fn super_func_type(&self) -> SuperFuncType {
-        SuperFuncType::new(SfCategory::BottomHalf, self.entry_pc)
-    }
 }
 
 /// The complete catalog of OS services for one simulated machine.
@@ -138,18 +99,14 @@ impl BottomHalfSpec {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServiceCatalog {
-    syscalls: HashMap<&'static str, SyscallSpec>,
-    interrupts: HashMap<&'static str, InterruptSpec>,
-    bottom_halves: HashMap<&'static str, BottomHalfSpec>,
+    services: HashMap<&'static str, ServiceSpec>,
 }
 
 impl ServiceCatalog {
     /// Builds the standard Linux-2.6-flavoured catalog on `alloc`.
     pub fn standard(alloc: &mut PageAllocator) -> Self {
         let mut cat = ServiceCatalog {
-            syscalls: HashMap::new(),
-            interrupts: HashMap::new(),
-            bottom_halves: HashMap::new(),
+            services: HashMap::new(),
         };
 
         // ---- Shared kernel code regions -------------------------------
@@ -171,434 +128,349 @@ impl ServiceCatalog {
         let d_sched = alloc.region("kd:sched", 3);
 
         // Helper closures -----------------------------------------------
-        let fpr = |regions: &[&crate::footprint::Region]| {
-            Arc::new(Footprint::from_regions(regions.iter().copied()))
+        let fpr = |regions: &[&Region]| Arc::new(Footprint::from_regions(regions.iter().copied()));
+        let syscall = |nr| SuperFuncType::new(SfCategory::SystemCall, nr);
+        let irq = |line| SuperFuncType::new(SfCategory::Interrupt, line);
+        let entry_pc = |code: &Region| {
+            SuperFuncType::new(SfCategory::BottomHalf, code.first_page() * LINES_PER_PAGE)
         };
 
         // ---- System calls ---------------------------------------------
         // Filesystem family: heavy mutual overlap through vfs/namei.
         let read_priv = alloc.region("k:read_priv", 3);
-        cat.add_syscall(SyscallSpec {
-            id: 3,
+        cat.add(ServiceSpec {
+            sf_type: syscall(3),
             name: "read",
             code: fpr(&[&vfs, &buffer_io, &read_priv]),
             shared_data: fpr(&[&d_vfs, &d_block]),
             len: LenDist::uniform(2_000, 5_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.25,
-                at_fraction: 0.6,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.25, 0.6),
+            bottom_half: None,
         });
         let pread_priv = alloc.region("k:pread_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 180,
+        cat.add(ServiceSpec {
+            sf_type: syscall(180),
             name: "pread",
             code: fpr(&[&vfs, &buffer_io, &read_priv, &pread_priv]),
             shared_data: fpr(&[&d_vfs, &d_block]),
             len: LenDist::uniform(2_000, 5_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.25,
-                at_fraction: 0.6,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.25, 0.6),
+            bottom_half: None,
         });
         let write_priv = alloc.region("k:write_priv", 3);
-        cat.add_syscall(SyscallSpec {
-            id: 4,
+        cat.add(ServiceSpec {
+            sf_type: syscall(4),
             name: "write",
             code: fpr(&[&vfs, &buffer_io, &write_priv]),
             shared_data: fpr(&[&d_vfs, &d_block]),
             len: LenDist::uniform(2_500, 6_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.15,
-                at_fraction: 0.7,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.15, 0.7),
+            bottom_half: None,
         });
         let open_priv = alloc.region("k:open_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 5,
+        cat.add(ServiceSpec {
+            sf_type: syscall(5),
             name: "open",
             code: fpr(&[&vfs, &namei, &open_priv]),
             shared_data: fpr(&[&d_vfs]),
             len: LenDist::uniform(3_000, 7_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.10,
-                at_fraction: 0.5,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.10, 0.5),
+            bottom_half: None,
         });
         let close_priv = alloc.region("k:close_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 6,
+        cat.add(ServiceSpec {
+            sf_type: syscall(6),
             name: "close",
             code: fpr(&[&vfs, &close_priv]),
             shared_data: fpr(&[&d_vfs]),
             len: LenDist::uniform(800, 2_000),
             blocking: None,
+            bottom_half: None,
         });
         let stat_priv = alloc.region("k:stat_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 106,
+        cat.add(ServiceSpec {
+            sf_type: syscall(106),
             name: "stat",
             code: fpr(&[&vfs, &namei, &stat_priv]),
             shared_data: fpr(&[&d_vfs]),
             len: LenDist::uniform(1_500, 4_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.08,
-                at_fraction: 0.5,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.08, 0.5),
+            bottom_half: None,
         });
         let getdents_priv = alloc.region("k:getdents_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 141,
+        cat.add(ServiceSpec {
+            sf_type: syscall(141),
             name: "getdents",
             code: fpr(&[&vfs, &namei, &getdents_priv]),
             shared_data: fpr(&[&d_vfs, &d_block]),
             len: LenDist::uniform(2_500, 6_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.20,
-                at_fraction: 0.5,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.20, 0.5),
+            bottom_half: None,
         });
         let unlink_priv = alloc.region("k:unlink_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 10,
+        cat.add(ServiceSpec {
+            sf_type: syscall(10),
             name: "unlink",
             code: fpr(&[&vfs, &namei, &unlink_priv]),
             shared_data: fpr(&[&d_vfs]),
             len: LenDist::uniform(2_000, 5_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.10,
-                at_fraction: 0.6,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.10, 0.6),
+            bottom_half: None,
         });
         let creat_priv = alloc.region("k:creat_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 8,
+        cat.add(ServiceSpec {
+            sf_type: syscall(8),
             name: "creat",
             code: fpr(&[&vfs, &namei, &creat_priv]),
             shared_data: fpr(&[&d_vfs]),
             len: LenDist::uniform(3_000, 7_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.15,
-                at_fraction: 0.6,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.15, 0.6),
+            bottom_half: None,
         });
         let fsync_priv = alloc.region("k:fsync_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 118,
+        cat.add(ServiceSpec {
+            sf_type: syscall(118),
             name: "fsync",
             code: fpr(&[&vfs, &buffer_io, &block, &fsync_priv]),
             shared_data: fpr(&[&d_vfs, &d_block]),
             len: LenDist::uniform(3_000, 8_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Disk,
-                probability: 0.7,
-                at_fraction: 0.4,
-            }),
+            blocking: blocks(DeviceKind::Disk, 0.7, 0.4),
+            bottom_half: None,
         });
 
         // Network family: heavy mutual overlap through net/tcp.
         let socket_priv = alloc.region("k:socket_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 359,
+        cat.add(ServiceSpec {
+            sf_type: syscall(359),
             name: "socket",
             code: fpr(&[&net, &socket_priv]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(2_000, 4_000),
             blocking: None,
+            bottom_half: None,
         });
         let accept_priv = alloc.region("k:accept_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 364,
+        cat.add(ServiceSpec {
+            sf_type: syscall(364),
             name: "accept",
             code: fpr(&[&net, &tcp, &accept_priv]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(2_000, 5_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Network,
-                probability: 0.5,
-                at_fraction: 0.3,
-            }),
+            blocking: blocks(DeviceKind::Network, 0.5, 0.3),
+            bottom_half: None,
         });
         let sendto_priv = alloc.region("k:sendto_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 369,
+        cat.add(ServiceSpec {
+            sf_type: syscall(369),
             name: "sendto",
             code: fpr(&[&net, &tcp, &sendto_priv]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(3_000, 7_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Network,
-                probability: 0.10,
-                at_fraction: 0.8,
-            }),
+            blocking: blocks(DeviceKind::Network, 0.10, 0.8),
+            bottom_half: None,
         });
         let recvfrom_priv = alloc.region("k:recvfrom_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 371,
+        cat.add(ServiceSpec {
+            sf_type: syscall(371),
             name: "recvfrom",
             code: fpr(&[&net, &tcp, &recvfrom_priv]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(3_000, 7_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Network,
-                probability: 0.45,
-                at_fraction: 0.3,
-            }),
+            blocking: blocks(DeviceKind::Network, 0.45, 0.3),
+            bottom_half: None,
         });
         let epoll_priv = alloc.region("k:epoll_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 256,
+        cat.add(ServiceSpec {
+            sf_type: syscall(256),
             name: "epoll_wait",
             code: fpr(&[&vfs, &epoll_priv]),
             shared_data: fpr(&[&d_net, &d_vfs]),
             len: LenDist::uniform(1_000, 3_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Network,
-                probability: 0.4,
-                at_fraction: 0.5,
-            }),
+            blocking: blocks(DeviceKind::Network, 0.4, 0.5),
+            bottom_half: None,
         });
 
         // Memory / process family.
         let mmap_priv = alloc.region("k:mmap_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 90,
+        cat.add(ServiceSpec {
+            sf_type: syscall(90),
             name: "mmap",
             code: fpr(&[&mm, &mmap_priv]),
             shared_data: fpr(&[&d_mm]),
             len: LenDist::uniform(2_000, 5_000),
             blocking: None,
+            bottom_half: None,
         });
         let brk_priv = alloc.region("k:brk_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 45,
+        cat.add(ServiceSpec {
+            sf_type: syscall(45),
             name: "brk",
             code: fpr(&[&mm, &brk_priv]),
             shared_data: fpr(&[&d_mm]),
             len: LenDist::uniform(800, 2_000),
             blocking: None,
+            bottom_half: None,
         });
         let fork_priv = alloc.region("k:fork_priv", 4);
-        cat.add_syscall(SyscallSpec {
-            id: 2,
+        cat.add(ServiceSpec {
+            sf_type: syscall(2),
             name: "fork",
             code: fpr(&[&mm, &sched_code, &fork_priv]),
             shared_data: fpr(&[&d_mm, &d_sched]),
             len: LenDist::uniform(10_000, 20_000),
             blocking: None,
+            bottom_half: None,
         });
         let futex_priv = alloc.region("k:futex_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 240,
+        cat.add(ServiceSpec {
+            sf_type: syscall(240),
             name: "futex",
             code: fpr(&[&sched_code, &futex_priv]),
             shared_data: fpr(&[&d_sched]),
             len: LenDist::uniform(500, 1_500),
             blocking: None,
+            bottom_half: None,
         });
         let nanosleep_priv = alloc.region("k:nanosleep_priv", 1);
-        cat.add_syscall(SyscallSpec {
-            id: 162,
+        cat.add(ServiceSpec {
+            sf_type: syscall(162),
             name: "nanosleep",
             code: fpr(&[&sched_code, &nanosleep_priv]),
             shared_data: fpr(&[&d_sched]),
             len: LenDist::uniform(400, 1_200),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Timer,
-                probability: 1.0,
-                at_fraction: 0.5,
-            }),
+            blocking: blocks(DeviceKind::Timer, 1.0, 0.5),
+            bottom_half: None,
         });
         // Crypto-flavoured read for scp-style benchmarks: shares the VFS
         // entry path but also drags in the kernel crypto code.
         let sread_priv = alloc.region("k:sockread_priv", 2);
-        cat.add_syscall(SyscallSpec {
-            id: 397,
+        cat.add(ServiceSpec {
+            sf_type: syscall(397),
             name: "sock_read",
             code: fpr(&[&net, &tcp, &crypto, &sread_priv]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(4_000, 9_000),
-            blocking: Some(BlockingProfile {
-                device: DeviceKind::Network,
-                probability: 0.35,
-                at_fraction: 0.3,
-            }),
+            blocking: blocks(DeviceKind::Network, 0.35, 0.3),
+            bottom_half: None,
         });
 
         // ---- Bottom halves --------------------------------------------
         let bh_net_code = alloc.region("k:bh_net_rx", 6);
-        let bh_net = BottomHalfSpec {
-            entry_pc: bh_net_code.first_page() * crate::footprint::LINES_PER_PAGE,
+        cat.add(ServiceSpec {
+            sf_type: entry_pc(&bh_net_code),
             name: "net_rx_softirq",
             code: fpr(&[&bh_net_code, &net]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(3_000, 9_000),
-        };
-        cat.add_bottom_half(bh_net);
+            blocking: None,
+            bottom_half: None,
+        });
         let bh_block_code = alloc.region("k:bh_block", 6);
-        let bh_block = BottomHalfSpec {
-            entry_pc: bh_block_code.first_page() * crate::footprint::LINES_PER_PAGE,
+        cat.add(ServiceSpec {
+            sf_type: entry_pc(&bh_block_code),
             name: "block_softirq",
             code: fpr(&[&bh_block_code, &block]),
             shared_data: fpr(&[&d_block]),
             // FileSrv's bottom halves average ≈24k instructions
             // (Section 6.4).
             len: LenDist::uniform(12_000, 36_000),
-        };
-        cat.add_bottom_half(bh_block);
+            blocking: None,
+            bottom_half: None,
+        });
         let bh_timer_code = alloc.region("k:bh_timer", 2);
-        let bh_timer = BottomHalfSpec {
-            entry_pc: bh_timer_code.first_page() * crate::footprint::LINES_PER_PAGE,
+        cat.add(ServiceSpec {
+            sf_type: entry_pc(&bh_timer_code),
             name: "timer_softirq",
             code: fpr(&[&bh_timer_code, &sched_code]),
             shared_data: fpr(&[&d_sched]),
             len: LenDist::uniform(1_000, 3_000),
-        };
-        cat.add_bottom_half(bh_timer);
+            blocking: None,
+            bottom_half: None,
+        });
 
         // ---- Interrupt top halves -------------------------------------
         let irq_timer_code = alloc.region("k:irq_timer", 2);
-        cat.add_interrupt(InterruptSpec {
-            irq: 0,
+        cat.add(ServiceSpec {
+            sf_type: irq(0),
             name: "timer_irq",
             code: fpr(&[&irq_timer_code, &sched_code]),
             shared_data: fpr(&[&d_sched]),
             len: LenDist::uniform(400, 1_200),
+            blocking: None,
             bottom_half: Some("timer_softirq"),
         });
         let irq_kbd_code = alloc.region("k:irq_kbd", 1);
-        cat.add_interrupt(InterruptSpec {
-            irq: 1,
+        cat.add(ServiceSpec {
+            sf_type: irq(1),
             name: "keyboard_irq",
             code: fpr(&[&irq_kbd_code]),
             shared_data: Arc::new(Footprint::new()),
             len: LenDist::uniform(300, 800),
+            blocking: None,
             bottom_half: None,
         });
         let irq_net_code = alloc.region("k:irq_net", 3);
-        cat.add_interrupt(InterruptSpec {
-            irq: 11,
+        cat.add(ServiceSpec {
+            sf_type: irq(11),
             name: "network_irq",
             code: fpr(&[&irq_net_code, &net]),
             shared_data: fpr(&[&d_net]),
             len: LenDist::uniform(800, 2_500),
+            blocking: None,
             bottom_half: Some("net_rx_softirq"),
         });
         let irq_disk_code = alloc.region("k:irq_disk", 3);
-        cat.add_interrupt(InterruptSpec {
-            irq: 14,
+        cat.add(ServiceSpec {
+            sf_type: irq(14),
             name: "disk_irq",
             code: fpr(&[&irq_disk_code, &block]),
             shared_data: fpr(&[&d_block]),
             len: LenDist::uniform(800, 2_500),
+            blocking: None,
             bottom_half: Some("block_softirq"),
         });
 
         cat
     }
 
-    fn add_syscall(&mut self, s: SyscallSpec) {
+    fn add(&mut self, s: ServiceSpec) {
         assert!(
-            self.syscalls.insert(s.name, s).is_none(),
-            "duplicate syscall name"
+            self.services.insert(s.name, s).is_none(),
+            "duplicate service name"
         );
     }
 
-    fn add_interrupt(&mut self, s: InterruptSpec) {
-        assert!(
-            self.interrupts.insert(s.name, s).is_none(),
-            "duplicate interrupt name"
-        );
-    }
-
-    fn add_bottom_half(&mut self, s: BottomHalfSpec) {
-        assert!(
-            self.bottom_halves.insert(s.name, s).is_none(),
-            "duplicate bottom-half name"
-        );
+    /// Looks up the `category` handler called `name`; `None` if no
+    /// handler has that name, or it belongs to another category.
+    pub fn get(&self, category: SfCategory, name: &str) -> Option<&ServiceSpec> {
+        self.services
+            .get(name)
+            .filter(|s| s.sf_type.category() == category)
     }
 
     /// Looks up a system call by name.
     ///
     /// # Panics
     ///
-    /// Panics if the name is unknown — catalog names are static and a
-    /// typo is a programming error.
-    pub fn syscall(&self, name: &str) -> &SyscallSpec {
-        self.syscalls
-            .get(name)
+    /// Panics if no system call has that name — catalog names are static
+    /// and a typo is a programming error.
+    pub fn syscall(&self, name: &str) -> &ServiceSpec {
+        self.get(SfCategory::SystemCall, name)
             .unwrap_or_else(|| panic!("unknown syscall {name:?}"))
     }
 
-    /// Looks up an interrupt handler by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is unknown.
-    pub fn interrupt(&self, name: &str) -> &InterruptSpec {
-        self.interrupts
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown interrupt {name:?}"))
-    }
-
-    /// Looks up a bottom-half handler by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is unknown.
-    pub fn bottom_half(&self, name: &str) -> &BottomHalfSpec {
-        self.bottom_halves
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown bottom half {name:?}"))
-    }
-
-    /// Looks up a system call by name, returning `None` if unknown (the
-    /// engine's typed-error path; the panicking accessors remain for
-    /// callers with static names).
-    pub fn try_syscall(&self, name: &str) -> Option<&SyscallSpec> {
-        self.syscalls.get(name)
-    }
-
-    /// Looks up an interrupt handler by name, returning `None` if unknown.
-    pub fn try_interrupt(&self, name: &str) -> Option<&InterruptSpec> {
-        self.interrupts.get(name)
-    }
-
-    /// Looks up a bottom-half handler by name, returning `None` if unknown.
-    pub fn try_bottom_half(&self, name: &str) -> Option<&BottomHalfSpec> {
-        self.bottom_halves.get(name)
-    }
-
     /// The interrupt raised when `device` completes a request.
-    pub fn interrupt_for_device(&self, device: DeviceKind) -> &InterruptSpec {
-        match device {
-            DeviceKind::Disk => self.interrupt("disk_irq"),
-            DeviceKind::Network => self.interrupt("network_irq"),
-            DeviceKind::Timer => self.interrupt("timer_irq"),
-        }
+    pub fn interrupt_for_device(&self, device: DeviceKind) -> &ServiceSpec {
+        &self.services[match device {
+            DeviceKind::Disk => "disk_irq",
+            DeviceKind::Network => "network_irq",
+            DeviceKind::Timer => "timer_irq",
+        }]
     }
 
-    /// All system calls.
-    pub fn syscalls(&self) -> impl Iterator<Item = &SyscallSpec> {
-        self.syscalls.values()
-    }
-
-    /// All interrupt handlers.
-    pub fn interrupts(&self) -> impl Iterator<Item = &InterruptSpec> {
-        self.interrupts.values()
-    }
-
-    /// All bottom-half handlers.
-    pub fn bottom_halves(&self) -> impl Iterator<Item = &BottomHalfSpec> {
-        self.bottom_halves.values()
+    /// Every handler of every category, in no particular order.
+    pub fn services(&self) -> impl Iterator<Item = &ServiceSpec> {
+        self.services.values()
     }
 }
 
@@ -615,8 +487,8 @@ mod tests {
     #[test]
     fn read_has_paper_syscall_id() {
         let (_, cat) = catalog();
-        assert_eq!(cat.syscall("read").id, 3);
-        assert_eq!(cat.syscall("read").super_func_type().raw(), 3);
+        assert_eq!(cat.syscall("read").sf_type.subcategory(), 3);
+        assert_eq!(cat.syscall("read").sf_type.raw(), 3);
     }
 
     #[test]
@@ -682,9 +554,11 @@ mod tests {
     #[test]
     fn disk_irq_chains_to_block_softirq() {
         let (_, cat) = catalog();
-        let irq = cat.interrupt("disk_irq");
+        let irq = cat.get(SfCategory::Interrupt, "disk_irq").expect("irq");
         assert_eq!(irq.bottom_half, Some("block_softirq"));
-        let bh = cat.bottom_half("block_softirq");
+        let bh = cat
+            .get(SfCategory::BottomHalf, "block_softirq")
+            .expect("bottom half");
         // FileSrv's bottom halves average around 24k instructions.
         assert!((20_000.0..28_000.0).contains(&bh.len.mean()));
     }
@@ -692,16 +566,28 @@ mod tests {
     #[test]
     fn keyboard_interrupt_type_matches_paper() {
         let (_, cat) = catalog();
-        let kbd = cat.interrupt("keyboard_irq");
-        assert_eq!(kbd.super_func_type().raw(), 0x4000_0000_0000_0001);
+        let kbd = cat.get(SfCategory::Interrupt, "keyboard_irq").expect("irq");
+        assert_eq!(kbd.sf_type.raw(), 0x4000_0000_0000_0001);
     }
 
     #[test]
     fn bottom_half_types_use_entry_pc() {
         let (_, cat) = catalog();
-        let bh = cat.bottom_half("net_rx_softirq");
-        assert_eq!(bh.super_func_type().subcategory(), bh.entry_pc);
-        assert_eq!(bh.super_func_type().category(), SfCategory::BottomHalf);
+        let bh = cat
+            .get(SfCategory::BottomHalf, "net_rx_softirq")
+            .expect("bottom half");
+        // The first instruction line of the handler's footprint.
+        assert_eq!(bh.sf_type.subcategory(), bh.code.line(0, 0));
+        assert_eq!(bh.sf_type.category(), SfCategory::BottomHalf);
+    }
+
+    #[test]
+    fn get_finds_a_name_only_in_its_own_category() {
+        let (_, cat) = catalog();
+        assert!(cat.get(SfCategory::Interrupt, "disk_irq").is_some());
+        assert!(cat.get(SfCategory::SystemCall, "disk_irq").is_none());
+        assert!(cat.get(SfCategory::BottomHalf, "read").is_none());
+        assert!(cat.get(SfCategory::Interrupt, "nope").is_none());
     }
 
     #[test]
@@ -728,14 +614,8 @@ mod tests {
         // The premise of the paper: combined OS footprints exceed 32 KB.
         let (_, cat) = catalog();
         let mut pages = std::collections::HashSet::new();
-        for s in cat.syscalls() {
+        for s in cat.services() {
             pages.extend(s.code.pages().iter().copied());
-        }
-        for i in cat.interrupts() {
-            pages.extend(i.code.pages().iter().copied());
-        }
-        for b in cat.bottom_halves() {
-            pages.extend(b.code.pages().iter().copied());
         }
         assert!(
             pages.len() * 4096 > 64 * 1024,

@@ -100,12 +100,6 @@ impl SuperFuncType {
         self.0
     }
 
-    /// Rebuilds a type from its [`SuperFuncType::raw`] encoding (used by
-    /// observability sinks that carry types as plain integers).
-    pub fn from_raw(raw: u64) -> Self {
-        SuperFuncType(raw)
-    }
-
     /// Decodes the category field.
     pub fn category(self) -> SfCategory {
         match self.0 >> Self::SUBCATEGORY_BITS {
