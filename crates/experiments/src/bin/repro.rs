@@ -86,7 +86,7 @@
 use schedtask::StealPolicy;
 use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
-    submit_with_retry, ClientTimeouts, Endpoint, JobSpec, Response, RetryPolicy, ServeClient,
+    submit_with_retry, ClientTimeouts, Endpoint, JobSpec, Json, Response, RetryPolicy, ServeClient,
 };
 use schedtask_experiments::{
     ablations, appendix, fig04_breakup, fig09_stealing, fig11_heatmap, overheads, table4_workload,
@@ -207,10 +207,8 @@ fn parse_force_fail(spec: &str) -> (Technique, BenchmarkKind, u64) {
     let bench_name = parts
         .next()
         .unwrap_or_else(|| die("--force-fail needs TECH:BENCH[:N]"));
-    let bench = BenchmarkKind::all()
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(bench_name))
-        .unwrap_or_else(|| die("--force-fail: unknown benchmark"));
+    let bench =
+        BenchmarkKind::parse(bench_name).unwrap_or_else(|| die("--force-fail: unknown benchmark"));
     let after = match parts.next() {
         Some(n) => n
             .parse()
@@ -634,16 +632,15 @@ fn run_submit(args: Vec<String>) -> ! {
     let mut addr: Option<Endpoint> = None;
     let mut workloads: Option<Vec<String>> = None;
     let mut techniques: Option<Vec<String>> = None;
-    let mut steal: Option<String> = None;
-    let mut scale: Option<f64> = None;
-    let mut quick = true;
-    let mut cores: Option<usize> = None;
-    let mut max_instructions: Option<u64> = None;
-    let mut warmup_instructions: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut faults: Option<String> = None;
-    let mut sanitize = false;
-    let mut devices: Vec<String> = Vec::new();
+    // The job fields the flags set, as a run request carries them; the
+    // wire's own field parser reads them, the last of a repeated flag
+    // winning.
+    let mut fields: Vec<(String, Json)> = Vec::new();
+    let mut set = |name: &str, value: Json| {
+        fields.retain(|(field, _)| field != name);
+        fields.push((name.to_owned(), value));
+    };
+    let mut devices: Vec<Json> = Vec::new();
     let mut expect_cached = false;
     let mut ping_only = false;
     let mut want_stats = false;
@@ -672,46 +669,16 @@ fn run_submit(args: Vec<String>) -> ! {
             "--technique" => {
                 techniques = Some(value("--technique").split(',').map(str::to_owned).collect())
             }
-            "--steal" => steal = Some(value("--steal")),
-            "--scale" => {
-                scale = Some(
-                    value("--scale")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("bad --scale: {e}"))),
-                )
-            }
-            "--standard" => quick = false,
-            "--cores" => {
-                cores = Some(
-                    value("--cores")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("bad --cores: {e}"))),
-                )
-            }
-            "--max-instructions" => {
-                max_instructions = Some(
-                    value("--max-instructions")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("bad --max-instructions: {e}"))),
-                )
-            }
-            "--warmup" => {
-                warmup_instructions = Some(
-                    value("--warmup")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("bad --warmup: {e}"))),
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    value("--seed")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("bad --seed: {e}"))),
-                )
-            }
-            "--faults" => faults = Some(value("--faults")),
-            "--sanitize" => sanitize = true,
-            "--device" => devices.push(value("--device")),
+            "--steal" => set("steal", Json::Str(value("--steal"))),
+            "--faults" => set("faults", Json::Str(value("--faults"))),
+            "--scale" => set("scale", Json::Num(value("--scale"))),
+            "--cores" => set("cores", Json::Num(value("--cores"))),
+            "--max-instructions" => set("max_instructions", Json::Num(value("--max-instructions"))),
+            "--warmup" => set("warmup_instructions", Json::Num(value("--warmup"))),
+            "--seed" => set("seed", Json::Num(value("--seed"))),
+            "--standard" => set("quick", Json::Bool(false)),
+            "--sanitize" => set("sanitize", Json::Bool(true)),
+            "--device" => devices.push(Json::Str(value("--device"))),
             "--expect-cached" => expect_cached = true,
             "--ping" => ping_only = true,
             "--stats" => want_stats = true,
@@ -734,6 +701,7 @@ fn run_submit(args: Vec<String>) -> ! {
             other => die(&format!("submit: unknown argument {other:?} (try --help)")),
         }
     }
+    set("devices", Json::Arr(devices));
     let endpoint = addr.unwrap_or_else(|| die("submit needs --addr ENDPOINT"));
     // `--stats` or `--shutdown` on its own sends only those ops; any other
     // invocation runs the default SchedTask/Find job where a list is unset.
@@ -744,6 +712,20 @@ fn run_submit(args: Vec<String>) -> ! {
             t.unwrap_or_else(|| vec!["SchedTask".to_owned()]),
         ),
     };
+    // Every job is checked before any is sent: a combination the server
+    // would refuse is refused here.
+    let mut jobs: Vec<(String, JobSpec)> = Vec::new();
+    for tech in &techniques {
+        for wl in &workloads {
+            let mut job = fields.clone();
+            job.push(("workload".to_owned(), Json::Str(wl.clone())));
+            job.push(("technique".to_owned(), Json::Str(tech.clone())));
+            let name = format!("{tech}/{wl}");
+            let spec = JobSpec::from_fields(&Json::Obj(job))
+                .unwrap_or_else(|e| die(&format!("{name}: {e}")));
+            jobs.push((name, spec));
+        }
+    }
     let timeouts = ClientTimeouts::default();
 
     // Connect with retry so a freshly-spawned server has time to bind;
@@ -780,111 +762,67 @@ fn run_submit(args: Vec<String>) -> ! {
     let mut rejected = 0u32;
     let mut errors = 0u32;
     let mut uncached_ok = false;
-    for tech in &techniques {
-        for wl in &workloads {
-            let technique =
-                Technique::parse(tech).unwrap_or_else(|| die(&format!("unknown technique {tech}")));
-            let benchmark = BenchmarkKind::all()
-                .into_iter()
-                .find(|b| format!("{b:?}").eq_ignore_ascii_case(wl))
-                .unwrap_or_else(|| die(&format!("unknown workload {wl}")));
-            let mut spec = JobSpec::new(technique, benchmark);
-            if let Some(name) = &steal {
-                spec.steal = Some(
-                    StealPolicy::parse(name).unwrap_or_else(|e| die(&format!("bad --steal: {e}"))),
+    for (name, spec) in &jobs {
+        let line = spec.to_request_line(Some(name), false);
+        let response = if retries > 0 {
+            match submit_with_retry(&endpoint, &timeouts, &policy, &line) {
+                Ok(outcome) => {
+                    if outcome.attempts > 1 {
+                        println!(
+                            "[submit] {name}: succeeded on attempt {} \
+                             after {} ms of backoff",
+                            outcome.attempts, outcome.total_backoff_ms
+                        );
+                    }
+                    outcome.response
+                }
+                Err(e) => die(&format!("request failed: {e}")),
+            }
+        } else {
+            client
+                .request_line(&line)
+                .unwrap_or_else(|e| die(&format!("request failed: {e}")))
+        };
+        match Response::parse(&response) {
+            Ok(Response::Ok {
+                cached,
+                coalesced,
+                key,
+                latency_us,
+                result,
+                ..
+            }) => {
+                ok += 1;
+                if cached {
+                    cache_hits += 1;
+                } else {
+                    uncached_ok = true;
+                }
+                if coalesced {
+                    coalesced_n += 1;
+                }
+                println!(
+                    "[submit] {name}: ok cached={cached} coalesced={coalesced} \
+                     key={key} latency_us={latency_us}"
+                );
+                if out_file.is_some() {
+                    out_lines.push(format!("{name} {result}"));
+                }
+            }
+            Ok(Response::Rejected { retry_after_ms, .. }) => {
+                rejected += 1;
+                println!(
+                    "[submit] {name}: rejected (queue full) \
+                     retry_after_ms={retry_after_ms}"
                 );
             }
-            if let Some(s) = scale {
-                spec.scale = s;
+            Ok(Response::Error { error, .. }) => {
+                errors += 1;
+                println!("[submit] {name}: error: {error}");
             }
-            if !quick {
-                spec.params = ExpParams::standard();
-            }
-            if let Some(n) = cores {
-                spec.params.cores = n;
-            }
-            if let Some(n) = max_instructions {
-                spec.params.max_instructions = n;
-            }
-            if let Some(n) = warmup_instructions {
-                spec.params.warmup_instructions = n;
-            }
-            if let Some(s) = seed {
-                spec.params.seed = s;
-            }
-            if let Some(fspec) = &faults {
-                spec.params.faults = Some(
-                    FaultPlan::parse(fspec, spec.params.seed)
-                        .unwrap_or_else(|e| die(&format!("bad --faults: {e}"))),
-                );
-            }
-            spec.params.sanitize = sanitize;
-            for dev in &devices {
-                spec.params.devices.push(
-                    parse_device_spec(dev).unwrap_or_else(|e| die(&format!("bad --device: {e}"))),
-                );
-            }
-            let line = spec.to_request_line(Some(&format!("{tech}/{wl}")), false);
-            let response = if retries > 0 {
-                match submit_with_retry(&endpoint, &timeouts, &policy, &line) {
-                    Ok(outcome) => {
-                        if outcome.attempts > 1 {
-                            println!(
-                                "[submit] {tech}/{wl}: succeeded on attempt {} \
-                                 after {} ms of backoff",
-                                outcome.attempts, outcome.total_backoff_ms
-                            );
-                        }
-                        outcome.response
-                    }
-                    Err(e) => die(&format!("request failed: {e}")),
-                }
-            } else {
-                client
-                    .request_line(&line)
-                    .unwrap_or_else(|e| die(&format!("request failed: {e}")))
-            };
-            match Response::parse(&response) {
-                Ok(Response::Ok {
-                    cached,
-                    coalesced,
-                    key,
-                    latency_us,
-                    result,
-                    ..
-                }) => {
-                    ok += 1;
-                    if cached {
-                        cache_hits += 1;
-                    } else {
-                        uncached_ok = true;
-                    }
-                    if coalesced {
-                        coalesced_n += 1;
-                    }
-                    println!(
-                        "[submit] {tech}/{wl}: ok cached={cached} coalesced={coalesced} \
-                         key={key} latency_us={latency_us}"
-                    );
-                    if out_file.is_some() {
-                        out_lines.push(format!("{tech}/{wl} {result}"));
-                    }
-                }
-                Ok(Response::Rejected { retry_after_ms, .. }) => {
-                    rejected += 1;
-                    println!(
-                        "[submit] {tech}/{wl}: rejected (queue full) \
-                         retry_after_ms={retry_after_ms}"
-                    );
-                }
-                Ok(Response::Error { error, .. }) => {
-                    errors += 1;
-                    println!("[submit] {tech}/{wl}: error: {error}");
-                }
-                Ok(_) | Err(_) => {
-                    errors += 1;
-                    println!("[submit] {tech}/{wl}: error: {response}");
-                }
+            Ok(_) | Err(_) => {
+                errors += 1;
+                println!("[submit] {name}: error: {response}");
             }
         }
     }

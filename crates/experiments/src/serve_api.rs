@@ -23,17 +23,18 @@ use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
-use schedtask::StealPolicy;
-use schedtask_kernel::{DeviceModelConfig, FaultPlan};
-use schedtask_obs::push_escaped;
+use schedtask::{SchedTaskConfig, SchedTaskScheduler, StealPolicy};
+use schedtask_kernel::{DeviceModelConfig, FaultPlan, SimStats};
+use schedtask_obs::{push_escaped, JsonlSink, Observer};
 use schedtask_sim::{
     CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, TraceCacheConfig,
 };
 use schedtask_workload::BenchmarkKind;
 
-use crate::runner::{parse_device_spec, ExpParams, Technique};
+use crate::runner::{parse_device_spec, ExpParams, ExperimentError, RunBuilder, Technique};
 
 pub use schedtask_obs::escape_json;
 
@@ -225,6 +226,31 @@ impl JobSpec {
     /// The cache key as the fixed-width hex string used on the wire.
     pub fn cache_key_hex(&self) -> String {
         format!("{:016x}", self.cache_key())
+    }
+
+    /// Runs the job under the technique's scheduler, or SchedTask's
+    /// with the steal override, and returns its stats with the JSONL
+    /// stream of a sink labelled `technique/benchmark`. The stream is
+    /// always captured: the service caches it with the stats, so a
+    /// replay is byte-identical whether or not the first submitter
+    /// asked for it.
+    pub fn run(&self) -> Result<(SimStats, String), ExperimentError> {
+        let label = format!("{}/{}", self.technique.name(), self.benchmark.name());
+        let sink = Arc::new(JsonlSink::with_label(Vec::new(), Some(label)));
+        let builder =
+            RunBuilder::new(&self.params).observer(Arc::clone(&sink) as Arc<dyn Observer>);
+        let builder = match self.steal {
+            Some(steal_policy) => builder.scheduler(Box::new(SchedTaskScheduler::new(
+                self.params.cores,
+                SchedTaskConfig {
+                    steal_policy,
+                    ..SchedTaskConfig::default()
+                },
+            ))),
+            None => builder.technique(self.technique),
+        };
+        let stats = builder.benchmark(self.benchmark, self.scale).run()?;
+        Ok((stats, sink.take()))
     }
 
     /// Renders the single-line JSON run request for this spec, the
@@ -775,145 +801,135 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
         None => "run",
         Some(v) => v.as_str().ok_or("op must be a string")?,
     };
-    match op_name {
-        "ping" => {
-            return Ok(Request {
-                id,
-                op: RequestOp::Ping,
-            })
+    let op = match op_name {
+        "ping" => RequestOp::Ping,
+        "stats" => RequestOp::Stats,
+        "shutdown" => RequestOp::Shutdown,
+        "run" => {
+            let spec = JobSpec::from_fields(json)?;
+            let want_obs = match json.get("obs") {
+                None => false,
+                Some(v) => v.as_bool().ok_or("obs must be a boolean")?,
+            };
+            RequestOp::Run(Box::new(spec), want_obs)
         }
-        "stats" => {
-            return Ok(Request {
-                id,
-                op: RequestOp::Stats,
-            })
-        }
-        "shutdown" => {
-            return Ok(Request {
-                id,
-                op: RequestOp::Shutdown,
-            })
-        }
-        "run" => {}
         other => return Err(format!("unknown op {other:?}")),
-    }
+    };
+    Ok(Request { id, op })
+}
 
-    let workload = json
-        .get("workload")
-        .and_then(Json::as_str)
-        .ok_or("run request needs a \"workload\" field")?;
-    let benchmark = BenchmarkKind::all()
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(workload))
-        .ok_or_else(|| format!("unknown workload {workload:?}"))?;
-    let technique = match json.get("technique") {
-        None => Technique::SchedTask,
-        Some(v) => {
-            let name = v.as_str().ok_or("technique must be a string")?;
-            Technique::parse(name).ok_or_else(|| format!("unknown technique {name:?}"))?
-        }
-    };
-    let steal = match json.get("steal") {
-        None | Some(Json::Null) => None,
-        Some(v) => {
-            let name = v.as_str().ok_or("steal must be a string")?;
-            let policy = StealPolicy::parse(name)?;
-            if technique != Technique::SchedTask {
-                return Err(format!(
-                    "steal policy override requires technique SchedTask, got {}",
-                    technique.name()
-                ));
+impl JobSpec {
+    /// Reads a run request's job fields from its JSON object, each
+    /// absent field at its wire default. This is the one field parser:
+    /// [`parse_request`] reads every run request through it, and `repro
+    /// submit` builds its jobs through it. Fields that are not job
+    /// fields are not looked at; [`parse_request`] refuses unknown ones.
+    pub fn from_fields(json: &Json) -> Result<JobSpec, String> {
+        let workload = json
+            .get("workload")
+            .and_then(Json::as_str)
+            .ok_or("run request needs a \"workload\" field")?;
+        let benchmark = BenchmarkKind::parse(workload)
+            .ok_or_else(|| format!("unknown workload {workload:?}"))?;
+        let technique = match json.get("technique") {
+            None => Technique::SchedTask,
+            Some(v) => {
+                let name = v.as_str().ok_or("technique must be a string")?;
+                Technique::parse(name).ok_or_else(|| format!("unknown technique {name:?}"))?
             }
-            Some(policy)
+        };
+        let steal = match json.get("steal") {
+            None | Some(Json::Null) => None,
+            Some(v) => {
+                let name = v.as_str().ok_or("steal must be a string")?;
+                let policy = StealPolicy::parse(name)?;
+                if technique != Technique::SchedTask {
+                    return Err(format!(
+                        "steal policy override requires technique SchedTask, got {}",
+                        technique.name()
+                    ));
+                }
+                Some(policy)
+            }
+        };
+        let scale = match json.get("scale") {
+            None => 2.0,
+            Some(v) => v.as_f64().ok_or("scale must be a number")?,
+        };
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(format!(
+                "scale must be a positive finite number, got {scale}"
+            ));
         }
-    };
-    let scale = match json.get("scale") {
-        None => 2.0,
-        Some(v) => v.as_f64().ok_or("scale must be a number")?,
-    };
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(format!(
-            "scale must be a positive finite number, got {scale}"
-        ));
-    }
-    let quick = match json.get("quick") {
-        None => true,
-        Some(v) => v.as_bool().ok_or("quick must be a boolean")?,
-    };
-    let mut params = if quick {
-        ExpParams::quick()
-    } else {
-        ExpParams::standard()
-    };
-    let u64_field = |name: &str| -> Result<Option<u64>, String> {
-        match json.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("{name} must be a non-negative integer")),
+        let quick = match json.get("quick") {
+            None => true,
+            Some(v) => v.as_bool().ok_or("quick must be a boolean")?,
+        };
+        let mut params = if quick {
+            ExpParams::quick()
+        } else {
+            ExpParams::standard()
+        };
+        let u64_field = |name: &str| -> Result<Option<u64>, String> {
+            match json.get(name) {
+                None | Some(Json::Null) => Ok(None),
+                Some(v) => v
+                    .as_u64()
+                    .map(Some)
+                    .ok_or_else(|| format!("{name} must be a non-negative integer")),
+            }
+        };
+        if let Some(cores) = u64_field("cores")? {
+            if cores == 0 {
+                return Err("cores must be positive".to_owned());
+            }
+            params.cores = cores as usize;
         }
-    };
-    if let Some(cores) = u64_field("cores")? {
-        if cores == 0 {
-            return Err("cores must be positive".to_owned());
+        technique.check_cores(params.engine_cores(technique))?;
+        if let Some(v) = u64_field("max_instructions")? {
+            params.max_instructions = v;
         }
-        params.cores = cores as usize;
-    }
-    technique.check_cores(params.engine_cores(technique))?;
-    if let Some(v) = u64_field("max_instructions")? {
-        params.max_instructions = v;
-    }
-    if let Some(v) = u64_field("warmup_instructions")? {
-        params.warmup_instructions = v;
-    }
-    if let Some(v) = u64_field("epoch_cycles")? {
-        params.epoch_cycles = v;
-    }
-    if let Some(v) = u64_field("seed")? {
-        params.seed = v;
-    }
-    match json.get("faults") {
-        None | Some(Json::Null) => {}
-        Some(v) => {
-            let spec = v
-                .as_str()
-                .ok_or("faults must be a fault-plan spec string")?;
-            params.faults = Some(FaultPlan::parse(spec, params.seed)?);
+        if let Some(v) = u64_field("warmup_instructions")? {
+            params.warmup_instructions = v;
         }
-    }
-    if let Some(v) = json.get("sanitize") {
-        params.sanitize = v.as_bool().ok_or("sanitize must be a boolean")?;
-    }
-    match json.get("devices") {
-        None | Some(Json::Null) => {}
-        Some(Json::Arr(items)) => {
-            for item in items {
-                let spec = item
+        if let Some(v) = u64_field("epoch_cycles")? {
+            params.epoch_cycles = v;
+        }
+        if let Some(v) = u64_field("seed")? {
+            params.seed = v;
+        }
+        match json.get("faults") {
+            None | Some(Json::Null) => {}
+            Some(v) => {
+                let spec = v
                     .as_str()
-                    .ok_or("devices must be an array of KIND[:PERIOD] strings")?;
-                params.devices.push(parse_device_spec(spec)?);
+                    .ok_or("faults must be a fault-plan spec string")?;
+                params.faults = Some(FaultPlan::parse(spec, params.seed)?);
             }
         }
-        Some(_) => return Err("devices must be an array of KIND[:PERIOD] strings".to_owned()),
+        if let Some(v) = json.get("sanitize") {
+            params.sanitize = v.as_bool().ok_or("sanitize must be a boolean")?;
+        }
+        match json.get("devices") {
+            None | Some(Json::Null) => {}
+            Some(Json::Arr(items)) => {
+                for item in items {
+                    let spec = item
+                        .as_str()
+                        .ok_or("devices must be an array of KIND[:PERIOD] strings")?;
+                    params.devices.push(parse_device_spec(spec)?);
+                }
+            }
+            Some(_) => return Err("devices must be an array of KIND[:PERIOD] strings".to_owned()),
+        }
+        Ok(JobSpec {
+            technique,
+            benchmark,
+            scale,
+            steal,
+            params,
+        })
     }
-    let want_obs = match json.get("obs") {
-        None => false,
-        Some(v) => v.as_bool().ok_or("obs must be a boolean")?,
-    };
-    Ok(Request {
-        id,
-        op: RequestOp::Run(
-            Box::new(JobSpec {
-                technique,
-                benchmark,
-                scale,
-                steal,
-                params,
-            }),
-            want_obs,
-        ),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1271,17 +1287,17 @@ pub struct ServeClient {
 impl ServeClient {
     /// Connects over TCP (`host:port`) with no socket deadlines.
     pub fn connect_tcp(addr: &str) -> io::Result<ServeClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Ok(ServeClient {
-            reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(stream),
-        })
+        let none = ClientTimeouts {
+            connect_ms: 0,
+            read_ms: 0,
+            write_ms: 0,
+        };
+        ServeClient::dial(&Endpoint::Tcp(addr.to_owned()), &none)
     }
 
     /// Dials `endpoint` and arms every configured socket deadline.
     pub fn dial(endpoint: &Endpoint, timeouts: &ClientTimeouts) -> io::Result<ServeClient> {
+        let (read, write) = (ms(timeouts.read_ms), ms(timeouts.write_ms));
         match endpoint {
             Endpoint::Tcp(addr) => {
                 let stream = match ms(timeouts.connect_ms) {
@@ -1297,25 +1313,25 @@ impl ServeClient {
                     None => TcpStream::connect(addr)?,
                 };
                 stream.set_nodelay(true)?;
-                stream.set_read_timeout(ms(timeouts.read_ms))?;
-                stream.set_write_timeout(ms(timeouts.write_ms))?;
-                let reader = stream.try_clone()?;
-                Ok(ServeClient {
-                    reader: BufReader::new(Box::new(reader)),
-                    writer: Box::new(stream),
-                })
+                stream.set_read_timeout(read)?;
+                stream.set_write_timeout(write)?;
+                Ok(ServeClient::over(stream.try_clone()?, stream))
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => {
                 let stream = UnixStream::connect(path)?;
-                stream.set_read_timeout(ms(timeouts.read_ms))?;
-                stream.set_write_timeout(ms(timeouts.write_ms))?;
-                let reader = stream.try_clone()?;
-                Ok(ServeClient {
-                    reader: BufReader::new(Box::new(reader)),
-                    writer: Box::new(stream),
-                })
+                stream.set_read_timeout(read)?;
+                stream.set_write_timeout(write)?;
+                Ok(ServeClient::over(stream.try_clone()?, stream))
             }
+        }
+    }
+
+    /// A client over a connected socket's two handles.
+    fn over(reader: impl Read + Send + 'static, writer: impl Write + Send + 'static) -> Self {
+        ServeClient {
+            reader: BufReader::new(Box::new(reader)),
+            writer: Box::new(writer),
         }
     }
 
@@ -1457,8 +1473,8 @@ pub fn error_is_transient(message: &str) -> bool {
     .any(|marker| message.contains(marker))
 }
 
-/// Submits one request line with reconnect, deadline, and backoff
-/// discipline, until an ok response arrives or the policy's attempt
+/// Submits one run request line with reconnect, deadline, and backoff
+/// discipline, until an ok run response arrives or the policy's attempt
 /// budget runs out.
 ///
 /// Handles every failure mode the chaos plan can inject: connection
@@ -1466,8 +1482,8 @@ pub fn error_is_transient(message: &str) -> bool {
 /// re-dial the endpoint; `status:"rejected"` honours the server's
 /// `retry_after_ms` hint; transient `status:"error"` responses (e.g. a
 /// panicked worker) resubmit the idempotent job. A complete line that
-/// is not JSON is a permanent error: the peer does not speak the
-/// protocol.
+/// [`Response::parse`] refuses, or that answers anything but a run, is
+/// a permanent error: the peer does not speak the protocol.
 pub fn submit_with_retry(
     endpoint: &Endpoint,
     timeouts: &ClientTimeouts,
@@ -1512,44 +1528,29 @@ pub fn submit_with_retry(
                 continue;
             }
         };
-        let json = match Json::parse(&response) {
-            Ok(json) => json,
-            Err(e) => {
-                // Torn lines never get here (`request_line` refuses
-                // them), so a retry cannot help.
-                return Err(format!("unparseable response ({e}): {response}"));
-            }
-        };
-        match json.get("status").and_then(Json::as_str) {
-            Some("ok") => {
+        // Torn lines never reach the parse (`request_line` refuses
+        // them), so a retry cannot help a line it refuses.
+        match Response::parse(&response) {
+            Ok(Response::Ok { .. }) => {
                 return Ok(RetryOutcome {
                     response,
                     attempts: attempt + 1,
                     total_backoff_ms,
                 })
             }
-            Some("rejected") => {
-                let hint = json.get("retry_after_ms").and_then(Json::as_u64);
+            Ok(Response::Rejected { retry_after_ms, .. }) => {
                 last_error = format!("rejected with backpressure: {response}");
                 client = Some(conn); // the connection is still good
-                retry(hint, &mut total_backoff_ms);
+                retry(Some(retry_after_ms), &mut total_backoff_ms);
             }
-            Some("error") => {
-                let message = json
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error");
-                if !error_is_transient(message) {
-                    return Err(format!("permanent error: {message}"));
-                }
-                last_error = format!("transient error: {message}");
+            Ok(Response::Error { error, .. }) if error_is_transient(&error) => {
+                last_error = format!("transient error: {error}");
                 client = Some(conn);
                 retry(None, &mut total_backoff_ms);
             }
-            other => {
-                last_error = format!("unrecognized status {other:?}: {response}");
-                retry(None, &mut total_backoff_ms);
-            }
+            Ok(Response::Error { error, .. }) => return Err(format!("permanent error: {error}")),
+            Ok(_) => return Err(format!("not a run response: {response}")),
+            Err(e) => return Err(format!("unparseable response ({e}): {response}")),
         }
     }
     Err(format!(

@@ -30,16 +30,6 @@ pub struct EngineConfig {
     /// Cycles per scheduling epoch (the paper uses 3 ms; scaled-down
     /// experiment runs shrink this proportionally).
     pub epoch_cycles: u64,
-    /// Maximum instructions executed between engine decision points.
-    pub quantum_instructions: u64,
-    /// Disk service latency in cycles.
-    pub disk_latency_cycles: u64,
-    /// Network service latency in cycles.
-    pub network_latency_cycles: u64,
-    /// Timer sleep duration in cycles.
-    pub timer_sleep_cycles: u64,
-    /// Per-core timer-tick period in cycles (Linux's 1 ms tick).
-    pub timer_tick_cycles: u64,
     /// Fixed cycles charged on the destination core when a thread
     /// migrates (context transfer).
     pub migration_cost_cycles: u64,
@@ -64,21 +54,17 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Paper-faithful configuration: Table 2 machine, 3 ms epochs at
-    /// 2 GHz.
-    pub fn paper() -> Self {
+    /// The configuration every experiment and test starts from: the
+    /// Table 2 machine with short epochs, so multi-epoch behaviour
+    /// emerges within a few million instructions.
+    pub fn fast() -> Self {
         let system = SystemConfig::table2();
         EngineConfig {
             workload_reference_cores: system.num_cores,
-            epoch_cycles: 6_000_000, // 3 ms at 2 GHz
-            quantum_instructions: 1_000,
-            disk_latency_cycles: 60_000,    // ≈30 µs SSD-class storage
-            network_latency_cycles: 30_000, // ≈15 µs LAN round trip
-            timer_sleep_cycles: 100_000,
-            timer_tick_cycles: 2_000_000, // 1 ms tick
+            epoch_cycles: 100_000,
             migration_cost_cycles: 100,
-            max_instructions: 50_000_000,
-            warmup_instructions: 2_000_000,
+            max_instructions: 4_000_000,
+            warmup_instructions: 400_000,
             seed: 0x5EED_5EED,
             collect_epoch_breakups: false,
             faults: None,
@@ -86,22 +72,6 @@ impl EngineConfig {
             devices: Vec::new(),
             system,
         }
-    }
-
-    /// Scaled-down configuration for experiments and tests: the same
-    /// machine but short epochs and proportionally shorter device
-    /// latencies, so multi-epoch behaviour emerges within a few million
-    /// instructions.
-    pub fn fast() -> Self {
-        let mut cfg = Self::paper();
-        cfg.epoch_cycles = 100_000;
-        cfg.disk_latency_cycles = 20_000;
-        cfg.network_latency_cycles = 10_000;
-        cfg.timer_sleep_cycles = 30_000;
-        cfg.timer_tick_cycles = 400_000;
-        cfg.max_instructions = 4_000_000;
-        cfg.warmup_instructions = 400_000;
-        cfg
     }
 
     /// Replaces the machine configuration, keeping the workload reference
@@ -157,9 +127,6 @@ impl EngineConfig {
                 cycles: self.epoch_cycles,
             });
         }
-        if self.quantum_instructions == 0 {
-            return Err(ConfigError::ZeroQuantum);
-        }
         if self.max_instructions == 0 {
             return Err(ConfigError::ZeroMaxInstructions);
         }
@@ -175,21 +142,9 @@ impl EngineConfig {
     }
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_epoch_is_3ms_at_2ghz() {
-        let cfg = EngineConfig::paper();
-        assert_eq!(cfg.epoch_cycles, 6_000_000);
-    }
 
     #[test]
     fn with_system_syncs_reference_cores() {
@@ -207,7 +162,6 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        assert!(EngineConfig::paper().validate().is_ok());
         assert!(EngineConfig::fast().validate().is_ok());
     }
 
@@ -230,10 +184,6 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::EpochOutOfRange { .. })
         ));
-
-        let mut cfg = EngineConfig::fast();
-        cfg.quantum_instructions = 0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::ZeroQuantum)));
 
         let mut cfg = EngineConfig::fast();
         cfg.max_instructions = 0;

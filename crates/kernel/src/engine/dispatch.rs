@@ -7,7 +7,10 @@
 //! pick_next, on_switch_out, on_complete, and the overhead charges.
 
 use super::machine::Boundary;
-use super::{interrupts, EngineCore, EventKind, KERNEL_TID};
+use super::{
+    interrupts, EngineCore, EventKind, DISK_LATENCY_CYCLES, KERNEL_TID, NETWORK_LATENCY_CYCLES,
+    TIMER_SLEEP_CYCLES,
+};
 use crate::error::EngineError;
 use crate::faults::FaultInjector;
 use crate::ids::{CoreId, SfId, ThreadId};
@@ -219,11 +222,11 @@ fn on_blocked(
     core.charge_sched_overhead(c, overhead);
 
     let latency = match device {
-        DeviceKind::Disk => core.cfg.disk_latency_cycles,
-        DeviceKind::Network => core.cfg.network_latency_cycles,
-        DeviceKind::Timer => core.cfg.timer_sleep_cycles,
+        DeviceKind::Disk => DISK_LATENCY_CYCLES,
+        DeviceKind::Network => NETWORK_LATENCY_CYCLES,
+        DeviceKind::Timer => TIMER_SLEEP_CYCLES,
     };
-    let when = core.cores[c].clock + latency.max(1);
+    let when = core.cores[c].clock + latency;
     core.schedule_event(when, EventKind::DeviceComplete { device, waiter: sf });
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! TAlloc epoch, a benchmark's spontaneous interrupt, a blocked-I/O
 //! completion, or a DMA device model's next arrival.
 
-use super::{dispatch, interrupts, Engine, EngineCore, EventKind};
+use super::{dispatch, interrupts, Engine, EngineCore, EventKind, TIMER_TICK_CYCLES};
 use crate::error::EngineError;
 use crate::faults::FaultInjector;
 use crate::ids::SfId;
@@ -22,12 +22,10 @@ impl Engine {
     /// sequence numbers, so it must not change.
     pub(super) fn prime(&mut self) {
         let ctx = &mut self.core;
-        let tick = ctx.cfg.timer_tick_cycles;
-        if tick > 0 {
-            for c in 0..ctx.num_cores() {
-                let stagger = tick / ctx.num_cores() as u64 * c as u64;
-                ctx.schedule_event(tick + stagger, EventKind::TimerTick { core: c });
-            }
+        let tick = TIMER_TICK_CYCLES;
+        for c in 0..ctx.num_cores() {
+            let stagger = tick / ctx.num_cores() as u64 * c as u64;
+            ctx.schedule_event(tick + stagger, EventKind::TimerTick { core: c });
         }
         ctx.schedule_event(ctx.cfg.epoch_cycles, EventKind::Epoch);
         for bench in 0..ctx.instances.len() {
@@ -149,10 +147,7 @@ impl Engine {
 fn on_timer_tick(ctx: &mut EngineCore, core: usize) {
     let at = ctx.now;
     interrupts::deliver_irq(ctx, core, "timer_irq", None, at);
-    ctx.schedule_event(
-        at + ctx.cfg.timer_tick_cycles,
-        EventKind::TimerTick { core },
-    );
+    ctx.schedule_event(at + TIMER_TICK_CYCLES, EventKind::TimerTick { core });
 }
 
 /// The scheduler's TAlloc epoch boundary, re-armed one epoch ahead.

@@ -270,7 +270,7 @@ impl EngineCore {
 
     /// Emits a structured observability event to every attached sink.
     ///
-    /// The closure runs only when an enabled observer is attached, so
+    /// The closure runs only when an observer is attached, so
     /// callers may compute event fields inside it without paying
     /// anything on the unobserved fast path.
     pub fn emit_obs(&self, make: impl FnOnce() -> ObsEvent) {
@@ -356,7 +356,7 @@ impl EngineCore {
             .current
             .ok_or(EngineError::NoCurrentSf { core: CoreId(c) })?;
         let base_cpi = self.cfg.system.base_cpi;
-        let quantum = self.cfg.quantum_instructions;
+        let quantum = super::QUANTUM_INSTRUCTIONS;
 
         let sf = self
             .sfs

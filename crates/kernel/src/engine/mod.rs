@@ -93,6 +93,20 @@ impl WorkloadSpec {
             custom: vec![(spec, scale)],
         }
     }
+
+    /// Threads the workload runs on a machine sized for
+    /// `reference_cores`, summed over its parts (saturating).
+    pub(crate) fn threads(&self, reference_cores: usize) -> usize {
+        self.parts
+            .iter()
+            .map(|&(kind, scale)| BenchmarkSpec::for_kind(kind).threads(reference_cores, scale))
+            .chain(
+                self.custom
+                    .iter()
+                    .map(|(spec, scale)| spec.threads(reference_cores, *scale)),
+            )
+            .fold(0, usize::saturating_add)
+    }
 }
 
 impl From<&MultiProgrammedWorkload> for WorkloadSpec {
@@ -110,6 +124,24 @@ impl From<&MultiProgrammedWorkload> for WorkloadSpec {
 /// run (device latencies are well under a million cycles) can trip it,
 /// tight enough to catch a scheduler that stops dispatching work.
 const MAX_STALL_CYCLES: u64 = 500_000_000;
+
+/// Most instructions a core runs between two engine decision points.
+const QUANTUM_INSTRUCTIONS: u64 = 1_000;
+/// Disk service latency, in cycles.
+const DISK_LATENCY_CYCLES: u64 = 20_000;
+/// Network service latency, in cycles.
+const NETWORK_LATENCY_CYCLES: u64 = 10_000;
+/// How long a timer sleep lasts, in cycles.
+const TIMER_SLEEP_CYCLES: u64 = 30_000;
+/// Per-core timer-tick period, in cycles (Linux's 1 ms tick, scaled
+/// down with the epoch).
+const TIMER_TICK_CYCLES: u64 = 400_000;
+
+/// Most simulated threads one workload may have. The machine is built
+/// thread by thread before anything can fail, so [`Engine::new`]
+/// refuses a larger workload up front. The largest any experiment
+/// builds is FileSrv at 16X on 64 cores, 12,800 threads.
+pub(crate) const MAX_THREADS: usize = 100_000;
 
 /// Watchdog bookkeeping for one run.
 #[derive(Debug)]
@@ -160,7 +192,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] when the configuration fails
-    /// [`EngineConfig::validate`] or the workload is empty.
+    /// [`EngineConfig::validate`], or the workload is empty or has more
+    /// simulated threads than the engine builds (100,000).
     pub fn new(
         cfg: EngineConfig,
         workload: &WorkloadSpec,
@@ -169,6 +202,10 @@ impl Engine {
         cfg.validate()?;
         if workload.parts.is_empty() && workload.custom.is_empty() {
             return Err(ConfigError::EmptyWorkload.into());
+        }
+        let threads = workload.threads(cfg.workload_reference_cores);
+        if threads > MAX_THREADS {
+            return Err(ConfigError::TooManyThreads { threads }.into());
         }
         let sanitize = cfg.sanitize;
         let devices = cfg
@@ -197,8 +234,7 @@ impl Engine {
     ///
     /// Observers see the whole run, warm-up included; attach before
     /// calling [`Engine::run`]. Multiple observers fan out in attach
-    /// order. An observer whose [`Observer::enabled`] is `false` leaves
-    /// the engine on its unobserved fast path.
+    /// order.
     pub fn add_observer(&mut self, obs: Arc<dyn Observer>) {
         self.core.attach_observer(obs);
     }
@@ -358,6 +394,46 @@ mod tests {
             err,
             EngineError::Config(crate::error::ConfigError::EmptyWorkload)
         );
+    }
+
+    #[test]
+    fn a_workload_over_the_thread_bound_is_refused_before_it_is_built() {
+        // The largest workload any experiment builds fits.
+        let largest = WorkloadSpec::single(BenchmarkKind::FileSrv, 16.0);
+        assert_eq!(largest.threads(64), 12_800);
+        // FileSrv at 1e9X would be 4e11 threads; building them exhausts
+        // memory, so the bound must refuse it first.
+        let huge = WorkloadSpec::single(BenchmarkKind::FileSrv, 1e9);
+        let err = Engine::new(
+            EngineConfig::fast(),
+            &huge,
+            Box::new(crate::scheduler::GlobalFifoScheduler::new()),
+        )
+        .expect_err("4e11 threads must be refused");
+        assert_eq!(
+            err,
+            EngineError::Config(ConfigError::TooManyThreads {
+                threads: 400_000_000_000
+            })
+        );
+        // Parts sum, saturating, custom specs included.
+        let spec = BenchmarkSpec::for_kind(BenchmarkKind::Oltp);
+        let mut both = WorkloadSpec::custom(spec, f64::MAX);
+        both.parts.push((BenchmarkKind::Find, f64::MAX));
+        assert_eq!(both.threads(32), usize::MAX);
+        let mut over = WorkloadSpec::custom(BenchmarkSpec::for_kind(BenchmarkKind::Find), 1.0);
+        let per_part = over.threads(32);
+        let parts = MAX_THREADS / per_part + 1;
+        over.parts = vec![(BenchmarkKind::Find, 1.0); parts - 1];
+        assert_eq!(over.threads(32), parts * per_part);
+        assert!(matches!(
+            Engine::new(
+                EngineConfig::fast(),
+                &over,
+                Box::new(crate::scheduler::GlobalFifoScheduler::new()),
+            ),
+            Err(EngineError::Config(ConfigError::TooManyThreads { .. }))
+        ));
     }
 
     #[test]

@@ -22,8 +22,11 @@ pub enum ConfigError {
         /// The rejected epoch length.
         cycles: u64,
     },
-    /// The execution quantum is zero.
-    ZeroQuantum,
+    /// The workload has more simulated threads than the engine builds.
+    TooManyThreads {
+        /// The workload's thread total.
+        threads: usize,
+    },
     /// The post-warm-up instruction budget is zero.
     ZeroMaxInstructions,
     /// `workload_reference_cores` is zero.
@@ -51,7 +54,11 @@ impl fmt::Display for ConfigError {
             ConfigError::EpochOutOfRange { cycles } => {
                 write!(f, "epoch length of {cycles} cycles is out of range")
             }
-            ConfigError::ZeroQuantum => write!(f, "quantum_instructions must be positive"),
+            ConfigError::TooManyThreads { threads } => write!(
+                f,
+                "workload needs {threads} threads, more than the engine's limit of {}",
+                crate::engine::MAX_THREADS
+            ),
             ConfigError::ZeroMaxInstructions => {
                 write!(f, "max_instructions must be positive")
             }
@@ -244,8 +251,8 @@ mod tests {
         assert!(e.to_string().contains("sf7"));
         let e = EngineError::NoCurrentSf { core: CoreId(3) };
         assert!(e.to_string().contains("core3"));
-        let e = EngineError::from(ConfigError::ZeroQuantum);
-        assert!(e.to_string().contains("quantum_instructions"));
+        let e = EngineError::from(ConfigError::TooManyThreads { threads: 123_456 });
+        assert!(e.to_string().contains("123456 threads"));
         let e = EngineError::from(SchedError::NoCandidate {
             detail: "steal victim".into(),
         });
@@ -268,6 +275,6 @@ mod tests {
         fn takes_err(_: &dyn std::error::Error) {}
         takes_err(&EngineError::EventQueueUnderflow);
         takes_err(&SchedError::Internal("x".into()));
-        takes_err(&ConfigError::ZeroQuantum);
+        takes_err(&ConfigError::EmptyWorkload);
     }
 }

@@ -17,46 +17,43 @@ pub(crate) fn class_of(category: SfCategory) -> SfClass {
     }
 }
 
-/// The set of observers attached to an engine, with a cached
-/// "anything enabled?" flag.
+/// The set of observers attached to an engine.
 ///
 /// This is the zero-overhead-when-disabled contract's enforcement
-/// point: every emit helper checks the cached flag *before* running the
-/// closure that constructs the event, so an unobserved engine pays one
-/// predictable branch per hook site and never builds an event value.
+/// point: every emit helper checks that an observer is attached
+/// *before* running the closure that constructs the event, so an
+/// unobserved engine pays one predictable branch per hook site and
+/// never builds an event value.
 #[derive(Default)]
 pub(crate) struct ObserverSet {
     observers: Vec<Arc<dyn Observer>>,
-    enabled: bool,
 }
 
 impl fmt::Debug for ObserverSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObserverSet")
             .field("observers", &self.observers.len())
-            .field("enabled", &self.enabled)
             .finish()
     }
 }
 
 impl ObserverSet {
-    /// Attaches an observer; the cached enabled flag is the OR of every
-    /// attached observer's [`Observer::enabled`].
+    /// Attaches an observer.
     pub(crate) fn attach(&mut self, obs: Arc<dyn Observer>) {
-        self.enabled |= obs.enabled();
         self.observers.push(obs);
     }
 
-    /// True when at least one enabled observer is attached.
+    /// True when at least one observer is attached.
     #[inline]
     pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
+        !self.observers.is_empty()
     }
 
-    /// Builds the event with `make` and fans it out — only when enabled.
+    /// Builds the event with `make` and fans it out — only when an
+    /// observer is attached.
     #[inline]
     pub(crate) fn emit(&self, make: impl FnOnce() -> ObsEvent) {
-        if self.enabled {
+        if self.is_enabled() {
             let ev = make();
             for obs in &self.observers {
                 obs.event(&ev);
@@ -64,20 +61,20 @@ impl ObserverSet {
         }
     }
 
-    /// Fans out a span open (only when enabled).
+    /// Fans out a span open (only when an observer is attached).
     #[inline]
     pub(crate) fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
-        if self.enabled {
+        if self.is_enabled() {
             for obs in &self.observers {
                 obs.span_enter(core, kind, at);
             }
         }
     }
 
-    /// Fans out a span close (only when enabled).
+    /// Fans out a span close (only when an observer is attached).
     #[inline]
     pub(crate) fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
-        if self.enabled {
+        if self.is_enabled() {
             for obs in &self.observers {
                 obs.span_exit(core, kind, at);
             }

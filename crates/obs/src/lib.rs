@@ -52,15 +52,6 @@ pub use jsonl::{escape_json, event_to_json, push_escaped, JsonlSink};
 /// need: [`JsonlSink`] keeps events, the [`Aggregator`] keeps both
 /// events and spans, a test probe might watch a single event kind.
 pub trait Observer: Send + Sync {
-    /// Whether this observer wants data at all.
-    ///
-    /// The engine caches the OR of every attached observer's `enabled`
-    /// flag at attach time; returning `false` here lets a sink be
-    /// plugged in but leave the simulation on its unobserved fast path.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// A structured event occurred.
     fn event(&self, ev: &ObsEvent) {
         let _ = ev;
@@ -80,11 +71,11 @@ pub trait Observer: Send + Sync {
 
 /// The do-nothing observer.
 ///
-/// Note `enabled` is `true`: attaching a `NoopObserver` deliberately
-/// forces the engine onto its "observed" path (event construction plus
-/// a virtual call that discards everything). That is the configuration
-/// the overhead bench compares against a fully unobserved run, proving
-/// the observed path itself is affordable.
+/// Attaching a `NoopObserver` deliberately puts the engine on its
+/// "observed" path (event construction plus a virtual call that
+/// discards everything). That is the configuration the overhead bench
+/// compares against a fully unobserved run, proving the observed path
+/// itself is affordable.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;
 
@@ -100,7 +91,6 @@ mod tests {
     #[test]
     fn observer_is_object_safe_and_shareable() {
         let obs: Arc<dyn Observer> = Arc::new(NoopObserver);
-        assert!(obs.enabled());
         obs.event(&ObsEvent::RunStart { at: 0 });
         obs.span_enter(0, SpanKind::Sf(SfClass::Application), 0);
         obs.span_exit(0, SpanKind::Sf(SfClass::Application), 1);

@@ -14,10 +14,12 @@
 //! stdout) or `--addr unix:///PATH`.
 //! One thread per connection (the transport is
 //! `schedtask_serve::daemon`); `--workers` executors run admitted jobs,
-//! each taking one job at a time from the shared queue. Exits cleanly
-//! — queue closed, backlog drained (bounded by `--drain-deadline-ms`),
-//! responses flushed — on SIGTERM, SIGINT, or a `shutdown` request.
-//! With `--profile`, the daemon's counter table is printed on exit.
+//! each taking one job at a time from the shared queue. On SIGTERM,
+//! SIGINT, or a `shutdown` request it closes the queue, drains the
+//! backlog and flushes responses, then prints `schedtaskd: shut down
+//! cleanly` and exits 0. If `--drain-deadline-ms` passes first, it
+//! abandons the backlog and exits 1 without that line. With
+//! `--profile`, the daemon's counter table is printed on exit.
 //!
 //! With `--router`, the daemon is a fleet router instead of a worker:
 //! it consistent-hashes each job's cache key across the `--worker`
@@ -236,6 +238,11 @@ fn main() {
         } else {
             print!("{text}");
         }
+    }
+    // Only a full drain is a clean shutdown: a supervisor must be able
+    // to tell abandoned jobs from finished ones.
+    if !drained {
+        exit(1);
     }
     println!("schedtaskd: shut down cleanly");
     exit(0);

@@ -1,6 +1,7 @@
-//! The daemon's transport: listening sockets, newline framing,
-//! chaos-mangled response writes, and the accept-and-drain loop. A
-//! worker and a router speak the same wire protocol, so one
+//! What a worker and a router share: the request front end, the
+//! `ok` and error lines both send, and the transport — listening sockets,
+//! newline framing, chaos-mangled response writes, and the
+//! accept-and-drain loop. The two speak the same wire protocol, so one
 //! [`serve`] hosts either. `schedtaskd` adds only argument parsing,
 //! signals and its banner lines; the tests host whole fleets in one
 //! process through [`Serving`].
@@ -14,9 +15,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use schedtask_experiments::serve_api::{Endpoint, Response};
+use schedtask_experiments::serve_api::{
+    parse_request, Endpoint, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
+};
 use schedtask_obs::render_counter_table;
 
+use crate::cache::JobOutput;
 use crate::chaos::ResponseAction;
 use crate::router::Router;
 use crate::server::Server;
@@ -25,6 +29,106 @@ use crate::server::Server;
 /// the next newline and answered with an error, keeping the connection
 /// alive for well-formed requests that follow.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What a daemon does with the requests [`handle_line`] hands on: a
+/// worker runs jobs through its queue and cache tiers, a router
+/// forwards them across its fleet.
+pub(crate) trait Backend {
+    /// Answers `line` without parsing it, when it can (the router's
+    /// line index). The front end asks before it parses.
+    fn answer_unparsed(&self, _line: &str) -> Option<String> {
+        None
+    }
+
+    /// The `stats` response line.
+    fn stats(&self, id: Option<String>) -> String;
+
+    /// The response line to a run request that came in as `line`.
+    fn run(&self, line: &str, id: Option<String>, spec: JobSpec, want_obs: bool) -> String;
+}
+
+/// The one request front end of both daemons: trims the line, answers a
+/// blank line, a parse or version error, `ping` and `shutdown` itself,
+/// and hands `stats` and `run` to `backend`. The flag is `true` when the
+/// request asked the daemon to shut down.
+pub(crate) fn handle_line(backend: &impl Backend, line: &str) -> (String, bool) {
+    let line = line.trim();
+    if line.is_empty() {
+        return (error_line(None, "empty request"), false);
+    }
+    if let Some(response) = backend.answer_unparsed(line) {
+        return (response, false);
+    }
+    let req = match parse_request(line) {
+        Ok(req) => req,
+        Err(err) => {
+            // Version skew is a structured error (code
+            // "unsupported_version"), not a parse failure: the client
+            // can tell "upgrade me" apart from "fix your request".
+            let error = Response::Error {
+                id: None,
+                code: err.code().map(str::to_owned),
+                error: err.to_string(),
+            };
+            return (error.render(), false);
+        }
+    };
+    let response = match req.op {
+        RequestOp::Ping => Response::Pong {
+            id: req.id,
+            proto: PROTOCOL_VERSION,
+        }
+        .render(),
+        RequestOp::Stats => backend.stats(req.id),
+        RequestOp::Shutdown => return (Response::ShuttingDown { id: req.id }.render(), true),
+        RequestOp::Run(spec, want_obs) => backend.run(line, req.id, *spec, want_obs),
+    };
+    (response, false)
+}
+
+/// How a run's output was obtained, as its `ok` line reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Served {
+    /// From a cache tier.
+    Hit,
+    /// By waiting on an identical request's run.
+    Coalesced,
+    /// By this request's own run.
+    Fresh,
+}
+
+/// The `ok` line either daemon sends for a run answered with `out`,
+/// `started` being when the request began.
+pub(crate) fn ok_line(
+    id: Option<String>,
+    out: &JobOutput,
+    served: Served,
+    queue_depth: u64,
+    started: Instant,
+    jsonl: Option<String>,
+) -> String {
+    Response::Ok {
+        id,
+        cached: served == Served::Hit,
+        coalesced: served == Served::Coalesced,
+        key: out.key.clone(),
+        queue_depth,
+        latency_us: started.elapsed().as_micros() as u64,
+        result: out.stats_json.clone(),
+        jsonl,
+    }
+    .render()
+}
+
+/// The error line either daemon sends, with no machine-readable code.
+pub(crate) fn error_line(id: Option<String>, error: &str) -> String {
+    Response::Error {
+        id,
+        code: None,
+        error: error.to_owned(),
+    }
+    .render()
+}
 
 /// What a daemon is: a worker executing jobs locally, or a router
 /// fanning them out across a fleet.
@@ -316,12 +420,10 @@ fn serve_connection(
             // Malformed frame: error the request, keep the connection —
             // the next well-formed line still works.
             LineEvent::Oversized => (
-                Response::Error {
-                    id: None,
-                    code: None,
-                    error: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                }
-                .render(),
+                error_line(
+                    None,
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                ),
                 false,
             ),
             LineEvent::Closed | LineEvent::TimedOut => return,

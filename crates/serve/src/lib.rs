@@ -39,7 +39,9 @@
 //!   tier and propagating honest backpressure upstream.
 //! - **Transport** — [`daemon::serve`] is the one accept loop for
 //!   workers and routers alike: newline framing, read deadlines,
-//!   chaos-mangled writes, and a bounded drain on stop.
+//!   chaos-mangled writes, and a bounded drain on stop. Every request
+//!   line of either daemon passes the one front end in [`daemon`], which
+//!   answers what both answer alike and hands `stats` and `run` on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

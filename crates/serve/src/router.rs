@@ -27,12 +27,13 @@ use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use schedtask_experiments::serve_api::{
-    fnv1a64, parse_request, split_request_line, ClientTimeouts, Endpoint, JobSpec, Json, RequestOp,
-    Response, ServeClient, PROTOCOL_VERSION,
+    fnv1a64, split_request_line, ClientTimeouts, Endpoint, JobSpec, Json, Response, ServeClient,
+    PROTOCOL_VERSION,
 };
 use schedtask_obs::{Counter, CounterSet, CounterSnapshot};
 
 use crate::cache::{EventStream, JobOutput, Lookup, ResultCache};
+use crate::daemon::{error_line, handle_line, ok_line, Backend, Served};
 use crate::server::{counters_object, id_field};
 
 /// Virtual nodes per worker on the hash ring. Enough that adding or
@@ -166,35 +167,7 @@ impl Router {
     /// Handles one request line; returns the response line and whether
     /// the connection should close (shutdown acknowledged).
     pub fn handle_request_line(&self, line: &str) -> (String, bool) {
-        if let Some(response) = self.indexed_hit(line) {
-            return (response, false);
-        }
-        let req = match parse_request(line) {
-            Ok(req) => req,
-            Err(err) => {
-                let resp = Response::Error {
-                    id: None,
-                    code: err.code().map(str::to_owned),
-                    error: err.to_string(),
-                };
-                return (resp.render(), false);
-            }
-        };
-        match req.op {
-            RequestOp::Ping => (
-                Response::Pong {
-                    id: req.id,
-                    proto: PROTOCOL_VERSION,
-                }
-                .render(),
-                false,
-            ),
-            RequestOp::Stats => (self.stats_response(&req.id), false),
-            RequestOp::Shutdown => (Response::ShuttingDown { id: req.id }.render(), true),
-            RequestOp::Run(spec, want_obs) => {
-                (self.handle_run(line, &spec, want_obs, &req.id), false)
-            }
-        }
+        handle_line(self, line)
     }
 
     /// Answers `line` from the hot tier when it repeats an indexed
@@ -216,17 +189,7 @@ impl Router {
     /// The `ok` line for a hot-tier hit, counted as one.
     fn hot_hit(&self, id: Option<String>, out: &JobOutput, started: Instant) -> String {
         self.counters.add(Counter::ServeRouterHotHits, 1);
-        Response::Ok {
-            id,
-            cached: true,
-            coalesced: false,
-            key: out.key.clone(),
-            queue_depth: 0,
-            latency_us: started.elapsed().as_micros() as u64,
-            result: out.stats_json.clone(),
-            jsonl: None,
-        }
-        .render()
+        ok_line(id, out, Served::Hit, 0, started, None)
     }
 
     /// Indexes `line` under `key` when it is the canonical rendering of
@@ -242,90 +205,6 @@ impl Router {
                 .write()
                 .expect("line index poisoned")
                 .insert(rest.to_owned(), key);
-        }
-    }
-
-    /// Routes one run request through the hot-key tier and the ring.
-    fn handle_run(
-        &self,
-        line: &str,
-        spec: &JobSpec,
-        want_obs: bool,
-        id: &Option<String>,
-    ) -> String {
-        let key = spec.cache_key();
-        let started = Instant::now();
-
-        // Requests that ask for the JSONL event stream bypass the hot
-        // tier: the router caches only result bytes (obs streams are
-        // large and rarely replayed), and the worker's own cache still
-        // replays the jsonl byte-identically.
-        if want_obs {
-            return self.forward_with_failover(key, spec, true, id).0;
-        }
-
-        match self.hot.lookup_or_claim(key) {
-            Lookup::Hit(out) => {
-                self.index_line(line, spec, id, key);
-                self.hot_hit(id.clone(), &out, started)
-            }
-            Lookup::InFlight(slot) => {
-                self.counters.add(Counter::ServeRouterCoalesced, 1);
-                match slot.wait() {
-                    Ok(out) => Response::Ok {
-                        id: id.clone(),
-                        cached: false,
-                        coalesced: true,
-                        key: out.key.clone(),
-                        queue_depth: 0,
-                        latency_us: started.elapsed().as_micros() as u64,
-                        result: out.stats_json.clone(),
-                        jsonl: None,
-                    }
-                    .render(),
-                    Err(error) => Response::Error {
-                        id: id.clone(),
-                        code: None,
-                        error,
-                    }
-                    .render(),
-                }
-            }
-            Lookup::Claimed(slot) => {
-                let (response, parsed) = self.forward_with_failover(key, spec, false, id);
-                // Publish into the hot tier only on a successful run;
-                // rejections and errors fail the slot so coalesced
-                // duplicates see the outcome and a retry re-forwards.
-                match parsed {
-                    Ok(Response::Ok {
-                        key: hex, result, ..
-                    }) => {
-                        self.hot.fill(
-                            &slot,
-                            JobOutput {
-                                key: hex,
-                                stats_json: result,
-                                jsonl: EventStream::Held(String::new()),
-                            },
-                        );
-                    }
-                    Ok(Response::Rejected { retry_after_ms, .. }) => {
-                        self.hot.fail(
-                            key,
-                            &slot,
-                            format!("worker shed the job; retry after {retry_after_ms} ms"),
-                        );
-                    }
-                    Ok(Response::Error { error, .. }) => {
-                        self.hot.fail(key, &slot, error);
-                    }
-                    _ => {
-                        self.hot
-                            .fail(key, &slot, "unparseable worker response".to_owned());
-                    }
-                }
-                response
-            }
         }
     }
 
@@ -360,12 +239,9 @@ impl Router {
                 return (response, parsed);
             }
         }
-        let unreachable = Response::Error {
-            id: id.clone(),
-            code: None,
-            error: "all workers unreachable".to_owned(),
-        };
-        (unreachable.render(), Ok(unreachable))
+        let unreachable = error_line(id.clone(), "all workers unreachable");
+        let parsed = Response::parse(&unreachable);
+        (unreachable, parsed)
     }
 
     /// One forward attempt against one worker: check out (or dial) a
@@ -402,10 +278,21 @@ impl Router {
         }
     }
 
+    /// Lifetime count of one router counter (test hook).
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters.get(c)
+    }
+}
+
+impl Backend for Router {
+    fn answer_unparsed(&self, line: &str) -> Option<String> {
+        self.indexed_hit(line)
+    }
+
     /// The router's stats line: its own counters plus every worker's
     /// counters summed, so a fleet-wide execute-once assertion needs
     /// only this one response.
-    fn stats_response(&self, id: &Option<String>) -> String {
+    fn stats(&self, id: Option<String>) -> String {
         let mut worker_sums: Vec<(String, u64)> = Vec::new();
         let mut reachable = 0usize;
         for worker in 0..self.cfg.workers.len() {
@@ -440,16 +327,74 @@ impl Router {
             "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"router\":true,\
              \"workers\":{},\"workers_reachable\":{reachable},\
              \"hot_entries\":{},\"counters\":{},\"worker_counters\":{workers}}}",
-            id_field(id),
+            id_field(&id),
             self.cfg.workers.len(),
             self.hot.entries(),
             counters_object(&self.counters())
         )
     }
 
-    /// Lifetime count of one router counter (test hook).
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters.get(c)
+    /// Routes one run request through the hot-key tier and the ring.
+    fn run(&self, line: &str, id: Option<String>, spec: JobSpec, want_obs: bool) -> String {
+        let key = spec.cache_key();
+        let started = Instant::now();
+
+        // Requests that ask for the JSONL event stream bypass the hot
+        // tier: the router caches only result bytes (obs streams are
+        // large and rarely replayed), and the worker's own cache still
+        // replays the jsonl byte-identically.
+        if want_obs {
+            return self.forward_with_failover(key, &spec, true, &id).0;
+        }
+
+        match self.hot.lookup_or_claim(key) {
+            Lookup::Hit(out) => {
+                self.index_line(line, &spec, &id, key);
+                self.hot_hit(id, &out, started)
+            }
+            Lookup::InFlight(slot) => {
+                self.counters.add(Counter::ServeRouterCoalesced, 1);
+                match slot.wait() {
+                    Ok(out) => ok_line(id, &out, Served::Coalesced, 0, started, None),
+                    Err(error) => error_line(id, &error),
+                }
+            }
+            Lookup::Claimed(slot) => {
+                let (response, parsed) = self.forward_with_failover(key, &spec, false, &id);
+                // Publish into the hot tier only on a successful run;
+                // rejections and errors fail the slot so coalesced
+                // duplicates see the outcome and a retry re-forwards.
+                match parsed {
+                    Ok(Response::Ok {
+                        key: hex, result, ..
+                    }) => {
+                        self.hot.fill(
+                            &slot,
+                            JobOutput {
+                                key: hex,
+                                stats_json: result,
+                                jsonl: EventStream::Held(String::new()),
+                            },
+                        );
+                    }
+                    Ok(Response::Rejected { retry_after_ms, .. }) => {
+                        self.hot.fail(
+                            key,
+                            &slot,
+                            format!("worker shed the job; retry after {retry_after_ms} ms"),
+                        );
+                    }
+                    Ok(Response::Error { error, .. }) => {
+                        self.hot.fail(key, &slot, error);
+                    }
+                    _ => {
+                        self.hot
+                            .fail(key, &slot, "unparseable worker response".to_owned());
+                    }
+                }
+                response
+            }
+        }
     }
 }
 
@@ -643,6 +588,45 @@ mod tests {
             assert_eq!(router.indexed_hit(&line), None, "{line}");
         }
         assert_eq!(router.counter(Counter::ServeRouterHotHits), 5);
+        serving.kill();
+    }
+
+    #[test]
+    fn a_blank_line_is_an_empty_request_as_at_a_worker() {
+        let (router, serving) = router_over_one_worker();
+        for line in ["", " \r"] {
+            assert_eq!(
+                router.handle_request_line(line),
+                (
+                    "{\"v\":1,\"status\":\"error\",\"error\":\"empty request\"}".to_owned(),
+                    false
+                )
+            );
+        }
+        serving.kill();
+    }
+
+    #[test]
+    fn a_job_too_large_to_build_is_an_error_at_worker_and_router() {
+        // About 1e11 threads: the worker must refuse it before building
+        // the machine, and the router must pass that error on without
+        // failing over.
+        let line = "{\"v\":1,\"op\":\"run\",\"workload\":\"FileSrv\",\"scale\":1e9}";
+        let (router, serving) = router_over_one_worker();
+        let mut worker = ServeClient::dial(serving.endpoint(), &ClientTimeouts::default())
+            .expect("dial the worker");
+        let direct = worker.request_line(line).expect("the worker answers");
+        let (routed, _) = router.handle_request_line(line);
+        for response in [direct, routed] {
+            match Response::parse(&response) {
+                Ok(Response::Error { error, .. }) => {
+                    assert!(error.contains("threads, more than"), "{error}")
+                }
+                other => panic!("expected an error, got {other:?}"),
+            }
+        }
+        assert_eq!(router.counter(Counter::ServeRouterForwarded), 1);
+        assert_eq!(router.counter(Counter::ServeRouterFailovers), 0);
         serving.kill();
     }
 

@@ -1,7 +1,8 @@
-//! The server core: request handling, the executors, and job
-//! execution. Transport (sockets) lives in [`crate::daemon`], signals
-//! in the `schedtaskd` binary; everything here works on
-//! request/response strings, which is what the tests drive directly.
+//! The worker: admission, the cache tiers, the executors, and job
+//! execution. Requests reach it through the front end and transport
+//! in [`crate::daemon`], signals through the `schedtaskd` binary;
+//! everything here works on request/response strings, which is what
+//! the tests drive directly.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -10,15 +11,13 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use schedtask::{SchedTaskConfig, SchedTaskScheduler};
-use schedtask_experiments::runner::{panic_message, RunBuilder};
-use schedtask_experiments::serve_api::{
-    escape_json, parse_request, JobSpec, RequestOp, Response, PROTOCOL_VERSION,
-};
-use schedtask_obs::{Counter, CounterSet, CounterSnapshot, JsonlSink, Observer};
+use schedtask_experiments::runner::panic_message;
+use schedtask_experiments::serve_api::{escape_json, JobSpec, Response, PROTOCOL_VERSION};
+use schedtask_obs::{Counter, CounterSet, CounterSnapshot};
 
 use crate::cache::{EventStream, JobOutput, Lookup, ResultCache};
 use crate::chaos::{ChaosInjector, ChaosPlan, ResponseAction};
+use crate::daemon::{error_line, handle_line, ok_line, Backend, Served};
 use crate::disk::{DiskCache, DiskRecord, RecordLoc, RecoveryReport};
 use crate::queue::{JobQueue, QueuedJob, SubmitError};
 
@@ -299,107 +298,7 @@ impl Server {
     /// returned flag is `true` when the request asked the server to
     /// shut down.
     pub fn handle_request_line(&self, line: &str) -> (String, bool) {
-        let line = line.trim();
-        if line.is_empty() {
-            return (error_response(&None, "empty request"), false);
-        }
-        let req = match parse_request(line) {
-            Ok(req) => req,
-            Err(err) => {
-                // Version skew is a structured error (code
-                // "unsupported_version"), not a parse failure: the
-                // client can tell "upgrade me" apart from "fix your
-                // request".
-                let resp = Response::Error {
-                    id: None,
-                    code: err.code().map(str::to_owned),
-                    error: err.to_string(),
-                };
-                return (resp.render(), false);
-            }
-        };
-        match req.op {
-            RequestOp::Ping => (
-                Response::Pong {
-                    id: req.id,
-                    proto: PROTOCOL_VERSION,
-                }
-                .render(),
-                false,
-            ),
-            RequestOp::Stats => (self.stats_response(&req.id), false),
-            RequestOp::Shutdown => (Response::ShuttingDown { id: req.id }.render(), true),
-            RequestOp::Run(spec, want_obs) => (self.handle_run(&req.id, *spec, want_obs), false),
-        }
-    }
-
-    fn handle_run(&self, id: &Option<String>, spec: JobSpec, want_obs: bool) -> String {
-        let key = spec.cache_key();
-        let submitted = Instant::now();
-        self.counters.add(Counter::ServeSubmitted, 1);
-        let (output, cached, coalesced) = match self.cache.lookup_or_claim(key) {
-            Lookup::Hit(out) => {
-                self.counters.add(Counter::ServeCacheHits, 1);
-                (Ok(out), true, false)
-            }
-            Lookup::InFlight(slot) => {
-                self.counters.add(Counter::ServeCoalesced, 1);
-                (slot.wait(), false, true)
-            }
-            Lookup::Claimed(slot) => {
-                let job = QueuedJob {
-                    spec,
-                    key,
-                    slot: Arc::clone(&slot),
-                };
-                match self.queue.submit(job) {
-                    Ok(()) => {
-                        self.counters.add(Counter::ServeCacheMisses, 1);
-                        (slot.wait(), false, false)
-                    }
-                    Err(SubmitError::Full(bp)) => {
-                        self.counters.add(Counter::ServeRejected, 1);
-                        // Release the claim so a retry after back-off
-                        // re-executes instead of waiting forever.
-                        self.cache
-                            .fail(key, &slot, "rejected: queue full".to_owned());
-                        return Response::Rejected {
-                            id: id.clone(),
-                            queue_depth: bp.depth as u64,
-                            retry_after_ms: bp.retry_after_ms,
-                        }
-                        .render();
-                    }
-                    Err(SubmitError::Closed) => {
-                        // Terminal: the daemon is shutting down. No
-                        // retry hint — the client must not spin against
-                        // a dying endpoint.
-                        self.cache
-                            .fail(key, &slot, "server shutting down".to_owned());
-                        return error_response(id, "server shutting down; queue closed");
-                    }
-                }
-            }
-        };
-        let out = match output {
-            Ok(out) => out,
-            Err(err) => return error_response(id, &err),
-        };
-        let jsonl = match want_obs.then(|| self.event_stream(key, &out)).transpose() {
-            Ok(jsonl) => jsonl,
-            Err(err) => return error_response(id, &err),
-        };
-        Response::Ok {
-            id: id.clone(),
-            cached,
-            coalesced,
-            key: out.key.clone(),
-            queue_depth: self.queue.depth() as u64,
-            latency_us: submitted.elapsed().as_micros() as u64,
-            result: out.stats_json.clone(),
-            jsonl,
-        }
-        .render()
+        handle_line(self, line)
     }
 
     /// A cached result's JSONL stream: the memory copy when it is held,
@@ -417,19 +316,86 @@ impl Server {
                 .map_err(|err| format!("event stream unreadable: {err}")),
         }
     }
+}
 
-    fn stats_response(&self, id: &Option<String>) -> String {
+impl Backend for Server {
+    fn stats(&self, id: Option<String>) -> String {
         format!(
             "{{\"v\":{PROTOCOL_VERSION},{}\"status\":\"ok\",\"queue_depth\":{},\
              \"queue_capacity\":{},\"cache_entries\":{},\"disk_entries\":{},\
              \"counters\":{}}}",
-            id_field(id),
+            id_field(&id),
             self.queue.depth(),
             self.queue.capacity(),
             self.cache.entries(),
             self.disk_entries(),
             counters_object(&self.counters())
         )
+    }
+
+    fn run(&self, _line: &str, id: Option<String>, spec: JobSpec, want_obs: bool) -> String {
+        let key = spec.cache_key();
+        let submitted = Instant::now();
+        self.counters.add(Counter::ServeSubmitted, 1);
+        let (output, served) = match self.cache.lookup_or_claim(key) {
+            Lookup::Hit(out) => {
+                self.counters.add(Counter::ServeCacheHits, 1);
+                (Ok(out), Served::Hit)
+            }
+            Lookup::InFlight(slot) => {
+                self.counters.add(Counter::ServeCoalesced, 1);
+                (slot.wait(), Served::Coalesced)
+            }
+            Lookup::Claimed(slot) => {
+                let job = QueuedJob {
+                    spec,
+                    key,
+                    slot: Arc::clone(&slot),
+                };
+                match self.queue.submit(job) {
+                    Ok(()) => {
+                        self.counters.add(Counter::ServeCacheMisses, 1);
+                        (slot.wait(), Served::Fresh)
+                    }
+                    Err(SubmitError::Full(bp)) => {
+                        self.counters.add(Counter::ServeRejected, 1);
+                        // Release the claim so a retry after back-off
+                        // re-executes instead of waiting forever.
+                        self.cache
+                            .fail(key, &slot, "rejected: queue full".to_owned());
+                        return Response::Rejected {
+                            id,
+                            queue_depth: bp.depth as u64,
+                            retry_after_ms: bp.retry_after_ms,
+                        }
+                        .render();
+                    }
+                    Err(SubmitError::Closed) => {
+                        // Terminal: the daemon is shutting down. No
+                        // retry hint — the client must not spin against
+                        // a dying endpoint.
+                        self.cache
+                            .fail(key, &slot, "server shutting down".to_owned());
+                        return error_line(id, "server shutting down; queue closed");
+                    }
+                }
+            }
+        };
+        let out = match output {
+            Ok(out) => out,
+            Err(err) => return error_line(id, &err),
+        };
+        match want_obs.then(|| self.event_stream(key, &out)).transpose() {
+            Ok(jsonl) => ok_line(
+                id,
+                &out,
+                served,
+                self.queue.depth() as u64,
+                submitted,
+                jsonl,
+            ),
+            Err(err) => error_line(id, &err),
+        }
     }
 }
 
@@ -457,49 +423,20 @@ pub(crate) fn counters_object(snap: &CounterSnapshot) -> String {
     out
 }
 
-/// Renders an error response line with no machine-readable code.
-fn error_response(id: &Option<String>, err: &str) -> String {
-    Response::Error {
-        id: id.clone(),
-        code: None,
-        error: err.to_owned(),
-    }
-    .render()
-}
-
 /// Simulates one job and returns its canonical stats JSON and JSONL
-/// stream. The stream is always captured: it is part of the cached
-/// artefact, so replays are byte-identical whether or not the first
-/// submitter asked for it.
+/// stream, as [`JobSpec::run`] captures them.
 fn execute_job(spec: &JobSpec) -> Result<DiskRecord, String> {
-    let label = format!("{}/{}", spec.technique.name(), spec.benchmark.name());
-    let sink = Arc::new(JsonlSink::with_label(Vec::new(), Some(label)));
-    let mut builder =
-        RunBuilder::new(&spec.params).observer(Arc::clone(&sink) as Arc<dyn Observer>);
-    builder = match spec.steal {
-        Some(policy) => builder.scheduler(Box::new(SchedTaskScheduler::new(
-            spec.params.cores,
-            SchedTaskConfig {
-                steal_policy: policy,
-                ..SchedTaskConfig::default()
-            },
-        ))),
-        None => builder.technique(spec.technique),
-    };
-    let stats = builder
-        .benchmark(spec.benchmark, spec.scale)
-        .run()
-        .map_err(|e| e.to_string())?;
+    let (stats, jsonl) = spec.run().map_err(|e| e.to_string())?;
     Ok(DiskRecord {
         stats_json: stats.to_canonical_json(),
-        jsonl: sink.take(),
+        jsonl,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schedtask_experiments::serve_api::{result_payload, Json};
+    use schedtask_experiments::serve_api::{parse_request, result_payload, Json, RequestOp};
     use schedtask_obs::Counter;
 
     fn quick_run_line(id: &str, workload: &str) -> String {

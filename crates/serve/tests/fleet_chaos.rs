@@ -31,7 +31,7 @@ use proptest::test_runner::TestCaseError;
 use schedtask_experiments::serve_api::{
     submit_with_retry, ClientTimeouts, Endpoint, JobSpec, Response, RetryPolicy,
 };
-use schedtask_experiments::{RunBuilder, Technique};
+use schedtask_experiments::Technique;
 use schedtask_obs::Counter;
 use schedtask_serve::{ChaosPlan, Daemon, Router, RouterConfig, ServeConfig, Server, Serving};
 use schedtask_workload::BenchmarkKind;
@@ -82,11 +82,9 @@ fn mix(seed: u64, specs: &[JobSpec]) -> Vec<(usize, String)> {
 
 /// The canonical `SimStats` JSON of a run that never saw the service.
 fn direct_payload(spec: &JobSpec) -> String {
-    RunBuilder::new(&spec.params)
-        .technique(spec.technique)
-        .benchmark(spec.benchmark, spec.scale)
-        .run()
+    spec.run()
         .expect("the direct run succeeds")
+        .0
         .to_canonical_json()
 }
 

@@ -67,6 +67,14 @@ impl BenchmarkKind {
             BenchmarkKind::Oltp => "OLTP",
         }
     }
+
+    /// The benchmark whose display name is `name`, ignoring ASCII case:
+    /// the one lookup the wire, `repro` and the examples use.
+    pub fn parse(name: &str) -> Option<BenchmarkKind> {
+        BenchmarkKind::all()
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+    }
 }
 
 /// One entry in a benchmark's system-call mix.

@@ -11,17 +11,11 @@ use schedtask_suite::experiments::{runner, ExpParams, RunBuilder, Technique};
 use schedtask_suite::kernel::WorkloadSpec;
 use schedtask_suite::workload::BenchmarkKind;
 
-fn parse_benchmark(name: &str) -> Option<BenchmarkKind> {
-    BenchmarkKind::all()
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let kind = args
         .get(1)
-        .and_then(|s| parse_benchmark(s))
+        .and_then(|s| BenchmarkKind::parse(s))
         .unwrap_or(BenchmarkKind::Oltp);
     let cores: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
 
