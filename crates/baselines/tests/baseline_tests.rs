@@ -121,7 +121,6 @@ fn flexsc_keeps_idleness_near_zero() {
 fn flexsc_hurts_single_threaded_apps() {
     // The per-syscall Linux reschedule makes single-threaded benchmarks
     // complete fewer operations per second than under Linux.
-    let clock = cfg(0).system.clock_hz;
     let linux = run_with(
         Box::new(LinuxScheduler::new(CORES)),
         BenchmarkKind::Find,
@@ -133,10 +132,10 @@ fn flexsc_hurts_single_threaded_apps() {
         2.0,
     );
     assert!(
-        flexsc.app_performance(clock) < linux.app_performance(clock),
+        flexsc.app_performance() < linux.app_performance(),
         "flexsc {} >= linux {}",
-        flexsc.app_performance(clock),
-        linux.app_performance(clock)
+        flexsc.app_performance(),
+        linux.app_performance()
     );
 }
 

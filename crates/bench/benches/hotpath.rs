@@ -7,11 +7,12 @@
 //! (see `perfbench/README.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use schedtask_kernel::{GSHARE_ENTRIES, MISPREDICT_PENALTY};
 use schedtask_sim::{
     CacheParams, CodeDomain, Directory, GshareBranchPredictor, MemorySystem, PageHeatmap,
     SetAssocCache, SystemConfig, Tlb,
 };
-use schedtask_workload::{Footprint, FootprintWalker, PageAllocator, WalkParams};
+use schedtask_workload::{Footprint, FootprintWalker, PageAllocator, WalkParams, LINES_PER_PAGE};
 use std::sync::Arc;
 
 /// A tiny deterministic stream generator (xorshift64*), so every bench
@@ -40,7 +41,7 @@ fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(SAMPLES);
     g.bench_function("cache_access_mixed", |b| {
-        let mut cache = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 64, 3));
+        let mut cache = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 3));
         let mut s = Stream(0x1234_5678);
         b.iter(|| {
             // ~7/8 of accesses fall in a 128-line hot set, the rest roam.
@@ -133,8 +134,7 @@ fn bench_block_loop(c: &mut Criterion) {
     let private = Arc::new(Footprint::from_regions([&alloc.anonymous("priv", 4)]));
     let mut walker = FootprintWalker::new(code, shared, private, WalkParams::default(), 11);
     let mut heatmap = PageHeatmap::new(512);
-    let mut bp = GshareBranchPredictor::new(4096);
-    let lines_per_page = mem.lines_per_page();
+    let mut bp = GshareBranchPredictor::new(GSHARE_ENTRIES);
     g.bench_function("walker_only", |b| {
         b.iter(|| black_box(walker.next_block()));
     });
@@ -156,12 +156,12 @@ fn bench_block_loop(c: &mut Criterion) {
         b.iter(|| {
             let block = walker.next_block();
             let mut cycles = mem.fetch_code(0, block.line, CodeDomain::Application);
-            heatmap.insert_pfn(block.line / lines_per_page);
+            heatmap.insert_pfn(block.line / LINES_PER_PAGE);
             if let Some(d) = block.data_ref {
                 cycles += mem.access_data(0, d.line, d.write, CodeDomain::Application);
             }
             if !bp.predict_and_train(block.line, block.branch_taken) {
-                cycles += 14;
+                cycles += MISPREDICT_PENALTY;
             }
             black_box(cycles)
         });

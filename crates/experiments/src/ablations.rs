@@ -67,7 +67,6 @@ pub fn software_rendition_table(
     runner: &mut Runner,
     params: &ExpParams,
 ) -> Result<Table, ExperimentError> {
-    let clock = params.clock_hz();
     let software = SchedTaskConfig {
         software_rendition: true,
         ..SchedTaskConfig::default()
@@ -79,7 +78,7 @@ pub fn software_rendition_table(
         runner,
         params,
         against_linux([SchedTaskConfig::default(), software]),
-        |b, s| performance_change(b, s, clock),
+        performance_change,
     )?;
     let mut t = Table::new("Ablation: hardware Page-heatmap vs. software rendition (Section 3.2)")
         .with_note("The software approach must map each instruction's virtual address to its PFN at run time; the paper rejects it for exactly this overhead (and for Rowhammer-style security concerns). Measured on application performance — the mapping instructions inflate raw throughput.")

@@ -78,12 +78,11 @@ impl Comparison {
     /// Figure 7: change in application's performance (%) relative to the
     /// Linux baseline.
     pub fn fig07_performance(&self) -> Table {
-        let clock = self.params.clock_hz();
         self.change_table(
             "Figure 7: change in application's performance (%)",
             "Application-specific operations per second vs. the Linux baseline.",
             geometric_mean_pct,
-            |base, s| runner::performance_change(base, s, clock),
+            runner::performance_change,
         )
     }
 
@@ -151,7 +150,6 @@ impl Comparison {
     /// interpreting the relative tables.
     pub fn baseline_absolute_table(&self) -> Table {
         let cores = self.params.cores as f64;
-        let clock = self.params.clock_hz();
         let mut t = Table::new("Baseline absolutes (Linux scheduler)").with_headers([
             "benchmark",
             "IPC/core",
@@ -164,20 +162,12 @@ impl Comparison {
             t.push_row([
                 kind.name().to_string(),
                 format!("{:.3}", base.instruction_throughput() / cores),
-                format!("{:.0}", base.app_performance(clock)),
+                format!("{:.0}", base.app_performance()),
                 format!("{:.1}", base.mem.icache_overall_hit_rate() * 100.0),
                 format!("{:.1}", base.mem.dcache_overall_hit_rate() * 100.0),
             ]);
         }
         t
-    }
-
-    /// The geometric-mean performance change (%) of one technique
-    /// across benchmarks — the paper's headline numbers.
-    pub fn gmean_performance(&self, technique: Technique) -> f64 {
-        let clock = self.params.clock_hz();
-        let vals = self.technique_column(technique, |b, s| runner::performance_change(b, s, clock));
-        geometric_mean_pct(&vals)
     }
 }
 
@@ -213,13 +203,5 @@ mod tests {
         assert_eq!(c.fig08_all().len(), 6);
         let t10 = c.fig10_migrations();
         assert_eq!(t10.rows.len(), 6); // baseline + 5
-    }
-
-    #[test]
-    fn gmean_is_finite() {
-        let c = tiny();
-        for t in Technique::compared() {
-            assert!(c.gmean_performance(t).is_finite());
-        }
     }
 }

@@ -26,7 +26,6 @@ pub const WIDTHS: [u32; 5] = [128, 256, 512, 1024, 2048];
 pub struct HeatmapSweep {
     /// Workload column names.
     pub workloads: Vec<String>,
-    clock_hz: u64,
     report: SweepReport,
     /// The row of the first width: 1 behind a Linux baseline row.
     first_width: usize,
@@ -58,7 +57,6 @@ pub fn run(
     let grid = Grid::benchmarks(params, benchmarks, 2.0, variants);
     Ok(HeatmapSweep {
         workloads: benchmarks.iter().map(|k| k.name().to_string()).collect(),
-        clock_hz: params.clock_hz(),
         report: runner.run(&grid).complete()?,
         first_width: 1,
     })
@@ -83,7 +81,6 @@ pub fn run_tau_on_workloads(
     );
     Ok(HeatmapSweep {
         workloads: workloads.iter().map(|(name, _)| name.clone()).collect(),
-        clock_hz: params.clock_hz(),
         report: runner.run(&grid).complete()?,
         first_width: 0,
     })
@@ -155,11 +152,8 @@ pub fn tau_table(sweep: &HeatmapSweep) -> Table {
 /// Section 6.5's performance-per-width summary (including ideal), from
 /// [`run`]'s sweep.
 pub fn perf_table(sweep: &HeatmapSweep) -> Table {
-    let clock = sweep.clock_hz;
     let perf = |row| {
-        let vals = sweep
-            .report
-            .vs_baseline(row, |b, s| performance_change(b, s, clock));
+        let vals = sweep.report.vs_baseline(row, performance_change);
         f1(geometric_mean_pct(&vals))
     };
     let mut t = Table::new("Section 6.5: mean SchedTask benefit per Page-heatmap register width")

@@ -326,11 +326,6 @@ impl ExpParams {
             self.cores
         }
     }
-
-    /// Core clock of the configured machine.
-    pub fn clock_hz(&self) -> u64 {
-        self.system.clock_hz
-    }
 }
 
 /// Fluent, single entry point for running one simulation: a
@@ -559,11 +554,8 @@ pub fn throughput_change(base: &SimStats, other: &SimStats) -> f64 {
 
 /// Percentage change of application performance (ops/s) relative to
 /// `base`.
-pub fn performance_change(base: &SimStats, other: &SimStats, clock_hz: u64) -> f64 {
-    schedtask_metrics::pct_change(
-        base.app_performance(clock_hz),
-        other.app_performance(clock_hz),
-    )
+pub fn performance_change(base: &SimStats, other: &SimStats) -> f64 {
+    schedtask_metrics::pct_change(base.app_performance(), other.app_performance())
 }
 
 /// Percentage-point change in a hit rate (paper figures report absolute

@@ -27,11 +27,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use schedtask::{SchedTaskConfig, SchedTaskScheduler, StealPolicy};
-use schedtask_kernel::{DeviceModelConfig, FaultPlan, SimStats};
-use schedtask_obs::{push_escaped, JsonlSink, Observer};
-use schedtask_sim::{
-    CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, TraceCacheConfig,
+use schedtask_kernel::{
+    DeviceModelConfig, FaultPlan, SimStats, BASE_CPI, CLOCK_HZ, GSHARE_ENTRIES, MISPREDICT_PENALTY,
 };
+use schedtask_obs::{push_escaped, JsonlSink, Observer};
+use schedtask_sim::memory::{
+    DATA_OVERLAP_HIDDEN, DTLB_ENTRIES, ITLB_ENTRIES, MEMORY_LATENCY, NUCA_BANK_LATENCY,
+    NUCA_HOP_CYCLES, PREFETCH_DEGREE, PREFETCH_TABLE_ENTRIES, TLB_MISS_PENALTY,
+    TRACE_CACHE_ENTRIES, TRACE_LINES,
+};
+use schedtask_sim::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES};
 use schedtask_workload::BenchmarkKind;
 
 use crate::runner::{parse_device_spec, ExpParams, ExperimentError, RunBuilder, Technique};
@@ -89,9 +94,13 @@ impl JobSpec {
     /// when their fields are equal, so a deterministic engine produces
     /// identical stats for both.
     ///
-    /// Every struct is destructured without `..`, so a field added to
-    /// any of them fails to compile here until it is part of the key.
-    /// Any change to this text changes every key once;
+    /// The machine's fixed values (clock, line size, TLBs, memory
+    /// latency, base CPI, data-miss overlap, and the sizes of the
+    /// optional parts) are constants, written by name where each was
+    /// once a field, so a change to one changes every key. Every struct
+    /// is destructured without `..`, so a field added to any of them
+    /// fails to compile here until it is part of the key. Any change to
+    /// this text changes every key once;
     /// `canonical_text_and_keys_are_pinned` pins it.
     pub fn canonical_text(&self) -> String {
         let mut text = String::with_capacity(640);
@@ -121,26 +130,14 @@ impl JobSpec {
         } = params;
         let SystemConfig {
             num_cores,
-            clock_hz,
             hierarchy,
-            itlb_entries,
-            dtlb_entries,
-            tlb_miss_penalty,
-            base_cpi,
-            data_overlap_hidden,
-            prefetcher,
-            trace_cache,
             l1_replacement,
+            call_graph_prefetcher,
+            trace_cache,
             branch_predictor,
             nuca,
         } = system;
-        let HierarchyConfig {
-            l1i,
-            l1d,
-            l2,
-            llc,
-            memory_latency,
-        } = hierarchy;
+        let HierarchyConfig { l1i, l1d, l2, llc } = hierarchy;
         write!(
             out,
             "technique={};benchmark={};scale={:016x};steal=",
@@ -169,7 +166,7 @@ impl JobSpec {
             }
             render_device_spec(out, device)?;
         }
-        write!(out, ";num_cores={num_cores};clock_hz={clock_hz};l1i=")?;
+        write!(out, ";num_cores={num_cores};clock_hz={CLOCK_HZ};l1i=")?;
         write_cache_params(out, l1i)?;
         out.push_str(";l1d=");
         write_cache_params(out, l1d)?;
@@ -182,40 +179,35 @@ impl JobSpec {
         write_cache_params(out, llc)?;
         write!(
             out,
-            ";memory_latency={memory_latency};itlb_entries={itlb_entries};\
-             dtlb_entries={dtlb_entries};tlb_miss_penalty={tlb_miss_penalty};\
+            ";memory_latency={MEMORY_LATENCY};itlb_entries={ITLB_ENTRIES};\
+             dtlb_entries={DTLB_ENTRIES};tlb_miss_penalty={TLB_MISS_PENALTY};\
              base_cpi={:016x};data_overlap_hidden={:016x};prefetcher=",
-            base_cpi.to_bits(),
-            data_overlap_hidden.to_bits()
+            BASE_CPI.to_bits(),
+            DATA_OVERLAP_HIDDEN.to_bits()
         )?;
-        match prefetcher {
-            PrefetcherConfig::None => out.push('-'),
-            PrefetcherConfig::CallGraph {
-                degree,
-                table_entries,
-            } => write!(out, "call_graph/{degree}/{table_entries}")?,
-        }
+        write_part(
+            out,
+            *call_graph_prefetcher,
+            format_args!("call_graph/{PREFETCH_DEGREE}/{PREFETCH_TABLE_ENTRIES}"),
+        )?;
         out.push_str(";trace_cache=");
-        match trace_cache {
-            TraceCacheConfig::None => out.push('-'),
-            TraceCacheConfig::Enabled {
-                entries,
-                trace_lines,
-            } => write!(out, "{entries}/{trace_lines}")?,
-        }
+        write_part(
+            out,
+            *trace_cache,
+            format_args!("{TRACE_CACHE_ENTRIES}/{TRACE_LINES}"),
+        )?;
         write!(out, ";l1_replacement={l1_replacement:?};branch_predictor=")?;
-        match branch_predictor {
-            Some((entries, penalty)) => write!(out, "{entries}/{penalty}")?,
-            None => out.push('-'),
-        }
+        write_part(
+            out,
+            *branch_predictor,
+            format_args!("{GSHARE_ENTRIES}/{MISPREDICT_PENALTY}"),
+        )?;
         out.push_str(";nuca=");
-        match nuca {
-            Some((base, per_hop)) => write!(out, "{base}/{per_hop}"),
-            None => {
-                out.push('-');
-                Ok(())
-            }
-        }
+        write_part(
+            out,
+            *nuca,
+            format_args!("{NUCA_BANK_LATENCY}/{NUCA_HOP_CYCLES}"),
+        )
     }
 
     /// Content-addressed cache key: FNV-1a 64 of [`JobSpec::canonical_text`].
@@ -394,13 +386,22 @@ fn write_cache_params(out: &mut String, params: &CacheParams) -> fmt::Result {
     let CacheParams {
         size_bytes,
         associativity,
-        line_bytes,
         latency_cycles,
     } = params;
     write!(
         out,
-        "{size_bytes}/{associativity}/{line_bytes}/{latency_cycles}"
+        "{size_bytes}/{associativity}/{LINE_BYTES}/{latency_cycles}"
     )
+}
+
+/// Writes an optional machine part: its fixed sizes when it is on, `-`
+/// when it is off.
+fn write_part(out: &mut String, on: bool, sizes: fmt::Arguments) -> fmt::Result {
+    if on {
+        out.write_fmt(sizes)
+    } else {
+        out.write_char('-')
+    }
 }
 
 /// FNV-1a 64-bit hash: the job cache key ([`JobSpec::cache_key`]), the
@@ -1838,23 +1839,15 @@ mod tests {
         type Vary = fn(&mut SystemConfig);
         let machine: &[(&str, Vary)] = &[
             ("num_cores", |s| s.num_cores = 16),
-            ("clock_hz", |s| s.clock_hz = 3_000_000_000),
             ("l1i.size_bytes", |s| s.hierarchy.l1i.size_bytes = 16 * 1024),
             ("l1i.associativity", |s| s.hierarchy.l1i.associativity = 8),
-            ("l1i.line_bytes", |s| s.hierarchy.l1i.line_bytes = 32),
             ("l1i.latency_cycles", |s| s.hierarchy.l1i.latency_cycles = 4),
             ("l1d", |s| s.hierarchy.l1d.latency_cycles = 4),
             ("l2 absent", |s| s.hierarchy.l2 = None),
             ("l2", |s| {
-                s.hierarchy.l2 = Some(CacheParams::new(512 * 1024, 8, 64, 10))
+                s.hierarchy.l2 = Some(CacheParams::new(512 * 1024, 8, 10))
             }),
             ("llc", |s| s.hierarchy.llc.latency_cycles = 8),
-            ("memory_latency", |s| s.hierarchy.memory_latency = 300),
-            ("itlb_entries", |s| s.itlb_entries = 64),
-            ("dtlb_entries", |s| s.dtlb_entries = 64),
-            ("tlb_miss_penalty", |s| s.tlb_miss_penalty = 60),
-            ("base_cpi", |s| s.base_cpi = 0.5),
-            ("data_overlap_hidden", |s| s.data_overlap_hidden = 0.6),
             ("prefetcher", |s| {
                 *s = s.clone().with_call_graph_prefetcher()
             }),
@@ -2004,6 +1997,91 @@ mod tests {
                 format!("{{\"v\":1,\"id\":\"job \\\"7\\\"\\n\\u0001é😀\",{body},\"obs\":true}}")
             );
         }
+    }
+
+    #[test]
+    fn every_machine_an_experiment_builds_keeps_its_key() {
+        // Each machine the experiments, ablations and appendix build,
+        // under the quick SchedTask/Find spec. The keys were recorded
+        // when the fixed machine values were still SystemConfig fields,
+        // so they show that the canonical text writes each constant
+        // where its field stood, on every machine.
+        use schedtask_sim::ReplacementPolicy;
+        let table2 = SystemConfig::table2;
+        let with_hierarchy = |h: HierarchyConfig| table2().with_hierarchy(h);
+        let with_l1 = |policy: ReplacementPolicy| SystemConfig {
+            l1_replacement: policy,
+            ..table2()
+        };
+        let machines = [
+            ("Table 2", table2(), "fa76716d8393ad14"),
+            (
+                "Config1",
+                with_hierarchy(HierarchyConfig::config1()),
+                "e30ba8baaf3a3a3d",
+            ),
+            (
+                "Config2",
+                with_hierarchy(HierarchyConfig::config2()),
+                "b4b469c64d4b8432",
+            ),
+            (
+                "Config3",
+                with_hierarchy(HierarchyConfig::config3()),
+                "fa76716d8393ad14",
+            ),
+            (
+                "16 KB i-cache",
+                with_hierarchy(HierarchyConfig::table2().with_icache_size(16 * 1024)),
+                "7f16d1ed936895f8",
+            ),
+            (
+                "64 KB i-cache",
+                with_hierarchy(HierarchyConfig::table2().with_icache_size(64 * 1024)),
+                "fbb5c05366e822af",
+            ),
+            (
+                "FIFO L1",
+                with_l1(ReplacementPolicy::Fifo),
+                "b349382f9fc654ad",
+            ),
+            (
+                "Random L1",
+                with_l1(ReplacementPolicy::Random),
+                "d1a4d61510b0904c",
+            ),
+            (
+                "call-graph prefetcher",
+                table2().with_call_graph_prefetcher(),
+                "b35bdfdade9409a1",
+            ),
+            (
+                "trace cache",
+                table2().with_trace_cache(),
+                "31936c7272178dd4",
+            ),
+            (
+                "gshare",
+                table2().with_branch_predictor(),
+                "a481fdb873ade093",
+            ),
+            ("NUCA", table2().with_nuca(), "e93186c06d85814b"),
+        ];
+        let keys = |spec: &JobSpec| {
+            machines
+                .iter()
+                .map(|(name, system, _)| {
+                    let mut spec = spec.clone();
+                    spec.params.system = system.clone();
+                    format!("{name}: {}", spec.cache_key_hex())
+                })
+                .collect::<Vec<_>>()
+        };
+        let expected: Vec<String> = machines
+            .iter()
+            .map(|(name, _, key)| format!("{name}: {key}"))
+            .collect();
+        assert_eq!(keys(&run_spec("{\"workload\":\"Find\"}")), expected);
     }
 
     #[test]

@@ -126,7 +126,7 @@ fn experiment_tables_match_their_goldens() {
     ));
 
     let want: [(&str, u64); 15] = [
-        ("fig4", 0x3200c5224aad4f51),
+        ("fig4", 0x760ae03632fe4a71),
         ("fig7", 0x6d08405901f81a24),
         ("fig8", 0xdc5ff2a7564ab937),
         ("fig10", 0x0dd25c29db061ed4),

@@ -10,7 +10,7 @@
 
 use super::events::HeapEvent;
 use super::interrupts::PendingIrq;
-use super::KERNEL_TID;
+use super::{BASE_CPI, GSHARE_ENTRIES, KERNEL_TID, MISPREDICT_PENALTY};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::faults::FaultInjector;
@@ -28,6 +28,10 @@ use schedtask_workload::{
 };
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+// The quantum loop takes a block's page as the workload lays it out;
+// the memory system's TLBs must see the same page.
+const _: () = assert!(schedtask_sim::LINES_PER_PAGE == LINES_PER_PAGE);
 
 /// One simulated thread (or single-threaded process instance).
 #[derive(Debug)]
@@ -331,7 +335,6 @@ impl EngineCore {
         if n == 0 {
             return;
         }
-        let base_cpi = self.cfg.system.base_cpi;
         let core = &mut self.cores[c];
         let mut cycles = 0u64;
         let mut executed = 0u64;
@@ -343,7 +346,7 @@ impl EngineCore {
             }
             executed += block.instructions as u64;
         }
-        cycles += (executed as f64 * base_cpi).round() as u64;
+        cycles += (executed as f64 * BASE_CPI).round() as u64;
         core.clock += cycles;
         self.stats.core_time[c].busy_cycles += cycles;
         self.stats.instructions.scheduler += executed;
@@ -355,7 +358,6 @@ impl EngineCore {
         let sf_id = self.cores[c]
             .current
             .ok_or(EngineError::NoCurrentSf { core: CoreId(c) })?;
-        let base_cpi = self.cfg.system.base_cpi;
         let quantum = super::QUANTUM_INSTRUCTIONS;
 
         let sf = self
@@ -371,16 +373,14 @@ impl EngineCore {
         let target = boundary_in.min(quantum).max(1);
 
         let core = &mut self.cores[c];
-        let mispredict_penalty = self.cfg.system.branch_predictor.map(|(_, p)| p);
         let mut cycles = 0u64;
         let mut executed = 0u64;
         let mut branches = 0u64;
         let mut mispredicts = 0u64;
-        let lines_per_page = LINES_PER_PAGE;
         while executed < target {
             let block = sf.walker.next_block();
             cycles += self.mem.fetch_code(c, block.line, domain);
-            let page = block.line / lines_per_page;
+            let page = block.line / LINES_PER_PAGE;
             if let Some(hm) = core.heatmap.as_mut() {
                 hm.insert_pfn(page);
             }
@@ -390,19 +390,18 @@ impl EngineCore {
             if let Some(d) = block.data_ref {
                 cycles += self.mem.access_data(c, d.line, d.write, domain);
             }
-            if let (Some(penalty), Some(bp)) = (mispredict_penalty, core.branch_predictor.as_mut())
-            {
+            if let Some(bp) = core.branch_predictor.as_mut() {
                 branches += 1;
                 if !bp.predict_and_train(block.line, block.branch_taken) {
                     mispredicts += 1;
-                    cycles += penalty;
+                    cycles += MISPREDICT_PENALTY;
                 }
             }
             executed += block.instructions as u64;
         }
         self.stats.branches += branches;
         self.stats.branch_mispredictions += mispredicts;
-        cycles += (executed as f64 * base_cpi).round() as u64;
+        cycles += (executed as f64 * BASE_CPI).round() as u64;
 
         core.clock += cycles;
         sf.cycles_used += cycles;
@@ -511,13 +510,7 @@ impl EngineCore {
 
     pub(super) fn snapshot_epoch_breakup(&mut self) {
         let cur = self.stats.instructions;
-        let delta = crate::stats::CategoryInstructions {
-            application: cur.application - self.epoch_prev.application,
-            syscall: cur.syscall - self.epoch_prev.syscall,
-            interrupt: cur.interrupt - self.epoch_prev.interrupt,
-            bottom_half: cur.bottom_half - self.epoch_prev.bottom_half,
-            scheduler: cur.scheduler - self.epoch_prev.scheduler,
-        };
+        let delta = cur.since(&self.epoch_prev);
         self.epoch_prev = cur;
         self.stats.epoch_breakups.push(delta.breakup_percent());
     }
@@ -526,11 +519,15 @@ impl EngineCore {
         let num_cores = self.cores.len();
         let num_bench = self.instances.len();
         let breakups = std::mem::take(&mut self.stats.epoch_breakups);
+        // Epoch history spans warm-up: the epoch that straddles this
+        // reset keeps what it retired before it, as a baseline that
+        // much below the zeroed counters.
+        let straddled = self.stats.instructions.since(&self.epoch_prev);
         self.stats = SimStats::new(num_cores, num_bench);
-        self.stats.epoch_breakups = breakups; // epoch history spans warm-up
+        self.stats.epoch_breakups = breakups;
         self.stats.per_thread_instructions = vec![0; self.threads.len()];
         self.mem.reset_stats();
-        self.epoch_prev = self.stats.instructions;
+        self.epoch_prev = crate::stats::CategoryInstructions::default().since(&straddled);
         self.measure_start = self.now;
         self.warmed_up = true;
     }
@@ -646,7 +643,7 @@ impl EngineCore {
                 branch_predictor: cfg
                     .system
                     .branch_predictor
-                    .map(|(entries, _)| GshareBranchPredictor::new(entries)),
+                    .then(|| GshareBranchPredictor::new(GSHARE_ENTRIES)),
             })
             .collect();
 

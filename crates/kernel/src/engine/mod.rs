@@ -137,6 +137,16 @@ const TIMER_SLEEP_CYCLES: u64 = 30_000;
 /// down with the epoch).
 const TIMER_TICK_CYCLES: u64 = 400_000;
 
+/// Base cycles per instruction for a 4-wide out-of-order core when every
+/// access hits in the L1s (Table 2's retire width of 4 gives a floor of
+/// 0.25; queuing effects raise the realistic floor).
+pub const BASE_CPI: f64 = 0.4;
+/// Counters in each core's gshare predictor when the machine models
+/// branches ([`schedtask_sim::SystemConfig::branch_predictor`]).
+pub const GSHARE_ENTRIES: u32 = 4096;
+/// Cycles a branch misprediction costs when the machine models branches.
+pub const MISPREDICT_PENALTY: u64 = 15;
+
 /// Most simulated threads one workload may have. The machine is built
 /// thread by thread before anything can fail, so [`Engine::new`]
 /// refuses a larger workload up front. The largest any experiment

@@ -63,10 +63,12 @@ pub use schedtask_obs as obs;
 
 pub use common::{apportion_cores, CoreQueues};
 pub use config::{DeviceModelConfig, EngineConfig};
-pub use engine::{Engine, EngineCore, WorkloadSpec, KERNEL_TID};
+pub use engine::{
+    Engine, EngineCore, WorkloadSpec, BASE_CPI, GSHARE_ENTRIES, KERNEL_TID, MISPREDICT_PENALTY,
+};
 pub use error::{ConfigError, EngineError, SchedError, Violation};
 pub use faults::{FaultCounts, FaultPlan};
 pub use ids::{CoreId, SfId, ThreadId};
 pub use scheduler::{GlobalFifoScheduler, SchedEvent, Scheduler, SwitchReason};
-pub use stats::{CategoryInstructions, CoreTime, SimStats};
+pub use stats::{CategoryInstructions, CoreTime, SimStats, CLOCK_HZ};
 pub use superfunction::{SfBody, SfState, SuperFunction};

@@ -4,6 +4,10 @@ use schedtask_metrics::jain_fairness;
 use schedtask_sim::MemStats;
 use schedtask_workload::SfCategory;
 
+/// Core clock in Hz: the paper's 22 nm cores run at 2 GHz. Only
+/// [`SimStats::app_performance`] turns cycles into seconds.
+pub const CLOCK_HZ: u64 = 2_000_000_000;
+
 /// Instruction counts by SuperFunction category plus scheduler code
 /// (which Figure 4 excludes from the breakup but which still retires
 /// instructions).
@@ -35,6 +39,20 @@ impl CategoryInstructions {
     /// Total including scheduler instructions.
     pub fn total(&self) -> u64 {
         self.application + self.syscall + self.interrupt + self.bottom_half + self.scheduler
+    }
+
+    /// Instructions retired since the counters read `earlier`, category
+    /// by category. Wrapping, so an `earlier` that lies below zero (an
+    /// epoch baseline carried across the warm-up reset) still gives the
+    /// exact count.
+    pub(crate) fn since(&self, earlier: &Self) -> Self {
+        CategoryInstructions {
+            application: self.application.wrapping_sub(earlier.application),
+            syscall: self.syscall.wrapping_sub(earlier.syscall),
+            interrupt: self.interrupt.wrapping_sub(earlier.interrupt),
+            bottom_half: self.bottom_half.wrapping_sub(earlier.bottom_half),
+            scheduler: self.scheduler.wrapping_sub(earlier.scheduler),
+        }
     }
 
     /// Total excluding scheduler instructions (the Figure 4 denominator).
@@ -162,15 +180,15 @@ impl SimStats {
             / self.core_time.len() as f64
     }
 
-    /// Application performance: operations per simulated second for the
-    /// given clock (Section 6.1's "application-specific events ... in one
-    /// second of system execution").
-    pub fn app_performance(&self, clock_hz: u64) -> f64 {
+    /// Application performance: operations per simulated second at
+    /// [`CLOCK_HZ`] (Section 6.1's "application-specific events ... in
+    /// one second of system execution").
+    pub fn app_performance(&self) -> f64 {
         let ops: u64 = self.ops_per_benchmark.iter().sum();
         if self.final_cycle == 0 {
             0.0
         } else {
-            ops as f64 * clock_hz as f64 / self.final_cycle as f64
+            ops as f64 * CLOCK_HZ as f64 / self.final_cycle as f64
         }
     }
 
@@ -314,52 +332,11 @@ impl SimStats {
         ));
         out
     }
-
-    /// A multi-line human-readable summary (used by examples and
-    /// debugging sessions; the experiment tables are the precise
-    /// artefacts).
-    pub fn summary(&self, clock_hz: u64) -> String {
-        let b = self.instructions.breakup_percent();
-        format!(
-            "instructions: {} (app {:.1}% / sys {:.1}% / irq {:.1}% / bh {:.1}%)\n\
-             cycles: {}  machine IPC: {:.3}  idle: {:.1}%\n\
-             i-cache: app {:.1}% / OS {:.1}%   d-cache: app {:.1}% / OS {:.1}%\n\
-             ops/s: {:.0}  migrations/Binstr: {:.0}  fairness: {:.3}",
-            self.total_instructions(),
-            b[0],
-            b[1],
-            b[2],
-            b[3],
-            self.final_cycle,
-            self.instruction_throughput(),
-            self.mean_idle_fraction() * 100.0,
-            self.mem.icache_app.hit_rate() * 100.0,
-            self.mem.icache_os.hit_rate() * 100.0,
-            self.mem.dcache_app.hit_rate() * 100.0,
-            self.mem.dcache_os.hit_rate() * 100.0,
-            self.app_performance(clock_hz),
-            self.migrations_per_billion_instructions(),
-            self.fairness(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_mentions_key_numbers() {
-        let mut s = SimStats::new(2, 1);
-        s.instructions.add(SfCategory::Application, 800);
-        s.instructions.add(SfCategory::SystemCall, 200);
-        s.final_cycle = 1_000;
-        s.ops_per_benchmark[0] = 4;
-        let text = s.summary(1_000);
-        assert!(text.contains("instructions: 1000"));
-        assert!(text.contains("app 80.0%"));
-        assert!(text.contains("ops/s: 4"));
-    }
 
     #[test]
     fn breakup_sums_to_hundred() {
@@ -398,8 +375,8 @@ mod tests {
         s.final_cycle = 2_000;
         s.ops_per_benchmark[0] = 10;
         assert!((s.instruction_throughput() - 0.5).abs() < 1e-12);
-        // 10 ops in 2000 cycles at 2 kHz = 10 ops per second.
-        assert!((s.app_performance(2_000) - 10.0).abs() < 1e-12);
+        // 10 ops in 2000 cycles at 2 GHz = 10 million ops per second.
+        assert_eq!(s.app_performance(), 1e7);
     }
 
     #[test]

@@ -127,6 +127,27 @@ fn epoch_breakups_collected_when_enabled() {
         let sum: f64 = b.iter().sum();
         assert!(sum == 0.0 || (sum - 100.0).abs() < 1e-6);
     }
+
+    // The warm-up reset zeroes statistics, not the simulation: the
+    // epoch that straddles it counts instructions from both sides, so
+    // the breakups agree wherever the warm-up ends.
+    let breakups = |warmup_instructions| {
+        let mut cfg = small_cfg(4, 400_000);
+        cfg.collect_epoch_breakups = true;
+        cfg.epoch_cycles = 20_000;
+        cfg.warmup_instructions = warmup_instructions;
+        let mut engine = Engine::new(
+            cfg,
+            &WorkloadSpec::single(BenchmarkKind::Find, 1.0),
+            Box::new(GlobalFifoScheduler::new()),
+        )
+        .expect("engine builds");
+        engine.run().expect("run succeeds").epoch_breakups.clone()
+    };
+    let (early, late) = (breakups(50_000), breakups(130_000));
+    let common = early.len().min(late.len());
+    assert!(common >= 10, "{common} common epochs");
+    assert_eq!(early[..common], late[..common]);
 }
 
 #[test]

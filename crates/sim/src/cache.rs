@@ -73,7 +73,7 @@ enum TagStore {
 /// ```
 /// use schedtask_sim::{CacheParams, SetAssocCache};
 ///
-/// let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 64, 1));
+/// let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 1));
 /// assert!(!c.access(7));      // cold miss
 /// assert!(c.access(7));       // now resident
 /// ```
@@ -396,7 +396,7 @@ mod tests {
 
     fn tiny() -> SetAssocCache {
         // 2 sets x 2 ways, 64-byte lines.
-        SetAssocCache::new(CacheParams::new(256, 2, 64, 1))
+        SetAssocCache::new(CacheParams::new(256, 2, 1))
     }
 
     #[test]
@@ -467,7 +467,7 @@ mod tests {
     fn invalidate_middle_way_preserves_recency_order() {
         // 1 set x 4 ways: recency order is fully observable via
         // subsequent evictions.
-        let mut c = SetAssocCache::new(CacheParams::new(256, 4, 64, 1));
+        let mut c = SetAssocCache::new(CacheParams::new(256, 4, 1));
         c.access(0);
         c.access(1);
         c.access(2);
@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn working_set_larger_than_cache_thrashes() {
-        let mut c = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 64, 3));
+        let mut c = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 3));
         let lines = c.params().num_lines() * 2;
         // Two sequential sweeps over 2x capacity: second sweep still misses
         // everywhere under LRU.
@@ -530,7 +530,7 @@ mod tests {
 
     #[test]
     fn working_set_smaller_than_cache_stays_resident() {
-        let mut c = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 64, 3));
+        let mut c = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 3));
         let lines = c.params().num_lines() / 2;
         for line in 0..lines {
             c.access(line);
@@ -546,7 +546,7 @@ mod policy_tests {
     use super::*;
 
     fn tiny_with(policy: ReplacementPolicy) -> SetAssocCache {
-        SetAssocCache::with_policy(CacheParams::new(256, 2, 64, 1), policy)
+        SetAssocCache::with_policy(CacheParams::new(256, 2, 1), policy)
     }
 
     #[test]
@@ -590,7 +590,7 @@ mod policy_tests {
     fn seeded_random_decorrelates_but_stays_deterministic() {
         let run = |salt| {
             let mut c = SetAssocCache::with_policy_seeded(
-                CacheParams::new(512, 2, 64, 1),
+                CacheParams::new(512, 2, 1),
                 ReplacementPolicy::Random,
                 salt,
             );
@@ -617,11 +617,11 @@ mod policy_tests {
             (0..400u64).map(|i| c.access(4 * (i % 9))).collect()
         };
         let legacy = trace(SetAssocCache::with_policy(
-            CacheParams::new(512, 2, 64, 1),
+            CacheParams::new(512, 2, 1),
             ReplacementPolicy::Random,
         ));
         let seeded = trace(SetAssocCache::with_policy_seeded(
-            CacheParams::new(512, 2, 64, 1),
+            CacheParams::new(512, 2, 1),
             ReplacementPolicy::Random,
             0,
         ));
@@ -637,7 +637,7 @@ mod policy_tests {
         };
         let mut a = tiny_with(ReplacementPolicy::Lru);
         let mut b = SetAssocCache::with_policy_seeded(
-            CacheParams::new(256, 2, 64, 1),
+            CacheParams::new(256, 2, 1),
             ReplacementPolicy::Lru,
             0xDEAD_BEEF,
         );
@@ -651,7 +651,7 @@ mod policy_tests {
             ReplacementPolicy::Fifo
         );
         assert_eq!(
-            SetAssocCache::new(CacheParams::new(256, 2, 64, 1)).policy(),
+            SetAssocCache::new(CacheParams::new(256, 2, 1)).policy(),
             ReplacementPolicy::Lru
         );
     }
@@ -661,7 +661,7 @@ mod policy_tests {
         // A hot line re-touched constantly plus a conflict stream: LRU
         // protects the hot line best.
         let rate = |policy| {
-            let mut c = SetAssocCache::with_policy(CacheParams::new(512, 2, 64, 1), policy);
+            let mut c = SetAssocCache::with_policy(CacheParams::new(512, 2, 1), policy);
             for i in 0..4000u64 {
                 c.access(0); // hot
                 c.access(4 * (i % 7) + 8); // conflicting stream, same set

@@ -1,16 +1,25 @@
 //! Machine configuration: Table 2 of the paper plus the appendix's
-//! Config1/Config2/Config3 cache hierarchies, i-cache size sweeps, and core
-//! count sweeps.
+//! Config1/Config2/Config3 cache hierarchies, i-cache size sweeps, core
+//! count sweeps, and the on/off switches of the optional parts.
+//!
+//! [`SystemConfig`] holds only what an experiment varies. Everything the
+//! paper fixes (Table 2's line size, TLBs, memory latency, base CPI and
+//! clock, and the sizes of the optional parts) is a named constant beside
+//! the code that reads it: [`LINE_BYTES`] here, the memory-system
+//! constants in [`crate::memory`], the base CPI, gshare sizing and clock
+//! in `schedtask-kernel`.
 
-/// Geometry and latency of one cache level.
+/// Cache line size in bytes, for every level (Table 2: 64 B).
+pub const LINE_BYTES: u64 = 64;
+
+/// Geometry and latency of one cache level; every level has
+/// [`LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity (ways per set).
     pub associativity: u32,
-    /// Line size in bytes.
-    pub line_bytes: u64,
     /// Access latency in cycles.
     pub latency_cycles: u64,
 }
@@ -21,29 +30,28 @@ impl CacheParams {
     /// # Panics
     ///
     /// Panics if any dimension is zero or capacity is not a multiple of
-    /// `associativity * line_bytes`.
-    pub fn new(size_bytes: u64, associativity: u32, line_bytes: u64, latency_cycles: u64) -> Self {
-        assert!(size_bytes > 0 && associativity > 0 && line_bytes > 0);
+    /// `associativity * LINE_BYTES`.
+    pub fn new(size_bytes: u64, associativity: u32, latency_cycles: u64) -> Self {
+        assert!(size_bytes > 0 && associativity > 0);
         assert!(
-            size_bytes.is_multiple_of(associativity as u64 * line_bytes),
+            size_bytes.is_multiple_of(associativity as u64 * LINE_BYTES),
             "capacity must be a whole number of sets"
         );
         CacheParams {
             size_bytes,
             associativity,
-            line_bytes,
             latency_cycles,
         }
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (self.associativity as u64 * self.line_bytes)
+        self.size_bytes / (self.associativity as u64 * LINE_BYTES)
     }
 
     /// Number of lines the cache can hold.
     pub fn num_lines(&self) -> u64 {
-        self.size_bytes / self.line_bytes
+        self.size_bytes / LINE_BYTES
     }
 }
 
@@ -61,8 +69,6 @@ pub struct HierarchyConfig {
     /// Shared last-level cache (the paper's 8 MB NUCA L3, or the shared L2
     /// of Config1/Config2).
     pub llc: CacheParams,
-    /// Main-memory access latency in cycles.
-    pub memory_latency: u64,
 }
 
 impl HierarchyConfig {
@@ -71,22 +77,18 @@ impl HierarchyConfig {
     /// cycles average.
     pub fn table2() -> Self {
         HierarchyConfig {
-            l1i: CacheParams::new(32 * 1024, 4, 64, 3),
-            l1d: CacheParams::new(32 * 1024, 4, 64, 3),
-            l2: Some(CacheParams::new(256 * 1024, 4, 64, 8)),
-            llc: CacheParams::new(8 * 1024 * 1024, 8, 64, 18),
-            memory_latency: 200,
+            l1i: CacheParams::new(32 * 1024, 4, 3),
+            l1d: CacheParams::new(32 * 1024, 4, 3),
+            l2: Some(CacheParams::new(256 * 1024, 4, 8)),
+            llc: CacheParams::new(8 * 1024 * 1024, 8, 18),
         }
     }
 
     /// Appendix Config1: two-level hierarchy, shared 8 MB L2 at 18 cycles.
     pub fn config1() -> Self {
         HierarchyConfig {
-            l1i: CacheParams::new(32 * 1024, 4, 64, 3),
-            l1d: CacheParams::new(32 * 1024, 4, 64, 3),
             l2: None,
-            llc: CacheParams::new(8 * 1024 * 1024, 8, 64, 18),
-            memory_latency: 200,
+            ..Self::table2()
         }
     }
 
@@ -95,11 +97,8 @@ impl HierarchyConfig {
     /// core specialization).
     pub fn config2() -> Self {
         HierarchyConfig {
-            l1i: CacheParams::new(32 * 1024, 4, 64, 3),
-            l1d: CacheParams::new(32 * 1024, 4, 64, 3),
-            l2: None,
-            llc: CacheParams::new(8 * 1024 * 1024, 8, 64, 8),
-            memory_latency: 200,
+            llc: CacheParams::new(8 * 1024 * 1024, 8, 8),
+            ..Self::config1()
         }
     }
 
@@ -112,108 +111,49 @@ impl HierarchyConfig {
     /// Same hierarchy with a different L1 i-cache capacity (appendix
     /// Table 2 sweeps 16 KB / 32 KB / 64 KB at 4 ways).
     pub fn with_icache_size(mut self, size_bytes: u64) -> Self {
-        self.l1i = CacheParams::new(
-            size_bytes,
-            self.l1i.associativity,
-            self.l1i.line_bytes,
-            self.l1i.latency_cycles,
-        );
+        self.l1i = CacheParams::new(size_bytes, self.l1i.associativity, self.l1i.latency_cycles);
         self
     }
 }
 
-/// Instruction prefetcher selection (appendix Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PrefetcherConfig {
-    /// No instruction prefetching (the main evaluation).
-    #[default]
-    None,
-    /// Call-graph-prefetching-like history prefetcher (CGP, hardware-only
-    /// mode): on each fetched line, prefetch up to `degree` predicted
-    /// successor lines.
-    CallGraph {
-        /// How many successor lines to prefetch per trigger.
-        degree: u32,
-        /// Entries in the per-core successor history table.
-        table_entries: u32,
-    },
-}
-
-/// Trace-cache selection (appendix Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TraceCacheConfig {
-    /// No trace cache (the main evaluation).
-    #[default]
-    None,
-    /// A per-core trace cache in the style of the Krick et al. patent:
-    /// `entries` trace heads, each covering up to `trace_lines` consecutive
-    /// fetch lines.
-    Enabled {
-        /// Number of trace entries.
-        entries: u32,
-        /// Lines covered by one trace.
-        trace_lines: u32,
-    },
-}
-
-/// Full machine configuration.
+/// Full machine configuration: what an experiment varies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores.
     pub num_cores: usize,
-    /// Core clock in Hz (used to convert cycles to seconds; the paper's
-    /// 22 nm cores are modelled at 2 GHz).
-    pub clock_hz: u64,
     /// Cache hierarchy.
     pub hierarchy: HierarchyConfig,
-    /// Entries in the instruction TLB (Table 2: 128).
-    pub itlb_entries: u32,
-    /// Entries in the data TLB (Table 2: 128).
-    pub dtlb_entries: u32,
-    /// Page-walk penalty on a TLB miss, in cycles.
-    pub tlb_miss_penalty: u64,
-    /// Base cycles per instruction for a 4-wide out-of-order core when
-    /// every access hits in the L1s (Table 2's retire width of 4 gives a
-    /// floor of 0.25; queuing effects raise the realistic floor).
-    pub base_cpi: f64,
-    /// Fraction of a data-miss penalty that the out-of-order window hides
-    /// (load-store queues, data prefetchers — Section 2.2's observation
-    /// that d-cache latencies are largely hidden).
-    pub data_overlap_hidden: f64,
-    /// Instruction prefetcher.
-    pub prefetcher: PrefetcherConfig,
-    /// Trace cache.
-    pub trace_cache: TraceCacheConfig,
     /// Replacement policy of the private L1 caches (the paper's machine
     /// uses LRU; alternatives exist for the replacement ablation).
     pub l1_replacement: crate::cache::ReplacementPolicy,
-    /// Explicit branch modelling: `(predictor entries, mispredict
-    /// penalty in cycles)`. `None` folds branch effects into the base
-    /// CPI, as the default timing model does.
-    pub branch_predictor: Option<(u32, u64)>,
-    /// Explicit banked NUCA LLC: `(bank base latency, cycles per mesh
-    /// hop)`. `None` uses the flat Table 2 average latency.
-    pub nuca: Option<(u64, u64)>,
+    /// The CGP-like instruction prefetcher of appendix Figure 2, sized by
+    /// [`crate::memory::PREFETCH_TABLE_ENTRIES`] and
+    /// [`crate::memory::PREFETCH_DEGREE`].
+    pub call_graph_prefetcher: bool,
+    /// The trace cache of appendix Figure 3, sized by
+    /// [`crate::memory::TRACE_CACHE_ENTRIES`] and
+    /// [`crate::memory::TRACE_LINES`].
+    pub trace_cache: bool,
+    /// Explicit gshare branch modelling. Off folds branch effects into
+    /// the base CPI, as the default timing model does.
+    pub branch_predictor: bool,
+    /// Explicit banked NUCA LLC. Off uses the flat Table 2 average
+    /// latency.
+    pub nuca: bool,
 }
 
 impl SystemConfig {
-    /// The paper's Table 2 machine: 32 cores, three-level hierarchy,
-    /// 128-entry TLBs.
+    /// The paper's Table 2 machine: 32 cores, three-level hierarchy, no
+    /// optional part.
     pub fn table2() -> Self {
         SystemConfig {
             num_cores: 32,
-            clock_hz: 2_000_000_000,
             hierarchy: HierarchyConfig::table2(),
-            itlb_entries: 128,
-            dtlb_entries: 128,
-            tlb_miss_penalty: 50,
-            base_cpi: 0.4,
-            data_overlap_hidden: 0.7,
-            prefetcher: PrefetcherConfig::None,
-            trace_cache: TraceCacheConfig::None,
             l1_replacement: crate::cache::ReplacementPolicy::Lru,
-            branch_predictor: None,
-            nuca: None,
+            call_graph_prefetcher: false,
+            trace_cache: false,
+            branch_predictor: false,
+            nuca: false,
         }
     }
 
@@ -231,50 +171,36 @@ impl SystemConfig {
         self
     }
 
-    /// Enables the CGP-like instruction prefetcher with default sizing
-    /// (the appendix's CGHC-2K+32K hardware-only mode).
+    /// Enables the CGP-like instruction prefetcher (the appendix's
+    /// CGHC-2K+32K hardware-only mode).
     pub fn with_call_graph_prefetcher(mut self) -> Self {
-        self.prefetcher = PrefetcherConfig::CallGraph {
-            degree: 3,
-            table_entries: 2048,
-        };
+        self.call_graph_prefetcher = true;
         self
     }
 
-    /// Enables explicit gshare branch modelling with default sizing
-    /// (4096 counters, 15-cycle mispredict penalty).
+    /// Enables explicit gshare branch modelling.
     pub fn with_branch_predictor(mut self) -> Self {
-        self.branch_predictor = Some((4096, 15));
+        self.branch_predictor = true;
         self
     }
 
-    /// Enables the banked NUCA LLC model. Bank base latency and per-hop
-    /// cost default to values whose mesh-wide mean matches Table 2's
-    /// quoted 18-cycle average on 32 tiles.
+    /// Enables the banked NUCA LLC model.
     pub fn with_nuca(mut self) -> Self {
-        self.nuca = Some((12, 2));
+        self.nuca = true;
         self
     }
 
-    /// Enables the trace cache with default sizing.
+    /// Enables the trace cache.
     pub fn with_trace_cache(mut self) -> Self {
-        self.trace_cache = TraceCacheConfig::Enabled {
-            entries: 512,
-            trace_lines: 8,
-        };
+        self.trace_cache = true;
         self
-    }
-
-    /// Cycles in one interval of `seconds` at this clock.
-    pub fn cycles_in(&self, seconds: f64) -> u64 {
-        (seconds * self.clock_hz as f64) as u64
     }
 
     /// Checks the machine description for nonsense that would otherwise
     /// surface as a panic deep inside a run (zero cores, more cores than
-    /// the coherence directory tracks, a stopped clock, non-probability
-    /// timing fractions). Construction-time builders already reject most
-    /// bad shapes; this covers structs assembled field by field.
+    /// the coherence directory tracks). Construction-time builders
+    /// already reject most bad shapes; this covers structs assembled
+    /// field by field.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_cores == 0 {
             return Err("num_cores must be positive".into());
@@ -283,22 +209,6 @@ impl SystemConfig {
             return Err(format!(
                 "num_cores {} exceeds 64, the width of the coherence directory's sharer mask",
                 self.num_cores
-            ));
-        }
-        if self.clock_hz == 0 {
-            return Err("clock_hz must be positive".into());
-        }
-        if !(self.base_cpi.is_finite() && self.base_cpi > 0.0) {
-            return Err(format!(
-                "base_cpi {} must be a positive finite number",
-                self.base_cpi
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.data_overlap_hidden) || !self.data_overlap_hidden.is_finite()
-        {
-            return Err(format!(
-                "data_overlap_hidden {} must be in [0, 1]",
-                self.data_overlap_hidden
             ));
         }
         Ok(())
@@ -317,7 +227,7 @@ mod tests {
 
     #[test]
     fn cache_params_geometry() {
-        let p = CacheParams::new(32 * 1024, 4, 64, 3);
+        let p = CacheParams::new(32 * 1024, 4, 3);
         assert_eq!(p.num_sets(), 128);
         assert_eq!(p.num_lines(), 512);
     }
@@ -325,7 +235,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number of sets")]
     fn cache_params_rejects_ragged_geometry() {
-        CacheParams::new(1000, 3, 64, 1);
+        CacheParams::new(1000, 3, 1);
     }
 
     #[test]
@@ -341,8 +251,6 @@ mod tests {
         assert_eq!(cfg.hierarchy.llc.size_bytes, 8 * 1024 * 1024);
         assert_eq!(cfg.hierarchy.llc.associativity, 8);
         assert_eq!(cfg.hierarchy.llc.latency_cycles, 18);
-        assert_eq!(cfg.itlb_entries, 128);
-        assert_eq!(cfg.dtlb_entries, 128);
     }
 
     #[test]
@@ -380,22 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn cycles_conversion() {
-        let cfg = SystemConfig::table2();
-        assert_eq!(cfg.cycles_in(0.003), 6_000_000);
-    }
-
-    #[test]
     fn validate_accepts_presets_and_rejects_nonsense() {
         assert!(SystemConfig::table2().validate().is_ok());
         let mut cfg = SystemConfig::table2();
         cfg.num_cores = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = SystemConfig::table2();
-        cfg.data_overlap_hidden = 1.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = SystemConfig::table2();
-        cfg.base_cpi = 0.0;
         assert!(cfg.validate().is_err());
     }
 
@@ -411,9 +307,17 @@ mod tests {
 
     #[test]
     fn option_builders() {
-        let cfg = SystemConfig::table2().with_call_graph_prefetcher();
-        assert!(matches!(cfg.prefetcher, PrefetcherConfig::CallGraph { .. }));
-        let cfg = SystemConfig::table2().with_trace_cache();
-        assert!(matches!(cfg.trace_cache, TraceCacheConfig::Enabled { .. }));
+        let cfg = SystemConfig::table2();
+        assert!(
+            !(cfg.call_graph_prefetcher || cfg.trace_cache || cfg.branch_predictor || cfg.nuca)
+        );
+        assert!(
+            cfg.clone()
+                .with_call_graph_prefetcher()
+                .call_graph_prefetcher
+        );
+        assert!(cfg.clone().with_trace_cache().trace_cache);
+        assert!(cfg.clone().with_branch_predictor().branch_predictor);
+        assert!(cfg.with_nuca().nuca);
     }
 }

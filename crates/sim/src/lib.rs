@@ -7,7 +7,10 @@
 //! data TLBs, a lightweight ownership-based coherence model, the
 //! appendix's optional instruction prefetcher and trace cache, and the
 //! machine configurations used in every experiment (Table 2 baseline,
-//! Config1/2/3, i-cache and core-count sweeps).
+//! Config1/2/3, i-cache and core-count sweeps). [`SystemConfig`] holds
+//! only what those experiments vary; the values the paper fixes are named
+//! constants: [`LINE_BYTES`] and the [`memory`] module's latencies, TLB
+//! sizes and optional-part sizes.
 //!
 //! The central type is [`MemorySystem`]: the discrete-event engine in
 //! `schedtask-kernel` calls [`MemorySystem::fetch_code`] for every
@@ -48,9 +51,9 @@ pub mod trace_cache;
 pub use branch::GshareBranchPredictor;
 pub use cache::{ReplacementPolicy, SetAssocCache};
 pub use coherence::{Directory, LineState, ReadOutcome, SharerMask, WriteOutcome};
-pub use config::{CacheParams, HierarchyConfig, PrefetcherConfig, SystemConfig, TraceCacheConfig};
+pub use config::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES};
 pub use heatmap::PageHeatmap;
-pub use memory::{MemorySystem, PAGE_BYTES};
+pub use memory::{MemorySystem, LINES_PER_PAGE, PAGE_BYTES};
 pub use nuca::NucaModel;
 pub use prefetch::CallGraphPrefetcher;
 pub use stats::{CodeDomain, HitMiss, MemStats};

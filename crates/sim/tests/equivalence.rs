@@ -131,7 +131,7 @@ proptest! {
         ops in prop::collection::vec((0u8..14, 0u64..512), 0..400),
     ) {
         // 8 sets x 4 ways: small enough that random streams evict.
-        let params = CacheParams::new(2048, 4, 64, 1);
+        let params = CacheParams::new(2048, 4, 1);
         let mut fast = SetAssocCache::with_policy(params, policy);
         let mut reference = RefCache::new(8, 4, policy);
         let mut prev = 0u64;

@@ -1,6 +1,7 @@
 //! Property-based tests for the cache/TLB substrate.
 
 use proptest::prelude::*;
+use schedtask_sim::memory::{MEMORY_LATENCY, TLB_MISS_PENALTY};
 use schedtask_sim::{CacheParams, CodeDomain, MemorySystem, SetAssocCache, SystemConfig, Tlb};
 
 proptest! {
@@ -8,7 +9,7 @@ proptest! {
     /// always resident (LRU never evicts the MRU line).
     #[test]
     fn mru_line_always_resident(lines in prop::collection::vec(0u64..4096, 1..256)) {
-        let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 64, 1));
+        let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 1));
         for &l in &lines {
             c.access(l);
             prop_assert!(c.probe(l));
@@ -18,7 +19,7 @@ proptest! {
     /// Residency never exceeds capacity.
     #[test]
     fn residency_bounded_by_capacity(lines in prop::collection::vec(0u64..100_000, 0..512)) {
-        let params = CacheParams::new(2048, 4, 64, 1);
+        let params = CacheParams::new(2048, 4, 1);
         let capacity = params.num_lines() as usize;
         let mut c = SetAssocCache::new(params);
         for &l in &lines {
@@ -30,7 +31,7 @@ proptest! {
     /// hits + misses equals the number of accesses.
     #[test]
     fn access_accounting(lines in prop::collection::vec(0u64..512, 0..512)) {
-        let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 64, 1));
+        let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 1));
         for &l in &lines {
             c.access(l);
         }
@@ -41,7 +42,7 @@ proptest! {
     /// first touch (LRU with no conflict).
     #[test]
     fn fitting_set_never_remisses(start in 0u64..1000) {
-        let params = CacheParams::new(1024, 4, 64, 1); // 4 sets x 4 ways
+        let params = CacheParams::new(1024, 4, 1); // 4 sets x 4 ways
         let mut c = SetAssocCache::new(params);
         let num_sets = 4u64;
         // 4 lines all in the same set, equal to associativity.
@@ -71,10 +72,10 @@ proptest! {
     fn fetch_penalties_are_legal(lines in prop::collection::vec(0u64..10_000, 1..200)) {
         let cfg = SystemConfig::table2().with_cores(1);
         let mut mem = MemorySystem::new(&cfg);
-        let tlb = cfg.tlb_miss_penalty;
+        let tlb = TLB_MISS_PENALTY;
         let l2 = cfg.hierarchy.l2.unwrap().latency_cycles;
         let llc = cfg.hierarchy.llc.latency_cycles;
-        let memlat = cfg.hierarchy.memory_latency;
+        let memlat = MEMORY_LATENCY;
         let legal = [0, tlb, l2, llc, memlat, tlb + l2, tlb + llc, tlb + memlat];
         for &l in &lines {
             let p = mem.fetch_code(0, l, CodeDomain::Os);

@@ -30,7 +30,7 @@ fn run(name: &str, scheduler: Box<dyn Scheduler>, cores: usize) -> SimStats {
         stats.mem.icache_app.hit_rate() * 100.0,
         stats.mem.icache_os.hit_rate() * 100.0,
         stats.mean_idle_fraction() * 100.0,
-        stats.app_performance(2_000_000_000),
+        stats.app_performance(),
     );
     stats
 }
@@ -44,7 +44,6 @@ fn main() {
         Box::new(SchedTaskScheduler::new(cores, SchedTaskConfig::default())),
         cores,
     );
-    let clock = 2_000_000_000;
-    let gain = (st.app_performance(clock) / base.app_performance(clock) - 1.0) * 100.0;
+    let gain = (st.app_performance() / base.app_performance() - 1.0) * 100.0;
     println!("\nSchedTask serves {gain:+.1}% more pages per second than the Linux baseline.");
 }

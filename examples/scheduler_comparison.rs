@@ -56,7 +56,7 @@ fn main() {
         println!(
             "{:<18} {:>8.1} {:>8.1} {:>8.1} {:>9.1} {:>12.0}",
             t.name(),
-            runner::performance_change(&base, &s, params.clock_hz()),
+            runner::performance_change(&base, &s),
             runner::throughput_change(&base, &s),
             s.mean_idle_fraction() * 100.0,
             s.mem.icache_overall_hit_rate() * 100.0,

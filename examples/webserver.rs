@@ -62,7 +62,7 @@ fn main() {
         println!(
             "{:<18} {:>9.1} {:>8.1} {:>10.1} {:>10.1}",
             t.name(),
-            runner::performance_change(&base, &s, params.clock_hz()),
+            runner::performance_change(&base, &s),
             s.mean_idle_fraction() * 100.0,
             runner::hit_rate_delta_pp(base.mem.icache_os.hit_rate(), s.mem.icache_os.hit_rate()),
             runner::hit_rate_delta_pp(base.mem.dcache_os.hit_rate(), s.mem.dcache_os.hit_rate()),

@@ -51,7 +51,7 @@ fn table2() -> SystemConfig {
 /// Config1 (no L2) with a 64 KB, 8-way LLC.
 fn two_level_small_llc() -> HierarchyConfig {
     HierarchyConfig {
-        llc: CacheParams::new(64 * 1024, 8, 64, 18),
+        llc: CacheParams::new(64 * 1024, 8, 18),
         ..HierarchyConfig::config1()
     }
 }
