@@ -35,13 +35,20 @@ fn start_worker(cfg: ServeConfig) -> (Endpoint, Arc<Server>, Serving) {
 /// mid-write leaves on the wire.
 const TORN_OK: &str = "{\"v\":1,\"status\":\"ok\",\"cached\":false,\"coa";
 
-/// A fake worker that answers the router's join-time ping correctly,
+/// The pong of a worker that speaks this build's protocol.
+const PONG: &str = "{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":1}\n";
+
+/// A fake worker that answers the router's join-time ping with `pong`,
 /// then writes `reply` verbatim, `delay` after each subsequent request
 /// on that connection, and refuses all connections after the first
 /// (the listener is dropped) — a worker that joins the fleet and then
 /// dies. With no reply, or a reply cut short of its newline, the
 /// connection closes after the first request.
-fn start_canned_worker(reply: Option<&'static str>, delay: Duration) -> Endpoint {
+fn start_canned_worker(
+    pong: &'static str,
+    reply: Option<&'static str>,
+    delay: Duration,
+) -> Endpoint {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("bound address").to_string();
     thread::spawn(move || {
@@ -59,7 +66,7 @@ fn start_canned_worker(reply: Option<&'static str>, delay: Duration) -> Endpoint
                 Ok(_) => {}
             }
             let resp = if line.contains("\"op\":\"ping\"") {
-                "{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":1}\n"
+                pong
             } else {
                 thread::sleep(delay);
                 match reply {
@@ -291,7 +298,7 @@ fn transport_failures_fail_over_to_the_next_ring_worker() {
     for dead_reply in [None, Some(TORN_OK)] {
         let workers = vec![
             live.clone(),
-            start_canned_worker(dead_reply, Duration::ZERO),
+            start_canned_worker(PONG, dead_reply, Duration::ZERO),
         ];
         let router = Router::new(RouterConfig::new(workers.clone())).expect("router starts");
 
@@ -326,8 +333,8 @@ fn worker_rejections_propagate_verbatim_with_retry_hints() {
     let rejected = "{\"v\":1,\"id\":\"shed\",\"status\":\"rejected\",\
                     \"queue_depth\":9,\"retry_after_ms\":1234}\n";
     let router = Router::new(RouterConfig::new(vec![
-        start_canned_worker(Some(rejected), Duration::ZERO),
-        start_canned_worker(Some(rejected), Duration::ZERO),
+        start_canned_worker(PONG, Some(rejected), Duration::ZERO),
+        start_canned_worker(PONG, Some(rejected), Duration::ZERO),
     ]))
     .expect("router starts");
 
@@ -363,6 +370,7 @@ fn a_duplicate_of_a_shed_job_gets_a_transient_error() {
                     \"queue_depth\":9,\"retry_after_ms\":1234}\n";
     let router = Arc::new(
         Router::new(RouterConfig::new(vec![start_canned_worker(
+            PONG,
             Some(rejected),
             Duration::from_millis(300),
         )]))
@@ -405,4 +413,20 @@ fn a_duplicate_of_a_shed_job_gets_a_transient_error() {
         "a retry after backpressure can succeed: {}",
         errors[0]
     );
+}
+
+#[test]
+fn a_worker_of_another_protocol_version_is_refused_at_join() {
+    // A pong without `proto` is a pre-versioning worker: protocol 0.
+    for (pong, proto) in [
+        ("{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":2}\n", 2),
+        ("{\"v\":1,\"status\":\"ok\",\"pong\":true}\n", 0),
+    ] {
+        let worker = start_canned_worker(pong, None, Duration::ZERO);
+        let Err(err) = Router::new(RouterConfig::new(vec![worker.clone()])) else {
+            panic!("a router joined a protocol-v{proto} worker");
+        };
+        assert!(err.contains(&worker.to_string()), "{err}");
+        assert!(err.contains(&format!("protocol v{proto}")), "{err}");
+    }
 }
