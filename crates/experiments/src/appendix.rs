@@ -120,13 +120,9 @@ pub fn core_count_sweep(
     counts: &[usize],
     kinds: &[BenchmarkKind],
 ) -> Result<Vec<(usize, Comparison)>, ExperimentError> {
-    let machines = counts.iter().map(|&cores| {
-        let mut p = params.clone().with_cores(cores);
-        // Keep the per-core instruction budget constant across sizes.
-        p.max_instructions = params.max_instructions * cores as u64 / params.cores as u64;
-        p.warmup_instructions = params.warmup_instructions * cores as u64 / params.cores as u64;
-        (cores, p)
-    });
+    let machines = counts
+        .iter()
+        .map(|&cores| (cores, params.scaled_to_cores(cores)));
     on_machines(runner, kinds, machines)
 }
 

@@ -272,6 +272,17 @@ impl ExpParams {
         self
     }
 
+    /// Same params on `cores` baseline cores, with both instruction
+    /// budgets scaled so that each core's share stays the same.
+    pub fn scaled_to_cores(&self, cores: usize) -> Self {
+        let scale = |budget: u64| budget * cores as u64 / self.cores as u64;
+        ExpParams {
+            max_instructions: scale(self.max_instructions),
+            warmup_instructions: scale(self.warmup_instructions),
+            ..self.clone().with_cores(cores)
+        }
+    }
+
     /// Same params with a different machine template.
     pub fn with_system(mut self, system: SystemConfig) -> Self {
         self.system = system;
@@ -1184,6 +1195,16 @@ mod tests {
         let cfg = p.engine_config(Technique::Linux);
         assert_eq!(cfg.devices.len(), 1);
         assert_eq!(cfg.devices[0].period_cycles, 30_000);
+    }
+
+    #[test]
+    fn rescaling_to_cores_keeps_each_cores_budget() {
+        let quick = ExpParams::quick();
+        assert_eq!(quick.scaled_to_cores(quick.cores), quick);
+        let eight = ExpParams::standard().scaled_to_cores(8);
+        assert_eq!(eight.cores, 8);
+        assert_eq!(eight.max_instructions, 500_000 * 8);
+        assert_eq!(eight.warmup_instructions, 125_000 * 8);
     }
 
     #[test]

@@ -88,21 +88,6 @@ impl Table {
         self
     }
 
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        if !self.note.is_empty() {
-            out.push_str(&format!("{}\n\n", self.note));
-        }
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let cols = self
             .headers
@@ -189,14 +174,6 @@ mod tests {
         assert!(s.contains("a note"));
         assert!(s.contains("bench"));
         assert!(s.contains("22.5"));
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let md = sample().to_markdown();
-        assert!(md.starts_with("### Demo"));
-        assert!(md.contains("| bench | value |"));
-        assert!(md.contains("| Iscp | 22.5 |"));
     }
 
     #[test]

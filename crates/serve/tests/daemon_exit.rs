@@ -2,7 +2,8 @@
 //! one. The real binary runs with one executor and a 1 ms drain
 //! deadline: idle, a `shutdown` drains at once (exit 0, `shut down
 //! cleanly`); with a standard-size job admitted, the deadline cuts the
-//! backlog short (exit 1, no such line).
+//! backlog short (exit 1, no such line). A flag the daemon's role does
+//! not read is refused with exit 2 before anything starts.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
@@ -96,4 +97,22 @@ fn an_abandoned_backlog_is_not_a_clean_shutdown() {
     assert!(!stdout.contains("shut down cleanly"), "{stdout}");
     assert!(stderr.contains("abandoning backlog"), "{stderr}");
     job.join().expect("the client thread ends");
+}
+
+#[test]
+fn a_router_refuses_every_worker_only_flag() {
+    for (flag, value) in [
+        ("--cache-dir", "d"),
+        ("--workers", "2"),
+        ("--queue-capacity", "4"),
+        ("--chaos", "light"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_schedtaskd"))
+            .args(["--router", "--worker", "tcp://127.0.0.1:9", flag, value])
+            .output()
+            .expect("run schedtaskd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
 }
