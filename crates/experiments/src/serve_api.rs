@@ -18,10 +18,8 @@
 //! [`SimStats`]: schedtask_kernel::SimStats
 
 use std::fmt::{self, Write as _};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -1203,49 +1201,28 @@ pub fn result_payload(line: &str) -> Option<String> {
 pub enum Endpoint {
     /// TCP `host:port`.
     Tcp(String),
-    /// Unix domain socket path.
-    #[cfg(unix)]
-    Unix(String),
 }
 
 impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Tcp(addr) => write!(f, "tcp://{addr}"),
-            #[cfg(unix)]
-            Endpoint::Unix(path) => write!(f, "unix://{path}"),
-        }
+        let Endpoint::Tcp(addr) = self;
+        write!(f, "tcp://{addr}")
     }
 }
 
 impl FromStr for Endpoint {
     type Err = String;
 
-    /// The one endpoint grammar every `--addr` flag speaks:
-    /// `tcp://host:port` or `unix:///path/to.sock`.
+    /// The one endpoint grammar every `--addr` and `--worker` flag
+    /// speaks: `tcp://host:port`.
     fn from_str(s: &str) -> Result<Endpoint, String> {
-        if let Some(addr) = s.strip_prefix("tcp://") {
-            if addr.rsplit_once(':').is_none_or(|(host, port)| {
-                host.is_empty() || port.is_empty() || port.parse::<u16>().is_err()
-            }) {
-                return Err(format!("bad tcp endpoint {s:?}: want tcp://host:port"));
-            }
-            return Ok(Endpoint::Tcp(addr.to_owned()));
-        }
-        if let Some(path) = s.strip_prefix("unix://") {
-            if path.is_empty() {
-                return Err(format!("bad unix endpoint {s:?}: want unix:///path"));
-            }
-            #[cfg(unix)]
-            return Ok(Endpoint::Unix(path.to_owned()));
-            #[cfg(not(unix))]
-            return Err(format!(
-                "unix endpoint {s:?} is unsupported on this platform"
-            ));
-        }
-        Err(format!(
-            "bad endpoint {s:?} (want tcp://host:port or unix:///path)"
-        ))
+        s.strip_prefix("tcp://")
+            .filter(|addr| {
+                addr.rsplit_once(':')
+                    .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok())
+            })
+            .map(|addr| Endpoint::Tcp(addr.to_owned()))
+            .ok_or_else(|| format!("bad endpoint {s:?}: want tcp://host:port"))
     }
 }
 
@@ -1281,12 +1258,12 @@ fn ms(v: u64) -> Option<Duration> {
 
 /// A blocking line-oriented client for `schedtaskd`.
 pub struct ServeClient {
-    reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
 }
 
 impl ServeClient {
-    /// Connects over TCP (`host:port`) with no socket deadlines.
+    /// Connects to `host:port` with no socket deadlines.
     pub fn connect_tcp(addr: &str) -> io::Result<ServeClient> {
         let none = ClientTimeouts {
             connect_ms: 0,
@@ -1298,42 +1275,26 @@ impl ServeClient {
 
     /// Dials `endpoint` and arms every configured socket deadline.
     pub fn dial(endpoint: &Endpoint, timeouts: &ClientTimeouts) -> io::Result<ServeClient> {
-        let (read, write) = (ms(timeouts.read_ms), ms(timeouts.write_ms));
-        match endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = match ms(timeouts.connect_ms) {
-                    Some(limit) => {
-                        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidInput,
-                                format!("cannot resolve {addr}"),
-                            )
-                        })?;
-                        TcpStream::connect_timeout(&resolved, limit)?
-                    }
-                    None => TcpStream::connect(addr)?,
-                };
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(read)?;
-                stream.set_write_timeout(write)?;
-                Ok(ServeClient::over(stream.try_clone()?, stream))
+        let Endpoint::Tcp(addr) = endpoint;
+        let stream = match ms(timeouts.connect_ms) {
+            Some(limit) => {
+                let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!("cannot resolve {addr}"),
+                    )
+                })?;
+                TcpStream::connect_timeout(&resolved, limit)?
             }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                let stream = UnixStream::connect(path)?;
-                stream.set_read_timeout(read)?;
-                stream.set_write_timeout(write)?;
-                Ok(ServeClient::over(stream.try_clone()?, stream))
-            }
-        }
-    }
-
-    /// A client over a connected socket's two handles.
-    fn over(reader: impl Read + Send + 'static, writer: impl Write + Send + 'static) -> Self {
-        ServeClient {
-            reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(writer),
-        }
+            None => TcpStream::connect(addr)?,
+        };
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(ms(timeouts.read_ms))?;
+        stream.set_write_timeout(ms(timeouts.write_ms))?;
+        Ok(ServeClient {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
     }
 
     /// Sends one request line and reads one response line. A line the
@@ -1743,11 +1704,7 @@ mod tests {
                 "tcp://127.0.0.1:7077",
                 Endpoint::Tcp("127.0.0.1:7077".to_owned()),
             ),
-            #[cfg(unix)]
-            (
-                "unix:///tmp/s.sock",
-                Endpoint::Unix("/tmp/s.sock".to_owned()),
-            ),
+            ("tcp://[::1]:80", Endpoint::Tcp("[::1]:80".to_owned())),
         ] {
             let parsed: Endpoint = text.parse().expect(text);
             assert_eq!(parsed, want, "{text}");
@@ -1761,6 +1718,7 @@ mod tests {
             "tcp://nohost",
             "tcp://host:notaport",
             "unix://",
+            "unix:///tmp/s.sock",
             "unix:/tmp/s.sock",
             "localhost:80",
             "ftp://x:1",

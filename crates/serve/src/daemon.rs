@@ -8,8 +8,6 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -170,120 +168,39 @@ impl Daemon {
 
 /// A bound listening socket. It is non-blocking, so the accept loop
 /// can poll its stop switch between connections.
-pub struct Listener(Bound);
-
-enum Bound {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, String),
-}
+pub struct Listener(TcpListener);
 
 impl Listener {
-    /// Binds `endpoint`. A stale Unix socket file from a previous run
-    /// blocks bind, so it is removed first — but only after probing:
-    /// if a live daemon still answers on it, deleting it would silently
-    /// orphan that daemon and steal its clients.
+    /// Binds `endpoint`.
     pub fn bind(endpoint: &Endpoint) -> Result<Listener, String> {
-        let nonblocking = |e: io::Error| format!("cannot set non-blocking: {e}");
-        let bound = match endpoint {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                if std::fs::metadata(path).is_ok() {
-                    if UnixStream::connect(path).is_ok() {
-                        return Err(format!(
-                            "refusing to remove {path}: a live daemon is answering on it"
-                        ));
-                    }
-                    let _ = std::fs::remove_file(path);
-                }
-                let l = UnixListener::bind(path)
-                    .map_err(|e| format!("cannot bind unix socket {path}: {e}"))?;
-                l.set_nonblocking(true).map_err(nonblocking)?;
-                Bound::Unix(l, path.clone())
-            }
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-                l.set_nonblocking(true).map_err(nonblocking)?;
-                Bound::Tcp(l)
-            }
-        };
-        Ok(Listener(bound))
+        let Endpoint::Tcp(addr) = endpoint;
+        let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| format!("cannot set non-blocking: {e}"))?;
+        Ok(Listener(listener))
     }
 
-    /// The endpoint clients dial, with a TCP port 0 resolved to the
-    /// port actually bound.
+    /// The endpoint clients dial, with a port 0 resolved to the port
+    /// actually bound.
     pub fn endpoint(&self) -> Result<Endpoint, String> {
-        match &self.0 {
-            Bound::Tcp(l) => l
-                .local_addr()
-                .map(|addr| Endpoint::Tcp(addr.to_string()))
-                .map_err(|e| format!("cannot read bound address: {e}")),
-            #[cfg(unix)]
-            Bound::Unix(_, path) => Ok(Endpoint::Unix(path.clone())),
-        }
+        self.0
+            .local_addr()
+            .map(|addr| Endpoint::Tcp(addr.to_string()))
+            .map_err(|e| format!("cannot read bound address: {e}"))
     }
 
     /// Accepts one connection if one is pending.
-    fn try_accept(&self) -> io::Result<Option<Box<dyn Conn>>> {
-        let accepted = match &self.0 {
-            Bound::Tcp(l) => l.accept().and_then(|(stream, _)| {
+    fn try_accept(&self) -> io::Result<Option<TcpStream>> {
+        match self.0.accept() {
+            Ok((stream, _)) => {
                 stream.set_nonblocking(false)?;
                 stream.set_nodelay(true)?;
-                Ok(Box::new(stream) as Box<dyn Conn>)
-            }),
-            #[cfg(unix)]
-            Bound::Unix(l, _) => l.accept().and_then(|(stream, _)| {
-                stream.set_nonblocking(false)?;
-                Ok(Box::new(stream) as Box<dyn Conn>)
-            }),
-        };
-        match accepted {
-            Ok(stream) => Ok(Some(stream)),
+                Ok(Some(stream))
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e),
         }
-    }
-
-    /// Closes the socket; a Unix socket's file goes with it.
-    fn close(self) {
-        #[cfg(unix)]
-        if let Bound::Unix(_, path) = &self.0 {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-trait Conn: Read + Write + Send {
-    /// Arms the per-connection read deadline.
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
-    /// A second handle on the same socket.
-    fn clone_handle(&self) -> io::Result<Box<dyn Conn>>;
-    /// Closes both directions, waking the connection's thread.
-    fn close(&self);
-}
-
-impl Conn for TcpStream {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, dur)
-    }
-    fn clone_handle(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn close(&self) {
-        let _ = self.shutdown(Shutdown::Both);
-    }
-}
-
-#[cfg(unix)]
-impl Conn for UnixStream {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        UnixStream::set_read_timeout(self, dur)
-    }
-    fn clone_handle(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn close(&self) {
-        let _ = self.shutdown(Shutdown::Both);
     }
 }
 
@@ -305,13 +222,13 @@ enum LineEvent {
 /// partial data), so this keeps its own carry-over buffer: bytes read
 /// past one newline are retained for the next request (pipelining).
 struct LineReader {
-    stream: Box<dyn Conn>,
+    stream: TcpStream,
     buf: Vec<u8>,
     discarding: bool,
 }
 
 impl LineReader {
-    fn new(stream: Box<dyn Conn>) -> LineReader {
+    fn new(stream: TcpStream) -> LineReader {
         LineReader {
             stream,
             buf: Vec::with_capacity(4096),
@@ -366,7 +283,7 @@ impl Drop for LineReader {
     /// The accept loop holds a second handle on the socket, so dropping
     /// this one alone would not close the connection.
     fn drop(&mut self) {
-        self.stream.close();
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -401,7 +318,7 @@ fn write_response(reader: &mut LineReader, daemon: &Daemon, response: &str) -> b
 /// shutdown, which raises `shutdown`.
 fn serve_connection(
     daemon: &Daemon,
-    stream: Box<dyn Conn>,
+    stream: TcpStream,
     read_timeout_ms: u64,
     shutdown: &AtomicBool,
 ) {
@@ -442,7 +359,7 @@ fn serve_connection(
 /// One accepted connection: its thread, and a handle to close it.
 struct Connection {
     thread: thread::JoinHandle<()>,
-    socket: Box<dyn Conn>,
+    socket: TcpStream,
 }
 
 /// Serves `daemon` on `listener`, one thread per connection, until
@@ -475,7 +392,7 @@ pub fn serve(
         // whatever is still open when the drain ends.
         let accepted = listener
             .try_accept()
-            .and_then(|stream| stream.map(|s| Ok((s.clone_handle()?, s))).transpose());
+            .and_then(|stream| stream.map(|s| Ok((s.try_clone()?, s))).transpose());
         match accepted {
             Ok(Some((socket, stream))) => {
                 let daemon = daemon.clone();
@@ -508,9 +425,8 @@ pub fn serve(
         thread::sleep(Duration::from_millis(10));
     }
     for connection in &connections {
-        connection.socket.close();
+        let _ = connection.socket.shutdown(Shutdown::Both);
     }
-    listener.close();
     match dispatcher {
         Some(handle) if handle.is_finished() => {
             let _ = handle.join();

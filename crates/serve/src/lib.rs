@@ -3,7 +3,7 @@
 //! The serve layer turns one-shot `repro` invocations into a service
 //! shaped like a production scheduler front-end:
 //!
-//! - **Protocol** — JSON lines over TCP or a Unix socket; see
+//! - **Protocol** — JSON lines over TCP; see
 //!   [`schedtask_experiments::serve_api`] for the request/response
 //!   vocabulary and the client.
 //! - **Admission** — a bounded [`queue::JobQueue`]; when full,
