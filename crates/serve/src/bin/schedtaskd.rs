@@ -42,42 +42,93 @@
 
 use std::io::Write;
 use std::process::exit;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use schedtask_experiments::serve_api::Endpoint;
+use schedtask_serve::daemon::StopHandle;
 use schedtask_serve::{
     serve, ChaosPlan, Daemon, Listener, Router, RouterConfig, ServeConfig, Server,
 };
 
-/// Set by the signal handler; the accept loop polls it.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-// The offline build has no libc crate, but std always links the
-// platform C library, so declare the one symbol the daemon needs.
+// SIGINT and SIGTERM never interrupt a thread: `main` blocks both before
+// any thread starts, so every thread inherits the mask, and one thread
+// of their own takes the first that arrives with `sigwait` and raises
+// the listener's stop handle. The offline build has no libc crate, but
+// std always links the platform C library, so the four functions this
+// calls are declared here.
 #[cfg(unix)]
-extern "C" {
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-}
-
-#[cfg(unix)]
-extern "C" fn on_terminate(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-#[cfg(unix)]
-fn install_signal_handlers() {
+mod signals {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_terminate);
-        signal(SIGTERM, on_terminate);
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const SIG_BLOCK: i32 = 0;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const SIG_BLOCK: i32 = 1;
+
+    /// Room for any platform's `sigset_t` (glibc's, at 128 bytes, is the
+    /// largest); `sigemptyset` writes the platform's own layout into it.
+    #[repr(C, align(8))]
+    struct SigSet([u8; 128]);
+
+    extern "C" {
+        fn sigemptyset(set: *mut SigSet) -> i32;
+        fn sigaddset(set: *mut SigSet, signum: i32) -> i32;
+        fn pthread_sigmask(how: i32, set: *const SigSet, old: *mut SigSet) -> i32;
+        fn sigwait(set: *const SigSet, signum: *mut i32) -> i32;
+    }
+
+    /// The set {SIGINT, SIGTERM}.
+    fn stop_signals() -> SigSet {
+        let mut set = SigSet([0; 128]);
+        // SAFETY: `set` is writable, and at least as large and as
+        // aligned as the platform's `sigset_t`.
+        let filled = unsafe {
+            sigemptyset(&mut set) == 0
+                && sigaddset(&mut set, SIGINT) == 0
+                && sigaddset(&mut set, SIGTERM) == 0
+        };
+        assert!(filled, "SIGINT and SIGTERM are valid signal numbers");
+        set
+    }
+
+    /// Blocks SIGINT and SIGTERM in the calling thread and in every
+    /// thread it starts afterwards.
+    pub fn block() -> Result<(), String> {
+        let set = stop_signals();
+        // SAFETY: `set` holds a `sigset_t` that `stop_signals` filled,
+        // and a null old-mask pointer asks for no copy of the old mask.
+        match unsafe { pthread_sigmask(SIG_BLOCK, &set, std::ptr::null_mut()) } {
+            0 => Ok(()),
+            err => Err(format!("cannot block SIGINT and SIGTERM: error {err}")),
+        }
+    }
+
+    /// Waits until SIGINT or SIGTERM, blocked by [`block`], is pending,
+    /// and takes it.
+    pub fn wait() -> Result<(), String> {
+        let set = stop_signals();
+        let mut signum = 0;
+        // SAFETY: `set` holds a `sigset_t` that `stop_signals` filled,
+        // and `signum` is a writable `int`.
+        match unsafe { sigwait(&set, &mut signum) } {
+            0 => Ok(()),
+            err => Err(format!("cannot wait for SIGINT or SIGTERM: error {err}")),
+        }
     }
 }
 
+/// Starts the thread that raises `stop` on the first SIGINT or SIGTERM.
+#[cfg(unix)]
+fn stop_on_signal(stop: StopHandle) {
+    std::thread::spawn(move || {
+        signals::wait().unwrap_or_else(|e| die(&e));
+        stop.stop();
+    });
+}
+
 #[cfg(not(unix))]
-fn install_signal_handlers() {}
+fn stop_on_signal(_stop: StopHandle) {}
 
 struct Opts {
     addr: Endpoint,
@@ -195,10 +246,12 @@ fn parse_args() -> Opts {
 }
 
 fn main() {
+    #[cfg(unix)]
+    signals::block().unwrap_or_else(|e| die(&e));
     let opts = parse_args();
-    install_signal_handlers();
 
     let listener = Listener::bind(&opts.addr).unwrap_or_else(|e| die(&e));
+    stop_on_signal(listener.stop_handle());
     let Endpoint::Tcp(addr) = listener.endpoint().unwrap_or_else(|e| die(&e));
     println!("schedtaskd listening on {addr}");
     // The readiness line must be visible to a piping supervisor
@@ -232,7 +285,6 @@ fn main() {
         listener,
         opts.read_timeout_ms,
         Duration::from_millis(opts.drain_deadline_ms),
-        &SHUTDOWN,
     );
     if !drained {
         eprintln!(

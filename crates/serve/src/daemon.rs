@@ -6,10 +6,11 @@
 //! signals and its banner lines; the tests host whole fleets in one
 //! process through [`Serving`].
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -166,41 +167,97 @@ impl Daemon {
     }
 }
 
-/// A bound listening socket. It is non-blocking, so the accept loop
-/// can poll its stop switch between connections.
-pub struct Listener(TcpListener);
+/// How long a stop waits for its wake-up dial to connect. The dial
+/// only fails to connect when the listener's backlog is full, and then
+/// the accept loop is busy, not asleep: it re-checks the stop flag after
+/// every accept and every accept error anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// How long the accept loop backs off after a failed `accept`: an error
+/// such as EMFILE persists until a connection closes, and retrying at
+/// once would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// A bound listening socket. It blocks: the accept loop sleeps in
+/// `accept` until a client dials, and its [`StopHandle`] dials it to
+/// wake the loop.
+pub struct Listener {
+    socket: TcpListener,
+    stop: StopHandle,
+}
 
 impl Listener {
     /// Binds `endpoint`.
     pub fn bind(endpoint: &Endpoint) -> Result<Listener, String> {
         let Endpoint::Tcp(addr) = endpoint;
-        let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set non-blocking: {e}"))?;
-        Ok(Listener(listener))
+        let socket = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+        let mut wake = socket
+            .local_addr()
+            .map_err(|e| format!("cannot read bound address: {e}"))?;
+        // A wildcard address is not one a dial can reach; its loopback
+        // is.
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let stopping = Arc::new(AtomicBool::new(false));
+        Ok(Listener {
+            socket,
+            stop: StopHandle { stopping, wake },
+        })
     }
 
     /// The endpoint clients dial, with a port 0 resolved to the port
     /// actually bound.
     pub fn endpoint(&self) -> Result<Endpoint, String> {
-        self.0
+        self.socket
             .local_addr()
             .map(|addr| Endpoint::Tcp(addr.to_string()))
             .map_err(|e| format!("cannot read bound address: {e}"))
     }
 
-    /// Accepts one connection if one is pending.
-    fn try_accept(&self) -> io::Result<Option<TcpStream>> {
-        match self.0.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_nodelay(true)?;
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+    /// The handle that stops [`serve`] on this listener.
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Waits for the next connection, and returns it with a second
+    /// handle on its socket for the drain to close.
+    fn accept(&self) -> io::Result<(TcpStream, TcpStream)> {
+        let (stream, _) = self.socket.accept()?;
+        stream.set_nodelay(true)?;
+        let socket = stream.try_clone()?;
+        Ok((stream, socket))
+    }
+}
+
+/// Stops the [`serve`] call on the [`Listener`] it was taken from; it is
+/// the only way to stop one. `schedtaskd` raises it on SIGINT or
+/// SIGTERM, a connection on a `shutdown` request, and
+/// [`Serving::kill`] at once.
+#[derive(Clone)]
+pub struct StopHandle {
+    stopping: Arc<AtomicBool>,
+    /// What the wake-up dial connects to: the bound address, or its
+    /// loopback when the listener is bound to a wildcard address.
+    wake: SocketAddr,
+}
+
+impl StopHandle {
+    /// Raises the stop flag and, the first time, dials the listener
+    /// once, so an `accept` asleep on it returns and the loop sees the
+    /// flag. It may be raised from any thread, any number of times,
+    /// before or while `serve` runs.
+    pub fn stop(&self) {
+        if !self.stopping.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
         }
+    }
+
+    fn is_stopping(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
     }
 }
 
@@ -224,6 +281,9 @@ enum LineEvent {
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// How many leading bytes of `buf` are known to hold no newline, so
+    /// each byte is searched once however many reads a line takes.
+    scanned: usize,
     discarding: bool,
 }
 
@@ -232,15 +292,17 @@ impl LineReader {
         LineReader {
             stream,
             buf: Vec::with_capacity(4096),
+            scanned: 0,
             discarding: false,
         }
     }
 
     fn next_line(&mut self) -> LineEvent {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let rest = self.buf.split_off(self.scanned + pos + 1);
                 let mut line = std::mem::replace(&mut self.buf, rest);
+                self.scanned = 0;
                 line.pop(); // the newline
                 if self.discarding || line.len() > MAX_LINE_BYTES {
                     self.discarding = false;
@@ -248,10 +310,12 @@ impl LineReader {
                 }
                 return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > MAX_LINE_BYTES {
                 // Too long without a newline: drop what we have and
                 // keep discarding until the frame ends.
                 self.buf.clear();
+                self.scanned = 0;
                 self.discarding = true;
             }
             let mut chunk = [0u8; 4096];
@@ -276,14 +340,6 @@ impl LineReader {
                 Err(_) => return LineEvent::Closed,
             }
         }
-    }
-}
-
-impl Drop for LineReader {
-    /// The accept loop holds a second handle on the socket, so dropping
-    /// this one alone would not close the connection.
-    fn drop(&mut self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -315,13 +371,8 @@ fn write_response(reader: &mut LineReader, daemon: &Daemon, response: &str) -> b
 
 /// Serves one connection: one request line in, one response line out,
 /// until the peer hangs up, stalls past the read deadline, or asks for
-/// shutdown, which raises `shutdown`.
-fn serve_connection(
-    daemon: &Daemon,
-    stream: TcpStream,
-    read_timeout_ms: u64,
-    shutdown: &AtomicBool,
-) {
+/// shutdown, which raises `stop`.
+fn serve_connection(daemon: &Daemon, stream: TcpStream, read_timeout_ms: u64, stop: &StopHandle) {
     let mut reader = LineReader::new(stream);
     if read_timeout_ms > 0
         && reader
@@ -332,7 +383,7 @@ fn serve_connection(
         return;
     }
     loop {
-        let (response, stop) = match reader.next_line() {
+        let (response, shutdown) = match reader.next_line() {
             LineEvent::Line(line) => daemon.handle_request_line(&line),
             // Malformed frame: error the request, keep the connection —
             // the next well-formed line still works.
@@ -345,70 +396,142 @@ fn serve_connection(
             ),
             LineEvent::Closed | LineEvent::TimedOut => return,
         };
-        if stop {
-            // Raise the flag before attempting the write: a
-            // chaos-dropped response must not lose the shutdown request.
-            shutdown.store(true, Ordering::SeqCst);
+        let written = write_response(&mut reader, daemon, &response);
+        if shutdown {
+            // Raised after the write, so the drain cannot close the
+            // connection before the acknowledgement is sent, and raised
+            // whether or not it was: a chaos-dropped response must not
+            // lose the shutdown request.
+            stop.stop();
         }
-        if !write_response(&mut reader, daemon, &response) || stop {
+        if !written || shutdown {
             return;
         }
     }
 }
 
-/// One accepted connection: its thread, and a handle to close it.
-struct Connection {
-    thread: thread::JoinHandle<()>,
-    socket: TcpStream,
+/// What a stopping [`serve`] drains: the open connections, each with a
+/// second handle on its socket so the drain can close it, and whether a
+/// worker's dispatcher still runs. Each connection thread, and the
+/// thread that joins the dispatcher once the drain starts, signals
+/// `ended` as it ends.
+#[derive(Default)]
+struct Live {
+    state: Mutex<LiveState>,
+    ended: Condvar,
 }
 
-/// Serves `daemon` on `listener`, one thread per connection, until
-/// `stop` is raised or a client sends `shutdown`. A worker's
-/// executors run for as long as the daemon does. A read deadline of
-/// `read_timeout_ms` disconnects peers that stall mid-request; `0`
-/// disables it.
+#[derive(Default)]
+struct LiveState {
+    sockets: HashMap<u64, TcpStream>,
+    opened: u64,
+    dispatching: bool,
+}
+
+impl Live {
+    /// Every update leaves the state whole, so a panic elsewhere while
+    /// it was held does not make it wrong.
+    fn lock(&self) -> MutexGuard<'_, LiveState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers an accepted connection by its socket's second handle.
+    fn open(self: &Arc<Self>, socket: TcpStream) -> Open {
+        let mut state = self.lock();
+        let id = state.opened;
+        state.opened += 1;
+        state.sockets.insert(id, socket);
+        Open {
+            live: Arc::clone(self),
+            id,
+        }
+    }
+
+    /// Sleeps until every connection and the dispatcher have ended, or
+    /// `deadline` has passed, then closes whatever is still open.
+    fn drain(self: &Arc<Self>, dispatcher: Option<thread::JoinHandle<()>>, deadline: Duration) {
+        if let Some(dispatcher) = dispatcher {
+            // A thread of its own joins the dispatcher, so the drain
+            // sleeps on `ended` for it as for the connections.
+            self.lock().dispatching = true;
+            let live = Arc::clone(self);
+            thread::spawn(move || {
+                let _ = dispatcher.join();
+                live.lock().dispatching = false;
+                live.ended.notify_all();
+            });
+        }
+        let (state, _) = self
+            .ended
+            .wait_timeout_while(self.lock(), deadline, |s| {
+                s.dispatching || !s.sockets.is_empty()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        for socket in state.sockets.values() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// A connection's entry in [`Live`]. Its thread holds it, so it drops
+/// as the connection ends, even by a panic: that releases the socket's
+/// second handle and wakes the drain.
+struct Open {
+    live: Arc<Live>,
+    id: u64,
+}
+
+impl Drop for Open {
+    fn drop(&mut self) {
+        self.live.lock().sockets.remove(&self.id);
+        self.live.ended.notify_all();
+    }
+}
+
+/// Serves `daemon` on `listener`, one thread per connection, until the
+/// listener's [`StopHandle`] is raised: by its holder, or by a client's
+/// `shutdown` request. The loop sleeps in `accept`, so a connection is
+/// served the moment it arrives, and the handle's wake-up dial ends the
+/// sleep; whatever is accepted once the flag is up, that dial included,
+/// is closed unserved. A worker's executors run for as long as the
+/// daemon does. A read deadline of `read_timeout_ms` disconnects peers
+/// that stall mid-request; `0` disables it.
 ///
 /// Then it drains: a worker stops admitting and finishes its backlog,
-/// and open connections finish their exchanges — but never for longer
-/// than `drain_deadline`, so a stop cannot hang on a wedged job or a
-/// stalled peer. Whatever is still open after that is closed, as the
-/// process exiting would close it. Returns `false` when the deadline
-/// cut a worker's backlog short.
+/// and open connections finish their exchanges. The drain sleeps until
+/// the last of them ends — but never for longer than `drain_deadline`,
+/// so a stop cannot hang on a wedged job or a stalled peer. Whatever is
+/// still open after that is closed, as the process exiting would close
+/// it. Returns `false` when the deadline cut a worker's backlog short.
 pub fn serve(
     daemon: Daemon,
     listener: Listener,
     read_timeout_ms: u64,
     drain_deadline: Duration,
-    stop: &AtomicBool,
 ) -> bool {
+    let live = Arc::new(Live::default());
     let dispatcher = match &daemon {
         Daemon::Worker(server) => Some(server.spawn_dispatcher()),
         Daemon::Router(_) => None,
     };
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut connections: Vec<Connection> = Vec::new();
-    while !stop.load(Ordering::SeqCst) && !shutdown.load(Ordering::SeqCst) {
-        // The loop keeps a second handle on each socket, to close
-        // whatever is still open when the drain ends.
-        let accepted = listener
-            .try_accept()
-            .and_then(|stream| stream.map(|s| Ok((s.try_clone()?, s))).transpose());
-        match accepted {
-            Ok(Some((socket, stream))) => {
+    let stop = listener.stop_handle();
+    while !stop.is_stopping() {
+        match listener.accept() {
+            Ok(_) if stop.is_stopping() => break,
+            Ok((stream, socket)) => {
+                let open = live.open(socket);
                 let daemon = daemon.clone();
-                let shutdown = Arc::clone(&shutdown);
-                let thread = thread::spawn(move || {
-                    serve_connection(&daemon, stream, read_timeout_ms, &shutdown)
+                let stop = stop.clone();
+                thread::spawn(move || {
+                    let _open = open;
+                    serve_connection(&daemon, stream, read_timeout_ms, &stop);
                 });
-                connections.push(Connection { thread, socket });
             }
-            Ok(None) => thread::sleep(Duration::from_millis(25)),
             Err(e) => {
                 eprintln!("schedtaskd: accept failed: {e}");
-                thread::sleep(Duration::from_millis(25));
+                thread::sleep(ACCEPT_BACKOFF);
             }
         }
-        connections.retain(|c| !c.thread.is_finished());
     }
 
     // The router has no local backlog; it only waits out its
@@ -416,24 +539,13 @@ pub fn serve(
     if let Daemon::Worker(server) = &daemon {
         server.close();
     }
-    let drain_start = Instant::now();
-    let dispatcher_done =
-        |d: &Option<thread::JoinHandle<()>>| d.as_ref().is_none_or(|h| h.is_finished());
-    while (!dispatcher_done(&dispatcher) || connections.iter().any(|c| !c.thread.is_finished()))
-        && drain_start.elapsed() < drain_deadline
-    {
-        thread::sleep(Duration::from_millis(10));
-    }
-    for connection in &connections {
-        let _ = connection.socket.shutdown(Shutdown::Both);
-    }
-    match dispatcher {
-        Some(handle) if handle.is_finished() => {
-            let _ = handle.join();
-            true
-        }
-        Some(_) => false,
-        None => true,
+    live.drain(dispatcher, drain_deadline);
+    // Whether a job was abandoned, not whether the executors have
+    // finished exiting: an idle one may still be on its way out when a
+    // short deadline passes.
+    match &daemon {
+        Daemon::Worker(server) => server.backlog() == 0,
+        Daemon::Router(_) => true,
     }
 }
 
@@ -442,7 +554,7 @@ pub fn serve(
 /// routers in one process.
 pub struct Serving {
     endpoint: Endpoint,
-    stop: Arc<AtomicBool>,
+    stop: StopHandle,
     thread: thread::JoinHandle<bool>,
 }
 
@@ -451,9 +563,8 @@ impl Serving {
     pub fn start(daemon: Daemon) -> Result<Serving, String> {
         let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_owned()))?;
         let endpoint = listener.endpoint()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let thread = thread::spawn(move || serve(daemon, listener, 0, Duration::ZERO, &flag));
+        let stop = listener.stop_handle();
+        let thread = thread::spawn(move || serve(daemon, listener, 0, Duration::ZERO));
         Ok(Serving {
             endpoint,
             stop,
@@ -475,7 +586,7 @@ impl Serving {
     /// directory during one of those appends would truncate the record
     /// being written.
     pub fn kill(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         self.thread.join().expect("the accept loop does not panic");
     }
 }

@@ -158,6 +158,14 @@ impl Server {
         self.queue.close();
     }
 
+    /// Admitted jobs not yet finished: queued, or taken by an executor
+    /// and not yet published. Once the queue is closed it only falls;
+    /// reading the queue before the executors counts a job moving
+    /// between them at least once.
+    pub(crate) fn backlog(&self) -> usize {
+        self.queue.depth() + self.queue.in_flight()
+    }
+
     /// Spawns `cfg.workers` executors. Each takes one job at a time
     /// from the queue, so an idle executor never waits for a busy one.
     /// The returned handle finishes once every executor has drained the

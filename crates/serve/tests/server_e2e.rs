@@ -5,7 +5,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -133,15 +132,71 @@ fn oversized_frames_are_refused_and_pipelined_requests_answered_in_order() {
 }
 
 #[test]
+fn a_line_of_exactly_the_limit_is_a_request_and_one_byte_more_is_refused() {
+    let (addr, serving) = start_worker(ServeConfig::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("send each write at once");
+    let mut responses = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut out = stream;
+    // A ping padded with blanks to `len` bytes, sent in small writes so
+    // the daemon reads it in many pieces; the front end trims the blanks.
+    let mut send_padded_ping = |len: usize| {
+        let mut line = b"{\"v\":1,\"op\":\"ping\",\"id\":\"max\"}".to_vec();
+        line.resize(len, b' ');
+        line.push(b'\n');
+        for piece in line.chunks(1000) {
+            out.write_all(piece).expect("send a piece of the line");
+        }
+        let mut response = String::new();
+        responses.read_line(&mut response).expect("read a response");
+        Response::parse(response.trim_end()).expect("a protocol envelope")
+    };
+
+    assert_eq!(
+        send_padded_ping(MAX_LINE_BYTES),
+        Response::Pong {
+            id: Some("max".to_owned()),
+            proto: 1,
+        }
+    );
+    match send_padded_ping(MAX_LINE_BYTES + 1) {
+        Response::Error { error, .. } => assert!(error.contains("exceeds"), "{error}"),
+        other => panic!("expected an oversized-frame error, got {other:?}"),
+    }
+
+    serving.kill();
+}
+
+#[test]
+fn a_fresh_connection_is_answered_at_once() {
+    let (addr, serving) = start_worker(ServeConfig::default());
+    // Each sample dials a new connection and sends it one ping.
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let mut client = ServeClient::connect_tcp(&addr).expect("connect");
+            assert!(client.ping().expect("ping"), "server answers ping");
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median fresh-dial ping {median:?}; all: {round_trips:?}"
+    );
+
+    serving.kill();
+}
+
+#[test]
 fn a_peer_that_stalls_mid_request_is_cut_off_at_the_read_deadline() {
     let listener =
         Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_owned())).expect("bind an ephemeral port");
     let addr = tcp_addr(&listener.endpoint().expect("the bound endpoint"));
     let daemon = Daemon::Worker(Arc::new(Server::new(ServeConfig::default())));
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let serving =
-        thread::spawn(move || serve(daemon, listener, 200, Duration::from_secs(2), &flag));
+    let stop = listener.stop_handle();
+    let serving = thread::spawn(move || serve(daemon, listener, 200, Duration::from_secs(2)));
 
     // Half a request, then silence: the daemon hangs up on its own.
     let mut stalled = TcpStream::connect(&addr).expect("connect");
@@ -171,7 +226,7 @@ fn a_peer_that_stalls_mid_request_is_cut_off_at_the_read_deadline() {
     );
     drop(client);
 
-    stop.store(true, Ordering::SeqCst);
+    stop.stop();
     assert!(
         serving.join().expect("the accept loop does not panic"),
         "an idle worker drains in full"
