@@ -3,25 +3,27 @@
 //! the full JSONL event stream is pinned.
 //!
 //! The SchedTask cells cover every event source the engine drives —
-//! core quanta, timer ticks, epochs, spontaneous interrupts, device
-//! completions and DMA device models — with fault injection and the
-//! invariant sanitizer switched on, so an engine change that moves a
-//! single byte of output fails here, in the fast root-level `cargo
-//! test`. One cell per baseline pins its `Enqueued` and `Stolen`
-//! events, and two SchedTask variants pin the software rendition's
-//! charge and the max-waiting steal.
+//! core quanta, timer ticks, epochs, a benchmark's spontaneous
+//! interrupts and blocked-I/O completions — with fault injection and
+//! the invariant sanitizer switched on, so an engine change that moves
+//! a single byte of output fails here, in the fast root-level `cargo
+//! test`. The Iscp, Oscp and Apache cells run a `network_irq` stream,
+//! the one interrupt source no SuperFunction waits on, so they pin
+//! `Scheduler::route_interrupt`. One cell per baseline pins its
+//! `Enqueued` and `Stolen` events, and two SchedTask variants pin the
+//! software rendition's charge and the max-waiting steal.
 //!
 //! A digest changes only when simulated behaviour changes on purpose.
 //! Re-record it then: the failure message prints every cell's actual
 //! digests.
 
 use schedtask_suite::core::{SchedTaskConfig, SchedTaskScheduler, StealPolicy};
-use schedtask_suite::experiments::runner::{parse_device_spec, RunBuilder};
+use schedtask_suite::experiments::runner::RunBuilder;
 use schedtask_suite::experiments::serve_api::fnv1a64;
 use schedtask_suite::experiments::{ExpParams, Technique};
 use schedtask_suite::kernel::obs::{JsonlSink, Observer};
 use schedtask_suite::kernel::FaultPlan;
-use schedtask_suite::workload::BenchmarkKind;
+use schedtask_suite::workload::{BenchmarkKind, BenchmarkSpec};
 use std::sync::Arc;
 
 /// One pinned cell: its parameters, technique, benchmark, and the
@@ -38,8 +40,8 @@ struct Cell {
     jsonl_digest: u64,
 }
 
-/// A small-but-real run: large enough that timers, epochs, interrupts
-/// and device arrivals all fire, small enough for the fast check.
+/// A small-but-real run: large enough that timers, epochs and
+/// interrupts all fire, small enough for the fast check.
 fn params(seed: u64) -> ExpParams {
     let mut p = ExpParams::quick().with_cores(4);
     p.max_instructions = 120_000;
@@ -48,15 +50,11 @@ fn params(seed: u64) -> ExpParams {
     p
 }
 
-fn device(spec: &str) -> schedtask_suite::kernel::DeviceModelConfig {
-    parse_device_spec(spec).expect("device spec parses")
-}
-
 fn cells() -> Vec<Cell> {
     // Long enough for every fault class, dropped and spurious
     // interrupts included, to fire at least once.
     let mut long = params(0xFACE);
-    long.max_instructions = 600_000;
+    long.max_instructions = 900_000;
     vec![
         Cell {
             name: "find_plain",
@@ -68,52 +66,42 @@ fn cells() -> Vec<Cell> {
             jsonl_digest: 0x6208ab3d59a6cd5e,
         },
         Cell {
-            name: "find_network_light_faults",
-            params: params(0x5EED_5EED)
-                .with_device(device("network:25000"))
-                .with_faults(FaultPlan::light(11)),
+            name: "iscp_light_faults",
+            params: params(0x5EED_5EED).with_faults(FaultPlan::light(11)),
             technique: Technique::SchedTask,
             variant: None,
-            benchmark: BenchmarkKind::Find,
-            stats_digest: 0xea1d2f7444b885d6,
-            jsonl_digest: 0xf138674afb5510be,
+            benchmark: BenchmarkKind::Iscp,
+            stats_digest: 0xf3c93fcecf3af564,
+            jsonl_digest: 0xe8b6113aa9e8a944,
         },
         Cell {
-            name: "mailsrvio_two_devices_sanitized",
+            name: "oscp_sanitized",
+            params: params(0xFACE).with_sanitize(),
+            technique: Technique::SchedTask,
+            variant: None,
+            benchmark: BenchmarkKind::Oscp,
+            stats_digest: 0xfa97df4e02b4a3a2,
+            jsonl_digest: 0x76f81ce032434822,
+        },
+        Cell {
+            name: "apache_heavy_faults_sanitized",
+            params: long.with_faults(FaultPlan::heavy(11)).with_sanitize(),
+            technique: Technique::SchedTask,
+            variant: None,
+            benchmark: BenchmarkKind::Apache,
+            stats_digest: 0x8e9049f5b7e6ba98,
+            jsonl_digest: 0xa6aa4bac5a27d464,
+        },
+        Cell {
+            name: "linux_iscp_light_faults_sanitized",
             params: params(0xFACE)
-                .with_device(device("network:25000"))
-                .with_device(device("disk:40000"))
-                .with_sanitize(),
-            technique: Technique::SchedTask,
-            variant: None,
-            benchmark: BenchmarkKind::MailSrvIo,
-            stats_digest: 0x9b9f5d027fb942a6,
-            jsonl_digest: 0xaa2cc2b7d3f31b17,
-        },
-        Cell {
-            name: "find_two_devices_heavy_faults_sanitized",
-            params: long
-                .with_device(device("network:25000"))
-                .with_device(device("disk:40000"))
-                .with_faults(FaultPlan::heavy(11))
-                .with_sanitize(),
-            technique: Technique::SchedTask,
-            variant: None,
-            benchmark: BenchmarkKind::Find,
-            stats_digest: 0xa6a17bacb70a38f6,
-            jsonl_digest: 0xb832ea96ec5db680,
-        },
-        Cell {
-            name: "linux_find_network_light_faults_sanitized",
-            params: params(0xFACE)
-                .with_device(device("network:25000"))
                 .with_faults(FaultPlan::light(11))
                 .with_sanitize(),
             technique: Technique::Linux,
             variant: None,
-            benchmark: BenchmarkKind::Find,
-            stats_digest: 0x0190cd8a61d24d03,
-            jsonl_digest: 0xe5ff6d8ee1752353,
+            benchmark: BenchmarkKind::Iscp,
+            stats_digest: 0xac63bb6208fe06d3,
+            jsonl_digest: 0xd54c645d73eb0209,
         },
         Cell {
             name: "selective_offload_mailsrvio_sanitized",
@@ -134,15 +122,13 @@ fn cells() -> Vec<Cell> {
             jsonl_digest: 0x3c3328be3be57997,
         },
         Cell {
-            name: "disaggregate_mailsrvio_network_sanitized",
-            params: params(0xFACE)
-                .with_device(device("network:25000"))
-                .with_sanitize(),
+            name: "disaggregate_apache_sanitized",
+            params: params(0xFACE).with_sanitize(),
             technique: Technique::DisAggregateOs,
             variant: None,
-            benchmark: BenchmarkKind::MailSrvIo,
-            stats_digest: 0xbf7893dc3dc5e8c7,
-            jsonl_digest: 0xe4cea766c25b543c,
+            benchmark: BenchmarkKind::Apache,
+            stats_digest: 0x9ee2bb0c6d5ec9d2,
+            jsonl_digest: 0xebea8e161003c50c,
         },
         Cell {
             name: "slicc_mailsrvio_light_faults",
@@ -199,10 +185,13 @@ fn digests(cell: &Cell) -> (u64, u64) {
         "{}: observer stream was empty",
         cell.name
     );
-    if !cell.params.devices.is_empty() {
+    if BenchmarkSpec::for_kind(cell.benchmark).spontaneous_irq.is_some() {
+        // Each completion answers one block, so a surplus of routed
+        // interrupts came from the spontaneous stream.
+        let count = |ev: &str| jsonl.matches(&format!("\"ev\":\"{ev}\"")).count();
         assert!(
-            jsonl.contains("\"class\":\"dma_device\""),
-            "{}: no device model ticked",
+            count("irq_routed") > count("blocked"),
+            "{}: no spontaneous interrupt was routed",
             cell.name
         );
     }
