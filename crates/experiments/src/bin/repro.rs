@@ -5,8 +5,7 @@
 //! ```text
 //! repro <experiment> [--quick] [--cores N] [--seed S] [--jobs N]
 //!                    [--faults SPEC] [--sanitize] [--force-fail TECH:BENCH[:N]]
-//!                    [--device KIND[:PERIOD]] [--obs FILE] [--profile]
-//!                    [--keep-going]
+//!                    [--obs FILE] [--profile] [--keep-going]
 //! repro submit  --addr ENDPOINT [client options...]
 //!
 //! experiments:
@@ -67,12 +66,6 @@
 //!   (each cell's seed is a pure function of the parameters); only
 //!   wall-clock time changes.
 //!
-//! Device options:
-//!
-//! * `--device KIND[:PERIOD]` attaches an interrupt-injecting device
-//!   model (`disk`, `network`, or `timer`; mean inter-arrival period in
-//!   cycles, default 25000) to every run. Repeatable.
-//!
 //! Observability options (sweep experiment):
 //!
 //! * `--obs FILE` attaches a JSONL sink to every sweep cell and writes
@@ -89,7 +82,6 @@
 //! to keep the historical exit-0 behaviour for exploratory sessions.
 
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
     submit_with_retry, ClientTimeouts, Endpoint, JobSpec, Json, Response, RetryPolicy, ServeClient,
 };
@@ -113,7 +105,6 @@ struct Opts {
     sanitize: bool,
     force_fail: Option<(Technique, BenchmarkKind, u64)>,
     jobs: usize,
-    devices: Vec<String>,
     obs: Option<String>,
     profile: bool,
     keep_going: bool,
@@ -129,7 +120,6 @@ fn parse_args() -> Opts {
         sanitize: false,
         force_fail: None,
         jobs: 1,
-        devices: Vec::new(),
         obs: None,
         profile: false,
         keep_going: false,
@@ -161,12 +151,6 @@ fn parse_args() -> Opts {
             }
             "--faults" => {
                 opts.faults = Some(args.next().unwrap_or_else(|| die("--faults needs a spec")));
-            }
-            "--device" => {
-                opts.devices.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--device needs KIND[:PERIOD]")),
-                );
             }
             "--jobs" => {
                 opts.jobs = args
@@ -230,14 +214,11 @@ fn print_help() {
         "repro — regenerate the SchedTask paper's tables and figures\n\n\
          usage: repro <experiment> [--quick] [--cores N] [--seed S]\n\
                 [--jobs N] [--faults none|light|heavy[@SEED]] [--sanitize]\n\
-                [--force-fail TECH:BENCH[:N]] [--device KIND[:PERIOD]]\n\
-                [--obs FILE] [--profile] [--keep-going]\n\
+                [--force-fail TECH:BENCH[:N]] [--obs FILE] [--profile]\n\
+                [--keep-going]\n\
                 repro submit [client options...]       submit jobs to a server\n\n\
          sweep exit code: non-zero when any cell fails; --keep-going\n\
          restores the historical always-0 behaviour\n\n\
-         devices:\n\
-           --device KIND[:PERIOD] attach a disk/network/timer interrupt\n\
-                                 source (period in cycles, default 25000)\n\n\
          observability (sweep experiment):\n\
            --obs FILE   write every cell's event log as JSON Lines to FILE\n\
            --profile    print per-technique counter and span summaries\n\n\
@@ -269,12 +250,6 @@ fn params(opts: &Opts) -> ExpParams {
     }
     if opts.sanitize {
         p = p.with_sanitize();
-    }
-    for spec in &opts.devices {
-        match parse_device_spec(spec) {
-            Ok(device) => p = p.with_device(device),
-            Err(e) => die(&format!("--device: {e}")),
-        }
     }
     p
 }
@@ -598,7 +573,6 @@ fn print_submit_help() {
                 [--workload LIST] [--technique LIST] [--steal NAME]\n\
                 [--scale F] [--standard] [--cores N] [--max-instructions N]\n\
                 [--warmup N] [--seed S] [--faults SPEC] [--sanitize]\n\
-                [--device KIND[:PERIOD]]\n\
                 [--ping] [--stats] [--shutdown] [--expect-cached]\n\
                 [--wait-ms N]\n\n\
          ENDPOINT is tcp://HOST:PORT.\n\n\
@@ -631,7 +605,6 @@ fn run_submit(args: Vec<String>) -> ! {
         fields.retain(|(field, _)| field != name);
         fields.push((name.to_owned(), value));
     };
-    let mut devices: Vec<Json> = Vec::new();
     let mut expect_cached = false;
     let mut ping_only = false;
     let mut want_stats = false;
@@ -669,7 +642,6 @@ fn run_submit(args: Vec<String>) -> ! {
             "--seed" => set("seed", Json::Num(value("--seed"))),
             "--standard" => set("quick", Json::Bool(false)),
             "--sanitize" => set("sanitize", Json::Bool(true)),
-            "--device" => devices.push(Json::Str(value("--device"))),
             "--expect-cached" => expect_cached = true,
             "--ping" => ping_only = true,
             "--stats" => want_stats = true,
@@ -692,7 +664,6 @@ fn run_submit(args: Vec<String>) -> ! {
             other => die(&format!("submit: unknown argument {other:?} (try --help)")),
         }
     }
-    set("devices", Json::Arr(devices));
     let endpoint = addr.unwrap_or_else(|| die("submit needs --addr ENDPOINT"));
     // `--stats` or `--shutdown` on its own sends only those ops; any other
     // invocation runs the default SchedTask/Find job where a list is unset.

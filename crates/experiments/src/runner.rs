@@ -17,7 +17,7 @@ use schedtask_baselines::{
 };
 use schedtask_kernel::obs::{Aggregator, CounterSnapshot, JsonlSink, Observer, SpanRow};
 use schedtask_kernel::{
-    CoreId, DeviceModelConfig, Engine, EngineConfig, EngineCore, EngineError, FaultPlan,
+    CoreId, Engine, EngineConfig, EngineCore, EngineError, FaultPlan,
     SchedError, SchedEvent, Scheduler, SfId, SimStats, SwitchReason, WorkloadSpec,
 };
 use schedtask_sim::SystemConfig;
@@ -230,8 +230,6 @@ pub struct ExpParams {
     pub faults: Option<FaultPlan>,
     /// Run the engine's invariant sanitizer on every run.
     pub sanitize: bool,
-    /// Interrupt-injecting device models attached to every run.
-    pub devices: Vec<DeviceModelConfig>,
 }
 
 impl ExpParams {
@@ -247,7 +245,6 @@ impl ExpParams {
             epoch_cycles: 60_000,
             faults: None,
             sanitize: false,
-            devices: Vec::new(),
         }
     }
 
@@ -262,7 +259,6 @@ impl ExpParams {
             epoch_cycles: 50_000,
             faults: None,
             sanitize: false,
-            devices: Vec::new(),
         }
     }
 
@@ -301,13 +297,6 @@ impl ExpParams {
         self
     }
 
-    /// Same params with an interrupt-injecting device model attached to
-    /// every run (may be called repeatedly).
-    pub fn with_device(mut self, device: DeviceModelConfig) -> Self {
-        self.devices.push(device);
-        self
-    }
-
     /// The engine configuration for `technique`.
     pub fn engine_config(&self, technique: Technique) -> EngineConfig {
         let mut cfg = EngineConfig::fast()
@@ -322,9 +311,6 @@ impl ExpParams {
         }
         if self.sanitize {
             cfg = cfg.with_sanitizer();
-        }
-        for d in &self.devices {
-            cfg = cfg.with_device(*d);
         }
         cfg
     }
@@ -354,8 +340,7 @@ impl ExpParams {
 ///   [`FailureCause::Builder`] diagnosis.
 /// * The engine configuration comes from exactly one source: the one
 ///   given to [`from_config`](Self::from_config), else the one derived
-///   from the [`ExpParams`] (fault plan, sanitizer, and device models
-///   included).
+///   from the [`ExpParams`] (fault plan and sanitizer included).
 /// * Without a technique the derived config never doubles cores.
 ///
 /// # Examples
@@ -511,39 +496,6 @@ impl RunBuilder {
             .cloned()
             .map_err(|e| ExperimentError::engine(&label, &wl_label, e))
     }
-}
-
-/// Parses a device spec as accepted by `repro --device` and the serve
-/// wire protocol: `KIND[:PERIOD]` where `KIND` is `disk`, `network`, or
-/// `timer` and `PERIOD` is the mean inter-arrival time in cycles
-/// (default 25 000).
-pub fn parse_device_spec(spec: &str) -> Result<DeviceModelConfig, String> {
-    use schedtask_workload::DeviceKind;
-    let mut parts = spec.split(':');
-    let head = parts.next().unwrap_or_default().to_ascii_lowercase();
-    let kind = match head.as_str() {
-        "disk" => DeviceKind::Disk,
-        "network" | "nic" => DeviceKind::Network,
-        "timer" => DeviceKind::Timer,
-        other => {
-            return Err(format!(
-                "unknown device kind {other:?} (expected disk, network, or timer)"
-            ))
-        }
-    };
-    let period_cycles = match parts.next() {
-        None => 25_000,
-        Some(p) => p
-            .parse::<u64>()
-            .map_err(|e| format!("bad device period {p:?}: {e}"))?,
-    };
-    if parts.next().is_some() {
-        return Err("device spec is KIND[:PERIOD]".to_owned());
-    }
-    Ok(DeviceModelConfig {
-        kind,
-        period_cycles,
-    })
 }
 
 fn workload_label(workload: &WorkloadSpec) -> String {
@@ -1174,27 +1126,6 @@ mod tests {
             .run()
             .expect_err("no scheduler");
         assert!(matches!(err.cause, FailureCause::Builder(_)));
-    }
-
-    #[test]
-    fn device_specs_parse() {
-        use schedtask_workload::DeviceKind;
-        let d = parse_device_spec("network").expect("parses");
-        assert_eq!(d.kind, DeviceKind::Network);
-        assert_eq!(d.period_cycles, 25_000);
-        let d = parse_device_spec("disk:40000").expect("parses");
-        assert_eq!(d.kind, DeviceKind::Disk);
-        assert_eq!(d.period_cycles, 40_000);
-        assert!(parse_device_spec("floppy").is_err());
-        assert!(parse_device_spec("disk:x").is_err());
-    }
-
-    #[test]
-    fn engine_config_carries_devices() {
-        let p = ExpParams::quick().with_device(parse_device_spec("network:30000").expect("parses"));
-        let cfg = p.engine_config(Technique::Linux);
-        assert_eq!(cfg.devices.len(), 1);
-        assert_eq!(cfg.devices[0].period_cycles, 30_000);
     }
 
     #[test]

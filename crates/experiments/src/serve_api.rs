@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use schedtask::{SchedTaskConfig, SchedTaskScheduler, StealPolicy};
 use schedtask_kernel::{
-    DeviceModelConfig, FaultPlan, SimStats, BASE_CPI, CLOCK_HZ, GSHARE_ENTRIES, MISPREDICT_PENALTY,
+    FaultPlan, SimStats, BASE_CPI, CLOCK_HZ, GSHARE_ENTRIES, MISPREDICT_PENALTY,
 };
 use schedtask_obs::{push_escaped, JsonlSink, Observer};
 use schedtask_sim::memory::{
@@ -37,7 +37,7 @@ use schedtask_sim::memory::{
 use schedtask_sim::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES};
 use schedtask_workload::BenchmarkKind;
 
-use crate::runner::{parse_device_spec, ExpParams, ExperimentError, RunBuilder, Technique};
+use crate::runner::{ExpParams, ExperimentError, RunBuilder, Technique};
 
 pub use schedtask_obs::escape_json;
 
@@ -86,8 +86,8 @@ impl JobSpec {
     /// that influences the simulation output, as `name=value` pairs
     /// separated by `;` in a fixed order. Technique and benchmark appear
     /// by display name, other enums by variant name, floats as their
-    /// exact bits, an absent option as `-`, the fault plan and device
-    /// models in their wire spec forms, and each cache level as
+    /// exact bits, an absent option as `-`, the fault plan in its wire
+    /// spec form, and each cache level as
     /// `size/associativity/line/latency`. Two specs share a text exactly
     /// when their fields are equal, so a deterministic engine produces
     /// identical stats for both.
@@ -124,7 +124,6 @@ impl JobSpec {
             epoch_cycles,
             faults,
             sanitize,
-            devices,
         } = params;
         let SystemConfig {
             num_cores,
@@ -157,14 +156,13 @@ impl JobSpec {
             Some(plan) => render_fault_spec(out, plan)?,
             None => out.push('-'),
         }
-        write!(out, ";sanitize={sanitize};devices=")?;
-        for (i, device) in devices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_device_spec(out, device)?;
-        }
-        write!(out, ";num_cores={num_cores};clock_hz={CLOCK_HZ};l1i=")?;
+        // `devices=` is always empty: it once listed interrupt-injecting
+        // device models, and the disk tier persists keys, so dropping
+        // the field would turn every stored record cold.
+        write!(
+            out,
+            ";sanitize={sanitize};devices=;num_cores={num_cores};clock_hz={CLOCK_HZ};l1i="
+        )?;
         write_cache_params(out, l1i)?;
         out.push_str(";l1d=");
         write_cache_params(out, l1d)?;
@@ -282,26 +280,14 @@ impl JobSpec {
             self.params.seed
         ));
         if let Some(plan) = &self.params.faults {
-            // Fault and device specs are numbers and ASCII names, so
-            // they need no escaping inside the JSON string.
+            // A fault spec is numbers and ASCII names, so it needs no
+            // escaping inside the JSON string.
             line.push_str(",\"faults\":\"");
             render_fault_spec(&mut line, plan).expect("writing to a String cannot fail");
             line.push('"');
         }
         if self.params.sanitize {
             line.push_str(",\"sanitize\":true");
-        }
-        if !self.params.devices.is_empty() {
-            line.push_str(",\"devices\":[");
-            for (i, device) in self.params.devices.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push('"');
-                render_device_spec(&mut line, device).expect("writing to a String cannot fail");
-                line.push('"');
-            }
-            line.push(']');
         }
         if want_obs {
             line.push_str(",\"obs\":true");
@@ -361,22 +347,6 @@ fn render_fault_spec(out: &mut String, plan: &FaultPlan) -> fmt::Result {
          delay_completion_instructions={delay_completion_instructions},\
          stall_core_rate={stall_core_rate:?},stall_cycles={stall_cycles}"
     )
-}
-
-/// Writes a device model as the `KIND:PERIOD` spec `parse_device_spec`
-/// reads back.
-fn render_device_spec(out: &mut String, device: &DeviceModelConfig) -> fmt::Result {
-    use schedtask_workload::DeviceKind;
-    let DeviceModelConfig {
-        kind,
-        period_cycles,
-    } = device;
-    let kind = match kind {
-        DeviceKind::Disk => "disk",
-        DeviceKind::Network => "network",
-        DeviceKind::Timer => "timer",
-    };
-    write!(out, "{kind}:{period_cycles}")
 }
 
 /// Writes one cache level's geometry as `size/associativity/line/latency`.
@@ -782,7 +752,6 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
         "seed",
         "faults",
         "sanitize",
-        "devices",
         "obs",
     ];
     for (key, _) in obj {
@@ -908,18 +877,6 @@ impl JobSpec {
         }
         if let Some(v) = json.get("sanitize") {
             params.sanitize = v.as_bool().ok_or("sanitize must be a boolean")?;
-        }
-        match json.get("devices") {
-            None | Some(Json::Null) => {}
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    let spec = item
-                        .as_str()
-                        .ok_or("devices must be an array of KIND[:PERIOD] strings")?;
-                    params.devices.push(parse_device_spec(spec)?);
-                }
-            }
-            Some(_) => return Err("devices must be an array of KIND[:PERIOD] strings".to_owned()),
         }
         Ok(JobSpec {
             technique,
@@ -1571,10 +1528,6 @@ mod tests {
         spec.params.seed = 42;
         spec.params.faults = Some(FaultPlan::light(7));
         spec.params.sanitize = true;
-        spec.params.devices = vec![
-            parse_device_spec("network:25000").expect("device"),
-            parse_device_spec("disk").expect("device"),
-        ];
         let line = spec.to_request_line(Some("job-1"), true);
         let parsed = parse_request(&line).expect("parses");
         assert_eq!(parsed.id.as_deref(), Some("job-1"));
@@ -1765,6 +1718,10 @@ mod tests {
         let err = parse_request("{\"workload\":\"Find\",\"driving\":\"de\"}")
             .expect_err("must reject driving");
         assert!(err.to_string().contains("driving"), "{err}");
+        // So is the retired device-model list.
+        let err = parse_request("{\"workload\":\"Find\",\"devices\":[\"network\"]}")
+            .expect_err("must reject devices");
+        assert_eq!(err.to_string(), "unknown request field \"devices\"");
     }
 
     #[test]
@@ -1787,8 +1744,6 @@ mod tests {
             "{\"workload\":\"Find\",\"steal\":\"nothing\"}",
             "{\"workload\":\"Find\",\"sanitize\":true}",
             "{\"workload\":\"Find\",\"quick\":false}",
-            "{\"workload\":\"Find\",\"devices\":[\"network\"]}",
-            "{\"workload\":\"Find\",\"devices\":[\"network\",\"disk:40000\"]}",
         ] {
             specs.push((line.to_owned(), run_spec(line)));
         }
@@ -1924,15 +1879,15 @@ mod tests {
             ),
             (
                 "{\"workload\":\"Iscp\",\"steal\":\"same\",\"faults\":\"light@7\",\
-                 \"devices\":[\"network:25000\",\"disk\"],\"sanitize\":true,\"seed\":42}",
+                 \"sanitize\":true,\"seed\":42}",
                 "technique=SchedTask;benchmark=Iscp;scale=4000000000000000;\
                  steal=SameWorkOnly;cores=8;max_instructions=1600000;\
                  warmup_instructions=400000;seed=42;epoch_cycles=50000;\
                  faults=seed=7,heatmap_bitflip_rate=0.001,drop_irq_rate=0.005,\
                  irq_retry_cycles=20000,spurious_irq_rate=0.002,delay_completion_rate=0.005,\
                  delay_completion_instructions=2000,stall_core_rate=0.0005,stall_cycles=50000;\
-                 sanitize=true;devices=network:25000,disk:25000;",
-                "865d9864ad192913",
+                 sanitize=true;devices=;",
+                "48eae9cdecb4049e",
                 "{\"v\":1,\"op\":\"run\",\"workload\":\"Iscp\",\"technique\":\"SchedTask\",\
                  \"steal\":\"SameWorkOnly\",\"scale\":2.0,\"quick\":true,\"cores\":8,\
                  \"max_instructions\":1600000,\"warmup_instructions\":400000,\
@@ -1940,8 +1895,7 @@ mod tests {
                  heatmap_bitflip_rate=0.001,drop_irq_rate=0.005,irq_retry_cycles=20000,\
                  spurious_irq_rate=0.002,delay_completion_rate=0.005,\
                  delay_completion_instructions=2000,stall_core_rate=0.0005,\
-                 stall_cycles=50000\",\"sanitize\":true,\
-                 \"devices\":[\"network:25000\",\"disk:25000\"]}",
+                 stall_cycles=50000\",\"sanitize\":true}",
             ),
         ];
         for (line, head, key, wire) in cases {

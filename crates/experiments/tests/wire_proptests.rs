@@ -3,7 +3,7 @@
 //! Four properties:
 //!
 //! 1. For an arbitrary [`JobSpec`] (any technique × benchmark, steal
-//!    overrides, fault plans, device models, ids, the obs flag),
+//!    overrides, fault plans, ids, the obs flag),
 //!    `parse_request(spec.to_request_line(..))` recovers an identical
 //!    spec — same cache key, same id, same obs flag — and re-encoding
 //!    the parsed spec reproduces the original line byte for byte.
@@ -23,7 +23,6 @@
 
 use proptest::prelude::*;
 use schedtask::StealPolicy;
-use schedtask_experiments::runner::parse_device_spec;
 use schedtask_experiments::serve_api::{
     escape_json, parse_request, split_request_line, JobSpec, Json, RequestError, RequestOp,
     Response, PROTOCOL_VERSION,
@@ -160,11 +159,6 @@ proptest! {
         seed in 0u64..1_000_000,
         faults in prop::sample::select(vec!["", "none", "light", "light@3"]),
         sanitize in prop::bool::ANY,
-        devices in prop::sample::select(vec![
-            vec![],
-            vec!["disk:700"],
-            vec!["network:900", "timer:450"],
-        ]),
         id in request_id(),
         want_obs in prop::bool::ANY,
     ) {
@@ -190,10 +184,6 @@ proptest! {
                 Some(FaultPlan::parse(faults, seed).expect("fault preset parses"));
         }
         spec.params.sanitize = sanitize;
-        spec.params.devices = devices
-            .iter()
-            .map(|d| parse_device_spec(d).expect("device spec parses"))
-            .collect();
 
         let id = id.as_deref();
         let line = spec.to_request_line(id, want_obs);

@@ -3,19 +3,6 @@
 use crate::error::ConfigError;
 use crate::faults::FaultPlan;
 use schedtask_sim::SystemConfig;
-use schedtask_workload::DeviceKind;
-
-/// One DMA/NIC-style device model injecting spontaneous interrupt
-/// traffic, independent of any SuperFunction blocking on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceModelConfig {
-    /// Which device's interrupt vector the model raises.
-    pub kind: DeviceKind,
-    /// Mean inter-arrival period in cycles; actual arrivals jitter
-    /// uniformly in `[period/2, period + period/2]` from the device's
-    /// private RNG stream.
-    pub period_cycles: u64,
-}
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +36,6 @@ pub struct EngineConfig {
     /// roughly 2-4x wall clock; intended for tests and debugging, off by
     /// default.
     pub sanitize: bool,
-    /// DMA/NIC-style device models injecting interrupt traffic.
-    pub devices: Vec<DeviceModelConfig>,
 }
 
 impl EngineConfig {
@@ -69,7 +54,6 @@ impl EngineConfig {
             collect_epoch_breakups: false,
             faults: None,
             sanitize: false,
-            devices: Vec::new(),
             system,
         }
     }
@@ -106,12 +90,6 @@ impl EngineConfig {
         self
     }
 
-    /// Adds a device model.
-    pub fn with_device(mut self, device: DeviceModelConfig) -> Self {
-        self.devices.push(device);
-        self
-    }
-
     /// Validates the whole configuration. [`crate::Engine::new`] calls
     /// this, so a bad configuration fails fast with a typed error
     /// instead of panicking mid-run.
@@ -132,11 +110,6 @@ impl EngineConfig {
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
-        }
-        for (index, dev) in self.devices.iter().enumerate() {
-            if dev.period_cycles == 0 {
-                return Err(ConfigError::BadDevicePeriod { index });
-            }
         }
         Ok(())
     }
@@ -207,24 +180,6 @@ mod tests {
         assert!(matches!(
             cfg.validate(),
             Err(ConfigError::BadFaultRate { .. })
-        ));
-    }
-
-    #[test]
-    fn device_and_divider_builders_validate() {
-        let cfg = EngineConfig::fast().with_device(DeviceModelConfig {
-            kind: DeviceKind::Network,
-            period_cycles: 80_000,
-        });
-        assert!(cfg.validate().is_ok());
-
-        let cfg = EngineConfig::fast().with_device(DeviceModelConfig {
-            kind: DeviceKind::Disk,
-            period_cycles: 0,
-        });
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::BadDevicePeriod { index: 0 })
         ));
     }
 

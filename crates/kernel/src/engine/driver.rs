@@ -4,8 +4,8 @@
 //! pops the earliest queued event, whichever comes first in simulated
 //! time (the queue head wins ties). A popped event goes through one
 //! `match` on [`EventKind`] to its handler: the per-core timer tick, the
-//! TAlloc epoch, a benchmark's spontaneous interrupt, a blocked-I/O
-//! completion, or a DMA device model's next arrival.
+//! TAlloc epoch, a benchmark's spontaneous interrupt, or a blocked-I/O
+//! completion.
 
 use super::{dispatch, interrupts, Engine, EngineCore, EventKind, TIMER_TICK_CYCLES};
 use crate::error::EngineError;
@@ -17,9 +17,8 @@ use schedtask_workload::{DeviceKind, SfCategory};
 
 impl Engine {
     /// Seeds the recurring event streams: per-core timer ticks, the
-    /// first epoch, each benchmark's spontaneous interrupt, then each
-    /// device model in configuration order. This order fixes the queue
-    /// sequence numbers, so it must not change.
+    /// first epoch, then each benchmark's spontaneous interrupt. This
+    /// order fixes the queue sequence numbers, so it must not change.
     pub(super) fn prime(&mut self) {
         let ctx = &mut self.core;
         let tick = TIMER_TICK_CYCLES;
@@ -33,9 +32,6 @@ impl Engine {
                 let interval = ctx.irq_rate_interval[bench];
                 ctx.schedule_event(interval, EventKind::ExternalIrq { bench });
             }
-        }
-        for device in &mut self.devices {
-            device.prime(ctx);
         }
     }
 
@@ -114,13 +110,6 @@ impl Engine {
             EventKind::DeviceComplete { device, waiter } => {
                 on_device_complete(ctx, sched, device, waiter);
             }
-            EventKind::DeviceTick { device } => self
-                .devices
-                .get_mut(device)
-                .ok_or_else(|| EngineError::StateCorruption {
-                    detail: format!("tick for device {device}, which is not configured"),
-                })?
-                .tick(ctx, sched),
         }
 
         // Fault injection: a spurious interrupt (no waiting SuperFunction)
@@ -208,65 +197,22 @@ fn on_device_complete(
 #[cfg(test)]
 mod tests {
     use super::super::{Engine, EventKind, WorkloadSpec};
-    use crate::config::{DeviceModelConfig, EngineConfig};
+    use crate::config::EngineConfig;
     use crate::error::EngineError;
     use crate::scheduler::GlobalFifoScheduler;
-    use schedtask_workload::{BenchmarkKind, DeviceKind};
-
-    fn engine_with(cfg: EngineConfig) -> Engine {
-        Engine::new(
-            cfg,
-            &WorkloadSpec::single(BenchmarkKind::Find, 0.5),
-            Box::new(GlobalFifoScheduler::new()),
-        )
-        .expect("engine builds")
-    }
-
-    fn base_cfg() -> EngineConfig {
-        EngineConfig::fast()
-            .with_system(schedtask_sim::SystemConfig::table2().with_cores(2))
-            .with_max_instructions(60_000)
-    }
-
-    fn run_stats(cfg: EngineConfig) -> crate::stats::SimStats {
-        engine_with(cfg).run().expect("run succeeds").clone()
-    }
-
-    #[test]
-    fn device_model_injects_interrupt_traffic() {
-        let quiet = run_stats(base_cfg());
-        let noisy = run_stats(base_cfg().with_device(DeviceModelConfig {
-            kind: DeviceKind::Network,
-            period_cycles: 25_000,
-        }));
-        assert!(
-            noisy.interrupts_delivered > quiet.interrupts_delivered,
-            "device model must add interrupts: {} vs {}",
-            noisy.interrupts_delivered,
-            quiet.interrupts_delivered
-        );
-    }
-
-    /// Runs with `kind` queued at cycle 1 and returns the run's error.
-    fn run_with_stray_event(kind: EventKind) -> EngineError {
-        let mut engine = engine_with(base_cfg());
-        engine.core.schedule_event(1, kind);
-        engine.run().expect_err("a stray event must fail the run")
-    }
-
-    #[test]
-    fn tick_for_an_unconfigured_device_is_a_typed_error() {
-        let err = run_with_stray_event(EventKind::DeviceTick { device: 3 });
-        assert!(
-            matches!(&err, EngineError::StateCorruption { detail } if detail.contains("device 3")),
-            "got {err}"
-        );
-    }
+    use schedtask_workload::BenchmarkKind;
 
     #[test]
     fn external_irq_without_a_spontaneous_rate_is_a_typed_error() {
+        let cfg = EngineConfig::fast()
+            .with_system(schedtask_sim::SystemConfig::table2().with_cores(2))
+            .with_max_instructions(60_000);
         // Find raises no spontaneous interrupts.
-        let err = run_with_stray_event(EventKind::ExternalIrq { bench: 0 });
+        let workload = WorkloadSpec::single(BenchmarkKind::Find, 0.5);
+        let mut engine = Engine::new(cfg, &workload, Box::new(GlobalFifoScheduler::new()))
+            .expect("engine builds");
+        engine.core.schedule_event(1, EventKind::ExternalIrq { bench: 0 });
+        let err = engine.run().expect_err("a stray event must fail the run");
         assert!(
             matches!(&err, EngineError::StateCorruption { detail } if detail.contains("no spontaneous rate")),
             "got {err}"

@@ -1,5 +1,5 @@
-//! The events subsystem: the global timer/epoch/device event queue and
-//! its deterministic ordering.
+//! The events subsystem: the global timer/epoch/interrupt event queue
+//! and its deterministic ordering.
 //!
 //! The queue is a [`BinaryHeap`](std::collections::BinaryHeap) of
 //! [`HeapEvent`]s whose `Ord` is reversed over `(time, seq)`, so it pops
@@ -37,12 +37,6 @@ pub(crate) enum EventKind {
     },
     /// The scheduler's TAlloc epoch boundary.
     Epoch,
-    /// A DMA/NIC-style device model's next interrupt arrival
-    /// ([`super::device::DmaDevice`]).
-    DeviceTick {
-        /// Index into the engine's configured device models.
-        device: usize,
-    },
 }
 
 /// An entry in the global event queue.

@@ -2,19 +2,19 @@
 //!
 //! The engine owns the machine ([`schedtask_sim::MemorySystem`] plus
 //! per-core state including the hardware Page-heatmap registers), the OS
-//! object model (threads, SuperFunctions, devices, the interrupt
-//! controller), and global time. The scheduling *policy* is a plug-in
+//! object model (threads, SuperFunctions, blocking devices, the
+//! interrupt controller), and global time. The scheduling *policy* is a plug-in
 //! ([`crate::Scheduler`]); the engine invokes it at exactly the points
 //! where the paper's TMigrate/TAlloc hooks run.
 //!
 //! Cores advance private clocks; the engine always processes whichever is
-//! earliest — the next device/timer/epoch event or the lowest-clock busy
+//! earliest — the next timer/epoch/interrupt event or the lowest-clock busy
 //! core — so execution is deterministic and causally consistent to within
 //! one quantum.
 //!
 //! # Subsystem layering
 //!
-//! This module is an orchestrator over six subsystems, each behind a
+//! This module is an orchestrator over five subsystems, each behind a
 //! narrow internal API. One loop (`driver`) advances the whole machine:
 //! each step runs either the earliest busy core or the earliest queued
 //! event, and a `match` on the event kind calls that event's handler.
@@ -23,7 +23,7 @@
 //!   the hardware Page-heatmap registers), the [`EngineCore`] context
 //!   passed to every scheduler hook, and quantum execution through the
 //!   cache hierarchy;
-//! * `events` — the global timer/epoch/device event queue and its
+//! * `events` — the global timer/epoch/interrupt event queue and its
 //!   deterministic ordering;
 //! * `interrupts` — the device/IRQ/bottom-half model: routing
 //!   (`raise_irq`), delivery, pending queues, and the one mint for OS
@@ -33,15 +33,13 @@
 //!   system-call creation, blocking, completion, and wakeups;
 //! * `driver` — the engine loop, event priming, and the per-event
 //!   handlers (timer, epoch, external IRQ, device completion), with the
-//!   fault-injection wrapper around them;
-//! * `device` — the DMA/NIC-style interrupt-injecting device model.
+//!   fault-injection wrapper around them.
 //!
 //! Everything in the pipeline is [`Send`]: an [`Engine`] can be built on
 //! one thread and run on another, which is what lets sweep harnesses run
 //! independent (technique × benchmark) cells on worker threads while
 //! keeping every cell's statistics bit-identical to a serial run.
 
-pub(crate) mod device;
 pub(crate) mod dispatch;
 pub(crate) mod driver;
 pub(crate) mod events;
@@ -169,9 +167,6 @@ struct WatchState {
 pub struct Engine {
     pub(crate) core: EngineCore,
     pub(crate) scheduler: Box<dyn Scheduler>,
-    /// One DMA device model per [`EngineConfig::devices`] entry, in
-    /// configuration order (a `DeviceTick`'s index points here).
-    devices: Vec<device::DmaDevice>,
     finished: bool,
     pub(crate) sanitizer: Option<SanitizerState>,
     watch: WatchState,
@@ -218,18 +213,11 @@ impl Engine {
             return Err(ConfigError::TooManyThreads { threads }.into());
         }
         let sanitize = cfg.sanitize;
-        let devices = cfg
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(i, dev)| device::DmaDevice::new(i, *dev, cfg.seed))
-            .collect();
         let core = EngineCore::build(cfg, workload);
         let sanitizer = sanitize.then(|| SanitizerState::new(core.num_cores()));
         Ok(Engine {
             core,
             scheduler,
-            devices,
             finished: false,
             sanitizer,
             watch: WatchState {

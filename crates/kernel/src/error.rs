@@ -38,11 +38,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// A device model's inter-arrival period is zero.
-    BadDevicePeriod {
-        /// Index of the rejected device in `EngineConfig::devices`.
-        index: usize,
-    },
     /// The simulated machine failed validation (`schedtask-sim`).
     System(String),
 }
@@ -67,9 +62,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadFaultRate { field, value } => {
                 write!(f, "fault rate {field} = {value} is not in [0, 1]")
-            }
-            ConfigError::BadDevicePeriod { index } => {
-                write!(f, "device model {index} has a zero inter-arrival period")
             }
             ConfigError::System(msg) => write!(f, "invalid machine configuration: {msg}"),
         }

@@ -62,7 +62,7 @@ pub mod superfunction;
 pub use schedtask_obs as obs;
 
 pub use common::{apportion_cores, CoreQueues};
-pub use config::{DeviceModelConfig, EngineConfig};
+pub use config::EngineConfig;
 pub use engine::{
     Engine, EngineCore, WorkloadSpec, BASE_CPI, GSHARE_ENTRIES, KERNEL_TID, MISPREDICT_PENALTY,
 };

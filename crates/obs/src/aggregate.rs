@@ -175,11 +175,6 @@ impl Observer for Aggregator {
                 self.counters.add(Counter::ExactPageStores, 1);
                 self.counters.add(Counter::ExactPagesCollected, pages);
             }
-            ObsEvent::ComponentTick { irqs, .. } => {
-                self.counters.add(Counter::EngineComponentTicks, 1);
-                self.counters
-                    .add(Counter::EngineComponentIrqs, u64::from(irqs));
-            }
         }
     }
 

@@ -108,10 +108,9 @@ pub enum Counter {
     ServeChaosTruncatedResponses,
     /// Injected dropped connections (chaos).
     ServeChaosDroppedConns,
-    /// Self-driven device-component ticks processed by the engine.
+    /// Always zero: no engine component ticks on its own. Kept because
+    /// the benchmark reads it as `kernel.component_ticks`.
     EngineComponentTicks,
-    /// Interrupts raised by device components.
-    EngineComponentIrqs,
     /// Run requests the router forwarded to a downstream worker.
     ServeRouterForwarded,
     /// Run requests answered from the router's hot-key cache tier.
@@ -131,7 +130,7 @@ impl Counter {
     pub const COUNT: usize = Counter::ALL.len();
 
     /// All counters, in index order.
-    pub const ALL: [Counter; 53] = [
+    pub const ALL: [Counter; 52] = [
         Counter::Dispatches,
         Counter::Preemptions,
         Counter::Blocks,
@@ -179,7 +178,6 @@ impl Counter {
         Counter::ServeChaosTruncatedResponses,
         Counter::ServeChaosDroppedConns,
         Counter::EngineComponentTicks,
-        Counter::EngineComponentIrqs,
         Counter::ServeRouterForwarded,
         Counter::ServeRouterHotHits,
         Counter::ServeRouterCoalesced,
@@ -237,7 +235,6 @@ impl Counter {
             Counter::ServeChaosTruncatedResponses => "serve_chaos_truncated_responses",
             Counter::ServeChaosDroppedConns => "serve_chaos_dropped_conns",
             Counter::EngineComponentTicks => "engine_component_ticks",
-            Counter::EngineComponentIrqs => "engine_component_irqs",
             Counter::ServeRouterForwarded => "serve_router_forwarded",
             Counter::ServeRouterHotHits => "serve_router_hot_hits",
             Counter::ServeRouterCoalesced => "serve_router_coalesced",

@@ -103,24 +103,6 @@ impl FaultKind {
     }
 }
 
-/// Classification of an engine component that reports its ticks as
-/// [`ObsEvent::ComponentTick`]. Only device models do; cores and the
-/// engine's event sources emit their ordinary events instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComponentClass {
-    /// A DMA/NIC-style device model injecting interrupt traffic.
-    DmaDevice,
-}
-
-impl ComponentClass {
-    /// Stable snake_case name used in JSONL output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ComponentClass::DmaDevice => "dma_device",
-        }
-    }
-}
-
 /// The spans that flow through
 /// [`Observer::span_enter`]/[`Observer::span_exit`].
 ///
@@ -277,19 +259,6 @@ pub enum ObsEvent {
         /// Number of page addresses collected.
         pages: u64,
     },
-    /// An engine component took one self-driven action (currently
-    /// emitted by device models when they raise interrupt traffic).
-    ComponentTick {
-        /// Global cycle timestamp.
-        at: u64,
-        /// Index of the component within its class (for device models,
-        /// the index among the configured devices).
-        component: u32,
-        /// Coarse class of the component.
-        class: ComponentClass,
-        /// Interrupts raised by this tick.
-        irqs: u32,
-    },
 }
 
 impl ObsEvent {
@@ -312,7 +281,6 @@ impl ObsEvent {
             ObsEvent::EpochRealloc { .. } => "epoch_realloc",
             ObsEvent::HeatmapStored { .. } => "heatmap_stored",
             ObsEvent::ExactPagesStored { .. } => "exact_pages_stored",
-            ObsEvent::ComponentTick { .. } => "component_tick",
         }
     }
 
@@ -334,8 +302,7 @@ impl ObsEvent {
             | ObsEvent::EpochStart { at }
             | ObsEvent::EpochRealloc { at }
             | ObsEvent::HeatmapStored { at, .. }
-            | ObsEvent::ExactPagesStored { at, .. }
-            | ObsEvent::ComponentTick { at, .. } => at,
+            | ObsEvent::ExactPagesStored { at, .. } => at,
         }
     }
 }

@@ -121,19 +121,6 @@ pub fn event_to_json(ev: &ObsEvent, label: Option<&str>) -> String {
         ObsEvent::ExactPagesStored { core, pages, .. } => {
             line.push_str(&format!(",\"core\":{core},\"pages\":{pages}"));
         }
-        ObsEvent::ComponentTick {
-            component,
-            class,
-            irqs,
-            ..
-        } => {
-            line.push_str(&format!(
-                ",\"component\":{},\"class\":\"{}\",\"irqs\":{}",
-                component,
-                class.name(),
-                irqs
-            ));
-        }
     }
     line.push('}');
     line

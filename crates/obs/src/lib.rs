@@ -43,7 +43,7 @@ mod jsonl;
 
 pub use aggregate::{render_counter_table, render_span_table, Aggregator, SpanRow};
 pub use counters::{Counter, CounterSet, CounterSnapshot};
-pub use event::{ComponentClass, FaultKind, ObsEvent, SfClass, SpanKind, StealLevel};
+pub use event::{FaultKind, ObsEvent, SfClass, SpanKind, StealLevel};
 pub use jsonl::{escape_json, event_to_json, push_escaped, JsonlSink};
 
 /// A sink for structured observability data.
