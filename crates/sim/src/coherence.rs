@@ -16,15 +16,16 @@
 //!
 //! # Data layout
 //!
-//! Entries live in a seeded open-addressed table (linear probing with
-//! backward-shift deletion) over three parallel flat arrays: line ids,
-//! sharer bitmasks (`u64` words, one bit per core — never a
-//! `Vec<usize>`), and a one-byte occupied/modified flag that doubles as
-//! the empty-slot sentinel, so arbitrary `u64` line ids need no reserved
-//! value. The table is point-queried only — nothing ever iterates the
-//! entries — so any map with identical get/insert/remove semantics is
-//! observationally equivalent to the previous `HashMap<u64, Entry>`;
-//! only the wall-clock cost changes.
+//! Entries live in a seeded open-addressed table (linear probing) over
+//! three parallel flat arrays: line ids, sharer bitmasks (`u64` words,
+//! one bit per core — never a `Vec<usize>`), and a one-byte
+//! occupied/modified flag that doubles as the empty-slot sentinel, so
+//! arbitrary `u64` line ids need no reserved value. An entry, once
+//! inserted, is never removed: a private-cache eviction does not reach
+//! the directory. The table is point-queried only — nothing ever
+//! iterates the entries — so any map with identical get/insert
+//! semantics is observationally equivalent to the previous
+//! `HashMap<u64, Entry>`; only the wall-clock cost changes.
 
 /// Directory-visible state of one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,13 +165,10 @@ pub struct Directory {
     len: usize,
     /// Hash seed, mixed into every probe start.
     seed: u64,
-    invalidations: u64,
-    transfers: u64,
-    upgrades: u64,
-    downgrades: u64,
 }
 
-const MIN_CAPACITY: usize = 64;
+/// Slots in a new table (a power of two); it doubles past a 7/8 load.
+const INITIAL_CAPACITY: usize = 128;
 
 /// Fixed hash seed: the directory must behave identically across runs
 /// (the determinism contract), so the seed decorrelates probe chains
@@ -178,44 +176,25 @@ const MIN_CAPACITY: usize = 64;
 const DEFAULT_HASH_SEED: u64 = 0x5EED_0D1C_ECAF_E001;
 
 impl Directory {
-    /// Creates a directory for `num_cores` cores with the default
-    /// (growable) table size.
+    /// Creates an empty directory for `num_cores` cores.
     ///
     /// # Panics
     ///
     /// Panics if `num_cores` is zero or exceeds 64 (the sharer bitmask
     /// width).
     pub fn new(num_cores: usize) -> Self {
-        Self::with_capacity(num_cores, MIN_CAPACITY)
-    }
-
-    /// Creates a directory pre-sized for roughly `expected_lines`
-    /// tracked lines (callers size this from the cache geometry, e.g.
-    /// `CacheParams::num_lines` of the LLC). The table still grows if
-    /// the estimate is exceeded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` is zero or exceeds 64.
-    pub fn with_capacity(num_cores: usize, expected_lines: usize) -> Self {
         assert!(
             (1..=64).contains(&num_cores),
             "directory supports 1-64 cores"
         );
-        // Size so `expected_lines` stays under the 7/8 load factor.
-        let capacity = (expected_lines.max(MIN_CAPACITY) * 8 / 7 + 1).next_power_of_two();
         Directory {
             num_cores,
-            keys: vec![0; capacity].into_boxed_slice(),
-            sharers: vec![0; capacity].into_boxed_slice(),
-            meta: vec![0; capacity].into_boxed_slice(),
-            mask: capacity - 1,
+            keys: vec![0; INITIAL_CAPACITY].into_boxed_slice(),
+            sharers: vec![0; INITIAL_CAPACITY].into_boxed_slice(),
+            meta: vec![0; INITIAL_CAPACITY].into_boxed_slice(),
+            mask: INITIAL_CAPACITY - 1,
             len: 0,
             seed: DEFAULT_HASH_SEED,
-            invalidations: 0,
-            transfers: 0,
-            upgrades: 0,
-            downgrades: 0,
         }
     }
 
@@ -284,33 +263,6 @@ impl Directory {
         }
     }
 
-    /// Removes the entry at `slot`, backward-shifting the probe chain so
-    /// no tombstones accumulate.
-    fn remove_slot(&mut self, mut hole: usize) {
-        self.meta[hole] = 0;
-        self.len -= 1;
-        let mut j = (hole + 1) & self.mask;
-        while self.meta[j] & OCCUPIED != 0 {
-            let home = self.home_slot(self.keys[j]);
-            // The entry at j may keep its slot only if its home lies
-            // cyclically within (hole, j]; otherwise the new hole would
-            // break its probe chain, so it moves into the hole.
-            let stays = if hole <= j {
-                hole < home && home <= j
-            } else {
-                hole < home || home <= j
-            };
-            if !stays {
-                self.keys[hole] = self.keys[j];
-                self.sharers[hole] = self.sharers[j];
-                self.meta[hole] = self.meta[j];
-                self.meta[j] = 0;
-                hole = j;
-            }
-            j = (j + 1) & self.mask;
-        }
-    }
-
     /// The directory state of `line`.
     pub fn state_of(&self, line: u64) -> LineState {
         match self.find(line) {
@@ -335,8 +287,6 @@ impl Directory {
             let owner = self.sharers[i].trailing_zeros() as usize;
             self.meta[i] &= !MODIFIED;
             self.sharers[i] |= bit;
-            self.transfers += 1;
-            self.downgrades += 1;
             ReadOutcome::CacheToCache { owner }
         } else {
             self.sharers[i] |= bit;
@@ -363,48 +313,12 @@ impl Directory {
         // Sharer bits are only ever set for in-range cores, so no extra
         // num_cores masking is needed here.
         let others = self.sharers[i] & !bit;
-        self.invalidations += u64::from(others.count_ones());
-        if others != 0 || self.sharers[i] & bit != 0 {
-            self.upgrades += 1;
-        }
         self.sharers[i] = bit;
         self.meta[i] |= MODIFIED;
         WriteOutcome {
             invalidate: SharerMask(others),
             silent: false,
         }
-    }
-
-    /// Registers that `core` evicted its copy of `line` (the directory
-    /// stops tracking it as a sharer).
-    pub fn on_evict(&mut self, core: usize, line: u64) {
-        if let Some(i) = self.find(line) {
-            self.sharers[i] &= !(1u64 << core);
-            if self.sharers[i] == 0 {
-                self.remove_slot(i);
-            }
-        }
-    }
-
-    /// Total invalidation messages sent.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
-    }
-
-    /// Total cache-to-cache transfers.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Ownership upgrades (writes that found other sharers or a shared
-    /// self-copy).
-    pub fn upgrades(&self) -> u64 {
-        self.upgrades
-    }
-
-    /// Modified→Shared downgrades.
-    pub fn downgrades(&self) -> u64 {
-        self.downgrades
     }
 
     /// Lines currently tracked.
@@ -441,7 +355,6 @@ mod tests {
         let w = dir.on_write(5, 9);
         assert_eq!(w.invalidate.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
         assert!(!w.silent);
-        assert_eq!(dir.invalidations(), 5);
         assert_eq!(dir.state_of(9), LineState::Modified);
     }
 
@@ -460,8 +373,6 @@ mod tests {
         dir.on_write(2, 7);
         assert_eq!(dir.on_read(0, 7), ReadOutcome::CacheToCache { owner: 2 });
         assert_eq!(dir.state_of(7), LineState::Shared);
-        assert_eq!(dir.transfers(), 1);
-        assert_eq!(dir.downgrades(), 1);
         // Subsequent reads are plain shared reads.
         assert_eq!(dir.on_read(1, 7), ReadOutcome::FromMemoryPath);
     }
@@ -475,25 +386,13 @@ mod tests {
     }
 
     #[test]
-    fn evictions_clear_tracking() {
-        let mut dir = Directory::new(4);
-        dir.on_read(0, 2);
-        dir.on_read(1, 2);
-        dir.on_evict(0, 2);
-        assert_eq!(dir.state_of(2), LineState::Shared);
-        dir.on_evict(1, 2);
-        assert_eq!(dir.state_of(2), LineState::Invalid);
-        assert_eq!(dir.tracked_lines(), 0);
-    }
-
-    #[test]
     fn upgrade_from_shared_self_copy_counts() {
         let mut dir = Directory::new(4);
         dir.on_read(0, 4);
         let w = dir.on_write(0, 4); // S -> M upgrade, no other sharers
         assert!(w.invalidate.is_empty());
         assert!(!w.silent);
-        assert_eq!(dir.upgrades(), 1);
+        assert_eq!(dir.state_of(4), LineState::Modified);
     }
 
     #[test]
@@ -510,44 +409,6 @@ mod tests {
                 "line {line}"
             );
         }
-    }
-
-    #[test]
-    fn eviction_churn_preserves_probe_chains() {
-        // Insert colliding-ish keys, delete half, verify the rest are
-        // still findable (backward-shift correctness).
-        let mut dir = Directory::new(2);
-        let lines: Vec<u64> = (0..500u64).map(|i| i * 64).collect();
-        for &l in &lines {
-            dir.on_read(0, l);
-        }
-        for &l in lines.iter().step_by(2) {
-            dir.on_evict(0, l);
-        }
-        for (i, &l) in lines.iter().enumerate() {
-            let expect = if i % 2 == 0 {
-                LineState::Invalid
-            } else {
-                LineState::Shared
-            };
-            assert_eq!(dir.state_of(l), expect, "line {l}");
-        }
-        assert_eq!(dir.tracked_lines(), lines.len() / 2);
-    }
-
-    #[test]
-    fn with_capacity_presizes_without_changing_behaviour() {
-        let mut small = Directory::new(4);
-        let mut big = Directory::with_capacity(4, 4096);
-        for line in 0..2_000u64 {
-            let c = (line % 4) as usize;
-            assert_eq!(small.on_read(c, line), big.on_read(c, line));
-            if line % 3 == 0 {
-                assert_eq!(small.on_write(c, line), big.on_write(c, line));
-            }
-        }
-        assert_eq!(small.tracked_lines(), big.tracked_lines());
-        assert_eq!(small.invalidations(), big.invalidations());
     }
 
     #[test]
