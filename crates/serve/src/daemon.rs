@@ -450,6 +450,12 @@ impl Live {
     /// Sleeps until every connection and the dispatcher have ended, or
     /// `deadline` has passed, then closes whatever is still open.
     fn drain(self: &Arc<Self>, dispatcher: Option<thread::JoinHandle<()>>, deadline: Duration) {
+        // No connection reads another request: an idle one reads EOF
+        // and ends at once, and one being answered still writes its
+        // response, then ends at its next read.
+        for socket in self.lock().sockets.values() {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
         if let Some(dispatcher) = dispatcher {
             // A thread of its own joins the dispatcher, so the drain
             // sleeps on `ended` for it as for the connections.
@@ -498,11 +504,13 @@ impl Drop for Open {
 /// that stall mid-request; `0` disables it.
 ///
 /// Then it drains: a worker stops admitting and finishes its backlog,
-/// and open connections finish their exchanges. The drain sleeps until
-/// the last of them ends — but never for longer than `drain_deadline`,
-/// so a stop cannot hang on a wedged job or a stalled peer. Whatever is
-/// still open after that is closed, as the process exiting would close
-/// it. Returns `false` when the deadline cut a worker's backlog short.
+/// and open connections read no further request, so an idle one ends
+/// at once and one being answered ends once its response is written.
+/// The drain sleeps until the last of them ends — but never for longer
+/// than `drain_deadline`, so a stop cannot hang on a wedged job or a
+/// stalled peer. Whatever is still open after that is closed, as the
+/// process exiting would close it. Returns `false` when the deadline
+/// cut a worker's backlog short.
 pub fn serve(
     daemon: Daemon,
     listener: Listener,

@@ -2,10 +2,11 @@
 //! one. The real binary runs with one executor and a 1 ms drain
 //! deadline: idle, a `shutdown` drains at once (exit 0, `shut down
 //! cleanly`); with a standard-size job admitted, the deadline cuts the
-//! backlog short (exit 1, no such line). SIGTERM and SIGINT, sent to an
-//! idle daemon with `kill`, stop it as cleanly and as promptly as a
-//! `shutdown` does. A flag the daemon's role does not read is refused
-//! with exit 2 before anything starts.
+//! backlog short (exit 1, no such line). SIGTERM and SIGINT, sent with
+//! `kill` to an idle daemon that still holds an idle client connection,
+//! stop it as cleanly and as promptly as a `shutdown` does. A flag the
+//! daemon's role does not read is refused with exit 2 before anything
+//! starts.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
@@ -112,15 +113,14 @@ fn an_abandoned_backlog_is_not_a_clean_shutdown() {
     job.join().expect("the client thread ends");
 }
 
-/// Sends an idle daemon `signal` with `kill` after a pong, and checks
-/// that it drains and exits 0 within 2 s.
+/// Sends an idle daemon `signal` with `kill` after a pong, its client
+/// still connected, and checks that it drains and exits 0 within 2 s at
+/// the default drain deadline.
 #[cfg(unix)]
 fn a_signal_stops_it_cleanly(signal: &str) {
     let (child, endpoint) = spawn(&[]);
-    assert!(
-        dial(&endpoint).ping().expect("ping"),
-        "schedtaskd answers ping"
-    );
+    let mut client = dial(&endpoint);
+    assert!(client.ping().expect("ping"), "schedtaskd answers ping");
     let sent = std::time::Instant::now();
     let kill = Command::new("kill")
         .args([format!("-{signal}"), child.id().to_string()])
@@ -135,6 +135,7 @@ fn a_signal_stops_it_cleanly(signal: &str) {
         waited < Duration::from_secs(2),
         "SIG{signal}: exited {waited:?} after the signal"
     );
+    drop(client);
 }
 
 #[cfg(unix)]

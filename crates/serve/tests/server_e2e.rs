@@ -232,3 +232,60 @@ fn a_peer_that_stalls_mid_request_is_cut_off_at_the_read_deadline() {
         "an idle worker drains in full"
     );
 }
+
+#[test]
+fn a_stop_mid_run_answers_the_run_and_ends_idle_connections() {
+    let listener =
+        Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_owned())).expect("bind an ephemeral port");
+    let addr = tcp_addr(&listener.endpoint().expect("the bound endpoint"));
+    let daemon = Daemon::Worker(Arc::new(Server::new(ServeConfig::default())));
+    let stop = listener.stop_handle();
+    let serving = thread::spawn(move || serve(daemon, listener, 0, Duration::from_secs(5)));
+
+    let mut spec = JobSpec::new(Technique::SchedTask, BenchmarkKind::Find);
+    spec.params.cores = 2;
+    spec.params.max_instructions = 2_000_000;
+    spec.params.warmup_instructions = 10_000;
+    let line = spec.to_request_line(Some("mid-run"), false);
+    let mut runner = ServeClient::connect_tcp(&addr).expect("connect");
+    let run = thread::spawn(move || runner.request_line(&line));
+
+    // This client polls until the run is admitted, then stays
+    // connected, idle, through the stop.
+    let mut idle = ServeClient::connect_tcp(&addr).expect("connect");
+    loop {
+        let stats = idle.request_line("{\"op\":\"stats\"}").expect("stats");
+        let st = Json::parse(&stats).expect("stats parses");
+        let admitted = st
+            .get("counters")
+            .and_then(|c| c.get("serve_cache_misses"))
+            .and_then(Json::as_u64);
+        if admitted == Some(1) {
+            break;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+    let stopped = Instant::now();
+    stop.stop();
+    assert!(
+        serving.join().expect("the accept loop does not panic"),
+        "the run finished inside the drain deadline"
+    );
+    let drained = stopped.elapsed();
+    let response = run
+        .join()
+        .expect("the client thread ends")
+        .expect("the run is answered");
+    let rj = Json::parse(&response).expect("the response parses");
+    assert_eq!(
+        rj.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{response}"
+    );
+    assert_eq!(rj.get("id").and_then(Json::as_str), Some("mid-run"));
+    assert!(
+        drained < Duration::from_secs(5),
+        "the idle connection held the drain for {drained:?}"
+    );
+    drop(idle);
+}
