@@ -17,8 +17,8 @@ use schedtask_baselines::{
 };
 use schedtask_kernel::obs::{Aggregator, CounterSnapshot, JsonlSink, Observer, SpanRow};
 use schedtask_kernel::{
-    CoreId, Engine, EngineConfig, EngineCore, EngineError, FaultPlan,
-    SchedError, SchedEvent, Scheduler, SfId, SimStats, SwitchReason, WorkloadSpec,
+    CoreId, Engine, EngineConfig, EngineCore, EngineError, FaultPlan, SchedError, SchedEvent,
+    Scheduler, SfId, SimStats, SwitchReason, WorkloadSpec,
 };
 use schedtask_sim::SystemConfig;
 use schedtask_workload::BenchmarkKind;

@@ -211,7 +211,9 @@ mod tests {
         let workload = WorkloadSpec::single(BenchmarkKind::Find, 0.5);
         let mut engine = Engine::new(cfg, &workload, Box::new(GlobalFifoScheduler::new()))
             .expect("engine builds");
-        engine.core.schedule_event(1, EventKind::ExternalIrq { bench: 0 });
+        engine
+            .core
+            .schedule_event(1, EventKind::ExternalIrq { bench: 0 });
         let err = engine.run().expect_err("a stray event must fail the run");
         assert!(
             matches!(&err, EngineError::StateCorruption { detail } if detail.contains("no spontaneous rate")),

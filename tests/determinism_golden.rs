@@ -185,7 +185,8 @@ fn digests(cell: &Cell) -> (u64, u64) {
         "{}: observer stream was empty",
         cell.name
     );
-    if BenchmarkSpec::for_kind(cell.benchmark).spontaneous_irq.is_some() {
+    let spontaneous = BenchmarkSpec::for_kind(cell.benchmark).spontaneous_irq;
+    if spontaneous.is_some() {
         // Each completion answers one block, so a surplus of routed
         // interrupts came from the spontaneous stream.
         let count = |ev: &str| jsonl.matches(&format!("\"ev\":\"{ev}\"")).count();
