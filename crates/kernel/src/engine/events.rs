@@ -1,5 +1,5 @@
-//! The events subsystem: the global timer/epoch/interrupt event queue
-//! and its deterministic ordering.
+//! The events subsystem: the global timer/epoch/device event queue and
+//! its deterministic ordering.
 //!
 //! The queue is a [`BinaryHeap`](std::collections::BinaryHeap) of
 //! [`HeapEvent`]s whose `Ord` is reversed over `(time, seq)`, so it pops

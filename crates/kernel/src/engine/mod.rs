@@ -2,13 +2,13 @@
 //!
 //! The engine owns the machine ([`schedtask_sim::MemorySystem`] plus
 //! per-core state including the hardware Page-heatmap registers), the OS
-//! object model (threads, SuperFunctions, blocking devices, the
-//! interrupt controller), and global time. The scheduling *policy* is a plug-in
+//! object model (threads, SuperFunctions, devices, the interrupt
+//! controller), and global time. The scheduling *policy* is a plug-in
 //! ([`crate::Scheduler`]); the engine invokes it at exactly the points
 //! where the paper's TMigrate/TAlloc hooks run.
 //!
 //! Cores advance private clocks; the engine always processes whichever is
-//! earliest — the next timer/epoch/interrupt event or the lowest-clock busy
+//! earliest — the next device/timer/epoch event or the lowest-clock busy
 //! core — so execution is deterministic and causally consistent to within
 //! one quantum.
 //!
@@ -23,7 +23,7 @@
 //!   the hardware Page-heatmap registers), the [`EngineCore`] context
 //!   passed to every scheduler hook, and quantum execution through the
 //!   cache hierarchy;
-//! * `events` — the global timer/epoch/interrupt event queue and its
+//! * `events` — the global timer/epoch/device event queue and its
 //!   deterministic ordering;
 //! * `interrupts` — the device/IRQ/bottom-half model: routing
 //!   (`raise_irq`), delivery, pending queues, and the one mint for OS
