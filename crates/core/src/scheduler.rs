@@ -597,6 +597,46 @@ mod tests {
     }
 
     #[test]
+    fn the_realloc_trigger_fires_once_at_threshold_zero_and_every_epoch_above_one() {
+        // Cosine similarity lies in [0, 1]: below a 0.0 threshold only
+        // the empty first table re-allocates, and below 1.01 every
+        // epoch does (Section 5.2's trigger at its two extremes).
+        let cores = 4;
+        let reallocs_and_epochs = |kind: BenchmarkKind, realloc_threshold: f64| {
+            let sched = SchedTaskScheduler::new(
+                cores,
+                SchedTaskConfig {
+                    realloc_threshold,
+                    ..SchedTaskConfig::default()
+                },
+            );
+            let cfg = EngineConfig::fast()
+                .with_system(SystemConfig::table2().with_cores(cores))
+                .with_max_instructions(800_000);
+            let mut engine = Engine::new(cfg, &WorkloadSpec::single(kind, 2.0), Box::new(sched))
+                .expect("engine builds");
+            let agg = Arc::new(Aggregator::new());
+            engine.add_observer(agg.clone());
+            engine.run().expect("run succeeds");
+            let counters = agg.counters();
+            (
+                counters.get(Counter::EpochReallocations),
+                counters.get(Counter::EpochsRun),
+            )
+        };
+        for kind in [
+            BenchmarkKind::MailSrvIo,
+            BenchmarkKind::Apache,
+            BenchmarkKind::Find,
+        ] {
+            assert_eq!(reallocs_and_epochs(kind, 0.0).0, 1, "{kind:?}");
+            let (reallocs, epochs) = reallocs_and_epochs(kind, 1.01);
+            assert!(epochs > 1, "{kind:?} ran {epochs} epochs");
+            assert_eq!(reallocs, epochs, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn ranking_validation_contains_bloom_and_exact() {
         let cores = 4;
         let (sched, observer) =

@@ -143,11 +143,6 @@ impl StatsTable {
             .map(|(ty, e)| (*ty, e.exec_cycles as f64 / total as f64))
             .collect()
     }
-
-    /// The heatmap width used by this table.
-    pub fn heatmap_bits(&self) -> u32 {
-        self.heatmap_bits
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Work-stealing strategies (Section 5.3 and Figure 9).
 
 use std::fmt;
-use std::str::FromStr;
 
 /// The work-stealing strategy an idle core uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -33,44 +32,6 @@ impl StealPolicy {
             StealPolicy::SimilarWorkAlso,
             StealPolicy::MaxWaitingTime,
         ]
-    }
-
-    /// Parses a strategy name, case-insensitively and ignoring spaces,
-    /// hyphens, and underscores, so both the CLI and the wire protocol can
-    /// select a strategy by name. Accepts the variant names
-    /// (`SimilarWorkAlso`), the [`fmt::Display`] strings (`"Steal similar
-    /// work also"`), and short aliases (`none`, `same`, `similar`,
-    /// `max-wait`, `default`).
-    pub fn parse(s: &str) -> Result<StealPolicy, String> {
-        let key: String = s
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .map(|c| c.to_ascii_lowercase())
-            .collect();
-        match key.as_str() {
-            "nothing" | "stealnothing" | "none" => Ok(StealPolicy::Nothing),
-            "sameworkonly" | "stealsameworkonly" | "same" | "samework" => {
-                Ok(StealPolicy::SameWorkOnly)
-            }
-            "similarworkalso" | "stealsimilarworkalso" | "similar" | "similarwork" | "default" => {
-                Ok(StealPolicy::SimilarWorkAlso)
-            }
-            "maxwaitingtime" | "stealfrommaxwaitingcore" | "maxwait" | "maxwaiting" => {
-                Ok(StealPolicy::MaxWaitingTime)
-            }
-            _ => Err(format!(
-                "unknown steal policy {s:?} (expected one of: nothing, same-work-only, \
-                 similar-work-also, max-waiting-time)"
-            )),
-        }
-    }
-}
-
-impl FromStr for StealPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        StealPolicy::parse(s)
     }
 }
 
@@ -107,52 +68,5 @@ mod tests {
     #[test]
     fn all_lists_four() {
         assert_eq!(StealPolicy::all().len(), 4);
-    }
-
-    #[test]
-    fn parse_round_trips_display_for_all_variants() {
-        for policy in StealPolicy::all() {
-            let name = policy.to_string();
-            assert_eq!(StealPolicy::parse(&name), Ok(policy), "display {name:?}");
-            assert_eq!(name.parse::<StealPolicy>(), Ok(policy), "FromStr {name:?}");
-        }
-    }
-
-    #[test]
-    fn parse_round_trips_variant_names_case_insensitively() {
-        for (name, policy) in [
-            ("Nothing", StealPolicy::Nothing),
-            ("SameWorkOnly", StealPolicy::SameWorkOnly),
-            ("SimilarWorkAlso", StealPolicy::SimilarWorkAlso),
-            ("MaxWaitingTime", StealPolicy::MaxWaitingTime),
-        ] {
-            assert_eq!(StealPolicy::parse(name), Ok(policy));
-            assert_eq!(StealPolicy::parse(&name.to_uppercase()), Ok(policy));
-            assert_eq!(StealPolicy::parse(&name.to_lowercase()), Ok(policy));
-        }
-    }
-
-    #[test]
-    fn parse_accepts_short_aliases() {
-        assert_eq!(StealPolicy::parse("none"), Ok(StealPolicy::Nothing));
-        assert_eq!(StealPolicy::parse("same"), Ok(StealPolicy::SameWorkOnly));
-        assert_eq!(
-            StealPolicy::parse("similar-work"),
-            Ok(StealPolicy::SimilarWorkAlso)
-        );
-        assert_eq!(
-            StealPolicy::parse("max_wait"),
-            Ok(StealPolicy::MaxWaitingTime)
-        );
-        assert_eq!(
-            StealPolicy::parse("default"),
-            Ok(StealPolicy::SimilarWorkAlso)
-        );
-    }
-
-    #[test]
-    fn parse_rejects_unknown_names() {
-        let err = StealPolicy::parse("frobnicate").expect_err("must reject");
-        assert!(err.contains("frobnicate"), "error names the input: {err}");
     }
 }

@@ -570,7 +570,7 @@ fn print_submit_help() {
     println!(
         "repro submit — submit simulation jobs to a running schedtaskd\n\n\
          usage: repro submit --addr ENDPOINT\n\
-                [--workload LIST] [--technique LIST] [--steal NAME]\n\
+                [--workload LIST] [--technique LIST]\n\
                 [--scale F] [--standard] [--cores N] [--max-instructions N]\n\
                 [--warmup N] [--seed S] [--faults SPEC] [--sanitize]\n\
                 [--ping] [--stats] [--shutdown] [--expect-cached]\n\
@@ -633,7 +633,6 @@ fn run_submit(args: Vec<String>) -> ! {
             "--technique" => {
                 techniques = Some(value("--technique").split(',').map(str::to_owned).collect())
             }
-            "--steal" => set("steal", Json::Str(value("--steal"))),
             "--faults" => set("faults", Json::Str(value("--faults"))),
             "--scale" => set("scale", Json::Num(value("--scale"))),
             "--cores" => set("cores", Json::Num(value("--cores"))),
@@ -714,7 +713,8 @@ fn run_submit(args: Vec<String>) -> ! {
     }
 
     let policy = RetryPolicy {
-        max_attempts: retries.max(1),
+        // The first try plus `retries` retries.
+        max_attempts: retries.saturating_add(1),
         ..RetryPolicy::default()
     };
     let mut out_lines: Vec<String> = Vec::new();

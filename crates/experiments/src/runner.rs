@@ -500,9 +500,6 @@ impl RunBuilder {
 
 fn workload_label(workload: &WorkloadSpec) -> String {
     let mut names: Vec<&str> = workload.parts.iter().map(|(k, _)| k.name()).collect();
-    for (spec, _) in &workload.custom {
-        names.push(spec.kind.name());
-    }
     names.dedup();
     names.join("+")
 }

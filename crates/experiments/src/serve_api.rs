@@ -24,7 +24,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use schedtask::{SchedTaskConfig, SchedTaskScheduler, StealPolicy};
 use schedtask_kernel::{
     FaultPlan, SimStats, BASE_CPI, CLOCK_HZ, GSHARE_ENTRIES, MISPREDICT_PENALTY,
 };
@@ -34,7 +33,7 @@ use schedtask_sim::memory::{
     NUCA_HOP_CYCLES, PREFETCH_DEGREE, PREFETCH_TABLE_ENTRIES, TLB_MISS_PENALTY,
     TRACE_CACHE_ENTRIES, TRACE_LINES,
 };
-use schedtask_sim::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES};
+use schedtask_sim::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES, MAX_CORES};
 use schedtask_workload::BenchmarkKind;
 
 use crate::runner::{ExpParams, ExperimentError, RunBuilder, Technique};
@@ -61,8 +60,6 @@ pub struct JobSpec {
     pub benchmark: BenchmarkKind,
     /// Workload scale factor.
     pub scale: f64,
-    /// Optional steal-policy override (SchedTask only).
-    pub steal: Option<StealPolicy>,
     /// Engine parameters (cores, budgets, seed, machine config, faults,
     /// sanitizer).
     pub params: ExpParams,
@@ -70,14 +67,12 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A spec for `benchmark` under `technique` with every other knob
-    /// at its wire default: scale 2.0, no steal override, quick
-    /// parameters.
+    /// at its wire default: scale 2.0, quick parameters.
     pub fn new(technique: Technique, benchmark: BenchmarkKind) -> JobSpec {
         JobSpec {
             technique,
             benchmark,
             scale: 2.0,
-            steal: None,
             params: ExpParams::quick(),
         }
     }
@@ -112,7 +107,6 @@ impl JobSpec {
             technique,
             benchmark,
             scale,
-            steal,
             params,
         } = self;
         let ExpParams {
@@ -135,30 +129,24 @@ impl JobSpec {
             nuca,
         } = system;
         let HierarchyConfig { l1i, l1d, l2, llc } = hierarchy;
+        // `steal=` is always `-`: it once held a SchedTask steal-policy
+        // override, and the disk tier persists keys, so dropping the
+        // field would turn every stored record cold.
         write!(
             out,
-            "technique={};benchmark={};scale={:016x};steal=",
+            "technique={};benchmark={};scale={:016x};steal=-;cores={cores};\
+             max_instructions={max_instructions};warmup_instructions={warmup_instructions};\
+             seed={seed};epoch_cycles={epoch_cycles};faults=",
             technique.name(),
             benchmark.name(),
             scale.to_bits()
-        )?;
-        match steal {
-            Some(policy) => write!(out, "{policy:?}")?,
-            None => out.push('-'),
-        }
-        write!(
-            out,
-            ";cores={cores};max_instructions={max_instructions};\
-             warmup_instructions={warmup_instructions};seed={seed};\
-             epoch_cycles={epoch_cycles};faults="
         )?;
         match faults {
             Some(plan) => render_fault_spec(out, plan)?,
             None => out.push('-'),
         }
-        // `devices=` is always empty: it once listed interrupt-injecting
-        // device models, and the disk tier persists keys, so dropping
-        // the field would turn every stored record cold.
+        // `devices=` is always empty for the same reason: it once listed
+        // interrupt-injecting device models.
         write!(
             out,
             ";sanitize={sanitize};devices=;num_cores={num_cores};clock_hz={CLOCK_HZ};l1i="
@@ -216,28 +204,19 @@ impl JobSpec {
         format!("{:016x}", self.cache_key())
     }
 
-    /// Runs the job under the technique's scheduler, or SchedTask's
-    /// with the steal override, and returns its stats with the JSONL
-    /// stream of a sink labelled `technique/benchmark`. The stream is
-    /// always captured: the service caches it with the stats, so a
-    /// replay is byte-identical whether or not the first submitter
-    /// asked for it.
+    /// Runs the job under the technique's scheduler and returns its
+    /// stats with the JSONL stream of a sink labelled
+    /// `technique/benchmark`. The stream is always captured: the
+    /// service caches it with the stats, so a replay is byte-identical
+    /// whether or not the first submitter asked for it.
     pub fn run(&self) -> Result<(SimStats, String), ExperimentError> {
         let label = format!("{}/{}", self.technique.name(), self.benchmark.name());
         let sink = Arc::new(JsonlSink::with_label(Vec::new(), Some(label)));
-        let builder =
-            RunBuilder::new(&self.params).observer(Arc::clone(&sink) as Arc<dyn Observer>);
-        let builder = match self.steal {
-            Some(steal_policy) => builder.scheduler(Box::new(SchedTaskScheduler::new(
-                self.params.cores,
-                SchedTaskConfig {
-                    steal_policy,
-                    ..SchedTaskConfig::default()
-                },
-            ))),
-            None => builder.technique(self.technique),
-        };
-        let stats = builder.benchmark(self.benchmark, self.scale).run()?;
+        let stats = RunBuilder::new(&self.params)
+            .observer(Arc::clone(&sink) as Arc<dyn Observer>)
+            .technique(self.technique)
+            .benchmark(self.benchmark, self.scale)
+            .run()?;
         Ok((stats, sink.take()))
     }
 
@@ -261,11 +240,6 @@ impl JobSpec {
             escape_json(self.benchmark.name()),
             escape_json(self.technique.name())
         ));
-        if let Some(steal) = self.steal {
-            // The Debug name is one of the spellings StealPolicy::parse
-            // accepts, so the override round-trips.
-            line.push_str(&format!(",\"steal\":\"{steal:?}\""));
-        }
         // {:?} prints the shortest digit string that reparses to the
         // same f64 bits; scale is validated finite and positive, so it
         // is always a legal JSON number.
@@ -742,7 +716,6 @@ fn parse_request_fields(json: &Json) -> Result<Request, String> {
         "op",
         "workload",
         "technique",
-        "steal",
         "scale",
         "quick",
         "cores",
@@ -806,20 +779,6 @@ impl JobSpec {
                 Technique::parse(name).ok_or_else(|| format!("unknown technique {name:?}"))?
             }
         };
-        let steal = match json.get("steal") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let name = v.as_str().ok_or("steal must be a string")?;
-                let policy = StealPolicy::parse(name)?;
-                if technique != Technique::SchedTask {
-                    return Err(format!(
-                        "steal policy override requires technique SchedTask, got {}",
-                        technique.name()
-                    ));
-                }
-                Some(policy)
-            }
-        };
         let scale = match json.get("scale") {
             None => 2.0,
             Some(v) => v.as_f64().ok_or("scale must be a number")?,
@@ -851,6 +810,11 @@ impl JobSpec {
             if cores == 0 {
                 return Err("cores must be positive".to_owned());
             }
+            // Bounded before any arithmetic: a technique that doubles
+            // the cores must not overflow doing so.
+            if cores > MAX_CORES as u64 {
+                return Err(format!("cores must be at most {MAX_CORES}, got {cores}"));
+            }
             params.cores = cores as usize;
         }
         technique.check_cores(params.engine_cores(technique))?;
@@ -878,11 +842,15 @@ impl JobSpec {
         if let Some(v) = json.get("sanitize") {
             params.sanitize = v.as_bool().ok_or("sanitize must be a boolean")?;
         }
+        // What the engine would refuse is refused before admission.
+        params
+            .engine_config(technique)
+            .validate()
+            .map_err(|e| e.to_string())?;
         Ok(JobSpec {
             technique,
             benchmark,
             scale,
-            steal,
             params,
         })
     }
@@ -1544,17 +1512,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_override_round_trips_on_the_wire() {
-        for policy in StealPolicy::all() {
-            let mut spec = JobSpec::new(Technique::SchedTask, BenchmarkKind::Iscp);
-            spec.steal = Some(policy);
-            let parsed = run_spec(&spec.to_request_line(None, false));
-            assert_eq!(parsed.steal, Some(policy));
-            assert_eq!(parsed.canonical_text(), spec.canonical_text());
-        }
-    }
-
-    #[test]
     fn version_field_is_gated_structurally() {
         // v:1 and a missing v both parse.
         assert!(parse_request("{\"v\":1,\"op\":\"ping\"}").is_ok());
@@ -1681,17 +1638,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_override_parses_and_requires_schedtask() {
-        let spec = run_spec("{\"workload\":\"Find\",\"steal\":\"max-wait\"}");
-        assert_eq!(spec.steal, Some(StealPolicy::MaxWaitingTime));
-        assert_eq!(spec.technique, Technique::SchedTask);
-        let err =
-            parse_request("{\"workload\":\"Find\",\"technique\":\"FlexSC\",\"steal\":\"same\"}")
-                .expect_err("must reject");
-        assert!(err.to_string().contains("SchedTask"), "{err}");
-    }
-
-    #[test]
     fn techniques_that_split_cores_need_two() {
         let err = parse_request("{\"workload\":\"Find\",\"technique\":\"FlexSC\",\"cores\":1}")
             .expect_err("must reject one-core FlexSC");
@@ -1706,6 +1652,33 @@ mod tests {
         for t in ["SelectiveOffload", "Baseline", "SchedTask"] {
             let line = format!("{{\"workload\":\"Find\",\"technique\":\"{t}\",\"cores\":1}}");
             assert_eq!(run_spec(&line).params.cores, 1, "{t}");
+        }
+        // A core count too large to double is refused before it is
+        // doubled, and a machine the engine would refuse before it is
+        // admitted.
+        for (line, error) in [
+            (
+                "{\"workload\":\"Find\",\"technique\":\"SelectiveOffload\",\
+                 \"cores\":9223372036854775808}",
+                "cores must be at most 64, got 9223372036854775808",
+            ),
+            (
+                "{\"workload\":\"Find\",\"technique\":\"SelectiveOffload\",\
+                 \"cores\":9223372036854775809}",
+                "cores must be at most 64, got 9223372036854775809",
+            ),
+            (
+                "{\"workload\":\"Find\",\"technique\":\"SelectiveOffload\",\"cores\":33}",
+                "invalid machine configuration: num_cores 66 exceeds 64, the width of the \
+                 coherence directory's sharer mask",
+            ),
+            (
+                "{\"workload\":\"Find\",\"epoch_cycles\":0}",
+                "epoch length of 0 cycles is out of range",
+            ),
+        ] {
+            let err = parse_request(line).expect_err(line);
+            assert_eq!(err.to_string(), error, "{line}");
         }
     }
 
@@ -1722,6 +1695,10 @@ mod tests {
         let err = parse_request("{\"workload\":\"Find\",\"devices\":[\"network\"]}")
             .expect_err("must reject devices");
         assert_eq!(err.to_string(), "unknown request field \"devices\"");
+        // So is the retired steal-policy override.
+        let err = parse_request("{\"workload\":\"Find\",\"steal\":\"same\"}")
+            .expect_err("must reject steal");
+        assert_eq!(err.to_string(), "unknown request field \"steal\"");
     }
 
     #[test]
@@ -1741,7 +1718,6 @@ mod tests {
             "{\"workload\":\"Find\",\"epoch_cycles\":50001}",
             "{\"workload\":\"Find\",\"faults\":\"light\"}",
             "{\"workload\":\"Find\",\"faults\":\"light@8\"}",
-            "{\"workload\":\"Find\",\"steal\":\"nothing\"}",
             "{\"workload\":\"Find\",\"sanitize\":true}",
             "{\"workload\":\"Find\",\"quick\":false}",
         ] {
@@ -1878,18 +1854,18 @@ mod tests {
                  \"warmup_instructions\":4000000,\"epoch_cycles\":60000,\"seed\":1592614637}",
             ),
             (
-                "{\"workload\":\"Iscp\",\"steal\":\"same\",\"faults\":\"light@7\",\
+                "{\"workload\":\"Iscp\",\"faults\":\"light@7\",\
                  \"sanitize\":true,\"seed\":42}",
                 "technique=SchedTask;benchmark=Iscp;scale=4000000000000000;\
-                 steal=SameWorkOnly;cores=8;max_instructions=1600000;\
+                 steal=-;cores=8;max_instructions=1600000;\
                  warmup_instructions=400000;seed=42;epoch_cycles=50000;\
                  faults=seed=7,heatmap_bitflip_rate=0.001,drop_irq_rate=0.005,\
                  irq_retry_cycles=20000,spurious_irq_rate=0.002,delay_completion_rate=0.005,\
                  delay_completion_instructions=2000,stall_core_rate=0.0005,stall_cycles=50000;\
                  sanitize=true;devices=;",
-                "48eae9cdecb4049e",
+                "aadef860e1897976",
                 "{\"v\":1,\"op\":\"run\",\"workload\":\"Iscp\",\"technique\":\"SchedTask\",\
-                 \"steal\":\"SameWorkOnly\",\"scale\":2.0,\"quick\":true,\"cores\":8,\
+                 \"scale\":2.0,\"quick\":true,\"cores\":8,\
                  \"max_instructions\":1600000,\"warmup_instructions\":400000,\
                  \"epoch_cycles\":50000,\"seed\":42,\"faults\":\"seed=7,\
                  heatmap_bitflip_rate=0.001,drop_irq_rate=0.005,irq_retry_cycles=20000,\

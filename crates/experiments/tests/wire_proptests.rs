@@ -2,8 +2,8 @@
 //!
 //! Four properties:
 //!
-//! 1. For an arbitrary [`JobSpec`] (any technique × benchmark, steal
-//!    overrides, fault plans, ids, the obs flag),
+//! 1. For an arbitrary [`JobSpec`] (any technique × benchmark, fault
+//!    plans, ids, the obs flag),
 //!    `parse_request(spec.to_request_line(..))` recovers an identical
 //!    spec — same cache key, same id, same obs flag — and re-encoding
 //!    the parsed spec reproduces the original line byte for byte.
@@ -22,7 +22,6 @@
 //!    request ids, and parse back from an ASCII-only encoding too.
 
 use proptest::prelude::*;
-use schedtask::StealPolicy;
 use schedtask_experiments::serve_api::{
     escape_json, parse_request, split_request_line, JobSpec, Json, RequestError, RequestOp,
     Response, PROTOCOL_VERSION,
@@ -147,13 +146,6 @@ proptest! {
         ]),
         benchmark in prop::sample::select(BenchmarkKind::all().to_vec()),
         scale in 0.25f64..8.0,
-        steal in prop::sample::select(vec![
-            None,
-            Some(StealPolicy::Nothing),
-            Some(StealPolicy::SameWorkOnly),
-            Some(StealPolicy::SimilarWorkAlso),
-            Some(StealPolicy::MaxWaitingTime),
-        ]),
         cores in 1usize..5,
         budget in 1u64..10, // x 10_000 instructions
         seed in 0u64..1_000_000,
@@ -164,12 +156,6 @@ proptest! {
     ) {
         let mut spec = JobSpec::new(technique, benchmark);
         spec.scale = scale;
-        // A steal-policy override is only legal for SchedTask — the
-        // parser enforces it, so the generator respects it.
-        spec.steal = match technique {
-            Technique::SchedTask => steal,
-            _ => None,
-        };
         // FlexSC needs separate application and system-call cores, which
         // the parser enforces too.
         spec.params.cores = match technique {

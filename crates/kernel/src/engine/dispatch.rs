@@ -17,7 +17,7 @@ use crate::ids::{CoreId, SfId, ThreadId};
 use crate::observe::class_of;
 use crate::scheduler::{SchedEvent, Scheduler, SwitchReason};
 use crate::superfunction::{SfBody, SfState};
-use schedtask_obs::{FaultKind, ObsEvent, SpanKind};
+use schedtask_obs::{FaultKind, ObsEvent};
 use schedtask_workload::{DeviceKind, SfCategory};
 use std::sync::Arc;
 
@@ -78,19 +78,14 @@ impl EngineCore {
             sf: sf_id.0,
             core: c as u32,
         });
-        self.obs
-            .span_enter(c as u32, SpanKind::Sf(class_of(category)), at);
+        self.obs.span_enter(c as u32, class_of(category), at);
         Ok(())
     }
 
     /// Closes the SF execution-segment span open on core `c` (no-op on
-    /// the unobserved fast path). `sf_id` must still exist.
-    pub(super) fn span_exit_current(&self, c: usize, sf_id: SfId) {
-        if self.obs.is_enabled() {
-            let class = class_of(self.sf(sf_id).category());
-            let at = self.cores[c].clock;
-            self.obs.span_exit(c as u32, SpanKind::Sf(class), at);
-        }
+    /// the unobserved fast path).
+    pub(super) fn span_exit_current(&self, c: usize) {
+        self.obs.span_exit(c as u32, self.cores[c].clock);
     }
 
     /// Creates a system-call SuperFunction for `tid` on core `c`; its
@@ -103,8 +98,7 @@ impl EngineCore {
     ) -> Result<SfId, EngineError> {
         let t = &mut self.threads[tid.0 as usize];
         let inst = &self.instances[t.benchmark];
-        let progress = self.syscalls_completed[t.benchmark];
-        let name = inst.sample_syscall_at(&mut t.rng, progress);
+        let name = inst.sample_syscall(&mut t.rng);
         let spec = interrupts::service(&self.catalog, SfCategory::SystemCall, name)?.clone();
         let len = spec.len.sample(&mut t.rng).max(1);
         let block_mult = inst.spec.blocking_multiplier;
@@ -187,7 +181,7 @@ fn on_app_burst_end(
         .take()
         .ok_or(EngineError::NoCurrentSf { core: CoreId(c) })?;
     let tid = core.try_sf(app_sf)?.tid;
-    core.span_exit_current(c, app_sf);
+    core.span_exit_current(c);
     core.sfs
         .get_mut(&app_sf)
         .ok_or(EngineError::UnknownSuperFunction(app_sf))?
@@ -212,7 +206,7 @@ fn on_blocked(
         .current
         .take()
         .ok_or(EngineError::NoCurrentSf { core: CoreId(c) })?;
-    core.span_exit_current(c, sf);
+    core.span_exit_current(c);
     core.try_sf_mut(sf)?.state = SfState::Waiting;
     let at = core.cores[c].clock;
     core.obs.emit(|| ObsEvent::Blocked { at, sf: sf.0 });
@@ -240,7 +234,7 @@ fn on_completed(
         .current
         .take()
         .ok_or(EngineError::NoCurrentSf { core: CoreId(c) })?;
-    core.span_exit_current(c, sf_id);
+    core.span_exit_current(c);
     let at = core.cores[c].clock;
     core.obs.emit(|| ObsEvent::Completed { at, sf: sf_id.0 });
     let overhead = sched.overhead_for(core, SchedEvent::SfStop, Some(sf_id));
@@ -261,7 +255,6 @@ fn on_completed(
             // benchmark.
             let bench = core.threads[sf.tid.0 as usize].benchmark;
             core.op_progress[bench] += 1;
-            core.syscalls_completed[bench] += 1;
             if core.op_progress[bench] >= core.instances[bench].spec.op_syscalls {
                 core.op_progress[bench] = 0;
                 core.stats.ops_per_benchmark[bench] += 1;

@@ -197,7 +197,7 @@ pub(super) fn service_pending_irq(
         return Ok(false);
     };
     if let Some(cur) = core.cores[c].current.take() {
-        core.span_exit_current(c, cur);
+        core.span_exit_current(c);
         let at = core.cores[c].clock;
         core.obs.emit(|| ObsEvent::Preempted {
             at,

@@ -38,7 +38,6 @@ const _: () = assert!(schedtask_sim::LINES_PER_PAGE == LINES_PER_PAGE);
 pub(super) struct Thread {
     pub(super) benchmark: usize,
     pub(super) app_sf: SfId,
-    #[allow(dead_code)] // keeps the private footprint alive for walkers
     pub(super) private_data: Arc<Footprint>,
     pub(super) rng: SmallRng,
     pub(super) last_core: Option<CoreId>,
@@ -100,9 +99,6 @@ pub struct EngineCore {
     /// `op_syscalls` completed system calls is one application-level
     /// operation).
     pub(super) op_progress: Vec<u32>,
-    /// Total completed system calls per benchmark (drives workload phase
-    /// shifts).
-    pub(super) syscalls_completed: Vec<u64>,
     /// Deterministic fault injector, when the configuration has a
     /// [`crate::faults::FaultPlan`].
     pub(super) injector: Option<FaultInjector>,
@@ -125,21 +121,6 @@ impl EngineCore {
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.cores.len()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// The OS service catalog in use.
-    pub fn catalog(&self) -> &ServiceCatalog {
-        &self.catalog
-    }
-
-    /// The benchmark instances in this workload.
-    pub fn benchmarks(&self) -> &[BenchmarkInstance] {
-        &self.instances
     }
 
     /// SuperFunction type.
@@ -200,17 +181,6 @@ impl EngineCore {
             return None;
         }
         self.threads[tid.0 as usize].last_core
-    }
-
-    /// Number of threads in the workload.
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Non-destructively checks whether `core`'s L1 i-cache holds `line`
-    /// (SLICC's zero-cost remote tag search, Table 3).
-    pub fn probe_icache(&self, core: CoreId, line: u64) -> bool {
-        self.mem.probe_icache(core.0, line)
     }
 
     /// Loads the hardware Page-heatmap register of `core` (the paper's
@@ -551,14 +521,8 @@ impl EngineCore {
         let mut threads: Vec<Thread> = Vec::new();
         let mut sfs = HashMap::new();
         let mut irq_rate_interval = Vec::new();
-        let all_specs: Vec<(BenchmarkSpec, f64)> = workload
-            .parts
-            .iter()
-            .map(|&(kind, scale)| (BenchmarkSpec::for_kind(kind), scale))
-            .chain(workload.custom.iter().cloned())
-            .collect();
-        for (pi, (spec, scale)) in all_specs.into_iter().enumerate() {
-            let inst = BenchmarkInstance::new(spec, &mut alloc);
+        for (pi, &(kind, scale)) in workload.parts.iter().enumerate() {
+            let inst = BenchmarkInstance::new(BenchmarkSpec::for_kind(kind), &mut alloc);
             let n_threads = inst.spec.threads(cfg.workload_reference_cores, scale);
             // Spontaneous interrupt pacing for this benchmark.
             let interval = match inst.spec.spontaneous_irq {
@@ -648,9 +612,8 @@ impl EngineCore {
             .collect();
 
         let num_benchmarks = instances.len();
-        let num_threads = threads.len();
         let mut stats = SimStats::new(num_cores, num_benchmarks);
-        stats.per_thread_instructions = vec![0; num_threads];
+        stats.per_thread_instructions = vec![0; threads.len()];
 
         let injector = cfg.faults.clone().map(FaultInjector::new);
         EngineCore {
@@ -673,7 +636,6 @@ impl EngineCore {
             irq_rate_interval,
             obs: ObserverSet::default(),
             op_progress: vec![0; num_benchmarks],
-            syscalls_completed: vec![0; num_benchmarks],
             injector,
             retired_completed: 0,
         }

@@ -70,9 +70,6 @@ pub const KERNEL_TID: ThreadId = ThreadId(u64::MAX);
 pub struct WorkloadSpec {
     /// (benchmark, scale) pairs.
     pub parts: Vec<(BenchmarkKind, f64)>,
-    /// Fully custom benchmark specs (e.g. phase-shifted variants built
-    /// with [`BenchmarkSpec::with_phase_shift`]), each with a scale.
-    pub custom: Vec<(BenchmarkSpec, f64)>,
 }
 
 impl WorkloadSpec {
@@ -80,15 +77,6 @@ impl WorkloadSpec {
     pub fn single(kind: BenchmarkKind, scale: f64) -> Self {
         WorkloadSpec {
             parts: vec![(kind, scale)],
-            custom: Vec::new(),
-        }
-    }
-
-    /// A single custom benchmark spec at the given scale.
-    pub fn custom(spec: BenchmarkSpec, scale: f64) -> Self {
-        WorkloadSpec {
-            parts: Vec::new(),
-            custom: vec![(spec, scale)],
         }
     }
 
@@ -98,11 +86,6 @@ impl WorkloadSpec {
         self.parts
             .iter()
             .map(|&(kind, scale)| BenchmarkSpec::for_kind(kind).threads(reference_cores, scale))
-            .chain(
-                self.custom
-                    .iter()
-                    .map(|(spec, scale)| spec.threads(reference_cores, *scale)),
-            )
             .fold(0, usize::saturating_add)
     }
 }
@@ -111,7 +94,6 @@ impl From<&MultiProgrammedWorkload> for WorkloadSpec {
     fn from(w: &MultiProgrammedWorkload) -> Self {
         WorkloadSpec {
             parts: w.parts.clone(),
-            custom: Vec::new(),
         }
     }
 }
@@ -205,7 +187,7 @@ impl Engine {
         scheduler: Box<dyn Scheduler>,
     ) -> Result<Self, EngineError> {
         cfg.validate()?;
-        if workload.parts.is_empty() && workload.custom.is_empty() {
+        if workload.parts.is_empty() {
             return Err(ConfigError::EmptyWorkload.into());
         }
         let threads = workload.threads(cfg.workload_reference_cores);
@@ -366,13 +348,6 @@ mod tests {
     fn workload_spec_constructors() {
         let w = WorkloadSpec::single(BenchmarkKind::Find, 2.0);
         assert_eq!(w.parts, vec![(BenchmarkKind::Find, 2.0)]);
-        assert!(w.custom.is_empty());
-
-        let spec = BenchmarkSpec::for_kind(BenchmarkKind::Apache);
-        let w = WorkloadSpec::custom(spec.clone(), 1.5);
-        assert!(w.parts.is_empty());
-        assert_eq!(w.custom.len(), 1);
-        assert_eq!(w.custom[0].1, 1.5);
 
         let bag = MultiProgrammedWorkload::by_name("MPW-B").expect("exists");
         let w = WorkloadSpec::from(&bag);
@@ -414,15 +389,14 @@ mod tests {
                 threads: 400_000_000_000
             })
         );
-        // Parts sum, saturating, custom specs included.
-        let spec = BenchmarkSpec::for_kind(BenchmarkKind::Oltp);
-        let mut both = WorkloadSpec::custom(spec, f64::MAX);
+        // Parts sum, saturating.
+        let mut both = WorkloadSpec::single(BenchmarkKind::Oltp, f64::MAX);
         both.parts.push((BenchmarkKind::Find, f64::MAX));
         assert_eq!(both.threads(32), usize::MAX);
-        let mut over = WorkloadSpec::custom(BenchmarkSpec::for_kind(BenchmarkKind::Find), 1.0);
+        let mut over = WorkloadSpec::single(BenchmarkKind::Find, 1.0);
         let per_part = over.threads(32);
         let parts = MAX_THREADS / per_part + 1;
-        over.parts = vec![(BenchmarkKind::Find, 1.0); parts - 1];
+        over.parts = vec![(BenchmarkKind::Find, 1.0); parts];
         assert_eq!(over.threads(32), parts * per_part);
         assert!(matches!(
             Engine::new(

@@ -1,7 +1,7 @@
 //! Kernel-side observability plumbing: the engine's observer fan-out
 //! hub over the structured [`schedtask_obs`] event stream.
 
-use schedtask_obs::{ObsEvent, Observer, SfClass, SpanKind};
+use schedtask_obs::{ObsEvent, Observer, SfClass};
 use schedtask_workload::SfCategory;
 use std::fmt;
 use std::sync::Arc;
@@ -63,20 +63,20 @@ impl ObserverSet {
 
     /// Fans out a span open (only when an observer is attached).
     #[inline]
-    pub(crate) fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
+    pub(crate) fn span_enter(&self, core: u32, class: SfClass, at: u64) {
         if self.is_enabled() {
             for obs in &self.observers {
-                obs.span_enter(core, kind, at);
+                obs.span_enter(core, class, at);
             }
         }
     }
 
     /// Fans out a span close (only when an observer is attached).
     #[inline]
-    pub(crate) fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
+    pub(crate) fn span_exit(&self, core: u32, at: u64) {
         if self.is_enabled() {
             for obs in &self.observers {
-                obs.span_exit(core, kind, at);
+                obs.span_exit(core, at);
             }
         }
     }

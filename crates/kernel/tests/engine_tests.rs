@@ -367,7 +367,6 @@ fn exact_page_collection_works() {
 fn multiprogrammed_workload_runs_all_parts() {
     let w = WorkloadSpec {
         parts: vec![(BenchmarkKind::Find, 0.5), (BenchmarkKind::MailSrvIo, 0.5)],
-        custom: Vec::new(),
     };
     let mut engine = Engine::new(
         small_cfg(4, 400_000),

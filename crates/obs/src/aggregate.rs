@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::counters::{Counter, CounterSet, CounterSnapshot};
-use crate::event::{ObsEvent, SfClass, SpanKind, StealLevel};
+use crate::event::{ObsEvent, SfClass, StealLevel};
 use crate::{FaultKind, Observer};
 
 /// One row of the span summary: how many spans of a kind ran, their
@@ -178,13 +178,12 @@ impl Observer for Aggregator {
         }
     }
 
-    fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
-        let SpanKind::Sf(class) = kind;
+    fn span_enter(&self, core: u32, class: SfClass, at: u64) {
         let mut s = self.spans.lock().expect("span state poisoned");
         s.open.insert(core, (class, at));
     }
 
-    fn span_exit(&self, core: u32, _kind: SpanKind, at: u64) {
+    fn span_exit(&self, core: u32, at: u64) {
         let mut s = self.spans.lock().expect("span state poisoned");
         if let Some((class, start)) = s.open.remove(&core) {
             let entry = s.sf.entry(class).or_insert((0, 0));
@@ -306,8 +305,8 @@ mod tests {
         let agg = Aggregator::new();
         agg.event(&ObsEvent::RunStart { at: 0 });
         agg.event(&ObsEvent::EpochStart { at: 0 });
-        agg.span_enter(0, SpanKind::Sf(SfClass::SystemCall), 10);
-        agg.span_exit(0, SpanKind::Sf(SfClass::SystemCall), 40);
+        agg.span_enter(0, SfClass::SystemCall, 10);
+        agg.span_exit(0, 40);
         agg.event(&ObsEvent::EpochStart { at: 100 });
         agg.event(&ObsEvent::RunEnd { at: 150 });
         let rows = agg.span_rows();

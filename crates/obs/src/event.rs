@@ -103,22 +103,6 @@ impl FaultKind {
     }
 }
 
-/// The spans that flow through
-/// [`Observer::span_enter`]/[`Observer::span_exit`].
-///
-/// The run and epoch levels of the run → epoch → SuperFunction
-/// hierarchy have no kind: sinks derive them from
-/// [`ObsEvent::RunStart`], [`ObsEvent::RunEnd`], and
-/// [`ObsEvent::EpochStart`].
-///
-/// [`Observer::span_enter`]: crate::Observer::span_enter
-/// [`Observer::span_exit`]: crate::Observer::span_exit
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// One contiguous execution segment of a SuperFunction on a core.
-    Sf(SfClass),
-}
-
 /// One structured observability event.
 ///
 /// `at` is always a cycle timestamp: the owning core's clock for

@@ -1,9 +1,9 @@
 //! Structured observability for the SchedTask reproduction.
 //!
 //! This crate is the answer to "where did the cycles go": cheap atomic
-//! [counters](Counter), hierarchical [spans](SpanKind) (run → epoch →
-//! SuperFunction execution segment) with self/child cycle attribution,
-//! and pluggable sinks — the in-memory [`Aggregator`], the
+//! [counters](Counter), hierarchical [spans](Observer::span_enter) (run
+//! → epoch → SuperFunction execution segment) with self/child cycle
+//! attribution, and pluggable sinks — the in-memory [`Aggregator`], the
 //! [`JsonlSink`] event writer, and the human summary tables rendered by
 //! [`render_counter_table`] / [`render_span_table`].
 //!
@@ -43,7 +43,7 @@ mod jsonl;
 
 pub use aggregate::{render_counter_table, render_span_table, Aggregator, SpanRow};
 pub use counters::{Counter, CounterSet, CounterSnapshot};
-pub use event::{FaultKind, ObsEvent, SfClass, SpanKind, StealLevel};
+pub use event::{FaultKind, ObsEvent, SfClass, StealLevel};
 pub use jsonl::{escape_json, event_to_json, push_escaped, JsonlSink};
 
 /// A sink for structured observability data.
@@ -57,15 +57,18 @@ pub trait Observer: Send + Sync {
         let _ = ev;
     }
 
-    /// A span opened. `core` is the core executing the SuperFunction
-    /// segment; `at` is its clock in cycles.
-    fn span_enter(&self, core: u32, kind: SpanKind, at: u64) {
-        let _ = (core, kind, at);
+    /// An execution segment of a SuperFunction of class `class` opened
+    /// on `core`; `at` is the core's clock in cycles. Segments are the
+    /// only spans: sinks derive the run and epoch levels above them
+    /// from [`ObsEvent::RunStart`], [`ObsEvent::RunEnd`] and
+    /// [`ObsEvent::EpochStart`].
+    fn span_enter(&self, core: u32, class: SfClass, at: u64) {
+        let _ = (core, class, at);
     }
 
-    /// The matching close of [`Observer::span_enter`].
-    fn span_exit(&self, core: u32, kind: SpanKind, at: u64) {
-        let _ = (core, kind, at);
+    /// The close of the segment open on `core`.
+    fn span_exit(&self, core: u32, at: u64) {
+        let _ = (core, at);
     }
 }
 
@@ -92,7 +95,7 @@ mod tests {
     fn observer_is_object_safe_and_shareable() {
         let obs: Arc<dyn Observer> = Arc::new(NoopObserver);
         obs.event(&ObsEvent::RunStart { at: 0 });
-        obs.span_enter(0, SpanKind::Sf(SfClass::Application), 0);
-        obs.span_exit(0, SpanKind::Sf(SfClass::Application), 1);
+        obs.span_enter(0, SfClass::Application, 0);
+        obs.span_exit(0, 1);
     }
 }

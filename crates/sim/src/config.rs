@@ -12,6 +12,10 @@
 /// Cache line size in bytes, for every level (Table 2: 64 B).
 pub const LINE_BYTES: u64 = 64;
 
+/// Most cores a machine may have: the width of the coherence
+/// directory's sharer mask.
+pub const MAX_CORES: usize = 64;
+
 /// Geometry and latency of one cache level; every level has
 /// [`LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,9 +209,9 @@ impl SystemConfig {
         if self.num_cores == 0 {
             return Err("num_cores must be positive".into());
         }
-        if self.num_cores > 64 {
+        if self.num_cores > MAX_CORES {
             return Err(format!(
-                "num_cores {} exceeds 64, the width of the coherence directory's sharer mask",
+                "num_cores {} exceeds {MAX_CORES}, the width of the coherence directory's sharer mask",
                 self.num_cores
             ));
         }

@@ -51,7 +51,7 @@ pub mod trace_cache;
 pub use branch::GshareBranchPredictor;
 pub use cache::{ReplacementPolicy, SetAssocCache};
 pub use coherence::{Directory, LineState, ReadOutcome, SharerMask, WriteOutcome};
-pub use config::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES};
+pub use config::{CacheParams, HierarchyConfig, SystemConfig, LINE_BYTES, MAX_CORES};
 pub use heatmap::PageHeatmap;
 pub use memory::{MemorySystem, LINES_PER_PAGE, PAGE_BYTES};
 pub use nuca::NucaModel;

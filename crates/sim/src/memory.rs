@@ -311,12 +311,6 @@ impl MemorySystem {
         }
     }
 
-    /// True if `core`'s L1i currently holds `line` (no state change). Used
-    /// by SLICC's remote-tag search, which the paper models at zero cost.
-    pub fn probe_icache(&self, core: usize, line: u64) -> bool {
-        self.cores[core].l1i.probe(line)
-    }
-
     /// Refills a line from L2/LLC/memory after an L1 miss; returns added
     /// cycles.
     #[inline(never)]
@@ -491,17 +485,6 @@ mod tests {
         assert_eq!(LINES_PER_PAGE, 64);
         assert_eq!(mem.page_of_line(63), 0);
         assert_eq!(mem.page_of_line(64), 1);
-    }
-
-    #[test]
-    fn probe_icache_is_non_destructive() {
-        let mut mem = MemorySystem::new(&small_cfg());
-        assert!(!mem.probe_icache(0, 9));
-        mem.fetch_code(0, 9, CodeDomain::Os);
-        assert!(mem.probe_icache(0, 9));
-        let hits_before = mem.stats().icache_os.hits;
-        let _ = mem.probe_icache(0, 9);
-        assert_eq!(mem.stats().icache_os.hits, hits_before);
     }
 
     #[test]

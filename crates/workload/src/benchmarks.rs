@@ -119,12 +119,6 @@ pub struct BenchmarkSpec {
     /// Spontaneous external interrupts (e.g. unsolicited inbound network
     /// packets): (interrupt name, arrivals per core per million cycles).
     pub spontaneous_irq: Option<(&'static str, f64)>,
-    /// Optional behaviour phase change: after the benchmark has completed
-    /// this many system calls, the mix switches to the second list. This
-    /// models phase-changing applications (e.g. a load phase followed by
-    /// a query phase) and exercises TAlloc's cosine-similarity
-    /// re-allocation trigger (Section 5.2).
-    pub phase_shift: Option<(u64, Vec<SyscallMix>)>,
     /// Named region for the executable, so benchmarks running the same
     /// binary share code pages.
     executable_region: &'static str,
@@ -168,7 +162,6 @@ impl BenchmarkSpec {
                 op_syscalls: 4,
                 blocking_multiplier: 0.15,
                 spontaneous_irq: None,
-                phase_shift: None,
                 executable_region: "app:find",
             },
             BenchmarkKind::Iscp => BenchmarkSpec {
@@ -205,7 +198,6 @@ impl BenchmarkSpec {
                 op_syscalls: 2,
                 blocking_multiplier: 0.5,
                 spontaneous_irq: Some(("network_irq", 3.0)),
-                phase_shift: None,
                 executable_region: "app:scp",
             },
             BenchmarkKind::Oscp => BenchmarkSpec {
@@ -242,7 +234,6 @@ impl BenchmarkSpec {
                 op_syscalls: 2,
                 blocking_multiplier: 0.5,
                 spontaneous_irq: Some(("network_irq", 2.0)),
-                phase_shift: None,
                 executable_region: "app:scp",
             },
             BenchmarkKind::Apache => BenchmarkSpec {
@@ -291,7 +282,6 @@ impl BenchmarkSpec {
                 op_syscalls: 6,
                 blocking_multiplier: 0.8,
                 spontaneous_irq: Some(("network_irq", 8.0)),
-                phase_shift: None,
                 executable_region: "app:httpd",
             },
             BenchmarkKind::Dss => BenchmarkSpec {
@@ -324,7 +314,6 @@ impl BenchmarkSpec {
                 op_syscalls: 12,
                 blocking_multiplier: 0.2,
                 spontaneous_irq: None,
-                phase_shift: None,
                 executable_region: "app:mysqld",
             },
             BenchmarkKind::FileSrv => BenchmarkSpec {
@@ -373,7 +362,6 @@ impl BenchmarkSpec {
                 op_syscalls: 5,
                 blocking_multiplier: 1.4,
                 spontaneous_irq: None,
-                phase_shift: None,
                 executable_region: "app:filebench",
             },
             BenchmarkKind::MailSrvIo => BenchmarkSpec {
@@ -422,7 +410,6 @@ impl BenchmarkSpec {
                 op_syscalls: 4,
                 blocking_multiplier: 0.12,
                 spontaneous_irq: None,
-                phase_shift: None,
                 executable_region: "app:filebench",
             },
             BenchmarkKind::Oltp => BenchmarkSpec {
@@ -455,22 +442,9 @@ impl BenchmarkSpec {
                 op_syscalls: 10,
                 blocking_multiplier: 0.2,
                 spontaneous_irq: None,
-                phase_shift: None,
                 executable_region: "app:mysqld",
             },
         }
-    }
-
-    /// Adds a behaviour phase change after `after_syscalls` completed
-    /// system calls (benchmark-wide).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new mix is empty.
-    pub fn with_phase_shift(mut self, after_syscalls: u64, new_mix: Vec<SyscallMix>) -> Self {
-        assert!(!new_mix.is_empty(), "phase-shift mix must not be empty");
-        self.phase_shift = Some((after_syscalls, new_mix));
-        self
     }
 
     /// Thread (or process-instance) count for `num_cores` cores at the
@@ -503,8 +477,6 @@ pub struct BenchmarkInstance {
     /// checksum of the code pages, Section 3.1).
     pub app_super_func_type: SuperFuncType,
     cdf: Vec<(f64, &'static str)>,
-    /// (syscalls before the shift, post-shift CDF), when phased.
-    phase_cdf: Option<(u64, Vec<(f64, &'static str)>)>,
 }
 
 impl BenchmarkInstance {
@@ -534,21 +506,16 @@ impl BenchmarkInstance {
         let app_super_func_type =
             SuperFuncType::new(SfCategory::Application, checksum_pages(code.pages()));
 
-        let build_cdf = |mix: &[SyscallMix]| -> Vec<(f64, &'static str)> {
-            let total_w: f64 = mix.iter().map(|m| m.weight).sum();
-            let mut acc = 0.0;
-            mix.iter()
-                .map(|m| {
-                    acc += m.weight / total_w;
-                    (acc, m.name)
-                })
-                .collect()
-        };
-        let cdf = build_cdf(&spec.syscall_mix);
-        let phase_cdf = spec
-            .phase_shift
-            .as_ref()
-            .map(|(after, mix)| (*after, build_cdf(mix)));
+        let total_w: f64 = spec.syscall_mix.iter().map(|m| m.weight).sum();
+        let mut acc = 0.0;
+        let cdf = spec
+            .syscall_mix
+            .iter()
+            .map(|m| {
+                acc += m.weight / total_w;
+                (acc, m.name)
+            })
+            .collect();
 
         BenchmarkInstance {
             spec,
@@ -556,36 +523,21 @@ impl BenchmarkInstance {
             app_shared_data: Arc::new(shared_data),
             app_super_func_type,
             cdf,
-            phase_cdf,
         }
     }
 
     /// Samples the next system call from the benchmark's mix.
     pub fn sample_syscall<R: Rng + ?Sized>(&self, rng: &mut R) -> &'static str {
-        self.sample_syscall_at(rng, 0)
-    }
-
-    /// Samples the next system call, honouring the phase shift:
-    /// `completed_syscalls` is the benchmark-wide completed count.
-    pub fn sample_syscall_at<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        completed_syscalls: u64,
-    ) -> &'static str {
-        let cdf = match &self.phase_cdf {
-            Some((after, cdf2)) if completed_syscalls >= *after => cdf2,
-            _ => &self.cdf,
-        };
         let x: f64 = rng.gen();
-        for &(cum, name) in cdf {
+        for &(cum, name) in &self.cdf {
             if x <= cum {
                 return name;
             }
         }
         // Static mixes are never empty; fall back to a name the kernel
         // maps to a typed UnknownService error rather than panicking.
-        debug_assert!(!cdf.is_empty(), "syscall mix must be non-empty");
-        cdf.last().map_or("<empty-mix>", |&(_, name)| name)
+        debug_assert!(!self.cdf.is_empty(), "syscall mix must be non-empty");
+        self.cdf.last().map_or("<empty-mix>", |&(_, name)| name)
     }
 
     /// Allocates a fresh per-thread private data footprint.

@@ -117,38 +117,3 @@ proptest! {
         }
     }
 }
-
-mod phase_shift {
-    use rand::{rngs::SmallRng, SeedableRng};
-    use schedtask_workload::{
-        BenchmarkInstance, BenchmarkKind, BenchmarkSpec, PageAllocator, SyscallMix,
-    };
-
-    #[test]
-    fn phase_shift_switches_the_mix() {
-        let mut alloc = PageAllocator::new();
-        let spec = BenchmarkSpec::for_kind(BenchmarkKind::Find).with_phase_shift(
-            100,
-            vec![SyscallMix {
-                name: "sendto",
-                weight: 1.0,
-            }],
-        );
-        let inst = BenchmarkInstance::new(spec, &mut alloc);
-        let mut rng = SmallRng::seed_from_u64(1);
-        // Before the shift: Find's filesystem mix (never sendto).
-        for _ in 0..100 {
-            assert_ne!(inst.sample_syscall_at(&mut rng, 0), "sendto");
-        }
-        // After the shift: only sendto.
-        for _ in 0..100 {
-            assert_eq!(inst.sample_syscall_at(&mut rng, 100), "sendto");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_phase_mix_rejected() {
-        BenchmarkSpec::for_kind(BenchmarkKind::Find).with_phase_shift(10, vec![]);
-    }
-}

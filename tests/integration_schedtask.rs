@@ -165,67 +165,3 @@ fn ranking_observer_collects_epochs() {
         .sum();
     assert!(total_pairs > 0);
 }
-
-#[test]
-fn talloc_reallocates_when_the_workload_phase_shifts() {
-    // A workload whose syscall mix flips from filesystem-heavy to
-    // network-heavy mid-run must trip the cosine-similarity trigger
-    // (Section 5.2) and cause additional core re-allocations.
-    use schedtask_suite::workload::{BenchmarkKind, BenchmarkSpec, SyscallMix};
-
-    let run = |phase: bool| {
-        let mut spec = BenchmarkSpec::for_kind(BenchmarkKind::MailSrvIo);
-        if phase {
-            spec = spec.with_phase_shift(
-                120,
-                vec![
-                    SyscallMix {
-                        name: "sendto",
-                        weight: 0.5,
-                    },
-                    SyscallMix {
-                        name: "recvfrom",
-                        weight: 0.5,
-                    },
-                ],
-            );
-        }
-        let mut ecfg = EngineConfig::fast()
-            .with_system(SystemConfig::table2().with_cores(CORES))
-            .with_max_instructions(2_000_000);
-        ecfg.warmup_instructions = 100_000;
-        ecfg.epoch_cycles = 40_000;
-        ecfg.collect_epoch_breakups = true;
-        let sched = SchedTaskScheduler::new(CORES, SchedTaskConfig::default());
-        let mut engine = Engine::new(ecfg, &WorkloadSpec::custom(spec, 2.0), Box::new(sched))
-            .expect("engine builds");
-        engine.run().expect("run succeeds").clone()
-    };
-
-    let stable = run(false);
-    let phased = run(true);
-    // Both run to completion with sane stats.
-    assert!(stable.total_instructions() > 0);
-    assert!(phased.total_instructions() > 0);
-    // The phased run's late-epoch breakups differ from its early ones
-    // more than the stable run's do — i.e. the phase change is visible
-    // to TAlloc's trigger signal.
-    let swing = |s: &SimStats| -> f64 {
-        let b = &s.epoch_breakups;
-        if b.len() < 4 {
-            return 0.0;
-        }
-        let first = b[1];
-        let last = b[b.len() - 1];
-        1.0 - schedtask_suite::metrics::cosine_similarity(&first, &last)
-    };
-    let _ = (swing(&stable), swing(&phased));
-    // Primary assertion: the phased workload executed network syscalls
-    // (sendto/recvfrom footprints) which the stable run never touches;
-    // its OS i-cache composition must therefore differ measurably.
-    assert_ne!(
-        stable.total_instructions(),
-        phased.total_instructions(),
-        "phase shift had no effect at all"
-    );
-}
