@@ -37,7 +37,8 @@
 //! `--quick` picks the reduced preset (8 cores) over the standard one
 //! (32 cores). `--cores N` moves the chosen preset to `N` cores and
 //! scales its instruction budgets with the core count, so each core's
-//! share stays the preset's.
+//! share stays the preset's. `N` runs from 1 to 64, the widest machine
+//! the coherence directory tracks; any other value exits 2.
 //!
 //! Serving: the job server is the `schedtaskd` binary from
 //! `crates/serve`; `repro submit` is its line client. It submits one
@@ -91,6 +92,7 @@ use schedtask_experiments::{
 use schedtask_experiments::{Comparison, ExpParams, Grid, Runner, Table, Technique};
 use schedtask_kernel::obs::{render_counter_table, render_span_table};
 use schedtask_kernel::{FaultPlan, WorkloadSpec};
+use schedtask_sim::MAX_CORES;
 use schedtask_workload::{BenchmarkKind, MultiProgrammedWorkload};
 use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,7 +143,8 @@ fn parse_args() -> Opts {
                 opts.cores = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .or_else(|| die("--cores needs a number"))
+                    .filter(|n| (1..=MAX_CORES).contains(n))
+                    .or_else(|| die(&format!("--cores needs a number from 1 to {MAX_CORES}")))
             }
             "--seed" => {
                 opts.seed = args

@@ -466,6 +466,10 @@ impl RunBuilder {
                 })?
                 .engine_config(shape),
         };
+        // Schedulers allocate per core, so a machine `Engine::new` would
+        // refuse must be refused before one is built.
+        cfg.validate()
+            .map_err(|e| ExperimentError::engine(&label, &wl_label, e.into()))?;
         let sched = match self.scheduler.take() {
             Some(s) => s,
             None => {
@@ -832,6 +836,11 @@ impl Cell {
         });
         let mut rankings = None;
         let result = catch_unwind(AssertUnwindSafe(|| {
+            // As in `RunBuilder::run`: refuse the machine before a
+            // scheduler allocates for it.
+            self.config
+                .validate()
+                .map_err(|e| ExperimentError::engine(name, &label, e.into()))?;
             let cores = self.config.system.num_cores;
             self.technique
                 .check_cores(cores)
@@ -1193,6 +1202,22 @@ mod tests {
                 err.cause,
                 FailureCause::Engine(EngineError::Config(ConfigError::System(_)))
             ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_machine_too_large_to_allocate_is_refused_before_its_scheduler_is_built() {
+        // Building a Linux scheduler for 2^40 cores would ask for
+        // terabytes of per-core queues and abort the process.
+        let err = RunBuilder::new(&ExpParams::quick().with_cores(1 << 40))
+            .technique(Technique::Linux)
+            .benchmark(BenchmarkKind::Find, 1.0)
+            .run()
+            .expect_err("2^40 cores must be rejected");
+        assert!(
+            err.to_string()
+                .contains("num_cores 1099511627776 exceeds 64"),
             "{err}"
         );
     }

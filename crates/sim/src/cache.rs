@@ -15,14 +15,7 @@
 //! id is ever needed. This is observationally identical to the previous
 //! `Vec<Vec<u64>>` representation (same hit/miss sequence, same
 //! victims, same RNG consumption) but with zero pointer chasing: a whole
-//! 4–8-way set is one or two hardware cache lines, and recency refresh
-//! is a `copy_within` of at most `assoc` words.
-//!
-//! The common case, a repeat hit on the MRU way of a narrow store, is a
-//! few inline instructions in every caller of `access` and `fill`: it
-//! changes no state but the hit counter. Everything else (the way
-//! search, the LRU rotation, eviction, and tag widening) is one
-//! out-of-line call.
+//! 4–8-way set is one or two hardware cache lines.
 //!
 //! Tags are stored *narrow* (`u32`) while every resident line id fits in
 //! 32 bits — true for all the repo's workloads, whose line ids are dense
@@ -30,6 +23,20 @@
 //! must keep warm across 32 simulated cores. The first access with a
 //! line id above `u32::MAX` transparently widens the store to `u64`, so
 //! behaviour over arbitrary inputs is unchanged.
+//!
+//! # Update paths
+//!
+//! A narrow 4-way set — every L1 and L2 the experiments build — is
+//! updated inline in [`SetAssocCache::access`], [`SetAssocCache::fill`]
+//! and [`SetAssocCache::invalidate`] as straight-line code on its four
+//! `u32` ways: one compare of all four ways under the occupancy mask
+//! picks the way that leaves its place (the hit, else the policy's
+//! victim in a full set, else the first free way), and one 128-bit
+//! shift-and-merge moves the ways in front of it down one. Every other
+//! geometry (the 8-way LLC) and the wide store check the MRU way inline
+//! and otherwise call one out-of-line function that moves ways with
+//! `copy_within`. Associativity and the store's width alone pick the
+//! path; both apply the same permutation to a set.
 
 use crate::config::CacheParams;
 
@@ -56,6 +63,10 @@ pub enum ReplacementPolicy {
 /// [`SetAssocCache::with_policy_seeded`], which builds every cache of a
 /// `MemorySystem`, mixes a caller salt into it.
 pub const LEGACY_RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Ways per set of the geometry whose narrow sets are updated as lanes
+/// (see the module docs): Table 2's L1i, L1d and L2.
+const LANE_WAYS: usize = 4;
 
 /// Tag storage: narrow (`u32`) until a line id needs 64 bits, then
 /// widened once. Both variants keep set `s` at `[s*assoc..(s+1)*assoc]`,
@@ -93,8 +104,6 @@ pub struct SetAssocCache {
     /// geometry), else 0: lets [`set_index`](Self::set_index) use a mask
     /// instead of a 64-bit division on every access.
     set_mask: u64,
-    hits: u64,
-    misses: u64,
     policy: ReplacementPolicy,
     rng_state: u64,
 }
@@ -141,8 +150,6 @@ impl SetAssocCache {
             } else {
                 0
             },
-            hits: 0,
-            misses: 0,
             policy,
             rng_state,
         }
@@ -186,9 +193,8 @@ impl SetAssocCache {
             && tags[set_idx * self.assoc] == line as u32
     }
 
-    /// Core lookup/insert shared by [`access`](Self::access) (counted)
-    /// and [`fill`](Self::fill) (uncounted) once the inline MRU check
-    /// has missed. Returns `true` on hit.
+    /// Lookup/insert for every set the lane path does not take, once
+    /// the inline MRU check has missed. Returns `true` on hit.
     #[inline(never)]
     fn touch(&mut self, line: u64) -> bool {
         let set_idx = self.set_index(line);
@@ -231,15 +237,21 @@ impl SetAssocCache {
     /// Accesses `line`; returns `true` on hit. On a miss the line is
     /// inserted, evicting a victim chosen by the replacement policy if
     /// the set is full.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, line: u64) -> bool {
-        let hit = self.is_narrow_mru(line) || self.touch(line);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        let set_idx = self.set_index(line);
+        if self.assoc == LANE_WAYS && line <= u32::MAX as u64 {
+            if let TagStore::Narrow(tags) = &mut self.lines {
+                return touch_lanes(
+                    &mut tags.as_chunks_mut().0[set_idx],
+                    &mut self.occupancy[set_idx],
+                    line as u32,
+                    self.policy,
+                    &mut self.rng_state,
+                );
+            }
         }
-        hit
+        self.is_narrow_mru(line) || self.touch(line)
     }
 
     /// Checks residency without updating recency or statistics.
@@ -255,16 +267,27 @@ impl SetAssocCache {
         }
     }
 
-    /// Inserts `line` without counting a demand access (used by
-    /// prefetchers). Returns `true` if the line was already resident.
+    /// Inserts `line` exactly as [`access`](Self::access) does, for
+    /// callers whose insertion is not a demand access (prefetches and
+    /// remote transfers, which `MemStats` does not count). Returns
+    /// `true` if the line was already resident.
     #[inline]
     pub fn fill(&mut self, line: u64) -> bool {
-        self.is_narrow_mru(line) || self.touch(line)
+        self.access(line)
     }
 
     /// Removes `line` if resident; returns whether it was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
         let set_idx = self.set_index(line);
+        if self.assoc == LANE_WAYS && line <= u32::MAX as u64 {
+            if let TagStore::Narrow(tags) = &mut self.lines {
+                return remove_lane(
+                    &mut tags.as_chunks_mut().0[set_idx],
+                    &mut self.occupancy[set_idx],
+                    line as u32,
+                );
+            }
+        }
         let base = set_idx * self.assoc;
         let occ = self.occupancy[set_idx] as usize;
         let removed = match &mut self.lines {
@@ -279,35 +302,9 @@ impl SetAssocCache {
         removed
     }
 
-    /// Empties the cache, keeping statistics.
+    /// Empties the cache.
     pub fn flush(&mut self) {
         self.occupancy.fill(0);
-    }
-
-    /// Demand hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Demand misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in [0, 1]; 0.0 before any access.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Resets hit/miss counters without touching contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Number of lines currently resident.
@@ -378,6 +375,76 @@ fn next_random(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
+/// [`touch_set`] on a narrow 4-way set, as straight-line code with no
+/// call: the way that leaves its place is the hit, else the policy's
+/// victim in a full set, else the first free way `occ`, and the ways in
+/// front of it move down one as a 128-bit shift. Way `i` is bits
+/// `32*i..32*i+32` of the shifted value, so way 0 (the MRU) is the low
+/// word. Returns `true` on hit.
+#[inline(always)]
+fn touch_lanes(
+    ways: &mut [u32; LANE_WAYS],
+    occ: &mut u16,
+    line: u32,
+    policy: ReplacementPolicy,
+    rng_state: &mut u64,
+) -> bool {
+    let found = lane_matches(ways, *occ, line);
+    let pos = if found != 0 {
+        if policy != ReplacementPolicy::Lru {
+            return true;
+        }
+        found.trailing_zeros()
+    } else if usize::from(*occ) == LANE_WAYS {
+        victim_index(policy, rng_state, LANE_WAYS) as u32
+    } else {
+        *occ += 1;
+        u32::from(*occ) - 1
+    };
+    let set = pack_lanes(ways);
+    let below = (1u128 << (32 * pos)) - 1;
+    *ways = unpack_lanes(((set & below) << 32) | (set & (!below << 32)) | u128::from(line));
+    found != 0
+}
+
+/// [`remove_from_set`] on a narrow 4-way set: the ways behind `line`
+/// move up one as a 128-bit shift. Returns whether it was present.
+#[inline]
+fn remove_lane(ways: &mut [u32; LANE_WAYS], occ: &mut u16, line: u32) -> bool {
+    let found = lane_matches(ways, *occ, line);
+    if found == 0 {
+        return false;
+    }
+    let set = pack_lanes(ways);
+    let below = (1u128 << (32 * found.trailing_zeros())) - 1;
+    *ways = unpack_lanes((set & below) | ((set >> 32) & !below));
+    *occ -= 1;
+    true
+}
+
+/// Bit `i` is set when way `i` holds `line` and is one of the set's
+/// `occ` valid ways. A set holds a line at most once.
+#[inline(always)]
+fn lane_matches(ways: &[u32; LANE_WAYS], occ: u16, line: u32) -> u32 {
+    let mut found = 0;
+    for (i, &way) in ways.iter().enumerate() {
+        found |= u32::from(way == line) << i;
+    }
+    found & ((1 << occ) - 1)
+}
+
+#[inline(always)]
+fn pack_lanes(ways: &[u32; LANE_WAYS]) -> u128 {
+    ways.iter()
+        .rev()
+        .fold(0, |set, &way| (set << 32) | u128::from(way))
+}
+
+#[inline(always)]
+fn unpack_lanes(set: u128) -> [u32; LANE_WAYS] {
+    std::array::from_fn(|i| (set >> (32 * i)) as u32)
+}
+
 /// Removes `line` from a set's valid-entry slice, closing the gap so
 /// recency order is preserved. Returns whether it was present.
 #[inline]
@@ -399,14 +466,21 @@ mod tests {
         SetAssocCache::new(CacheParams::new(256, 2, 1))
     }
 
+    /// The valid ways of set `set_idx`, MRU first.
+    fn recency(c: &SetAssocCache, set_idx: usize) -> Vec<u64> {
+        let base = set_idx * c.assoc;
+        let ways = base..base + c.occupancy[set_idx] as usize;
+        match &c.lines {
+            TagStore::Narrow(t) => t[ways].iter().map(|&l| u64::from(l)).collect(),
+            TagStore::Wide(t) => t[ways].to_vec(),
+        }
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
         assert!(!c.access(0));
         assert!(c.access(0));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]
@@ -445,13 +519,11 @@ mod tests {
     }
 
     #[test]
-    fn fill_does_not_count_stats() {
+    fn fill_inserts_like_access() {
         let mut c = tiny();
         assert!(!c.fill(0));
         assert!(c.fill(0));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(c.access(0)); // but the line is usable
+        assert!(c.access(0)); // the filled line is usable
     }
 
     #[test]
@@ -480,14 +552,42 @@ mod tests {
     }
 
     #[test]
-    fn flush_empties_but_keeps_stats() {
+    fn invalidating_any_way_keeps_the_others_in_recency_order() {
+        // 2 sets x 4 ways. Set 0 takes the lane path; after an odd line
+        // past u32::MAX widens the store, it takes `touch`.
+        for wide in [false, true] {
+            for occ in 1..=4u64 {
+                for pos in 0..occ as usize {
+                    let mut c = SetAssocCache::new(CacheParams::new(512, 4, 1));
+                    if wide {
+                        c.access(u32::MAX as u64 + 2);
+                    }
+                    let lines: Vec<u64> = (0..occ).map(|i| 2 * i).collect();
+                    for &l in &lines {
+                        c.access(l);
+                    }
+                    let mut expect: Vec<u64> = lines.iter().rev().copied().collect();
+                    let gone = expect.remove(pos);
+                    assert!(c.invalidate(gone));
+                    assert_eq!(recency(&c, 0), expect, "wide {wide} occ {occ} pos {pos}");
+                    assert!(!c.invalidate(gone));
+                    // The freed way takes the next line at the front.
+                    assert!(!c.access(100));
+                    expect.insert(0, 100);
+                    assert_eq!(recency(&c, 0), expect, "wide {wide} occ {occ} pos {pos}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flush_empties_every_set() {
         let mut c = tiny();
         c.access(0);
-        c.access(0);
+        c.access(1);
         c.flush();
         assert_eq!(c.resident_lines(), 0);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert!(!c.access(0) && !c.access(1));
     }
 
     #[test]
@@ -500,20 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = tiny();
-        c.access(0);
-        c.reset_stats();
-        assert_eq!(c.misses(), 0);
-        assert!(c.probe(0));
-    }
-
-    #[test]
-    fn hit_rate_empty_is_zero() {
-        assert_eq!(tiny().hit_rate(), 0.0);
-    }
-
-    #[test]
     fn working_set_larger_than_cache_thrashes() {
         let mut c = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 3));
         let lines = c.params().num_lines() * 2;
@@ -521,11 +607,9 @@ mod tests {
         // everywhere under LRU.
         for _ in 0..2 {
             for line in 0..lines {
-                c.access(line);
+                assert!(!c.access(line), "line {line} should have been evicted");
             }
         }
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), lines * 2);
     }
 
     #[test]
@@ -575,15 +659,13 @@ mod policy_tests {
     fn random_policy_is_deterministic_and_bounded() {
         let run = || {
             let mut c = tiny_with(ReplacementPolicy::Random);
-            for line in 0..200u64 {
-                c.access(line % 16);
-            }
-            (c.hits(), c.misses(), c.resident_lines())
+            let trace: Vec<bool> = (0..200u64).map(|line| c.access(line % 16)).collect();
+            (trace, c.resident_lines())
         };
         let a = run();
         let b = run();
         assert_eq!(a, b, "random policy must be reproducible");
-        assert!(a.2 <= 4);
+        assert!(a.1 <= 4);
     }
 
     #[test]
@@ -662,11 +744,12 @@ mod policy_tests {
         // protects the hot line best.
         let rate = |policy| {
             let mut c = SetAssocCache::with_policy(CacheParams::new(512, 2, 1), policy);
+            let mut hits = 0;
             for i in 0..4000u64 {
-                c.access(0); // hot
-                c.access(4 * (i % 7) + 8); // conflicting stream, same set
+                hits += u32::from(c.access(0)); // hot
+                hits += u32::from(c.access(4 * (i % 7) + 8)); // conflicting stream, same set
             }
-            c.hit_rate()
+            hits
         };
         let lru = rate(ReplacementPolicy::Lru);
         let fifo = rate(ReplacementPolicy::Fifo);

@@ -6,11 +6,12 @@
 //! the style of the *old* implementation (per-set `Vec<Vec<u64>>` for
 //! the cache, front-is-MRU `Vec` for the TLB, `HashMap` for the
 //! directory), asserting the observable behaviour — hit/miss sequences,
-//! invalidation sets, outcomes, counters — is identical step for step.
+//! invalidation sets, outcomes — is identical step for step.
 //! The flat layouts are pure wall-clock optimizations; these tests pin
 //! that contract.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use schedtask_sim::cache::LEGACY_RNG_SEED;
 use schedtask_sim::coherence::{Directory, LineState, ReadOutcome};
 use schedtask_sim::{CacheParams, ReplacementPolicy, SetAssocCache, Tlb};
@@ -34,8 +35,6 @@ struct RefCache {
     assoc: usize,
     policy: ReplacementPolicy,
     rng_state: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl RefCache {
@@ -45,13 +44,11 @@ impl RefCache {
             assoc,
             policy,
             rng_state: LEGACY_RNG_SEED,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Looks `line` up and inserts it on a miss; counts nothing.
-    fn fill(&mut self, line: u64) -> bool {
+    /// Looks `line` up and inserts it on a miss.
+    fn access(&mut self, line: u64) -> bool {
         let num_sets = self.sets.len() as u64;
         let set = &mut self.sets[(line % num_sets) as usize];
         if let Some(pos) = set.iter().position(|&l| l == line) {
@@ -73,16 +70,6 @@ impl RefCache {
             set.insert(0, line);
             false
         }
-    }
-
-    fn access(&mut self, line: u64) -> bool {
-        let hit = self.fill(line);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
     }
 
     fn probe(&self, line: u64) -> bool {
@@ -113,68 +100,102 @@ fn policy_strategy() -> impl Strategy<Value = ReplacementPolicy> {
     })
 }
 
-proptest! {
-    /// The flat cache and the reference per-set-`Vec` model agree on
-    /// every access's and fill's hit/miss result, on probes, on
-    /// invalidations, and on the final counters — under all three
-    /// replacement policies. Selector: 0-3 access a fresh line, 4-7
-    /// access the previous op's line again (the inline MRU hit), 8-9
-    /// fill a fresh line, 10 fill the previous line, 11 invalidate a
-    /// fresh line, 12 invalidate the previous line and access it again,
-    /// 13 flush (the next repeat then asks for a line whose stale tag
-    /// still sits in its set's first way). Every 37th operation uses a
-    /// fresh line past `u32::MAX`, so the narrow→wide tag-store
-    /// transition is also exercised.
-    #[test]
-    fn cache_matches_reference_model(
-        policy in policy_strategy(),
-        ops in prop::collection::vec((0u8..14, 0u64..512), 0..400),
-    ) {
-        // 8 sets x 4 ways: small enough that random streams evict.
-        let params = CacheParams::new(2048, 4, 1);
-        let mut fast = SetAssocCache::with_policy(params, policy);
-        let mut reference = RefCache::new(8, 4, policy);
-        let mut prev = 0u64;
-        for (i, &(sel, fresh)) in ops.iter().enumerate() {
-            let repeat = matches!(sel, 4..=7 | 10 | 12);
-            let l = if i % 37 == 36 {
-                fresh + (u32::MAX as u64 + 1)
-            } else if repeat {
-                prev
-            } else {
-                fresh
-            };
-            match sel {
-                0..=7 => {
-                    prop_assert_eq!(fast.access(l), reference.access(l), "access #{} line {}", i, l);
-                }
-                8..=10 => {
-                    prop_assert_eq!(fast.fill(l), reference.fill(l), "fill #{} line {}", i, l);
-                }
-                11 => {
-                    prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
-                }
-                12 => {
-                    prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
-                    prop_assert_eq!(fast.access(l), reference.access(l), "re-access #{}", i);
-                }
-                _ => {
-                    // Keep `prev`: its stale tag still sits in way 0.
-                    fast.flush();
-                    reference.sets.iter_mut().for_each(Vec::clear);
-                    continue;
-                }
+/// Replays `ops` through a flat cache of 8 sets x `assoc` ways and the
+/// reference model, asserting equal results for every access, fill and
+/// invalidation, and equal residency at the end. Selector: 0-3 access a
+/// fresh line, 4-7 access the previous op's line again (the MRU hit),
+/// 8-9 fill a fresh line, 10 fill the previous line, 11 invalidate a
+/// fresh line, 12 invalidate the previous line and access it again, 13
+/// flush (the next repeat then asks for a line whose stale tag still
+/// sits in its set's first way). Every 37th operation uses `far(fresh)`
+/// in place of a fresh line.
+fn replay(
+    assoc: u32,
+    policy: ReplacementPolicy,
+    ops: &[(u8, u64)],
+    far: impl Fn(u64) -> u64,
+) -> Result<(), TestCaseError> {
+    let params = CacheParams::new(8 * 64 * u64::from(assoc), assoc, 1);
+    let mut fast = SetAssocCache::with_policy(params, policy);
+    let mut reference = RefCache::new(8, assoc as usize, policy);
+    let mut prev = 0u64;
+    for (i, &(sel, fresh)) in ops.iter().enumerate() {
+        let repeat = matches!(sel, 4..=7 | 10 | 12);
+        let l = if i % 37 == 36 {
+            far(fresh)
+        } else if repeat {
+            prev
+        } else {
+            fresh
+        };
+        match sel {
+            0..=7 => {
+                prop_assert_eq!(
+                    fast.access(l),
+                    reference.access(l),
+                    "access #{} line {}",
+                    i,
+                    l
+                );
             }
-            prev = l;
+            8..=10 => {
+                prop_assert_eq!(fast.fill(l), reference.access(l), "fill #{} line {}", i, l);
+            }
+            11 => {
+                prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
+            }
+            12 => {
+                prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
+                prop_assert_eq!(fast.access(l), reference.access(l), "re-access #{}", i);
+            }
+            _ => {
+                // Keep `prev`: its stale tag still sits in way 0.
+                fast.flush();
+                reference.sets.iter_mut().for_each(Vec::clear);
+                continue;
+            }
         }
-        prop_assert_eq!(fast.hits(), reference.hits);
-        prop_assert_eq!(fast.misses(), reference.misses);
-        prop_assert_eq!(fast.resident_lines(), reference.resident());
-        for l in 0..512 {
-            prop_assert_eq!(fast.probe(l), reference.probe(l), "probe {}", l);
-        }
+        prev = l;
+    }
+    prop_assert_eq!(fast.resident_lines(), reference.resident());
+    for l in 0..512 {
+        prop_assert_eq!(fast.probe(l), reference.probe(l), "probe {}", l);
+    }
+    Ok(())
+}
+
+/// Operation streams over fresh lines `0..lines`, `lines / 8` per set.
+fn ops_strategy(lines: u64) -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..14, 0..lines), 0..400)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat cache and the reference per-set-`Vec` model agree under
+    /// all three replacement policies on a 4-way stream whose every
+    /// 37th line lies past `u32::MAX`, so the narrow→wide tag-store
+    /// transition is also exercised (and the lane path stops there).
+    #[test]
+    fn cache_matches_reference_model(policy in policy_strategy(), ops in ops_strategy(512)) {
+        replay(4, policy, &ops, |fresh| fresh + (u32::MAX as u64 + 1))?;
     }
 
+    /// The same agreement on streams whose lines all fit in 32 bits
+    /// (every 37th one just below `u32::MAX`), so the tag store stays
+    /// narrow throughout: the 4-way geometry takes the lane path on
+    /// every operation, and the 2-way and 8-way ones take `touch`.
+    /// Sixteen fresh lines per set make hits below the MRU way, and the
+    /// evictions whose order they decide, common.
+    #[test]
+    fn narrow_cache_matches_reference_model(policy in policy_strategy(), ops in ops_strategy(128)) {
+        for assoc in [2, 4, 8] {
+            replay(assoc, policy, &ops, |fresh| u32::MAX as u64 - fresh)?;
+        }
+    }
+}
+
+proptest! {
     /// The open-addressed TLB and a front-is-MRU `Vec` reference LRU
     /// agree on every access over random page streams with interleaved
     /// flushes. Selector: 0 flush, 1-4 the previous page again (the

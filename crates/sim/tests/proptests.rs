@@ -28,16 +28,6 @@ proptest! {
         prop_assert!(c.resident_lines() <= capacity);
     }
 
-    /// hits + misses equals the number of accesses.
-    #[test]
-    fn access_accounting(lines in prop::collection::vec(0u64..512, 0..512)) {
-        let mut c = SetAssocCache::new(CacheParams::new(1024, 2, 1));
-        for &l in &lines {
-            c.access(l);
-        }
-        prop_assert_eq!(c.hits() + c.misses(), lines.len() as u64);
-    }
-
     /// A working set that fits in one set's ways never misses after the
     /// first touch (LRU with no conflict).
     #[test]
@@ -47,22 +37,22 @@ proptest! {
         let num_sets = 4u64;
         // 4 lines all in the same set, equal to associativity.
         let lines: Vec<u64> = (0..4).map(|i| start * num_sets + i * num_sets).collect();
+        let mut misses = 0;
         for _ in 0..5 {
             for &l in &lines {
-                c.access(l);
+                misses += u32::from(!c.access(l));
             }
         }
-        prop_assert_eq!(c.misses(), 4);
+        prop_assert_eq!(misses, 4);
     }
 
-    /// TLB: hits + misses = accesses; residency bounded.
+    /// TLB: residency never exceeds the entry count.
     #[test]
     fn tlb_accounting(pages in prop::collection::vec(0u64..1000, 0..400)) {
         let mut t = Tlb::new(32);
         for &p in &pages {
             t.access(p);
         }
-        prop_assert_eq!(t.hits() + t.misses(), pages.len() as u64);
         prop_assert!(t.resident_entries() <= 32);
     }
 
