@@ -35,48 +35,114 @@ impl Stream {
 /// cold page faults on the structures' first touches.
 const SAMPLES: usize = 200_000;
 
-/// A 32 KB 4-way L1 on the access mix the L1i sees across `sim_fig7`'s
-/// 48 cells: a third of accesses hit the MRU way, about half hit ways
-/// 1-3, and a fifth miss. The stream is drawn before the timed loop from
-/// an LRU model of the same geometry (a set at random per access, then
-/// the way to hit or a fresh line to miss), so the loop times `access`
-/// alone and the cache sees exactly that mix.
-fn bench_cache(c: &mut Criterion) {
-    const SETS: u64 = 128;
-    let mut s = Stream(0x1234_5678);
-    let mut model = vec![Vec::<u64>::new(); SETS as usize]; // MRU first
-    let mut fresh = 0;
-    let lines: Vec<u64> = (0..SAMPLES)
+/// Lines for a `sets`-set cache of `ways` ways, drawn from an LRU model
+/// of it before any timed loop: a set at random per access, then
+/// `draw(r)` picks the way to hit (`ways` or more is a miss, which takes
+/// the set's next fresh line), so `access` sees exactly that mix.
+/// Returns the lines that fill every set first, to be accessed before
+/// timing, and the stream itself.
+fn lru_stream(
+    sets: u64,
+    ways: usize,
+    seed: u64,
+    draw: impl Fn(u64) -> usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut s = Stream(seed);
+    let mut fresh = vec![0; sets as usize];
+    let mut next_line = |set_idx: u64| {
+        fresh[set_idx as usize] += 1;
+        fresh[set_idx as usize] * sets + set_idx
+    };
+    let mut model = vec![Vec::<u64>::new(); sets as usize]; // MRU first
+    let mut warm = Vec::new();
+    for _ in 0..ways {
+        for set_idx in 0..sets {
+            let line = next_line(set_idx);
+            model[set_idx as usize].insert(0, line);
+            warm.push(line);
+        }
+    }
+    let lines = (0..SAMPLES)
         .map(|_| {
             let r = s.next();
-            let set_idx = r % SETS;
+            let set_idx = r % sets;
             let set = &mut model[set_idx as usize];
-            // Of 15: 5 MRU hits, 7 hits in ways 1-3, 3 misses (way 4).
-            let way = match (r >> 8) % 15 {
-                0..=4 => 0,
-                5..=11 => 1 + (r >> 40) % 3,
-                _ => 4,
-            } as usize;
+            let way = draw(r);
             let line = if way < set.len() {
                 set.remove(way)
             } else {
-                fresh += 1;
-                set.truncate(3);
-                fresh * SETS + set_idx
+                set.truncate(ways - 1);
+                next_line(set_idx)
             };
             set.insert(0, line);
             line
         })
         .collect();
+    (warm, lines)
+}
+
+/// Two caches on the access mix each sees across `sim_fig7`'s 48 cells,
+/// replayed from [`lru_stream`] with every set filled first, so the loop
+/// times `access` alone:
+///
+/// - a 32 KB 4-way L1, on the L1i's mix: a third of accesses hit the MRU
+///   way, about half hit ways 1-3, and a fifth miss;
+/// - the 8 MB 8-way LLC, on its mix ([`LLC_MIX`]: four fifths of its
+///   20.4 M accesses hit the MRU way, 10.5% hit ways 1-3, 0.9% ways 4-7,
+///   and 7.8% miss). The stream gives each of its 16,384 sets only a
+///   dozen accesses, so without the fill its deep ways would stay empty.
+fn bench_cache(c: &mut Criterion) {
+    let (l1i_warm, l1i_lines) = lru_stream(128, 4, 0x1234_5678, |r| {
+        // Of 15: 5 MRU hits, 7 hits in ways 1-3, 3 misses (way 4).
+        let way = match (r >> 8) % 15 {
+            0..=4 => 0,
+            5..=11 => 1 + (r >> 40) % 3,
+            _ => 4,
+        };
+        way as usize
+    });
+    let (llc_warm, llc_lines) = lru_stream(16 * 1024, 8, 0x8765_4321, |r| {
+        let mut pick = (r >> 32) % 10_000;
+        for (way, &share) in LLC_MIX.iter().enumerate() {
+            if pick < share {
+                return way;
+            }
+            pick -= share;
+        }
+        unreachable!("the mix sums to 10,000")
+    });
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(SAMPLES);
-    g.bench_function("cache_access_mixed", |b| {
-        let mut cache = SetAssocCache::new(CacheParams::new(32 * 1024, 4, 3));
-        let mut next = lines.iter();
-        b.iter(|| black_box(cache.access(*next.next().expect("one line per iteration"))));
-    });
+    let arms = [
+        (
+            "cache_access_mixed",
+            CacheParams::new(32 * 1024, 4, 3),
+            l1i_warm,
+            l1i_lines,
+        ),
+        (
+            "cache_access_llc",
+            CacheParams::new(8 * 1024 * 1024, 8, 18),
+            llc_warm,
+            llc_lines,
+        ),
+    ];
+    for (name, params, warm, lines) in arms {
+        g.bench_function(name, |b| {
+            let mut cache = SetAssocCache::new(params);
+            for &line in &warm {
+                cache.access(line);
+            }
+            let mut next = lines.iter();
+            b.iter(|| black_box(cache.access(*next.next().expect("one line per iteration"))));
+        });
+    }
     g.finish();
 }
+
+/// The LLC's hit-depth mix over `sim_fig7`'s 48 cells at seed
+/// 1592614637, in parts per 10,000: hits in ways 0-7, then misses.
+const LLC_MIX: [u64; 9] = [8080, 740, 202, 108, 50, 23, 11, 2, 784];
 
 /// 128-entry TLB on a page stream with strong locality (the iTLB/dTLB
 /// mix): mostly repeats of a few hot pages, sporadic cold pages that

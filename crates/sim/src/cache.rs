@@ -3,40 +3,46 @@
 //! Addresses are pre-translated to *line identifiers* (`u64`) by the
 //! caller; the cache indexes sets with the low-order bits of the line id,
 //! exactly as a physically-indexed cache indexes sets with the low-order
-//! bits above the line offset.
+//! bits above the line offset, and each way keeps only the rest of the
+//! line id, its *tag*.
 //!
 //! # Data layout
 //!
-//! All ways of all sets live in one contiguous `Box<[u64]>`: set `s`
-//! owns `lines[s*assoc .. (s+1)*assoc]`. Within a set's slice the
-//! resident lines are stored *in recency order* — index 0 is the MRU
-//! way, the last occupied index the LRU victim — and a packed per-set
-//! occupancy array records how many ways are valid, so no sentinel line
-//! id is ever needed. This is observationally identical to the previous
-//! `Vec<Vec<u64>>` representation (same hit/miss sequence, same
-//! victims, same RNG consumption) but with zero pointer chasing: a whole
-//! 4–8-way set is one or two hardware cache lines.
+//! All ways of all sets live in one contiguous slab, one set after
+//! another. Within a set the resident lines are stored *in recency
+//! order* — way 0 is the MRU way, the last occupied way the LRU victim —
+//! and a packed per-set occupancy array records how many ways are valid,
+//! so no sentinel tag is ever needed. This is observationally identical
+//! to the original `Vec<Vec<u64>>` representation (same hit/miss
+//! sequence, same victims, same RNG consumption) but with zero pointer
+//! chasing.
 //!
-//! Tags are stored *narrow* (`u32`) while every resident line id fits in
-//! 32 bits — true for all the repo's workloads, whose line ids are dense
-//! page numbers — which halves the tag footprint the host's own caches
-//! must keep warm across 32 simulated cores. The first access with a
-//! line id above `u32::MAX` transparently widens the store to `u64`, so
-//! behaviour over arbitrary inputs is unchanged.
+//! # Tags
+//!
+//! A way stores its line's tag, `line >> log2(sets)` (`line / sets` when
+//! the set count is not a power of two), in 16 bits, as hardware does:
+//! the set's position supplies the index bits. A 2- or 4-way set is then
+//! one `u32` or `u64` word and an 8-way set two `u64` words, which halves
+//! the slab the host's own caches must keep warm across 32 simulated
+//! cores (Table 2's 8 MB LLC keeps 256 KiB of tags). Sixteen bits hold
+//! the tag of every line below `2^16 × sets`: `2^23` on a 128-set 32 KB
+//! L1, `2^22` on the 64-set 16 KB L1i of the appendix's sweep, far above
+//! the lines any experiment touches (DESIGN §10.1 gives the margin). The
+//! first access whose tag needs more bits rewrites the store, once, as
+//! one `u64` line id per way; a cache of any other associativity uses
+//! that wide store from the start. Behaviour over arbitrary inputs is
+//! unchanged.
 //!
 //! # Update paths
 //!
-//! A narrow 4-way set — every L1 and L2 the experiments build — is
-//! updated inline in [`SetAssocCache::access`], [`SetAssocCache::fill`]
-//! and [`SetAssocCache::invalidate`] as straight-line code on its four
-//! `u32` ways: one compare of all four ways under the occupancy mask
-//! picks the way that leaves its place (the hit, else the policy's
-//! victim in a full set, else the first free way), and one 128-bit
-//! shift-and-merge moves the ways in front of it down one. Every other
-//! geometry (the 8-way LLC) and the wide store check the MRU way inline
-//! and otherwise call one out-of-line function that moves ways with
-//! `copy_within`. Associativity and the store's width alone pick the
-//! path; both apply the same permutation to a set.
+//! A set of 16-bit tags is looked up, promoted, filled and invalidated
+//! inline in [`SetAssocCache::access`] and [`SetAssocCache::invalidate`]
+//! as straight-line code on its words, with no call: one compare of
+//! every way below the occupancy picks the way that leaves its place
+//! (the hit, else the policy's victim in a full set, else the first free
+//! way), and one shift-and-merge moves the ways in front of it down one.
+//! The wide store goes through one out-of-line function that moves ways
+//! with `copy_within`. Both apply the same permutation to a set.
 
 use crate::config::CacheParams;
 
@@ -64,16 +70,15 @@ pub enum ReplacementPolicy {
 /// `MemorySystem`, mixes a caller salt into it.
 pub const LEGACY_RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Ways per set of the geometry whose narrow sets are updated as lanes
-/// (see the module docs): Table 2's L1i, L1d and L2.
-const LANE_WAYS: usize = 4;
-
-/// Tag storage: narrow (`u32`) until a line id needs 64 bits, then
-/// widened once. Both variants keep set `s` at `[s*assoc..(s+1)*assoc]`,
-/// valid entries first, in recency order (index 0 = MRU).
+/// Tag storage. The lane stores keep one or two words per set of 16-bit
+/// tags (see [`Lanes`]); the wide store keeps set `s` at
+/// `[s*assoc..(s+1)*assoc]` as line ids. Every store keeps a set's valid
+/// ways first, in recency order (way 0 = MRU).
 #[derive(Debug, Clone)]
 enum TagStore {
-    Narrow(Box<[u32]>),
+    Lanes2(Box<[u32]>),
+    Lanes4(Box<[u64]>),
+    Lanes8(Box<[[u64; 2]]>),
     Wide(Box<[u64]>),
 }
 
@@ -91,19 +96,19 @@ enum TagStore {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     params: CacheParams,
-    /// All ways, contiguous: set `s` is `lines[s*assoc..(s+1)*assoc]`,
-    /// valid entries first, in recency order (index 0 = MRU).
+    /// Every way of every set, valid ways first, in recency order.
     lines: TagStore,
     /// Packed per-set recency metadata: how many ways of each set hold
-    /// valid lines. Together with the in-slice ordering this encodes the
+    /// valid lines. Together with the in-set ordering this encodes the
     /// full LRU stack without a sentinel value or per-way flags.
     occupancy: Box<[u16]>,
     assoc: usize,
     num_sets: u64,
-    /// `num_sets - 1` when `num_sets` is a power of two (the common
-    /// geometry), else 0: lets [`set_index`](Self::set_index) use a mask
-    /// instead of a 64-bit division on every access.
-    set_mask: u64,
+    /// `log2(num_sets)` when `num_sets` is a power of two (every
+    /// geometry the experiments build), else `None`: lets
+    /// [`split`](Self::split) mask and shift instead of dividing on
+    /// every access.
+    set_bits: Option<u32>,
     policy: ReplacementPolicy,
     rng_state: u64,
 }
@@ -139,17 +144,21 @@ impl SetAssocCache {
     fn from_parts(params: CacheParams, policy: ReplacementPolicy, rng_state: u64) -> Self {
         let num_sets = params.num_sets();
         let assoc = params.associativity as usize;
+        let sets = num_sets as usize;
         SetAssocCache {
             params,
-            lines: TagStore::Narrow(vec![0; num_sets as usize * assoc].into_boxed_slice()),
-            occupancy: vec![0; num_sets as usize].into_boxed_slice(),
+            lines: match assoc {
+                2 => TagStore::Lanes2(vec![0; sets].into_boxed_slice()),
+                4 => TagStore::Lanes4(vec![0; sets].into_boxed_slice()),
+                8 => TagStore::Lanes8(vec![[0; 2]; sets].into_boxed_slice()),
+                _ => TagStore::Wide(vec![0; sets * assoc].into_boxed_slice()),
+            },
+            occupancy: vec![0; sets].into_boxed_slice(),
             assoc,
             num_sets,
-            set_mask: if num_sets.is_power_of_two() {
-                num_sets - 1
-            } else {
-                0
-            },
+            set_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
             policy,
             rng_state,
         }
@@ -160,76 +169,59 @@ impl SetAssocCache {
         self.policy
     }
 
-    /// One-time widening of the tag store; the fast paths stay narrow
-    /// until a line id actually needs 64 bits.
-    #[cold]
-    fn widen_if_narrow(&mut self) {
-        if let TagStore::Narrow(t) = &self.lines {
-            self.lines = TagStore::Wide(t.iter().map(|&x| x as u64).collect());
+    /// The set `line` maps to and the tag its way keeps.
+    #[inline(always)]
+    fn split(&self, line: u64) -> (usize, u64) {
+        match self.set_bits {
+            Some(bits) => ((line & ((1 << bits) - 1)) as usize, line >> bits),
+            None => ((line % self.num_sets) as usize, line / self.num_sets),
         }
     }
 
-    #[inline]
-    fn set_index(&self, line: u64) -> usize {
-        if self.set_mask != 0 {
-            (line & self.set_mask) as usize
-        } else {
-            (line % self.num_sets) as usize
-        }
-    }
-
-    /// True when `line` is the MRU way of its set in the narrow tag
-    /// store: a hit that reorders nothing under any policy (Lru would
-    /// move it to the front, where it is; Fifo and Random never refresh)
-    /// and widens nothing, so it needs no state change at all.
-    #[inline]
-    fn is_narrow_mru(&self, line: u64) -> bool {
-        let TagStore::Narrow(tags) = &self.lines else {
-            return false;
+    /// The line id way `way` of set `set_idx` holds, valid or not.
+    fn way_line(&self, set_idx: usize, way: usize) -> u64 {
+        let tag = match &self.lines {
+            TagStore::Lanes2(sets) => sets[set_idx].tag(way),
+            TagStore::Lanes4(sets) => sets[set_idx].tag(way),
+            TagStore::Lanes8(sets) => sets[set_idx].tag(way),
+            TagStore::Wide(lines) => return lines[set_idx * self.assoc + way],
         };
-        let set_idx = self.set_index(line);
-        line <= u32::MAX as u64
-            && self.occupancy[set_idx] != 0
-            && tags[set_idx * self.assoc] == line as u32
+        u64::from(tag) * self.num_sets + set_idx as u64
     }
 
-    /// Lookup/insert for every set the lane path does not take, once
-    /// the inline MRU check has missed. Returns `true` on hit.
+    /// Rewrites a lane store as one `u64` line id per way, in place of
+    /// each way's tag.
+    #[cold]
+    fn widen(&mut self) {
+        let assoc = self.assoc;
+        let lines = (0..self.num_sets as usize * assoc)
+            .map(|i| self.way_line(i / assoc, i % assoc))
+            .collect();
+        self.lines = TagStore::Wide(lines);
+    }
+
+    /// Lookup/insert on the wide store, widening a lane store first.
+    /// Returns `true` on hit.
     #[inline(never)]
     fn touch(&mut self, line: u64) -> bool {
-        let set_idx = self.set_index(line);
-        let base = set_idx * self.assoc;
-        let assoc = self.assoc;
-        let occ = self.occupancy[set_idx] as usize;
-        let policy = self.policy;
-        if line <= u32::MAX as u64 {
-            if let TagStore::Narrow(tags) = &mut self.lines {
-                let (hit, grew) = touch_set(
-                    &mut tags[base..base + assoc],
-                    occ,
-                    line as u32,
-                    policy,
-                    &mut self.rng_state,
-                );
-                if grew {
-                    self.occupancy[set_idx] = occ as u16 + 1;
-                }
-                return hit;
-            }
+        if !matches!(self.lines, TagStore::Wide(_)) {
+            self.widen();
         }
-        self.widen_if_narrow();
-        let TagStore::Wide(tags) = &mut self.lines else {
-            unreachable!("widen_if_narrow always leaves a wide store")
+        let (set_idx, _) = self.split(line);
+        let base = set_idx * self.assoc;
+        let occ = self.occupancy[set_idx];
+        let TagStore::Wide(lines) = &mut self.lines else {
+            unreachable!("widen always leaves a wide store")
         };
         let (hit, grew) = touch_set(
-            &mut tags[base..base + assoc],
-            occ,
+            &mut lines[base..base + self.assoc],
+            usize::from(occ),
             line,
-            policy,
+            self.policy,
             &mut self.rng_state,
         );
         if grew {
-            self.occupancy[set_idx] = occ as u16 + 1;
+            self.occupancy[set_idx] = occ + 1;
         }
         hit
     }
@@ -239,65 +231,59 @@ impl SetAssocCache {
     /// the set is full.
     #[inline(always)]
     pub fn access(&mut self, line: u64) -> bool {
-        let set_idx = self.set_index(line);
-        if self.assoc == LANE_WAYS && line <= u32::MAX as u64 {
-            if let TagStore::Narrow(tags) = &mut self.lines {
-                return touch_lanes(
-                    &mut tags.as_chunks_mut().0[set_idx],
-                    &mut self.occupancy[set_idx],
-                    line as u32,
-                    self.policy,
-                    &mut self.rng_state,
-                );
+        let (set_idx, tag) = self.split(line);
+        if let Ok(tag) = u16::try_from(tag) {
+            let occ = &mut self.occupancy[set_idx];
+            let (policy, rng_state) = (self.policy, &mut self.rng_state);
+            match &mut self.lines {
+                TagStore::Lanes4(sets) => {
+                    return touch_lanes(&mut sets[set_idx], occ, tag, policy, rng_state)
+                }
+                TagStore::Lanes8(sets) => {
+                    return touch_lanes(&mut sets[set_idx], occ, tag, policy, rng_state)
+                }
+                TagStore::Lanes2(sets) => {
+                    return touch_lanes(&mut sets[set_idx], occ, tag, policy, rng_state)
+                }
+                TagStore::Wide(_) => {}
             }
         }
-        self.is_narrow_mru(line) || self.touch(line)
+        self.touch(line)
     }
 
-    /// Checks residency without updating recency or statistics.
+    /// Checks residency without updating recency.
     pub fn probe(&self, line: u64) -> bool {
-        let set_idx = self.set_index(line);
-        let base = set_idx * self.assoc;
-        let occ = self.occupancy[set_idx] as usize;
-        match &self.lines {
-            TagStore::Narrow(t) => {
-                line <= u32::MAX as u64 && t[base..base + occ].contains(&(line as u32))
-            }
-            TagStore::Wide(t) => t[base..base + occ].contains(&line),
-        }
-    }
-
-    /// Inserts `line` exactly as [`access`](Self::access) does, for
-    /// callers whose insertion is not a demand access (prefetches and
-    /// remote transfers, which `MemStats` does not count). Returns
-    /// `true` if the line was already resident.
-    #[inline]
-    pub fn fill(&mut self, line: u64) -> bool {
-        self.access(line)
+        let (set_idx, _) = self.split(line);
+        (0..usize::from(self.occupancy[set_idx])).any(|way| self.way_line(set_idx, way) == line)
     }
 
     /// Removes `line` if resident; returns whether it was present.
+    #[inline]
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let set_idx = self.set_index(line);
-        if self.assoc == LANE_WAYS && line <= u32::MAX as u64 {
-            if let TagStore::Narrow(tags) = &mut self.lines {
-                return remove_lane(
-                    &mut tags.as_chunks_mut().0[set_idx],
-                    &mut self.occupancy[set_idx],
-                    line as u32,
-                );
-            }
+        let (set_idx, tag) = self.split(line);
+        let occ = &mut self.occupancy[set_idx];
+        match (&mut self.lines, u16::try_from(tag)) {
+            (TagStore::Lanes4(sets), Ok(tag)) => return remove_lane(&mut sets[set_idx], occ, tag),
+            (TagStore::Lanes8(sets), Ok(tag)) => return remove_lane(&mut sets[set_idx], occ, tag),
+            (TagStore::Lanes2(sets), Ok(tag)) => return remove_lane(&mut sets[set_idx], occ, tag),
+            (TagStore::Wide(_), _) => {}
+            // No lane holds a tag that needs more than 16 bits.
+            (_, Err(_)) => return false,
         }
-        let base = set_idx * self.assoc;
-        let occ = self.occupancy[set_idx] as usize;
-        let removed = match &mut self.lines {
-            TagStore::Narrow(t) => {
-                line <= u32::MAX as u64 && remove_from_set(&mut t[base..base + occ], line as u32)
-            }
-            TagStore::Wide(t) => remove_from_set(&mut t[base..base + occ], line),
+        self.remove_wide(set_idx, line)
+    }
+
+    /// [`invalidate`](Self::invalidate) on the wide store.
+    #[inline(never)]
+    fn remove_wide(&mut self, set_idx: usize, line: u64) -> bool {
+        let TagStore::Wide(lines) = &mut self.lines else {
+            unreachable!("only the wide store removes line ids")
         };
+        let base = set_idx * self.assoc;
+        let occ = self.occupancy[set_idx];
+        let removed = remove_from_set(&mut lines[base..base + usize::from(occ)], line);
         if removed {
-            self.occupancy[set_idx] = occ as u16 - 1;
+            self.occupancy[set_idx] = occ - 1;
         }
         removed
     }
@@ -318,14 +304,14 @@ impl SetAssocCache {
     }
 }
 
-/// Lookup/insert on one set's way slice, shared by the narrow and wide
-/// tag stores. `set` is the full `assoc`-way slice, `occ` how many of
-/// its leading entries are valid. Returns `(hit, grew)`.
+/// Lookup/insert on one set's way slice in the wide store. `set` is the
+/// full `assoc`-way slice, `occ` how many of its leading entries are
+/// valid. Returns `(hit, grew)`.
 #[inline]
-fn touch_set<T: Copy + PartialEq>(
-    set: &mut [T],
+fn touch_set(
+    set: &mut [u64],
     occ: usize,
-    line: T,
+    line: u64,
     policy: ReplacementPolicy,
     rng_state: &mut u64,
 ) -> (bool, bool) {
@@ -375,80 +361,172 @@ fn next_random(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// [`touch_set`] on a narrow 4-way set, as straight-line code with no
+/// A set of [`WAYS`](Lanes::WAYS) 16-bit tags: a `u32` or `u64` word
+/// with way `i` in bits `16*i..16*i+16`, so way 0 (the MRU) is the low
+/// lane, or two `u64` words of four ways each, ways 0-3 first.
+trait Lanes {
+    const WAYS: usize;
+
+    /// The tag in way `way`.
+    fn tag(&self, way: usize) -> u16;
+
+    /// The lowest way that holds `tag`, valid or not, or a number not
+    /// below `WAYS` when none does.
+    fn first_match(&self, tag: u16) -> u32;
+
+    /// Drops way `pos`, moves the ways in front of it down one and puts
+    /// `tag` in way 0; the ways behind `pos` stay.
+    fn push_front(&mut self, pos: u32, tag: u16);
+
+    /// Drops way `pos` and moves the ways behind it up one; the ways in
+    /// front of it stay.
+    fn remove(&mut self, pos: u32);
+
+    /// The way among the first `occ` that holds `tag`, if any. Stale
+    /// tags sit behind every valid way, so the lowest match is valid
+    /// whenever a valid way matches.
+    #[inline(always)]
+    fn find(&self, occ: u16, tag: u16) -> Option<u32> {
+        let way = self.first_match(tag);
+        (way < u32::from(occ)).then_some(way)
+    }
+}
+
+/// [`Lanes::first_match`] on four ways: 4 when none holds `tag`.
+#[inline(always)]
+fn first_match4(ways: u64, tag: u16) -> u32 {
+    // Bit 0 of every lane, and the 15 bits below bit 15.
+    const LOW: u64 = 0x0001_0001_0001_0001;
+    const LOW15: u64 = 0x7FFF * LOW;
+    // A lane of `x` is zero where the way holds `tag`. Adding 0x7FFF to
+    // a lane's low 15 bits sets its bit 15 unless they are all zero and
+    // never carries out of the lane, so bit 15 of `zero` is set exactly
+    // in the zero lanes.
+    let x = ways ^ (LOW * u64::from(tag));
+    let zero = !(((x & LOW15) + LOW15) | x | LOW15);
+    zero.trailing_zeros() / 16
+}
+
+macro_rules! impl_lanes {
+    ($($word:ty),*) => {$(
+        impl Lanes for $word {
+            const WAYS: usize = <$word>::BITS as usize / 16;
+
+            #[inline(always)]
+            fn tag(&self, way: usize) -> u16 {
+                (*self >> (16 * way)) as u16
+            }
+
+            #[inline(always)]
+            fn first_match(&self, tag: u16) -> u32 {
+                // A 2-way set's ways 2 and 3 read as zero tags, past its
+                // two valid ways.
+                first_match4(u64::from(*self), tag)
+            }
+
+            #[inline(always)]
+            fn push_front(&mut self, pos: u32, tag: u16) {
+                let below: $word = (1 << (16 * pos)) - 1;
+                *self = ((*self & below) << 16) | (*self & (!below << 16)) | <$word>::from(tag);
+            }
+
+            #[inline(always)]
+            fn remove(&mut self, pos: u32) {
+                let below: $word = (1 << (16 * pos)) - 1;
+                *self = (*self & below) | ((*self >> 16) & !below);
+            }
+        }
+    )*};
+}
+
+impl_lanes!(u32, u64);
+
+/// An 8-way set is two 4-way words: a way in ways 0-3 moves only the
+/// first, and the second is read only when the first has no match.
+impl Lanes for [u64; 2] {
+    const WAYS: usize = 8;
+
+    #[inline(always)]
+    fn tag(&self, way: usize) -> u16 {
+        self[way / 4].tag(way % 4)
+    }
+
+    #[inline(always)]
+    fn first_match(&self, tag: u16) -> u32 {
+        match first_match4(self[0], tag) {
+            4 => 4 + first_match4(self[1], tag),
+            way => way,
+        }
+    }
+
+    #[inline(always)]
+    fn push_front(&mut self, pos: u32, tag: u16) {
+        if pos < 4 {
+            self[0].push_front(pos, tag);
+        } else {
+            // Way 3 moves to way 4, the second word's first.
+            let carry = (self[0] >> 48) as u16;
+            self[0] = (self[0] << 16) | u64::from(tag);
+            self[1].push_front(pos - 4, carry);
+        }
+    }
+
+    #[inline(always)]
+    fn remove(&mut self, pos: u32) {
+        if pos < 4 {
+            // Way 4, the second word's first, moves to way 3.
+            self[0].remove(pos);
+            self[0] |= self[1] << 48;
+            self[1] >>= 16;
+        } else {
+            self[1].remove(pos - 4);
+        }
+    }
+}
+
+/// [`touch_set`] on a set of 16-bit tags, as straight-line code with no
 /// call: the way that leaves its place is the hit, else the policy's
 /// victim in a full set, else the first free way `occ`, and the ways in
-/// front of it move down one as a 128-bit shift. Way `i` is bits
-/// `32*i..32*i+32` of the shifted value, so way 0 (the MRU) is the low
-/// word. Returns `true` on hit.
+/// front of it move down one. Returns `true` on hit.
 #[inline(always)]
-fn touch_lanes(
-    ways: &mut [u32; LANE_WAYS],
+fn touch_lanes<W: Lanes>(
+    set: &mut W,
     occ: &mut u16,
-    line: u32,
+    tag: u16,
     policy: ReplacementPolicy,
     rng_state: &mut u64,
 ) -> bool {
-    let found = lane_matches(ways, *occ, line);
-    let pos = if found != 0 {
-        if policy != ReplacementPolicy::Lru {
-            return true;
+    let found = set.find(*occ, tag);
+    let pos = match found {
+        // Fifo and Random never reorder on a hit.
+        Some(_) if policy != ReplacementPolicy::Lru => return true,
+        Some(pos) => pos,
+        None if usize::from(*occ) == W::WAYS => victim_index(policy, rng_state, W::WAYS) as u32,
+        None => {
+            *occ += 1;
+            u32::from(*occ) - 1
         }
-        found.trailing_zeros()
-    } else if usize::from(*occ) == LANE_WAYS {
-        victim_index(policy, rng_state, LANE_WAYS) as u32
-    } else {
-        *occ += 1;
-        u32::from(*occ) - 1
     };
-    let set = pack_lanes(ways);
-    let below = (1u128 << (32 * pos)) - 1;
-    *ways = unpack_lanes(((set & below) << 32) | (set & (!below << 32)) | u128::from(line));
-    found != 0
+    set.push_front(pos, tag);
+    found.is_some()
 }
 
-/// [`remove_from_set`] on a narrow 4-way set: the ways behind `line`
-/// move up one as a 128-bit shift. Returns whether it was present.
-#[inline]
-fn remove_lane(ways: &mut [u32; LANE_WAYS], occ: &mut u16, line: u32) -> bool {
-    let found = lane_matches(ways, *occ, line);
-    if found == 0 {
+/// [`remove_from_set`] on a set of 16-bit tags: the ways behind `tag`
+/// move up one. Returns whether it was present.
+#[inline(always)]
+fn remove_lane<W: Lanes>(set: &mut W, occ: &mut u16, tag: u16) -> bool {
+    let Some(pos) = set.find(*occ, tag) else {
         return false;
-    }
-    let set = pack_lanes(ways);
-    let below = (1u128 << (32 * found.trailing_zeros())) - 1;
-    *ways = unpack_lanes((set & below) | ((set >> 32) & !below));
+    };
+    set.remove(pos);
     *occ -= 1;
     true
-}
-
-/// Bit `i` is set when way `i` holds `line` and is one of the set's
-/// `occ` valid ways. A set holds a line at most once.
-#[inline(always)]
-fn lane_matches(ways: &[u32; LANE_WAYS], occ: u16, line: u32) -> u32 {
-    let mut found = 0;
-    for (i, &way) in ways.iter().enumerate() {
-        found |= u32::from(way == line) << i;
-    }
-    found & ((1 << occ) - 1)
-}
-
-#[inline(always)]
-fn pack_lanes(ways: &[u32; LANE_WAYS]) -> u128 {
-    ways.iter()
-        .rev()
-        .fold(0, |set, &way| (set << 32) | u128::from(way))
-}
-
-#[inline(always)]
-fn unpack_lanes(set: u128) -> [u32; LANE_WAYS] {
-    std::array::from_fn(|i| (set >> (32 * i)) as u32)
 }
 
 /// Removes `line` from a set's valid-entry slice, closing the gap so
 /// recency order is preserved. Returns whether it was present.
 #[inline]
-fn remove_from_set<T: Copy + PartialEq>(set: &mut [T], line: T) -> bool {
+fn remove_from_set(set: &mut [u64], line: u64) -> bool {
     if let Some(pos) = set.iter().position(|&l| l == line) {
         set.copy_within(pos + 1.., pos);
         true
@@ -468,12 +546,9 @@ mod tests {
 
     /// The valid ways of set `set_idx`, MRU first.
     fn recency(c: &SetAssocCache, set_idx: usize) -> Vec<u64> {
-        let base = set_idx * c.assoc;
-        let ways = base..base + c.occupancy[set_idx] as usize;
-        match &c.lines {
-            TagStore::Narrow(t) => t[ways].iter().map(|&l| u64::from(l)).collect(),
-            TagStore::Wide(t) => t[ways].to_vec(),
-        }
+        (0..usize::from(c.occupancy[set_idx]))
+            .map(|way| c.way_line(set_idx, way))
+            .collect()
     }
 
     #[test]
@@ -519,14 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_inserts_like_access() {
-        let mut c = tiny();
-        assert!(!c.fill(0));
-        assert!(c.fill(0));
-        assert!(c.access(0)); // the filled line is usable
-    }
-
-    #[test]
     fn invalidate_removes() {
         let mut c = tiny();
         c.access(0);
@@ -553,28 +620,34 @@ mod tests {
 
     #[test]
     fn invalidating_any_way_keeps_the_others_in_recency_order() {
-        // 2 sets x 4 ways. Set 0 takes the lane path; after an odd line
-        // past u32::MAX widens the store, it takes `touch`.
-        for wide in [false, true] {
-            for occ in 1..=4u64 {
-                for pos in 0..occ as usize {
-                    let mut c = SetAssocCache::new(CacheParams::new(512, 4, 1));
-                    if wide {
-                        c.access(u32::MAX as u64 + 2);
+        // 2 sets x 4 and x 8 ways. Set 0 takes the lane path; after an
+        // odd line whose tag needs 17 bits widens the store, it takes the
+        // wide path.
+        for assoc in [4, 8] {
+            for wide in [false, true] {
+                for occ in 1..=u64::from(assoc) {
+                    for pos in 0..occ as usize {
+                        let params = CacheParams::new(2 * 64 * u64::from(assoc), assoc, 1);
+                        let mut c = SetAssocCache::new(params);
+                        if wide {
+                            c.access((1 << 17) + 1);
+                        }
+                        assert_eq!(matches!(c.lines, TagStore::Wide(_)), wide);
+                        let lines: Vec<u64> = (0..occ).map(|i| 2 * i).collect();
+                        for &l in &lines {
+                            c.access(l);
+                        }
+                        let mut expect: Vec<u64> = lines.iter().rev().copied().collect();
+                        let gone = expect.remove(pos);
+                        let case = format!("{assoc}-way wide {wide} occ {occ} pos {pos}");
+                        assert!(c.invalidate(gone), "{case}");
+                        assert_eq!(recency(&c, 0), expect, "{case}");
+                        assert!(!c.invalidate(gone), "{case}");
+                        // The freed way takes the next line at the front.
+                        assert!(!c.access(100), "{case}");
+                        expect.insert(0, 100);
+                        assert_eq!(recency(&c, 0), expect, "{case}");
                     }
-                    let lines: Vec<u64> = (0..occ).map(|i| 2 * i).collect();
-                    for &l in &lines {
-                        c.access(l);
-                    }
-                    let mut expect: Vec<u64> = lines.iter().rev().copied().collect();
-                    let gone = expect.remove(pos);
-                    assert!(c.invalidate(gone));
-                    assert_eq!(recency(&c, 0), expect, "wide {wide} occ {occ} pos {pos}");
-                    assert!(!c.invalidate(gone));
-                    // The freed way takes the next line at the front.
-                    assert!(!c.access(100));
-                    expect.insert(0, 100);
-                    assert_eq!(recency(&c, 0), expect, "wide {wide} occ {occ} pos {pos}");
                 }
             }
         }

@@ -210,11 +210,11 @@ impl MemorySystem {
         let mut fills = 0;
         for pline in p.predict(line) {
             if !cm.l1i.probe(pline) {
-                cm.l1i.fill(pline);
+                cm.l1i.access(pline);
                 if let Some(l2) = cm.l2.as_mut() {
-                    l2.fill(pline);
+                    l2.access(pline);
                 }
-                self.llc.fill(pline);
+                self.llc.access(pline);
                 fills += 1;
             }
         }
@@ -302,9 +302,9 @@ impl MemorySystem {
             ReadOutcome::CacheToCache { owner: _ } => {
                 self.stats.coherence_transfers += 1;
                 if let Some(l2) = self.cores[core].l2.as_mut() {
-                    l2.fill(line);
+                    l2.access(line);
                 }
-                self.llc.fill(line);
+                self.llc.access(line);
                 self.llc_latency(core, line)
             }
             ReadOutcome::FromMemoryPath => self.refill_from_outer(core, line),

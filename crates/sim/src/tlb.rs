@@ -177,7 +177,9 @@ impl Tlb {
         }
     }
 
-    /// Drops all translations (e.g. on an address-space switch).
+    /// Drops all translations. No simulation calls it: every thread
+    /// shares one physical page space and the engine never switches
+    /// address spaces, so a TLB is only ever cold at the start of a run.
     pub fn flush(&mut self) {
         self.len = 0;
         self.idx.fill(0);

@@ -100,36 +100,40 @@ fn policy_strategy() -> impl Strategy<Value = ReplacementPolicy> {
     })
 }
 
-/// Replays `ops` through a flat cache of 8 sets x `assoc` ways and the
-/// reference model, asserting equal results for every access, fill and
-/// invalidation, and equal residency at the end. Selector: 0-3 access a
-/// fresh line, 4-7 access the previous op's line again (the MRU hit),
-/// 8-9 fill a fresh line, 10 fill the previous line, 11 invalidate a
-/// fresh line, 12 invalidate the previous line and access it again, 13
-/// flush (the next repeat then asks for a line whose stale tag still
-/// sits in its set's first way). Every 37th operation uses `far(fresh)`
-/// in place of a fresh line.
+/// Replays `ops` through a flat cache of `sets` sets x `assoc` ways and
+/// the reference model, asserting equal results for every access and
+/// invalidation, equal residency at the end, and equal residency of
+/// every line the stream used. Selector: 0-3 and 8-9 access a fresh
+/// line, 4-7 and 10 access the previous op's line again (the MRU hit),
+/// 11 invalidate a fresh line, 12 invalidate the previous line and
+/// access it again, 13 flush (the next repeat then asks for a line whose
+/// stale tag still sits in its set's first way). A fresh line is `base +
+/// fresh`; every `far_every`th operation uses `far(fresh)` in its place.
 fn replay(
+    sets: u64,
     assoc: u32,
     policy: ReplacementPolicy,
     ops: &[(u8, u64)],
+    base: u64,
+    far_every: usize,
     far: impl Fn(u64) -> u64,
 ) -> Result<(), TestCaseError> {
-    let params = CacheParams::new(8 * 64 * u64::from(assoc), assoc, 1);
+    let params = CacheParams::new(sets * 64 * u64::from(assoc), assoc, 1);
     let mut fast = SetAssocCache::with_policy(params, policy);
-    let mut reference = RefCache::new(8, assoc as usize, policy);
-    let mut prev = 0u64;
+    let mut reference = RefCache::new(sets as usize, assoc as usize, policy);
+    let mut prev = base;
+    let mut seen = vec![prev];
     for (i, &(sel, fresh)) in ops.iter().enumerate() {
         let repeat = matches!(sel, 4..=7 | 10 | 12);
-        let l = if i % 37 == 36 {
+        let l = if i % far_every == far_every - 1 {
             far(fresh)
         } else if repeat {
             prev
         } else {
-            fresh
+            base + fresh
         };
         match sel {
-            0..=7 => {
+            0..=10 => {
                 prop_assert_eq!(
                     fast.access(l),
                     reference.access(l),
@@ -137,9 +141,6 @@ fn replay(
                     i,
                     l
                 );
-            }
-            8..=10 => {
-                prop_assert_eq!(fast.fill(l), reference.access(l), "fill #{} line {}", i, l);
             }
             11 => {
                 prop_assert_eq!(fast.invalidate(l), reference.invalidate(l));
@@ -156,17 +157,32 @@ fn replay(
             }
         }
         prev = l;
+        seen.push(l);
     }
     prop_assert_eq!(fast.resident_lines(), reference.resident());
-    for l in 0..512 {
+    for l in seen {
         prop_assert_eq!(fast.probe(l), reference.probe(l), "probe {}", l);
     }
     Ok(())
 }
 
-/// Operation streams over fresh lines `0..lines`, `lines / 8` per set.
-fn ops_strategy(lines: u64) -> impl Strategy<Value = Vec<(u8, u64)>> {
-    prop::collection::vec((0u8..14, 0..lines), 0..400)
+/// Operation streams of up to `max_len` operations over fresh lines
+/// `0..lines`.
+fn ops_strategy(lines: u64, max_len: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..14, 0..lines), 0..max_len)
+}
+
+/// `ops` with all but one in sixteen flushes turned into accesses of a
+/// fresh line. A flush every 14 operations on average empties an 8-way
+/// set long before it fills, so its deep ways and its evictions would
+/// go untested.
+fn rare_flushes(ops: &[(u8, u64)]) -> Vec<(u8, u64)> {
+    ops.iter()
+        .map(|&(sel, fresh)| match sel {
+            13 if fresh % 16 != 0 => (0, fresh),
+            _ => (sel, fresh),
+        })
+        .collect()
 }
 
 proptest! {
@@ -174,23 +190,51 @@ proptest! {
 
     /// The flat cache and the reference per-set-`Vec` model agree under
     /// all three replacement policies on a 4-way stream whose every
-    /// 37th line lies past `u32::MAX`, so the narrow→wide tag-store
-    /// transition is also exercised (and the lane path stops there).
+    /// 37th line lies past `u32::MAX`, so the first such line widens the
+    /// tag store and the lane path stops there.
     #[test]
-    fn cache_matches_reference_model(policy in policy_strategy(), ops in ops_strategy(512)) {
-        replay(4, policy, &ops, |fresh| fresh + (u32::MAX as u64 + 1))?;
+    fn cache_matches_reference_model(policy in policy_strategy(), ops in ops_strategy(512, 400)) {
+        replay(8, 4, policy, &ops, 0, 37, |fresh| fresh + (u32::MAX as u64 + 1))?;
     }
 
-    /// The same agreement on streams whose lines all fit in 32 bits
-    /// (every 37th one just below `u32::MAX`), so the tag store stays
-    /// narrow throughout: the 4-way geometry takes the lane path on
-    /// every operation, and the 2-way and 8-way ones take `touch`.
-    /// Sixteen fresh lines per set make hits below the MRU way, and the
-    /// evictions whose order they decide, common.
+    /// The same agreement on 2-, 4- and 8-way streams whose every tag
+    /// fits in 16 bits (every 37th line's tag is one of the 16 largest),
+    /// so the store keeps its lanes throughout and every operation takes
+    /// the lane path. Sixteen fresh lines per set make hits below the
+    /// MRU way, and the evictions whose order they decide, common; each
+    /// stream is replayed as drawn and with rare flushes, so 8-way sets
+    /// fill.
     #[test]
-    fn narrow_cache_matches_reference_model(policy in policy_strategy(), ops in ops_strategy(128)) {
-        for assoc in [2, 4, 8] {
-            replay(assoc, policy, &ops, |fresh| u32::MAX as u64 - fresh)?;
+    fn narrow_cache_matches_reference_model(
+        policy in policy_strategy(),
+        ops in ops_strategy(128, 1000),
+    ) {
+        for ops in [ops.clone(), rare_flushes(&ops)] {
+            for assoc in [2, 4, 8] {
+                replay(8, assoc, policy, &ops, 0, 37, |fresh| (1 << 19) - 1 - fresh)?;
+            }
+        }
+    }
+
+    /// Streams whose tags cross from `0xFFFF` to `0x10000`: sixteen fresh
+    /// lines per set with tags `0xFFF0..=0xFFFF` take the lane path until
+    /// the 149th operation's line, whose tag is 17 bits wide, widens the
+    /// store (most sets are full by then); the rest of the stream replays
+    /// on the line ids the widening rebuilt from each way's tag and set.
+    /// One geometry has 6 sets, so its tags and set indices come from a
+    /// division, not a shift.
+    #[test]
+    fn tags_crossing_16_bits_match_reference_model(
+        policy in policy_strategy(),
+        ops in ops_strategy(768, 1000),
+    ) {
+        for (sets, assoc) in [(8, 4), (6, 8)] {
+            let base = 0xFFF0 * sets;
+            let ops: Vec<(u8, u64)> = rare_flushes(&ops)
+                .into_iter()
+                .map(|(sel, fresh)| (sel, fresh % (16 * sets)))
+                .collect();
+            replay(sets, assoc, policy, &ops, base, 149, |fresh| base + 16 * sets + fresh)?;
         }
     }
 }
