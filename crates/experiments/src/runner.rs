@@ -326,10 +326,9 @@ impl ExpParams {
 }
 
 /// Fluent, single entry point for running one simulation: a
-/// [`Technique`] or a custom scheduler, a full engine configuration or
-/// one derived from [`ExpParams`], and any number of [`Observer`]s are
-/// all accepted uniformly. Experiments go through a [`Runner`], which
-/// runs each cell with this builder.
+/// [`Technique`] or a custom scheduler, and any number of [`Observer`]s,
+/// on the engine configuration [`ExpParams`] derives. Experiments go
+/// through a [`Runner`], whose cells take the same engine set-up.
 ///
 /// Resolution rules:
 ///
@@ -338,10 +337,9 @@ impl ExpParams {
 /// * A custom [`scheduler`](Self::scheduler) wins over
 ///   [`technique`](Self::technique); with neither, `run` fails with a
 ///   [`FailureCause::Builder`] diagnosis.
-/// * The engine configuration comes from exactly one source: the one
-///   given to [`from_config`](Self::from_config), else the one derived
-///   from the [`ExpParams`] (fault plan and sanitizer included).
-/// * Without a technique the derived config never doubles cores.
+/// * The engine configuration is the one derived from the [`ExpParams`]
+///   (fault plan and sanitizer included); without a technique it never
+///   doubles cores.
 ///
 /// # Examples
 ///
@@ -361,11 +359,9 @@ impl ExpParams {
 /// assert!(stats.total_instructions() > 0);
 /// ```
 pub struct RunBuilder {
-    params: Option<ExpParams>,
+    params: ExpParams,
     technique: Option<Technique>,
     scheduler: Option<Box<dyn Scheduler>>,
-    config: Option<EngineConfig>,
-    label: Option<String>,
     workload: Option<WorkloadSpec>,
     observers: Vec<Arc<dyn Observer>>,
 }
@@ -374,24 +370,9 @@ impl RunBuilder {
     /// Starts a run from shared experiment parameters.
     pub fn new(params: &ExpParams) -> Self {
         RunBuilder {
-            params: Some(params.clone()),
+            params: params.clone(),
             technique: None,
             scheduler: None,
-            config: None,
-            label: None,
-            workload: None,
-            observers: Vec::new(),
-        }
-    }
-
-    /// Starts a run from an already-built engine configuration.
-    pub fn from_config(cfg: EngineConfig) -> Self {
-        RunBuilder {
-            params: None,
-            technique: None,
-            scheduler: None,
-            config: Some(cfg),
-            label: None,
             workload: None,
             observers: Vec::new(),
         }
@@ -408,12 +389,6 @@ impl RunBuilder {
     /// [`technique`](Self::technique).
     pub fn scheduler(mut self, sched: Box<dyn Scheduler>) -> Self {
         self.scheduler = Some(sched);
-        self
-    }
-
-    /// Overrides the label used in failure diagnostics.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
         self
     }
 
@@ -436,70 +411,65 @@ impl RunBuilder {
     }
 
     /// Builds the engine and runs it.
-    pub fn run(mut self) -> Result<SimStats, ExperimentError> {
-        let label = self
-            .label
-            .take()
-            .unwrap_or_else(|| match (&self.scheduler, self.technique) {
-                (Some(s), _) => s.name().to_string(),
-                (None, Some(t)) => t.name().to_string(),
-                (None, None) => "unconfigured".to_string(),
-            });
-        let workload = self.workload.take().ok_or_else(|| {
-            ExperimentError::builder(&label, "?", "no workload: call .workload() or .benchmark()")
-        })?;
-        let wl_label = workload_label(&workload);
-        // Without a technique the derived config must not double cores;
-        // SchedTask is the neutral shape (run_with_scheduler's contract).
-        let shape = self.technique.unwrap_or(Technique::SchedTask);
-        let cfg = match self.config.take() {
-            Some(cfg) => cfg,
-            None => self
-                .params
-                .as_ref()
-                .ok_or_else(|| {
-                    ExperimentError::builder(
-                        &label,
-                        &wl_label,
-                        "no engine configuration: use RunBuilder::new or RunBuilder::from_config",
-                    )
-                })?
-                .engine_config(shape),
+    pub fn run(self) -> Result<SimStats, ExperimentError> {
+        let RunBuilder {
+            params,
+            technique,
+            scheduler,
+            workload,
+            observers,
+        } = self;
+        let label = match (&scheduler, technique) {
+            (Some(s), _) => s.name(),
+            (None, Some(t)) => t.name(),
+            (None, None) => "unconfigured",
         };
-        // Schedulers allocate per core, so a machine `Engine::new` would
-        // refuse must be refused before one is built.
-        cfg.validate()
-            .map_err(|e| ExperimentError::engine(&label, &wl_label, e.into()))?;
-        let sched = match self.scheduler.take() {
-            Some(s) => s,
+        let workload = workload.ok_or_else(|| {
+            ExperimentError::builder(label, "?", "no workload: call .workload() or .benchmark()")
+        })?;
+        // Without a technique the derived config must not double cores;
+        // SchedTask is the neutral shape.
+        let cfg = params.engine_config(technique.unwrap_or(Technique::SchedTask));
+        let build = |cores| match scheduler {
+            Some(s) => Ok(s),
             None => {
-                let technique = self.technique.ok_or_else(|| {
-                    ExperimentError::builder(
-                        &label,
-                        &wl_label,
-                        "no scheduler: call .technique() or .scheduler()",
-                    )
-                })?;
-                // The config is authoritative about the machine size, so
-                // the scheduler always matches it (core doubling
-                // included).
-                let cores = cfg.system.num_cores;
-                technique
-                    .check_cores(cores)
-                    .map_err(|e| ExperimentError::builder(&label, &wl_label, &e))?;
-                technique.scheduler(cores)
+                let technique =
+                    technique.ok_or("no scheduler: call .technique() or .scheduler()")?;
+                technique.check_cores(cores)?;
+                Ok(technique.scheduler(cores))
             }
         };
-        let mut engine = Engine::new(cfg, &workload, sched)
-            .map_err(|e| ExperimentError::engine(&label, &wl_label, e))?;
-        for obs in self.observers.drain(..) {
-            engine.add_observer(obs);
-        }
-        engine
-            .run()
-            .cloned()
-            .map_err(|e| ExperimentError::engine(&label, &wl_label, e))
+        run_engine(cfg, &workload, label, build, observers)
     }
+}
+
+/// The one engine set-up behind [`RunBuilder::run`] and every
+/// [`Runner`] cell. Validates `cfg` first: schedulers allocate per core,
+/// so a machine `Engine::new` would refuse must be refused before one
+/// is built. Then `scheduler` builds the scheduler for the machine's
+/// core count (its error is a [`FailureCause::Builder`] diagnosis), and
+/// the engine runs with `observers` attached in order.
+fn run_engine(
+    cfg: EngineConfig,
+    workload: &WorkloadSpec,
+    label: &str,
+    scheduler: impl FnOnce(usize) -> Result<Box<dyn Scheduler>, String>,
+    observers: Vec<Arc<dyn Observer>>,
+) -> Result<SimStats, ExperimentError> {
+    let wl_label = workload_label(workload);
+    cfg.validate()
+        .map_err(|e| ExperimentError::engine(label, &wl_label, e.into()))?;
+    let sched = scheduler(cfg.system.num_cores)
+        .map_err(|e| ExperimentError::builder(label, &wl_label, &e))?;
+    let mut engine = Engine::new(cfg, workload, sched)
+        .map_err(|e| ExperimentError::engine(label, &wl_label, e))?;
+    for obs in observers {
+        engine.add_observer(obs);
+    }
+    engine
+        .run()
+        .cloned()
+        .map_err(|e| ExperimentError::engine(label, &wl_label, e))
 }
 
 fn workload_label(workload: &WorkloadSpec) -> String {
@@ -836,40 +806,32 @@ impl Cell {
         });
         let mut rankings = None;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            // As in `RunBuilder::run`: refuse the machine before a
-            // scheduler allocates for it.
-            self.config
-                .validate()
-                .map_err(|e| ExperimentError::engine(name, &label, e.into()))?;
-            let cores = self.config.system.num_cores;
-            self.technique
-                .check_cores(cores)
-                .map_err(|e| ExperimentError::builder(name, &label, &e))?;
-            let mut sched: Box<dyn Scheduler> = match self.technique {
-                Technique::SchedTask if self.rankings => {
-                    let (sched, record) =
-                        SchedTaskScheduler::with_ranking_observer(cores, self.schedtask.clone());
-                    rankings = Some(record);
-                    Box::new(sched)
+            let build = |cores| {
+                self.technique.check_cores(cores)?;
+                let mut sched: Box<dyn Scheduler> = match self.technique {
+                    Technique::SchedTask if self.rankings => {
+                        let (sched, record) = SchedTaskScheduler::with_ranking_observer(
+                            cores,
+                            self.schedtask.clone(),
+                        );
+                        rankings = Some(record);
+                        Box::new(sched)
+                    }
+                    Technique::SchedTask => {
+                        Box::new(SchedTaskScheduler::new(cores, self.schedtask.clone()))
+                    }
+                    t => t.scheduler(cores),
+                };
+                if let Some(after) = self.fail_after {
+                    sched = Box::new(FailAfterScheduler::new(sched, after));
                 }
-                Technique::SchedTask => {
-                    Box::new(SchedTaskScheduler::new(cores, self.schedtask.clone()))
-                }
-                t => t.scheduler(cores),
+                Ok(sched)
             };
-            if let Some(after) = self.fail_after {
-                sched = Box::new(FailAfterScheduler::new(sched, after));
-            }
-            let mut builder = RunBuilder::from_config(self.config.clone())
-                .label(name)
-                .scheduler(sched)
-                .workload(&self.workload);
-            if let Some((agg, sink)) = &sinks {
-                builder = builder
-                    .observer(Arc::clone(agg) as Arc<dyn Observer>)
-                    .observer(Arc::clone(sink) as Arc<dyn Observer>);
-            }
-            builder.run()
+            let observers: Vec<Arc<dyn Observer>> = match &sinks {
+                Some((agg, sink)) => vec![Arc::clone(agg) as _, Arc::clone(sink) as _],
+                None => Vec::new(),
+            };
+            run_engine(self.config.clone(), &self.workload, name, build, observers)
         }))
         .unwrap_or_else(|payload| {
             Err(ExperimentError {

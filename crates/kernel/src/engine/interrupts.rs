@@ -166,9 +166,9 @@ pub(super) fn raise_irq(
 
 /// Queues an interrupt on core `c` and wakes the core if idle.
 ///
-/// Free function (not an `Engine` method) so event handlers and device
-/// models can deliver interrupts through a split-borrowed
-/// [`EngineCore`].
+/// Free function (not an `Engine` method) so [`raise_irq`], the timer
+/// tick and the fault injector's spurious interrupts can deliver through
+/// a split-borrowed [`EngineCore`].
 pub(super) fn deliver_irq(
     core: &mut EngineCore,
     c: usize,

@@ -26,8 +26,6 @@ pub struct GshareBranchPredictor {
     /// 2-bit saturating counters (0-1 predict not-taken, 2-3 taken).
     counters: Vec<u8>,
     history: u64,
-    correct: u64,
-    wrong: u64,
 }
 
 impl GshareBranchPredictor {
@@ -41,8 +39,6 @@ impl GshareBranchPredictor {
         GshareBranchPredictor {
             counters: vec![2; entries as usize], // weakly taken
             history: 0,
-            correct: 0,
-            wrong: 0,
         }
     }
 
@@ -64,32 +60,7 @@ impl GshareBranchPredictor {
         }
         // Shift the history.
         self.history = (self.history << 1) | taken as u64;
-        if correct {
-            self.correct += 1;
-        } else {
-            self.wrong += 1;
-        }
         correct
-    }
-
-    /// Correct predictions so far.
-    pub fn correct(&self) -> u64 {
-        self.correct
-    }
-
-    /// Mispredictions so far.
-    pub fn mispredictions(&self) -> u64 {
-        self.wrong
-    }
-
-    /// Prediction accuracy in [0, 1]; 0.0 before any branch.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.correct + self.wrong;
-        if total == 0 {
-            0.0
-        } else {
-            self.correct as f64 / total as f64
-        }
     }
 }
 
@@ -99,13 +70,23 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// The share of `(line, taken)` branches `bp` predicts correctly.
+    fn accuracy(
+        bp: &mut GshareBranchPredictor,
+        branches: impl Iterator<Item = (u64, bool)>,
+    ) -> f64 {
+        let (mut correct, mut total) = (0, 0);
+        for (line, taken) in branches {
+            correct += u32::from(bp.predict_and_train(line, taken));
+            total += 1;
+        }
+        f64::from(correct) / f64::from(total)
+    }
+
     #[test]
     fn always_taken_branch_learns() {
         let mut bp = GshareBranchPredictor::new(256);
-        for _ in 0..50 {
-            bp.predict_and_train(7, true);
-        }
-        assert!(bp.accuracy() > 0.9);
+        assert!(accuracy(&mut bp, (0..50).map(|_| (7, true))) > 0.9);
     }
 
     #[test]
@@ -113,26 +94,16 @@ mod tests {
         // T,N,T,N...: gshare's history bit makes this predictable after
         // warm-up.
         let mut bp = GshareBranchPredictor::new(4096);
-        let mut taken = false;
-        for _ in 0..2_000 {
-            taken = !taken;
-            bp.predict_and_train(9, taken);
-        }
-        assert!(bp.accuracy() > 0.8, "accuracy {}", bp.accuracy());
+        let accuracy = accuracy(&mut bp, (0..2_000).map(|i| (9, i % 2 == 0)));
+        assert!(accuracy > 0.8, "accuracy {accuracy}");
     }
 
     #[test]
     fn random_branches_hover_near_chance() {
         let mut bp = GshareBranchPredictor::new(1024);
         let mut rng = SmallRng::seed_from_u64(3);
-        for i in 0..20_000u64 {
-            bp.predict_and_train(i % 64, rng.gen_bool(0.5));
-        }
-        assert!(
-            (0.4..0.6).contains(&bp.accuracy()),
-            "accuracy {}",
-            bp.accuracy()
-        );
+        let accuracy = accuracy(&mut bp, (0..20_000u64).map(|i| (i % 64, rng.gen_bool(0.5))));
+        assert!((0.4..0.6).contains(&accuracy), "accuracy {accuracy}");
     }
 
     #[test]
@@ -150,14 +121,5 @@ mod tests {
     #[should_panic(expected = "at least one counter")]
     fn zero_entries_rejected() {
         GshareBranchPredictor::new(0);
-    }
-
-    #[test]
-    fn stats_accounting() {
-        let mut bp = GshareBranchPredictor::new(64);
-        for _ in 0..10 {
-            bp.predict_and_train(1, true);
-        }
-        assert_eq!(bp.correct() + bp.mispredictions(), 10);
     }
 }

@@ -19,18 +19,19 @@
 //!
 //! # Tags
 //!
-//! A way stores its line's tag, `line >> log2(sets)` (`line / sets` when
-//! the set count is not a power of two), in 16 bits, as hardware does:
-//! the set's position supplies the index bits. A 2- or 4-way set is then
-//! one `u32` or `u64` word and an 8-way set two `u64` words, which halves
-//! the slab the host's own caches must keep warm across 32 simulated
-//! cores (Table 2's 8 MB LLC keeps 256 KiB of tags). Sixteen bits hold
-//! the tag of every line below `2^16 × sets`: `2^23` on a 128-set 32 KB
-//! L1, `2^22` on the 64-set 16 KB L1i of the appendix's sweep, far above
-//! the lines any experiment touches (DESIGN §10.1 gives the margin). The
-//! first access whose tag needs more bits rewrites the store, once, as
-//! one `u64` line id per way; a cache of any other associativity uses
-//! that wide store from the start. Behaviour over arbitrary inputs is
+//! The set count is a power of two, so a line's set is its low
+//! `log2(sets)` bits and a way stores the rest, its tag `line >>
+//! log2(sets)`, in 16 bits, as hardware does: the set's position
+//! supplies the index bits. A 4-way set is then one `u64` word and an
+//! 8-way set two, which halves the slab the host's own caches must keep
+//! warm across 32 simulated cores (Table 2's 8 MB LLC keeps 256 KiB of
+//! tags). Sixteen bits hold the tag of every line below `2^16 × sets`:
+//! `2^23` on a 128-set 32 KB L1, `2^22` on the 64-set 16 KB L1i of the
+//! appendix's sweep, far above the lines any experiment touches (DESIGN
+//! §10.1 gives the margin). The first access whose tag needs more bits
+//! rewrites the store, once, as one `u64` line id per way, `tag <<
+//! log2(sets) | set`; a cache of any associativity but 4 or 8 uses that
+//! wide store from the start. Behaviour over arbitrary inputs is
 //! unchanged.
 //!
 //! # Update paths
@@ -76,7 +77,6 @@ pub const LEGACY_RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// ways first, in recency order (way 0 = MRU).
 #[derive(Debug, Clone)]
 enum TagStore {
-    Lanes2(Box<[u32]>),
     Lanes4(Box<[u64]>),
     Lanes8(Box<[[u64; 2]]>),
     Wide(Box<[u64]>),
@@ -103,12 +103,8 @@ pub struct SetAssocCache {
     /// full LRU stack without a sentinel value or per-way flags.
     occupancy: Box<[u16]>,
     assoc: usize,
-    num_sets: u64,
-    /// `log2(num_sets)` when `num_sets` is a power of two (every
-    /// geometry the experiments build), else `None`: lets
-    /// [`split`](Self::split) mask and shift instead of dividing on
-    /// every access.
-    set_bits: Option<u32>,
+    /// `log2` of the set count: [`split`](Self::split) masks and shifts.
+    set_bits: u32,
     policy: ReplacementPolicy,
     rng_state: u64,
 }
@@ -116,6 +112,11 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry and LRU
     /// replacement.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as every constructor does, if the set count is not a
+    /// power of two.
     pub fn new(params: CacheParams) -> Self {
         Self::with_policy(params, ReplacementPolicy::Lru)
     }
@@ -143,22 +144,24 @@ impl SetAssocCache {
 
     fn from_parts(params: CacheParams, policy: ReplacementPolicy, rng_state: u64) -> Self {
         let num_sets = params.num_sets();
+        // `CacheParams::new` refuses such a geometry too, but its fields
+        // are public.
+        assert!(
+            num_sets.is_power_of_two(),
+            "set count must be a power of two"
+        );
         let assoc = params.associativity as usize;
         let sets = num_sets as usize;
         SetAssocCache {
             params,
             lines: match assoc {
-                2 => TagStore::Lanes2(vec![0; sets].into_boxed_slice()),
                 4 => TagStore::Lanes4(vec![0; sets].into_boxed_slice()),
                 8 => TagStore::Lanes8(vec![[0; 2]; sets].into_boxed_slice()),
                 _ => TagStore::Wide(vec![0; sets * assoc].into_boxed_slice()),
             },
             occupancy: vec![0; sets].into_boxed_slice(),
             assoc,
-            num_sets,
-            set_bits: num_sets
-                .is_power_of_two()
-                .then(|| num_sets.trailing_zeros()),
+            set_bits: num_sets.trailing_zeros(),
             policy,
             rng_state,
         }
@@ -172,21 +175,18 @@ impl SetAssocCache {
     /// The set `line` maps to and the tag its way keeps.
     #[inline(always)]
     fn split(&self, line: u64) -> (usize, u64) {
-        match self.set_bits {
-            Some(bits) => ((line & ((1 << bits) - 1)) as usize, line >> bits),
-            None => ((line % self.num_sets) as usize, line / self.num_sets),
-        }
+        let bits = self.set_bits;
+        ((line & ((1 << bits) - 1)) as usize, line >> bits)
     }
 
     /// The line id way `way` of set `set_idx` holds, valid or not.
     fn way_line(&self, set_idx: usize, way: usize) -> u64 {
         let tag = match &self.lines {
-            TagStore::Lanes2(sets) => sets[set_idx].tag(way),
             TagStore::Lanes4(sets) => sets[set_idx].tag(way),
             TagStore::Lanes8(sets) => sets[set_idx].tag(way),
             TagStore::Wide(lines) => return lines[set_idx * self.assoc + way],
         };
-        u64::from(tag) * self.num_sets + set_idx as u64
+        (u64::from(tag) << self.set_bits) | set_idx as u64
     }
 
     /// Rewrites a lane store as one `u64` line id per way, in place of
@@ -194,7 +194,7 @@ impl SetAssocCache {
     #[cold]
     fn widen(&mut self) {
         let assoc = self.assoc;
-        let lines = (0..self.num_sets as usize * assoc)
+        let lines = (0..self.occupancy.len() * assoc)
             .map(|i| self.way_line(i / assoc, i % assoc))
             .collect();
         self.lines = TagStore::Wide(lines);
@@ -242,9 +242,6 @@ impl SetAssocCache {
                 TagStore::Lanes8(sets) => {
                     return touch_lanes(&mut sets[set_idx], occ, tag, policy, rng_state)
                 }
-                TagStore::Lanes2(sets) => {
-                    return touch_lanes(&mut sets[set_idx], occ, tag, policy, rng_state)
-                }
                 TagStore::Wide(_) => {}
             }
         }
@@ -265,7 +262,6 @@ impl SetAssocCache {
         match (&mut self.lines, u16::try_from(tag)) {
             (TagStore::Lanes4(sets), Ok(tag)) => return remove_lane(&mut sets[set_idx], occ, tag),
             (TagStore::Lanes8(sets), Ok(tag)) => return remove_lane(&mut sets[set_idx], occ, tag),
-            (TagStore::Lanes2(sets), Ok(tag)) => return remove_lane(&mut sets[set_idx], occ, tag),
             (TagStore::Wide(_), _) => {}
             // No lane holds a tag that needs more than 16 bits.
             (_, Err(_)) => return false,
@@ -361,9 +357,9 @@ fn next_random(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// A set of [`WAYS`](Lanes::WAYS) 16-bit tags: a `u32` or `u64` word
-/// with way `i` in bits `16*i..16*i+16`, so way 0 (the MRU) is the low
-/// lane, or two `u64` words of four ways each, ways 0-3 first.
+/// A set of [`WAYS`](Lanes::WAYS) 16-bit tags: a `u64` word with way `i`
+/// in bits `16*i..16*i+16`, so way 0 (the MRU) is the low lane, or two
+/// such words, ways 0-3 first.
 trait Lanes {
     const WAYS: usize;
 
@@ -392,54 +388,40 @@ trait Lanes {
     }
 }
 
-/// [`Lanes::first_match`] on four ways: 4 when none holds `tag`.
-#[inline(always)]
-fn first_match4(ways: u64, tag: u16) -> u32 {
-    // Bit 0 of every lane, and the 15 bits below bit 15.
-    const LOW: u64 = 0x0001_0001_0001_0001;
-    const LOW15: u64 = 0x7FFF * LOW;
-    // A lane of `x` is zero where the way holds `tag`. Adding 0x7FFF to
-    // a lane's low 15 bits sets its bit 15 unless they are all zero and
-    // never carries out of the lane, so bit 15 of `zero` is set exactly
-    // in the zero lanes.
-    let x = ways ^ (LOW * u64::from(tag));
-    let zero = !(((x & LOW15) + LOW15) | x | LOW15);
-    zero.trailing_zeros() / 16
+impl Lanes for u64 {
+    const WAYS: usize = 4;
+
+    #[inline(always)]
+    fn tag(&self, way: usize) -> u16 {
+        (*self >> (16 * way)) as u16
+    }
+
+    #[inline(always)]
+    fn first_match(&self, tag: u16) -> u32 {
+        // Bit 0 of every lane, and the 15 bits below bit 15.
+        const LOW: u64 = 0x0001_0001_0001_0001;
+        const LOW15: u64 = 0x7FFF * LOW;
+        // A lane of `x` is zero where the way holds `tag`. Adding 0x7FFF
+        // to a lane's low 15 bits sets its bit 15 unless they are all
+        // zero and never carries out of the lane, so bit 15 of `zero` is
+        // set exactly in the zero lanes.
+        let x = *self ^ (LOW * u64::from(tag));
+        let zero = !(((x & LOW15) + LOW15) | x | LOW15);
+        zero.trailing_zeros() / 16
+    }
+
+    #[inline(always)]
+    fn push_front(&mut self, pos: u32, tag: u16) {
+        let below: u64 = (1 << (16 * pos)) - 1;
+        *self = ((*self & below) << 16) | (*self & (!below << 16)) | u64::from(tag);
+    }
+
+    #[inline(always)]
+    fn remove(&mut self, pos: u32) {
+        let below: u64 = (1 << (16 * pos)) - 1;
+        *self = (*self & below) | ((*self >> 16) & !below);
+    }
 }
-
-macro_rules! impl_lanes {
-    ($($word:ty),*) => {$(
-        impl Lanes for $word {
-            const WAYS: usize = <$word>::BITS as usize / 16;
-
-            #[inline(always)]
-            fn tag(&self, way: usize) -> u16 {
-                (*self >> (16 * way)) as u16
-            }
-
-            #[inline(always)]
-            fn first_match(&self, tag: u16) -> u32 {
-                // A 2-way set's ways 2 and 3 read as zero tags, past its
-                // two valid ways.
-                first_match4(u64::from(*self), tag)
-            }
-
-            #[inline(always)]
-            fn push_front(&mut self, pos: u32, tag: u16) {
-                let below: $word = (1 << (16 * pos)) - 1;
-                *self = ((*self & below) << 16) | (*self & (!below << 16)) | <$word>::from(tag);
-            }
-
-            #[inline(always)]
-            fn remove(&mut self, pos: u32) {
-                let below: $word = (1 << (16 * pos)) - 1;
-                *self = (*self & below) | ((*self >> 16) & !below);
-            }
-        }
-    )*};
-}
-
-impl_lanes!(u32, u64);
 
 /// An 8-way set is two 4-way words: a way in ways 0-3 moves only the
 /// first, and the second is read only when the first has no match.
@@ -453,8 +435,8 @@ impl Lanes for [u64; 2] {
 
     #[inline(always)]
     fn first_match(&self, tag: u16) -> u32 {
-        match first_match4(self[0], tag) {
-            4 => 4 + first_match4(self[1], tag),
+        match self[0].first_match(tag) {
+            4 => 4 + self[1].first_match(tag),
             way => way,
         }
     }
@@ -549,6 +531,26 @@ mod tests {
         (0..usize::from(c.occupancy[set_idx]))
             .map(|way| c.way_line(set_idx, way))
             .collect()
+    }
+
+    #[test]
+    fn associativity_picks_the_tag_store() {
+        let store = |assoc: u32| {
+            SetAssocCache::new(CacheParams::new(4 * 64 * u64::from(assoc), assoc, 1)).lines
+        };
+        assert!(matches!(store(4), TagStore::Lanes4(_)));
+        assert!(matches!(store(8), TagStore::Lanes8(_)));
+        assert!(matches!(store(2), TagStore::Wide(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn six_sets_rejected_even_past_cache_params() {
+        SetAssocCache::new(CacheParams {
+            size_bytes: 6 * 4 * 64,
+            associativity: 4,
+            latency_cycles: 1,
+        });
     }
 
     #[test]

@@ -33,22 +33,29 @@ impl CacheParams {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or capacity is not a multiple of
-    /// `associativity * LINE_BYTES`.
+    /// Panics if any dimension is zero, capacity is not a multiple of
+    /// `associativity * LINE_BYTES`, or the set count is not a power of
+    /// two (a cache indexes its sets with a line id's low bits).
     pub fn new(size_bytes: u64, associativity: u32, latency_cycles: u64) -> Self {
         assert!(size_bytes > 0 && associativity > 0);
         assert!(
             size_bytes.is_multiple_of(associativity as u64 * LINE_BYTES),
             "capacity must be a whole number of sets"
         );
-        CacheParams {
+        let params = CacheParams {
             size_bytes,
             associativity,
             latency_cycles,
-        }
+        };
+        assert!(
+            params.num_sets().is_power_of_two(),
+            "set count must be a power of two"
+        );
+        params
     }
 
-    /// Number of sets.
+    /// Number of sets (a power of two for parameters from
+    /// [`CacheParams::new`]).
     pub fn num_sets(&self) -> u64 {
         self.size_bytes / (self.associativity as u64 * LINE_BYTES)
     }
@@ -240,6 +247,12 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn cache_params_rejects_ragged_geometry() {
         CacheParams::new(1000, 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn cache_params_rejects_six_sets() {
+        CacheParams::new(6 * 4 * 64, 4, 1);
     }
 
     #[test]

@@ -32,9 +32,6 @@
 pub struct PageHeatmap {
     bits: Vec<u64>,
     num_bits: u32,
-    /// `num_bits - 1` when the width is a power of two (every paper
-    /// width is), so the hot-path bit select masks instead of dividing.
-    bit_mask: u32,
 }
 
 impl PageHeatmap {
@@ -45,22 +42,18 @@ impl PageHeatmap {
     ///
     /// # Panics
     ///
-    /// Panics if `num_bits` is zero or not a multiple of 64 (the register
-    /// is manipulated in word-sized chunks, as the paper's sixteen 32-bit
-    /// AND operations suggest).
+    /// Panics unless `num_bits` is a power of two of at least 64, as
+    /// every width of Figure 11 is: the register is manipulated in
+    /// word-sized chunks, as the paper's sixteen 32-bit AND operations
+    /// suggest, and `hash mod B` is a mask.
     pub fn new(num_bits: u32) -> Self {
         assert!(
-            num_bits > 0 && num_bits.is_multiple_of(64),
-            "width must be a positive multiple of 64"
+            num_bits >= 64 && num_bits.is_power_of_two(),
+            "width must be a power-of-two multiple of 64"
         );
         PageHeatmap {
             bits: vec![0; (num_bits / 64) as usize],
             num_bits,
-            bit_mask: if num_bits.is_power_of_two() {
-                num_bits - 1
-            } else {
-                0
-            },
         }
     }
 
@@ -85,16 +78,11 @@ impl PageHeatmap {
         self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
     }
 
-    /// Register bit selected by `pfn` (`hash mod B`, masked when B is a
-    /// power of two).
+    /// Register bit selected by `pfn`: `hash mod B`, a mask since B is a
+    /// power of two.
     #[inline]
     fn bit_of(&self, pfn: u64) -> u32 {
-        let h = Self::hash_pfn(pfn);
-        if self.bit_mask != 0 {
-            h as u32 & self.bit_mask
-        } else {
-            (h % self.num_bits as u64) as u32
-        }
+        Self::hash_pfn(pfn) as u32 & (self.num_bits - 1)
     }
 
     /// True if the bit for `pfn` is set (membership may be a false
@@ -273,6 +261,12 @@ mod tests {
     #[should_panic(expected = "multiple of 64")]
     fn ragged_width_rejected() {
         PageHeatmap::new(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn width_of_three_words_rejected() {
+        PageHeatmap::new(192);
     }
 
     #[test]

@@ -207,7 +207,6 @@ impl MemorySystem {
         if l1_hit {
             return;
         }
-        let mut fills = 0;
         for pline in p.predict(line) {
             if !cm.l1i.probe(pline) {
                 cm.l1i.access(pline);
@@ -215,12 +214,8 @@ impl MemorySystem {
                     l2.access(pline);
                 }
                 self.llc.access(pline);
-                fills += 1;
+                self.stats.prefetch_fills += 1;
             }
-        }
-        if fills > 0 {
-            self.stats.prefetch_fills += fills;
-            p.note_issued(fills);
         }
     }
 

@@ -29,7 +29,6 @@ pub struct CallGraphPrefetcher {
     table: Vec<Option<(u64, u64)>>,
     degree: usize,
     last_line: Option<u64>,
-    issued: u64,
 }
 
 impl CallGraphPrefetcher {
@@ -45,7 +44,6 @@ impl CallGraphPrefetcher {
             table: vec![None; table_entries as usize],
             degree: degree as usize,
             last_line: None,
-            issued: 0,
         }
     }
 
@@ -79,16 +77,6 @@ impl CallGraphPrefetcher {
             }
         }
         out
-    }
-
-    /// Records that `n` prefetches were issued (for statistics).
-    pub fn note_issued(&mut self, n: u64) {
-        self.issued += n;
-    }
-
-    /// Total prefetches issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -140,14 +128,6 @@ mod tests {
         p.observe(3); // table[0] = (2, 3)
         assert!(p.predict(1).is_empty());
         assert_eq!(p.predict(2), vec![3]);
-    }
-
-    #[test]
-    fn issue_counter() {
-        let mut p = CallGraphPrefetcher::new(8, 2);
-        p.note_issued(5);
-        p.note_issued(2);
-        assert_eq!(p.issued(), 7);
     }
 
     #[test]

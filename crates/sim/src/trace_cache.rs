@@ -20,12 +20,13 @@ use std::collections::VecDeque;
 ///
 /// let mut tc = TraceCache::new(4, 3);
 /// // First pass records a trace; second pass hits it.
+/// let mut covered = 0;
 /// for _ in 0..2 {
 ///     for line in [10, 11, 12] {
-///         tc.fetch(line);
+///         covered += u32::from(tc.fetch(line));
 ///     }
 /// }
-/// assert!(tc.covered_fetches() > 0);
+/// assert!(covered > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceCache {
@@ -37,8 +38,6 @@ pub struct TraceCache {
     recording: Vec<u64>,
     /// Position in a currently-followed trace: (trace head, next index).
     following: Option<(u64, usize)>,
-    covered: u64,
-    total: u64,
 }
 
 impl TraceCache {
@@ -57,8 +56,6 @@ impl TraceCache {
             traces: VecDeque::new(),
             recording: Vec::new(),
             following: None,
-            covered: 0,
-            total: 0,
         }
     }
 
@@ -69,8 +66,6 @@ impl TraceCache {
     /// Feeds the next demand-fetched line; returns `true` when the fetch
     /// is covered by a stored trace (i.e. the i-cache can be bypassed).
     pub fn fetch(&mut self, line: u64) -> bool {
-        self.total += 1;
-
         // Are we in the middle of following a trace?
         if let Some((head, idx)) = self.following {
             // A followed trace can only vanish through eviction, which
@@ -81,7 +76,6 @@ impl TraceCache {
                 if matches {
                     let done = idx + 1 >= self.traces[pos].1.len();
                     self.following = if done { None } else { Some((head, idx + 1)) };
-                    self.covered += 1;
                     return true;
                 }
             }
@@ -121,20 +115,6 @@ impl TraceCache {
         }
     }
 
-    /// Fetches covered by a trace (bypassing the i-cache).
-    pub fn covered_fetches(&self) -> u64 {
-        self.covered
-    }
-
-    /// Fraction of fetches covered; 0.0 before any fetch.
-    pub fn coverage(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.covered as f64 / self.total as f64
-        }
-    }
-
     /// Number of stored traces.
     pub fn stored_traces(&self) -> usize {
         self.traces.len()
@@ -145,30 +125,34 @@ impl TraceCache {
 mod tests {
     use super::*;
 
+    /// The share of `lines` that `tc.fetch` reports covered.
+    fn coverage(tc: &mut TraceCache, lines: impl IntoIterator<Item = u64>) -> f64 {
+        let (mut covered, mut total) = (0, 0);
+        for line in lines {
+            covered += u32::from(tc.fetch(line));
+            total += 1;
+        }
+        f64::from(covered) / f64::from(total)
+    }
+
     #[test]
     fn repeated_run_gets_covered() {
         let mut tc = TraceCache::new(8, 4);
-        let run: Vec<u64> = (100..108).collect();
-        for _ in 0..3 {
-            for &l in &run {
-                tc.fetch(l);
-            }
-        }
         // Two traces of 4 lines each get recorded on pass 1; passes 2-3
         // cover 3 of every 4 lines (heads still cost a fetch).
-        assert!(tc.coverage() > 0.4, "coverage = {}", tc.coverage());
+        let coverage = coverage(&mut tc, (0..3).flat_map(|_| 100..108));
+        assert!(coverage > 0.4, "coverage = {coverage}");
     }
 
     #[test]
     fn divergent_path_stops_following() {
         let mut tc = TraceCache::new(8, 3);
         for &l in &[1u64, 2, 3] {
-            tc.fetch(l);
+            assert!(!tc.fetch(l)); // recording: not covered
         }
         // Head hit, but the second line diverges.
         assert!(!tc.fetch(1)); // head
         assert!(!tc.fetch(99)); // diverged: not covered
-        assert_eq!(tc.covered_fetches(), 0);
     }
 
     #[test]
@@ -189,15 +173,9 @@ mod tests {
         // More distinct streams than entries: traces evict each other, as
         // the appendix observes for >250 KB footprints.
         let mut tc = TraceCache::new(4, 4);
-        for round in 0..4 {
-            let _ = round;
-            for stream in 0..16u64 {
-                for off in 0..8u64 {
-                    tc.fetch(stream * 1000 + off);
-                }
-            }
-        }
-        assert!(tc.coverage() < 0.2, "coverage = {}", tc.coverage());
+        let round = (0..16u64).flat_map(|stream| (0..8u64).map(move |off| stream * 1000 + off));
+        let coverage = coverage(&mut tc, round.cycle().take(4 * 16 * 8));
+        assert!(coverage < 0.2, "coverage = {coverage}");
     }
 
     #[test]

@@ -199,11 +199,12 @@ proptest! {
 
     /// The same agreement on 2-, 4- and 8-way streams whose every tag
     /// fits in 16 bits (every 37th line's tag is one of the 16 largest),
-    /// so the store keeps its lanes throughout and every operation takes
-    /// the lane path. Sixteen fresh lines per set make hits below the
-    /// MRU way, and the evictions whose order they decide, common; each
-    /// stream is replayed as drawn and with rare flushes, so 8-way sets
-    /// fill.
+    /// so the 4- and 8-way stores keep their lanes throughout and every
+    /// operation takes the lane path; a 2-way cache keeps the wide store
+    /// from construction, so its streams replay that path whole. Sixteen
+    /// fresh lines per set make hits below the MRU way, and the
+    /// evictions whose order they decide, common; each stream is
+    /// replayed as drawn and with rare flushes, so 8-way sets fill.
     #[test]
     fn narrow_cache_matches_reference_model(
         policy in policy_strategy(),
@@ -218,23 +219,25 @@ proptest! {
 
     /// Streams whose tags cross from `0xFFFF` to `0x10000`: sixteen fresh
     /// lines per set with tags `0xFFF0..=0xFFFF` take the lane path until
-    /// the 149th operation's line, whose tag is 17 bits wide, widens the
-    /// store (most sets are full by then); the rest of the stream replays
-    /// on the line ids the widening rebuilt from each way's tag and set.
-    /// One geometry has 6 sets, so its tags and set indices come from a
-    /// division, not a shift.
+    /// the line of the 149th operation (the 397th on the 16-set 8-way
+    /// geometry, whose 128 ways take longer to fill), whose tag is 17
+    /// bits wide, widens the store (many sets are full by then); the rest
+    /// of the stream replays on the line ids the widening rebuilt from
+    /// each way's tag and set.
     #[test]
     fn tags_crossing_16_bits_match_reference_model(
         policy in policy_strategy(),
         ops in ops_strategy(768, 1000),
     ) {
-        for (sets, assoc) in [(8, 4), (6, 8)] {
+        for (sets, assoc, far_every) in [(8, 4, 149), (16, 8, 397)] {
             let base = 0xFFF0 * sets;
             let ops: Vec<(u8, u64)> = rare_flushes(&ops)
                 .into_iter()
                 .map(|(sel, fresh)| (sel, fresh % (16 * sets)))
                 .collect();
-            replay(sets, assoc, policy, &ops, base, 149, |fresh| base + 16 * sets + fresh)?;
+            replay(sets, assoc, policy, &ops, base, far_every, |fresh| {
+                base + 16 * sets + fresh
+            })?;
         }
     }
 }
