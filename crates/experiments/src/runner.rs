@@ -23,8 +23,10 @@ use schedtask_kernel::{
 use schedtask_sim::SystemConfig;
 use schedtask_workload::BenchmarkKind;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 /// A failed experiment run: which cell failed and why.
 ///
@@ -860,8 +862,7 @@ impl Cell {
 /// its seed is a pure function of its parameters, never of scheduling
 /// order, so a cell's `SimStats` are **bit-identical** whichever grid
 /// asks first, on however many workers; parallelism only changes
-/// wall-clock time. `jobs <= 1` runs cells serially on the caller's
-/// thread.
+/// wall-clock time.
 #[derive(Debug)]
 pub struct Runner {
     jobs: usize,
@@ -879,6 +880,12 @@ impl Runner {
 
     /// Simulates the cells of `grid` this runner has not simulated yet,
     /// and returns every cell's outcome.
+    ///
+    /// `min(jobs, new cells)` scoped workers, at least one when there
+    /// is a new cell, claim cells off one counter until none is left,
+    /// and each outcome lands in its cell's slot. `Cell::run` catches a
+    /// cell's panic; a worker that panics anyway is resumed here with
+    /// its own payload.
     pub fn run(&mut self, grid: &Grid) -> SweepReport {
         let cells = grid.cells();
         let mut todo: Vec<Cell> = Vec::new();
@@ -887,9 +894,36 @@ impl Runner {
                 todo.push(cell.clone());
             }
         }
-        let outcomes = scoped_pool::scoped_map(&todo, self.jobs, Cell::run);
-        self.done
-            .extend(todo.into_iter().zip(outcomes.into_iter().map(Arc::new)));
+        // Relaxed: the counter only hands out indices; each outcome
+        // comes back through its worker's `join`.
+        let next = AtomicUsize::new(0);
+        let mut slots: Vec<Option<CellOutcome>> = todo.iter().map(|_| None).collect();
+        thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.jobs.max(1).min(todo.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut ran = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(cell) = todo.get(i) else { return ran };
+                            ran.push((i, cell.run()));
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let ran = worker
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload));
+                for (i, outcome) in ran {
+                    slots[i] = Some(outcome);
+                }
+            }
+        });
+        for (cell, outcome) in todo.into_iter().zip(slots) {
+            let outcome = outcome.expect("a worker ran every cell");
+            self.done.push((cell, Arc::new(outcome)));
+        }
         SweepReport {
             width: grid.workloads.len(),
             cells: cells
@@ -1298,6 +1332,39 @@ mod tests {
         let rows = [Variant::from(Technique::Linux).with_migration_cost(0)];
         runner.run(&Grid::benchmarks(&p, &find, 2.0, rows));
         assert_eq!(runner.simulated(), 7);
+    }
+
+    #[test]
+    fn every_jobs_count_gives_the_same_outcomes() {
+        let mut p = ExpParams::quick();
+        p.cores = 2;
+        p.max_instructions = 60_000;
+        p.warmup_instructions = 20_000;
+        let rows = [Technique::Linux, Technique::Slicc, Technique::SchedTask];
+        let kinds = [BenchmarkKind::Find, BenchmarkKind::Iscp];
+        let grid = Grid::benchmarks(&p, &kinds, 1.0, rows);
+        // 0 jobs is one worker, as 1 is; 8 is more workers than cells.
+        let reports = [0, 1, 8].map(|jobs| {
+            let mut runner = Runner::new(jobs);
+            let report = runner.run(&grid);
+            assert_eq!(report.failed(), 0, "jobs={jobs}");
+            assert_eq!(runner.simulated(), 6, "jobs={jobs}");
+            // A grid whose cells were all simulated runs none again.
+            let again = runner.run(&grid);
+            assert_eq!(runner.simulated(), 6, "jobs={jobs}");
+            assert!(again
+                .cells
+                .iter()
+                .zip(&report.cells)
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+            report
+        });
+        for report in &reports[1..] {
+            for (a, b) in reports[0].cells.iter().zip(&report.cells) {
+                assert_eq!(a.technique, b.technique);
+                assert_eq!(a.result.as_ref().ok(), b.result.as_ref().ok());
+            }
+        }
     }
 
     #[test]

@@ -382,13 +382,19 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// How deeply arrays and objects may nest in a parsed value. The wire's
+/// deepest line is 4 levels deep (envelope, `result`, `mem`,
+/// `icache_app`); the bound keeps a line of `[`s from overflowing the
+/// parser's stack.
+const MAX_JSON_DEPTH: usize = 32;
+
 impl Json {
     /// Parses one complete JSON value from `s`, rejecting trailing
-    /// garbage.
+    /// garbage and arrays or objects nested more than 32 deep.
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -443,12 +449,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `*pos`, inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -561,7 +572,7 @@ fn unicode_escape(bytes: &[u8], pos: &mut usize, code: u32) -> Option<char> {
     char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -570,7 +581,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -583,7 +594,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -602,7 +613,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1041,7 +1052,8 @@ impl Response {
         match json.get("status").and_then(Json::as_str) {
             Some("ok") if json.get("pong").is_some() => Ok(Response::Pong {
                 id,
-                proto: u64_field("proto")? as u32,
+                proto: u32::try_from(u64_field("proto")?)
+                    .map_err(|_| "response \"proto\" does not fit in 32 bits".to_owned())?,
             }),
             Some("ok") if json.get("shutting_down").is_some() => Ok(Response::ShuttingDown { id }),
             Some("ok") if json.get("result").is_some() => {
@@ -1254,9 +1266,10 @@ impl ServeClient {
     }
 
     /// Sends a ping; on an ok answer returns the protocol version the
-    /// server reports. `None` means the server answered but not with
-    /// an ok status. This is the router's join-time version check.
-    pub fn ping_proto(&mut self) -> io::Result<Option<u32>> {
+    /// server reports, as the full `u64` it sent, so no version wraps
+    /// onto this build's. `None` means the server answered but not
+    /// with an ok status. This is the router's join-time version check.
+    pub fn ping_proto(&mut self) -> io::Result<Option<u64>> {
         let response =
             self.request_line(&format!("{{\"v\":{PROTOCOL_VERSION},\"op\":\"ping\"}}"))?;
         let json =
@@ -1266,8 +1279,7 @@ impl ServeClient {
         }
         // Pre-versioning servers pinged ok without a proto field;
         // report them as protocol 0 so the caller can refuse them.
-        let proto = json.get("proto").and_then(Json::as_u64).unwrap_or(0);
-        Ok(Some(proto as u32))
+        Ok(Some(json.get("proto").and_then(Json::as_u64).unwrap_or(0)))
     }
 }
 
@@ -1478,6 +1490,19 @@ mod tests {
         assert_eq!(v.get("e"), Some(&Json::Null));
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        let arrays = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+            let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).expect_err("one level too deep");
+            assert!(err.contains("nesting deeper than 32 levels"), "{err}");
+        }
+        let err = parse_request(&"[".repeat(1_000_000)).expect_err("a line of brackets");
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
     }
 
     #[test]

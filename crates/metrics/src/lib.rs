@@ -238,21 +238,6 @@ pub fn pct_change(baseline: f64, value: f64) -> f64 {
     (value - baseline) / baseline * 100.0
 }
 
-/// Ratio `numerator / denominator` expressed as a percentage; 0.0 when the
-/// denominator is zero.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(schedtask_metrics::pct(1.0, 4.0), 25.0);
-/// ```
-pub fn pct(numerator: f64, denominator: f64) -> f64 {
-    if denominator == 0.0 {
-        return 0.0;
-    }
-    numerator / denominator * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,12 +371,6 @@ mod tests {
         assert_eq!(pct_change(0.0, 10.0), 0.0);
         assert!((pct_change(10.0, 11.0) - 10.0).abs() < 1e-12);
         assert_eq!(pct_change(10.0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn pct_basics() {
-        assert_eq!(pct(3.0, 0.0), 0.0);
-        assert_eq!(pct(3.0, 12.0), 25.0);
     }
 
     #[test]

@@ -67,27 +67,18 @@ impl Slot {
         })
     }
 
-    /// Blocks until the in-flight execution resolves.
+    /// Blocks until the in-flight execution resolves, or for at most
+    /// `WAIT_LIMIT` in all.
     pub fn wait(&self) -> Result<Arc<JobOutput>, String> {
-        let mut state = self.state.lock().expect("cache slot poisoned");
-        let mut waited = Duration::ZERO;
-        loop {
-            match &*state {
-                SlotState::Ready(out) => return Ok(Arc::clone(out)),
-                SlotState::Failed(err) => return Err(err.clone()),
-                SlotState::Pending => {
-                    if waited >= WAIT_LIMIT {
-                        return Err("timed out waiting for in-flight job".to_owned());
-                    }
-                    let step = Duration::from_millis(200);
-                    let (next, _) = self
-                        .cv
-                        .wait_timeout(state, step)
-                        .expect("cache slot poisoned");
-                    state = next;
-                    waited += step;
-                }
-            }
+        let state = self.state.lock().expect("cache slot poisoned");
+        let (state, _) = self
+            .cv
+            .wait_timeout_while(state, WAIT_LIMIT, |s| matches!(s, SlotState::Pending))
+            .expect("cache slot poisoned");
+        match &*state {
+            SlotState::Ready(out) => Ok(Arc::clone(out)),
+            SlotState::Failed(err) => Err(err.clone()),
+            SlotState::Pending => Err("timed out waiting for in-flight job".to_owned()),
         }
     }
 }

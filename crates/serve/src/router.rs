@@ -41,22 +41,18 @@ use crate::server::{counters_object, id_field};
 /// within a few percent of each other.
 pub const RING_REPLICAS: usize = 100;
 
-/// Tunables for one router instance.
+/// Tunables for one router instance. Worker connections take the
+/// default socket timeouts.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Downstream worker endpoints, in ring-index order.
     pub workers: Vec<Endpoint>,
-    /// Socket timeouts for worker connections.
-    pub timeouts: ClientTimeouts,
 }
 
 impl RouterConfig {
-    /// A router over `workers` with the default socket timeouts.
+    /// A router over `workers`.
     pub fn new(workers: Vec<Endpoint>) -> Self {
-        RouterConfig {
-            workers,
-            timeouts: ClientTimeouts::default(),
-        }
+        RouterConfig { workers }
     }
 }
 
@@ -124,10 +120,10 @@ impl Router {
         }
         let mut pools = Vec::with_capacity(cfg.workers.len());
         for worker in &cfg.workers {
-            let mut client = ServeClient::dial(worker, &cfg.timeouts)
+            let mut client = ServeClient::dial(worker, &ClientTimeouts::default())
                 .map_err(|e| format!("cannot reach worker {worker}: {e}"))?;
             match client.ping_proto() {
-                Ok(Some(proto)) if proto == PROTOCOL_VERSION => {}
+                Ok(Some(proto)) if proto == u64::from(PROTOCOL_VERSION) => {}
                 Ok(Some(proto)) => {
                     return Err(format!(
                         "worker {worker} speaks protocol v{proto}, \
@@ -262,7 +258,7 @@ impl Router {
             // fall through to a fresh dial before declaring it down.
         }
         let endpoint = &self.cfg.workers[worker];
-        let mut client = ServeClient::dial(endpoint, &self.cfg.timeouts)
+        let mut client = ServeClient::dial(endpoint, &ClientTimeouts::default())
             .map_err(|e| format!("dial {endpoint}: {e}"))?;
         let response = client
             .request_line(line)

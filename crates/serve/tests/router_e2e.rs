@@ -9,7 +9,7 @@
 //! that coalesced onto a shed job gets an error a client retries.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
@@ -421,6 +421,11 @@ fn a_worker_of_another_protocol_version_is_refused_at_join() {
     for (pong, proto) in [
         ("{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":2}\n", 2),
         ("{\"v\":1,\"status\":\"ok\",\"pong\":true}\n", 0),
+        // 2^32 + 1: the same version as 1 when read as a `u32`.
+        (
+            "{\"v\":1,\"status\":\"ok\",\"pong\":true,\"proto\":4294967297}\n",
+            4_294_967_297_u64,
+        ),
     ] {
         let worker = start_canned_worker(pong, None, Duration::ZERO);
         let Err(err) = Router::new(RouterConfig::new(vec![worker.clone()])) else {
@@ -429,4 +434,38 @@ fn a_worker_of_another_protocol_version_is_refused_at_join() {
         assert!(err.contains(&worker.to_string()), "{err}");
         assert!(err.contains(&format!("protocol v{proto}")), "{err}");
     }
+}
+
+#[test]
+fn a_line_nested_too_deeply_is_refused_and_the_connection_still_served() {
+    let (worker, _, serving_worker) = start_worker(ServeConfig::default());
+    let router = Router::new(RouterConfig::new(vec![worker])).expect("router joins");
+    let serving = Serving::start(Daemon::Router(Arc::new(router))).expect("router serves");
+    let Endpoint::Tcp(addr) = serving.endpoint().clone();
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut responses = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut out = stream;
+    let mut lines = "[".repeat(1_000_000);
+    lines.push_str("\n{\"v\":1,\"op\":\"ping\",\"id\":\"after\"}\n");
+    out.write_all(lines.as_bytes())
+        .expect("send a line of brackets and a ping");
+    let mut next_response = || {
+        let mut line = String::new();
+        responses.read_line(&mut line).expect("read a response");
+        Response::parse(line.trim_end()).expect("a protocol envelope")
+    };
+    match next_response() {
+        Response::Error { error, .. } => assert!(error.contains("nesting deeper"), "{error}"),
+        other => panic!("expected a nesting error, got {other:?}"),
+    }
+    assert_eq!(
+        next_response(),
+        Response::Pong {
+            id: Some("after".to_owned()),
+            proto: 1,
+        }
+    );
+
+    serving.kill();
+    serving_worker.kill();
 }

@@ -168,6 +168,36 @@ fn a_line_of_exactly_the_limit_is_a_request_and_one_byte_more_is_refused() {
 }
 
 #[test]
+fn a_line_nested_too_deeply_is_refused_and_the_connection_still_served() {
+    let (addr, serving) = start_worker(ServeConfig::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut responses = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut out = stream;
+    let mut lines = "[".repeat(1_000_000);
+    lines.push_str("\n{\"v\":1,\"op\":\"ping\",\"id\":\"after\"}\n");
+    out.write_all(lines.as_bytes())
+        .expect("send a line of brackets and a ping");
+    let mut next_response = || {
+        let mut line = String::new();
+        responses.read_line(&mut line).expect("read a response");
+        Response::parse(line.trim_end()).expect("a protocol envelope")
+    };
+    match next_response() {
+        Response::Error { error, .. } => assert!(error.contains("nesting deeper"), "{error}"),
+        other => panic!("expected a nesting error, got {other:?}"),
+    }
+    assert_eq!(
+        next_response(),
+        Response::Pong {
+            id: Some("after".to_owned()),
+            proto: 1,
+        }
+    );
+
+    serving.kill();
+}
+
+#[test]
 fn a_fresh_connection_is_answered_at_once() {
     let (addr, serving) = start_worker(ServeConfig::default());
     // Each sample dials a new connection and sends it one ping.

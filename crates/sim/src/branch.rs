@@ -33,9 +33,12 @@ impl GshareBranchPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero.
+    /// Panics if `entries` is zero or not a power of two.
     pub fn new(entries: u32) -> Self {
-        assert!(entries > 0, "need at least one counter");
+        assert!(
+            entries.is_power_of_two(),
+            "need at least one counter, and a power of two of them"
+        );
         GshareBranchPredictor {
             counters: vec![2; entries as usize], // weakly taken
             history: 0,
@@ -43,7 +46,7 @@ impl GshareBranchPredictor {
     }
 
     fn index(&self, line: u64) -> usize {
-        ((line ^ self.history) % self.counters.len() as u64) as usize
+        ((line ^ self.history) & (self.counters.len() as u64 - 1)) as usize
     }
 
     /// Predicts the branch at `line`, trains with the actual `taken`
@@ -121,5 +124,11 @@ mod tests {
     #[should_panic(expected = "at least one counter")]
     fn zero_entries_rejected() {
         GshareBranchPredictor::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_entries_rejected() {
+        GshareBranchPredictor::new(1_000);
     }
 }

@@ -37,9 +37,14 @@ impl CallGraphPrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if `table_entries` or `degree` is zero.
+    /// Panics if `table_entries` is not a power of two or `degree` is
+    /// zero.
     pub fn new(table_entries: u32, degree: u32) -> Self {
-        assert!(table_entries > 0 && degree > 0);
+        assert!(
+            table_entries.is_power_of_two(),
+            "table entries must be a power of two"
+        );
+        assert!(degree > 0);
         CallGraphPrefetcher {
             table: vec![None; table_entries as usize],
             degree: degree as usize,
@@ -48,7 +53,7 @@ impl CallGraphPrefetcher {
     }
 
     fn slot(&self, line: u64) -> usize {
-        (line % self.table.len() as u64) as usize
+        (line & (self.table.len() as u64 - 1)) as usize
     }
 
     /// Trains the history table with the next line in the demand-fetch
@@ -134,5 +139,11 @@ mod tests {
     #[should_panic]
     fn zero_sizing_rejected() {
         CallGraphPrefetcher::new(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_table_rejected() {
+        CallGraphPrefetcher::new(1_000, 1);
     }
 }
